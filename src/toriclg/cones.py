@@ -153,9 +153,6 @@ class Cone:
             return 0
         return rank(gens)
 
-    def is_pointed(self):
-        return not self.lineality
-
     def dual(self):
         ineqs = [tuple(r) for r in self.rays]
         eqs = [tuple(l) for l in self.lineality]
@@ -201,11 +198,6 @@ class Cone:
 
     def __hash__(self):
         return hash((self.ambient, self.ray_set()))
-
-
-def cone_of_points(points):
-    """Smallest cone containing the given rational points."""
-    return Cone.from_rays([vec(p) for p in points])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ verification.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -15,24 +16,30 @@ import mpmath
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import det, frac, vec
+from .rational import bilinear, det, frac
 
 # Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
 _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
                Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
                Fraction(-1, 1209600)]
 
-mpmath.mp.dps = 30
-EULER_GAMMA = complex(mpmath.euler)
+# transcendental constants at 30 digits, without touching the process-wide
+# mpmath precision
+with mpmath.workdps(30):
+    EULER_GAMMA = complex(mpmath.euler)
 
 
 def zeta_value(k: int) -> complex:
-    return complex(mpmath.zeta(k))
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(k))
 
 
 class GammaPoly:
     """Polynomial in the Euler-Mascheroni constant and zeta values with
-    rational coefficients; keys are exponent tuples (gamma, zeta2, zeta3, ...)."""
+    rational coefficients; keys are exponent tuples (gamma, zeta2, zeta3, ...).
+
+    Rational scalars act as constant polynomials on either side of + and *,
+    so GammaPoly coefficients go through the ordinary Cls arithmetic."""
 
     def __init__(self, terms=None, nzeta=0):
         self.nzeta = nzeta
@@ -53,17 +60,23 @@ class GammaPoly:
             key[k - 1] = 1
         return cls({tuple(key): Fraction(1)}, nzeta)
 
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GammaPoly.const(other, self.nzeta)
+        return other
+
     def __add__(self, other):
         out = dict(self.terms)
-        for k, v in other.terms.items():
+        for k, v in self._lift(other).terms.items():
             out[k] = out.get(k, Fraction(0)) + v
             if out[k] == 0:
                 del out[k]
         return GammaPoly(out, self.nzeta)
 
+    __radd__ = __add__
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GammaPoly.const(other, self.nzeta)
+        other = self._lift(other)
         out = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -72,6 +85,11 @@ class GammaPoly:
                 if out[k] == 0:
                     del out[k]
         return GammaPoly(out, self.nzeta)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int):
+        return self * Fraction(1, k)
 
     def __neg__(self):
         return self * Fraction(-1)
@@ -87,6 +105,7 @@ class GammaPoly:
         return out
 
     def __eq__(self, other):
+        other = self._lift(other)
         return isinstance(other, GammaPoly) and self.terms == other.terms
 
     def __repr__(self):
@@ -247,6 +266,13 @@ class CohomologyRing:
     def total_dim(self):
         return sum(len(b) for b in self.basis.values())
 
+    def flatten(self, cls):
+        """Coefficient vector of a class over the basis, degree by degree."""
+        out = []
+        for d in range(self.n + 1):
+            out.extend(cls.coeffs[d])
+        return tuple(out)
+
     def todd_class(self):
         out = self.one()
         for i in range(self.m):
@@ -260,10 +286,27 @@ class CohomologyRing:
             out = out * s
         return out
 
+    @functools.cached_property
+    def euler_form(self):
+        """Exact Euler-form matrix X[a][b] = int e_a^dual e_b Td(X) on the
+        flattened basis, so chi(V, W) = flatten(ch V)^T X flatten(ch W);
+        built on first use from a single Todd class."""
+        units = []
+        for d in range(self.n + 1):
+            for i in range(len(self.basis[d])):
+                z = self.zero()
+                z.coeffs[d][i] = Fraction(1)
+                units.append(z)
+        td = self.todd_class()
+        return [[(a.dual() * b * td).integrate() for b in units]
+                for a in units]
+
 
 class Cls:
-    """Element of a CohomologyRing (per-degree coefficient vectors; the
-    scalars may be Fractions, complex numbers, or GammaPoly)."""
+    """Element of a CohomologyRing: per-degree coefficient vectors over the
+    monomial basis.  The scalars may be Fractions, complex numbers or
+    GammaPoly; one product (`*`) and one truncated exponential (`exp`)
+    serve all three."""
 
     def __init__(self, ring: CohomologyRing, coeffs):
         self.ring = ring
@@ -291,14 +334,14 @@ class Cls:
         poly = {}
         for d1, v1 in self.coeffs.items():
             for i1, c1 in enumerate(v1):
-                if _iszero(c1):
+                if c1 == 0:
                     continue
                 mo1 = ring.basis[d1][i1]
                 for d2, v2 in other.coeffs.items():
                     if d1 + d2 > ring.n:
                         continue
                     for i2, c2 in enumerate(v2):
-                        if _iszero(c2):
+                        if c2 == 0:
                             continue
                         mo2 = ring.basis[d2][i2]
                         mo = tuple(a + b for a, b in zip(mo1, mo2))
@@ -313,13 +356,17 @@ class Cls:
         return out
 
     def exp(self):
-        """exp of a class with vanishing degree-0 part."""
-        assert _iszero(self.coeffs[0][0])
+        """exp of a class with vanishing degree-0 part.  Terms are divided
+        by k, not multiplied by 1/k: for complex coefficients 1/k is itself
+        rounded, so the two give different last digits."""
+        assert self.coeffs[0][0] == 0
         ring = self.ring
         out = ring.one()
         term = ring.one()
         for k in range(1, ring.n + 1):
-            term = (term * self).scaled(Fraction(1, k))
+            term = term * self
+            term = Cls(ring, {d: [x / k for x in v]
+                              for d, v in term.coeffs.items()})
             out = out + term
         return out
 
@@ -333,11 +380,6 @@ class Cls:
             if isinstance(self.coeffs[self.ring.n][0], Fraction) \
             else self.coeffs[self.ring.n][0] / complex(self.ring.top_scale)
 
-    def degree_part(self, d):
-        out = self.ring.zero()
-        out.coeffs[d] = list(self.coeffs[d])
-        return out
-
     def numeric(self):
         return Cls(self.ring, {d: [complex(x) if isinstance(x, (int, Fraction))
                                    else (x.evaluate() if isinstance(x, GammaPoly)
@@ -349,13 +391,7 @@ class Cls:
                 all(self.coeffs[d] == other.coeffs[d] for d in self.coeffs))
 
     def is_zero(self):
-        return all(_iszero(x) for v in self.coeffs.values() for x in v)
-
-
-def _iszero(x):
-    if isinstance(x, GammaPoly):
-        return not x.terms
-    return x == 0
+        return all(x == 0 for v in self.coeffs.values() for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +432,10 @@ def build_cohomology_ring(fan: StackyFan) -> CohomologyRing:
 
 
 def euler_pairing_hrr(V1: KClass, V2: KClass) -> int:
-    """chi(V1, V2) = int ch(V1^dual) ch(V2) Td(X), exact and integral."""
+    """chi(V1, V2) = int ch(V1^dual) ch(V2) Td(X), exact and integral;
+    evaluated through the ring's Euler-form matrix."""
     ring = V1.ring
-    val = (V1.ch.dual() * V2.ch * ring.todd_class()).integrate()
+    val = bilinear(ring.flatten(V1.ch), ring.euler_form, ring.flatten(V2.ch))
     if not isinstance(val, Fraction) or val.denominator != 1:
         raise errors.NonIntegral(f"HRR pairing not an integer: {val}")
     return int(val)
@@ -409,23 +446,11 @@ def gamma_class(ring: CohomologyRing) -> Cls:
     in the Euler-Mascheroni constant and zeta(2..n)."""
     n = ring.n
     nz = max(n - 1, 1)
-
-    def gp_cls(template=None):
-        out = {d: [GammaPoly.const(0, nz) for _ in ring.basis[d]]
-               for d in range(n + 1)}
-        return Cls(ring, out)
-
-    def gp_add(a, b):
-        return Cls(ring, {d: [x + y for x, y in zip(a.coeffs[d], b.coeffs[d])]
-                          for d in a.coeffs})
-
-    one = gp_cls()
-    one.coeffs[0][0] = GammaPoly.const(1, nz)
-    out = one
+    out = ring.one()
     for i in range(ring.m):
         D = ring.divisor(i)
         # log Gamma(1+x) = -gamma x + sum_{k>=2} zeta(k) (-x)^k / k
-        logg = gp_cls()
+        logg = ring.zero()
         pw = ring.one()
         for k in range(1, n + 1):
             pw = pw * D
@@ -434,52 +459,8 @@ def gamma_class(ring: CohomologyRing) -> Cls:
             else:
                 coef = GammaPoly.symbol(f"zeta{k}", nz) * \
                     (Fraction(-1) ** k * Fraction(1, k))
-            lifted = Cls(ring, {d: [(coef * x if x else GammaPoly.const(0, nz))
-                                    for x in v]
-                                for d, v in pw.coeffs.items()})
-            logg = gp_add(logg, lifted)
-        # exp of the symbolic log, degree-truncated
-        term = one
-        acc = one
-        for k in range(1, n + 1):
-            term = _gp_mult(term, logg)
-            term = Cls(ring, {d: [x * Fraction(1, k) for x in v]
-                              for d, v in term.coeffs.items()})
-            acc = gp_add(acc, term)
-        out = _gp_mult(out, acc)
-    return out
-
-
-def _gp_mult(a: Cls, b: Cls) -> Cls:
-    """Multiplication where coefficients are GammaPoly (Cls.__mul__ works,
-    but zero-detection needs the GammaPoly-aware path)."""
-    ring = a.ring
-    poly = {}
-    for d1, v1 in a.coeffs.items():
-        for i1, c1 in enumerate(v1):
-            if _iszero(c1):
-                continue
-            mo1 = ring.basis[d1][i1]
-            for d2, v2 in b.coeffs.items():
-                if d1 + d2 > ring.n:
-                    continue
-                for i2, c2 in enumerate(v2):
-                    if _iszero(c2):
-                        continue
-                    mo2 = ring.basis[d2][i2]
-                    mo = tuple(x + y for x, y in zip(mo1, mo2))
-                    cur = poly.get(mo)
-                    prod = c1 * c2 if isinstance(c1, GammaPoly) else c2 * c1
-                    poly[mo] = prod if cur is None else cur + prod
-    nz = max(ring.n - 1, 1)
-    out = Cls(ring, {d: [GammaPoly.const(0, nz) for _ in ring.basis[d]]
-                     for d in range(ring.n + 1)})
-    for mo, c in poly.items():
-        d = sum(mo)
-        red = ring.reduce_map[d][mo]
-        for i, x in enumerate(red):
-            if x:
-                out.coeffs[d][i] = out.coeffs[d][i] + c * x
+            logg = logg + pw.scaled(coef)
+        out = out * logg.exp()
     return out
 
 
@@ -497,7 +478,8 @@ class GammaData:
                 raise errors.MismatchWithHRR(
                     "degree-2 part of the Gamma class is not -gamma*c1")
         self._gamma_num = self.gamma.numeric()
-        self._c1_num = self.c1.numeric()
+        # exp(-pi i c1) depends on neither argument of the pairing
+        self._exp_c1 = self.c1.numeric().scaled(-1j * math.pi).exp()
 
     def pairing(self, V1: KClass, V2: KClass) -> complex:
         """[alpha_1, alpha_2) with alpha_i = Gamma * (2 pi i)^{deg0/2} ch(V_i)."""
@@ -512,10 +494,8 @@ class GammaData:
             return self._gamma_num * scaled
         a1 = alpha(V1)
         a2 = alpha(V2)
-        ec = Cls(ring, {d: [x * (-1j * math.pi) for x in v]
-                        for d, v in self._c1_num.coeffs.items()})
         # exp(-pi i c1) * a1, then e^{pi i mu} with mu = (deg0 - n)/2
-        b1 = _cexp(ec) * a1
+        b1 = self._exp_c1 * a1
         b1 = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2 * 1))
                             for x in v] for d, v in b1.coeffs.items()})
         val = (b1 * a2).integrate()
@@ -655,13 +635,7 @@ class BlowupData:
 def _spans(ring, chs):
     """Whether the Chern characters span H^*(X;Q)."""
     from .rational import rank as mrank
-    rows = []
-    for ch in chs:
-        row = []
-        for d in range(ring.n + 1):
-            row.extend(ch.coeffs[d])
-        rows.append(tuple(row))
-    return mrank(rows) == ring.total_dim()
+    return mrank([ring.flatten(ch) for ch in chs]) == ring.total_dim()
 
 
 def gram_matrix(classes):
@@ -698,19 +672,6 @@ def verify_sod(classes, blocks):
     if abs(d) != 1:
         ok = False
     return ok, G
-
-
-def _cexp(x: Cls) -> Cls:
-    ring = x.ring
-    out = ring.zero()
-    out = Cls(ring, {d: [complex(v2) for v2 in v] for d, v in out.coeffs.items()})
-    out.coeffs[0][0] = 1 + 0j
-    term = out.copy()
-    for k in range(1, ring.n + 1):
-        term = term * x
-        term = Cls(ring, {d: [v2 / k for v2 in v] for d, v in term.coeffs.items()})
-        out = out + term
-    return out
 
 
 def euler_pairing_gamma(gdata: GammaData, V1: KClass, V2: KClass,

@@ -131,7 +131,3 @@ class VectorSet:
 
     def __len__(self):
         return len(self.vectors)
-
-    def index_of(self, b) -> int:
-        b = as_element(self.lattice, b)
-        return self.vectors.index(b)

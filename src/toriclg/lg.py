@@ -683,8 +683,9 @@ def assemble_potential(fan: StackyFan, q_values=(), t_values=None, chi=None,
     lam_basis = _lambda_sigma_basis(fan)
     q_values = list(q_values)
     if len(q_values) != len(lam_basis):
-        raise ValueError(f"chart needs {len(lam_basis)} q-values "
-                         f"(canonical Lambda^Sigma basis)")
+        raise errors.ScenarioError(
+            f"chart on rays {sorted(rays)} needs {len(lam_basis)} q-values "
+            f"(canonical Lambda^Sigma basis), got {len(q_values)}")
     t_values = dict(t_values or {})
     exps = []
     coeffs = []
@@ -700,7 +701,9 @@ def assemble_potential(fan: StackyFan, q_values=(), t_values=None, chi=None,
                     coeff *= complex(qv) ** float(e)
         if b in ghosts:
             if b not in t_values:
-                raise ValueError(f"missing t-value for ghost ray index {b}")
+                raise errors.ScenarioError(
+                    f"chart on rays {sorted(rays)} needs t-values for ghost "
+                    f"indices {ghosts}, got {sorted(t_values)}")
             coeff *= complex(t_values[b])
         exps.append(tuple(S[b].free))
         coeffs.append(coeff)

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from . import errors
-from .rational import solve, transpose, vec
+from .rational import bilinear, solve, transpose, vec
 
 
 class MatrixBackend:
@@ -20,53 +20,23 @@ class MatrixBackend:
         self.G = [list(map(Fraction, row)) for row in gram]
 
     def pair(self, u, v):
-        n = len(self.G)
-        return sum(Fraction(u[i]) * self.G[i][j] * Fraction(v[j])
-                   for i in range(n) for j in range(n))
-
-    def dim(self):
-        return len(self.G)
+        return bilinear(u, self.G, v)
 
 
 class KBackend:
-    """Euler pairing on Chern-character vectors flattened over the ring
-    basis; exact rational."""
+    """Exact Euler pairing on Chern-character vectors flattened over the
+    ring basis: u^T X v with X the ring's own Euler-form matrix
+    (CohomologyRing.euler_form), the same form euler_pairing_hrr uses."""
 
     def __init__(self, ring):
         self.ring = ring
-        basis_cls = []
-        for d in range(ring.n + 1):
-            for i in range(len(ring.basis[d])):
-                z = ring.zero()
-                z.coeffs[d][i] = Fraction(1)
-                basis_cls.append(z)
-        td = ring.todd_class()
-        self.X = [[(a.dual() * b * td).integrate() for b in basis_cls]
-                  for a in basis_cls]
-        self.dim_ = len(basis_cls)
+        self.G = ring.euler_form
 
     def flatten(self, cls):
-        out = []
-        for d in range(self.ring.n + 1):
-            out.extend(cls.coeffs[d])
-        return tuple(out)
-
-    def unflatten(self, v):
-        out = self.ring.zero()
-        i = 0
-        for d in range(self.ring.n + 1):
-            for j in range(len(self.ring.basis[d])):
-                out.coeffs[d][j] = Fraction(v[i])
-                i += 1
-        return out
+        return self.ring.flatten(cls)
 
     def pair(self, u, v):
-        n = self.dim_
-        return sum(Fraction(u[i]) * self.X[i][j] * Fraction(v[j])
-                   for i in range(n) for j in range(n))
-
-    def dim(self):
-        return self.dim_
+        return bilinear(u, self.G, v)
 
 
 def admissible(phi, markings, tol=1e-9) -> bool:
@@ -187,9 +157,6 @@ class MutationEvent:
         self.at = at                  # refined path parameter
         self.u_moving = u_moving
         self.u_pivot = u_pivot
-
-    def signature(self):
-        return (self.moving, self.pivot, self.direction)
 
     def as_dict(self):
         return {"step": self.step, "moving": self.moving, "pivot": self.pivot,

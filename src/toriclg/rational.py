@@ -18,17 +18,8 @@ def vec(xs) -> tuple:
     return tuple(frac(x) for x in xs)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def dot(u, v) -> Fraction:
@@ -41,6 +32,11 @@ def is_zero(u) -> bool:
 
 def matvec(rows, x):
     return tuple(dot(r, x) for r in rows)
+
+
+def bilinear(u, G, v):
+    """u^T G v."""
+    return dot(u, matvec(G, v))
 
 
 def transpose(rows):
@@ -88,12 +84,11 @@ def solve(rows, b):
     red, piv = rref(aug, n + 1)
     if n in piv:
         return None
+    # a reduced pivot row is zero in every other pivot column, so with the
+    # free variables at 0 each pivot variable is read off the last column
     x = [Fraction(0)] * n
     for c, r in piv.items():
-        x[c] = red[r][n] - sum(red[r][j] * x[j] for j in range(c + 1, n))
-    # with rref the tail coefficients on pivot columns are zero, free vars 0
-    for c, r in piv.items():
-        x[c] = red[r][n] - sum(red[r][j] * x[j] for j in range(n) if j != c and j not in piv)
+        x[c] = red[r][n]
     return tuple(x)
 
 

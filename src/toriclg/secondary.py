@@ -442,7 +442,3 @@ def _common_cone_sigma0(wall: WallCrossing, v1, v2, cache=None):
         if cone.contains(vec(v1.free)) and cone.contains(vec(v2.free)):
             return True
     return False
-
-
-def curve_chart(wall: WallCrossing) -> CurveChart:
-    return CurveChart(wall)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from toriclg import errors
 from toriclg.cli import main
 from toriclg.scenario import Scenario, compile_expr
 
@@ -36,8 +37,19 @@ def test_expression_parser():
 def test_scenario_schema_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"name": "x", "lattice": {"rank": 2}, "S": []}))
-    with pytest.raises(Exception):
+    with pytest.raises(errors.ScenarioError):
         Scenario.load(str(p))
+
+
+def test_cmd_critical_q_count_mismatch_exits_2(tmp_path, capsys):
+    with open(scn("blowup-c2.json")) as fh:
+        doc = json.load(fh)
+    doc["potential"]["q"] = ["lam"]      # the c2 chart takes no q-values
+    p = tmp_path / "bad-q.json"
+    p.write_text(json.dumps(doc))
+    rc = main(["critical", "--scenario", str(p), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "ScenarioError" in capsys.readouterr().err
 
 
 def test_cmd_fans_a1(tmp_path):

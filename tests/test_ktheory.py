@@ -1,16 +1,20 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from toriclg import errors
 from toriclg.fans import StackyFan
-from toriclg.ktheory import (BlowupData, CohomologyRing, GammaData, KClass,
-                             bl_line_p4, bl_point_p2, build_cohomology_ring,
-                             euler_pairing_gamma, euler_pairing_hrr,
-                             gram_matrix, p1xp1, projective_space, verify_sod)
+from toriclg.ktheory import (BlowupData, CohomologyRing, GammaData, GammaPoly,
+                             KClass, bl_line_p4, bl_point_p2,
+                             build_cohomology_ring, euler_pairing_gamma,
+                             euler_pairing_hrr, gram_matrix, p1xp1,
+                             projective_space, verify_sod)
 from toriclg.lattice import AbelianLattice, VectorSet
+from toriclg.mutation import KBackend
 from toriclg.secondary import wall_between
 
 
@@ -107,6 +111,58 @@ def test_serre_symmetry_random():
         lhs = euler_pairing_hrr(a, b)
         rhs = euler_pairing_hrr(b, a.tensor(KX))
         assert lhs == (-1) ** ring.n * rhs
+
+
+def test_kbackend_pairs_like_hrr():
+    rng = random.Random(12)
+    for fan in (bl_line_p4(), p1xp1()):
+        ring = build_cohomology_ring(fan)
+        back = KBackend(ring)
+        td = ring.todd_class()
+        for _ in range(6):
+            V = line_bundle(ring, {i: rng.randint(-2, 2) for i in range(ring.m)})
+            W = line_bundle(ring, {i: rng.randint(-2, 2) for i in range(ring.m)})
+            val = euler_pairing_hrr(V, W)
+            assert back.pair(back.flatten(V.ch), back.flatten(W.ch)) == val
+            # reference: the HRR integral taken directly in the ring
+            assert (V.ch.dual() * W.ch * td).integrate() == val
+
+
+def test_hrr_gram_builds_todd_once_per_ring(monkeypatch):
+    calls = []
+    todd = CohomologyRing.todd_class
+
+    def counting(ring):
+        calls.append(ring)
+        return todd(ring)
+    monkeypatch.setattr(CohomologyRing, "todd_class", counting)
+    rng = random.Random(3)
+    rings = [build_cohomology_ring(f) for f in (projective_space(2), p1xp1())]
+    for ring in rings:
+        classes = [line_bundle(ring, {i: rng.randint(-2, 2)
+                                      for i in range(ring.m)})
+                   for _ in range(6)]
+        assert len(gram_matrix(classes)) == 6
+    assert calls == rings
+
+
+def test_gammapoly_scalar_operands():
+    nz = 2
+    g = GammaPoly.symbol("gamma", nz) + GammaPoly.symbol("zeta2", nz)
+    assert 0 + g == g and Fraction(0) + g == g
+    assert Fraction(2, 3) * g == g * Fraction(2, 3)
+    assert g / 3 == g * Fraction(1, 3) and (g / 3) * 3 == g
+    assert GammaPoly.const(0, nz) == 0 and g != 0
+    assert GammaPoly.const(5, nz) == 5 and Fraction(5) == GammaPoly.const(5, nz)
+
+
+def test_import_keeps_mpmath_precision():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import mpmath, toriclg.ktheory; print(mpmath.mp.dps)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "15"
 
 
 def test_gamma_class_p1():

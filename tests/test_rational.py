@@ -17,6 +17,18 @@ def test_rref_solve_roundtrip():
         x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
         b = matvec(A, x)
         assert solve(A, b) == x
+    # rank-deficient systems: the last row is a combination of the others
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(1, 5)
+        A = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
+             for _ in range(m - 1)]
+        c = [rng.randint(-2, 2) for _ in range(m - 1)]
+        A.append(tuple(sum(ci * r[j] for ci, r in zip(c, A)) for j in range(n)))
+        x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        b = matvec(A, x)
+        assert matvec(A, solve(A, b)) == b
+        # the same rows with the dependency broken in b alone: inconsistent
+        assert solve(A, b[:-1] + (b[-1] + 1,)) is None
 
 
 def test_nullspace_orthogonality():
