@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors
-from .cones import Cone, normalized_volume
+from .cones import normalized_volume
 from .fans import StackyFan
 from .lattice import NElt, as_element
 from .rational import (dot, nullspace, rank, solve, transpose, vec)

@@ -91,15 +91,24 @@ class LGPotential:
     def newton_polytope(self):
         return [tuple(int(x) for x in row) for row in self.B_int]
 
+    def count_bound(self):
+        """(bound, exact): Bernstein's bound |N_tor| x normalized volume of
+        conv(supp F, plus 0 when chi != 0) on the isolated torus critical
+        points, whatever the coefficients, and whether it is exact, which
+        holds when 0 is interior to the Newton polytope (the Kouchnirenko
+        count)."""
+        pts = [vec(p) for p in self.newton_polytope()]
+        facets = polytope_facets(pts)
+        exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
+        if np.any(self.chi) and not exact:
+            pts.append(vec((0,) * self.n))
+        return self.torsion_order * int(normalized_volume(pts)), exact
+
     def expected_count(self):
-        """|N_tor| x normalized volume of the Newton polytope when 0 is
-        interior (the Kouchnirenko count); None otherwise."""
-        pts = self.newton_polytope()
-        facets = polytope_facets([vec(p) for p in pts])
-        if not facets or any(a0 <= 0 for _, a0, _ in facets):
-            return None
-        vol = normalized_volume([vec(p) for p in pts])
-        return self.torsion_order * int(vol)
+        """The exact critical-point count (Kouchnirenko) when 0 is interior
+        to the Newton polytope; None otherwise."""
+        bound, exact = self.count_bound()
+        return bound if exact else None
 
 
 class CriticalDatum:
@@ -176,15 +185,23 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     damped Newton in log coordinates, deduplicated modulo 2 pi i shifts.
 
     Solutions drifting to toric infinity (|Re log x| beyond coord_cap, where
-    the gradient decays without a genuine zero) are rejected.  Completeness
-    is asserted against the Kouchnirenko count when the Newton polytope has
-    0 in its interior (or against `expected`)."""
+    the gradient decays without a genuine zero) are rejected.  The search
+    stops once it has found `expected` points, or else the count of
+    `F.count_bound()`: Bernstein's bound, which no isolated solution set
+    exceeds, so reaching it means every point is found.  Finding fewer
+    raises IncompleteCount only when the count is exact (`expected` given,
+    or the Kouchnirenko count when 0 is interior to the Newton polytope);
+    finding more than the bound always raises it."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if expected is None:
-        expected = F.expected_count()
+    bound, exact = F.count_bound()
+    if expected is None and exact:
+        expected = bound
+    stop = bound if expected is None else expected
+    if stop == 0:
+        return []
     found = []
-    budget = budget_factor * (expected if expected else 8)
+    budget = budget_factor * stop
 
     def record(l, component):
         l = _canonical_log(l)
@@ -213,14 +230,17 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             l = _newton_solve(F, l0, component, tol)
             if l is not None:
                 record(l, component)
-            if expected is not None and len(found) == expected \
-                    and tries > per_comp_budget // 10:
+            if len(found) == stop and tries > per_comp_budget // 10:
                 break
-        if expected is not None and len(found) == expected:
+        if len(found) == stop:
             break
+    if len(found) > bound:
+        raise errors.IncompleteCount(
+            f"found {len(found)} critical points, more than the Bernstein "
+            f"bound {bound}; points may be non-isolated or duplicated")
     if expected is not None and len(found) < expected and raise_on_incomplete:
         raise errors.IncompleteCount(
-            f"found {len(found)} critical points, Kouchnirenko count is "
+            f"found {len(found)} critical points, exact count is "
             f"{expected}; parameter may be near the discriminant")
     found.sort(key=lambda p: (-p.value.imag, p.value.real))
     return found
@@ -531,7 +551,7 @@ def track_critical_values(family, params, seeds=None, rng=None,
                     f"branches merged at parameter {s1} and re-matching failed")
             events.append({"step": k, "kind": "branch_lost",
                            "param": _pnum(s1)})
-        scale = max(1.0, max(abs(p.value) for p in nxt))
+        scale = max([1.0] + [abs(p.value) for p in nxt])
         vd = min_pair_dist(nxt, use_points=False)
         for br, p in zip(branches, nxt):
             br.append(p)

@@ -111,6 +111,18 @@ def test_cmd_track_determinism(tmp_path):
     assert e1 == e2
 
 
+def test_cmd_track_a1_has_no_branches(tmp_path):
+    # the crepant A1 chart has no torus critical points: the trajectory
+    # carries the parameter columns alone
+    rc = main(["track", "--scenario", scn("a1.json"), "--out",
+               str(tmp_path), "--seed", "0"])
+    assert rc == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "step,param_re,param_im"
+    assert len(lines) == 12
+    assert read(tmp_path, "events.json")["events"] == []
+
+
 def test_cmd_gkz_p2(tmp_path):
     rc = main(["gkz", "--scenario", scn("p2.json"), "--out", str(tmp_path)])
     assert rc == 0

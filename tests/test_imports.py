@@ -1,0 +1,41 @@
+import ast
+import pathlib
+
+import pytest
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "src" / "toriclg"
+
+
+def unused_imports(source):
+    """Names bound by module-level imports that the module never reads
+    (a name listed in __all__ counts as read)."""
+    tree = ast.parse(source)
+    bound = {}
+    used = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    used.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_unused_import_scan_flags_and_clears():
+    src = ("from __future__ import annotations\n"
+           "import math\nimport os.path\nfrom .a import b as c, d\n"
+           "__all__ = ['d']\nx = os.path.join('a')\n")
+    assert unused_imports(src) == [(2, "math"), (4, "c")]
+
+
+@pytest.mark.parametrize("path", sorted(PKG.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []

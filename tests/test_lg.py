@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from toriclg import errors
+from toriclg import errors, lg
 from toriclg.families import (bl_line_p4_family_lambda,
                               bl_line_p4_oracle_values, bl_line_p4_potential,
                               blowup_c2_potential, cyclic_orbifold_potential,
@@ -189,6 +189,40 @@ def test_a1_curve_has_only_zero_branch():
     pts = critical_points(F, expected=None, rng=np.random.default_rng(0),
                           budget_factor=60, raise_on_incomplete=False)
     assert len(pts) == 0
+
+
+def test_count_bound():
+    assert blowup_c2_potential(0.8).count_bound() == (1, False)
+    for d in (3, 4, 5):
+        assert cyclic_orbifold_potential(d, 1.1).count_bound() == (d - 2, False)
+    assert cyclic_orbifold_potential(2, 0.73).count_bound() == (0, False)
+    assert bl_line_p4_potential(0.8, 1.1).count_bound() == (9, True)
+    # chi != 0 adds the origin: conv{0, 1, 2} has volume 2
+    F = LGPotential([(1,), (2,)], [1, 1], chi=[1])
+    assert F.count_bound() == (2, False)
+    assert len(critical_points(F, rng=np.random.default_rng(0))) == 2
+
+
+def test_over_count_raises():
+    # without deduplication every converged start counts as a new point
+    with pytest.raises(errors.IncompleteCount, match="found .* bound 1"):
+        critical_points(blowup_c2_potential(0.8), dedupe_tol=0.0)
+
+
+def test_search_stops_at_count_bound(monkeypatch):
+    calls = []
+    solve = lg._newton_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(lg, "_newton_solve", counted)
+    pts = critical_points(cyclic_orbifold_potential(4, 1.0),
+                          rng=np.random.default_rng(0))
+    assert len(pts) == 2 and len(calls) <= 400
+    calls.clear()
+    assert critical_points(cyclic_orbifold_potential(2, 0.73)) == []
+    assert calls == []
 
 
 def test_newton_nondegenerate():
