@@ -71,10 +71,23 @@ class BoxElement:
         return f"Box({self.element}, age={self.age})"
 
 
-class StackyFan:
-    """A validated stacky fan adapted to S."""
+def cones_key(max_cones):
+    """Key of the fan with these maximal cones (index sets into S): sorted
+    index tuples plus the rays, so it does not depend on the cones' order."""
+    cones = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in max_cones))
+    return cones, tuple(sorted(set().union(*cones)))
 
-    def __init__(self, vector_set: VectorSet, max_cones, validate=True):
+
+class StackyFan:
+    """A validated stacky fan adapted to S.
+
+    `heights`, when given, is a height vector c in Q^S that certifies strict
+    convexity directly (see `_heights_certify`); otherwise the exact LP of
+    `convexity_certificate` decides it.
+    """
+
+    def __init__(self, vector_set: VectorSet, max_cones, validate=True,
+                 heights=None):
         self.vector_set = vector_set
         self.S = vector_set.vectors
         self.lattice = vector_set.lattice
@@ -84,8 +97,9 @@ class StackyFan:
         self._L = None
         self._D = None
         self._plz = None
+        self._pl_cone_data = None    # secondary.pl_cone_data memoizes here
         if validate:
-            self._validate()
+            self._validate(heights)
 
     # -- basic data --------------------------------------------------------
     @property
@@ -114,7 +128,7 @@ class StackyFan:
         return self._D
 
     # -- validation --------------------------------------------------------
-    def _validate(self):
+    def _validate(self, heights=None):
         n = self.n
         for c in self.max_cones:
             for i in c:
@@ -139,7 +153,10 @@ class StackyFan:
                     f"maximal cone {sorted(c)} has dimension {len(c)} < {n}")
         self._check_pairwise_faces()
         self._check_cover()
-        ok, _ = self.convexity_certificate()
+        if heights is not None:
+            ok = self._heights_certify(heights)
+        else:
+            ok, _ = self.convexity_certificate()
         if not ok:
             raise errors.NoConvexSupportFunction(
                 "no strictly convex piecewise linear support function")
@@ -228,6 +245,22 @@ class StackyFan:
                     strict.append(srow)
         ok, witness = feasible_strict(strict, A_eq=eqs, b_eq=eqb)
         return ok, witness
+
+    def _heights_certify(self, heights):
+        """Whether c = `heights` in Q^S is strictly convex on the fan: for
+        each maximal cone sigma, c_b - m_sigma(b) > 0 for every ray b outside
+        sigma, where m_sigma is the linear function agreeing with c on sigma.
+        These are the inequalities of `convexity_certificate`'s LP."""
+        c = [Fraction(x) for x in heights]
+        if len(c) != len(self.S):
+            raise ValueError(f"{len(c)} heights for {len(self.S)} vectors")
+        for cone in self.max_cones:
+            cs = sorted(cone)
+            m = solve([self.ray_free(b) for b in cs], [c[b] for b in cs])
+            if any(c[b] - dot(m, self.ray_free(b)) <= 0
+                   for b in self.rays if b not in cone):
+                return False
+        return True
 
     # -- Box and dimensions -------------------------------------------------
     def box_of_cone(self, cone_idx):
@@ -427,7 +460,7 @@ class StackyFan:
         return volsum
 
     def key(self):
-        return (tuple(self.max_cones), tuple(self.rays))
+        return cones_key(self.max_cones)
 
     def __repr__(self):
         cones = [sorted(c) for c in self.max_cones]

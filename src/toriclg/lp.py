@@ -115,10 +115,8 @@ def lp_maximize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
         if T[m][j] != 0:
             f = T[m][j]
             T[m] = [a - f * b for a, b in zip(T[m], T[i])]
-    # forbid re-entering artificial columns
-    for j in range(ncols, width):
-        for i in range(m + 1):
-            pass
+    # phase 2 pivots only on the first ncols columns, so artificial columns
+    # never re-enter
     status = _simplex(T, basis, m, ncols)
     if status == "unbounded":
         return "unbounded", None, None

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 from . import errors
 from .cones import Cone
-from .fans import StackyFan, extended_sequences
+from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
 from .rational import (dot, in_lattice, mat_inverse, matvec, primitive,
-                       rank, solve, transpose, vec)
+                       rref, solve, transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
 
@@ -99,8 +99,15 @@ def _eta_value(fan: StackyFan, c, v):
     return None
 
 
+def pl_cone_data(fan: StackyFan) -> PLConeData:
+    """The fan's PLConeData, built on first use and kept on the fan."""
+    if fan._pl_cone_data is None:
+        fan._pl_cone_data = PLConeData(fan)
+    return fan._pl_cone_data
+
+
 def cpl_cone(fan: StackyFan) -> PLConeData:
-    data = PLConeData(fan)
+    data = pl_cone_data(fan)
     # duality checks against the extended Mori cones (exact, generator level)
     oe = fan.open_mori_cone()
     if data.cpl_plus.dual() != oe:
@@ -116,33 +123,49 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 # chamber enumeration
 
 
-def _fan_from_stability(vector_set: VectorSet, D, omega):
-    """Stacky fan selected by a generic GIT stability parameter omega in L^*_R.
+def _fan_from_stability(vector_set: VectorSet, D, omega, built):
+    """Stacky fan selected by a generic GIT stability parameter omega in L^*_Q.
 
-    Maximal cones are the n-subsets I with omega in relint cone(D_b : b not
-    in I); returns None when omega is not generic enough to select a valid
+    Maximal cones are the n-subsets I whose complement {D_b : b not in I} is
+    a basis of L^*_Q with omega = sum_b lam_b D_b, every lam_b > 0 (omega in
+    the interior of their cone).  The first such lam, extended by 0 on I, is
+    a height vector c lifting omega; for any other selected sigma, c - lam^sigma
+    is linear, so c_b - m_sigma(b) = lam^sigma_b > 0 off sigma, and c
+    certifies strict convexity without an LP.
+
+    `built` maps `cones_key` to the fans already validated (None when
+    rejected); a known selection is returned from it without rebuilding.
+    Returns None when omega is not generic enough to select a valid
     simplicial fan.
     """
-    S = vector_set.vectors
     n = vector_set.lattice.rank
-    m = len(S)
-    r = len(omega)
+    m = len(vector_set.vectors)
+    r = len(omega)      # m - n: a VectorSet spans N_Q
     max_cones = []
+    heights = None
     for I in itertools.combinations(range(m), n):
-        if rank([vec(S[i].free) for i in I]) != n:
-            continue
-        rest = [vec(D[b]) for b in range(m) if b not in I]
-        if not rest:
-            continue
-        cone = Cone.from_rays(rest, r)
-        if cone.dim() == r and cone.relint_contains(omega):
+        rest = [b for b in range(m) if b not in I]
+        # columns D_b (b in rest), augmented by omega
+        red, piv = rref([tuple(D[b][j] for b in rest) + (omega[j],)
+                         for j in range(r)], r + 1)
+        if len(piv) != r or r in piv:
+            continue    # D_rest is not a basis: rank S_I < n
+        lam = [row[r] for row in red]   # row k has its pivot in column k
+        if all(x > 0 for x in lam):
             max_cones.append(frozenset(I))
+            if heights is None:
+                heights = [Fraction(0)] * m
+                for b, x in zip(rest, lam):
+                    heights[b] = x
     if not max_cones:
         return None
-    try:
-        return StackyFan(vector_set, max_cones)
-    except errors.ToricLGError:
-        return None
+    key = cones_key(max_cones)
+    if key not in built:
+        try:
+            built[key] = StackyFan(vector_set, max_cones, heights=heights)
+        except errors.ToricLGError:
+            built[key] = None
+    return built[key]
 
 
 def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION):
@@ -160,13 +183,14 @@ def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION
     support = Cone.from_rays([vec(d) for d in D], r)
     import random
     rng = random.Random(20200422)
+    built = {}
     start = None
     for _ in range(200):
         omega = tuple(sum(Fraction(rng.randint(1, 97)) * Fraction(D[b][j])
                           for b in range(len(S))) for j in range(r))
-        fan = _fan_from_stability(vector_set, D, omega)
+        fan = _fan_from_stability(vector_set, D, omega, built)
         if fan is not None:
-            data = PLConeData(fan)
+            data = pl_cone_data(fan)
             if data.cpl is not None and data.cpl.relint_contains(omega):
                 start = fan
                 break
@@ -178,9 +202,7 @@ def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION
     queue = [0]
     while queue:
         fi = queue.pop(0)
-        fan = fans[fi]
-        data = PLConeData(fan)
-        cpl = data.cpl
+        cpl = pl_cone_data(fans[fi]).cpl
         for g in cpl.inequalities:
             # facet relint point (the origin when the facet is {0})
             face_rays = [rr for rr in cpl.rays if dot(g, rr) == 0]
@@ -195,10 +217,10 @@ def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION
                 omega = tuple(Fraction(2 ** k) * a - b for a, b in zip(p, g))
                 if not support.contains(omega):
                     continue
-                cand = _fan_from_stability(vector_set, D, omega)
+                cand = _fan_from_stability(vector_set, D, omega, built)
                 if cand is None:
                     continue
-                cdata = PLConeData(cand)
+                cdata = pl_cone_data(cand)
                 if (cdata.cpl is not None and cdata.cpl.relint_contains(omega)
                         and all(cdata.cpl.contains(rr) for rr in face_rays)):
                     # genuine facet neighbour: shares the whole wall face
@@ -289,8 +311,8 @@ class WallCrossing:
 def wall_between(fan_plus: StackyFan, fan_minus: StackyFan) -> WallCrossing:
     """Wall data for two chambers sharing a codimension-one face; the result
     is oriented so that the discrepancy is >= 0 (swapping if needed)."""
-    d1 = PLConeData(fan_plus)
-    d2 = PLConeData(fan_minus)
+    d1 = pl_cone_data(fan_plus)
+    d2 = pl_cone_data(fan_minus)
     if d1.cpl is None or d2.cpl is None:
         raise errors.NotAdjacent("trivial secondary fan has no walls")
     r = d1.rank
@@ -411,8 +433,8 @@ def sigma0_max_cones(wall: WallCrossing):
     fan = wall.plus_fan
     m = len(fan.S)
     D = fan.divisor_images()
-    d1 = PLConeData(wall.plus_fan)
-    d2 = PLConeData(wall.minus_fan)
+    d1 = pl_cone_data(wall.plus_fan)
+    d2 = pl_cone_data(wall.minus_fan)
     face = d1.cpl.intersection(d2.cpl)
     p0 = face.relint_point()
     members = []

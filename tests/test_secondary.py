@@ -233,3 +233,43 @@ def _has_neighbour(fi, g, cpl, fans, walls):
         if all(ocpl.contains(rr) for rr in face_rays):
             return True
     return False
+
+
+@pytest.mark.parametrize("vecs", [
+    # blowup of P^4 along a line (rank 4)
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+     (-1, -1, -1, -1), (1, 1, 1, 0)],
+    # six chambers in rank 2
+    [(0, -1), (0, 1), (1, -2), (0, 2), (2, 2)],
+])
+def test_chamber_search_certifies_by_heights_and_builds_cone_data_once(
+        vecs, monkeypatch):
+    from toriclg import fans as fans_mod
+    from toriclg import secondary
+
+    lp_calls = []
+    built_for = []
+    real_feasible, real_data = fans_mod.feasible_strict, secondary.PLConeData
+
+    def counting_feasible(*args, **kwargs):
+        lp_calls.append(1)
+        return real_feasible(*args, **kwargs)
+
+    def counting_data(fan):
+        built_for.append(fan)
+        return real_data(fan)
+
+    monkeypatch.setattr(fans_mod, "feasible_strict", counting_feasible)
+    monkeypatch.setattr(secondary, "PLConeData", counting_data)
+    vs = VectorSet(AbelianLattice(len(vecs[0])), vecs)
+    fans, walls = enumerate_adapted_fans(vs)
+    assert lp_calls == []
+    assert len({id(f) for f in built_for}) == len(built_for)
+    assert len({f.key() for f in fans}) == len(fans)
+    del built_for[:]
+    for a, b, _ in walls:
+        wall_between(fans[a], fans[b])
+    assert built_for == []
+    # the exact LP stays the reference certificate
+    monkeypatch.undo()
+    assert all(fan.convexity_certificate()[0] for fan in fans)

@@ -72,6 +72,38 @@ def test_validate_rejects_bad_ray_index():
         validate_stacky_fan(vs, [{0, 7}])
 
 
+def test_key_ignores_cone_order():
+    # frozensets sort by inclusion, a partial order, so sorting the cones
+    # alone does not make the key canonical
+    vs = VectorSet(AbelianLattice(2), [(1, 0), (0, 1), (1, 1)])
+    a = StackyFan(vs, [{0, 2}, {2, 1}])
+    b = StackyFan(vs, [{2, 1}, {0, 2}])
+    assert a.key() == b.key() == (((0, 2), (1, 2)), (0, 1, 2))
+
+
+def test_non_regular_fan_has_no_convex_support_function():
+    # a complete simplicial fan over the "mother of all examples": it passes
+    # the face and cover checks but is not regular, so convexity is what fails
+    vs = VectorSet(AbelianLattice(3), [(4, 0, 0), (0, 4, 0), (0, 0, 4),
+                                       (2, 1, 1), (1, 2, 1), (1, 1, 2)])
+    cones = [{0, 1, 4}, {0, 3, 4}, {1, 2, 5}, {1, 4, 5}, {0, 2, 3},
+             {2, 3, 5}, {3, 4, 5}]
+    with pytest.raises(errors.NoConvexSupportFunction):
+        StackyFan(vs, cones)
+    # a height vector that certifies nothing does not let the fan through
+    with pytest.raises(errors.NoConvexSupportFunction):
+        StackyFan(vs, cones, heights=[0] * 6)
+
+
+def test_heights_certify_a1_resolution():
+    vs = a1_vector_set()
+    # c = (0, 0, -1): the middle ray sits below the line through the others
+    fan = StackyFan(vs, [{0, 2}, {2, 1}], heights=[0, 0, -1])
+    assert fan.convexity_certificate()[0]
+    with pytest.raises(errors.NoConvexSupportFunction):
+        StackyFan(vs, [{0, 2}, {2, 1}], heights=[0, 0, 1])
+
+
 def test_extended_sequences_a1():
     L, D, surj = extended_sequences(a1_vector_set())
     assert surj
