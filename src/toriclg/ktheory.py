@@ -16,7 +16,7 @@ import mpmath
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import bilinear, det, frac
+from .rational import bilinear, det, frac, vec
 
 # Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
 _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
@@ -141,92 +141,98 @@ class CohomologyRing:
             out.append(tuple(mono))
         return sorted(out)
 
-    def _sr_nonfaces(self):
-        faces = set()
-        for c in self.fan.max_cones:
-            local = sorted(self.ray_indices.index(i) for i in c)
-            for r in range(len(local) + 1):
-                for s in itertools.combinations(local, r):
-                    faces.add(frozenset(s))
-        nonfaces = []
-        for r in range(1, self.m + 1):
-            for s in itertools.combinations(range(self.m), r):
-                fs = frozenset(s)
-                if fs in faces:
-                    continue
-                if any(nf <= fs for nf in nonfaces):
-                    continue
-                nonfaces.append(fs)
-        return nonfaces
+    def _top_integrals(self):
+        """Memoized integral of a top-degree monomial over the variety.
+
+        A monomial whose support is not a face integrates to 0 and the
+        distinct-ray monomial of a maximal cone to 1.  Otherwise, with a
+        maximal cone sigma containing the support and a repeated ray i,
+        the linear relation of the dual vector u_i of sigma replaces D_i by
+        -sum_{b not in sigma} <u_i, v_b> D_b, which strictly grows the
+        support (Fulton 1993, section 5.2)."""
+        cones = [frozenset(self.ray_indices.index(i) for i in c)
+                 for c in self.fan.max_cones]
+        rays = [vec(self.fan.S[b].free) for b in self.ray_indices]
+        # cone -> {i in cone: [(b, <u_i, v_b>) for b not in cone]}, the
+        # pairings being the coordinates of v_b over the cone's rays (Cramer)
+        duals = {}
+        for c in cones:
+            local = sorted(c)
+            V = [rays[i] for i in local]
+            dv = det(V)
+            duals[c] = {i: [(b, det(V[:k] + [rays[b]] + V[k + 1:]) / dv)
+                            for b in range(self.m) if b not in c]
+                        for k, i in enumerate(local)}
+
+        @functools.lru_cache(maxsize=None)
+        def integral(mo):
+            supp = frozenset(i for i, e in enumerate(mo) if e)
+            cone = next((c for c in cones if supp <= c), None)
+            if cone is None:
+                return 0
+            i = next((i for i, e in enumerate(mo) if e > 1), None)
+            if i is None:
+                return 1
+            out = 0
+            for b, w in duals[cone][i]:
+                if w:
+                    mo2 = list(mo)
+                    mo2[i] -= 1
+                    mo2[b] += 1
+                    out -= w * integral(tuple(mo2))
+            return out
+        return integral
 
     def _build(self):
-        from .rational import rref
-        fan = self.fan
-        lin = []
-        for i in range(self.n):
-            lin.append([Fraction(fan.S[b].free[i]) for b in self.ray_indices])
-        sr = self._sr_nonfaces()
-        self.basis = {0: [(0,) * self.m]}
-        self.reduce_map = {0: {(0,) * self.m: [Fraction(1)]}}
-        for d in range(1, self.n + 1):
+        """Graded bases and coordinates from intersection numbers.
+
+        By Poincaré duality a degree-d class is fixed by its integrals
+        against the degree-(n - d) monomials.  Scanning the monomials from
+        the last one back, a monomial joins the basis iff its pairing row is
+        not in the span of the later rows; the others get their unique
+        coordinates over the later basis monomials (the non-pivot columns
+        and reduced rows of an RREF of the relations, without the RREF)."""
+        integral = self._top_integrals()
+        self.basis = {}
+        self.reduce_map = {}
+        for d in range(self.n + 1):
             monos = self._monomials(d)
-            idx = {mo: i for i, mo in enumerate(monos)}
-            rows = []
-            for mo in self._monomials(d - 1):
-                for l in lin:
-                    row = [Fraction(0)] * len(monos)
-                    for b in range(self.m):
-                        if l[b] == 0:
-                            continue
-                        mo2 = list(mo)
-                        mo2[b] += 1
-                        row[idx[tuple(mo2)]] += l[b]
-                    rows.append(row)
-            for nf in sr:
-                k = len(nf)
-                if k > d:
+            cols = self._monomials(self.n - d)
+            found = []       # basis monomials in the order found
+            echelon = []     # (pivot, reduced row, that row over found rows)
+            coords = {}
+            for mo in reversed(monos):
+                row = [Fraction(integral(tuple(a + b for a, b in zip(mo, c))))
+                       for c in cols]
+                combo = {}
+                for p, e, ecombo in echelon:
+                    f = row[p]
+                    if f:
+                        row = [x - f * y for x, y in zip(row, e)]
+                        for k, x in ecombo.items():
+                            combo[k] = combo.get(k, 0) + f * x
+                p = next((p for p, x in enumerate(row) if x), None)
+                if p is None:
+                    coords[mo] = combo
                     continue
-                base = [0] * self.m
-                for b in nf:
-                    base[b] = 1
-                for mo in self._monomials(d - k):
-                    mo2 = tuple(base[i] + mo[i] for i in range(self.m))
-                    row = [Fraction(0)] * len(monos)
-                    row[idx[mo2]] = Fraction(1)
-                    rows.append(row)
-            red, piv = rref(rows, len(monos))
-            basis = [monos[j] for j in range(len(monos)) if j not in piv]
-            self.basis[d] = basis
-            bidx = {mo: i for i, mo in enumerate(basis)}
+                inv = 1 / row[p]
+                ecombo = {k: -x * inv for k, x in combo.items()}
+                ecombo[len(found)] = inv
+                echelon.append((p, [x * inv for x in row], ecombo))
+                coords[mo] = {len(found): Fraction(1)}
+                found.append(mo)
+            r = len(found)
+            self.basis[d] = found[::-1]
             rmap = {}
-            for j, mo in enumerate(monos):
-                v = [Fraction(0)] * len(basis)
-                if j in piv:
-                    r = red[piv[j]]
-                    for j2 in range(j + 1, len(monos)):
-                        if r[j2] != 0:
-                            v[bidx[monos[j2]]] -= r[j2]
-                else:
-                    v[bidx[mo]] = Fraction(1)
+            for mo in monos:
+                v = [Fraction(0)] * r
+                for k, x in coords[mo].items():
+                    v[r - 1 - k] = x
                 rmap[mo] = v
             self.reduce_map[d] = rmap
         if len(self.basis[self.n]) != 1:
             raise errors.RankMismatch("top cohomology is not one-dimensional")
-        # degree map: the distinct-ray monomial of every maximal cone
-        # integrates to 1 on a smooth variety
-        scale = None
-        for c in self.fan.max_cones:
-            mo = [0] * self.m
-            for b in c:
-                mo[self.ray_indices.index(b)] += 1
-            v = self.reduce_map[self.n][tuple(mo)][0]
-            if scale is None:
-                scale = v
-            elif scale != v:
-                raise errors.RankMismatch("degree map inconsistent across cones")
-        if scale == 0:
-            raise errors.RankMismatch("degenerate degree map")
-        self.top_scale = scale
+        self.top_scale = 1 / Fraction(integral(self.basis[self.n][0]))
 
     # -- elements ------------------------------------------------------------
     def zero(self):
@@ -480,20 +486,28 @@ class GammaData:
         self._gamma_num = self.gamma.numeric()
         # exp(-pi i c1) depends on neither argument of the pairing
         self._exp_c1 = self.c1.numeric().scaled(-1j * math.pi).exp()
+        # id(V) -> (V, alpha(V)); holding V keeps its id from being reused
+        self._alphas = {}
+
+    def alpha(self, V: KClass) -> Cls:
+        """Gamma * (2 pi i)^{deg0/2} ch(V), computed once per class."""
+        hit = self._alphas.get(id(V))
+        if hit is not None:
+            return hit[1]
+        twopii = 2j * math.pi
+        chnum = V.ch.numeric()
+        scaled = Cls(self.ring, {d: [x * twopii ** d for x in v]
+                                 for d, v in chnum.coeffs.items()})
+        a = self._gamma_num * scaled
+        self._alphas[id(V)] = (V, a)
+        return a
 
     def pairing(self, V1: KClass, V2: KClass) -> complex:
         """[alpha_1, alpha_2) with alpha_i = Gamma * (2 pi i)^{deg0/2} ch(V_i)."""
         ring = self.ring
         n = ring.n
-        twopii = 2j * math.pi
-
-        def alpha(V):
-            chnum = V.ch.numeric()
-            scaled = Cls(ring, {d: [x * twopii ** d for x in v]
-                                for d, v in chnum.coeffs.items()})
-            return self._gamma_num * scaled
-        a1 = alpha(V1)
-        a2 = alpha(V2)
+        a1 = self.alpha(V1)
+        a2 = self.alpha(V2)
         # exp(-pi i c1) * a1, then e^{pi i mu} with mu = (deg0 - n)/2
         b1 = self._exp_c1 * a1
         b1 = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2 * 1))

@@ -41,6 +41,7 @@ class LGPotential:
         self.torsion_parts = (torsion_parts if torsion_parts is not None
                               else [(0,) * len(self.torsion_invariants)] * self.nterms)
         self.labels = labels
+        self._count_bound = None
 
     @property
     def torsion_order(self):
@@ -96,13 +97,17 @@ class LGPotential:
         conv(supp F, plus 0 when chi != 0) on the isolated torus critical
         points, whatever the coefficients, and whether it is exact, which
         holds when 0 is interior to the Newton polytope (the Kouchnirenko
-        count)."""
-        pts = [vec(p) for p in self.newton_polytope()]
-        facets = polytope_facets(pts)
-        exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
-        if np.any(self.chi) and not exact:
-            pts.append(vec((0,) * self.n))
-        return self.torsion_order * int(normalized_volume(pts)), exact
+        count).  It depends only on data fixed at construction, so it is
+        computed once per potential."""
+        if self._count_bound is None:
+            pts = [vec(p) for p in self.newton_polytope()]
+            facets = polytope_facets(pts)
+            exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
+            if np.any(self.chi) and not exact:
+                pts.append(vec((0,) * self.n))
+            self._count_bound = (
+                self.torsion_order * int(normalized_volume(pts)), exact)
+        return self._count_bound
 
     def expected_count(self):
         """The exact critical-point count (Kouchnirenko) when 0 is interior

@@ -127,8 +127,11 @@ class Scenario:
     """Validated scenario document."""
 
     REQUIRED = ("name",)
+    GRIDS = ("geometric", "linear")
 
     def __init__(self, doc: dict):
+        if not isinstance(doc, dict):
+            raise errors.ScenarioError("scenario must be a JSON object")
         for key in self.REQUIRED:
             if key not in doc:
                 raise errors.ScenarioError(f"scenario missing '{key}'")
@@ -153,6 +156,37 @@ class Scenario:
                     raise errors.ScenarioError(
                         f"wall references unknown fan {wall[side]!r}")
         self.tolerances = doc.get("tolerances", {})
+        if doc.get("path") is not None:
+            self._check_path(doc["path"])
+
+    @classmethod
+    def _check_path(cls, p):
+        """A path lists its `values`, or gives a grid of `steps` >= 1 points
+        from `from` to `to`; a geometric grid needs both ends positive."""
+        if not isinstance(p, dict):
+            raise errors.ScenarioError("path must be an object")
+        if "values" in p:
+            return
+        for key in ("from", "to", "steps"):
+            if key not in p:
+                raise errors.ScenarioError(f"path.{key} is missing")
+        steps = p["steps"]
+        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+            raise errors.ScenarioError(
+                f"path.steps must be an integer >= 1, got {steps!r}")
+        grid = p.get("grid", "geometric")
+        if grid not in cls.GRIDS:
+            raise errors.ScenarioError(
+                f"path.grid must be one of {', '.join(cls.GRIDS)}, "
+                f"got {grid!r}")
+        for key in ("from", "to"):
+            x = p[key]
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise errors.ScenarioError(
+                    f"path.{key} must be a real number, got {x!r}")
+            if grid == "geometric" and x <= 0:
+                raise errors.ScenarioError(
+                    f"path.{key} must be > 0 on a geometric grid, got {x!r}")
 
     @staticmethod
     def _elt(lat, b):
@@ -162,8 +196,15 @@ class Scenario:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise errors.ScenarioError(
+                f"cannot read {path}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise errors.ScenarioError(f"{path}: invalid JSON: {exc}") from None
+        return cls(doc)
 
     def named_fan(self, name):
         from .fans import StackyFan
@@ -179,7 +220,7 @@ class Scenario:
             return [complex(v) if not isinstance(v, list)
                     else complex(v[0], v[1]) for v in p["values"]]
         import numpy as np
-        a, b, steps = p["from"], p["to"], int(p["steps"])
+        a, b, steps = p["from"], p["to"], p["steps"]
         kind = p.get("grid", "geometric")
         if kind == "geometric":
             import math

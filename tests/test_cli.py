@@ -52,6 +52,52 @@ def test_cmd_critical_q_count_mismatch_exits_2(tmp_path, capsys):
     assert "ScenarioError" in capsys.readouterr().err
 
 
+MALFORMED = [
+    # (case, file text or update of p2.json's path, text named on stderr)
+    ("invalid-json", '{"name": "p2", "path": {"steps": 6,}', "invalid JSON"),
+    ("not-an-object", '["p2"]', "JSON object"),
+    ("path-not-an-object", '{"name": "p2", "path": [0.5, 2.0]}',
+     "path must be an object"),
+    ("steps-missing", '{"name": "p2", "path": {"from": 0.5, "to": 2.0}}',
+     "path.steps"),
+    ("steps-zero", {"steps": 0}, "path.steps"),
+    ("steps-string", {"steps": "6"}, "path.steps"),
+    ("steps-negative", {"steps": -3}, "path.steps"),
+    ("unknown-grid", {"grid": "cubic"}, "path.grid"),
+    ("geometric-from-zero", {"grid": "geometric", "from": 0}, "path.from"),
+    ("geometric-to-negative", {"grid": "geometric", "to": -1.5}, "path.to"),
+    ("from-not-a-number", {"from": "0.5"}, "path.from"),
+]
+
+
+@pytest.mark.parametrize("command", ["critical", "track"])
+@pytest.mark.parametrize("case,content,field", MALFORMED,
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_scenario_exits_2(tmp_path, capsys, command, case,
+                                    content, field):
+    p = tmp_path / f"{case}.json"
+    if isinstance(content, str):
+        p.write_text(content)
+    else:
+        with open(scn("p2.json")) as fh:
+            doc = json.load(fh)
+        doc["path"].update(content)
+        p.write_text(json.dumps(doc))
+    rc = main([command, "--scenario", str(p), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "ScenarioError" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_missing_scenario_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc = main(["fans", "--scenario", str(missing), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "ScenarioError" in err and str(missing) in err
+
+
 def test_cmd_fans_a1(tmp_path):
     rc = main(["fans", "--scenario", scn("a1.json"), "--out", str(tmp_path)])
     assert rc == 0

@@ -8,8 +8,8 @@ import pytest
 
 from toriclg import errors
 from toriclg.fans import StackyFan
-from toriclg.ktheory import (BlowupData, CohomologyRing, GammaData, GammaPoly,
-                             KClass, bl_line_p4, bl_point_p2,
+from toriclg.ktheory import (BlowupData, Cls, CohomologyRing, GammaData,
+                             GammaPoly, KClass, bl_line_p4, bl_point_p2,
                              build_cohomology_ring, euler_pairing_gamma,
                              euler_pairing_hrr, gram_matrix, p1xp1,
                              projective_space, verify_sod)
@@ -199,6 +199,27 @@ def test_gamma_pairing_matches_hrr():
             W = line_bundle(ring, c2)
             val = euler_pairing_gamma(gd, V, W, check=False)
             assert abs(val - euler_pairing_hrr(V, W)) < 1e-6
+
+
+def test_gamma_pairing_computes_alpha_once_per_class(monkeypatch):
+    ring = build_cohomology_ring(p1xp1())
+    gd = GammaData(ring)
+    rng = random.Random(5)
+    classes = [line_bundle(ring, {i: rng.randint(-2, 2)
+                                  for i in range(ring.m)})
+               for _ in range(4)]
+    calls = []
+    numeric = Cls.numeric
+
+    def counting(cls):
+        calls.append(cls)
+        return numeric(cls)
+    monkeypatch.setattr(Cls, "numeric", counting)
+    gram = [[gd.pairing(a, b) for b in classes] for a in classes]
+    assert len(calls) == len(classes)
+    for a, row in zip(classes, gram):
+        for b, val in zip(classes, row):
+            assert abs(val - euler_pairing_hrr(a, b)) < 1e-6
 
 
 def test_gamma_pairing_o_o_p1():

@@ -225,6 +225,25 @@ def test_search_stops_at_count_bound(monkeypatch):
     assert calls == []
 
 
+def test_count_bound_computed_once_per_potential(monkeypatch):
+    from toriclg import cones
+    calls = []
+    facets = cones.polytope_facets
+
+    def counting(points):
+        calls.append(1)
+        return facets(points)
+    monkeypatch.setattr(cones, "polytope_facets", counting)
+    monkeypatch.setattr(lg, "polytope_facets", counting)
+    F = bl_line_p4_family_lambda()(2.0)
+    pts = critical_points(F, rng=np.random.default_rng(0))
+    once = len(calls)
+    assert once > 0
+    # the CLI's "expected" field reads the same bound again
+    assert F.expected_count() == len(pts) == 9
+    assert len(calls) == once
+
+
 def test_newton_nondegenerate():
     ok, report = newton_nondegenerate(p2_mirror(1.0))
     assert ok
