@@ -244,11 +244,12 @@ def polytope_proper_faces(points):
     return sorted(faces, key=lambda f: (len(f), f))
 
 
-def triangulate_polytope(points):
+def triangulate_polytope(points, facets=None):
     """Triangulation of conv(points); simplices as tuples of point indices.
 
     The apex of the pyramid decomposition is points[0]; facets through it
-    contribute nothing.
+    contribute nothing.  `facets`, when given, are `polytope_facets(points)`
+    already computed by the caller.
     """
     pts = [vec(p) for p in points]
     if len(pts) <= 1:
@@ -261,7 +262,8 @@ def triangulate_polytope(points):
                  if any(vsub(p, pts[0])[k] != 0 for p in pts))
         order = sorted(range(len(pts)), key=lambda i: pts[i][j])
         return [(order[0], order[-1])]
-    facets = polytope_facets(pts)
+    if facets is None:
+        facets = polytope_facets(pts)
     apex = 0
     simplices = []
     for a, a0, act in facets:
@@ -304,11 +306,12 @@ def triangulate_affine(points):
     return simplices
 
 
-def normalized_volume(points):
-    """Lattice-normalized volume of conv(points) (unit simplex has volume 1)."""
+def normalized_volume(points, facets=None):
+    """Lattice-normalized volume of conv(points) (unit simplex has volume 1);
+    `facets` as in `triangulate_polytope`."""
     pts = [vec(p) for p in points]
     n = len(pts[0])
-    simps = triangulate_polytope(pts)
+    simps = triangulate_polytope(pts, facets)
     total = Fraction(0)
     from .rational import det
     for s in simps:

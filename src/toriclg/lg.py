@@ -20,6 +20,8 @@ from .rational import mat_inverse, matvec, solve, vec
 TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
 TOL_COLLIDE = 1e-4
+# Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
+ALPHA_MAX = 0.1
 
 
 class LGPotential:
@@ -79,15 +81,19 @@ class LGPotential:
             val -= np.sum(self.chi * l)
         return complex(val)
 
-    def grad(self, l, component=()):
+    def terms(self, l, component=()):
+        """The monomial terms t_b = c_b x^b at l; `grad`, `hess` and
+        `_term_scale` accept them, so one point costs one exponential."""
         c = self.coefficients_on(component) if self.torsion_invariants else self.c
-        e = np.exp(self.B @ l)
-        return (c * e) @ self.B - self.chi
+        return c * np.exp(self.B @ l)
 
-    def hess(self, l, component=()):
-        c = self.coefficients_on(component) if self.torsion_invariants else self.c
-        e = np.exp(self.B @ l)
-        return (self.B.T * (c * e)) @ self.B
+    def grad(self, l, component=(), terms=None):
+        t = self.terms(l, component) if terms is None else terms
+        return t @ self.B - self.chi
+
+    def hess(self, l, component=(), terms=None):
+        t = self.terms(l, component) if terms is None else terms
+        return (self.B.T * t) @ self.B
 
     def newton_polytope(self):
         return [tuple(int(x) for x in row) for row in self.B_int]
@@ -105,8 +111,10 @@ class LGPotential:
             exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
             if np.any(self.chi) and not exact:
                 pts.append(vec((0,) * self.n))
+                facets = None
             self._count_bound = (
-                self.torsion_order * int(normalized_volume(pts)), exact)
+                self.torsion_order * int(normalized_volume(pts, facets)),
+                exact)
         return self._count_bound
 
     def expected_count(self):
@@ -139,12 +147,11 @@ def _canonical_log(l):
     return l.real + 1j * ((l.imag + math.pi) % (2 * math.pi) - math.pi)
 
 
-def _term_scale(F, l, component=()):
+def _term_scale(F, l, component=(), terms=None):
     """Magnitude of the largest monomial term at l (convergence is judged
     relative to this, so drift to toric infinity never passes as a zero)."""
-    c = F.coefficients_on(component) if F.torsion_invariants else F.c
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(c * np.exp(F.B @ l))
+        mags = np.abs(F.terms(l, component) if terms is None else terms)
     s = float(np.max(mags)) if np.all(np.isfinite(mags)) else math.inf
     if np.any(F.chi):
         s = max(s, float(np.max(np.abs(F.chi))))
@@ -152,16 +159,20 @@ def _term_scale(F, l, component=()):
 
 
 def _newton_solve(F, l0, component=(), tol=TOL_NEWTON, itmax=100):
+    """Damped Newton from l0; None unless it converges.  The terms at each
+    point are evaluated once and shared by gradient, Hessian and scale; an
+    accepted line-search point's terms serve the next iterate."""
     l = np.asarray(l0, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = F.terms(l, component)
         for _ in range(itmax):
-            g = F.grad(l, component)
+            g = F.grad(l, component, terms)
             gn = np.linalg.norm(g)
             if not np.isfinite(gn):
                 return None
-            if gn < tol * _term_scale(F, l, component):
+            if gn < tol * _term_scale(F, l, component, terms):
                 return l
-            H = F.hess(l, component)
+            H = F.hess(l, component, terms)
             try:
                 dl = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
@@ -169,17 +180,93 @@ def _newton_solve(F, l0, component=(), tol=TOL_NEWTON, itmax=100):
             t = 1.0
             for _ in range(50):
                 l2 = l + t * dl
-                g2 = F.grad(l2, component)
+                terms2 = F.terms(l2, component)
+                g2 = F.grad(l2, component, terms2)
                 g2n = np.linalg.norm(g2)
-                if np.isfinite(g2n) and (g2n < (1 - 0.25 * t) * gn
-                                         or g2n < tol * _term_scale(F, l2, component)):
+                if np.isfinite(g2n) and (
+                        g2n < (1 - 0.25 * t) * gn
+                        or g2n < tol * _term_scale(F, l2, component, terms2)):
                     break
                 t *= 0.5
             else:
                 return None
-            l = l + t * dl
-        g = F.grad(l, component)
-        return l if np.linalg.norm(g) < tol * _term_scale(F, l, component) else None
+            l, terms = l2, terms2
+        g = F.grad(l, component, terms)
+        if np.linalg.norm(g) < tol * _term_scale(F, l, component, terms):
+            return l
+        return None
+
+
+def _alpha_beta(F, l, component=()):
+    """Smale's (alpha, beta) at l for g(l) = sum_b t_b b - chi, the critical
+    point system in log coordinates, with t_b = c_b e^<b, l>.
+
+    beta = |H^-1 g| is the Newton step, raised by a bound on the rounding
+    error of the evaluated g (about eps x sum_b |t_b| |b| x (terms + n |b|
+    |l|)), so two roundings of one zero are never certified apart.
+
+    gamma = sup_{k >= 2} |H^-1 D^k g / k!|^(1/(k-1)).  Since D^k g[v, ..., v]
+    = sum_b t_b b <b, v>^k, |H^-1 D^k g / k!| <= M_k =
+    A sum_b |t_b| |b|^(k+1) / k!, with A = |H^-1|_F >= |H^-1|_2 (no SVD
+    needed).  The scan over k stops at a cutoff: with
+    T = A sum_b |t_b| |b|, R = max_b |b| >= 1 and k! >= (k/e)^k,
+    M_j <= T (eR/j)^j, so for every j > k >= eR
+    M_j^(1/(j-1)) <= max(T, 1)^(1/k) eR / (k + 1).  Once that tail bound
+    falls below the largest term scanned, no later k can raise gamma; the
+    scan is capped at k = 200, where gamma takes the larger of the two.
+
+    alpha = beta gamma; alpha < (13 - 3 sqrt 17)/4 makes l an approximate
+    zero whose associated zero is simple and lies within 2 beta of l."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = F.terms(l, component)
+        if not np.all(np.isfinite(t)):
+            return math.inf, math.inf
+        try:
+            h_inv = np.linalg.inv(F.hess(l, component, t))
+        except np.linalg.LinAlgError:
+            return math.inf, math.inf
+        a_inv = float(np.linalg.norm(h_inv))
+        nb = np.linalg.norm(F.B, axis=1)
+        at = np.abs(t)
+        eps = np.finfo(float).eps
+        err = 2 * eps * (np.sum(at * nb * (F.nterms + 3 + F.n * nb
+                                           * np.linalg.norm(l)))
+                         + np.linalg.norm(F.chi))
+        beta = float(np.linalg.norm(h_inv @ F.grad(l, component, t))
+                     + a_inv * err)
+        w = a_inv * at
+        e_r = math.e * float(np.max(nb))
+        big_t = max(float(w @ nb), 1.0)
+        gamma = 0.0
+        p = nb * nb                  # |b|^(k+1) / k! at k = 1
+        for k in range(2, 201):
+            p = p * nb / k
+            gamma = max(gamma, float(w @ p) ** (1.0 / (k - 1)))
+            tail = big_t ** (1.0 / k) * e_r / (k + 1)
+            if k >= e_r and tail <= gamma:
+                break
+        else:
+            gamma = max(gamma, tail)
+    if not (math.isfinite(beta) and math.isfinite(gamma)):
+        return math.inf, math.inf
+    return beta * gamma, beta
+
+
+def _alpha_certified(F, points):
+    """True when every point passes Smale's alpha-test (alpha < ALPHA_MAX)
+    and the associated zeros of any two points on one component are apart:
+    their wrapped log distance exceeds 2 (beta_i + beta_j), and each
+    associated zero lies within 2 beta of its point.  The points are then
+    that many distinct simple torus zeros."""
+    ab = [_alpha_beta(F, p.log_point, p.component) for p in points]
+    if not all(a < ALPHA_MAX for a, _ in ab):
+        return False
+    for (p, (_, bp)), (q, (_, bq)) in itertools.combinations(
+            zip(points, ab), 2):
+        gap = np.linalg.norm(_wrap_diff(p.log_point, q.log_point))
+        if p.component == q.component and not gap > 2 * (bp + bq):
+            return False
+    return True
 
 
 def critical_points(F: LGPotential, expected=None, rng=None,
@@ -190,13 +277,24 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     damped Newton in log coordinates, deduplicated modulo 2 pi i shifts.
 
     Solutions drifting to toric infinity (|Re log x| beyond coord_cap, where
-    the gradient decays without a genuine zero) are rejected.  The search
-    stops once it has found `expected` points, or else the count of
-    `F.count_bound()`: Bernstein's bound, which no isolated solution set
-    exceeds, so reaching it means every point is found.  Finding fewer
-    raises IncompleteCount only when the count is exact (`expected` given,
-    or the Kouchnirenko count when 0 is interior to the Newton polytope);
-    finding more than the bound always raises it."""
+    the gradient decays without a genuine zero) are rejected.  The target
+    count is `expected`, or else the bound of `F.count_bound()`:
+    Bernstein's bound, which no isolated solution set exceeds.
+
+    The search stops in one of two ways.  When the bound is exact (the
+    Kouchnirenko count, 0 interior to the Newton polytope) and the found
+    points reach it, they are checked by Smale's alpha-test
+    (`_alpha_certified`): if each is an approximate zero of a distinct
+    simple zero, Bernstein's theorem leaves no other isolated torus zero,
+    and the search stops at once.  Otherwise it stops at the target count
+    only after more than a tenth of a component's try budget (the floor),
+    so an extra point can still turn up and raise the over-count.  After a
+    certified stop the generator skips the starts the floor would have
+    drawn, so it leaves in the same state either way.
+
+    Finding fewer raises IncompleteCount only when the count is exact
+    (`expected` given, or the Kouchnirenko count); finding more than the
+    bound always raises it."""
     if rng is None:
         rng = np.random.default_rng(0)
     bound, exact = F.count_bound()
@@ -222,6 +320,8 @@ def critical_points(F: LGPotential, expected=None, rng=None,
 
     components = F.components()
     per_comp_budget = max(budget // len(components), 40)
+    floor = per_comp_budget // 10
+    certified = None        # decided once, when the found points reach stop
     for component in components:
         for s in structured_starts:
             l = _newton_solve(F, s, component, tol)
@@ -235,8 +335,15 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             l = _newton_solve(F, l0, component, tol)
             if l is not None:
                 record(l, component)
-            if len(found) == stop and tries > per_comp_budget // 10:
-                break
+            if len(found) == stop:
+                if certified is None:
+                    certified = (exact and stop == bound
+                                 and _alpha_certified(F, found))
+                if certified:
+                    rng.random(2 * F.n * max(floor + 1 - tries, 0))
+                    break
+                if tries > floor:
+                    break
         if len(found) == stop:
             break
     if len(found) > bound:

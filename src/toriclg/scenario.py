@@ -123,6 +123,14 @@ def compile_expr(text, varname):
     return fn
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_vector(v, length):
+    return isinstance(v, list) and len(v) == length and all(map(_is_int, v))
+
+
 class Scenario:
     """Validated scenario document."""
 
@@ -139,12 +147,14 @@ class Scenario:
         self.name = doc["name"]
         self.vector_set = None
         if "lattice" in doc and "S" in doc:
-            lat = AbelianLattice(doc["lattice"].get("rank"),
-                                 doc["lattice"].get("torsion", ()))
-            if not doc["S"]:
-                raise errors.ScenarioError("S must be nonempty")
-            self.vector_set = VectorSet(lat, [self._elt(lat, b)
-                                              for b in doc["S"]])
+            self._check_lattice(doc["lattice"], doc["S"])
+            try:
+                lat = AbelianLattice(doc["lattice"]["rank"],
+                                     doc["lattice"].get("torsion", ()))
+                self.vector_set = VectorSet(lat, [self._elt(lat, b)
+                                                  for b in doc["S"]])
+            except ValueError as exc:
+                raise errors.ScenarioError(f"lattice/S: {exc}") from None
         self.fans = doc.get("fans", {})
         for fname, cones in self.fans.items():
             if not isinstance(cones, list):
@@ -187,6 +197,37 @@ class Scenario:
             if grid == "geometric" and x <= 0:
                 raise errors.ScenarioError(
                     f"path.{key} must be > 0 on a geometric grid, got {x!r}")
+
+    @staticmethod
+    def _check_lattice(lat, S):
+        """`lattice.rank` is a positive integer, `lattice.torsion` a list of
+        integers, and S a nonempty list of integer vectors of that rank,
+        each given as [free, torsion] when the lattice has torsion and the
+        torsion part is not 0."""
+        if not isinstance(lat, dict):
+            raise errors.ScenarioError("lattice must be an object")
+        rank = lat.get("rank")
+        if not _is_int(rank) or rank < 1:
+            raise errors.ScenarioError(
+                f"lattice.rank must be a positive integer, got {rank!r}")
+        torsion = lat.get("torsion", [])
+        if not isinstance(torsion, list) or not all(map(_is_int, torsion)):
+            raise errors.ScenarioError(
+                f"lattice.torsion must be a list of integers, got {torsion!r}")
+        if not isinstance(S, list) or not S:
+            raise errors.ScenarioError("S must be a nonempty list")
+        for i, b in enumerate(S):
+            free, tor = b, None
+            if torsion and isinstance(b, list) and len(b) == 2 \
+                    and isinstance(b[0], list):
+                free, tor = b
+            if not _is_int_vector(free, rank) or not (
+                    tor is None or _is_int_vector(tor, len(torsion))):
+                form = (f", or [free, torsion] with {len(torsion)} torsion "
+                        f"integers" if torsion else "")
+                raise errors.ScenarioError(
+                    f"S[{i}] must be a list of {rank} integers{form}, "
+                    f"got {b!r}")
 
     @staticmethod
     def _elt(lat, b):

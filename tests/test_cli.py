@@ -52,6 +52,14 @@ def test_cmd_critical_q_count_mismatch_exits_2(tmp_path, capsys):
     assert "ScenarioError" in capsys.readouterr().err
 
 
+def p2_with(**fields):
+    """p2.json's text with some top-level fields replaced."""
+    with open(scn("p2.json")) as fh:
+        doc = json.load(fh)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
 MALFORMED = [
     # (case, file text or update of p2.json's path, text named on stderr)
     ("invalid-json", '{"name": "p2", "path": {"steps": 6,}', "invalid JSON"),
@@ -67,6 +75,16 @@ MALFORMED = [
     ("geometric-from-zero", {"grid": "geometric", "from": 0}, "path.from"),
     ("geometric-to-negative", {"grid": "geometric", "to": -1.5}, "path.to"),
     ("from-not-a-number", {"from": "0.5"}, "path.from"),
+    ("S-vector-too-long", p2_with(S=[[1, 0], [0, 1, 0], [-1, -1]]), "S[1]"),
+    ("S-float-entry", p2_with(S=[[1, 0], [0, 1.5], [-1, -1]]), "S[1]"),
+    ("S-bool-entry", p2_with(S=[[True, 0], [0, 1], [-1, -1]]), "S[0]"),
+    ("S-entry-not-a-list", p2_with(S=[1, [0, 1], [-1, -1]]), "S[0]"),
+    ("S-not-full-dimensional", p2_with(S=[[1, 0], [-1, 0], [2, 0]]), "S"),
+    ("rank-string", p2_with(lattice={"rank": "2"}), "lattice.rank"),
+    ("rank-zero", p2_with(lattice={"rank": 0}), "lattice.rank"),
+    ("rank-float", p2_with(lattice={"rank": 2.0}), "lattice.rank"),
+    ("torsion-factor-one", p2_with(lattice={"rank": 2, "torsion": [1]}),
+     "lattice"),
 ]
 
 

@@ -225,20 +225,140 @@ def test_search_stops_at_count_bound(monkeypatch):
     assert calls == []
 
 
+def test_alpha_certificate_passes_on_found_points():
+    for F in (p2_mirror(1.0), bl_line_p4_family_lambda()(2.0)):
+        pts = critical_points(F, rng=np.random.default_rng(0))
+        assert len(pts) == F.expected_count()
+        for p in pts:
+            alpha, beta = lg._alpha_beta(F, p.log_point, p.component)
+            assert alpha < lg.ALPHA_MAX and beta < 1e-10
+        assert lg._alpha_certified(F, pts)
+
+
+def test_alpha_certificate_fails_off_zeros_and_on_duplicates():
+    F = bl_line_p4_family_lambda()(2.0)
+    pts = critical_points(F, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(4)
+    start = rng.uniform(-2.5, 2.5, 4) + 1j * rng.uniform(-math.pi, math.pi, 4)
+    assert lg._alpha_beta(F, start)[0] >= lg.ALPHA_MAX
+    stray = lg.CriticalDatum(start, F.value(start), F.hess(start))
+    assert not lg._alpha_certified(F, pts[:-1] + [stray])
+    # one zero recorded twice, bit for bit and as a second Newton solve
+    assert not lg._alpha_certified(F, pts[:-1] + [pts[0]])
+    again = lg._newton_solve(F, pts[0].log_point + 1e-3)
+    assert np.linalg.norm(lg._wrap_diff(again, pts[0].log_point)) < 1e-9
+    twice = lg.CriticalDatum(lg._canonical_log(again), F.value(again),
+                             F.hess(again))
+    assert not lg._alpha_certified(F, [pts[0], twice])
+    # P^2 at q = 1 has the zero l = 0, where g evaluates to exactly 0, and
+    # l = (2^-60, 0) rounds to the same terms: beta from the evaluated g
+    # alone would be 0 at both and certify the two apart
+    G = p2_mirror(1.0)
+    zero = lg.CriticalDatum(np.zeros(2, complex), 3.0, G.hess(np.zeros(2)))
+    ulp = lg.CriticalDatum(np.array([2.0 ** -60, 0], complex), 3.0,
+                           G.hess(np.zeros(2)))
+    assert not np.any(G.grad(ulp.log_point))
+    assert not lg._alpha_certified(G, [zero, ulp])
+
+
+def test_alpha_gamma_bounds_every_order():
+    # gamma = alpha / beta must cover M_k^(1/(k-1)) for every k, not only
+    # the k scanned before the tail bound stops the scan.  A far monomial
+    # with a tiny coefficient puts the largest term near k = 45.
+    F = bl_line_p4_family_lambda()(0.01)
+    rng = np.random.default_rng(6)
+    cases = [(F, rng.uniform(-2.5, 2.5, 4) + 1j * rng.uniform(-3, 3, 4))
+             for _ in range(5)]
+    cases += [(F, p.log_point) for p in critical_points(F, rng=rng)]
+    far = LGPotential([(1,), (-1,), (20,)], [1.0, 1.0, 1e-12])
+    cases += [(far, np.array([x], complex)) for x in (0.0, 0.3j, -0.2)]
+    for G, l in cases:
+        norms = [math.sqrt(sum(x * x for x in b)) for b in G.B_int]
+        alpha, beta = lg._alpha_beta(G, l)
+        terms = G.c * np.exp(G.B @ l)
+        hinv = 1 / np.linalg.svd(G.hess(l), compute_uv=False)[-1]
+        for k in range(2, 120):
+            m_k = hinv * sum(abs(t) * nb ** (k + 1) for t, nb
+                             in zip(terms, norms)) / math.factorial(k)
+            assert m_k ** (1 / (k - 1)) <= alpha / beta * (1 + 1e-9)
+
+
+def test_undeduplicated_search_is_not_certified():
+    # every converged start counts as a point: the first nine reach the
+    # count, fail the certificate as duplicates, and the floor finds a tenth
+    # (a short budget, as the over-count is raised only once it is spent)
+    with pytest.raises(errors.IncompleteCount, match="more than"):
+        critical_points(bl_line_p4_family_lambda()(2.0), dedupe_tol=0.0,
+                        budget_factor=10)
+
+
+def _without_certificate(monkeypatch):
+    monkeypatch.setattr(lg, "_alpha_certified", lambda F, points: False)
+
+
+def test_certified_stop_changes_only_the_work(monkeypatch):
+    F = bl_line_p4_family_lambda()(2.0)
+    calls = []
+    solve = lg._newton_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(lg, "_newton_solve", counted)
+    runs = []
+    for certify in (True, False):
+        if not certify:
+            _without_certificate(monkeypatch)
+        calls.clear()
+        rng = np.random.default_rng(0)
+        pts = critical_points(F, rng=rng)
+        runs.append(([p.log_point.tobytes() for p in pts],
+                     [p.value for p in pts], rng.random(), len(calls)))
+    (pts1, vals1, next1, solves1), (pts0, vals0, next0, solves0) = runs
+    assert pts1 == pts0 and vals1 == vals0 and next1 == next0
+    assert solves0 == 181 and solves1 < 181
+
+
+def test_certified_stop_leaves_cli_files_unchanged(tmp_path, monkeypatch):
+    # `critical` passes its generator on to newton_nondegenerate and
+    # tracking passes it on to re-matching, so a generator left in another
+    # state would show in these files
+    import os
+
+    from toriclg.cli import main
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+    def run(tag):
+        out = {}
+        for command, scenario in (("critical", "p2.json"),
+                                  ("track", "discriminant-probe.json")):
+            d = tmp_path / tag / command
+            assert main([command, "--scenario",
+                         os.path.join(scenarios, scenario),
+                         "--out", str(d)]) == 0
+            for f in sorted(d.iterdir()):
+                out[f"{command}/{f.name}"] = f.read_bytes()
+        return out
+    certified = run("certified")
+    _without_certificate(monkeypatch)
+    assert run("floor") == certified
+
+
 def test_count_bound_computed_once_per_potential(monkeypatch):
     from toriclg import cones
     calls = []
     facets = cones.polytope_facets
 
     def counting(points):
-        calls.append(1)
+        calls.append(len(points[0]))
         return facets(points)
     monkeypatch.setattr(cones, "polytope_facets", counting)
     monkeypatch.setattr(lg, "polytope_facets", counting)
     F = bl_line_p4_family_lambda()(2.0)
     pts = critical_points(F, rng=np.random.default_rng(0))
     once = len(calls)
-    assert once > 0
+    # the volume reuses the bound's facets; only its recursion adds more
+    assert calls.count(F.n) == 1 and once > 1
     # the CLI's "expected" field reads the same bound again
     assert F.expected_count() == len(pts) == 9
     assert len(calls) == once
