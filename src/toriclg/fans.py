@@ -81,9 +81,9 @@ def cones_key(max_cones):
 class StackyFan:
     """A validated stacky fan adapted to S.
 
-    `heights`, when given, is a height vector c in Q^S that certifies strict
-    convexity directly (see `_heights_certify`); otherwise the exact LP of
-    `convexity_certificate` decides it.
+    Strict convexity has one certificate, a height vector c in Q^S checked
+    by `_heights_certify`.  `heights`, when given, is that vector; otherwise
+    the wall-local LP of `_wall_heights` finds one.
     """
 
     def __init__(self, vector_set: VectorSet, max_cones, validate=True,
@@ -93,7 +93,6 @@ class StackyFan:
         self.lattice = vector_set.lattice
         self.max_cones = sorted(frozenset(int(i) for i in c) for c in max_cones)
         self.rays = sorted(set().union(*self.max_cones)) if self.max_cones else []
-        self._cones_geom = None
         self._L = None
         self._D = None
         self._plz = None
@@ -109,13 +108,6 @@ class StackyFan:
     def ray_free(self, i):
         return vec(self.S[i].free)
 
-    def cone_geometry(self):
-        if self._cones_geom is None:
-            self._cones_geom = [Cone.from_rays([self.ray_free(i) for i in c],
-                                               self.n)
-                                for c in self.max_cones]
-        return self._cones_geom
-
     def kernel_basis(self):
         if self._L is None:
             self._L, self._D, _ = extended_sequences(self.vector_set)
@@ -129,6 +121,16 @@ class StackyFan:
 
     # -- validation --------------------------------------------------------
     def _validate(self, heights=None):
+        """Structural checks, the cover check, then strict convexity.
+
+        Convexity is certified by heights (the caller's, or the wall LP's)
+        that pass the global `_heights_certify`.  On a genuine fan with
+        convex support, heights convex across every interior wall are convex
+        globally, so the wall LP finds a certificate whenever one exists.
+        A passing certificate also makes every two maximal cones meet in
+        their common face, so the pairwise face check runs only when
+        certification fails, to tell a non-fan (SupportMismatch) from a fan
+        without a strictly convex support function."""
         n = self.n
         for c in self.max_cones:
             for i in c:
@@ -151,18 +153,17 @@ class StackyFan:
                 # can never cover it
                 raise errors.SupportMismatch(
                     f"maximal cone {sorted(c)} has dimension {len(c)} < {n}")
-        self._check_pairwise_faces()
-        self._check_cover()
-        if heights is not None:
-            ok = self._heights_certify(heights)
-        else:
-            ok, _ = self.convexity_certificate()
-        if not ok:
+        walls = self._check_cover()
+        if heights is None:
+            heights = self._wall_heights(walls)
+        if heights is None or not self._heights_certify(heights):
+            self._check_pairwise_faces()
             raise errors.NoConvexSupportFunction(
                 "no strictly convex piecewise linear support function")
 
     def _check_pairwise_faces(self):
-        geom = self.cone_geometry()
+        geom = [Cone.from_rays([self.ray_free(i) for i in c], self.n)
+                for c in self.max_cones]
         for a in range(len(self.max_cones)):
             for b in range(a + 1, len(self.max_cones)):
                 common = self.max_cones[a] & self.max_cones[b]
@@ -193,64 +194,65 @@ class StackyFan:
                                             for i in others)
 
     def _check_cover(self):
-        support = self.vector_set.support_cone
+        """Check that the facets close up over the support, and return the
+        interior walls as pairs (cone index, ray of the neighbouring cone
+        outside it)."""
         facets = {}
         for ci, c in enumerate(self.max_cones):
             for drop in c:
                 h, key = self._facet_data(ci, drop)
-                facets.setdefault(key, []).append((ci, h))
+                facets.setdefault(key, []).append((ci, drop, h))
+        walls = []
         for key, occ in facets.items():
             if len(occ) == 1:
-                ci, h = occ[0]
+                _, _, h = occ[0]
                 if not all(dot(h, self.ray_free(j)) >= 0
                            for j in range(len(self.S))):
                     raise errors.SupportMismatch(
                         "boundary facet not supporting Pi: union of cones "
                         "does not equal the support")
             elif len(occ) == 2:
-                (c1, h1), (c2, h2) = occ
+                (c1, _, h1), (c2, q, h2) = occ
                 if primitive(h1) != tuple(-x for x in primitive(h2)):
                     raise errors.SupportMismatch(
                         f"cones {c1} and {c2} lie on the same side of a wall")
+                walls.append((c1, q))
             else:
                 raise errors.SupportMismatch("facet shared by more than two cones")
+        return walls
 
-    def convexity_certificate(self):
-        """Exact LP feasibility of a strictly convex support function."""
-        n = self.n
-        ncones = len(self.max_cones)
-        rays = self.rays
-        nv = len(rays) + n * ncones    # c_b then slopes m_sigma
-        ray_pos = {b: k for k, b in enumerate(rays)}
-
-        def var_m(si, i):
-            return len(rays) + si * n + i
-
-        eqs, eqb = [], []
-        strict = []
-        for si, c in enumerate(self.max_cones):
-            for b in rays:
-                row = [Fraction(0)] * nv
-                bb = self.ray_free(b)
-                for i in range(n):
-                    row[var_m(si, i)] = bb[i]
-                if b in c:
-                    row[ray_pos[b]] -= 1
-                    eqs.append(row)
-                    eqb.append(Fraction(0))
-                else:
-                    # c_b - m_sigma(b) >= 1
-                    srow = [-x for x in row]
-                    srow[ray_pos[b]] += 1
-                    strict.append(srow)
-        ok, witness = feasible_strict(strict, A_eq=eqs, b_eq=eqb)
-        return ok, witness
+    def _wall_heights(self, walls):
+        """Heights in Q^S strictly convex across every interior wall, from an
+        exact LP in the ray heights, or None if there are none.  The wall
+        between sigma and its neighbour through ray q gives one circuit row
+        c_q - sum_{i in sigma} mu_i c_i > 0, where v_q = sum mu_i v_i."""
+        c = [Fraction(0)] * len(self.S)
+        if not walls:
+            return c        # a single cone
+        pos = {b: k for k, b in enumerate(self.rays)}
+        rows = []
+        for si, q in walls:
+            cs = sorted(self.max_cones[si])
+            mu = solve([tuple(self.S[i].free[j] for i in cs)
+                        for j in range(self.n)], self.ray_free(q))
+            row = [Fraction(0)] * len(self.rays)
+            row[pos[q]] = Fraction(1)
+            for i, x in zip(cs, mu):
+                row[pos[i]] -= x
+            rows.append(row)
+        ok, x = feasible_strict(rows)
+        if not ok:
+            return None
+        for b, xb in zip(self.rays, x):
+            c[b] = xb
+        return c
 
     def _heights_certify(self, heights):
         """Whether c = `heights` in Q^S is strictly convex on the fan: for
         each maximal cone sigma, c_b - m_sigma(b) > 0 for every ray b outside
         sigma, where m_sigma is the linear function agreeing with c on sigma.
-        These are the inequalities of `convexity_certificate`'s LP."""
+        This is the only convexity certificate; entries of c off the rays
+        are ignored."""
         c = [Fraction(x) for x in heights]
         if len(c) != len(self.S):
             raise ValueError(f"{len(c)} heights for {len(self.S)} vectors")
@@ -313,11 +315,7 @@ class StackyFan:
     def dim_orbifold_cohomology(self) -> int:
         """|N_tor| x sum of normalized cone volumes, cross-checked against the
         per-sector Box count."""
-        volsum = 0
-        for c in self.max_cones:
-            B = [[self.S[i].free[j] for i in sorted(c)] for j in range(self.n)]
-            volsum += abs(int(det(B)))
-        total = self.lattice.torsion_order * volsum
+        total = self.lattice.torsion_order * self.fan_polytope_volume()
         sector = sum(len(self.box_of_cone(ci))
                      for ci in range(len(self.max_cones)))
         if sector != total:

@@ -270,8 +270,8 @@ def _alpha_certified(F, points):
 
 
 def critical_points(F: LGPotential, expected=None, rng=None,
-                    budget_factor=200, window=2.5, structured_starts=(),
-                    tol=TOL_NEWTON, raise_on_incomplete=True, coord_cap=18.0,
+                    budget_factor=200, window=2.5, tol=TOL_NEWTON,
+                    raise_on_incomplete=True, coord_cap=18.0,
                     dedupe_tol=1e-5):
     """All critical points x dF/dx = chi on the open torus, by multistart
     damped Newton in log coordinates, deduplicated modulo 2 pi i shifts.
@@ -323,10 +323,6 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     floor = per_comp_budget // 10
     certified = None        # decided once, when the found points reach stop
     for component in components:
-        for s in structured_starts:
-            l = _newton_solve(F, s, component, tol)
-            if l is not None:
-                record(l, component)
         tries = 0
         while tries < per_comp_budget:
             tries += 1
@@ -504,14 +500,15 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(itmax):
             l = V @ s
-            g = sub.grad(l)
-            sc = _term_scale(sub, l)
+            terms = sub.terms(l)
+            g = sub.grad(l, terms=terms)
+            sc = _term_scale(sub, l, terms=terms)
             if not np.isfinite(sc) or sc == 0:
                 return None
             rel = np.linalg.norm(g) / sc
             if rel < tol:
                 return l
-            J = sub.hess(l) @ V
+            J = sub.hess(l, terms=terms) @ V
             ds, *_ = np.linalg.lstsq(J, -g, rcond=None)
             if not np.all(np.isfinite(ds)):
                 return None
@@ -519,8 +516,9 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
             improved = False
             for _ in range(40):
                 l2 = V @ (s + t * ds)
-                g2 = sub.grad(l2)
-                sc2 = _term_scale(sub, l2)
+                terms2 = sub.terms(l2)
+                g2 = sub.grad(l2, terms=terms2)
+                sc2 = _term_scale(sub, l2, terms=terms2)
                 rel2 = (np.linalg.norm(g2) / sc2
                         if np.isfinite(sc2) and sc2 else math.inf)
                 if rel2 < rel * (1 - 0.2 * t) or rel2 < tol:
@@ -531,7 +529,9 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
                 return None
             s = s + t * ds
         l = V @ s
-        return l if np.linalg.norm(sub.grad(l)) / _term_scale(sub, l) < tol else None
+        terms = sub.terms(l)
+        return (l if np.linalg.norm(sub.grad(l, terms=terms))
+                / _term_scale(sub, l, terms=terms) < tol else None)
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +609,7 @@ def track_critical_values(family, params, seeds=None, rng=None,
                 return None, i
             q = CriticalDatum(_canonical_log(l), Fk.value(l, p.component),
                               Fk.hess(l, p.component), p.component)
-            # transport the square-root branch continuously
-            if abs(-q.sqrt_det_h - p.sqrt_det_h) < abs(q.sqrt_det_h - p.sqrt_det_h):
-                q.sqrt_det_h = -q.sqrt_det_h
-                q.orientation = -p.orientation
-            else:
-                q.orientation = p.orientation
-            out.append(q)
+            out.append(_transport_branch(p, q))
         return out, None
 
     def min_pair_dist(pts_list, use_points=True):
@@ -691,6 +685,17 @@ def _pnum(s):
     return s.real if s.imag == 0 else s
 
 
+def _transport_branch(p, q):
+    """Continue the sqrt(det H) branch and orientation of p to its successor
+    q: q takes the sign of sqrt(det H) nearer to p's.  Returns q."""
+    if abs(-q.sqrt_det_h - p.sqrt_det_h) < abs(q.sqrt_det_h - p.sqrt_det_h):
+        q.sqrt_det_h = -q.sqrt_det_h
+        q.orientation = -p.orientation
+    else:
+        q.orientation = p.orientation
+    return q
+
+
 def _rematch(F, prev_pts, nbranches, rng):
     """Full fibre solve and greedy nearest-neighbour assignment to the
     previous step (used when monodromy merges tracked branches)."""
@@ -721,13 +726,7 @@ def _rematch(F, prev_pts, nbranches, rng):
         return None
     out = []
     for i, p in enumerate(prev_pts):
-        q = pts[assign[i]]
-        if abs(-q.sqrt_det_h - p.sqrt_det_h) < abs(q.sqrt_det_h - p.sqrt_det_h):
-            q.sqrt_det_h = -q.sqrt_det_h
-            q.orientation = -p.orientation
-        else:
-            q.orientation = p.orientation
-        out.append(q)
+        out.append(_transport_branch(p, pts[assign[i]]))
     return out
 
 

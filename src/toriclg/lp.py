@@ -129,27 +129,20 @@ def lp_maximize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     return "optimal", value, sol
 
 
-def feasible_strict(A_strict, A_weak=(), b_weak=(), A_eq=(), b_eq=(), cap=Fraction(1)):
-    """Decide feasibility of {A_strict x > 0, A_weak x <= b_weak, A_eq x = b_eq}.
+def feasible_strict(A_strict):
+    """Decide feasibility of the homogeneous system A_strict x > 0.
 
-    Homogeneous strict rows are handled by maximizing a shared slack eps with
-    A_strict x >= eps, eps <= cap; strict feasibility iff the optimum is > 0.
+    Maximizes a shared slack eps with A_strict x >= eps, eps <= 1; the
+    system is feasible iff the optimum is > 0.
     Returns (feasible, witness_x_or_None).
     """
-    n = len(A_strict[0]) if A_strict else (len(A_weak[0]) if A_weak else len(A_eq[0]))
-    A_ub = []
-    b_ub = []
-    for a in A_strict:
-        A_ub.append([-frac(x) for x in a] + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    for a, b in zip(A_weak, b_weak):
-        A_ub.append([frac(x) for x in a] + [Fraction(0)])
-        b_ub.append(frac(b))
+    n = len(A_strict[0])
+    A_ub = [[-frac(x) for x in a] + [Fraction(1)] for a in A_strict]
+    b_ub = [Fraction(0)] * len(A_strict)
     A_ub.append([Fraction(0)] * n + [Fraction(1)])
-    b_ub.append(frac(cap))
-    eqs = [[frac(x) for x in a] + [Fraction(0)] for a in A_eq]
+    b_ub.append(Fraction(1))
     c = [Fraction(0)] * n + [Fraction(1)]
-    status, value, x = lp_maximize(c, A_ub, b_ub, eqs, [frac(b) for b in b_eq])
+    status, value, x = lp_maximize(c, A_ub, b_ub)
     if status != "optimal" or value <= 0:
         return False, None
     return True, x[:n]

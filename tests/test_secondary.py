@@ -10,6 +10,8 @@ from toriclg.rational import dot, in_lattice, primitive, vec
 from toriclg.secondary import (CurveChart, cpl_cone, enumerate_adapted_fans,
                                wall_between)
 
+from convexity_oracle import convexity_certificate
+
 
 def a1_vs():
     return VectorSet(AbelianLattice(2), [(-1, 1), (1, 1), (0, 1)])
@@ -272,4 +274,4 @@ def test_chamber_search_certifies_by_heights_and_builds_cone_data_once(
     assert built_for == []
     # the exact LP stays the reference certificate
     monkeypatch.undo()
-    assert all(fan.convexity_certificate()[0] for fan in fans)
+    assert all(convexity_certificate(fan)[0] for fan in fans)
