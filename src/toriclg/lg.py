@@ -554,18 +554,22 @@ class Trajectory:
     def values_at_step(self, k):
         return [br[k].value for br in self.branches]
 
-    def resolve(self, param, near_step):
-        """Branch-aligned critical data at an intermediate parameter, seeded
-        from the stored step `near_step` (used by mutation refinement)."""
+    def resolve(self, param, near_step, which):
+        """Critical values of the branches `which` (indices) at an
+        intermediate parameter, in that order.  Each branch is Newton-solved
+        on its own fibre component from its point at the stored step
+        `near_step`; the other branches are not touched, so mutation
+        refinement re-solves only the crossing pair.  Raises LostBranch
+        naming the first branch whose solve fails."""
         F = self.family(param)
         out = []
-        for br in self.branches:
-            seed = br[near_step].log_point
-            l = _newton_solve(F, seed, br[near_step].component)
+        for b in which:
+            p = self.branches[b][near_step]
+            l = _newton_solve(F, p.log_point, p.component)
             if l is None:
-                raise errors.LostBranch(f"refinement failed at {param}")
-            out.append(CriticalDatum(_canonical_log(l), F.value(l),
-                                     F.hess(l), br[near_step].component))
+                raise errors.LostBranch(
+                    f"refinement lost branch {b} at parameter {param}")
+            out.append(F.value(l, p.component))
         return out
 
 

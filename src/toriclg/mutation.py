@@ -202,9 +202,11 @@ def evolve(mrs: MarkedReflectionSystem, trajectory, phase_schedule=None,
     corresponding vector mutates.
 
     Returns (final system, events).  Vectors in `mrs` are aligned with
-    trajectory branches by index.  Crossing times are refined by bisection
-    of the in-step interpolant when the trajectory carries a resolver; two
-    overlapping events sharing a mutated vector raise SimultaneousCrossing.
+    trajectory branches by index.  When the trajectory carries its family,
+    each crossing time is refined by bisection on the two crossing branches
+    alone, re-solved at each midpoint (LostBranch if either is lost);
+    otherwise the in-step linear interpolant gives it.  Two overlapping
+    events sharing a mutated vector raise SimultaneousCrossing.
     """
     if len(mrs) != trajectory.nbranches:
         raise ValueError("system and trajectory sizes differ")
@@ -259,15 +261,16 @@ def evolve(mrs: MarkedReflectionSystem, trajectory, phase_schedule=None,
 
 
 def _refine_crossing(trajectory, k, i, j, phase, s_guess, tol):
-    """Bisection refinement of the crossing time within [params[k],
-    params[k+1]] using the trajectory resolver."""
+    """Bisection refinement of the crossing time of branches i and j within
+    [params[k], params[k+1]]; each midpoint re-solves only those two
+    branches, seeded from step k."""
     d = cmath.exp(-1j * phase)
     params = trajectory.params
 
     def align(s):
         p = params[k] + (params[k + 1] - params[k]) * s
-        pts = trajectory.resolve(p, k)
-        return (d * (pts[j].value - pts[i].value)).imag
+        ui, uj = trajectory.resolve(p, k, (i, j))
+        return (d * (uj - ui)).imag
     a, b = 0.0, 1.0
     fa = align(a)
     fb = align(b)

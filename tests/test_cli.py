@@ -206,6 +206,26 @@ def test_cmd_orlov_bl_line(tmp_path):
     assert rep["semiorthogonal_and_unimodular"] is True
 
 
+# Refined crossing parameters of `mutate bl-line-p4 --seed 0`.  Each is a
+# bisection over Newton solves of the two crossing branches, so a change to
+# those solves or to the bisection moves these digits.
+BL_LINE_MUTATION_PARAMS = [
+    (32, "(2.6909313446062195+0j)"), (32, "(2.6909313446062195+0j)"),
+    (83, "(0.23809931309332094+0j)"), (83, "(0.23809931309332094+0j)"),
+    (118, "(0.043498239477309485+0j)"), (118, "(0.043498239477309485+0j)"),
+    (130, "(0.02535167185725112+0j)"), (130, "(0.02535167185725112+0j)"),
+    (149, "(0.010046613941016197+0j)"), (149, "(0.010046613941016197+0j)"),
+]
+
+
+def test_cmd_mutate_bl_line_refined_params(tmp_path):
+    rc = main(["mutate", "--scenario", scn("bl-line-p4.json"), "--out",
+               str(tmp_path), "--seed", "0"])
+    assert rc == 0
+    events = read(tmp_path, "mutate.json")["events"]
+    assert [(e["step"], e["param"]) for e in events] == BL_LINE_MUTATION_PARAMS
+
+
 def test_cli_error_carries_module_error_name(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -405,6 +405,24 @@ def test_tracking_endpoint_consistency_step_halving():
         assert abs(a - b) < 1e-6
 
 
+def test_resolve_twisted_component_matches_stored_values():
+    # Z/2-twisted P^2 mirror: half the branches live on the non-trivial
+    # component, where the coefficient q picks up the character's sign
+    def family(q):
+        return LGPotential([(1, 0), (0, 1), (-1, -1)], [1, 1, q],
+                           torsion_parts=[(0,), (0,), (1,)],
+                           torsion_invariants=(2,))
+    traj = track_critical_values(family, [1.0, 1.1, 1.2],
+                                 rng=np.random.default_rng(0))
+    assert {br[1].component for br in traj.branches} == {(0,), (1,)}
+    which = range(traj.nbranches)
+    got = traj.resolve(traj.params[1], 1, which)
+    for b, v in zip(which, got):
+        assert abs(v - traj.branches[b][1].value) < 1e-12
+    # a subset comes back in the requested order
+    assert traj.resolve(traj.params[1], 1, (3, 0)) == [got[3], got[0]]
+
+
 def test_tracking_collision_event_at_discriminant():
     fam = bl_line_p4_family_lambda()
     sstar = 400 * math.sqrt(5) / 3 ** 9

@@ -13,7 +13,8 @@ from toriclg.ktheory import (BlowupData, KClass, bl_line_p4,
                              bl_line_p4_collection, build_cohomology_ring,
                              euler_pairing_hrr, projective_space)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lg import track_critical_values
+from toriclg.lg import (CriticalDatum, LGPotential, Trajectory,
+                        track_critical_values)
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               admissible, evolve, verify_orlov_evolution)
 from toriclg.rational import det
@@ -189,22 +190,67 @@ def test_example_716_backward_forward_roundtrip():
     assert got == want
 
 
-def test_evolve_no_crossings_identity():
-    back = MatrixBackend([[1, 1], [0, 1]])
-
-    class FakeTraj:
-        params = [0.0, 1.0]
-        family = None
-        branches = [[_D(1j), _D(1j)], [_D(-1j), _D(-1j)]]
-        nbranches = 2
-    mrs = MarkedReflectionSystem(back, [(1, 0), (0, 1)], [1j, -1j], phase=0.0)
-    out, events = evolve(mrs, FakeTraj())
-    assert not events and out.vectors == mrs.vectors
-
-
 class _D:
     def __init__(self, v):
         self.value = v
+
+
+def _fake_traj(values):
+    """A two-step trajectory without a family, one (start, end) value pair
+    per branch, so crossings keep their interpolated times."""
+    class FakeTraj:
+        params = [0.0, 1.0]
+        family = None
+        branches = [[_D(u0), _D(u1)] for u0, u1 in values]
+        nbranches = len(values)
+    return FakeTraj()
+
+
+def _identity_system(markings, phase=0.0):
+    n = len(markings)
+    back = MatrixBackend([[1 if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+    vectors = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    return MarkedReflectionSystem(back, vectors, markings, phase=phase)
+
+
+def test_evolve_no_crossings_identity():
+    back = MatrixBackend([[1, 1], [0, 1]])
+    mrs = MarkedReflectionSystem(back, [(1, 0), (0, 1)], [1j, -1j], phase=0.0)
+    out, events = evolve(mrs, _fake_traj([(1j, 1j), (-1j, -1j)]))
+    assert not events and out.vectors == mrs.vectors
+
+
+def test_evolve_simultaneous_crossing_raises():
+    # branches 1 and 2 both cross the positive ray of branch 0 at s = 1/2,
+    # so the two mutations share vector 0 at the same time
+    values = [(0, 0), (1 - 1j, 1 + 1j), (2 - 2j, 2 + 2j)]
+    mrs = _identity_system([u0 for u0, _ in values])
+    with pytest.raises(errors.SimultaneousCrossing):
+        evolve(mrs, _fake_traj(values))
+
+
+def test_evolve_non_admissible_endpoint_raises():
+    # no crossing in the step, but the final markings 0 and 1 differ by a
+    # positive real, parallel to e^{i 0}
+    values = [(1j, 0), (1 + 1j, 1)]
+    mrs = _identity_system([u0 for u0, _ in values])
+    with pytest.raises(errors.NonAdmissibleEndpoint):
+        evolve(mrs, _fake_traj(values))
+
+
+def test_evolve_refinement_lost_branch_raises():
+    # the stored values cross the positive ray, but the family has no torus
+    # critical point, so re-solving a crossing branch fails
+    def datum(u):
+        return CriticalDatum(np.zeros(2), u, np.eye(2))
+    values = [(0, 0), (1 - 1j, 1 + 1j)]
+    traj = Trajectory([0.0, 1.0],
+                      [[datum(u0), datum(u1)] for u0, u1 in values], [],
+                      family=lambda s: LGPotential([(1, 0), (0, 1)], [1, 1]))
+    mrs = _identity_system([u0 for u0, _ in values])
+    with pytest.raises(errors.LostBranch, match="branch 0"):
+        evolve(mrs, traj)
 
 
 def test_verify_orlov_evolution_abstract_cyclic():
