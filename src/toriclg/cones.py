@@ -8,6 +8,7 @@ at desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .lp import lp_maximize
@@ -341,9 +342,7 @@ def hilbert_basis(cone: Cone, lattice_basis):
     rays = []
     for r in cone.rays:
         coeff = matvec(Binv_t, r)
-        den = 1
-        for x in coeff:
-            den = den * x.denominator // __import__("math").gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in coeff))
         rays.append(tuple(x * den for x in coeff))  # primitive in lattice coords
     if not rays:
         return []

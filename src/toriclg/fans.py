@@ -16,8 +16,8 @@ from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
 from .rational import (det, dot, dual_lattice, integer_kernel,
                        lattice_from_generators, mat_inverse, matvec,
-                       nullspace, preimage_lattice, primitive, rank, solve,
-                       vec)
+                       preimage_lattice, primitive, rank, snf, solve,
+                       transpose, vec)
 
 
 def extended_sequences(vector_set: VectorSet):
@@ -84,6 +84,9 @@ class StackyFan:
     Strict convexity has one certificate, a height vector c in Q^S checked
     by `_heights_certify`.  `heights`, when given, is that vector; otherwise
     the wall-local LP of `_wall_heights` finds one.
+
+    Every per-cone coordinate is read from one chart per maximal cone,
+    built once per fan by `_charts`: `coords` and `locate` are its readers.
     """
 
     def __init__(self, vector_set: VectorSet, max_cones, validate=True,
@@ -96,6 +99,7 @@ class StackyFan:
         self._L = None
         self._D = None
         self._plz = None
+        self._chart_table = None
         self._pl_cone_data = None    # secondary.pl_cone_data memoizes here
         if validate:
             self._validate(heights)
@@ -118,6 +122,36 @@ class StackyFan:
         if self._D is None:
             self.kernel_basis()
         return self._D
+
+    # -- charts of the maximal cones ----------------------------------------
+    def _charts(self):
+        """Per maximal cone, in `max_cones` order: (cs, B^-1, |det B|) with
+        cs the sorted ray indices and B the matrix whose columns are v_i,
+        i in cs.  Row k of B^-1 reads the coordinate over ray cs[k]; it
+        vanishes on the other rays, so it is also the inner normal of the
+        facet opposite cs[k]."""
+        if self._chart_table is None:
+            self._chart_table = []
+            for c in self.max_cones:
+                cs = sorted(c)
+                B = [[self.S[i].free[j] for i in cs] for j in range(self.n)]
+                self._chart_table.append((cs, mat_inverse(B),
+                                          abs(int(det(B)))))
+        return self._chart_table
+
+    def coords(self, ci, x):
+        """Coordinates of x in Q^n over the rays of maximal cone `ci`, in
+        sorted ray order."""
+        return matvec(self._charts()[ci][1], x)
+
+    def locate(self, x):
+        """(cs, coords) for the first maximal cone on whose rays x has only
+        nonnegative coordinates, or None when x is outside the support."""
+        for ci, (cs, _, _) in enumerate(self._charts()):
+            coeff = self.coords(ci, x)
+            if all(t >= 0 for t in coeff):
+                return cs, coeff
+        return None
 
     # -- validation --------------------------------------------------------
     def _validate(self, heights=None):
@@ -180,27 +214,15 @@ class StackyFan:
                         f"cones {sorted(self.max_cones[a])} and "
                         f"{sorted(self.max_cones[b])} overlap")
 
-    def _facet_data(self, cone_idx, drop):
-        """Normal of the facet of max cone `cone_idx` obtained by dropping
-        ray `drop`, oriented positively on the cone."""
-        c = sorted(self.max_cones[cone_idx])
-        others = [i for i in c if i != drop]
-        rows = [self.ray_free(i) for i in others]
-        ns = nullspace(rows, self.n)
-        h = ns[0]
-        if dot(h, self.ray_free(drop)) < 0:
-            h = tuple(-x for x in h)
-        return vec(primitive(h)), frozenset(primitive(self.ray_free(i))
-                                            for i in others)
-
     def _check_cover(self):
         """Check that the facets close up over the support, and return the
         interior walls as pairs (cone index, ray of the neighbouring cone
         outside it)."""
         facets = {}
-        for ci, c in enumerate(self.max_cones):
-            for drop in c:
-                h, key = self._facet_data(ci, drop)
+        for ci, (cs, Binv, _) in enumerate(self._charts()):
+            for drop in self.max_cones[ci]:
+                h = vec(primitive(Binv[cs.index(drop)]))
+                key = self.max_cones[ci] - {drop}
                 facets.setdefault(key, []).append((ci, drop, h))
         walls = []
         for key, occ in facets.items():
@@ -213,7 +235,7 @@ class StackyFan:
                         "does not equal the support")
             elif len(occ) == 2:
                 (c1, _, h1), (c2, q, h2) = occ
-                if primitive(h1) != tuple(-x for x in primitive(h2)):
+                if h1 != tuple(-x for x in h2):
                     raise errors.SupportMismatch(
                         f"cones {c1} and {c2} lie on the same side of a wall")
                 walls.append((c1, q))
@@ -232,9 +254,8 @@ class StackyFan:
         pos = {b: k for k, b in enumerate(self.rays)}
         rows = []
         for si, q in walls:
-            cs = sorted(self.max_cones[si])
-            mu = solve([tuple(self.S[i].free[j] for i in cs)
-                        for j in range(self.n)], self.ray_free(q))
+            cs = self._charts()[si][0]
+            mu = self.coords(si, self.ray_free(q))
             row = [Fraction(0)] * len(self.rays)
             row[pos[q]] = Fraction(1)
             for i, x in zip(cs, mu):
@@ -256,25 +277,23 @@ class StackyFan:
         c = [Fraction(x) for x in heights]
         if len(c) != len(self.S):
             raise ValueError(f"{len(c)} heights for {len(self.S)} vectors")
-        for cone in self.max_cones:
-            cs = sorted(cone)
-            m = solve([self.ray_free(b) for b in cs], [c[b] for b in cs])
+        for cs, Binv, _ in self._charts():
+            # m_sigma = B^-T c|_cs takes the value c_i on each ray v_i of sigma
+            m = matvec(transpose(Binv), [c[b] for b in cs])
             if any(c[b] - dot(m, self.ray_free(b)) <= 0
-                   for b in self.rays if b not in cone):
+                   for b in self.rays if b not in cs):
                 return False
         return True
 
     # -- Box and dimensions -------------------------------------------------
     def box_of_cone(self, cone_idx):
         """Box elements attached to one maximal cone (all torsion lifts)."""
-        c = sorted(self.max_cones[cone_idx])
+        c, Binv, vol = self._charts()[cone_idx]
         n = self.n
         B = [[self.S[i].free[j] for i in c] for j in range(n)]   # columns = rays
-        from .rational import snf
         Dg, U, V = snf(B)
         diag = [Dg[i][i] for i in range(n)]
         Uinv = mat_inverse(U)
-        Binv = mat_inverse(B)
         pts = set()
         for ys in itertools.product(*[range(abs(d)) for d in diag]):
             x = matvec(Uinv, [Fraction(y) for y in ys])
@@ -292,7 +311,7 @@ class StackyFan:
             for torp in self.lattice.torsion_elements():
                 v = self.lattice.element(tuple(int(x) for x in pt), torp)
                 out.append(BoxElement(v, cone_idx, coeffs, age))
-        expected = self.lattice.torsion_order * abs(int(det(B)))
+        expected = self.lattice.torsion_order * vol
         if len(out) != expected:
             raise errors.VolumeBoxMismatch(
                 f"cone {c}: {len(out)} box points, determinant predicts {expected}")
@@ -327,17 +346,14 @@ class StackyFan:
     def psi(self, v):
         """Psi^Sigma(v) in Q^S for v with free image inside the support."""
         v = as_element(self.lattice, v)
-        target = vec(v.free)
-        for ci, c in enumerate(self.max_cones):
-            cs = sorted(c)
-            rows = [tuple(self.S[i].free[j] for i in cs) for j in range(self.n)]
-            coeff = solve(rows, target)
-            if coeff is not None and all(x >= 0 for x in coeff):
-                out = [Fraction(0)] * len(self.S)
-                for i, x in zip(cs, coeff):
-                    out[i] = x
-                return tuple(out)
-        raise errors.OutsideSupport(f"{v} is not in the support of the fan")
+        found = self.locate(vec(v.free))
+        if found is None:
+            raise errors.OutsideSupport(
+                f"{v} is not in the support of the fan")
+        out = [Fraction(0)] * len(self.S)
+        for i, x in zip(*found):
+            out[i] = x
+        return tuple(out)
 
     # -- PL lattices and Mori cones ------------------------------------------
     def pl_lattice(self):
@@ -346,10 +362,7 @@ class StackyFan:
             return self._plz
         m = len(self.S)
         conds = []
-        for c in self.max_cones:
-            cs = sorted(c)
-            B = [[self.S[i].free[j] for i in cs] for j in range(self.n)]
-            Binv = mat_inverse(B)
+        for cs, Binv, _ in self._charts():
             # m_sigma(c) = Binv^T c|_cs ; integrality of all n coordinates
             for i in range(self.n):
                 row = [Fraction(0)] * m
@@ -384,9 +397,8 @@ class StackyFan:
         """OE^(X_Sigma) as a cone in Q^S (sum of the per-cone preimages)."""
         gens = []
         m = len(self.S)
-        for c in self.max_cones:
+        for ci, c in enumerate(self.max_cones):
             cs = sorted(c)
-            rows = [tuple(self.S[i].free[j] for i in cs) for j in range(self.n)]
             for b in c:
                 e = [Fraction(0)] * m
                 e[b] = Fraction(1)
@@ -395,7 +407,7 @@ class StackyFan:
                 if b in c:
                     continue
                 # e_b minus the (possibly signed) expansion of b over the cone basis
-                coeff = solve(rows, vec(self.S[b].free))
+                coeff = self.coords(ci, self.ray_free(b))
                 d = [Fraction(0)] * m
                 d[b] = Fraction(1)
                 for i, x in zip(cs, coeff):
@@ -440,22 +452,14 @@ class StackyFan:
     def is_smooth(self) -> bool:
         if self.lattice.torsion:
             return False
-        for c in self.max_cones:
-            B = [[self.S[i].free[j] for i in sorted(c)] for j in range(self.n)]
-            if abs(int(det(B))) != 1:
-                return False
-        return True
+        return all(vol == 1 for _, _, vol in self._charts())
 
     def is_complete(self) -> bool:
         sup = self.vector_set.support_cone
         return len(sup.lineality) == self.n
 
     def fan_polytope_volume(self):
-        volsum = 0
-        for c in self.max_cones:
-            B = [[self.S[i].free[j] for i in sorted(c)] for j in range(self.n)]
-            volsum += abs(int(det(B)))
-        return volsum
+        return sum(vol for _, _, vol in self._charts())
 
     def key(self):
         return cones_key(self.max_cones)

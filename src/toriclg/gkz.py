@@ -275,22 +275,16 @@ def _generic_kernel_vector(ker, forms):
 def _relation_lambda(fan: StackyFan, T, target):
     """lambda in L cap NE^ built from centroid(T) = sum f_b b over the rays
     of the containing cone; returns integer vector or None."""
-    for c in fan.max_cones:
-        cs = sorted(c)
-        rows = [tuple(fan.S[i].free[j] for i in cs) for j in range(fan.n)]
-        coeff = solve(rows, vec(target))
-        if coeff is None or any(x < 0 for x in coeff):
-            continue
-        lam = [Fraction(0)] * len(fan.S)
-        for b in T:
-            lam[b] += Fraction(1, len(T))
-        for i, x in zip(cs, coeff):
-            lam[i] -= x
-        den = 1
-        for x in lam:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        return tuple(int(x * den) for x in lam)
-    return None
+    found = fan.locate(target)
+    if found is None:
+        return None
+    lam = [Fraction(0)] * len(fan.S)
+    for b in T:
+        lam[b] += Fraction(1, len(T))
+    for i, x in zip(*found):
+        lam[i] -= x
+    den = math.lcm(*(x.denominator for x in lam))
+    return tuple(int(x * den) for x in lam)
 
 
 def weak_fano(fan: StackyFan) -> bool:

@@ -16,7 +16,7 @@ import mpmath
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import bilinear, det, frac, vec
+from .rational import bilinear, det, frac
 
 # Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
 _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
@@ -150,19 +150,19 @@ class CohomologyRing:
         the linear relation of the dual vector u_i of sigma replaces D_i by
         -sum_{b not in sigma} <u_i, v_b> D_b, which strictly grows the
         support (Fulton 1993, section 5.2)."""
+        fan = self.fan
         cones = [frozenset(self.ray_indices.index(i) for i in c)
-                 for c in self.fan.max_cones]
-        rays = [vec(self.fan.S[b].free) for b in self.ray_indices]
+                 for c in fan.max_cones]
         # cone -> {i in cone: [(b, <u_i, v_b>) for b not in cone]}, the
-        # pairings being the coordinates of v_b over the cone's rays (Cramer)
+        # pairings being the coordinates of v_b over the cone's rays; ray
+        # indices are sorted, so local order is the chart's ray order
         duals = {}
-        for c in cones:
-            local = sorted(c)
-            V = [rays[i] for i in local]
-            dv = det(V)
-            duals[c] = {i: [(b, det(V[:k] + [rays[b]] + V[k + 1:]) / dv)
-                            for b in range(self.m) if b not in c]
-                        for k, i in enumerate(local)}
+        for ci, c in enumerate(cones):
+            others = [b for b in range(self.m) if b not in c]
+            coeffs = {b: fan.coords(ci, fan.ray_free(self.ray_indices[b]))
+                      for b in others}
+            duals[c] = {i: [(b, coeffs[b][k]) for b in others]
+                        for k, i in enumerate(sorted(c))}
 
         @functools.lru_cache(maxsize=None)
         def integral(mo):

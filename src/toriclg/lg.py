@@ -573,29 +573,19 @@ class Trajectory:
         return out
 
 
-def track_critical_values(family, params, seeds=None, rng=None,
-                          tol_collide=TOL_COLLIDE, max_bisect=12,
-                          expected=None):
+def track_critical_values(family, params, rng=None):
     """Predictor-corrector continuation of every critical branch of the
     family along the parameter list.
 
     family: callable param -> LGPotential with a fixed exponent layout.
-    Collision events (two values approaching within tol_collide * scale)
+    Collision events (two values approaching within TOL_COLLIDE * scale)
     are localized by golden-section on the minimal pairwise distance of the
-    critical points and logged with the refined parameter.
+    critical points and logged with the refined parameter.  A failed step
+    is halved at most 12 times before the branch counts as lost.
     """
     if len(params) < 2:
         raise ValueError("need at least two path parameters")
-    F0 = family(params[0])
-    if seeds is None:
-        pts = critical_points(F0, rng=rng, expected=expected)
-    else:
-        pts = []
-        for s in seeds:
-            l = _newton_solve(F0, np.asarray(s, dtype=complex))
-            if l is None:
-                raise errors.LostBranch("seed failed to converge at the start")
-            pts.append(CriticalDatum(_canonical_log(l), F0.value(l), F0.hess(l)))
+    pts = critical_points(family(params[0]), rng=rng)
     branches = [[p] for p in pts]
     events = []
 
@@ -616,23 +606,18 @@ def track_critical_values(family, params, seeds=None, rng=None,
             out.append(_transport_branch(p, q))
         return out, None
 
-    def min_pair_dist(pts_list, use_points=True):
+    def min_value_dist(pts_list):
         best = math.inf
         for i in range(len(pts_list)):
             for j in range(i + 1, len(pts_list)):
-                if use_points:
-                    d = np.linalg.norm(_wrap_diff(pts_list[i].log_point,
-                                                  pts_list[j].log_point))
-                else:
-                    d = abs(pts_list[i].value - pts_list[j].value)
-                best = min(best, d)
+                best = min(best, abs(pts_list[i].value - pts_list[j].value))
         return best
 
     def advance_adaptive(a, b, cur, prev_prev, depth):
         nxt, failed = advance(family(b), cur, prev_prev, 1.0)
         if nxt is not None:
             return nxt, cur
-        if depth >= max_bisect:
+        if depth >= 12:
             events.append({"step": k, "kind": "branch_lost",
                            "branch": failed, "param": _pnum(b)})
             raise errors.LostBranch(
@@ -662,12 +647,12 @@ def track_critical_values(family, params, seeds=None, rng=None,
             events.append({"step": k, "kind": "branch_lost",
                            "param": _pnum(s1)})
         scale = max([1.0] + [abs(p.value) for p in nxt])
-        vd = min_pair_dist(nxt, use_points=False)
+        vd = min_value_dist(nxt)
         for br, p in zip(branches, nxt):
             br.append(p)
-        if vd < tol_collide * scale and pending_from is None:
+        if vd < TOL_COLLIDE * scale and pending_from is None:
             pending_from = k      # entered the collision neighbourhood
-        elif pending_from is not None and vd > 2 * tol_collide * scale:
+        elif pending_from is not None and vd > 2 * TOL_COLLIDE * scale:
             sstar = _locate_collision(family, branches, params,
                                       pending_from, k + 1)
             events.append({"step": pending_from,
@@ -890,9 +875,7 @@ def _lambda_sigma_basis(fan: StackyFan):
     # clear denominators into a canonical integer basis
     out = []
     for v in sub:
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in v))
         out.append(tuple(int(x * den) for x in v))
     return lattice_from_generators(out) if out else []
 

@@ -7,7 +7,7 @@ elimination and textbook Hermite/Smith reduction with full pivot tracking.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -148,13 +148,9 @@ def primitive(v):
     v = vec(v)
     if is_zero(v):
         return tuple(0 for _ in v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -320,11 +316,7 @@ def lattice_from_generators(gens):
 
 def preimage_lattice(w_rows, ncols):
     """Basis of {c in Z^ncols : W c in Z^k} for a rational matrix W."""
-    den = 1
-    for r in w_rows:
-        for x in r:
-            x = frac(x)
-            den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(frac(x).denominator for r in w_rows for x in r))
     P = [[int(frac(x) * den) for x in r] for r in w_rows]
     return integer_solutions_mod(P, den)
 

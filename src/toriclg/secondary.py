@@ -4,14 +4,15 @@ classification, and the toric-curve chart attached to a wall."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import errors
 from .cones import Cone
 from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
-from .rational import (dot, in_lattice, mat_inverse, matvec, primitive,
-                       rref, solve, transpose, vec)
+from .rational import (dot, in_lattice, matvec, primitive, rref, solve,
+                       transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
 
@@ -23,22 +24,19 @@ class PLConeData:
     def __init__(self, fan: StackyFan):
         self.fan = fan
         m = len(fan.S)
-        n = fan.n
         ineqs = []
         for b in range(m):
             e = [Fraction(0)] * m
             e[b] = Fraction(1)
             ineqs.append(tuple(e))
-        for c in fan.max_cones:
+        for ci, c in enumerate(fan.max_cones):
             cs = sorted(c)
-            B = [[fan.S[i].free[j] for i in cs] for j in range(n)]
-            Binv = mat_inverse(B)
             for b in range(m):
                 if b in c:
                     continue
                 # c_b - m_sigma(c)(b) >= 0 with m_sigma determined by c|_cs;
                 # m_sigma(b) = sum_k (B^-1 b)_k c_{cs[k]}
-                coeff = matvec(Binv, vec(fan.S[b].free))
+                coeff = fan.coords(ci, fan.ray_free(b))
                 row = [Fraction(0)] * m
                 row[b] = Fraction(1)
                 for i, x in zip(cs, coeff):
@@ -90,13 +88,11 @@ def _lattice_points_in_support(fan: StackyFan, height: int):
 
 def _eta_value(fan: StackyFan, c, v):
     """eta_c(v) for v in the support: value of the slope of the containing cone."""
-    for cone in fan.max_cones:
-        cs = sorted(cone)
-        rows = [tuple(fan.S[i].free[j] for i in cs) for j in range(fan.n)]
-        coeff = solve(rows, v)
-        if coeff is not None and all(x >= 0 for x in coeff):
-            return sum((coeff[k] * c[cs[k]] for k in range(len(cs))), Fraction(0))
-    return None
+    found = fan.locate(v)
+    if found is None:
+        return None
+    cs, coeff = found
+    return sum((coeff[k] * c[cs[k]] for k in range(len(cs))), Fraction(0))
 
 
 def pl_cone_data(fan: StackyFan) -> PLConeData:
@@ -358,19 +354,13 @@ class CurveChart:
 
     def _common_denominator(self, fan: StackyFan) -> int:
         """Smallest common denominator of {c in Q : c*w in Lambda(fan)}."""
-        from math import gcd
         lam = fan.big_lambda_lattice()
         coeff = solve(transpose([vec(r) for r in lam]), vec(self.wall.w))
         if coeff is None:
             raise errors.NotAdjacent("w not in Lambda_Q")
         # minimal t > 0 with t*coeff integral: t = lcm(denoms)/gcd(numers)
-        num_g, den_l = 0, 1
-        for a in coeff:
-            if a == 0:
-                continue
-            num_g = gcd(num_g, abs(a.numerator))
-            den_l = den_l * a.denominator // gcd(den_l, a.denominator)
-        t = Fraction(den_l, num_g)
+        t = Fraction(math.lcm(*(a.denominator for a in coeff)),
+                     math.gcd(*(a.numerator for a in coeff)))
         return t.denominator
 
     def product_exponent(self, v1, v2, side="plus"):

@@ -1,9 +1,12 @@
 """One convexity certificate for every fan: heights from the wall-local LP
 (or the caller), checked globally by `StackyFan._heights_certify`, against
-the full LP of `convexity_oracle`."""
+the full LP of `convexity_oracle`; and the fan's per-cone chart against a
+per-cone `rational.solve`."""
 import functools
 import glob
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +17,9 @@ from toriclg.fans import StackyFan
 from toriclg.ktheory import (bl_line_p4, bl_point_p2, p1xp1,
                              projective_space)
 from toriclg.lattice import AbelianLattice, VectorSet
+from toriclg.rational import dot, solve, vec
 from toriclg.scenario import Scenario
-from toriclg.secondary import enumerate_adapted_fans
+from toriclg.secondary import enumerate_adapted_fans, pl_cone_data
 
 from convexity_oracle import convexity_certificate
 
@@ -27,10 +31,82 @@ PRESETS = {"p2": lambda: projective_space(2),
            "bl_line_p4": bl_line_p4}
 
 CHAMBER_SETS = {
-    "bl_line_p4": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-                   (-1, -1, -1, -1), (1, 1, 1, 0)],
-    "rank2": [(0, -1), (0, 1), (1, -2), (0, 2), (2, 2)],
+    "bl_line_p4": (AbelianLattice(4),
+                   [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                    (-1, -1, -1, -1), (1, 1, 1, 0)]),
+    "rank2": (AbelianLattice(2), [(0, -1), (0, 1), (1, -2), (0, 2), (2, 2)]),
+    # the rank2 free parts, three of them twisted by N_tor = Z/2
+    "rank2-torsion": (AbelianLattice(2, (2,)),
+                      [((0, -1), (0,)), ((0, 1), (0,)), ((1, -2), (1,)),
+                       ((0, 2), (1,)), ((2, 2), (1,))]),
 }
+
+
+def cone_matrix(fan, cs):
+    """Rows of the matrix whose columns are the rays cs."""
+    return [tuple(fan.S[i].free[j] for i in cs) for j in range(fan.n)]
+
+
+def solve_psi(fan, v):
+    """Psi^Sigma(v): solve over the first cone with nonnegative solution."""
+    for cone in fan.max_cones:
+        cs = sorted(cone)
+        coeff = solve(cone_matrix(fan, cs), vec(v.free))
+        if all(x >= 0 for x in coeff):
+            out = [Fraction(0)] * len(fan.S)
+            for i, x in zip(cs, coeff):
+                out[i] = x
+            return tuple(out)
+    return None
+
+
+def solve_certify(fan, c):
+    """Strict convexity of heights c, with each slope solved per cone."""
+    for cone in fan.max_cones:
+        cs = sorted(cone)
+        m = solve([fan.ray_free(b) for b in cs], [c[b] for b in cs])
+        if any(c[b] - dot(m, fan.ray_free(b)) <= 0
+               for b in fan.rays if b not in cone):
+            return False
+    return True
+
+
+def solve_cpl_rows(fan):
+    """The CPL_+ inequality rows: e_b >= 0, then c_b >= m_sigma(c)(b) for
+    each cone sigma and b outside it, with B^-1 b solved per cone."""
+    m = len(fan.S)
+    rows = [tuple(Fraction(int(a == b)) for a in range(m)) for b in range(m)]
+    for cone in fan.max_cones:
+        cs = sorted(cone)
+        for b in range(m):
+            if b in cone:
+                continue
+            coeff = solve(cone_matrix(fan, cs), fan.ray_free(b))
+            row = [Fraction(int(a == b)) for a in range(m)]
+            for i, x in zip(cs, coeff):
+                row[i] -= x
+            rows.append(tuple(row))
+    return rows
+
+
+def assert_chart_matches_solve(fan):
+    """Chart coordinates, psi, the height certificate and the CPL_+ rows
+    agree with their per-cone `solve` versions."""
+    for ci, cone in enumerate(fan.max_cones):
+        B = cone_matrix(fan, sorted(cone))
+        for b in range(len(fan.S)):
+            assert fan.coords(ci, fan.ray_free(b)) == \
+                solve(B, fan.ray_free(b))
+    for v in fan.S:
+        assert fan.psi(v) == solve_psi(fan, v)
+    rng = random.Random(3)
+    heights = [fan._wall_heights(fan._check_cover()),
+               [Fraction(0)] * len(fan.S)]
+    heights += [[Fraction(rng.randint(-3, 6)) for _ in fan.S]
+                for _ in range(4)]
+    for c in heights:
+        assert fan._heights_certify(c) == solve_certify(fan, c)
+    assert pl_cone_data(fan).cpl_plus.inequalities == solve_cpl_rows(fan)
 
 
 def mother_fan():
@@ -92,12 +168,13 @@ def test_wall_certificate_agrees_with_full_lp(make):
     vs, cones = make()
     oracle, _ = convexity_certificate(StackyFan(vs, cones, validate=False))
     assert certified(vs, cones) == oracle
+    if oracle:
+        assert_chart_matches_solve(StackyFan(vs, cones))
 
 
 @pytest.mark.parametrize("name", sorted(CHAMBER_SETS))
 def test_wall_certificate_agrees_on_chamber_fans(name):
-    vecs = CHAMBER_SETS[name]
-    vs = VectorSet(AbelianLattice(len(vecs[0])), vecs)
+    vs = VectorSet(*CHAMBER_SETS[name])
     fans, _ = enumerate_adapted_fans(vs)
     assert len(fans) > 1
     for fan in fans:
@@ -105,6 +182,7 @@ def test_wall_certificate_agrees_on_chamber_fans(name):
         # LP certifies them again without them
         assert convexity_certificate(fan)[0]
         assert certified(vs, fan.max_cones)
+        assert_chart_matches_solve(fan)
 
 
 def test_pentagram_passes_local_checks_but_is_not_a_fan():

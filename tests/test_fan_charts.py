@@ -1,0 +1,61 @@
+"""Work counts of the per-fan chart: every per-cone coordinate of a fan is
+read from one inverse of each maximal cone's ray matrix."""
+from collections import Counter
+from fractions import Fraction
+
+from toriclg import cones, fans, gkz, ktheory, lg, rational, secondary
+from toriclg.ktheory import CohomologyRing, bl_line_p4
+from toriclg.secondary import PLConeData
+
+# the modules that import the kernel's routines; rational's own internal
+# calls (lattice indices, dual bases) never see a cone
+MODULES = (cones, fans, secondary, gkz, ktheory, lg)
+
+
+def key(rows):
+    return tuple(tuple(Fraction(x) for x in r) for r in rows)
+
+
+def record(monkeypatch, name):
+    """Matrices passed to `rational.<name>` from MODULES, in call order."""
+    seen = []
+    real = getattr(rational, name)
+
+    def counting(rows, *args, **kwargs):
+        seen.append(key(rows))
+        return real(rows, *args, **kwargs)
+    for mod in MODULES:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return seen
+
+
+def test_each_cone_ray_matrix_is_inverted_once(monkeypatch):
+    inverted = record(monkeypatch, "mat_inverse")
+    solved = record(monkeypatch, "solve")
+    dets = record(monkeypatch, "det")
+    kernels = record(monkeypatch, "nullspace")
+    fan = bl_line_p4()
+    for v in fan.S:
+        fan.psi(v)
+    PLConeData(fan)
+    fan.open_mori_cone()
+    fan.pl_lattice()
+    fan.dim_orbifold_cohomology()
+    CohomologyRing(fan)
+
+    assert len(fan.max_cones) == 9
+    cone_mats, ray_rows, facets = [], set(), set()
+    for c in fan.max_cones:
+        cs = sorted(c)
+        B = key([[fan.S[i].free[j] for i in cs] for j in range(fan.n)])
+        cone_mats.append(B)
+        ray_rows.add(key(zip(*B)))
+        facets.update(key(fan.ray_free(i) for i in cs if i != d) for d in cs)
+    # one inverse and one determinant per cone, both for the chart
+    assert Counter(m for m in inverted if m in cone_mats) == Counter(cone_mats)
+    assert Counter(dets) == Counter(cone_mats)
+    # no per-cone solve, no Cramer ratio and no facet nullspace
+    assert not any(m in cone_mats or m in ray_rows for m in solved)
+    assert not any(m in facets for m in kernels)
+    assert not hasattr(fans.StackyFan, "_facet_data")

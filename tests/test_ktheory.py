@@ -14,7 +14,7 @@ from toriclg.ktheory import (BlowupData, Cls, CohomologyRing, GammaData,
                              euler_pairing_hrr, gram_matrix, p1xp1,
                              projective_space, verify_sod)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.mutation import KBackend
+from toriclg.mutation import KBackend, MarkedReflectionSystem, MatrixBackend
 from toriclg.secondary import wall_between
 
 
@@ -277,3 +277,38 @@ def test_k_relations_structure():
     # (1 - L_b) over M_+ is p1^3 = 0 since the three divisors share class p1
     p1 = ring.divisor_by_s_index(w.M_plus[0])
     assert (p1 * p1 * p1).is_zero()
+
+
+def mutate_past_the_last_position():
+    mrs = MarkedReflectionSystem(MatrixBackend([[1, 0], [0, 1]]),
+                                 [(1, 0), (0, 1)], [1j, -1j])
+    return mrs.mutate(len(mrs.vectors) - 1, "right")
+
+
+def orlov_basis_past_J():
+    bd = BlowupData(bl_line_wall())
+    return bd.orlov_basis(bd.J + 1)
+
+
+def hrr_pairing_with_half_a_divisor():
+    ring = build_cohomology_ring(projective_space(2))
+    half = KClass(ring, ring.divisor(0).scaled(Fraction(1, 2)), "H/2")
+    return euler_pairing_hrr(KClass.structure_sheaf(ring), half)
+
+
+ERROR_CASES = [
+    # (error class, call that raises it, text of the message)
+    (errors.IndexOutOfRange, mutate_past_the_last_position,
+     "position 1 has no neighbour"),
+    (errors.RankMismatch, orlov_basis_past_J, "h = 3 outside 0..J = 2"),
+    (errors.NonIntegral, hrr_pairing_with_half_a_divisor,
+     "HRR pairing not an integer: 3/4"),
+]
+
+
+@pytest.mark.parametrize("cls,call,message", ERROR_CASES,
+                         ids=[c[0].__name__ for c in ERROR_CASES])
+def test_error_class_is_raised(cls, call, message):
+    with pytest.raises(cls) as exc:
+        call()
+    assert str(exc.value) == message
