@@ -5,8 +5,8 @@ mutation bookkeeping for marked reflection systems."""
 from . import errors
 from .fans import StackyFan, extended_sequences, validate_stacky_fan
 from .lattice import AbelianLattice, VectorSet
-from .lg import (LGPotential, assemble_potential, conifold_point,
-                 critical_points, curve_critical_values, newton_nondegenerate,
+from .lg import (LGPotential, chart_family, conifold_point, critical_points,
+                 curve_critical_values, newton_nondegenerate,
                  track_critical_values)
 from .mutation import MarkedReflectionSystem, admissible, evolve
 from .secondary import (CurveChart, PLConeData, WallCrossing, cpl_cone,
@@ -16,7 +16,7 @@ __all__ = [
     "AbelianLattice", "VectorSet", "StackyFan", "validate_stacky_fan",
     "extended_sequences", "enumerate_adapted_fans", "wall_between",
     "cpl_cone", "PLConeData", "WallCrossing", "CurveChart",
-    "LGPotential", "assemble_potential", "critical_points", "conifold_point",
+    "LGPotential", "chart_family", "critical_points", "conifold_point",
     "curve_critical_values", "newton_nondegenerate", "track_critical_values",
     "MarkedReflectionSystem", "admissible", "evolve", "errors",
 ]

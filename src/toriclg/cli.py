@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors
-from .scenario import Scenario, compile_expr
+from .scenario import Scenario, _is_int, compile_expr
 
 
 def _jnum(x):
@@ -35,6 +35,17 @@ def _dump(obj, outdir, fname):
         json.dump(obj, fh, sort_keys=True, indent=1, default=_jnum)
         fh.write("\n")
     return path
+
+
+def _checked(value, ok, field, want):
+    """value, or a ScenarioError naming the field when ok(value) fails."""
+    if not ok(value):
+        raise errors.ScenarioError(f"{field} must be {want}, got {value!r}")
+    return value
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _enumerate(scn):
@@ -118,23 +129,31 @@ def _family_from_scenario(scn):
     pot = scn.doc.get("potential")
     if pot is None:
         raise errors.ScenarioError("scenario has no potential")
+    _checked(pot, lambda p: isinstance(p, dict), "potential", "an object")
     var = scn.path_variable()
-    if pot.get("preset") == "bl_line_p4":
+    if "preset" in pot:
+        _checked(pot["preset"], lambda p: p == "bl_line_p4",
+                 "potential.preset", "'bl_line_p4'")
         from .families import bl_line_p4_family_lambda
         texpr = pot.get("t_of_lambda")
         t_of = compile_expr(texpr, var) if texpr else None
         return bl_line_p4_family_lambda(t_of)
-    from .lg import assemble_potential
-    fan = scn.named_fan(pot["chart"])
-    qexprs = [compile_expr(e, var) for e in pot.get("q", [])]
-    texprs = {int(k): compile_expr(e, var) for k, e in pot.get("t", {}).items()}
-    chi = pot.get("chi")
-    splitting = pot.get("splitting")
+    from .lg import chart_family
+    if "chart" not in pot:
+        raise errors.ScenarioError("potential needs a chart or a preset")
+    qs = _checked(pot.get("q", []), lambda q: isinstance(q, list),
+                  "potential.q", "a list")
+    ts = _checked(pot.get("t", {}), lambda t: isinstance(t, dict) and all(
+        k.isascii() and k.isdigit() for k in t), "potential.t",
+        "an object keyed by S indices")
+    qexprs = [compile_expr(e, var) for e in qs]
+    texprs = {int(k): compile_expr(e, var) for k, e in ts.items()}
+    potential = chart_family(scn.named_fan(pot["chart"]), chi=pot.get("chi"),
+                             splitting=pot.get("splitting"))
 
     def family(s):
-        return assemble_potential(fan, [f(s) for f in qexprs],
-                                  {k: f(s) for k, f in texprs.items()},
-                                  chi=chi, splitting=splitting)
+        return potential([f(s) for f in qexprs],
+                         {k: f(s) for k, f in texprs.items()})
     return family
 
 
@@ -142,6 +161,8 @@ def cmd_critical(scn: Scenario, outdir, seed):
     from .lg import conifold_point, critical_points, newton_nondegenerate
     family = _family_from_scenario(scn)
     at = scn.doc.get("at", scn.path_values()[0])
+    if "at" in scn.doc:
+        _checked(at, _is_real, "at", "a real number")
     F = family(complex(at))
     rng = np.random.default_rng(seed)
     pts = critical_points(F, rng=rng)
@@ -203,6 +224,8 @@ def cmd_mutate(scn: Scenario, outdir, seed):
     coll_spec = scn.doc.get("collection", {})
     if coll_spec.get("preset") != "bl_line_p4":
         raise errors.ScenarioError("mutate currently ships the bl_line_p4 preset")
+    phase = float(_checked(scn.doc.get("phase", 0.0), _is_real, "phase",
+                           "a real number"))
     traj, params = _track(scn, seed)
     ring = build_cohomology_ring(bl_line_p4())
     back = KBackend(ring)
@@ -214,7 +237,6 @@ def cmd_mutate(scn: Scenario, outdir, seed):
     for pos, b in enumerate(order0):
         vectors[b] = back.flatten(initial[pos].ch)
         labels[b] = initial[pos].label
-    phase = float(scn.doc.get("phase", 0.0))
     mrs = MarkedReflectionSystem(back, vectors,
                                  [br[0].value for br in traj.branches],
                                  phase=phase, labels=labels)
@@ -285,8 +307,10 @@ def cmd_euler(scn: Scenario, outdir, seed):
                           euler_pairing_gamma, euler_pairing_hrr)
     spec = scn.doc.get("euler", {})
     varieties = spec.get("varieties", ["p2", "p4", "p1xp1", "bl_line_p4"])
-    size = int(spec.get("gram_size", 20))
-    spread = int(spec.get("range", 3))
+    size = _checked(spec.get("gram_size", 20), lambda x: _is_int(x) and x >= 1,
+                    "euler.gram_size", "an integer >= 1")
+    spread = _checked(spec.get("range", 3), lambda x: _is_int(x) and x >= 0,
+                      "euler.range", "an integer >= 0")
     tol = float(scn.tolerances.get("gamma_vs_hrr", 1e-6))
     rng = np.random.default_rng(seed)
     report = {"name": scn.name, "varieties": {}}
@@ -322,9 +346,11 @@ def cmd_euler(scn: Scenario, outdir, seed):
 def cmd_orlov(scn: Scenario, outdir, seed):
     from .ktheory import BlowupData, verify_sod
     spec = scn.doc.get("orlov", {})
+    if "h" in spec:
+        _checked(spec["h"], _is_int, "orlov.h", "an integer")
     wall = _wall_from_scenario(scn)
     bd = BlowupData(wall, spec.get("center_twist_ray"))
-    h = int(spec.get("h", min(1, bd.J)))
+    h = spec.get("h", min(1, bd.J))
     classes, blocks = bd.orlov_basis(h)
     ok, G = verify_sod(classes, blocks)
     bd.verify_k_relations()

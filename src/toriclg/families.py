@@ -23,29 +23,32 @@ def p2_mirror(q: complex) -> LGPotential:
     return pn_mirror(2, q)
 
 
+def _bl_line_p4_coefficients(q1, q2):
+    return [1.0, 1.0, 1.0, 1.0, complex(q1) * complex(q2), 1.0 / complex(q1)]
+
+
 def bl_line_p4_potential(q1: complex, q2: complex) -> LGPotential:
     """x1+x2+x3+x4 + q1 q2/(x1 x2 x3 x4) + x1 x2 x3/q1, the blowup chart."""
     exps = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
             (-1, -1, -1, -1), (1, 1, 1, 0)]
-    coeffs = [1.0, 1.0, 1.0, 1.0, complex(q1) * complex(q2),
-              1.0 / complex(q1)]
-    return LGPotential(exps, coeffs)
+    return LGPotential(exps, _bl_line_p4_coefficients(q1, q2))
 
 
 def bl_line_p4_family_lambda(t_of_lambda=None):
     """Family lam -> potential along the Example path, with
     t(lam) = lam^{2/3} + lam^{2/5} unless overridden; q1 = 1/t,
-    q2 = lam q1^{3/2}."""
+    q2 = lam q1^{3/2}; its potentials share one layout and count bound."""
     if t_of_lambda is None:
         def t_of_lambda(lam):
             return lam ** (2.0 / 3.0) + lam ** (2.0 / 5.0)
+    template = bl_line_p4_potential(1.0, 1.0)
 
     def family(lam):
         lam = complex(lam)
         t = complex(t_of_lambda(lam))
         q1 = 1.0 / t
         q2 = lam * q1 ** 1.5
-        return bl_line_p4_potential(q1, q2)
+        return template.with_coefficients(_bl_line_p4_coefficients(q1, q2))
     return family
 
 

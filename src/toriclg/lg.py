@@ -15,7 +15,7 @@ import numpy as np
 from . import errors
 from .cones import normalized_volume, polytope_facets, polytope_proper_faces
 from .fans import StackyFan
-from .rational import mat_inverse, matvec, solve, vec
+from .rational import mat_inverse, matvec, rank, solve, vec
 
 TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
@@ -30,20 +30,29 @@ class LGPotential:
     coordinates."""
 
     def __init__(self, exponents, coefficients, chi=None, torsion_parts=None,
-                 torsion_invariants=(), labels=None):
+                 torsion_invariants=()):
         self.B = np.asarray(exponents, dtype=float)
         self.B_int = [tuple(int(x) for x in row) for row in exponents]
-        self.c = np.asarray(coefficients, dtype=complex)
-        if np.any(self.c == 0):
-            raise ValueError("zero coefficients are not allowed in a potential")
         self.nterms, self.n = self.B.shape
         self.chi = (np.zeros(self.n, dtype=complex) if chi is None
                     else np.asarray(chi, dtype=complex))
         self.torsion_invariants = tuple(int(d) for d in torsion_invariants)
         self.torsion_parts = (torsion_parts if torsion_parts is not None
                               else [(0,) * len(self.torsion_invariants)] * self.nterms)
-        self.labels = labels
-        self._count_bound = None
+        self._bound = []        # count-bound memo, shared by the layout
+        self._set_coefficients(coefficients)
+
+    def _set_coefficients(self, coefficients):
+        self.c = np.asarray(coefficients, dtype=complex)
+        if np.any(self.c == 0):
+            raise ValueError("zero coefficients are not allowed in a potential")
+
+    def with_coefficients(self, coefficients):
+        """This layout, count-bound memo included, with new coefficients."""
+        F = object.__new__(LGPotential)
+        F.__dict__.update(self.__dict__)
+        F._set_coefficients(coefficients)
+        return F
 
     @property
     def torsion_order(self):
@@ -95,27 +104,24 @@ class LGPotential:
         t = self.terms(l, component) if terms is None else terms
         return (self.B.T * t) @ self.B
 
-    def newton_polytope(self):
-        return [tuple(int(x) for x in row) for row in self.B_int]
-
     def count_bound(self):
         """(bound, exact): Bernstein's bound |N_tor| x normalized volume of
         conv(supp F, plus 0 when chi != 0) on the isolated torus critical
         points, whatever the coefficients, and whether it is exact, which
         holds when 0 is interior to the Newton polytope (the Kouchnirenko
-        count).  It depends only on data fixed at construction, so it is
-        computed once per potential."""
-        if self._count_bound is None:
-            pts = [vec(p) for p in self.newton_polytope()]
+        count).  It depends only on the layout, so it is computed once per
+        family of potentials sharing one."""
+        if not self._bound:
+            pts = [vec(p) for p in self.B_int]
             facets = polytope_facets(pts)
             exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
             if np.any(self.chi) and not exact:
                 pts.append(vec((0,) * self.n))
                 facets = None
-            self._count_bound = (
-                self.torsion_order * int(normalized_volume(pts, facets)),
-                exact)
-        return self._count_bound
+            self._bound.append(
+                (self.torsion_order * int(normalized_volume(pts, facets)),
+                 exact))
+        return self._bound[0]
 
     def expected_count(self):
         """The exact critical-point count (Kouchnirenko) when 0 is interior
@@ -451,7 +457,7 @@ def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60,
     returns (ok, report) with the budget recorded per face."""
     if rng is None:
         rng = np.random.default_rng(1)
-    pts = [vec(p) for p in F.newton_polytope()]
+    pts = [vec(p) for p in F.B_int]
     facets = polytope_facets(pts)
     if any(a0 <= 0 for _, a0, _ in facets):
         raise ValueError("Newton polytope must contain 0 in its interior")
@@ -778,18 +784,19 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
 # chart assembly
 
 
-def assemble_potential(fan: StackyFan, q_values=(), t_values=None, chi=None,
-                       splitting=None):
-    """LG potential of the chart attached to a stacky fan.
+def chart_family(fan: StackyFan, chi=None, splitting=None):
+    """LG potentials of the chart attached to a stacky fan: a map
+    (q_values, t_values) -> LGPotential, all sharing one layout.
 
     Coordinates follow the local-chart convention: x-coordinates come from
     the splitting over a ray subset whose images form a basis (default: the
     lexicographically first such subset), each ray term carries the monomial
-    q^{lambda(b)} in the canonical integer basis of Lambda^Sigma, and each
-    ghost term additionally carries its own parameter t_b.
+    q^{lambda(b)}, lambda(b) = Psi(b) - sigma-bar(b), in the canonical integer
+    basis of Lambda^Sigma, and each ghost term also t_b.  Computed once: the
+    splitting inverse, the Lambda^Sigma basis and every term's q-exponents.
 
     q_values: sequence of complex values for the canonical q-basis.
-    t_values: dict S-index -> complex for ghosts (default 0 is rejected).
+    t_values: dict S-index -> complex, one entry per ghost index.
     """
     S = fan.S
     n = fan.n
@@ -798,42 +805,55 @@ def assemble_potential(fan: StackyFan, q_values=(), t_values=None, chi=None,
     ghosts = [b for b in range(m) if b not in rays]
     if splitting is None:
         splitting = _first_ray_basis(fan)
-    Bmat = [[Fraction(S[i].free[j]) for i in splitting] for j in range(n)]
-    Binv = mat_inverse(Bmat)
-    lam_basis = _lambda_sigma_basis(fan)
-    q_values = list(q_values)
-    if len(q_values) != len(lam_basis):
+    elif not (isinstance(splitting, (list, tuple))
+              and all(isinstance(i, int) and i in rays for i in splitting)
+              and len(set(splitting)) == len(splitting) == n
+              and rank([vec(S[i].free) for i in splitting]) == n):
         raise errors.ScenarioError(
-            f"chart on rays {sorted(rays)} needs {len(lam_basis)} q-values "
-            f"(canonical Lambda^Sigma basis), got {len(q_values)}")
-    t_values = dict(t_values or {})
-    exps = []
-    coeffs = []
-    tors = []
+            f"splitting must be {n} distinct ray indices of the chart on rays "
+            f"{rays} with independent vectors, got {splitting!r}")
+    if chi is not None and not (
+            isinstance(chi, (list, tuple)) and len(chi) == n
+            and all(isinstance(x, (int, float, complex))
+                    and not isinstance(x, bool) for x in chi)):
+        raise errors.ScenarioError(f"chi must be {n} numbers, got {chi!r}")
+    Binv = mat_inverse([[Fraction(S[i].free[j]) for i in splitting]
+                        for j in range(n)])
+    lam_basis = _lambda_sigma_basis(fan)
+    lam_cols = [tuple(r[j] for r in lam_basis) for j in range(m)]
+    q_exps = []             # per term: (q index, float exponent) pairs
     for b in range(m):
-        lam_b = _lambda_of(fan, b, splitting, Binv)
-        coeff = 1 + 0j
-        if lam_basis:
-            co = solve([tuple(r[j] for r in lam_basis) for j in range(m)],
-                       lam_b)
-            for e, qv in zip(co, q_values):
-                if e != 0:
-                    coeff *= complex(qv) ** float(e)
-        if b in ghosts:
-            if b not in t_values:
-                raise errors.ScenarioError(
-                    f"chart on rays {sorted(rays)} needs t-values for ghost "
-                    f"indices {ghosts}, got {sorted(t_values)}")
-            coeff *= complex(t_values[b])
-        exps.append(tuple(S[b].free))
-        coeffs.append(coeff)
-        tors.append(tuple(S[b].tor))
-    return LGPotential(exps, coeffs, chi=chi, torsion_parts=tors,
-                       torsion_invariants=fan.lattice.torsion)
+        lam_b = list(fan.psi(S[b]))
+        for i, x in zip(splitting, matvec(Binv, vec(S[b].free))):
+            lam_b[i] -= x
+        co = solve(lam_cols, tuple(lam_b)) if lam_basis else ()
+        q_exps.append([(k, float(e)) for k, e in enumerate(co) if e != 0])
+    template = LGPotential([b.free for b in S], [1] * m, chi=chi,
+                           torsion_parts=[b.tor for b in S],
+                           torsion_invariants=fan.lattice.torsion)
+
+    def potential(q_values, t_values):
+        if len(q_values) != len(lam_basis):
+            raise errors.ScenarioError(
+                f"chart on rays {rays} needs {len(lam_basis)} q-values "
+                f"(canonical Lambda^Sigma basis), got {len(q_values)}")
+        if sorted(t_values) != ghosts:
+            raise errors.ScenarioError(
+                f"chart on rays {rays} needs t-values for ghost indices "
+                f"{ghosts}, got {sorted(t_values)}")
+        coeffs = []
+        for b in range(m):
+            coeff = 1 + 0j
+            for k, e in q_exps[b]:
+                coeff *= complex(q_values[k]) ** e
+            if b in t_values:
+                coeff *= complex(t_values[b])
+            coeffs.append(coeff)
+        return template.with_coefficients(coeffs)
+    return potential
 
 
 def _first_ray_basis(fan: StackyFan):
-    from .rational import rank
     for combo in itertools.combinations(sorted(fan.rays), fan.n):
         if rank([vec(fan.S[i].free) for i in combo]) == fan.n:
             return list(combo)
@@ -878,13 +898,3 @@ def _lambda_sigma_basis(fan: StackyFan):
         den = math.lcm(*(x.denominator for x in v))
         out.append(tuple(int(x * den) for x in v))
     return lattice_from_generators(out) if out else []
-
-
-def _lambda_of(fan: StackyFan, b, splitting, Binv):
-    """lambda(b) = Psi(b) - sigma-bar(b) in Q^S."""
-    m = len(fan.S)
-    psi = list(fan.psi(fan.S[b]))
-    coeff = matvec(Binv, vec(fan.S[b].free))
-    for i, x in zip(splitting, coeff):
-        psi[i] -= x
-    return tuple(psi)

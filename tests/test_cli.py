@@ -85,12 +85,42 @@ MALFORMED = [
     ("rank-float", p2_with(lattice={"rank": 2.0}), "lattice.rank"),
     ("torsion-factor-one", p2_with(lattice={"rank": 2, "torsion": [1]}),
      "lattice"),
+    ("potential-not-an-object", p2_with(potential="p2"), "potential"),
+    ("potential-without-chart", p2_with(potential={"q": ["lam"]}),
+     "chart or a preset"),
+    ("q-not-a-list", p2_with(potential={"chart": "p2", "q": 5}),
+     "potential.q"),
+    ("unknown-preset", p2_with(potential={"preset": "p3"}),
+     "potential.preset"),
+    ("t-key-not-an-integer",
+     p2_with(potential={"chart": "p2", "q": ["lam"], "t": {"x": "lam"}}),
+     "potential.t"),
+    ("t-key-not-a-ghost",
+     p2_with(potential={"chart": "p2", "q": ["lam"], "t": {"2": "lam"}}),
+     "ghost indices"),
+    ("splitting-repeated",
+     p2_with(potential={"chart": "p2", "q": ["lam"], "splitting": [0, 0]}),
+     "splitting"),
+    ("splitting-not-a-ray",
+     p2_with(potential={"chart": "p2", "q": ["lam"], "splitting": [0, 7]}),
+     "splitting"),
+    ("chi-not-numbers",
+     p2_with(potential={"chart": "p2", "q": ["lam"], "chi": ["a", "b"]}),
+     "chi"),
+    ("chi-too-short",
+     p2_with(potential={"chart": "p2", "q": ["lam"], "chi": [1]}), "chi"),
+    ("at-not-a-number", p2_with(at="x"), "at"),
 ]
+# `track` reads no `at`
+CRITICAL_ONLY = {"at-not-a-number"}
+MALFORMED_RUNS = [(case, content, field, command)
+                  for case, content, field in MALFORMED
+                  for command in ("critical", "track")
+                  if command == "critical" or case not in CRITICAL_ONLY]
 
 
-@pytest.mark.parametrize("command", ["critical", "track"])
-@pytest.mark.parametrize("case,content,field", MALFORMED,
-                         ids=[c[0] for c in MALFORMED])
+@pytest.mark.parametrize("case,content,field,command", MALFORMED_RUNS,
+                         ids=[f"{r[0]}-{r[3]}" for r in MALFORMED_RUNS])
 def test_malformed_scenario_exits_2(tmp_path, capsys, command, case,
                                     content, field):
     p = tmp_path / f"{case}.json"
@@ -101,6 +131,38 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, command, case,
             doc = json.load(fh)
         doc["path"].update(content)
         p.write_text(json.dumps(doc))
+    rc = main([command, "--scenario", str(p), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "ScenarioError" in err and field in err
+    assert "Traceback" not in err
+
+
+def with_fields(name, **fields):
+    """A shipped scenario's text with some top-level fields replaced."""
+    with open(scn(name)) as fh:
+        doc = json.load(fh)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+MALFORMED_FIELDS = [
+    # (command, scenario text, text named on stderr)
+    ("mutate", with_fields("bl-line-p4.json", phase="x"), "phase"),
+    ("orlov", with_fields("bl-line-p4.json", orlov={"h": "a"}), "orlov.h"),
+    ("euler", with_fields("euler-gram.json", euler={"gram_size": -1}),
+     "euler.gram_size"),
+    ("euler", with_fields("euler-gram.json", euler={"range": -1}),
+     "euler.range"),
+]
+
+
+@pytest.mark.parametrize("command,content,field", MALFORMED_FIELDS,
+                         ids=[f"{c[0]}-{c[2]}" for c in MALFORMED_FIELDS])
+def test_malformed_command_field_exits_2(tmp_path, capsys, command, content,
+                                         field):
+    p = tmp_path / "bad.json"
+    p.write_text(content)
     rc = main([command, "--scenario", str(p), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriclg import errors
+from toriclg import errors, ktheory
 from toriclg.fans import StackyFan
 from toriclg.ktheory import (BlowupData, Cls, CohomologyRing, GammaData,
                              GammaPoly, KClass, bl_line_p4, bl_point_p2,
@@ -312,3 +312,49 @@ def test_error_class_is_raised(cls, call, message):
     with pytest.raises(cls) as exc:
         call()
     assert str(exc.value) == message
+
+
+# Internal verifications that no valid input fails: each is reached by
+# corrupting the quantity it checks.
+def fan_volume_off_by_one(monkeypatch):
+    fan = projective_space(2)
+    volume = StackyFan.fan_polytope_volume
+    monkeypatch.setattr(StackyFan, "fan_polytope_volume",
+                        lambda self: volume(self) + 1)
+    return fan.dim_orbifold_cohomology()
+
+
+def gamma_pairing_against_shifted_hrr(monkeypatch):
+    ring = build_cohomology_ring(projective_space(2))
+    gd = GammaData(ring)
+    O = KClass.structure_sheaf(ring)
+    hrr = ktheory.euler_pairing_hrr
+    monkeypatch.setattr(ktheory, "euler_pairing_hrr",
+                        lambda a, b: hrr(a, b) + 1)
+    return euler_pairing_gamma(gd, O, O)
+
+
+def k_relations_with_shifted_pullback(monkeypatch):
+    bd = BlowupData(bl_line_wall())
+    pullback = BlowupData.pullback_divisor
+    monkeypatch.setattr(BlowupData, "pullback_divisor",
+                        lambda self, b: pullback(self, b) + self.E)
+    return bd.verify_k_relations()
+
+
+FAULT_CASES = [
+    # (error class, fault injection and the call that checks it, message text)
+    (errors.VolumeBoxMismatch, fan_volume_off_by_one,
+     "box-sector count 3 != volume count 4"),
+    (errors.MismatchWithHRR, gamma_pairing_against_shifted_hrr, "vs HRR 2"),
+    (errors.RelationFails, k_relations_with_shifted_pullback,
+     "(L^{k_b} - phi^*L_b^-) != 0"),
+]
+
+
+@pytest.mark.parametrize("cls,call,message", FAULT_CASES,
+                         ids=[c[0].__name__ for c in FAULT_CASES])
+def test_verification_fault_is_raised(monkeypatch, cls, call, message):
+    with pytest.raises(cls) as exc:
+        call(monkeypatch)
+    assert message in str(exc.value)

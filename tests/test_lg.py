@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from toriclg.families import (bl_line_p4_family_lambda,
                               p2_mirror, pn_mirror)
 from toriclg.fans import StackyFan
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lg import (LGPotential, assemble_potential, conifold_point,
+from toriclg.lg import (LGPotential, chart_family, conifold_point,
                         critical_points, curve_critical_values,
                         extraction_parameter, newton_nondegenerate,
                         track_critical_values)
 from toriclg.secondary import wall_between
+
+SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def sort_vals(vals):
@@ -344,8 +347,9 @@ def test_certified_stop_leaves_cli_files_unchanged(tmp_path, monkeypatch):
     assert run("floor") == certified
 
 
-def test_count_bound_computed_once_per_potential(monkeypatch):
+def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
     from toriclg import cones
+    from toriclg.cli import main
     calls = []
     facets = cones.polytope_facets
 
@@ -354,7 +358,8 @@ def test_count_bound_computed_once_per_potential(monkeypatch):
         return facets(points)
     monkeypatch.setattr(cones, "polytope_facets", counting)
     monkeypatch.setattr(lg, "polytope_facets", counting)
-    F = bl_line_p4_family_lambda()(2.0)
+    family = bl_line_p4_family_lambda()
+    F = family(2.0)
     pts = critical_points(F, rng=np.random.default_rng(0))
     once = len(calls)
     # the volume reuses the bound's facets; only its recursion adds more
@@ -362,6 +367,27 @@ def test_count_bound_computed_once_per_potential(monkeypatch):
     # the CLI's "expected" field reads the same bound again
     assert F.expected_count() == len(pts) == 9
     assert len(calls) == once
+    # so does every other potential of the family, on any path
+    for seed in (1, 2):
+        track_critical_values(family, [2.5, 2.4],
+                              rng=np.random.default_rng(seed))
+    assert len(calls) == once
+    # a scenario chart: one bound, one splitting inverse and one
+    # Lambda^Sigma basis for the whole `track`
+    work = {"mat_inverse": 0, "_lambda_sigma_basis": 0}
+    for name in work:
+        def counted(*args, _name=name, _fn=getattr(lg, name)):
+            work[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lg, name, counted)
+    for scenario in ("p2.json", "a1.json"):
+        calls.clear()
+        work.update(dict.fromkeys(work, 0))
+        rc = main(["track", "--scenario", os.path.join(SCN, scenario),
+                   "--out", str(tmp_path), "--seed", "0"])
+        assert rc == 0
+        assert calls.count(2) == 1
+        assert work == {"mat_inverse": 1, "_lambda_sigma_basis": 1}
 
 
 def test_newton_nondegenerate():
@@ -381,6 +407,8 @@ def test_newton_nondegenerate():
 def test_zero_coefficient_rejected():
     with pytest.raises(ValueError):
         LGPotential([(1, 0), (0, 1)], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        LGPotential([(1, 0), (0, 1)], [1.0, 2.0]).with_coefficients([0.0, 1.0])
 
 
 def test_tracking_constant_path_identity():
@@ -436,30 +464,30 @@ def test_tracking_collision_event_at_discriminant():
     assert abs(complex(coll[0]["param"]).real - sstar) < 1e-6
 
 
-def test_assemble_potential_cyclic_charts():
+def test_chart_family_cyclic_charts():
     d = 3
     vs = VectorSet(AbelianLattice(2), [(0, 1), (d, -1), (1, 0)])
     orb = StackyFan(vs, [{0, 1}])
     res = StackyFan(vs, [{0, 2}, {2, 1}])
     # orbifold chart: no q coordinates, ghost t at index 2
-    F = assemble_potential(orb, [], {2: 0.37})
+    F = chart_family(orb)([], {2: 0.37})
     got = {F.B_int[i]: F.c[i] for i in range(3)}
     assert abs(got[(0, 1)] - 1) < 1e-14
     assert abs(got[(d, -1)] - 1) < 1e-14
     assert abs(got[(1, 0)] - 0.37) < 1e-14
     # resolution chart with the paper splitting {(0,1),(1,0)}: coefficient q
     # lands on the (d,-1) term
-    G = assemble_potential(res, [0.25], {}, splitting=[0, 2])
+    G = chart_family(res, splitting=[0, 2])([0.25], {})
     gotg = {G.B_int[i]: G.c[i] for i in range(3)}
     assert abs(gotg[(0, 1)] - 1) < 1e-14
     assert abs(gotg[(1, 0)] - 1) < 1e-14
     assert abs(abs(gotg[(d, -1)]) - 0.25) < 1e-14
 
 
-def test_assemble_potential_a1_chart():
+def test_chart_family_a1_chart():
     vs = VectorSet(AbelianLattice(2), [(-1, 1), (1, 1), (0, 1)])
     s1 = StackyFan(vs, [{0, 1}])
-    F = assemble_potential(s1, [], {2: 1.5})
+    F = chart_family(s1)([], {2: 1.5})
     got = {F.B_int[i]: F.c[i] for i in range(3)}
     assert abs(got[(-1, 1)] - 1) < 1e-14
     assert abs(got[(1, 1)] - 1) < 1e-14
