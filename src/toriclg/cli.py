@@ -1,8 +1,10 @@
 """Command-line entry points: scenario-driven reproducible runs.
 
 Commands: fans, wallcross, critical, track, mutate, euler, orlov, gkz.
-Each takes --scenario FILE, --out DIR, --seed N and exits 0 only when every
-verification inside the command passes.  JSON output is key-sorted and
+Each takes --scenario FILE, --out DIR, --seed N.  The exit status is 0 when
+every verification inside the command passes, 1 when one fails (a
+`VerificationFailed` error or a failed check in the report) and 2 on bad
+input or a math error (any other `ToricLGError`).  JSON output is key-sorted and
 floats keep full 17-digit round-trip precision, so reruns are
 byte-identical for a fixed seed.
 """
@@ -46,6 +48,14 @@ def _checked(value, ok, field, want):
 
 def _is_real(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _expr(text, var, field):
+    """compile_expr, with a parse error naming the scenario field."""
+    try:
+        return compile_expr(text, var)
+    except errors.ScenarioError as exc:
+        raise errors.ScenarioError(f"{field}: {exc}") from None
 
 
 def _enumerate(scn):
@@ -136,7 +146,7 @@ def _family_from_scenario(scn):
                  "potential.preset", "'bl_line_p4'")
         from .families import bl_line_p4_family_lambda
         texpr = pot.get("t_of_lambda")
-        t_of = compile_expr(texpr, var) if texpr else None
+        t_of = _expr(texpr, var, "potential.t_of_lambda") if texpr else None
         return bl_line_p4_family_lambda(t_of)
     from .lg import chart_family
     if "chart" not in pot:
@@ -146,8 +156,9 @@ def _family_from_scenario(scn):
     ts = _checked(pot.get("t", {}), lambda t: isinstance(t, dict) and all(
         k.isascii() and k.isdigit() for k in t), "potential.t",
         "an object keyed by S indices")
-    qexprs = [compile_expr(e, var) for e in qs]
-    texprs = {int(k): compile_expr(e, var) for k, e in ts.items()}
+    qexprs = [_expr(e, var, f"potential.q[{i}]") for i, e in enumerate(qs)]
+    texprs = {int(k): _expr(e, var, f"potential.t[{k!r}]")
+              for k, e in ts.items()}
     potential = chart_family(scn.named_fan(pot["chart"]), chi=pot.get("chi"),
                              splitting=pot.get("splitting"))
 
@@ -311,7 +322,11 @@ def cmd_euler(scn: Scenario, outdir, seed):
                     "euler.gram_size", "an integer >= 1")
     spread = _checked(spec.get("range", 3), lambda x: _is_int(x) and x >= 0,
                       "euler.range", "an integer >= 0")
-    tol = float(scn.tolerances.get("gamma_vs_hrr", 1e-6))
+    tols = _checked(scn.tolerances, lambda t: isinstance(t, dict),
+                    "tolerances", "an object")
+    tol = float(_checked(tols.get("gamma_vs_hrr", 1e-6),
+                         lambda x: _is_real(x) and x > 0,
+                         "tolerances.gamma_vs_hrr", "a positive number"))
     rng = np.random.default_rng(seed)
     report = {"name": scn.name, "varieties": {}}
     worst = 0.0
@@ -349,6 +364,11 @@ def cmd_orlov(scn: Scenario, outdir, seed):
     if "h" in spec:
         _checked(spec["h"], _is_int, "orlov.h", "an integer")
     wall = _wall_from_scenario(scn)
+    if "center_twist_ray" in spec:
+        shared = set(wall.plus_fan.rays) & set(wall.minus_fan.rays)
+        _checked(spec["center_twist_ray"], lambda b: _is_int(b) and b in shared,
+                 "orlov.center_twist_ray",
+                 f"the S index of a ray of both fans {sorted(shared)}")
     bd = BlowupData(wall, spec.get("center_twist_ray"))
     h = spec.get("h", min(1, bd.J))
     classes, blocks = bd.orlov_basis(h)
@@ -425,7 +445,7 @@ def main(argv=None):
         rc = COMMANDS[args.command](scn, args.out, args.seed)
     except errors.ToricLGError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, errors.VerificationFailed) else 2
     return rc
 
 

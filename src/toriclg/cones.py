@@ -227,9 +227,11 @@ def polytope_facets(points):
     return facets
 
 
-def polytope_proper_faces(points):
-    """All proper nonempty faces of conv(points) as active point-index sets."""
-    facets = polytope_facets(points)
+def polytope_proper_faces(points, facets=None):
+    """All proper nonempty faces of conv(points) as active point-index sets;
+    `facets` as in `triangulate_polytope`."""
+    if facets is None:
+        facets = polytope_facets(points)
     faces = set()
     frontier = {tuple(sorted(f[2])) for f in facets}
     faces |= frontier

@@ -5,6 +5,11 @@ class ToricLGError(Exception):
     pass
 
 
+class VerificationFailed(ToricLGError):
+    """An internal cross-check of a computed result failed: the input was
+    valid, the program's answer is not (the CLI exits 1, not 2)."""
+
+
 # fan validation
 class NonSimplicial(ToricLGError):
     pass
@@ -26,7 +31,7 @@ class OutsideSupport(ToricLGError):
     pass
 
 
-class VolumeBoxMismatch(ToricLGError):
+class VolumeBoxMismatch(VerificationFailed):
     pass
 
 
@@ -69,7 +74,7 @@ class NonIntegral(ToricLGError):
     pass
 
 
-class MismatchWithHRR(ToricLGError):
+class MismatchWithHRR(VerificationFailed):
     pass
 
 
@@ -77,7 +82,7 @@ class RankMismatch(ToricLGError):
     pass
 
 
-class RelationFails(ToricLGError):
+class RelationFails(VerificationFailed):
     pass
 
 

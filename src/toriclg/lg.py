@@ -463,7 +463,7 @@ def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60,
         raise ValueError("Newton polytope must contain 0 in its interior")
     report = []
     ok = True
-    for face in polytope_proper_faces(pts):
+    for face in polytope_proper_faces(pts, facets):
         idx = list(face)
         if len(idx) == 1:
             # monomial face: x dF has constant nonzero coefficient

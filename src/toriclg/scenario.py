@@ -77,7 +77,13 @@ class ExprParser:
             while self.peek() is not None and (self.peek().isdigit()
                                                or self.peek() == "."):
                 self.pos += 1
-            return ("num", float(self.text[start:self.pos]))
+            digits = self.text[start:self.pos]
+            try:
+                return ("num", float(digits))
+            except ValueError:
+                raise errors.ScenarioError(
+                    f"bad number {digits!r} at {start} in {self.text!r}"
+                ) from None
         if ch is not None and ch.isalpha():
             start = self.pos
             while self.peek() is not None and (self.peek().isalnum()

@@ -8,52 +8,82 @@ import math
 from fractions import Fraction
 
 from . import errors
-from .cones import Cone
+from .cones import Cone, dual_description
 from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
-from .rational import (dot, in_lattice, matvec, primitive, rref, solve,
+from .rational import (dot, in_lattice, mat_inverse, primitive, solve,
                        transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
 
 
 class PLConeData:
-    """CPL_+(Sigma), its image cpl(Sigma), and the integral structures
-    restricted to the chamber."""
+    """The chamber cpl(Sigma) in L^*_Q, and the CPL_+(Sigma) and pl_Z(Sigma)
+    data of the fan, each built on first read.
+
+    cpl(Sigma) is the intersection over maximal cones sigma of
+    cone(D_b : b not in sigma) (Gelfand-Kapranov-Zelevinsky 1994, ch. 7;
+    Billera-Filliman-Sturmfels 1990).  Each of those cones is simplicial in
+    rank dimensions, with the rows of one complement inverse as its facet
+    normals, so cpl takes one rank-dimensional double description.  It is
+    rebuilt from its sorted rays: `inequalities` are then irredundant, and
+    their order depends only on the chamber.  `cpl_plus` is the
+    m-dimensional cone of nonnegative convex heights whose image under
+    c -> sum_b c_b D_b is cpl; it is the oracle of the direct construction.
+    """
 
     def __init__(self, fan: StackyFan):
         self.fan = fan
-        m = len(fan.S)
-        ineqs = []
-        for b in range(m):
-            e = [Fraction(0)] * m
-            e[b] = Fraction(1)
-            ineqs.append(tuple(e))
-        for ci, c in enumerate(fan.max_cones):
-            cs = sorted(c)
-            for b in range(m):
-                if b in c:
-                    continue
-                # c_b - m_sigma(c)(b) >= 0 with m_sigma determined by c|_cs;
-                # m_sigma(b) = sum_k (B^-1 b)_k c_{cs[k]}
-                coeff = fan.coords(ci, fan.ray_free(b))
-                row = [Fraction(0)] * m
-                row[b] = Fraction(1)
-                for i, x in zip(cs, coeff):
-                    row[i] -= x
-                ineqs.append(tuple(row))
-        self.cpl_plus = Cone.from_inequalities(ineqs, ambient_dim=m)
-        L = fan.kernel_basis()
-        self.rank = len(L)
-        D = fan.divisor_images()
+        self.rank = len(fan.kernel_basis())
+        self.cpl = None
+        self._cpl_plus = None
+        self._plq_lattice = None
         if self.rank:
-            gens = [matvec([vec(row) for row in L], g) for g in self.cpl_plus.rays]
-            gens = [g for g in gens if any(x != 0 for x in g)]
-            self.cpl = Cone.from_rays(gens, self.rank) if gens else None
-        else:
-            self.cpl = None
-        self.pl_lattice = fan.pl_lattice()
-        self.plq_lattice = fan.plq_lattice()
+            D = fan.divisor_images()
+            m = len(fan.S)
+            normals = {}
+            for c in fan.max_cones:
+                rest = [b for b in range(m) if b not in c]
+                for row in _complement_inverse(D, rest):
+                    normals.setdefault(primitive(row))
+            rays, _ = dual_description(list(normals), [], self.rank)
+            if rays:
+                self.cpl = Cone.from_rays(sorted(rays), self.rank)
+
+    @property
+    def cpl_plus(self):
+        """CPL_+(Sigma) in Q^S: c >= 0 and, for each maximal cone sigma and
+        b outside it, c_b >= m_sigma(c)(b)."""
+        if self._cpl_plus is None:
+            fan = self.fan
+            m = len(fan.S)
+            ineqs = []
+            for b in range(m):
+                e = [Fraction(0)] * m
+                e[b] = Fraction(1)
+                ineqs.append(tuple(e))
+            for ci, c in enumerate(fan.max_cones):
+                cs = sorted(c)
+                for b in range(m):
+                    if b in c:
+                        continue
+                    # c_b - m_sigma(c)(b) >= 0 with m_sigma determined by
+                    # c|_cs; m_sigma(b) = sum_k (B^-1 b)_k c_{cs[k]}
+                    coeff = fan.coords(ci, fan.ray_free(b))
+                    row = [Fraction(0)] * m
+                    row[b] = Fraction(1)
+                    for i, x in zip(cs, coeff):
+                        row[i] -= x
+                    ineqs.append(tuple(row))
+            self._cpl_plus = Cone.from_inequalities(ineqs, ambient_dim=m)
+        return self._cpl_plus
+
+    @property
+    def plq_lattice(self):
+        """Basis of pl_Z(Sigma) in L^* (kernel-dual coordinates)."""
+        if self._plq_lattice is None:
+            self._plq_lattice = self.fan.plq_lattice()
+        return self._plq_lattice
 
     def daleth_membership(self, xi) -> bool:
         """xi in cpl(Sigma) cap daleth (chamber-restricted integral structure)."""
@@ -119,14 +149,38 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 # chamber enumeration
 
 
-def _fan_from_stability(vector_set: VectorSet, D, omega, built):
+def _complement_inverse(D, rest):
+    """Inverse of the r x r matrix whose columns are D_b, b in `rest`.  Row k
+    reads the coefficient of D_{rest[k]}, so the rows are the inner facet
+    normals of cone(D_b : b in rest).  ValueError when the D_b are not a
+    basis of L^*_Q."""
+    return mat_inverse([[D[b][j] for b in rest] for j in range(len(D[0]))])
+
+
+def _complement_table(vector_set: VectorSet, D):
+    """(I, rest, M_I^-1) for each n-subset I of S, in `combinations` order,
+    whose complement {D_b : b in rest} is a basis of L^*_Q; M_I^-1 is
+    `_complement_inverse(D, rest)`."""
+    m = len(vector_set.vectors)
+    table = []
+    for I in itertools.combinations(range(m), vector_set.lattice.rank):
+        rest = [b for b in range(m) if b not in I]
+        try:
+            table.append((frozenset(I), rest, _complement_inverse(D, rest)))
+        except ValueError:
+            continue    # D_rest is not a basis: rank S_I < n
+    return table
+
+
+def _fan_from_stability(vector_set: VectorSet, table, omega, built):
     """Stacky fan selected by a generic GIT stability parameter omega in L^*_Q.
 
     Maximal cones are the n-subsets I whose complement {D_b : b not in I} is
     a basis of L^*_Q with omega = sum_b lam_b D_b, every lam_b > 0 (omega in
-    the interior of their cone).  The first such lam, extended by 0 on I, is
-    a height vector c lifting omega; for any other selected sigma, c - lam^sigma
-    is linear, so c_b - m_sigma(b) = lam^sigma_b > 0 off sigma, and c
+    the interior of their cone); `table` is `_complement_table`, so
+    lam = M_I^-1 omega.  The first such lam, extended by 0 on I, is a height
+    vector c lifting omega; for any other selected sigma, c - lam^sigma is
+    linear, so c_b - m_sigma(b) = lam^sigma_b > 0 off sigma, and c
     certifies strict convexity without an LP.
 
     `built` maps `cones_key` to the fans already validated (None when
@@ -134,25 +188,15 @@ def _fan_from_stability(vector_set: VectorSet, D, omega, built):
     Returns None when omega is not generic enough to select a valid
     simplicial fan.
     """
-    n = vector_set.lattice.rank
-    m = len(vector_set.vectors)
-    r = len(omega)      # m - n: a VectorSet spans N_Q
     max_cones = []
     heights = None
-    for I in itertools.combinations(range(m), n):
-        rest = [b for b in range(m) if b not in I]
-        # columns D_b (b in rest), augmented by omega
-        red, piv = rref([tuple(D[b][j] for b in rest) + (omega[j],)
-                         for j in range(r)], r + 1)
-        if len(piv) != r or r in piv:
-            continue    # D_rest is not a basis: rank S_I < n
-        lam = [row[r] for row in red]   # row k has its pivot in column k
-        if all(x > 0 for x in lam):
-            max_cones.append(frozenset(I))
+    for I, rest, inv in table:
+        if all(dot(row, omega) > 0 for row in inv):
+            max_cones.append(I)
             if heights is None:
-                heights = [Fraction(0)] * m
-                for b, x in zip(rest, lam):
-                    heights[b] = x
+                heights = [Fraction(0)] * len(vector_set.vectors)
+                for b, row in zip(rest, inv):
+                    heights[b] = dot(row, omega)
     if not max_cones:
         return None
     key = cones_key(max_cones)
@@ -177,6 +221,7 @@ def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION
         # L = 0 forces S to be a basis of N_Q: a single chamber
         return [StackyFan(vector_set, [frozenset(range(len(S)))])], []
     support = Cone.from_rays([vec(d) for d in D], r)
+    table = _complement_table(vector_set, D)
     import random
     rng = random.Random(20200422)
     built = {}
@@ -184,7 +229,7 @@ def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION
     for _ in range(200):
         omega = tuple(sum(Fraction(rng.randint(1, 97)) * Fraction(D[b][j])
                           for b in range(len(S))) for j in range(r))
-        fan = _fan_from_stability(vector_set, D, omega, built)
+        fan = _fan_from_stability(vector_set, table, omega, built)
         if fan is not None:
             data = pl_cone_data(fan)
             if data.cpl is not None and data.cpl.relint_contains(omega):
@@ -213,7 +258,7 @@ def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION
                 omega = tuple(Fraction(2 ** k) * a - b for a, b in zip(p, g))
                 if not support.contains(omega):
                     continue
-                cand = _fan_from_stability(vector_set, D, omega, built)
+                cand = _fan_from_stability(vector_set, table, omega, built)
                 if cand is None:
                     continue
                 cdata = pl_cone_data(cand)

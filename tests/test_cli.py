@@ -154,6 +154,13 @@ MALFORMED_FIELDS = [
      "euler.gram_size"),
     ("euler", with_fields("euler-gram.json", euler={"range": -1}),
      "euler.range"),
+    ("critical", with_fields("a1.json", potential={
+        "chart": "orbifold", "q": [], "t": {"2": "1.2.3"}}), "potential.t"),
+    ("orlov", with_fields("bl-line-p4.json",
+                          orlov={"h": 1, "center_twist_ray": "x"}),
+     "orlov.center_twist_ray"),
+    ("euler", with_fields("euler-gram.json", tolerances={"gamma_vs_hrr": "x"}),
+     "tolerances.gamma_vs_hrr"),
 ]
 
 
@@ -168,6 +175,20 @@ def test_malformed_command_field_exits_2(tmp_path, capsys, command, content,
     assert rc == 2
     assert "ScenarioError" in err and field in err
     assert "Traceback" not in err
+
+
+def test_failed_verification_exits_1(tmp_path, capsys, monkeypatch):
+    # a valid input whose internal cross-check fails: the volume count and
+    # the per-cone Box count of `dim_orbifold_cohomology` disagree
+    from toriclg.fans import StackyFan
+    real = StackyFan.fan_polytope_volume
+    monkeypatch.setattr(StackyFan, "fan_polytope_volume",
+                        lambda fan: real(fan) + 1)
+    rc = main(["fans", "--scenario", scn("a1.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "VolumeBoxMismatch" in err and "Traceback" not in err
+    assert issubclass(errors.VolumeBoxMismatch, errors.VerificationFailed)
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):

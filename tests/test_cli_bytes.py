@@ -1,12 +1,19 @@
-"""Byte identity of `critical` and `track` output at `--seed 0`.
+"""Byte identity of CLI output at `--seed 0`.
 
-Each digest is the sha256 of one output file, recorded before the potential
-families shared one layout per family (chart data and the Bernstein bound
-computed once).  A refactor of the numerics must leave every file unchanged.
-The digests pin the floating-point results of the numpy build they were
-recorded with (numpy 2.4.6 on x86-64); another numpy build or CPU may
-round a Newton iterate differently in the last bit, and then these digests
-move although the program did not change.
+Each digest is the sha256 of one output file.  The `critical` and `track`
+digests were recorded before the potential families shared one layout per
+family (chart data and the Bernstein bound computed once): a refactor of
+the numerics must leave every file unchanged.  They pin the floating-point
+results of the numpy build they were recorded with (numpy 2.4.6 on x86-64);
+another numpy build or CPU may round a Newton iterate differently in the
+last bit, and then these digests move although the program did not change.
+
+The `fans`, `wallcross` and `gkz` digests cover every shipped scenario on
+which the command exits 0.  They were recorded before the chamber cone
+cpl(Sigma) was built in rank dimensions from per-cone complements: a change
+to the combinatorics must keep the chamber order, the walls, the wall
+kinds and every exact GKZ number, and these outputs are exact, so they do
+not depend on the numpy build.
 """
 import hashlib
 import os
@@ -53,6 +60,50 @@ DIGESTS = {
     ("track", "discriminant-probe"): {
         "events.json": "19408e958de4ad176d211263d3e181bc177ae06e65c3d556300cd7a6a2d8e072",
         "trajectory.csv": "0493c6778c5cf1d938a0a9e2b3a5e7082be4dde560711c13151e5a228b24dd8c"},
+    ("fans", "a1"): {
+        "fans.json": "5dd0efa8726129be956f2c825553123ae8fe676732943c46c8bb356be2df109c"},
+    ("fans", "bl-line-p4"): {
+        "fans.json": "d4392522c0bc67c1e4bb738d74f60d9965b6ac1f7c5e90b1a64538b53c01ceca"},
+    ("fans", "blowup-c2"): {
+        "fans.json": "9c4c6e0a5a1103207ff853e49963c955b48660eb6558c2832cfca030e85bcdf0"},
+    ("fans", "cyclic-d3"): {
+        "fans.json": "0a05c2703ada158b8ea728af52c4af1d3c34a62eb850ecdcc961259ed0ae0ca9"},
+    ("fans", "cyclic-d4"): {
+        "fans.json": "702c5be685122c9244dd9180ccd31f1d68bee18ae90ad0fe3a19b68e8ce3c211"},
+    ("fans", "cyclic-d5"): {
+        "fans.json": "06605bbfe711fe8aeb643379d809e99dcea07aad2cbc0e6500dd8e7e6280aa0e"},
+    ("fans", "p2"): {
+        "fans.json": "42902c546b089edda3f3c8c9939de443edbb01e6b2acc2f886ed7cbf8c7aee52"},
+    ("wallcross", "a1"): {
+        "wallcross.json": "2f1ef234b1fc72871436c803752654e63ad4737e6fba1f93bc48f5edf77b8a94"},
+    ("wallcross", "bl-line-p4"): {
+        "wallcross.json": "f293a673cd99bccff19b58da7e7150d69a4177918532fe0d85b475a8bfc25b41"},
+    ("wallcross", "blowup-c2"): {
+        "wallcross.json": "5b8f3b271a6d4ef4696a08ac5104ac56d48d010d9c1b42a2b60db8abf7ead83e"},
+    ("wallcross", "cyclic-d3"): {
+        "wallcross.json": "0d2d8f86b314f4e784a0e54becdd3d82755dbdc4c8caba4b0bf6087d059c1440"},
+    ("wallcross", "cyclic-d4"): {
+        "wallcross.json": "5bdc4b349f26f5b0c831851b59c9b32b36e45e1086c12178669c12ccc8b57d90"},
+    ("wallcross", "cyclic-d5"): {
+        "wallcross.json": "4f50e1e59f0df1027458698e9089266dc606ad42d8fff2c8ac967080252d25ca"},
+    ("gkz", "a1"): {
+        "gkz.json": "117a420ce8dc983c8a40eefbe533f737d3408784662da08f91edbbebe1b7ff1e"},
+    ("gkz", "bl-line-p4"): {
+        "gkz.json": "320ebd77d8f466226107ef51b97ed3344a066a341fd717e4e383628f54ee1c69"},
+    ("gkz", "blowup-c2"): {
+        "gkz.json": "b4d007834d76ae402ba210f42c5b6f772d1c4722d0956b65904f1d3d59c052ef"},
+    ("gkz", "cyclic-d3"): {
+        "gkz.json": "83949f3d800e01250b5bf372e20a760f546b7ebb2eecfa3b36037134303f0b2b"},
+    ("gkz", "cyclic-d4"): {
+        "gkz.json": "6d6b409300fa24582439ae8d69c77d05ebe8cfff3d6df80c3df1244eee8ae8e6"},
+    ("gkz", "cyclic-d5"): {
+        "gkz.json": "5512006d5c5823c99bed1046ac479e763d62c09b0ba68c1866e73170106f4705"},
+    ("gkz", "discriminant-probe"): {
+        "gkz.json": "c71810dfb18ee4637d40e5f262552a73b9371bbe2308458bacce7041377caffd"},
+    ("gkz", "euler-gram"): {
+        "gkz.json": "7a861bf63b6ee1aa82c440ebec3fcb2ac4aecf5e815ea6144b2624e50a6dd812"},
+    ("gkz", "p2"): {
+        "gkz.json": "4f108a3c6e0f54b6a712d6621c33f08e1e81b352231e26da9f11335a7dc30e0b"},
 }
 
 

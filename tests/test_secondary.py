@@ -275,3 +275,52 @@ def test_chamber_search_certifies_by_heights_and_builds_cone_data_once(
     # the exact LP stays the reference certificate
     monkeypatch.undo()
     assert all(convexity_certificate(fan)[0] for fan in fans)
+
+
+def chamber_sets():
+    from test_convexity import CHAMBER_SETS
+    return [CHAMBER_SETS[name] for name in ("bl_line_p4", "rank2",
+                                            "rank2-torsion")]
+
+
+@pytest.mark.parametrize("lattice,vecs", chamber_sets(),
+                         ids=["bl_line_p4", "rank2", "rank2-torsion"])
+def test_direct_cpl_matches_projected_cpl_plus(lattice, vecs):
+    from toriclg.cones import Cone
+    from toriclg.rational import matvec
+    from toriclg.secondary import pl_cone_data
+
+    fans, _ = enumerate_adapted_fans(VectorSet(lattice, vecs))
+    assert len(fans) >= 2
+    for fan in fans:
+        data = pl_cone_data(fan)
+        L = [vec(row) for row in fan.kernel_basis()]
+        gens = [matvec(L, g) for g in data.cpl_plus.rays]
+        oracle = Cone.from_rays([g for g in gens if any(g)], data.rank)
+        assert data.cpl.ray_set() == oracle.ray_set()
+        # rebuilt from its rays, so no redundant facet is probed as a wall
+        assert len(data.cpl.inequalities) == len(oracle.inequalities)
+
+
+@pytest.mark.parametrize("lattice,vecs", chamber_sets(),
+                         ids=["bl_line_p4", "rank2", "rank2-torsion"])
+def test_chamber_path_runs_no_m_dimensional_dual_description(
+        lattice, vecs, monkeypatch):
+    from toriclg import cones, secondary
+
+    dims = []
+    real = cones.dual_description
+
+    def counting(ineqs, eqs, dim):
+        dims.append(dim)
+        return real(ineqs, eqs, dim)
+    for mod in (cones, secondary):
+        monkeypatch.setattr(mod, "dual_description", counting)
+    m = len(vecs)
+    fans, walls = enumerate_adapted_fans(VectorSet(lattice, vecs))
+    for a, b, _ in walls:
+        wall_between(fans[a], fans[b])
+    assert dims and m not in dims
+    # the CPL_+ oracle still runs in m dimensions, through the same wrapper
+    secondary.pl_cone_data(fans[0]).cpl_plus.rays
+    assert dims[-1] == m
