@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors
-from .scenario import Scenario, _is_int, compile_expr
+from .scenario import Scenario, _is_int, _is_real, compile_expr
 
 
 def _jnum(x):
@@ -46,8 +46,10 @@ def _checked(value, ok, field, want):
     return value
 
 
-def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _section(scn, name):
+    """The scenario's `name` object, {} when absent."""
+    return _checked(scn.doc.get(name, {}), lambda s: isinstance(s, dict),
+                    name, "an object")
 
 
 def _expr(text, var, field):
@@ -125,7 +127,8 @@ def cmd_wallcross(scn: Scenario, outdir, seed):
         chart = CurveChart(wall)
         report["e_plus"] = chart.e_plus
         report["e_minus"] = chart.e_minus
-        tval = scn.doc.get("curve_parameter", 1.0)
+        tval = _checked(scn.doc.get("curve_parameter", 1.0), _is_real,
+                        "curve_parameter", "a real number")
         vals = curve_critical_values(wall, tval)
         report["curve_values_at_t"] = {
             "t": _jnum(complex(tval)),
@@ -232,7 +235,7 @@ def cmd_mutate(scn: Scenario, outdir, seed):
                           bl_line_p4_initial_collection,
                           build_cohomology_ring)
     from .mutation import MarkedReflectionSystem, KBackend, evolve
-    coll_spec = scn.doc.get("collection", {})
+    coll_spec = _section(scn, "collection")
     if coll_spec.get("preset") != "bl_line_p4":
         raise errors.ScenarioError("mutate currently ships the bl_line_p4 preset")
     phase = float(_checked(scn.doc.get("phase", 0.0), _is_real, "phase",
@@ -316,7 +319,7 @@ def _variety(name):
 def cmd_euler(scn: Scenario, outdir, seed):
     from .ktheory import (GammaData, KClass, build_cohomology_ring,
                           euler_pairing_gamma, euler_pairing_hrr)
-    spec = scn.doc.get("euler", {})
+    spec = _section(scn, "euler")
     varieties = spec.get("varieties", ["p2", "p4", "p1xp1", "bl_line_p4"])
     size = _checked(spec.get("gram_size", 20), lambda x: _is_int(x) and x >= 1,
                     "euler.gram_size", "an integer >= 1")
@@ -360,7 +363,7 @@ def cmd_euler(scn: Scenario, outdir, seed):
 
 def cmd_orlov(scn: Scenario, outdir, seed):
     from .ktheory import BlowupData, verify_sod
-    spec = scn.doc.get("orlov", {})
+    spec = _section(scn, "orlov")
     if "h" in spec:
         _checked(spec["h"], _is_int, "orlov.h", "an integer")
     wall = _wall_from_scenario(scn)
@@ -390,7 +393,7 @@ def cmd_orlov(scn: Scenario, outdir, seed):
 
 def cmd_gkz(scn: Scenario, outdir, seed):
     from .gkz import char_variety_at_limit, generic_rank_check, gkz_relation
-    spec = scn.doc.get("gkz", {})
+    spec = _section(scn, "gkz")
     fan = scn.named_fan(spec["chart"]) if "chart" in spec \
         else _variety(spec.get("variety", "p2"))
     rng = np.random.default_rng(seed)

@@ -7,7 +7,6 @@ given as index sets into S; the ray set R is the union of those index sets.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import errors
@@ -16,8 +15,8 @@ from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
 from .rational import (det, dot, dual_lattice, integer_kernel,
                        lattice_from_generators, mat_inverse, matvec,
-                       preimage_lattice, primitive, rank, snf, solve,
-                       transpose, vec)
+                       preimage_lattice, primitive, rank, solve, transpose,
+                       vec)
 
 
 def extended_sequences(vector_set: VectorSet):
@@ -57,7 +56,7 @@ def extended_sequences(vector_set: VectorSet):
     else:
         L_basis = lattice_from_generators(ker_free) if ker_free else []
     D = [tuple(Fraction(row[j]) for row in L_basis) for j in range(len(S))]
-    return L_basis, D, bool(vector_set.generates)
+    return L_basis, D, vector_set.generates
 
 
 class BoxElement:
@@ -287,25 +286,29 @@ class StackyFan:
 
     # -- Box and dimensions -------------------------------------------------
     def box_of_cone(self, cone_idx):
-        """Box elements attached to one maximal cone (all torsion lifts)."""
+        """Box elements attached to one maximal cone (all torsion lifts).
+
+        Box(sigma) is the group B^-1 Z^n / Z^n, read in ray coordinates in
+        [0,1)^n: the closure under addition mod 1 of the chart inverse's
+        columns taken mod 1."""
         c, Binv, vol = self._charts()[cone_idx]
         n = self.n
+        # in units of 1/vol, since vol = |det B| clears the denominators of B^-1
+        gens = [tuple(int(x * vol) % vol for x in col) for col in zip(*Binv)]
+        zero = (0,) * n
+        units, frontier = {zero}, {zero}
+        while frontier:
+            frontier = {tuple((a + b) % vol for a, b in zip(x, g))
+                        for x in frontier for g in gens} - units
+            units |= frontier
         B = [[self.S[i].free[j] for i in c] for j in range(n)]   # columns = rays
-        Dg, U, V = snf(B)
-        diag = [Dg[i][i] for i in range(n)]
-        Uinv = mat_inverse(U)
-        pts = set()
-        for ys in itertools.product(*[range(abs(d)) for d in diag]):
-            x = matvec(Uinv, [Fraction(y) for y in ys])
-            coeff = matvec(Binv, x)
-            cmod = tuple(t - (t.numerator // t.denominator) for t in coeff)
-            pt = matvec(B, cmod)
-            pts.add(tuple(pt))
+        pts = sorted((tuple(Fraction(sum(b * k for b, k in zip(row, u)), vol)
+                            for row in B), u) for u in units)
         out = []
-        for pt in sorted(pts):
+        for pt, u in pts:
             if any(x.denominator != 1 for x in pt):
                 raise errors.VolumeBoxMismatch("non-integral box point")
-            coeff = matvec(Binv, pt)
+            coeff = [Fraction(k, vol) for k in u]
             coeffs = {c[i]: coeff[i] for i in range(n) if coeff[i] != 0}
             age = sum(coeff, Fraction(0))
             for torp in self.lattice.torsion_elements():
@@ -357,7 +360,11 @@ class StackyFan:
 
     # -- PL lattices and Mori cones ------------------------------------------
     def pl_lattice(self):
-        """Basis of PL_Z(Sigma) inside (Z^S)*."""
+        """Basis of PL_Z(Sigma) inside (Z^S)*.
+
+        The rows span PL_Z(Sigma), but they are the raw integer kernel of
+        the integrality conditions, not a normal form: a reader that needs
+        one canonical basis passes them through `lattice_from_generators`."""
         if self._plz is not None:
             return self._plz
         m = len(self.S)

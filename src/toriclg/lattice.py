@@ -97,7 +97,7 @@ def as_element(lattice: AbelianLattice, b):
 class VectorSet:
     """The fixed finite set S spanning the support cone Pi."""
 
-    def __init__(self, lattice: AbelianLattice, vectors, check_generates=True):
+    def __init__(self, lattice: AbelianLattice, vectors):
         self.lattice = lattice
         self.vectors = [as_element(lattice, b) for b in vectors]
         if not self.vectors:
@@ -106,11 +106,11 @@ class VectorSet:
         self.support_cone = Cone.from_rays(frees, lattice.rank)
         if rank(frees) != lattice.rank:
             raise ValueError("support cone Pi is not full-dimensional")
-        self.generates = self._generates() if check_generates else None
+        self.generates = self._generates()
 
     def _generates(self) -> bool:
         # S generates N as a group: free part spans Z^n and torsion residues
-        # cover, via the Smith form of the combined presentation
+        # cover, via the Hermite form of the combined presentation
         from .rational import lattice_index, lattice_from_generators
         n = self.lattice.rank
         tor = self.lattice.torsion

@@ -10,6 +10,17 @@ from fractions import Fraction
 from .rational import frac
 
 
+def _pivot(T, row, col):
+    """Scale T[row] to a 1 in column `col` and clear that column from every
+    other row of the tableau, the objective row included."""
+    piv = T[row][col]
+    T[row] = [x / piv for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            f = T[i][col]
+            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
+
+
 def _simplex(T, basis, nrows, ncols):
     # T: tableau rows 0..nrows-1 constraints, last row objective (to minimize,
     # written as z-row: T[-1][j] = reduced costs, T[-1][-1] = -value).
@@ -23,12 +34,7 @@ def _simplex(T, basis, nrows, ncols):
         if not ratios:
             return "unbounded"
         _, _, row = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = T[row][col]
-        T[row] = [x / piv for x in T[row]]
-        for i in range(nrows + 1):
-            if i != row and T[i][col] != 0:
-                f = T[i][col]
-                T[i] = [a - f * b for a, b in zip(T[i], T[row])]
+        _pivot(T, row, col)
         basis[row] = col
 
 
@@ -95,12 +101,7 @@ def lp_maximize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
             col = next((j for j in range(ncols) if T[i][j] != 0), None)
             if col is None:
                 continue
-            piv = T[i][col]
-            T[i] = [x / piv for x in T[i]]
-            for r in range(m + 1):
-                if r != i and T[r][col] != 0:
-                    f = T[r][col]
-                    T[r] = [a - f * b for a, b in zip(T[r], T[i])]
+            _pivot(T, i, col)
             basis[i] = col
     # phase 2
     obj = [Fraction(0)] * (width + 1)

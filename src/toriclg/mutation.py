@@ -60,24 +60,19 @@ class MarkedReflectionSystem:
     phase.  The order is by decreasing Im(e^{-i phi} u) with ties broken by
     the original index."""
 
-    def __init__(self, backend, vectors, markings, phase=0.0, labels=None,
-                 base_record=None, signs=None):
+    def __init__(self, backend, vectors, markings, phase=0.0, labels=None):
         self.backend = backend
         self.vectors = [tuple(v) for v in vectors]
         self.markings = [complex(u) for u in markings]
         self.phase = float(phase)
         self.labels = list(labels) if labels else [f"v{i}" for i in
                                                    range(len(vectors))]
-        self.base_record = base_record or {}
-        self.signs = list(signs) if signs else [1] * len(vectors)
         if len(self.vectors) != len(self.markings):
             raise ValueError("vectors and markings must align")
 
     def copy(self):
         return MarkedReflectionSystem(self.backend, self.vectors,
-                                      self.markings, self.phase,
-                                      self.labels, dict(self.base_record),
-                                      self.signs)
+                                      self.markings, self.phase, self.labels)
 
     def order(self):
         d = cmath.exp(-1j * self.phase)
@@ -91,7 +86,7 @@ class MarkedReflectionSystem:
         order = order if order is not None else self.order()
         return [[self.pair(i, j) for j in order] for i in order]
 
-    def stokes_matrix(self, assert_semiorthogonal=True):
+    def stokes_matrix(self):
         """Gram matrix in the admissibility order; raises when the pairing
         violates the semiorthogonality condition."""
         if not admissible(self.phase, self.markings):
@@ -99,23 +94,21 @@ class MarkedReflectionSystem:
                 "phase not admissible for the markings")
         order = self.order()
         G = self.gram(order)
-        if assert_semiorthogonal:
-            n = len(G)
-            d = cmath.exp(-1j * self.phase)
-            for a in range(n):
-                if G[a][a] != 1:
+        d = cmath.exp(-1j * self.phase)
+        for a in range(len(G)):
+            if G[a][a] != 1:
+                raise errors.NotSemiorthogonal(
+                    f"[v,v) = {G[a][a]} != 1 at position {a}")
+            for b in range(a):
+                ia, ib = order[a], order[b]
+                ua = (d * self.markings[ia]).imag
+                ub = (d * self.markings[ib]).imag
+                if abs(ua - ub) < 1e-12:
+                    continue  # equal-height markings never interact
+                if G[a][b] != 0:
                     raise errors.NotSemiorthogonal(
-                        f"[v,v) = {G[a][a]} != 1 at position {a}")
-                for b in range(a):
-                    ia, ib = order[a], order[b]
-                    ua = (d * self.markings[ia]).imag
-                    ub = (d * self.markings[ib]).imag
-                    if abs(ua - ub) < 1e-12:
-                        continue  # equal-height markings never interact
-                    if G[a][b] != 0:
-                        raise errors.NotSemiorthogonal(
-                            f"[{self.labels[ia]}, {self.labels[ib]}) = "
-                            f"{G[a][b]} below the diagonal")
+                        f"[{self.labels[ia]}, {self.labels[ib]}) = "
+                        f"{G[a][b]} below the diagonal")
         return G
 
     def mutate(self, pos, direction):
@@ -169,7 +162,13 @@ class MutationEvent:
                 f"{self.direction}, coeff={self.coefficient})")
 
 
-def _crossing_in_step(u0, u1, phase, collide_eps=1e-9):
+# a crossing partner closer in front than COLLIDE_EPS is a collision, not a
+# crossing; bisection stops refining a crossing time at REFINE_TOL
+COLLIDE_EPS = 1e-9
+REFINE_TOL = 1e-10
+
+
+def _crossing_in_step(u0, u1, phase):
     """Ray crossings between two consecutive marking snapshots: returns
     (i, j, direction, s) with i behind, j in front, direction the sign
     change of Im(e^{-i phi}(u_j - u_i)), and s in (0,1] the interpolated
@@ -189,17 +188,17 @@ def _crossing_in_step(u0, u1, phase, collide_eps=1e-9):
             ui = u0[i] + (u1[i] - u0[i]) * s
             uj = u0[j] + (u1[j] - u0[j]) * s
             re = (d * (uj - ui)).real
-            if re <= collide_eps:
+            if re <= COLLIDE_EPS:
                 continue          # j not in front: collision or behind
             out.append((i, j, "up" if a1 > a0 else "down", s))
     return out
 
 
-def evolve(mrs: MarkedReflectionSystem, trajectory, phase_schedule=None,
-           refine_tol=1e-10, collide_eps=1e-9):
+def evolve(mrs: MarkedReflectionSystem, trajectory):
     """Evolve the system along a trajectory: markings follow the branch
     values; each time a marking crosses the positive ray of another one the
-    corresponding vector mutates.
+    corresponding vector mutates.  Rays point in the direction of the
+    system's phase throughout.
 
     Returns (final system, events).  Vectors in `mrs` are aligned with
     trajectory branches by index.  When the trajectory carries its family,
@@ -213,13 +212,11 @@ def evolve(mrs: MarkedReflectionSystem, trajectory, phase_schedule=None,
     cur = mrs.copy()
     events = []
     params = trajectory.params
-    nsteps = len(params)
-    for k in range(nsteps - 1):
-        phase = (phase_schedule(k) if callable(phase_schedule)
-                 else (phase_schedule[k] if phase_schedule else mrs.phase))
+    phase = mrs.phase
+    for k in range(len(params) - 1):
         u0 = [br[k].value for br in trajectory.branches]
         u1 = [br[k + 1].value for br in trajectory.branches]
-        found = _crossing_in_step(u0, u1, phase, collide_eps)
+        found = _crossing_in_step(u0, u1, phase)
         if not found:
             cur.markings = list(u1)
             continue
@@ -227,15 +224,14 @@ def evolve(mrs: MarkedReflectionSystem, trajectory, phase_schedule=None,
         for (i, j, direction, s) in found:
             s_ref = s
             if trajectory.family is not None:
-                s_ref = _refine_crossing(trajectory, k, i, j, phase, s,
-                                         refine_tol)
+                s_ref = _refine_crossing(trajectory, k, i, j, phase, s)
             refined.append((s_ref, i, j, direction))
         refined.sort(key=lambda t: t[0])
         for a in range(len(refined)):
             for b in range(a + 1, len(refined)):
                 sa, ia, ja, _ = refined[a]
                 sb, ib, jb, _ = refined[b]
-                if abs(sa - sb) < 10 * refine_tol:
+                if abs(sa - sb) < 10 * REFINE_TOL:
                     if ia == ib or ia == jb or ja == ib:
                         raise errors.SimultaneousCrossing(
                             f"entangled crossings ({ia},{ja}) and ({ib},{jb})"
@@ -251,16 +247,13 @@ def evolve(mrs: MarkedReflectionSystem, trajectory, phase_schedule=None,
             events.append(MutationEvent(k, i, j, direction, c, at,
                                         u0[i], u0[j]))
         cur.markings = list(u1)
-    final_phase = (phase_schedule(nsteps - 1) if callable(phase_schedule)
-                   else mrs.phase)
-    cur.phase = final_phase
-    if not admissible(final_phase, cur.markings):
+    if not admissible(phase, cur.markings):
         raise errors.NonAdmissibleEndpoint(
             "endpoint phase is not admissible for the final markings")
     return cur, events
 
 
-def _refine_crossing(trajectory, k, i, j, phase, s_guess, tol):
+def _refine_crossing(trajectory, k, i, j, phase, s_guess):
     """Bisection refinement of the crossing time of branches i and j within
     [params[k], params[k+1]]; each midpoint re-solves only those two
     branches, seeded from step k."""
@@ -287,7 +280,7 @@ def _refine_crossing(trajectory, k, i, j, phase, s_guess, tol):
             a, fa = m, fm
         else:
             b, fb = m, fm
-        if b - a < tol:
+        if b - a < REFINE_TOL:
             break
     return 0.5 * (a + b)
 

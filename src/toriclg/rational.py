@@ -2,7 +2,8 @@
 
 Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
 stay small (a dozen rows/columns), so everything is plain Gaussian
-elimination and textbook Hermite/Smith reduction with full pivot tracking.
+elimination and, over Z, one textbook Hermite reduction with full pivot
+tracking.
 """
 from __future__ import annotations
 
@@ -207,92 +208,16 @@ def hnf(rows):
     return [tuple(row) for row in m], [tuple(row) for row in U]
 
 
-def snf(rows):
-    """Smith normal form.  Returns (D, U, V) with U*rows*V = D diagonal,
-    U and V unimodular, diagonal entries dividing successively."""
-    m = [list(int(x) for x in r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_cols(j, k):
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def addmul_col(j, k, q):
-        for row in m:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero entry in the remaining block
-        found = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        while True:
-            # move minimal entry to (t, t)
-            i0, j0 = min(((i, j) for i in range(t, nr) for j in range(t, nc)
-                          if m[i][j] != 0), key=lambda ij: abs(m[ij[0]][ij[1]]))
-            _swap_rows(m, t, i0)
-            _swap_rows(U, t, i0)
-            swap_cols(t, j0)
-            clean = True
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-                    if m[i][t] != 0:
-                        clean = False
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    addmul_col(j, t, q)
-                    if m[t][j] != 0:
-                        clean = False
-            if clean:
-                # divisibility sweep
-                ok = True
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if m[i][j] % m[t][t] != 0:
-                            m[t] = [a + b for a, b in zip(m[t], m[i])]
-                            U[t] = [a + b for a, b in zip(U[t], U[i])]
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    break
-        if m[t][t] < 0:
-            m[t] = [-a for a in m[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return ([tuple(row) for row in m], [tuple(row) for row in U],
-            [tuple(row) for row in V])
-
-
 def integer_kernel(rows):
-    """Basis of the integer kernel {x in Z^n : rows*x = 0}."""
+    """Basis of the integer kernel {x in Z^n : rows*x = 0}.
+
+    With U*rows^T = H the Hermite form of the transpose, the rows of the
+    unimodular U facing the zero rows of H span the kernel over Z (Cohen
+    1993, Alg. 2.4.10)."""
     if not rows:
         return []
-    nc = len(rows[0])
-    D, U, V = snf(rows)
-    r = sum(1 for i in range(min(len(D), nc)) if i < len(D) and D[i][i] != 0)
-    cols = transpose(V)
-    return [tuple(int(x) for x in cols[j]) for j in range(r, nc)]
+    H, U = hnf(transpose(rows))
+    return [u for h, u in zip(H, U) if not any(h)]
 
 
 def integer_solutions_mod(rows_num, den):

@@ -133,6 +133,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_pair(v):
+    """Whether v is an [re, im] pair of real numbers."""
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))
+
+
 def _is_int_vector(v, length):
     return isinstance(v, list) and len(v) == length and all(map(_is_int, v))
 
@@ -162,13 +171,29 @@ class Scenario:
             except ValueError as exc:
                 raise errors.ScenarioError(f"lattice/S: {exc}") from None
         self.fans = doc.get("fans", {})
+        if not isinstance(self.fans, dict):
+            raise errors.ScenarioError(
+                f"fans must be an object, got {self.fans!r}")
         for fname, cones in self.fans.items():
             if not isinstance(cones, list):
-                raise errors.ScenarioError(f"fan {fname}: cones must be a list")
+                raise errors.ScenarioError(
+                    f"fans.{fname} must be a list of cones")
+            for cone in cones:
+                if not isinstance(cone, list) or not all(map(_is_int, cone)):
+                    raise errors.ScenarioError(
+                        f"fans.{fname}: each cone must be a list of S "
+                        f"indices, got {cone!r}")
         wall = doc.get("wall")
         if wall is not None:
+            if not isinstance(wall, dict):
+                raise errors.ScenarioError(
+                    f"wall must be an object, got {wall!r}")
+            if ("plus" in wall) != ("minus" in wall):
+                raise errors.ScenarioError(
+                    "wall needs both a plus and a minus fan")
             for side in ("plus", "minus"):
-                if side in wall and wall[side] not in self.fans:
+                if side in wall and (not isinstance(wall[side], str)
+                                     or wall[side] not in self.fans):
                     raise errors.ScenarioError(
                         f"wall references unknown fan {wall[side]!r}")
         self.tolerances = doc.get("tolerances", {})
@@ -182,7 +207,17 @@ class Scenario:
         if not isinstance(p, dict):
             raise errors.ScenarioError("path must be an object")
         if "values" in p:
+            values = p["values"]
+            if not isinstance(values, list) or not values or not all(
+                    _is_real(v) or _is_pair(v) for v in values):
+                raise errors.ScenarioError(
+                    "path.values must be a nonempty list of numbers or "
+                    f"[re, im] pairs, got {values!r}")
             return
+        if p.get("prefactor") is not None and not _is_pair(p["prefactor"]):
+            raise errors.ScenarioError(
+                "path.prefactor must be an [re, im] pair, "
+                f"got {p['prefactor']!r}")
         for key in ("from", "to", "steps"):
             if key not in p:
                 raise errors.ScenarioError(f"path.{key} is missing")
@@ -197,7 +232,7 @@ class Scenario:
                 f"got {grid!r}")
         for key in ("from", "to"):
             x = p[key]
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+            if not _is_real(x):
                 raise errors.ScenarioError(
                     f"path.{key} must be a real number, got {x!r}")
             if grid == "geometric" and x <= 0:

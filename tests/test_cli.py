@@ -110,6 +110,15 @@ MALFORMED = [
     ("chi-too-short",
      p2_with(potential={"chart": "p2", "q": ["lam"], "chi": [1]}), "chi"),
     ("at-not-a-number", p2_with(at="x"), "at"),
+    ("fans-not-an-object", p2_with(fans=[[0, 1]]), "fans must be an object"),
+    ("fan-cone-not-integers", p2_with(fans={"p2": [["a", 1]]}), "fans.p2"),
+    ("fan-cone-not-a-list", p2_with(fans={"p2": ["x"]}), "fans.p2"),
+    ("wall-not-an-object", p2_with(wall="p2"), "wall must be an object"),
+    ("values-not-numbers", {"values": ["x"]}, "path.values"),
+    ("values-not-a-list", {"values": 0.5}, "path.values"),
+    ("values-bad-pair", {"values": [[1, 0, 0]]}, "path.values"),
+    ("prefactor-not-a-pair", {"prefactor": [0, 1, 2]}, "path.prefactor"),
+    ("prefactor-not-numbers", {"prefactor": ["0", "1"]}, "path.prefactor"),
 ]
 # `track` reads no `at`
 CRITICAL_ONLY = {"at-not-a-number"}
@@ -161,6 +170,21 @@ MALFORMED_FIELDS = [
      "orlov.center_twist_ray"),
     ("euler", with_fields("euler-gram.json", tolerances={"gamma_vs_hrr": "x"}),
      "tolerances.gamma_vs_hrr"),
+    ("gkz", with_fields("p2.json", gkz="x"), "gkz"),
+    ("euler", with_fields("euler-gram.json", euler="x"),
+     "euler"),
+    ("orlov", with_fields("bl-line-p4.json", orlov="x"),
+     "orlov"),
+    ("mutate", with_fields("bl-line-p4.json", collection="x"),
+     "collection"),
+    ("critical", with_fields("a1.json", fans={
+        "orbifold": [["a", 1]], "resolution": [[0, 2], [2, 1]]}),
+     "fans.orbifold"),
+    ("track", with_fields("a1.json", path={"values": ["x"]}), "path.values"),
+    ("wallcross", with_fields("blowup-c2.json", curve_parameter="x"),
+     "curve_parameter"),
+    ("wallcross", with_fields("a1.json", wall={"plus": "orbifold"}),
+     "wall"),
 ]
 
 

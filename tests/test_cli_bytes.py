@@ -14,6 +14,16 @@ cpl(Sigma) was built in rank dimensions from per-cone complements: a change
 to the combinatorics must keep the chamber order, the walls, the wall
 kinds and every exact GKZ number, and these outputs are exact, so they do
 not depend on the numpy build.
+
+The `orlov`, `euler` and `mutate` digests were recorded before the Smith
+form left the integer kernel and the Box enumeration, so every subcommand
+now has pinned output on a shipped scenario.  The `orlov` Gram matrix,
+the exact `euler` Gram matrices and the `mutate` events, final collection
+and Gram matrix must not move under a change to the exact kernel, the
+K-theory ring or the mutation bookkeeping.  The `euler` file also holds
+the float deviation of the Gamma pairing from the exact one, and `mutate`
+the float crossing parameters of its track, so those two digests carry
+the same numpy-build caveat as `critical` and `track`.
 """
 import hashlib
 import os
@@ -104,6 +114,12 @@ DIGESTS = {
         "gkz.json": "7a861bf63b6ee1aa82c440ebec3fcb2ac4aecf5e815ea6144b2624e50a6dd812"},
     ("gkz", "p2"): {
         "gkz.json": "4f108a3c6e0f54b6a712d6621c33f08e1e81b352231e26da9f11335a7dc30e0b"},
+    ("orlov", "bl-line-p4"): {
+        "orlov.json": "5fa6413921db14542c1775bc95f458e6505177cc9df134d0bdf54c2fa894fe2d"},
+    ("euler", "euler-gram"): {
+        "euler.json": "c66a0ca35bf4bf0d1e6f311ef5ae654ec28f0fa2f63228c27bb98d211d63b619"},
+    ("mutate", "bl-line-p4"): {
+        "mutate.json": "ac71c694e713e41181226298ae230af31becaca3543e8ac3be7ab5c5aabc9850"},
 }
 
 

@@ -59,3 +59,21 @@ def test_each_cone_ray_matrix_is_inverted_once(monkeypatch):
     assert not any(m in cone_mats or m in ray_rows for m in solved)
     assert not any(m in facets for m in kernels)
     assert not hasattr(fans.StackyFan, "_facet_data")
+
+
+def test_box_count_inverts_nothing_beyond_the_charts(monkeypatch):
+    # Box(sigma) is read from the chart inverse's columns: building and
+    # validating a fan and counting its orbifold cohomology invert each
+    # cone's ray matrix once, for its chart
+    from toriclg.lattice import AbelianLattice, VectorSet
+    cyclic = VectorSet(AbelianLattice(2), [(0, 1), (5, -1), (1, 0)])
+    twisted = VectorSet(AbelianLattice(2, (2,)),
+                        [((1, 0), (1,)), ((0, 1), (0,)), ((-1, -1), (0,))])
+    builds = (bl_line_p4, lambda: fans.StackyFan(cyclic, [{0, 1}]),
+              lambda: fans.StackyFan(twisted, [{0, 1}, {1, 2}, {0, 2}]))
+    inverted = record(monkeypatch, "mat_inverse")
+    for build in builds:
+        before = len(inverted)
+        fan = build()
+        fan.dim_orbifold_cohomology()
+        assert len(inverted) - before == len(fan.max_cones)

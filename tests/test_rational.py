@@ -4,7 +4,7 @@ from fractions import Fraction
 from toriclg.rational import (det, dual_lattice, hnf, in_lattice,
                               integer_kernel, lattice_index, mat_inverse,
                               matvec, nullspace, preimage_lattice, primitive,
-                              rank, rref, snf, solve, transpose, vec)
+                              rank, rref, solve, transpose, vec)
 
 
 def test_rref_solve_roundtrip():
@@ -45,34 +45,36 @@ def test_primitive():
     assert primitive((6, -9)) == (2, -3)
 
 
-def test_snf_diagonal_divisibility():
-    rng = random.Random(3)
-    for _ in range(30):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        A = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-        D, U, V = snf(A)
-        # U * A * V == D
-        UA = [[sum(U[i][k] * A[k][j] for k in range(nr)) for j in range(nc)]
-              for i in range(nr)]
-        UAV = [[sum(UA[i][k] * V[k][j] for k in range(nc)) for j in range(nc)]
-               for i in range(nr)]
-        for i in range(nr):
-            for j in range(nc):
-                assert UAV[i][j] == D[i][j]
-                if i != j:
-                    assert D[i][j] == 0
-        diag = [D[i][i] for i in range(min(nr, nc)) if D[i][i] != 0]
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
-        assert abs(det(U)) == 1 and abs(det(V)) == 1
-
-
 def test_integer_kernel():
     # kernel of the A1 fan map [(-1,1,0),(1,1,1)] is Z(-1,-1,2)
     ker = integer_kernel([(-1, 1, 0), (1, 1, 1)])
     assert len(ker) == 1
     v = ker[0]
     assert primitive(v) in ((-1, -1, 2), (1, 1, -2))
+
+
+def test_integer_kernel_saturation_oracle():
+    # the basis spans the whole integer kernel, not a finite-index sublattice:
+    # each primitive integer vector of the rational kernel has integral
+    # coordinates over it
+    rng = random.Random(11)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 6)
+        A = [tuple(rng.randint(-5, 5) for _ in range(nc)) for _ in range(nr)]
+        ker = integer_kernel(A)
+        assert all(isinstance(x, int) for v in ker for x in v)
+        assert all(matvec(A, v) == (0,) * nr for v in ker)
+        assert len(ker) == nc - rank(A)
+        rational = nullspace([vec(r) for r in A], nc)
+        for _ in range(10):
+            comb = [rng.randint(-3, 3) for _ in rational]
+            v = primitive(tuple(sum((c * u[j] for c, u in zip(comb, rational)),
+                                    Fraction(0)) for j in range(nc)))
+            if not any(v):
+                continue
+            coeff = solve(transpose([vec(u) for u in ker]), vec(v))
+            assert coeff is not None
+            assert all(x.denominator == 1 for x in coeff)
 
 
 def test_preimage_and_dual_lattice():

@@ -7,7 +7,7 @@ import pytest
 from toriclg import errors
 from toriclg.fans import StackyFan, extended_sequences, validate_stacky_fan
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.rational import primitive, vec
+from toriclg.rational import det, mat_inverse, matvec, primitive, vec
 
 from convexity_oracle import convexity_certificate
 
@@ -149,12 +149,34 @@ def test_box_elements_cyclic_scan_oracle():
         for x in range(-d, d + 1):
             for y in range(-d, d + 1):
                 sol = [Fraction(0), Fraction(0)]
-                det = rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0]
-                c0 = Fraction(x * rays[1][1] - y * rays[1][0], det)
-                c1 = Fraction(y * rays[0][0] - x * rays[0][1], det)
+                den = rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0]
+                c0 = Fraction(x * rays[1][1] - y * rays[1][0], den)
+                c1 = Fraction(y * rays[0][0] - x * rays[0][1], den)
                 if 0 <= c0 < 1 and 0 <= c1 < 1:
                     pts.add((x, y))
         assert pts == {tuple(b.element.free) for b in box}
+    # random 3-d simplicial cones, stacky (non-primitive) rays allowed:
+    # scan the integer points of the half-open parallelepiped's bounding box
+    rng = random.Random(5)
+    cones = 0
+    while cones < 12:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)]
+        B = [[r[j] for r in rays] for j in range(3)]
+        if det(B) == 0:
+            continue
+        cones += 1
+        Binv = mat_inverse(B)
+        box = StackyFan(VectorSet(AbelianLattice(3), rays), [{0, 1, 2}]) \
+            .box_elements()
+        assert len(box) == abs(det(B))
+        scan = set()
+        ranges = [range(sum(min(x, 0) for x in row),
+                        sum(max(x, 0) for x in row) + 1) for row in B]
+        for pt in itertools.product(*ranges):
+            c = matvec(Binv, pt)
+            if all(0 <= t < 1 for t in c):
+                scan.add((pt, sum(c)))
+        assert scan == {(tuple(b.element.free), b.age) for b in box}
 
 
 def test_box_smooth_fan_trivial():
