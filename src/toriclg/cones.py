@@ -8,12 +8,11 @@ at desk scale.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
-from .lp import lp_maximize
-from .rational import (dot, frac, is_zero, matvec, primitive, rank, rref,
-                       solve, vec, vsub)
+from .rational import (det, dot, frac, integer_kernel, is_zero, mat_inverse,
+                       matvec, parallelepiped_units, primitive, rank, rref,
+                       solve, transpose, vec, vsub)
 
 
 def dual_description(ineqs, eqs, dim):
@@ -229,7 +228,7 @@ def polytope_facets(points):
 
 def polytope_proper_faces(points, facets=None):
     """All proper nonempty faces of conv(points) as active point-index sets;
-    `facets` as in `triangulate_polytope`."""
+    `facets` as in `triangulate_affine`."""
     if facets is None:
         facets = polytope_facets(points)
     faces = set()
@@ -247,77 +246,49 @@ def polytope_proper_faces(points, facets=None):
     return sorted(faces, key=lambda f: (len(f), f))
 
 
-def triangulate_polytope(points, facets=None):
-    """Triangulation of conv(points); simplices as tuples of point indices.
-
-    The apex of the pyramid decomposition is points[0]; facets through it
-    contribute nothing.  `facets`, when given, are `polytope_facets(points)`
-    already computed by the caller.
-    """
-    pts = [vec(p) for p in points]
-    if len(pts) <= 1:
-        return []
-    d = rank([vsub(p, pts[0]) for p in pts[1:]])
-    if d == 0:
-        return []
-    if d == 1:
-        j = next(k for k in range(len(pts[0]))
-                 if any(vsub(p, pts[0])[k] != 0 for p in pts))
-        order = sorted(range(len(pts)), key=lambda i: pts[i][j])
-        return [(order[0], order[-1])]
-    if facets is None:
-        facets = polytope_facets(pts)
-    apex = 0
-    simplices = []
-    for a, a0, act in facets:
-        if dot(a, pts[apex]) == a0:
-            continue
-        sub = triangulate_affine([pts[i] for i in act])
-        for s in sub:
-            simplices.append(tuple([apex] + [act[j] for j in s]))
-    return simplices
-
-
-def triangulate_affine(points):
+def triangulate_affine(points, facets=None):
     """Triangulation of conv(points) inside its affine hull; simplices as
-    index tuples into `points`."""
+    index tuples into `points`.
+
+    The pyramid decomposition with apex points[0]: one cone from the apex
+    over a triangulation of each facet not through it.  Points that do not
+    span their ambient space are first taken in coordinates on their affine
+    hull.  `facets`, when given, are `polytope_facets(points)` of
+    full-dimensional points, already computed by the caller."""
     pts = [vec(p) for p in points]
-    if len(pts) == 1:
-        return [(0,)]
     diffs = [vsub(p, pts[0]) for p in pts[1:]]
     d = rank(diffs)
     if d == 0:
         return [(0,)]
-    # coordinates in the affine hull
-    red, _ = rref(diffs, len(pts[0]))
-    coords = []
-    mat = [tuple(b[i] for b in red) for i in range(len(pts[0]))]
-    for p in pts:
-        coords.append(solve(mat, vsub(p, pts[0])))
     if d == 1:
-        order = sorted(range(len(pts)), key=lambda i: coords[i][0])
+        j = next(k for k in range(len(pts[0]))
+                 if any(x[k] != 0 for x in diffs))
+        order = sorted(range(len(pts)), key=lambda i: pts[i][j])
         return [(order[0], order[-1])]
-    facets = polytope_facets(coords)
-    apex = 0
+    if d < len(pts[0]):
+        # coordinates on the affine hull, where a caller's facets do not apply
+        red, _ = rref(diffs)
+        mat = transpose(red)
+        pts = [solve(mat, vsub(p, pts[0])) for p in pts]
+        facets = None
+    if facets is None:
+        facets = polytope_facets(pts)
     simplices = []
     for a, a0, act in facets:
-        if dot(a, coords[apex]) == a0:
+        if dot(a, pts[0]) == a0:
             continue
-        sub = triangulate_affine([coords[i] for i in act])
-        for s in sub:
-            simplices.append(tuple([apex] + [act[j] for j in s]))
+        for s in triangulate_affine([pts[i] for i in act]):
+            simplices.append((0,) + tuple(act[j] for j in s))
     return simplices
 
 
 def normalized_volume(points, facets=None):
     """Lattice-normalized volume of conv(points) (unit simplex has volume 1);
-    `facets` as in `triangulate_polytope`."""
+    `facets` as in `triangulate_affine`."""
     pts = [vec(p) for p in points]
     n = len(pts[0])
-    simps = triangulate_polytope(pts, facets)
     total = Fraction(0)
-    from .rational import det
-    for s in simps:
+    for s in triangulate_affine(pts, facets):
         if len(s) != n + 1:
             continue
         rows = [vsub(pts[i], pts[s[0]]) for i in s[1:]]
@@ -330,67 +301,60 @@ def normalized_volume(points, facets=None):
 
 
 def hilbert_basis(cone: Cone, lattice_basis):
-    """Monoid generators of cone ∩ lattice for a pointed cone.
+    """Monoid generators of cone ∩ Λ for a pointed cone, sorted; Λ is the
+    full-rank lattice spanned by the rows of lattice_basis.
 
-    lattice_basis: rows spanning a full-rank lattice in the ambient space.
-    Candidates are lattice points of the zonotope spanned by the primitive
-    ray generators; minimal elements under the cone order are returned.
+    The cone is first taken in coordinates over a basis of the saturated
+    lattice span(cone) ∩ Λ, the integer kernel of its equalities in lattice
+    coordinates, where it is full-dimensional.  Then, as in Normaliz
+    (Bruns and Ichim 2010, J. Algebra 324):
+    - triangulate conv(0, rays) with apex 0, so the cones over its
+      simplices cover the cone;
+    - the candidates are the primitive rays and the nonzero lattice points
+      of each simplicial cone's half-open parallelepiped
+      (`parallelepiped_units`);
+    - in order of increasing degree, the sum of the cone's facet normals
+      (positive on the pointed cone minus 0), a candidate v is kept iff no
+      kept h has v - h in the cone.
+
+    The candidates hold every irreducible x: x lies in some simplicial cone
+    as sum lambda_i r_i, and if some lambda_i >= 1 then x - r_i is in the
+    monoid, so x is reducible unless x = r_i; otherwise x is a
+    parallelepiped point.  The filter keeps exactly the irreducibles: a
+    reducible v is h + w with h irreducible and w nonzero in the monoid, so
+    h is a candidate of smaller degree, kept before v; an irreducible v has
+    no such h.
     """
     if cone.lineality:
         raise ValueError("hilbert_basis requires a pointed cone")
-    amb = cone.ambient
-    from .rational import mat_inverse, transpose
-    Binv_t = transpose(mat_inverse(lattice_basis))
-    rays = []
-    for r in cone.rays:
-        coeff = matvec(Binv_t, r)
-        den = math.lcm(*(x.denominator for x in coeff))
-        rays.append(tuple(x * den for x in coeff))  # primitive in lattice coords
-    if not rays:
+    if not cone.rays:
         return []
-    k = len(rays)
-    dimL = len(rays[0])
-    lo = [sum(min(Fraction(0), r[i]) for r in rays) for i in range(dimL)]
-    hi = [sum(max(Fraction(0), r[i]) for r in rays) for i in range(dimL)]
-    # enumerate integer points of the box, keep those in the zonotope
-    ranges = [range(int(lo[i]), int(hi[i]) + 1) for i in range(dimL)]
-    cand = []
-    for z in itertools.product(*ranges):
-        if all(x == 0 for x in z):
-            continue
-        # z in zonotope: exists t in [0,1]^k with sum t_i rays_i = z
-        A_eq = [[rays[j][i] for j in range(k)] for i in range(dimL)]
-        status, _, _ = lp_maximize([0] * k,
-                                   A_ub=[[1 if j == jj else 0 for jj in range(k)] for j in range(k)]
-                                        + [[-1 if j == jj else 0 for jj in range(k)] for j in range(k)],
-                                   b_ub=[1] * k + [0] * k,
-                                   A_eq=A_eq, b_eq=list(z))
-        if status == "optimal":
-            cand.append(z)
-    # map back to ambient coords
-    def to_amb(z):
-        out = [Fraction(0)] * amb
-        for c, row in zip(z, lattice_basis):
-            for i in range(amb):
-                out[i] += c * frac(row[i])
-        return tuple(out)
-    cand_amb = [(z, to_amb(z)) for z in cand]
-    cand_amb = [(z, v) for z, v in cand_amb if cone.contains(v)]
-    basis = []
-    for z, v in cand_amb:
-        minimal = True
-        for z2, v2 in cand_amb:
-            if z2 == z:
-                continue
-            d = vsub(v, v2)
-            if is_zero(d):
-                continue
-            if cone.contains(d):
-                # v = v2 + d with both in the monoid
-                if any(x != 0 for x in d):
-                    minimal = False
-                    break
-        if minimal:
-            basis.append(v)
-    basis.sort()
-    return basis
+    # the equalities of the cone in lattice coordinates, then a basis of
+    # span(cone) ∩ Λ in ambient ones; the zero row keeps all of Λ when
+    # there are no equalities
+    inv, _ = mat_inverse(lattice_basis)
+    inv_t = transpose(inv)
+    eqs = integer_kernel([primitive(matvec(inv_t, r)) for r in cone.rays])
+    span = [matvec(transpose(lattice_basis), k)
+            for k in integer_kernel([(0,) * len(inv)] + eqs)]
+    span_t = transpose(span)
+    rays = [primitive(solve(span_t, r)) for r in cone.rays]
+    d = len(span)
+    cands = set(rays)
+    for s in triangulate_affine([(0,) * d] + rays):
+        R = [[rays[i - 1][j] for i in s if i] for j in range(d)]
+        Rinv, det_R = mat_inverse(R)
+        vol = abs(int(det_R))
+        for u in parallelepiped_units(Rinv, vol)[1:]:
+            cands.add(tuple(sum(x * k for x, k in zip(row, u)) // vol
+                            for row in R))
+    # facet values of each candidate: v - h is in the cone iff v's values
+    # dominate h's, since v - h lies in the span
+    normals = [matvec(span, a) for a in cone.inequalities]
+    values = {w: tuple(dot(a, w) for a in normals) for w in cands}
+    kept = []
+    for w in sorted(cands, key=lambda w: (sum(values[w]), w)):
+        if not any(all(x >= y for x, y in zip(values[w], values[h]))
+                   for h in kept):
+            kept.append(w)
+    return sorted(matvec(span_t, w) for w in kept)

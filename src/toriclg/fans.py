@@ -13,10 +13,10 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (det, dot, dual_lattice, integer_kernel,
+from .rational import (dot, dual_lattice, integer_kernel,
                        lattice_from_generators, mat_inverse, matvec,
-                       preimage_lattice, primitive, rank, solve, transpose,
-                       vec)
+                       parallelepiped_units, preimage_lattice, primitive, rank,
+                       solve, transpose, vec)
 
 
 def extended_sequences(vector_set: VectorSet):
@@ -126,16 +126,16 @@ class StackyFan:
     def _charts(self):
         """Per maximal cone, in `max_cones` order: (cs, B^-1, |det B|) with
         cs the sorted ray indices and B the matrix whose columns are v_i,
-        i in cs.  Row k of B^-1 reads the coordinate over ray cs[k]; it
-        vanishes on the other rays, so it is also the inner normal of the
-        facet opposite cs[k]."""
+        i in cs; B^-1 and det B come from one elimination.  Row k of B^-1
+        reads the coordinate over ray cs[k]; it vanishes on the other rays,
+        so it is also the inner normal of the facet opposite cs[k]."""
         if self._chart_table is None:
             self._chart_table = []
             for c in self.max_cones:
                 cs = sorted(c)
                 B = [[self.S[i].free[j] for i in cs] for j in range(self.n)]
-                self._chart_table.append((cs, mat_inverse(B),
-                                          abs(int(det(B)))))
+                Binv, d = mat_inverse(B)
+                self._chart_table.append((cs, Binv, abs(int(d))))
         return self._chart_table
 
     def coords(self, ci, x):
@@ -289,21 +289,14 @@ class StackyFan:
         """Box elements attached to one maximal cone (all torsion lifts).
 
         Box(sigma) is the group B^-1 Z^n / Z^n, read in ray coordinates in
-        [0,1)^n: the closure under addition mod 1 of the chart inverse's
-        columns taken mod 1."""
+        [0,1)^n: the lattice points of the cone's half-open parallelepiped,
+        walked by `parallelepiped_units` from the chart inverse."""
         c, Binv, vol = self._charts()[cone_idx]
         n = self.n
-        # in units of 1/vol, since vol = |det B| clears the denominators of B^-1
-        gens = [tuple(int(x * vol) % vol for x in col) for col in zip(*Binv)]
-        zero = (0,) * n
-        units, frontier = {zero}, {zero}
-        while frontier:
-            frontier = {tuple((a + b) % vol for a, b in zip(x, g))
-                        for x in frontier for g in gens} - units
-            units |= frontier
         B = [[self.S[i].free[j] for i in c] for j in range(n)]   # columns = rays
         pts = sorted((tuple(Fraction(sum(b * k for b, k in zip(row, u)), vol)
-                            for row in B), u) for u in units)
+                            for row in B), u)
+                     for u in parallelepiped_units(Binv, vol))
         out = []
         for pt, u in pts:
             if any(x.denominator != 1 for x in pt):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors
-from .cones import normalized_volume
+from .cones import normalized_volume, polytope_facets
 from .fans import StackyFan
 from .lattice import NElt, as_element
 from .rational import (dot, nullspace, rank, solve, transpose, vec)
@@ -293,11 +293,9 @@ def weak_fano(fan: StackyFan) -> bool:
     pts = [vec(fan.S[i].free) for i in fan.rays]
     origin = tuple(Fraction(0) for _ in range(fan.n))
     hull_pts = pts + [origin]
-    vol_hull = normalized_volume(hull_pts)
-    if vol_hull != fan.fan_polytope_volume():
-        return False
-    from .cones import polytope_facets
     facets = polytope_facets(hull_pts)
+    if normalized_volume(hull_pts, facets) != fan.fan_polytope_volume():
+        return False
     for b in range(len(fan.S)):
         p = vec(fan.S[b].free)
         if not all(dot(a, p) <= a0 for a, a0, _ in facets):

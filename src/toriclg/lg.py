@@ -110,7 +110,8 @@ class LGPotential:
         points, whatever the coefficients, and whether it is exact, which
         holds when 0 is interior to the Newton polytope (the Kouchnirenko
         count).  It depends only on the layout, so it is computed once per
-        family of potentials sharing one."""
+        family of potentials sharing one.  The memo keeps the facets of
+        conv(supp F) in the exact case, for `newton_nondegenerate`."""
         if not self._bound:
             pts = [vec(p) for p in self.B_int]
             facets = polytope_facets(pts)
@@ -120,8 +121,8 @@ class LGPotential:
                 facets = None
             self._bound.append(
                 (self.torsion_order * int(normalized_volume(pts, facets)),
-                 exact))
-        return self._bound[0]
+                 exact, facets if exact else None))
+        return self._bound[0][:2]
 
     def expected_count(self):
         """The exact critical-point count (Kouchnirenko) when 0 is interior
@@ -457,10 +458,10 @@ def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60,
     returns (ok, report) with the budget recorded per face."""
     if rng is None:
         rng = np.random.default_rng(1)
-    pts = [vec(p) for p in F.B_int]
-    facets = polytope_facets(pts)
-    if any(a0 <= 0 for _, a0, _ in facets):
+    if not F.count_bound()[1]:
         raise ValueError("Newton polytope must contain 0 in its interior")
+    pts = [vec(p) for p in F.B_int]
+    facets = F._bound[0][2]         # conv(supp F)'s, from the bound
     report = []
     ok = True
     for face in polytope_proper_faces(pts, facets):
@@ -817,8 +818,8 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
             and all(isinstance(x, (int, float, complex))
                     and not isinstance(x, bool) for x in chi)):
         raise errors.ScenarioError(f"chi must be {n} numbers, got {chi!r}")
-    Binv = mat_inverse([[Fraction(S[i].free[j]) for i in splitting]
-                        for j in range(n)])
+    Binv, _ = mat_inverse([[Fraction(S[i].free[j]) for i in splitting]
+                           for j in range(n)])
     lam_basis = _lambda_sigma_basis(fan)
     lam_cols = [tuple(r[j] for r in lam_basis) for j in range(m)]
     q_exps = []             # per term: (q index, float exponent) pairs

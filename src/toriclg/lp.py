@@ -1,24 +1,14 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-Small dense problems only; used for strict-convexity certificates and cone
-membership queries where floating point would not be trustworthy.
+Small dense problems only; used for the strict-convexity certificate of a
+fan, where floating point would not be trustworthy.  Each simplex step is
+`rational.pivot`, the Gauss-Jordan step of `rref`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import frac
-
-
-def _pivot(T, row, col):
-    """Scale T[row] to a 1 in column `col` and clear that column from every
-    other row of the tableau, the objective row included."""
-    piv = T[row][col]
-    T[row] = [x / piv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
+from .rational import frac, pivot
 
 
 def _simplex(T, basis, nrows, ncols):
@@ -34,7 +24,7 @@ def _simplex(T, basis, nrows, ncols):
         if not ratios:
             return "unbounded"
         _, _, row = min(ratios, key=lambda t: (t[0], t[1]))
-        _pivot(T, row, col)
+        pivot(T, row, col)
         basis[row] = col
 
 
@@ -101,7 +91,7 @@ def lp_maximize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
             col = next((j for j in range(ncols) if T[i][j] != 0), None)
             if col is None:
                 continue
-            _pivot(T, i, col)
+            pivot(T, i, col)
             basis[i] = col
     # phase 2
     obj = [Fraction(0)] * (width + 1)

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals and over Z.
 
 Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
-stay small (a dozen rows/columns), so everything is plain Gaussian
-elimination and, over Z, one textbook Hermite reduction with full pivot
-tracking.
+stay small (a dozen rows/columns), so everything over Q is one plain
+Gauss-Jordan loop (`_eliminate`, read by `rref`, `det` and `mat_inverse`)
+and, over Z, one textbook Hermite reduction with full pivot tracking.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def frac(x) -> Fraction:
@@ -44,30 +44,52 @@ def transpose(rows):
     return [tuple(col) for col in zip(*rows)]
 
 
+def pivot(rows, r, c):
+    """Scale row r to a 1 in column c and clear column c from every other
+    row, in place: the one Gauss-Jordan step of the package (`rref` and
+    the simplex tableau of `lp` both take it).  Returns the pivot value."""
+    pv = rows[r][c]
+    rows[r] = [x / pv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    return pv
+
+
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination of the lists `rows` in place over their
+    first ncols columns.  Returns (pivots, factors): pivots a dict column ->
+    row index, factors the pivot values and a -1 per row swap.  Their
+    product is the determinant of a full-rank square block: a swap flips
+    it, scaling a row by 1/p divides it by p, clearing leaves it, and the
+    reduced block is the identity."""
+    pivots = {}
+    factors = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            factors.append(-1)
+        factors.append(pivot(rows, r, c))
+        pivots[c] = r
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, factors
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form.  Returns (rows, pivots) with pivots a dict
     column -> row index."""
     rows = [list(vec(r)) for r in rows]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+    pivots, _ = _eliminate(rows, ncols)
+    return [tuple(row) for row in rows[:len(pivots)]], pivots
 
 
 def rank(rows) -> int:
@@ -113,35 +135,25 @@ def nullspace(rows, ncols=None):
 
 def det(rows) -> Fraction:
     rows = [list(vec(r)) for r in rows]
-    n = len(rows)
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
+    pivots, factors = _eliminate(rows, len(rows))
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return prod(factors, start=Fraction(1))
 
 
 def mat_inverse(rows):
+    """(B^-1, det B) of a square matrix B, both from one elimination of
+    [B | I]."""
     n = len(rows)
     aug = [list(vec(r)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i, r in enumerate(rows)]
-    red, piv = rref(aug, 2 * n)
+    piv, factors = _eliminate(aug, 2 * n)
     if len(piv) < n or any(c >= n for c in piv):
         raise ValueError("singular matrix")
     inv = [None] * n
     for c, r in piv.items():
-        inv[c] = red[r][n:]
-    return [tuple(row) for row in inv]
+        inv[c] = tuple(aug[r][n:])
+    return inv, prod(factors, start=Fraction(1))
 
 
 def primitive(v):
@@ -248,14 +260,14 @@ def preimage_lattice(w_rows, ncols):
 
 def dual_lattice(basis_rows):
     """Dual basis of a full-rank lattice in Q^n: rows of (B^-1)^T."""
-    inv = mat_inverse(basis_rows)
+    inv, _ = mat_inverse(basis_rows)
     return transpose(inv)
 
 
 def lattice_index(sup_rows, sub_rows) -> int:
     """Index [sup : sub] for full-rank lattices given by basis rows."""
     T = []
-    supinv = mat_inverse(sup_rows)
+    supinv, _ = mat_inverse(sup_rows)
     for s in sub_rows:
         coeff = matvec(transpose(supinv), s)
         if any(x.denominator != 1 for x in coeff):
@@ -263,6 +275,23 @@ def lattice_index(sup_rows, sub_rows) -> int:
         T.append(coeff)
     d = det(T)
     return abs(int(d))
+
+
+def parallelepiped_units(inv, vol):
+    """The lattice points of the half-open parallelepiped B[0,1)^n of an
+    integer matrix B, as their coordinates over B's columns in units of
+    1/vol, given B^-1 and vol = |det B| (which clears B^-1's denominators).
+    These points form the group B^-1 Z^n / Z^n of order vol, so they are
+    the closure under addition mod 1 of B^-1's columns, the coordinates of
+    the unit vectors.  Sorted integer tuples in [0, vol)^n, 0 first."""
+    gens = [tuple(int(x * vol) % vol for x in col) for col in zip(*inv)]
+    zero = (0,) * len(inv)
+    units, frontier = {zero}, {zero}
+    while frontier:
+        frontier = {tuple((a + b) % vol for a, b in zip(x, g))
+                    for x in frontier for g in gens} - units
+        units |= frontier
+    return sorted(units)
 
 
 def in_lattice(v, basis_rows) -> bool:

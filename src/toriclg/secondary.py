@@ -154,7 +154,8 @@ def _complement_inverse(D, rest):
     reads the coefficient of D_{rest[k]}, so the rows are the inner facet
     normals of cone(D_b : b in rest).  ValueError when the D_b are not a
     basis of L^*_Q."""
-    return mat_inverse([[D[b][j] for b in rest] for j in range(len(D[0]))])
+    inv, _ = mat_inverse([[D[b][j] for b in rest] for j in range(len(D[0]))])
+    return inv
 
 
 def _complement_table(vector_set: VectorSet, D):

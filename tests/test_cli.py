@@ -354,3 +354,55 @@ def test_console_entry_point():
                           "/tmp/toriclg-cli-smoke"],
                          capture_output=True, text=True)
     assert out.returncode == 0
+
+
+NEGATIVE = os.path.join(SCN, "negative")
+# file in scenarios/negative -> (command, error class, text named on stderr)
+NEGATIVE_RUNS = {
+    "invalid-json.json": ("critical", "ScenarioError", "invalid JSON"),
+    "lattice-rank-zero.json": ("critical", "ScenarioError", "lattice.rank"),
+    "lattice-torsion-factor-one.json": ("fans", "ScenarioError", "torsion"),
+    "S-float-entry.json": ("critical", "ScenarioError", "S[1]"),
+    "S-not-full-dimensional.json": ("fans", "ScenarioError", "S"),
+    "path-not-an-object.json": ("track", "ScenarioError",
+                                "path must be an object"),
+    "path-steps-zero.json": ("track", "ScenarioError", "path.steps"),
+    "path-values-not-numbers.json": ("track", "ScenarioError",
+                                     "path.values"),
+    "chi-not-numbers.json": ("critical", "ScenarioError", "chi"),
+    "chi-too-short.json": ("track", "ScenarioError", "chi"),
+    "potential-not-an-object.json": ("critical", "ScenarioError",
+                                     "potential"),
+    "gkz-not-an-object.json": ("gkz", "ScenarioError", "gkz"),
+    "euler-not-an-object.json": ("euler", "ScenarioError", "euler"),
+    "orlov-not-an-object.json": ("orlov", "ScenarioError", "orlov"),
+    "unknown-preset.json": ("critical", "ScenarioError", "potential.preset"),
+    "fan-cone-not-integers.json": ("critical", "ScenarioError",
+                                   "fans.orbifold"),
+    "q-count-mismatch.json": ("critical", "ScenarioError", "q-values"),
+    "expression-two-points.json": ("critical", "ScenarioError",
+                                   "potential.t"),
+    "center-twist-ray-not-a-ray.json": ("orlov", "ScenarioError",
+                                        "orlov.center_twist_ray"),
+    "tolerance-not-a-number.json": ("euler", "ScenarioError",
+                                    "tolerances.gamma_vs_hrr"),
+    "curve-parameter-not-a-number.json": ("wallcross", "ScenarioError",
+                                          "curve_parameter"),
+    "fans-not-adjacent.json": ("wallcross", "NotAdjacent", "NotAdjacent"),
+}
+
+
+def test_every_negative_scenario_has_a_run():
+    assert sorted(os.listdir(NEGATIVE)) == sorted(NEGATIVE_RUNS)
+
+
+@pytest.mark.parametrize("fname", sorted(NEGATIVE_RUNS))
+def test_negative_scenario_exits_2(tmp_path, capsys, fname):
+    command, error, field = NEGATIVE_RUNS[fname]
+    rc = main([command, "--scenario", os.path.join(NEGATIVE, fname),
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert error in err and field in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

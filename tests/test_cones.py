@@ -1,9 +1,16 @@
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
+from hilbert_oracle import zonotope_hilbert_basis
 from toriclg.cones import (Cone, hilbert_basis, normalized_volume,
                            polytope_facets, polytope_proper_faces)
+from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lp import feasible_strict, lp_maximize
+from toriclg.rational import dual_lattice, vec
+from toriclg.secondary import enumerate_adapted_fans
 
 
 def test_lp_basic():
@@ -90,3 +97,91 @@ def test_hilbert_basis_a1_open_monoid():
         (Fraction(-1, 2), Fraction(-1, 2), Fraction(1)),
     ])
     assert hb == expected
+
+
+def monoid_cases(vector_set, kinds=("open", "mori")):
+    """(name, cone, lattice) of OE^ over O-bar and of NE^ over Lambda, for
+    every chamber fan of the vector set."""
+    fans, _ = enumerate_adapted_fans(vector_set)
+    out = []
+    for fan in fans:
+        name = str([sorted(c) for c in fan.max_cones])
+        if "open" in kinds:
+            obar = dual_lattice([vec(r) for r in fan.pl_lattice()])
+            out.append((f"{name}-open", fan.open_mori_cone(), obar))
+        if "mori" in kinds:
+            out.append((f"{name}-mori", fan.extended_mori_cone(),
+                        fan.big_lambda_lattice()))
+    return out
+
+
+ORACLE_SETS = [
+    ("a1-1d", [(1,), (2,)], ("open", "mori")),
+    ("a1-2d", [(-1, 1), (1, 1), (0, 1)], ("open", "mori")),
+    ("bl-pt-p2", [(1, 0), (0, 1), (-1, -1), (1, 1)], ("open", "mori")),
+    ("p123", [(1, 0), (0, 1), (-2, -3)], ("open", "mori")),
+    # the open cones of this one take the oracle minutes
+    ("p123-extra", [(1, 0), (0, 1), (-2, -3), (-1, -1)], ("mori",)),
+]
+
+
+@pytest.mark.parametrize("name,S,kinds", ORACLE_SETS,
+                         ids=[c[0] for c in ORACLE_SETS])
+def test_hilbert_basis_matches_zonotope_oracle(name, S, kinds):
+    vs = VectorSet(AbelianLattice(len(S[0])), S)
+    for case, cone, lattice in monoid_cases(vs, kinds):
+        assert hilbert_basis(cone, lattice) == \
+            zonotope_hilbert_basis(cone, lattice), case
+
+
+def test_hilbert_basis_of_a_lower_dimensional_cone():
+    # the span lattice step: over Z^3 the plane cone of (1,0,0), (1,2,0)
+    # has the middle generator (1,1,0), a point of the rays' parallelepiped
+    # only once the cone is taken in a basis of span(cone) ∩ Z^3
+    cone = Cone.from_rays([(1, 0, 0), (1, 2, 0)], 3)
+    Z3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    hb = hilbert_basis(cone, Z3)
+    assert hb == [vec(v) for v in [(1, 0, 0), (1, 1, 0), (1, 2, 0)]]
+    assert hb == zonotope_hilbert_basis(cone, Z3)
+    # the same in a coarser lattice, where the span lattice is not Z^2 x 0
+    coarse = [(2, 0, 0), (1, 1, 0), (0, 0, 1)]
+    assert hilbert_basis(cone, coarse) == zonotope_hilbert_basis(cone, coarse)
+
+
+def rows(*vs):
+    return [tuple(Fraction(x) for x in v.split()) for v in vs]
+
+
+# Monoid generators of the chamber fans of S = ([-1,-1],0), ([0,-1],1),
+# ([1,1],1), ([2,-1],1) in Z^2 x Z/3: (fan, OE^ generators, NE^ generators),
+# the same as the zonotope oracle's, which takes up to 80 s per cone on a
+# 2-core machine.
+TWISTED_MONOIDS = [
+    ([[0, 3], [2, 3]],
+     rows("-2/3 1 0 -1/3", "0 0 0 1", "0 0 1/3 1/3", "0 0 1 0",
+          "1/3 0 0 2/3", "1/3 0 1/3 0", "2/3 0 0 1/3", "1 0 0 0"),
+     rows("-2/3 5/9", "1/3 -2/9")),
+    ([[0, 1], [1, 3], [2, 3]],
+     rows("0 0 0 1", "0 0 1/3 1/3", "0 0 1 0", "0 1/2 0 1/2",
+          "0 1/2 1/3 -1/6", "0 1 0 0", "1 -3/2 0 1/2", "1 0 0 0"),
+     rows("0 1/18", "1 -5/6")),
+    ([[0, 1], [1, 2]],
+     rows("0 -3 -2 1", "0 0 1 0", "0 1 0 0", "1 0 0 0"),
+     rows("0 -1/3", "1 -2/3")),
+]
+
+
+def test_twisted_monoid_generators_pinned():
+    vs = VectorSet(AbelianLattice(2, (3,)),
+                   [((-1, -1), (0,)), ((0, -1), (1,)), ((1, 1), (1,)),
+                    ((2, -1), (1,))])
+    fans, _ = enumerate_adapted_fans(vs)
+    got = []
+    for fan in fans:
+        t0 = time.process_time()
+        om = fan.open_monoid_generators()
+        # no LP per lattice point: well under a second, not minutes
+        assert time.process_time() - t0 < 1.0
+        got.append(([sorted(c) for c in fan.max_cones], om,
+                    fan.mori_monoid_generators()))
+    assert got == TWISTED_MONOIDS

@@ -1,5 +1,6 @@
 """Work counts of the per-fan chart: every per-cone coordinate of a fan is
-read from one inverse of each maximal cone's ray matrix."""
+read from one elimination of each maximal cone's ray matrix, which gives
+both its inverse and its determinant."""
 from collections import Counter
 from fractions import Fraction
 
@@ -30,11 +31,26 @@ def record(monkeypatch, name):
     return seen
 
 
+def record_eliminations(monkeypatch):
+    """Leading square blocks of the matrices that `rational._eliminate`, the
+    one elimination loop, reduces, wherever the call comes from; an
+    inverse's augmented [B | I] shows as B."""
+    seen = []
+    real = rational._eliminate
+
+    def counting(rows, ncols):
+        seen.append(key(r[:len(rows)] for r in rows))
+        return real(rows, ncols)
+    monkeypatch.setattr(rational, "_eliminate", counting)
+    return seen
+
+
 def test_each_cone_ray_matrix_is_inverted_once(monkeypatch):
     inverted = record(monkeypatch, "mat_inverse")
     solved = record(monkeypatch, "solve")
     dets = record(monkeypatch, "det")
     kernels = record(monkeypatch, "nullspace")
+    eliminated = record_eliminations(monkeypatch)
     fan = bl_line_p4()
     for v in fan.S:
         fan.psi(v)
@@ -52,9 +68,12 @@ def test_each_cone_ray_matrix_is_inverted_once(monkeypatch):
         cone_mats.append(B)
         ray_rows.add(key(zip(*B)))
         facets.update(key(fan.ray_free(i) for i in cs if i != d) for d in cs)
-    # one inverse and one determinant per cone, both for the chart
+    # one elimination per cone, for the chart: it gives the inverse and
+    # the determinant, so no separate `det` runs on a cone matrix
     assert Counter(m for m in inverted if m in cone_mats) == Counter(cone_mats)
-    assert Counter(dets) == Counter(cone_mats)
+    assert Counter(m for m in eliminated if m in cone_mats) \
+        == Counter(cone_mats)
+    assert not any(m in cone_mats for m in dets)
     # no per-cone solve, no Cramer ratio and no facet nullspace
     assert not any(m in cone_mats or m in ray_rows for m in solved)
     assert not any(m in facets for m in kernels)

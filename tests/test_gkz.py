@@ -137,6 +137,25 @@ def test_weak_fano_flag_hirzebruch():
     assert not weak_fano(fan)
 
 
+def test_weak_fano_computes_the_hull_facets_once(monkeypatch):
+    # the volume check and the containment check share one set of facets;
+    # lower-dimensional calls are the triangulation's recursion
+    from toriclg import cones, gkz
+    calls = []
+    real = cones.polytope_facets
+
+    def counting(points):
+        calls.append(len(points[0]))
+        return real(points)
+    monkeypatch.setattr(cones, "polytope_facets", counting)
+    monkeypatch.setattr(gkz, "polytope_facets", counting)
+    orb, res = cyclic_fans(3)
+    for fan in (projective_space(2), bl_line_p4(), orb, res):
+        calls.clear()
+        weak_fano(fan)
+        assert calls.count(fan.n) == 1
+
+
 def test_generic_rank_checks():
     rng = np.random.default_rng(8)
     rep = generic_rank_check(p1_fan(), rng=rng)

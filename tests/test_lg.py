@@ -388,12 +388,12 @@ def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
         assert rc == 0
         assert calls.count(2) == 1
         assert work == {"mat_inverse": 1, "_lambda_sigma_basis": 1}
-    # `critical` computes the Newton polytope's facets for the bound and
-    # once more for the non-degeneracy check, whose face lattice reuses them
+    # `critical` computes the Newton polytope's facets once, for the bound;
+    # the non-degeneracy check and its face lattice reuse them
     calls.clear()
     assert main(["critical", "--scenario", os.path.join(SCN, "p2.json"),
                  "--out", str(tmp_path), "--seed", "0"]) == 0
-    assert calls.count(2) == 2
+    assert calls.count(2) == 1
 
 
 def test_newton_nondegenerate():

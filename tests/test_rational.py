@@ -3,8 +3,9 @@ from fractions import Fraction
 
 from toriclg.rational import (det, dual_lattice, hnf, in_lattice,
                               integer_kernel, lattice_index, mat_inverse,
-                              matvec, nullspace, preimage_lattice, primitive,
-                              rank, rref, solve, transpose, vec)
+                              matvec, nullspace, parallelepiped_units,
+                              preimage_lattice, primitive, rank, rref, solve,
+                              transpose, vec)
 
 
 def test_rref_solve_roundtrip():
@@ -95,3 +96,54 @@ def test_hnf_preserves_lattice():
     assert abs(det(U)) == 1
     UA = [[sum(U[i][k] * A[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert [tuple(r) for r in UA] == [tuple(r) for r in H]
+
+
+def cofactor_det(A):
+    """Laplace expansion along the first row."""
+    if not A:
+        return 1
+    return sum((-1) ** j * A[0][j] * cofactor_det([r[:j] + r[j + 1:]
+                                                    for r in A[1:]])
+               for j in range(len(A)) if A[0][j])
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(3)
+    seen = {"singular": 0, "swapped": 0}
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        A = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if rng.random() < 0.3 and n > 1:
+            # a repeated row (singular) or a zero leading entry (a swap)
+            i, j = rng.sample(range(n), 2)
+            A[i] = A[j] if rng.random() < 0.5 else (0,) + A[i][1:]
+        d = det(A)
+        assert d == cofactor_det(A)
+        seen["singular"] += d == 0
+        seen["swapped"] += A[0][0] == 0 and d != 0
+        # the inverse comes with the same determinant
+        if d != 0:
+            inv, d_inv = mat_inverse(A)
+            assert d_inv == d
+            assert [matvec(A, col) for col in zip(*inv)] == \
+                [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    assert seen["singular"] > 20 and seen["swapped"] > 20
+
+
+def test_parallelepiped_point_count_is_the_determinant():
+    rng = random.Random(9)
+    done = 0
+    while done < 25:
+        B = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if det(B) == 0:
+            continue
+        done += 1
+        inv, d = mat_inverse(B)
+        vol = abs(int(d))
+        units = parallelepiped_units(inv, vol)
+        assert len(units) == vol and units[0] == (0, 0, 0)
+        for u in units:
+            assert all(0 <= k < vol for k in u)
+            # B u / vol is a lattice point
+            assert all(sum(b * k for b, k in zip(row, u)) % vol == 0
+                       for row in B)

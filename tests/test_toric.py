@@ -165,7 +165,7 @@ def test_box_elements_cyclic_scan_oracle():
         if det(B) == 0:
             continue
         cones += 1
-        Binv = mat_inverse(B)
+        Binv, _ = mat_inverse(B)
         box = StackyFan(VectorSet(AbelianLattice(3), rays), [{0, 1, 2}]) \
             .box_elements()
         assert len(box) == abs(det(B))
