@@ -1,16 +1,28 @@
 """Toric wall-crossing toolkit: secondary-fan combinatorics, mirror
 Landau-Ginzburg critical-point analytics, Gamma-class Euler pairings and
-mutation bookkeeping for marked reflection systems."""
+mutation bookkeeping for marked reflection systems.
+
+The names below are imported from their modules on first access, so
+importing one exact module (`toriclg.secondary`, say) does not load the
+numerical ones and numpy with them."""
+
+import importlib
 
 from . import errors
-from .fans import StackyFan, extended_sequences, validate_stacky_fan
-from .lattice import AbelianLattice, VectorSet
-from .lg import (LGPotential, chart_family, conifold_point, critical_points,
-                 curve_critical_values, newton_nondegenerate,
-                 track_critical_values)
-from .mutation import MarkedReflectionSystem, admissible, evolve
-from .secondary import (CurveChart, PLConeData, WallCrossing, cpl_cone,
-                        enumerate_adapted_fans, wall_between)
+
+_HOMES = {
+    "StackyFan": "fans", "extended_sequences": "fans",
+    "validate_stacky_fan": "fans",
+    "AbelianLattice": "lattice", "VectorSet": "lattice",
+    "LGPotential": "lg", "chart_family": "lg", "conifold_point": "lg",
+    "critical_points": "lg", "curve_critical_values": "lg",
+    "newton_nondegenerate": "lg", "track_critical_values": "lg",
+    "MarkedReflectionSystem": "mutation", "admissible": "mutation",
+    "evolve": "mutation",
+    "CurveChart": "secondary", "PLConeData": "secondary",
+    "WallCrossing": "secondary", "cpl_cone": "secondary",
+    "enumerate_adapted_fans": "secondary", "wall_between": "secondary",
+}
 
 __all__ = [
     "AbelianLattice", "VectorSet", "StackyFan", "validate_stacky_fan",
@@ -22,3 +34,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

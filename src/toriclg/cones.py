@@ -1,78 +1,91 @@
 """Exact rational polyhedral cones and polytopes.
 
 Conversion between generator and halfspace descriptions uses the double
-description method with the combinatorial adjacency test; everything is
-Fraction arithmetic.  Intended for the small ambient dimensions that occur
-at desk scale.
+description method with the combinatorial adjacency test, run on primitive
+`int` vectors; its results, and everything else here, are Fraction tuples.
+Intended for the small ambient dimensions that occur at desk scale.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
-from .rational import (det, dot, frac, integer_kernel, is_zero, mat_inverse,
+from .rational import (det, dot, idot, integer_kernel, is_zero, mat_inverse,
                        matvec, parallelepiped_units, primitive, rank, rref,
                        solve, transpose, vec, vsub)
 
 
+def _reduced(v):
+    """An integer vector divided by the gcd of its entries (0 stays 0)."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
+
+
+def _project(x, v, s, l0):
+    """|s| x - (a.x) l0 reduced, for v = a.x and s = a.l0 > 0."""
+    return _reduced(tuple(s * y - v * z for y, z in zip(x, l0)))
+
+
 def dual_description(ineqs, eqs, dim):
     """Extreme rays and lineality of {x : a.x >= 0 for a in ineqs,
-    e.x = 0 for e in eqs}."""
+    e.x = 0 for e in eqs}, as primitive integer vectors in Fraction tuples.
+
+    The double description method (Motzkin et al. 1953; Fukuda and Prodon
+    1996) with the combinatorial adjacency test, run on primitive `int`
+    vectors: every constraint passes through `primitive`, which changes no
+    sign.  A lineality vector l0 with value s = a.l0 != 0 is oriented by the
+    sign of s, and each other vector x is projected as |s| x - (a.x) l0 and
+    divided by its gcd.  That is a positive multiple of x - (a.x) l0 / s, so
+    every stored vector is the primitive multiple of the one exact division
+    would give: the rays, their order and the lineality signs do not depend
+    on the scaling.
+    """
     constraints = []
     for e in eqs:
-        constraints.append(vec(e))
-        constraints.append(vec(tuple(-x for x in e)))
-    constraints.extend(vec(a) for a in ineqs)
-    lineality = [tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim))
-                 for i in range(dim)]
-    rays = []        # list of (vector, zeroset frozenset)
+        e = primitive(e)
+        constraints.append(e)
+        constraints.append(tuple(-x for x in e))
+    constraints.extend(primitive(a) for a in ineqs)
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []        # list of (primitive vector, zeroset frozenset)
     for idx, a in enumerate(constraints):
-        lvals = [dot(a, l) for l in lineality]
-        j0 = next((j for j in range(len(lineality)) if lvals[j] != 0), None)
+        lvals = [idot(a, l) for l in lineality]
+        j0 = next((j for j, v in enumerate(lvals) if v), None)
         if j0 is not None:
-            l0 = lineality[j0]
             s = lvals[j0]
-            l0 = tuple(x / s for x in l0)
-            lineality = [vsub(l, tuple(dot(a, l) * y for y in l0))
-                         for j, l in enumerate(lineality) if j != j0]
+            l0 = lineality[j0] if s > 0 else tuple(-x for x in lineality[j0])
+            s = abs(s)
+            lineality = [_project(l, v, s, l0) for j, (l, v)
+                         in enumerate(zip(lineality, lvals)) if j != j0]
             # every projected ray now vanishes on the new constraint
-            rays = [(vsub(r, tuple(dot(a, r) * y for y in l0)), z | {idx})
+            rays = [(_project(r, idot(a, r), s, l0), z | {idx})
                     for r, z in rays]
             rays.append((l0, frozenset(range(idx))))
             continue
-        pos = [(r, z) for r, z in rays if dot(a, r) > 0]
-        neg = [(r, z) for r, z in rays if dot(a, r) < 0]
-        zer = [(r, z | {idx}) for r, z in rays if dot(a, r) == 0]
-        new = [(r, z) for r, z in pos] + zer
-        for (rp, zp), (rn, zn) in itertools.product(pos, neg):
+        vals = [idot(a, r) for r, _ in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new = [rays[i] for i in pos]
+        new += [(r, z | {idx}) for (r, z), v in zip(rays, vals) if v == 0]
+        for p, q in itertools.product(pos, neg):
+            (rp, zp), (rn, zn) = rays[p], rays[q]
             common = zp & zn
             # adjacency: no third ray's zero set contains the common zeros
-            adjacent = True
-            for r3, z3 in rays:
-                if r3 is rp or r3 is rn:
-                    continue
-                if common <= z3:
-                    adjacent = False
-                    break
-            if not adjacent:
+            if any(common <= z3 for k, (_, z3) in enumerate(rays)
+                   if k != p and k != q):
                 continue
-            vp, vn = dot(a, rp), dot(a, rn)
+            vp, vn = vals[p], vals[q]
             w = tuple(vp * x - vn * y for x, y in zip(rn, rp))
-            if is_zero(w):
-                continue
-            new.append((tuple(frac(x) for x in primitive(w)), common | {idx}))
-        # dedupe
+            if any(w):
+                new.append((_reduced(w), common | {idx}))
+        # dedupe: stored vectors are primitive, so equal directions are equal
         seen = {}
         for r, z in new:
-            key = primitive(r)
-            if key in seen:
-                seen[key] = (seen[key][0], seen[key][1] | z)
-            else:
-                seen[key] = (r, z)
-        rays = list(seen.values())
-    ray_vecs = [vec(primitive(r)) for r, _ in rays]
-    lin_vecs = [vec(primitive(l)) for l in lineality if not is_zero(l)]
-    return ray_vecs, lin_vecs
+            seen[r] = seen[r] | z if r in seen else z
+        rays = list(seen.items())
+    return ([vec(r) for r, _ in rays],
+            [vec(l) for l in lineality if any(l)])
 
 
 class Cone:

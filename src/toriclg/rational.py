@@ -2,13 +2,17 @@
 
 Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
 stay small (a dozen rows/columns), so everything over Q is one plain
-Gauss-Jordan loop (`_eliminate`, read by `rref`, `det` and `mat_inverse`)
-and, over Z, one textbook Hermite reduction with full pivot tracking.
+Gauss-Jordan loop (`_eliminate`, read by `rref` and `mat_inverse`, and by
+`det` in its forward half only) and, over Z, one textbook Hermite reduction
+with full pivot tracking.  `primitive` and `idot` take `int` vectors as they
+are, for the callers (the double description, the stability probes) that
+run on integers and convert to Fraction only at their ends.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 
 def frac(x) -> Fraction:
@@ -25,6 +29,11 @@ def vsub(u, v):
 
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def idot(u, v) -> int:
+    """Dot product of integer vectors, in `int`."""
+    return sum(map(mul, u, v))
 
 
 def is_zero(u) -> bool:
@@ -44,26 +53,32 @@ def transpose(rows):
     return [tuple(col) for col in zip(*rows)]
 
 
-def pivot(rows, r, c):
+def pivot(rows, r, c, _forward=False):
     """Scale row r to a 1 in column c and clear column c from every other
     row, in place: the one Gauss-Jordan step of the package (`rref` and
-    the simplex tableau of `lp` both take it).  Returns the pivot value."""
+    the simplex tableau of `lp` both take it).  Returns the pivot value.
+    With `_forward` (the forward half of an elimination, for `det`) row r
+    is left as it is and only the rows below it are cleared."""
     pv = rows[r][c]
-    rows[r] = [x / pv for x in rows[r]]
-    for i in range(len(rows)):
+    if not _forward:
+        rows[r] = [x / pv for x in rows[r]]
+    for i in range(r + 1 if _forward else 0, len(rows)):
         if i != r and rows[i][c] != 0:
-            f = rows[i][c]
+            f = rows[i][c] / pv if _forward else rows[i][c]
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
     return pv
 
 
-def _eliminate(rows, ncols):
+def _eliminate(rows, ncols, _forward=False):
     """Gauss-Jordan elimination of the lists `rows` in place over their
     first ncols columns.  Returns (pivots, factors): pivots a dict column ->
     row index, factors the pivot values and a -1 per row swap.  Their
     product is the determinant of a full-rank square block: a swap flips
     it, scaling a row by 1/p divides it by p, clearing leaves it, and the
-    reduced block is the identity."""
+    reduced block is the identity.  With `_forward` only the rows below
+    each pivot are cleared and no row is scaled: the block ends upper
+    triangular with the pivot values on its diagonal, and the product of
+    the factors is the same."""
     pivots = {}
     factors = []
     r = 0
@@ -74,7 +89,7 @@ def _eliminate(rows, ncols):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             factors.append(-1)
-        factors.append(pivot(rows, r, c))
+        factors.append(pivot(rows, r, c, _forward))
         pivots[c] = r
         r += 1
         if r == len(rows):
@@ -134,8 +149,10 @@ def nullspace(rows, ncols=None):
 
 
 def det(rows) -> Fraction:
+    """Determinant of a square matrix, from the forward half of one
+    elimination."""
     rows = [list(vec(r)) for r in rows]
-    pivots, factors = _eliminate(rows, len(rows))
+    pivots, factors = _eliminate(rows, len(rows), _forward=True)
     if len(pivots) < len(rows):
         return Fraction(0)
     return prod(factors, start=Fraction(1))
@@ -157,14 +174,13 @@ def mat_inverse(rows):
 
 
 def primitive(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    v = vec(v)
-    if is_zero(v):
-        return tuple(0 for _ in v)
+    """Scale a rational vector to a primitive integer vector (gcd 1); int
+    entries are read as they are, without a Fraction."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 # ---------------------------------------------------------------------------

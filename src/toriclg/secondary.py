@@ -11,7 +11,7 @@ from . import errors
 from .cones import Cone, dual_description
 from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
-from .rational import (dot, in_lattice, mat_inverse, primitive, solve,
+from .rational import (dot, idot, in_lattice, mat_inverse, primitive, solve,
                        transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
@@ -44,7 +44,8 @@ class PLConeData:
             normals = {}
             for c in fan.max_cones:
                 rest = [b for b in range(m) if b not in c]
-                for row in _complement_inverse(D, rest):
+                adj, _ = _complement_inverse(D, rest)
+                for row in adj:
                     normals.setdefault(primitive(row))
             rays, _ = dual_description(list(normals), [], self.rank)
             if rays:
@@ -150,24 +151,28 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 
 
 def _complement_inverse(D, rest):
-    """Inverse of the r x r matrix whose columns are D_b, b in `rest`.  Row k
-    reads the coefficient of D_{rest[k]}, so the rows are the inner facet
-    normals of cone(D_b : b in rest).  ValueError when the D_b are not a
-    basis of L^*_Q."""
-    inv, _ = mat_inverse([[D[b][j] for b in rest] for j in range(len(D[0]))])
-    return inv
+    """(|det M| M^-1 as `int` rows, |det M|) for the r x r matrix M whose
+    columns are D_b, b in `rest`; M is integral, so |det M| M^-1 is too.
+    Row k reads |det M| times the coefficient of D_{rest[k]}, so the rows
+    are the inner facet normals of cone(D_b : b in rest).  ValueError when
+    the D_b are not a basis of L^*_Q."""
+    inv, det_m = mat_inverse([[D[b][j] for b in rest]
+                              for j in range(len(D[0]))])
+    vol = abs(det_m.numerator)
+    return [tuple((x * vol).numerator for x in row) for row in inv], vol
 
 
 def _complement_table(vector_set: VectorSet, D):
-    """(I, rest, M_I^-1) for each n-subset I of S, in `combinations` order,
-    whose complement {D_b : b in rest} is a basis of L^*_Q; M_I^-1 is
+    """(I, rest, adj, vol) for each n-subset I of S, in `combinations`
+    order, whose complement {D_b : b in rest} is a basis of L^*_Q;
+    (adj, vol) = (|det M_I| M_I^-1, |det M_I|) is
     `_complement_inverse(D, rest)`."""
     m = len(vector_set.vectors)
     table = []
     for I in itertools.combinations(range(m), vector_set.lattice.rank):
         rest = [b for b in range(m) if b not in I]
         try:
-            table.append((frozenset(I), rest, _complement_inverse(D, rest)))
+            table.append((frozenset(I), rest) + _complement_inverse(D, rest))
         except ValueError:
             continue    # D_rest is not a basis: rank S_I < n
     return table
@@ -184,20 +189,26 @@ def _fan_from_stability(vector_set: VectorSet, table, omega, built):
     linear, so c_b - m_sigma(b) = lam^sigma_b > 0 off sigma, and c
     certifies strict convexity without an LP.
 
+    The signs are tested in `int`: with den the common denominator of omega
+    and w = den omega, adj w = vol den lam, so lam > 0 iff adj w > 0, and
+    the heights are read exactly as lam_b = (adj w)_b / (vol den).
+
     `built` maps `cones_key` to the fans already validated (None when
     rejected); a known selection is returned from it without rebuilding.
     Returns None when omega is not generic enough to select a valid
     simplicial fan.
     """
+    den = math.lcm(*(x.denominator for x in omega))
+    w = [x.numerator * (den // x.denominator) for x in omega]
     max_cones = []
     heights = None
-    for I, rest, inv in table:
-        if all(dot(row, omega) > 0 for row in inv):
+    for I, rest, adj, vol in table:
+        if all(idot(row, w) > 0 for row in adj):
             max_cones.append(I)
             if heights is None:
                 heights = [Fraction(0)] * len(vector_set.vectors)
-                for b, row in zip(rest, inv):
-                    heights[b] = dot(row, omega)
+                for b, row in zip(rest, adj):
+                    heights[b] = Fraction(idot(row, w), vol * den)
     if not max_cones:
         return None
     key = cones_key(max_cones)

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from dual_description_oracle import fraction_dual_description
 from hilbert_oracle import zonotope_hilbert_basis
-from toriclg.cones import (Cone, hilbert_basis, normalized_volume,
-                           polytope_facets, polytope_proper_faces)
+from toriclg import cones, secondary
+from toriclg.cones import (Cone, dual_description, hilbert_basis,
+                           normalized_volume, polytope_facets,
+                           polytope_proper_faces)
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lp import feasible_strict, lp_maximize
 from toriclg.rational import dual_lattice, vec
@@ -58,6 +61,103 @@ def test_halfspace_has_lineality():
     c = Cone.from_inequalities([(1, 0)], ambient_dim=2)
     assert len(c.lineality) == 1
     assert tuple(abs(x) for x in c.lineality[0]) == (0, 1)
+
+
+def assert_matches_oracle(ineqs, eqs, dim):
+    """The integer double description returns the Fraction oracle's rays in
+    the same order and its lineality with the same signs, as Fraction
+    tuples."""
+    got = dual_description(ineqs, eqs, dim)
+    assert got == fraction_dual_description(ineqs, eqs, dim)
+    assert all(type(x) is Fraction for part in got for v in part for x in v)
+    return got
+
+
+def first_pivot(ineqs, eqs):
+    """The value of the first lineality pivot: the first nonzero entry of
+    the first nonzero constraint (equalities come first)."""
+    for row in list(eqs) + list(ineqs):
+        if any(row):
+            return next(x for x in row if x)
+    return None
+
+
+def random_rows(rng, count, dim, scaled):
+    rows = [tuple(rng.randint(-3, 3) for _ in range(dim))
+            for _ in range(count)]
+    if scaled:
+        # positive rational multiples: not primitive, maybe not integral
+        rows = [tuple(k * x for x in row) for row, k in zip(rows, [
+            Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in rows])]
+    return rows
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["integer", "rational"])
+def test_dual_description_matches_fraction_oracle(scaled):
+    rng = random.Random(16 + scaled)
+    seen = {"eqs": 0, "lineality": 0, "negative_pivot": 0, "pointed": 0}
+    for _ in range(250):
+        dim = rng.randint(1, 5)
+        ineqs = random_rows(rng, rng.randint(0, 7), dim, scaled)
+        eqs = random_rows(rng, rng.choice((0, 0, 1, 2)), dim, scaled)
+        rays, lin = assert_matches_oracle(ineqs, eqs, dim)
+        seen["eqs"] += bool(eqs)
+        seen["lineality"] += bool(lin)
+        seen["pointed"] += bool(rays) and not lin
+        seen["negative_pivot"] += (first_pivot(ineqs, eqs) or 0) < 0
+    assert min(seen.values()) > 30, seen
+
+
+def checked_against_oracle(monkeypatch, module):
+    """Send `module`'s dual_description calls through assert_matches_oracle;
+    returns the list their results go to."""
+    results = []
+
+    def checked(ineqs, eqs, dim):
+        results.append(assert_matches_oracle(ineqs, eqs, dim))
+        return results[-1]
+    monkeypatch.setattr(module, "dual_description", checked)
+    return results
+
+
+def test_dual_description_of_polytope_homogenizations(monkeypatch):
+    results = checked_against_oracle(monkeypatch, cones)
+    rng = random.Random(5)
+    for _ in range(60):
+        d = rng.randint(2, 4)
+        pts = {tuple(rng.randint(-2, 2) for _ in range(d))
+               for _ in range(rng.randint(3, 8))}
+        if rng.random() < 0.3:
+            # points on a hyperplane: the cone over them has lineality
+            pts = {p[:-1] + (p[0] - p[1],) for p in pts}
+        polytope_facets(sorted(pts))
+    assert len(results) == 60
+    assert sum(bool(lin) for _, lin in results) > 5
+
+
+# The five rank-2 sets of the `chambers` benchmark and bl_line_p4.
+CHAMBER_WALK_SETS = [
+    [(-2, 1), (3, -3), (-1, -3), (3, 3)],
+    [(1, -3), (3, -2), (-1, 2), (2, 0)],
+    [(0, -1), (0, 1), (1, -2), (0, 2), (2, 2)],
+    [(-2, 1), (0, -2), (3, -3), (0, -1), (2, -2)],
+    [(-2, 0), (-3, -3), (-3, -2), (-2, -2), (-1, -2)],
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+     (-1, -1, -1, -1), (1, 1, 1, 0)],
+]
+WALK_IDS = ["set0", "set1", "set2", "set3", "set4", "bl_line_p4"]
+
+
+@pytest.mark.parametrize("S", CHAMBER_WALK_SETS, ids=WALK_IDS)
+def test_dual_descriptions_of_the_chamber_walk_match_oracle(S, monkeypatch):
+    # every double description of the walk: the PLConeData normals (through
+    # `secondary`) and the cone conversions they lead to (through `cones`)
+    normals = checked_against_oracle(monkeypatch, secondary)
+    conversions = checked_against_oracle(monkeypatch, cones)
+    fans, walls = enumerate_adapted_fans(VectorSet(AbelianLattice(len(S[0])),
+                                                   S))
+    assert len(fans) >= 2 and walls
+    assert len(normals) >= len(fans) and conversions
 
 
 def test_polytope_facets_square():

@@ -38,9 +38,9 @@ def record_eliminations(monkeypatch):
     seen = []
     real = rational._eliminate
 
-    def counting(rows, ncols):
+    def counting(rows, ncols, **forward):
         seen.append(key(r[:len(rows)] for r in rows))
-        return real(rows, ncols)
+        return real(rows, ncols, **forward)
     monkeypatch.setattr(rational, "_eliminate", counting)
     return seen
 

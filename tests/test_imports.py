@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,19 @@ def test_unused_import_scan_flags_and_clears():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_exact_modules_load_without_numpy():
+    # the package names load on first access, so the exact layers run in
+    # an interpreter that never imports numpy
+    code = ("import sys\n"
+            "import toriclg.secondary, toriclg.fans, toriclg.lattice\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from toriclg import critical_points\n"
+            "import toriclg\n"
+            "assert all(hasattr(toriclg, n) for n in toriclg.__all__)\n"
+            "assert callable(critical_points) and 'numpy' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

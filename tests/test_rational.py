@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import prod
 
+from toriclg import rational
 from toriclg.rational import (det, dual_lattice, hnf, in_lattice,
                               integer_kernel, lattice_index, mat_inverse,
                               matvec, nullspace, parallelepiped_units,
@@ -128,6 +130,39 @@ def test_det_matches_cofactor_expansion():
             assert [matvec(A, col) for col in zip(*inv)] == \
                 [tuple(int(i == j) for i in range(n)) for j in range(n)]
     assert seen["singular"] > 20 and seen["swapped"] > 20
+
+
+def test_det_of_a_triangular_matrix_updates_no_row(monkeypatch):
+    # det clears only below each pivot and scales no row, so on an upper
+    # triangular matrix (the block-unitriangular Grams of `verify_sod`) its
+    # elimination writes no row at all
+    updates = []
+
+    class CountingRows(list):
+        def __setitem__(self, i, row):
+            updates.append(i)
+            super().__setitem__(i, row)
+    real = rational._eliminate
+
+    def counting(rows, ncols, **kw):
+        counted = CountingRows(rows)
+        out = real(counted, ncols, **kw)
+        rows[:] = counted
+        return out
+    monkeypatch.setattr(rational, "_eliminate", counting)
+    rng = random.Random(4)
+    for unit in (True, False):
+        for _ in range(20):
+            n = rng.randint(1, 9)
+            diag = [1 if unit else rng.choice((-3, -2, -1, 1, 2, 3))
+                    for _ in range(n)]
+            A = [tuple(diag[i] if i == j else rng.randint(-5, 5) * (j > i)
+                       for j in range(n)) for i in range(n)]
+            assert det(A) == prod(diag)
+    assert updates == []
+    # the counter sees the updates of a lower triangular matrix
+    det([(1, 0), (2, 1)])
+    assert updates
 
 
 def test_parallelepiped_point_count_is_the_determinant():

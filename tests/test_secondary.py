@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from toriclg.secondary import (CurveChart, cpl_cone, enumerate_adapted_fans,
                                wall_between)
 
 from convexity_oracle import convexity_certificate
+from test_cones import CHAMBER_WALK_SETS, WALK_IDS
 
 
 def a1_vs():
@@ -324,3 +326,60 @@ def test_chamber_path_runs_no_m_dimensional_dual_description(
     # the CPL_+ oracle still runs in m dimensions, through the same wrapper
     secondary.pl_cone_data(fans[0]).cpl_plus.rays
     assert dims[-1] == m
+
+
+def fraction_selection(D, m, n, omega):
+    """Reference for the stability probe: (maximal cones, heights) from the
+    Fraction inverse of each complement matrix and Fraction dot products."""
+    from toriclg.rational import mat_inverse
+    max_cones, heights = [], None
+    for I in itertools.combinations(range(m), n):
+        rest = [b for b in range(m) if b not in I]
+        try:
+            inv, _ = mat_inverse([[D[b][j] for b in rest]
+                                  for j in range(len(D[0]))])
+        except ValueError:
+            continue
+        if all(dot(row, omega) > 0 for row in inv):
+            max_cones.append(frozenset(I))
+            if heights is None:
+                heights = [Fraction(0)] * m
+                for b, row in zip(rest, inv):
+                    heights[b] = dot(row, omega)
+    return max_cones, heights
+
+
+@pytest.mark.parametrize("S", CHAMBER_WALK_SETS, ids=WALK_IDS)
+def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
+    from toriclg import secondary
+    from toriclg.fans import extended_sequences
+
+    vs = VectorSet(AbelianLattice(len(S[0])), S)
+    _, D, _ = extended_sequences(vs)
+    m, n, r = len(S), len(S[0]), len(D[0])
+    table = secondary._complement_table(vs, D)
+    # the selection and heights handed to the fan, not the fan itself
+    monkeypatch.setattr(secondary, "StackyFan",
+                        lambda vs, max_cones, heights: (max_cones, heights))
+    rng = random.Random(len(S) + n)
+    selected = non_integral = 0
+    for k in range(150):
+        if k % 2:
+            # inside the support: a positive combination of the D_b
+            coeff = [Fraction(rng.randint(1, 40), rng.randint(1, 9))
+                     for _ in range(m)]
+            omega = tuple(sum(c * D[b][j] for b, c in enumerate(coeff))
+                          for j in range(r))
+        else:
+            omega = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                          for _ in range(r))
+        want = fraction_selection(D, m, n, omega)
+        got = secondary._fan_from_stability(vs, table, omega, {})
+        if not want[0]:
+            assert got is None
+            continue
+        assert got == want
+        assert all(type(h) is Fraction for h in got[1])
+        selected += 1
+        non_integral += any(x.denominator != 1 for x in omega)
+    assert selected > 75 and non_integral > 50
