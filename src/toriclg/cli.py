@@ -1,8 +1,8 @@
 """Command-line entry points: scenario-driven reproducible runs.
 
 Commands: fans, wallcross, critical, track, mutate, euler, orlov, gkz.
-Each takes --scenario FILE, --out DIR, --seed N.  The exit status is 0 when
-every verification inside the command passes, 1 when one fails (a
+Each takes --scenario FILE, --out DIR, --seed N >= 0.  The exit status is
+0 when every verification inside the command passes, 1 when one fails (a
 `VerificationFailed` error or a failed check in the report) and 2 on bad
 input or a math error (any other `ToricLGError`).  JSON output is key-sorted and
 floats keep full 17-digit round-trip precision, so reruns are
@@ -443,6 +443,13 @@ def main(argv=None):
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.seed < 0:       # numpy's generators take no negative seed
+        parser.error(f"argument --seed: {args.seed} is negative")
+    out = os.path.abspath(args.out)
+    while not os.path.exists(out):
+        out = os.path.dirname(out)
+    if not os.path.isdir(out):
+        parser.error(f"argument --out: {out} is not a directory")
     try:
         scn = Scenario.load(args.scenario)
         rc = COMMANDS[args.command](scn, args.out, args.seed)

@@ -91,11 +91,10 @@ def dual_description(ineqs, eqs, dim):
 class Cone:
     """Rational polyhedral cone with cached V- and H-descriptions."""
 
-    def __init__(self, ambient_dim, rays=None, lineality=None,
-                 inequalities=None, equalities=None):
+    def __init__(self, ambient_dim, rays=None, inequalities=None,
+                 equalities=None):
         self.ambient = ambient_dim
         self._gen_rays = [vec(r) for r in rays] if rays is not None else None
-        self._gen_lin = [vec(l) for l in (lineality or [])] if rays is not None else None
         self._rays = None       # canonical extreme rays
         self._lin = None        # canonical lineality basis
         self._ineqs = [vec(a) for a in inequalities] if inequalities is not None else None
@@ -121,9 +120,8 @@ class Cone:
 
     # -- conversions ------------------------------------------------------
     def _compute_h(self):
-        # dual cone of cone(rays)+span(lin): {y : y.r >= 0, y.l = 0}
-        drays, dlin = dual_description(self._gen_rays, self._gen_lin or [],
-                                       self.ambient)
+        # dual cone of cone(rays): {y : y.r >= 0}
+        drays, dlin = dual_description(self._gen_rays, [], self.ambient)
         self._ineqs = drays
         self._eqs = dlin
 

@@ -34,13 +34,16 @@ def bl_line_p4_potential(q1: complex, q2: complex) -> LGPotential:
     return LGPotential(exps, _bl_line_p4_coefficients(q1, q2))
 
 
+def _bl_line_p4_t(lam):
+    """t(lam) = lam^{2/3} + lam^{2/5} of the Example path."""
+    return lam ** (2.0 / 3.0) + lam ** (2.0 / 5.0)
+
+
 def bl_line_p4_family_lambda(t_of_lambda=None):
     """Family lam -> potential along the Example path, with
-    t(lam) = lam^{2/3} + lam^{2/5} unless overridden; q1 = 1/t,
-    q2 = lam q1^{3/2}; its potentials share one layout and count bound."""
-    if t_of_lambda is None:
-        def t_of_lambda(lam):
-            return lam ** (2.0 / 3.0) + lam ** (2.0 / 5.0)
+    t(lam) = `_bl_line_p4_t` unless overridden; q1 = 1/t, q2 = lam q1^{3/2};
+    its potentials share one layout and count bound."""
+    t_of_lambda = t_of_lambda or _bl_line_p4_t
     template = bl_line_p4_potential(1.0, 1.0)
 
     def family(lam):
@@ -52,14 +55,12 @@ def bl_line_p4_family_lambda(t_of_lambda=None):
     return family
 
 
-def bl_line_p4_oracle_values(lam, t_of_lambda=None):
+def bl_line_p4_oracle_values(lam):
     """Critical values t^{-1/2}(5x + 3x^3) over the nine roots of
-    x^5 (x^2+1)^2 = lam, sorted by decreasing imaginary part."""
-    if t_of_lambda is None:
-        def t_of_lambda(l):
-            return l ** (2.0 / 3.0) + l ** (2.0 / 5.0)
+    x^5 (x^2+1)^2 = lam, with t = `_bl_line_p4_t(lam)`, sorted by decreasing
+    imaginary part."""
     lam = complex(lam)
-    t = complex(t_of_lambda(lam))
+    t = complex(_bl_line_p4_t(lam))
     p = np.zeros(10, dtype=complex)
     p[0], p[2], p[4], p[9] = 1, 2, 1, -lam
     roots = np.roots(p)

@@ -303,7 +303,7 @@ def weak_fano(fan: StackyFan) -> bool:
     return True
 
 
-def generic_rank_check(fan: StackyFan, rng=None, trials=1):
+def generic_rank_check(fan: StackyFan, rng=None):
     """Critical count at a generic chart parameter against
     |N_tor| x vol(Delta); raises RankMismatch on disagreement."""
     from .lg import LGPotential, critical_points
@@ -314,22 +314,21 @@ def generic_rank_check(fan: StackyFan, rng=None, trials=1):
     expected = fan.lattice.torsion_order * fan.fan_polytope_volume()
     m = len(fan.S)
     compact = fan.is_complete()
-    for _ in range(trials):
-        coeffs = [_random_coeff(rng) for _ in range(m)]
-        chi = None
-        if not compact:
-            chi = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
-                   for _ in range(fan.n)]
-        F = LGPotential([tuple(b.free) for b in fan.S], coeffs, chi=chi,
-                        torsion_parts=[tuple(b.tor) for b in fan.S],
-                        torsion_invariants=fan.lattice.torsion)
-        try:
-            pts = critical_points(F, expected=expected, rng=rng)
-        except errors.IncompleteCount as exc:
-            raise errors.RankMismatch(str(exc))
-        if len(pts) != expected:
-            raise errors.RankMismatch(
-                f"{len(pts)} critical points vs |N_tor| vol(Delta) = {expected}")
+    coeffs = [_random_coeff(rng) for _ in range(m)]
+    chi = None
+    if not compact:
+        chi = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+               for _ in range(fan.n)]
+    F = LGPotential([tuple(b.free) for b in fan.S], coeffs, chi=chi,
+                    torsion_parts=[tuple(b.tor) for b in fan.S],
+                    torsion_invariants=fan.lattice.torsion)
+    try:
+        pts = critical_points(F, expected=expected, rng=rng)
+    except errors.IncompleteCount as exc:
+        raise errors.RankMismatch(str(exc))
+    if len(pts) != expected:
+        raise errors.RankMismatch(
+            f"{len(pts)} critical points vs |N_tor| vol(Delta) = {expected}")
     return {"expected": expected, "found": expected}
 
 

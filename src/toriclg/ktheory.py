@@ -16,7 +16,7 @@ import mpmath
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import bilinear, det, frac
+from .rational import bilinear, frac
 
 # Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
 _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
@@ -420,9 +420,9 @@ class KClass:
     def line_bundle(cls, ring, divisor_class: Cls, label=None):
         return cls(ring, divisor_class.exp(), label or "O(D)")
 
-    def tensor(self, other, label=None):
+    def tensor(self, other):
         return KClass(self.ring, self.ch * other.ch,
-                      label or f"{self.label}*{other.label}")
+                      f"{self.label}*{other.label}")
 
     def shift(self):
         """Homological shift [-1]: negation in the K-group."""
@@ -658,17 +658,13 @@ def gram_matrix(classes):
 
 def verify_sod(classes, blocks):
     """Gram must be block-upper-triangular with unipotent upper-triangular
-    diagonal blocks and unit determinant over Z.
+    diagonal blocks.  Such a Gram is upper unitriangular, so it has
+    determinant 1 over Z without a further check.
 
     Returns (ok, gram); ok is False (never raises) on structure failure.
     """
     G = gram_matrix(classes)
     ok = True
-    starts = []
-    s = 0
-    for b in blocks:
-        starts.append(s)
-        s += b
     blk_of = []
     for bi, b in enumerate(blocks):
         blk_of.extend([bi] * b)
@@ -682,18 +678,15 @@ def verify_sod(classes, blocks):
                     ok = False
                 if i > j and G[i][j] != 0:
                     ok = False
-    d = det([[Fraction(x) for x in row] for row in G])
-    if abs(d) != 1:
-        ok = False
     return ok, G
 
 
 def euler_pairing_gamma(gdata: GammaData, V1: KClass, V2: KClass,
-                        check=True, tol=1e-6) -> complex:
+                        check=True) -> complex:
     val = gdata.pairing(V1, V2)
     if check:
         ref = euler_pairing_hrr(V1, V2)
-        if abs(val - ref) > tol:
+        if abs(val - ref) > 1e-6:
             raise errors.MismatchWithHRR(
                 f"gamma pairing {val} vs HRR {ref} for {V1}, {V2}")
     return val

@@ -19,6 +19,7 @@ from .rational import mat_inverse, matvec, rank, solve, vec
 
 TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
+TOL_FACE = 1e-10         # relative residual of a face polynomial's zero
 TOL_COLLIDE = 1e-4
 # Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
 ALPHA_MAX = 0.1
@@ -132,8 +133,7 @@ class LGPotential:
 
 
 class CriticalDatum:
-    def __init__(self, log_point, value, log_hessian, component=(),
-                 tol_hess=TOL_HESS):
+    def __init__(self, log_point, value, log_hessian, component=()):
         self.log_point = np.asarray(log_point, dtype=complex)
         self.value = complex(value)
         self.log_hessian = np.asarray(log_hessian, dtype=complex)
@@ -141,7 +141,7 @@ class CriticalDatum:
         deth = complex(np.linalg.det(self.log_hessian))
         scale = float(np.max(np.abs(self.log_hessian))) or 1.0
         self.det_hessian = deth
-        self.nondegenerate = abs(deth) > tol_hess * scale ** len(log_point)
+        self.nondegenerate = abs(deth) > TOL_HESS * scale ** len(log_point)
         self.tag = "unknown"
         self.orientation = 1
         self.sqrt_det_h = cmath.sqrt(deth)
@@ -165,14 +165,14 @@ def _term_scale(F, l, component=(), terms=None):
     return max(s, 1e-300)
 
 
-def _newton_solve(F, l0, component=(), tol=TOL_NEWTON, itmax=100):
+def _newton_solve(F, l0, component=(), tol=TOL_NEWTON):
     """Damped Newton from l0; None unless it converges.  The terms at each
     point are evaluated once and shared by gradient, Hessian and scale; an
     accepted line-search point's terms serve the next iterate."""
     l = np.asarray(l0, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = F.terms(l, component)
-        for _ in range(itmax):
+        for _ in range(100):
             g = F.grad(l, component, terms)
             gn = np.linalg.norm(g)
             if not np.isfinite(gn):
@@ -277,14 +277,13 @@ def _alpha_certified(F, points):
 
 
 def critical_points(F: LGPotential, expected=None, rng=None,
-                    budget_factor=200, window=2.5, tol=TOL_NEWTON,
-                    raise_on_incomplete=True, coord_cap=18.0,
+                    budget_factor=200, raise_on_incomplete=True,
                     dedupe_tol=1e-5):
     """All critical points x dF/dx = chi on the open torus, by multistart
     damped Newton in log coordinates, deduplicated modulo 2 pi i shifts.
 
-    Solutions drifting to toric infinity (|Re log x| beyond coord_cap, where
-    the gradient decays without a genuine zero) are rejected.  The target
+    Solutions drifting to toric infinity (|Re log x| beyond 18, where the
+    gradient decays without a genuine zero) are rejected.  The target
     count is `expected`, or else the bound of `F.count_bound()`:
     Bernstein's bound, which no isolated solution set exceeds.
 
@@ -315,7 +314,7 @@ def critical_points(F: LGPotential, expected=None, rng=None,
 
     def record(l, component):
         l = _canonical_log(l)
-        if np.max(np.abs(l.real)) > coord_cap:
+        if np.max(np.abs(l.real)) > 18.0:
             return False
         for p in found:
             if p.component == component and \
@@ -333,9 +332,9 @@ def critical_points(F: LGPotential, expected=None, rng=None,
         tries = 0
         while tries < per_comp_budget:
             tries += 1
-            l0 = (rng.uniform(-window, window, F.n)
+            l0 = (rng.uniform(-2.5, 2.5, F.n)
                   + 1j * rng.uniform(-math.pi, math.pi, F.n))
-            l = _newton_solve(F, l0, component, tol)
+            l = _newton_solve(F, l0, component)
             if l is not None:
                 record(l, component)
             if len(found) == stop:
@@ -366,7 +365,7 @@ def _wrap_diff(l1, l2):
     return d.real + 1j * ((d.imag + math.pi) % (2 * math.pi) - math.pi)
 
 
-def conifold_point(F: LGPotential, tol=TOL_NEWTON) -> CriticalDatum:
+def conifold_point(F: LGPotential) -> CriticalDatum:
     """The unique critical point of F on the positive real fibre locus: the
     global minimum of the convex restriction."""
     if np.any(np.abs(F.c.imag) > 1e-12) or np.any(F.c.real <= 0):
@@ -380,7 +379,7 @@ def conifold_point(F: LGPotential, tol=TOL_NEWTON) -> CriticalDatum:
     for _ in range(200):
         e = np.exp(F.B @ l)
         g = (creal * e) @ F.B
-        if np.linalg.norm(g) < tol:
+        if np.linalg.norm(g) < TOL_NEWTON:
             break
         H = (F.B.T * (creal * e)) @ F.B
         dl = np.linalg.solve(H, -g)
@@ -451,8 +450,7 @@ def extraction_parameter(wall, q_minus_chart_value):
 # Newton non-degeneracy
 
 
-def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60,
-                         window=2.0, tol=1e-10):
+def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60):
     """Kouchnirenko non-degeneracy by multistart search for torus critical
     points of every proper-face restriction.  Probabilistic certificate:
     returns (ok, report) with the budget recorded per face."""
@@ -474,9 +472,9 @@ def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60,
         normals = [a for a, a0, act in facets if set(idx) <= set(act)]
         hit = None
         for _ in range(budget_per_face):
-            l0 = (rng.uniform(-window, window, F.n)
+            l0 = (rng.uniform(-2.0, 2.0, F.n)
                   + 1j * rng.uniform(-math.pi, math.pi, F.n))
-            l = _face_search(sub, normals, l0, tol)
+            l = _face_search(sub, normals, l0)
             if l is not None:
                 hit = l
                 break
@@ -487,7 +485,7 @@ def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60,
     return ok, report
 
 
-def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
+def _face_search(sub: LGPotential, normals, l0):
     """Gauss-Newton search for a torus critical point of a face polynomial,
     restricted to the orthogonal complement of the face's scaling directions
     (the active facet normals), so the iteration cannot trade residual decay
@@ -505,7 +503,7 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
     s0 = V.T @ np.asarray(l0, dtype=complex)
     s = s0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(itmax):
+        for _ in range(120):
             l = V @ s
             terms = sub.terms(l)
             g = sub.grad(l, terms=terms)
@@ -513,7 +511,7 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
             if not np.isfinite(sc) or sc == 0:
                 return None
             rel = np.linalg.norm(g) / sc
-            if rel < tol:
+            if rel < TOL_FACE:
                 return l
             J = sub.hess(l, terms=terms) @ V
             ds, *_ = np.linalg.lstsq(J, -g, rcond=None)
@@ -528,7 +526,7 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
                 sc2 = _term_scale(sub, l2, terms=terms2)
                 rel2 = (np.linalg.norm(g2) / sc2
                         if np.isfinite(sc2) and sc2 else math.inf)
-                if rel2 < rel * (1 - 0.2 * t) or rel2 < tol:
+                if rel2 < rel * (1 - 0.2 * t) or rel2 < TOL_FACE:
                     improved = True
                     break
                 t *= 0.5
@@ -538,7 +536,7 @@ def _face_search(sub: LGPotential, normals, l0, tol, itmax=120):
         l = V @ s
         terms = sub.terms(l)
         return (l if np.linalg.norm(sub.grad(l, terms=terms))
-                / _term_scale(sub, l, terms=terms) < tol else None)
+                / _term_scale(sub, l, terms=terms) < TOL_FACE else None)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class KBackend:
         return bilinear(u, self.G, v)
 
 
-def admissible(phi, markings, tol=1e-9) -> bool:
+def admissible(phi, markings) -> bool:
     """Whether e^{i phi} is parallel to no nonzero difference of markings."""
     d = cmath.exp(1j * phi)
     for i in range(len(markings)):
@@ -47,10 +47,10 @@ def admissible(phi, markings, tol=1e-9) -> bool:
             if i == j:
                 continue
             diff = complex(markings[i]) - complex(markings[j])
-            if abs(diff) < tol:
+            if abs(diff) < 1e-9:
                 continue
             cross = (diff / d).imag
-            if abs(cross) < tol * abs(diff):
+            if abs(cross) < 1e-9 * abs(diff):
                 return False
     return True
 

@@ -150,12 +150,10 @@ def higher_residue_pairing(F: LGPotential, phi1=None, phi2=None, order=0,
     return out
 
 
-def grothendieck_residue_oracle(F: LGPotential, phi1=None, phi2=None,
-                                rng=None, points=None):
-    """Independent order-0 oracle: sum over critical points of
+def grothendieck_residue_oracle(F: LGPotential, phi1=None, phi2=None, *,
+                                points):
+    """Independent order-0 oracle: sum over the critical points `points` of
     phi1 phi2 / (|N_tor|^2 det h)."""
-    if points is None:
-        points = critical_points(F, rng=rng)
 
     def ev(phi, p):
         if phi is None:

@@ -220,13 +220,14 @@ def _fan_from_stability(vector_set: VectorSet, table, omega, built):
     return built[key]
 
 
-def enumerate_adapted_fans(vector_set: VectorSet, max_size=MAX_S_FOR_ENUMERATION):
+def enumerate_adapted_fans(vector_set: VectorSet):
     """All stacky fans adapted to S, via breadth-first chamber traversal of
     the secondary fan.  Returns (fans, walls) with walls a list of
     (fan_index_plus_side, fan_index_other, primitive normal in L coords)."""
     S = vector_set.vectors
-    if len(S) > max_size:
-        raise errors.TooLarge(f"|S| = {len(S)} exceeds enumeration bound {max_size}")
+    if len(S) > MAX_S_FOR_ENUMERATION:
+        raise errors.TooLarge(f"|S| = {len(S)} exceeds enumeration bound "
+                              f"{MAX_S_FOR_ENUMERATION}")
     L, D, _ = extended_sequences(vector_set)
     r = len(L)
     if r == 0:

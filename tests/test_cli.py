@@ -223,6 +223,52 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     assert "ScenarioError" in err and str(missing) in err
 
 
+# subcommand -> a shipped scenario it runs on
+COMMAND_SCENARIOS = {
+    "fans": "a1.json", "wallcross": "a1.json", "critical": "p2.json",
+    "track": "p2.json", "mutate": "bl-line-p4.json",
+    "euler": "euler-gram.json", "orlov": "bl-line-p4.json", "gkz": "p2.json",
+}
+
+
+def test_every_command_has_a_scenario():
+    from toriclg.cli import COMMANDS
+    assert sorted(COMMAND_SCENARIOS) == sorted(COMMANDS)
+
+
+def exit_code(argv):
+    """main's exit status, through SystemExit when argparse rejects argv."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SCENARIOS))
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    rc = exit_code([command, "--scenario", scn(COMMAND_SCENARIOS[command]),
+                    "--out", str(tmp_path / "out"), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--seed: -1 is negative" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fans", "track"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_path_through_a_file_exits_2(tmp_path, capsys, command, below):
+    # `fans` writes through `_dump`, `track` makes its directory itself
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / below if below else afile
+    rc = exit_code([command, "--scenario", scn(COMMAND_SCENARIOS[command]),
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{afile} is not a directory" in err and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
 def test_cmd_fans_a1(tmp_path):
     rc = main(["fans", "--scenario", scn("a1.json"), "--out", str(tmp_path)])
     assert rc == 0

@@ -270,6 +270,42 @@ def test_verify_sod_single_class():
     assert ok and G == [[1]]
 
 
+def old_sod_rule(G, blocks):
+    """verify_sod's rule before it dropped its determinant: the block checks
+    and |det G| = 1."""
+    from toriclg.rational import det
+    blk_of = [bi for bi, b in enumerate(blocks) for _ in range(b)]
+    n = len(G)
+    ok = all(G[i][j] == 0 for i in range(n) for j in range(n)
+             if blk_of[i] > blk_of[j] or (blk_of[i] == blk_of[j] and i > j))
+    ok = ok and all(G[i][i] == 1 for i in range(n))
+    return ok and abs(det([[Fraction(x) for x in row] for row in G])) == 1
+
+
+@pytest.mark.parametrize("stray", [False, True])
+def test_verify_sod_agrees_with_the_determinant_rule(monkeypatch, stray):
+    # once the block checks pass the Gram is upper unitriangular, so its
+    # determinant is 1 and cannot change the verdict
+    rng = random.Random(17 + stray)
+    verdicts = set()
+    for _ in range(200):
+        blocks = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        n = sum(blocks)
+        G = [[rng.randint(-3, 3) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+        if stray and n > 1:
+            i = rng.randrange(n)
+            j = rng.randrange(i + 1) if rng.random() < 0.8 else i
+            G[i][j] = rng.choice([-2, -1, 2]) if i == j \
+                else rng.choice([-1, 1, 5])
+        monkeypatch.setattr(ktheory, "gram_matrix", lambda classes, G=G: G)
+        ok, got = verify_sod([None] * n, blocks)
+        assert got is G
+        assert ok == old_sod_rule(G, blocks)
+        verdicts.add(ok)
+    assert verdicts == ({True, False} if stray else {True})
+
+
 def test_k_relations_structure():
     w = bl_line_wall()
     bd = BlowupData(w)

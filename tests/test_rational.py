@@ -134,8 +134,7 @@ def test_det_matches_cofactor_expansion():
 
 def test_det_of_a_triangular_matrix_updates_no_row(monkeypatch):
     # det clears only below each pivot and scales no row, so on an upper
-    # triangular matrix (the block-unitriangular Grams of `verify_sod`) its
-    # elimination writes no row at all
+    # triangular matrix its elimination writes no row at all
     updates = []
 
     class CountingRows(list):
