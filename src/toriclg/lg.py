@@ -21,6 +21,9 @@ TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
 TOL_FACE = 1e-10         # relative residual of a face polynomial's zero
 TOL_COLLIDE = 1e-4
+# a multistart start: Re log x uniform in [-2.5, 2.5], Im log x in [-pi, pi]
+_START_LOW = np.array([[-2.5], [-math.pi]])
+_START_HIGH = np.array([[2.5], [math.pi]])
 # Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
 ALPHA_MAX = 0.1
 
@@ -82,28 +85,40 @@ class LGPotential:
             tw.append(cmath.exp(1j * phase))
         return self.c * np.asarray(tw)
 
+    def _coefficient_rows(self, component):
+        """The coefficients for a point or a stack of points: one component
+        label (a tuple) serves every row, a sequence of labels gives one row
+        of coefficients per point."""
+        if not self.torsion_invariants or isinstance(component, tuple):
+            return self.coefficients_on(component)
+        return np.array([self.coefficients_on(c) for c in component],
+                        dtype=complex).reshape(-1, self.nterms)
+
     # -- evaluation in log coordinates l = log x ----------------------------
-    def value(self, l, component=()):
-        c = self.coefficients_on(component) if self.torsion_invariants else self.c
-        e = np.exp(self.B @ l)
-        val = np.sum(c * e)
+    # `terms`, `grad` and `hess` take one point (n,) or a stack of points
+    # (k, n); a stack's terms are (k, nterms), its gradients (k, n) and its
+    # Hessians (k, n, n), and each row equals the one-point result bit for
+    # bit (tests/test_numpy_identities.py).  `value` takes one point.
+    def value(self, l, component=(), terms=None):
+        t = self.terms(l, component) if terms is None else terms
+        val = np.sum(t)
         if np.any(self.chi):
             val -= np.sum(self.chi * l)
         return complex(val)
 
     def terms(self, l, component=()):
-        """The monomial terms t_b = c_b x^b at l; `grad`, `hess` and
+        """The monomial terms t_b = c_b x^b at l; `value`, `grad`, `hess` and
         `_term_scale` accept them, so one point costs one exponential."""
-        c = self.coefficients_on(component) if self.torsion_invariants else self.c
-        return c * np.exp(self.B @ l)
+        return self._coefficient_rows(component) * np.exp(
+            np.matmul(self.B, l[..., None])[..., 0])
 
     def grad(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
-        return t @ self.B - self.chi
+        return np.matmul(t[..., None, :], self.B)[..., 0, :] - self.chi
 
     def hess(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
-        return (self.B.T * t) @ self.B
+        return np.matmul(self.B.T * t[..., None, :], self.B)
 
     def count_bound(self):
         """(bound, exact): Bernstein's bound |N_tor| x normalized volume of
@@ -154,54 +169,107 @@ def _canonical_log(l):
     return l.real + 1j * ((l.imag + math.pi) % (2 * math.pi) - math.pi)
 
 
-def _term_scale(F, l, component=(), terms=None):
-    """Magnitude of the largest monomial term at l (convergence is judged
-    relative to this, so drift to toric infinity never passes as a zero)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(F.terms(l, component) if terms is None else terms)
-    s = float(np.max(mags)) if np.all(np.isfinite(mags)) else math.inf
+def _term_scale(F, terms):
+    """Magnitude of the largest monomial term, per row of a stack (convergence
+    is judged relative to this, so drift to toric infinity never passes as a
+    zero).  Callers hold numpy's overflow and invalid warnings."""
+    s = np.abs(terms).max(axis=-1)
+    s = np.where(np.isfinite(s), s, math.inf)
     if np.any(F.chi):
-        s = max(s, float(np.max(np.abs(F.chi))))
-    return max(s, 1e-300)
+        s = np.maximum(s, np.max(np.abs(F.chi)))
+    return np.maximum(s, 1e-300)
 
 
-def _newton_solve(F, l0, component=(), tol=TOL_NEWTON):
-    """Damped Newton from l0; None unless it converges.  The terms at each
-    point are evaluated once and shared by gradient, Hessian and scale; an
-    accepted line-search point's terms serve the next iterate."""
-    l = np.asarray(l0, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = F.terms(l, component)
-        for _ in range(100):
-            g = F.grad(l, component, terms)
-            gn = np.linalg.norm(g)
-            if not np.isfinite(gn):
-                return None
-            if gn < tol * _term_scale(F, l, component, terms):
-                return l
-            H = F.hess(l, component, terms)
+def _row_norms(X):
+    """Euclidean norm of each row of a complex stack, by the formula of
+    `np.linalg.norm` (sqrt(re.re + im.im)) with each row's dot products taken
+    by the same BLAS call, so each equals the one-row norm bit for bit."""
+    re, im = X.real, X.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _newton_steps(H, G):
+    """(-H^-1 g for each row, mask of the rows whose H is not singular)."""
+    try:
+        return np.linalg.solve(H, -G[:, :, None])[:, :, 0], np.ones(len(G), bool)
+    except np.linalg.LinAlgError:      # one singular H fails the whole stack
+        dL, ok = np.zeros_like(G), np.ones(len(G), bool)
+        for i, (h, g) in enumerate(zip(H, G)):
             try:
-                dl = np.linalg.solve(H, -g)
+                dL[i] = np.linalg.solve(h, -g)
             except np.linalg.LinAlgError:
-                return None
-            t = 1.0
-            for _ in range(50):
-                l2 = l + t * dl
-                terms2 = F.terms(l2, component)
-                g2 = F.grad(l2, component, terms2)
-                g2n = np.linalg.norm(g2)
-                if np.isfinite(g2n) and (
-                        g2n < (1 - 0.25 * t) * gn
-                        or g2n < tol * _term_scale(F, l2, component, terms2)):
+                ok[i] = False
+        return dL, ok
+
+
+def _line_trial(F, L, dL, t, gn, labels, tol):
+    """One backtracking trial per row at l + t dl: whether it is accepted,
+    and the point with its terms, gradient, gradient norm and term scale."""
+    Lp = L + t[:, None] * dL
+    Tp = F.terms(Lp, labels)
+    Gp = F.grad(Lp, labels, Tp)
+    gp, sp = _row_norms(Gp), _term_scale(F, Tp)
+    ok = np.isfinite(gp) & ((gp < (1 - 0.25 * t) * gn) | (gp < tol * sp))
+    return ok, [Lp, Tp, Gp, gp, sp]
+
+
+def _newton_solve(F, L0, components, tol=TOL_NEWTON):
+    """Damped Newton from every row of the (k, n) stack L0, row i on fibre
+    component components[i], all rows in lockstep.  Returns one entry per
+    row: None unless that row converges, else (l, terms at l).
+
+    Each row keeps its own iterate, line-search step and exit, and leaves
+    where a Newton solve from that row alone would: the stacked terms,
+    gradients, Hessians, solves and norms equal their one-row forms bit for
+    bit, so a row's result does not depend on the batch it is solved in
+    (tests/test_newton_oracle.py keeps the one-row solve as the oracle).
+    The terms, gradient, its norm and the term scale at each point are
+    evaluated once: an accepted line-search point's serve the next
+    iterate."""
+    k = len(components)
+    L = np.asarray(L0, dtype=complex).reshape(k, F.n)
+    labels = np.fromiter(components, dtype=object, count=k)
+    rows = np.arange(k)         # input index of each row still iterating
+    out = [None] * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = F.terms(L, labels)
+        G = F.grad(L, labels, T)
+        gn, sc = _row_norms(G), _term_scale(F, T)
+        for it in range(101):   # the 101st pass only tests convergence
+            done = gn < tol * sc
+            for i in done.nonzero()[0]:
+                out[rows[i]] = (L[i], T[i])
+            go = np.isfinite(gn) & ~done
+            if it == 100 or not go.any():
+                break
+            if not go.all():
+                L, T, G, gn, labels, rows = (
+                    x[go] for x in (L, T, G, gn, labels, rows))
+            dL, go = _newton_steps(F.hess(L, labels, T), G)
+            if not go.all():
+                L, T, dL, gn, labels, rows = (
+                    x[go] for x in (L, T, dL, gn, labels, rows))
+            # backtracking line search, each row halving its own step: a
+            # full step for every row, then the rows that failed it again
+            t = np.ones(len(rows))
+            ok, new = _line_trial(F, L, dL, t, gn, labels, tol)
+            pend = (~ok).nonzero()[0]
+            for _ in range(49):
+                if not len(pend):
                     break
-                t *= 0.5
-            else:
-                return None
-            l, terms = l2, terms2
-        g = F.grad(l, component, terms)
-        if np.linalg.norm(g) < tol * _term_scale(F, l, component, terms):
-            return l
-        return None
+                t[pend] *= 0.5
+                ok, tried = _line_trial(F, L[pend], dL[pend], t[pend],
+                                        gn[pend], labels[pend], tol)
+                for x, y in zip(new, tried):
+                    x[pend[ok]] = y[ok]
+                pend = pend[~ok]
+            L, T, G, gn, sc = new
+            if len(pend):       # no step accepted: those rows fail
+                go = np.ones(len(rows), bool)
+                go[pend] = False
+                L, T, G, gn, sc, labels, rows = (
+                    x[go] for x in (L, T, G, gn, sc, labels, rows))
+    return out
 
 
 def _alpha_beta(F, l, component=()):
@@ -298,6 +366,17 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     certified stop the generator skips the starts the floor would have
     drawn, so it leaves in the same state either way.
 
+    Starts are drawn and Newton-solved in batches (`_newton_solve`), then
+    taken in order, one try each, exactly as one start at a time: the
+    draws, the tries, the order of the found points and every stop are the
+    same whatever the batch size.  A search that can still be certified
+    (exact bound, not yet decided) draws twice the points still missing;
+    any other search draws up to the floor, and past it twice the points
+    still missing, or the rest of the budget once the points exceed the
+    target.  Starts a batch drew beyond the one the search stopped at are
+    given back: the generator is restored and advanced by the starts used,
+    so it leaves in the state the one-start-at-a-time search leaves it in.
+
     Finding fewer raises IncompleteCount only when the count is exact
     (`expected` given, or the Kouchnirenko count); finding more than the
     bound always raises it."""
@@ -327,25 +406,42 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     components = F.components()
     per_comp_budget = max(budget // len(components), 40)
     floor = per_comp_budget // 10
+    certifiable = exact and stop == bound
     certified = None        # decided once, when the found points reach stop
     for component in components:
         tries = 0
-        while tries < per_comp_budget:
-            tries += 1
-            l0 = (rng.uniform(-2.5, 2.5, F.n)
-                  + 1j * rng.uniform(-math.pi, math.pi, F.n))
-            l = _newton_solve(F, l0, component)
-            if l is not None:
-                record(l, component)
-            if len(found) == stop:
-                if certified is None:
-                    certified = (exact and stop == bound
-                                 and _alpha_certified(F, found))
-                if certified:
-                    rng.random(2 * F.n * max(floor + 1 - tries, 0))
-                    break
-                if tries > floor:
-                    break
+        done = False
+        while tries < per_comp_budget and not done:
+            missing = stop - len(found)
+            if certified is None and certifiable:
+                size = 2 * missing
+            elif tries <= floor:
+                size = floor + 1 - tries
+            elif missing > 0:
+                size = 2 * missing
+            else:           # an over-count: only the budget ends the search
+                size = per_comp_budget
+            size = min(size, per_comp_budget - tries)
+            state = rng.bit_generator.state
+            u = rng.uniform(_START_LOW, _START_HIGH, (size, 2, F.n))
+            skip = 0
+            for used, sol in enumerate(
+                    _newton_solve(F, u[:, 0] + 1j * u[:, 1],
+                                  [component] * size), 1):
+                tries += 1
+                if sol is not None:
+                    record(sol[0], component)
+                if len(found) == stop:
+                    if certified is None:
+                        certified = certifiable and _alpha_certified(F, found)
+                    if certified:
+                        skip = max(floor + 1 - tries, 0)
+                    done = certified or tries > floor
+                    if done:
+                        break
+            if used < size or skip:
+                rng.bit_generator.state = state
+                rng.random(2 * F.n * (used + skip))
         if len(found) == stop:
             break
     if len(found) > bound:
@@ -507,7 +603,7 @@ def _face_search(sub: LGPotential, normals, l0):
             l = V @ s
             terms = sub.terms(l)
             g = sub.grad(l, terms=terms)
-            sc = _term_scale(sub, l, terms=terms)
+            sc = _term_scale(sub, terms)
             if not np.isfinite(sc) or sc == 0:
                 return None
             rel = np.linalg.norm(g) / sc
@@ -523,7 +619,7 @@ def _face_search(sub: LGPotential, normals, l0):
                 l2 = V @ (s + t * ds)
                 terms2 = sub.terms(l2)
                 g2 = sub.grad(l2, terms=terms2)
-                sc2 = _term_scale(sub, l2, terms=terms2)
+                sc2 = _term_scale(sub, terms2)
                 rel2 = (np.linalg.norm(g2) / sc2
                         if np.isfinite(sc2) and sc2 else math.inf)
                 if rel2 < rel * (1 - 0.2 * t) or rel2 < TOL_FACE:
@@ -536,7 +632,7 @@ def _face_search(sub: LGPotential, normals, l0):
         l = V @ s
         terms = sub.terms(l)
         return (l if np.linalg.norm(sub.grad(l, terms=terms))
-                / _term_scale(sub, l, terms=terms) < TOL_FACE else None)
+                / _term_scale(sub, terms) < TOL_FACE else None)
 
 
 # ---------------------------------------------------------------------------
@@ -561,20 +657,21 @@ class Trajectory:
 
     def resolve(self, param, near_step, which):
         """Critical values of the branches `which` (indices) at an
-        intermediate parameter, in that order.  Each branch is Newton-solved
-        on its own fibre component from its point at the stored step
-        `near_step`; the other branches are not touched, so mutation
-        refinement re-solves only the crossing pair.  Raises LostBranch
-        naming the first branch whose solve fails."""
+        intermediate parameter, in that order.  The branches are Newton-solved
+        together, each on its own fibre component from its point at the
+        stored step `near_step`; the other branches are not touched, so
+        mutation refinement re-solves only the crossing pair.  Raises
+        LostBranch naming the first branch whose solve fails."""
         F = self.family(param)
+        pts = [self.branches[b][near_step] for b in which]
+        sols = _newton_solve(F, [p.log_point for p in pts],
+                             [p.component for p in pts])
         out = []
-        for b in which:
-            p = self.branches[b][near_step]
-            l = _newton_solve(F, p.log_point, p.component)
-            if l is None:
+        for b, p, sol in zip(which, pts, sols):
+            if sol is None:
                 raise errors.LostBranch(
                     f"refinement lost branch {b} at parameter {param}")
-            out.append(F.value(l, p.component))
+            out.append(F.value(sol[0], p.component, sol[1]))
         return out
 
 
@@ -595,19 +692,25 @@ def track_critical_values(family, params, rng=None):
     events = []
 
     def advance(Fk, prev_pts, prev_prev_pts, frac_step):
-        out = []
-        for i, p in enumerate(prev_pts):
-            pred = p.log_point
-            if prev_prev_pts is not None:
-                pred = p.log_point + (p.log_point - prev_prev_pts[i].log_point) \
-                    * frac_step
-            l = _newton_solve(Fk, pred, p.component)
-            if l is None:
-                l = _newton_solve(Fk, p.log_point, p.component)
-            if l is None:
+        # every branch from its prediction, then the failed ones again from
+        # their previous points; the first branch failing both is reported
+        comps = [p.component for p in prev_pts]
+        preds = [p.log_point for p in prev_pts]
+        if prev_prev_pts is not None:
+            preds = [p.log_point + (p.log_point - pp.log_point) * frac_step
+                     for p, pp in zip(prev_pts, prev_prev_pts)]
+        sols = _newton_solve(Fk, preds, comps)
+        retry = [i for i, sol in enumerate(sols) if sol is None]
+        for i, sol in zip(retry, _newton_solve(
+                Fk, [prev_pts[i].log_point for i in retry],
+                [comps[i] for i in retry])):
+            if sol is None:
                 return None, i
-            q = CriticalDatum(_canonical_log(l), Fk.value(l, p.component),
-                              Fk.hess(l, p.component), p.component)
+            sols[i] = sol
+        out = []
+        for p, (l, t) in zip(prev_pts, sols):
+            q = CriticalDatum(_canonical_log(l), Fk.value(l, p.component, t),
+                              Fk.hess(l, p.component, t), p.component)
             out.append(_transport_branch(p, q))
         return out, None
 
@@ -640,11 +743,7 @@ def track_critical_values(family, params, rng=None):
         nxt, prev_prev = advance_adaptive(s0, s1, cur, prev_prev, 0)
         # two branches landing on one sheet (monodromy past a collision):
         # re-solve the fibre and re-match greedily
-        merged = any(
-            np.linalg.norm(_wrap_diff(nxt[i].log_point, nxt[j].log_point)) < 1e-8
-            and nxt[i].component == nxt[j].component
-            for i in range(len(nxt)) for j in range(i + 1, len(nxt)))
-        if merged:
+        if _merged(nxt):
             nxt = _rematch(family(s1), cur, len(branches), rng)
             if nxt is None:
                 raise errors.LostBranch(
@@ -672,6 +771,18 @@ def track_critical_values(family, params, rng=None):
                        "kind": "collision_near_discriminant",
                        "param": _pnum(sstar)})
     return Trajectory(params, branches, events, family)
+
+
+def _merged(pts):
+    """Whether two of the points on one fibre component lie within 1e-8 of
+    each other in wrapped log distance, all pairs at once."""
+    i, j = np.triu_indices(len(pts), 1)
+    if not len(i):
+        return False
+    P = np.array([p.log_point for p in pts])
+    same = np.array([pts[a].component == pts[b].component
+                     for a, b in zip(i, j)])
+    return bool(np.any((_row_norms(_wrap_diff(P[i], P[j])) < 1e-8) & same))
 
 
 def _pnum(s):
@@ -745,17 +856,21 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
                key=lambda ij: abs(mid_pts[ij[0]].value - mid_pts[ij[1]].value))
     i, j = pair
 
-    def side_dist(s, seeds):
-        F = family(s)
-        li = _newton_solve(F, seeds[i].log_point, seeds[i].component, tol=1e-10)
-        lj = _newton_solve(F, seeds[j].log_point, seeds[j].component, tol=1e-10)
-        if li is None or lj is None:
+    # the pair from both sides' seeds, solved together
+    seeds = [left_seeds[i], left_seeds[j], nxt_pts[i], nxt_pts[j]]
+
+    def dist(si, sj):
+        if si is None or sj is None:
             return math.inf
-        return float(np.linalg.norm(_wrap_diff(_canonical_log(li),
-                                               _canonical_log(lj))))
+        return float(np.linalg.norm(_wrap_diff(_canonical_log(si[0]),
+                                               _canonical_log(sj[0]))))
 
     def phi(s):
-        return max(side_dist(s, left_seeds), side_dist(s, nxt_pts))
+        li, lj, ri, rj = _newton_solve(family(s),
+                                       [p.log_point for p in seeds],
+                                       [p.component for p in seeds],
+                                       tol=1e-10)
+        return max(dist(li, lj), dist(ri, rj))
 
     invphi = (math.sqrt(5) - 1) / 2
     a, b = 0.0, 1.0

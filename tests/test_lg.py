@@ -212,20 +212,27 @@ def test_over_count_raises():
         critical_points(blowup_c2_potential(0.8), dedupe_tol=0.0)
 
 
-def test_search_stops_at_count_bound(monkeypatch):
-    calls = []
+def _count_rows(monkeypatch):
+    """Patch `lg._newton_solve` to record how many starts (rows) each call
+    solves; returns the list of row counts."""
+    rows = []
     solve = lg._newton_solve
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(F, L0, components, *args, **kwargs):
+        rows.append(len(components))
+        return solve(F, L0, components, *args, **kwargs)
     monkeypatch.setattr(lg, "_newton_solve", counted)
+    return rows
+
+
+def test_search_stops_at_count_bound(monkeypatch):
+    rows = _count_rows(monkeypatch)
     pts = critical_points(cyclic_orbifold_potential(4, 1.0),
                           rng=np.random.default_rng(0))
-    assert len(pts) == 2 and len(calls) <= 400
-    calls.clear()
+    assert len(pts) == 2 and sum(rows) <= 400
+    rows.clear()
     assert critical_points(cyclic_orbifold_potential(2, 0.73)) == []
-    assert calls == []
+    assert rows == []
 
 
 def test_alpha_certificate_passes_on_found_points():
@@ -248,7 +255,7 @@ def test_alpha_certificate_fails_off_zeros_and_on_duplicates():
     assert not lg._alpha_certified(F, pts[:-1] + [stray])
     # one zero recorded twice, bit for bit and as a second Newton solve
     assert not lg._alpha_certified(F, pts[:-1] + [pts[0]])
-    again = lg._newton_solve(F, pts[0].log_point + 1e-3)
+    [(again, _)] = lg._newton_solve(F, [pts[0].log_point + 1e-3], [()])
     assert np.linalg.norm(lg._wrap_diff(again, pts[0].log_point)) < 1e-9
     twice = lg.CriticalDatum(lg._canonical_log(again), F.value(again),
                              F.hess(again))
@@ -301,22 +308,16 @@ def _without_certificate(monkeypatch):
 
 def test_certified_stop_changes_only_the_work(monkeypatch):
     F = bl_line_p4_family_lambda()(2.0)
-    calls = []
-    solve = lg._newton_solve
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-    monkeypatch.setattr(lg, "_newton_solve", counted)
+    rows = _count_rows(monkeypatch)
     runs = []
     for certify in (True, False):
         if not certify:
             _without_certificate(monkeypatch)
-        calls.clear()
+        rows.clear()
         rng = np.random.default_rng(0)
         pts = critical_points(F, rng=rng)
         runs.append(([p.log_point.tobytes() for p in pts],
-                     [p.value for p in pts], rng.random(), len(calls)))
+                     [p.value for p in pts], rng.random(), sum(rows)))
     (pts1, vals1, next1, solves1), (pts0, vals0, next0, solves0) = runs
     assert pts1 == pts0 and vals1 == vals0 and next1 == next0
     assert solves0 == 181 and solves1 < 181

@@ -1,0 +1,134 @@
+"""The lockstep Newton of `lg` against the one-start solve it replaced
+(`tests/newton_oracle.py`): every row's result, the terms it returns and
+the multistart search's generator, bit for bit."""
+import math
+
+import numpy as np
+import pytest
+
+from toriclg import errors, lg
+from toriclg.families import (bl_line_p4_family_lambda, bl_line_p4_potential,
+                              blowup_c2_potential, cyclic_orbifold_potential,
+                              cyclic_resolution_potential, pn_mirror)
+from toriclg.lg import LGPotential
+
+import newton_oracle as oracle
+
+FAMILIES = ([pn_mirror(n, 1.3 - 0.4j) for n in (1, 2, 3, 4)]
+            + [bl_line_p4_potential(0.8 + 0.1j, 1.2 - 0.3j)]
+            + [cyclic_orbifold_potential(d, 1.1) for d in (3, 4, 5)]
+            + [cyclic_resolution_potential(d, 0.7) for d in (3, 4, 5)]
+            + [blowup_c2_potential(0.8)])
+
+TORSION = LGPotential([(1, 0), (0, 1), (-1, -1)], [1.0, 1.0, 0.9 + 0.2j],
+                      torsion_parts=[(0,), (1,), (2,)],
+                      torsion_invariants=(3,))
+
+
+def _starts(rng, n, k):
+    return rng.uniform(-2.5, 2.5, (k, n)) + 1j * rng.uniform(-3, 3, (k, n))
+
+
+def _check_rows(F, L0, comps, tol=lg.TOL_NEWTON):
+    """Solve the rows as one stack and each alone with the oracle; every
+    row's point, terms, value and Hessian must match bit for bit.  Returns
+    how many rows converged."""
+    sols = lg._newton_solve(F, L0, comps, tol=tol)
+    assert len(sols) == len(comps)
+    for l0, c, sol in zip(L0, comps, sols):
+        want = oracle.newton_solve(F, l0, c, tol)
+        if want is None:
+            assert sol is None
+            continue
+        l, t = sol
+        assert l.tobytes() == want.tobytes()
+        t_want = oracle.terms(F, want, c)
+        assert t.tobytes() == t_want.tobytes()
+        assert F.value(l, c, t) == oracle.value(F, want, c)
+        assert F.hess(l, c, t).tobytes() == oracle.hess(F, t_want).tobytes()
+    return sum(sol is not None for sol in sols)
+
+
+@pytest.mark.parametrize("F", FAMILIES, ids=lambda F: str(F.B_int))
+def test_rows_match_one_start_solves(F):
+    rng = np.random.default_rng(F.nterms * 10 + F.n)
+    L0 = _starts(rng, F.n, 24)
+    L0[3] += 40.0                   # far out: the terms overflow
+    L0[5] -= 25.0                   # drifts to toric infinity
+    L0[7, 0] = np.nan
+    L0[9, -1] = complex(np.inf, 0)
+    converged = _check_rows(F, L0, [()] * len(L0))
+    assert 0 < converged < len(L0)
+
+
+def test_rows_on_several_torsion_components():
+    F = TORSION
+    rng = np.random.default_rng(2)
+    comps = [(i % 3,) for i in range(18)]
+    assert _check_rows(F, _starts(rng, 2, 18), comps) > 0
+
+
+def test_rows_with_chi_and_a_looser_tolerance():
+    F = LGPotential([(1, 0), (0, 1), (-1, -1)], [1.0, 1.0, 1.3],
+                    chi=[0.3, -0.2j])
+    rng = np.random.default_rng(3)
+    for tol in (lg.TOL_NEWTON, 1e-10):
+        assert _check_rows(F, _starts(rng, 2, 16), [()] * 16, tol) > 0
+    G = LGPotential([(1,), (2,)], [1, 1], chi=[1])
+    assert _check_rows(G, _starts(rng, 1, 12), [()] * 12, 1e-10) > 0
+
+
+def test_singular_hessian_fails_only_its_row():
+    # F = x - x^2/2 has Hessian x - 2 x^2 in log coordinates, exactly 0 at
+    # x = 1/2, where the gradient is 1/4
+    F = LGPotential([(1,), (2,)], [1.0, -0.5])
+    at = np.array([math.log(0.5)], complex)
+    assert not np.any(F.hess(at)) and np.all(F.grad(at))
+    L0 = np.array([[0.1 + 0.05j], at, [-0.1j], at])
+    assert oracle.newton_solve(F, at) is None
+    assert _check_rows(F, L0, [()] * 4) == 2
+
+
+def test_empty_stack():
+    F = pn_mirror(2, 1.0)
+    assert lg._newton_solve(F, np.empty((0, 2)), []) == []
+
+
+def _search(module, F, seed, **kw):
+    """Points (bytes), values and the next draw after a search, or the
+    error it raised."""
+    rng = np.random.default_rng(seed)
+    try:
+        pts = module.critical_points(F, rng=rng, **kw)
+        out = ([p.log_point.tobytes() for p in pts], [p.value for p in pts])
+    except errors.IncompleteCount as exc:
+        out = type(exc).__name__
+    return out, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("F, kw, raises", [
+    # certified stop at the Kouchnirenko count
+    (bl_line_p4_family_lambda()(2.0), {}, False),
+    # three fibre components searched in turn, then certified
+    (TORSION, {}, False),
+    # inexact bound: the floor stop
+    (cyclic_orbifold_potential(3, 1.1), {}, False),
+    # every converged start counts: the over-count
+    (blowup_c2_potential(0.8), {"dedupe_tol": 0.0}, True),
+    # fewer points than asked for: the whole budget
+    (cyclic_orbifold_potential(4, 0.9),
+     {"expected": 3, "raise_on_incomplete": False, "budget_factor": 8},
+     False),
+], ids=["certified", "torsion", "floor", "over-count", "incomplete"])
+def test_search_draws_as_one_start_at_a_time(F, kw, raises):
+    for seed in (0, 5):
+        got = _search(lg, F, seed, **kw)
+        assert got == _search(oracle, F, seed, **kw)
+        assert (got[0] == "IncompleteCount") == raises
+
+
+def test_uncertified_exact_search_draws_as_one_start_at_a_time(monkeypatch):
+    F = bl_line_p4_family_lambda()(2.0)
+    monkeypatch.setattr(lg, "_alpha_certified", lambda F, points: False)
+    monkeypatch.setattr(oracle, "_alpha_certified", lambda F, points: False)
+    assert _search(lg, F, 0) == _search(oracle, F, 0)

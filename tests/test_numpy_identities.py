@@ -1,0 +1,129 @@
+"""The numpy identities the lockstep Newton of `lg` rests on, asserted on the
+installed numpy.
+
+`lg` evaluates a stack of points at once and must give each row the bits a
+one-point evaluation gives, so that CLI output does not depend on how the
+starts and branches are batched.  Each test below is one stacked form that
+`lg` uses against its one-row form.  A numpy build (or BLAS) that breaks one
+fails here, by name, rather than as a digest mismatch in
+`tests/test_cli_bytes.py`.  Shapes follow the shipped potentials: 2 to 9
+terms in 1 to 4 variables.  A potential with a single term is not covered:
+numpy multiplies two one-element complex arrays in another loop than
+longer ones, and their last bits can differ.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from toriclg import lg
+
+TRIALS = 400
+
+
+def _cases(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(TRIALS):
+        n = int(rng.integers(1, 5))
+        nt = int(rng.integers(2, 10))
+        k = int(rng.choice([1, 2, 3, 9, 40]))
+        B = rng.integers(-5, 6, (nt, n)).astype(float)
+        scale = 10.0 ** rng.uniform(-2, 1.5)
+        L = scale * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+        c = rng.normal(size=(k, nt)) + 1j * rng.normal(size=(k, nt))
+        yield rng, B, L, c
+
+
+def _same(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+def test_stacked_exponent_products():
+    # LGPotential.terms: B @ l per row, one row or shared coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, B, L, c in _cases(1):
+            E = np.exp(np.matmul(B, L[..., None])[..., 0])
+            assert _same(E, np.array([np.exp(B @ l) for l in L]))
+            assert _same(c * E, np.array([ci * np.exp(B @ l)
+                                          for ci, l in zip(c, L)]))
+            assert _same(c[0] * E, np.array([c[0] * np.exp(B @ l)
+                                             for l in L]))
+            assert _same(np.matmul(B, L[0][..., None])[..., 0], B @ L[0])
+
+
+def test_stacked_gradients_and_hessians():
+    # LGPotential.grad and LGPotential.hess on a stack of terms
+    for _, B, L, c in _cases(2):
+        T = c * np.exp(np.matmul(B, L[..., None])[..., 0])
+        assert _same(np.matmul(T[..., None, :], B)[..., 0, :],
+                     np.array([t @ B for t in T]))
+        assert _same(np.matmul(B.T * T[..., None, :], B),
+                     np.array([(B.T * t) @ B for t in T]))
+        assert _same(np.matmul(T[0][..., None, :], B)[..., 0, :], T[0] @ B)
+        assert _same(np.matmul(B.T * T[0][..., None, :], B),
+                     (B.T * T[0]) @ B)
+
+
+def test_stacked_solves():
+    # _newton_steps: one LAPACK solve per matrix of the stack
+    for rng, B, L, c in _cases(3):
+        n = B.shape[1]
+        H = (rng.normal(size=(len(L), n, n))
+             + 1j * rng.normal(size=(len(L), n, n)))
+        assert _same(np.linalg.solve(H, -L[:, :, None])[:, :, 0],
+                     np.array([np.linalg.solve(h, -g) for h, g in zip(H, L)]))
+    # one singular matrix fails the whole stack: the per-matrix fallback
+    H = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(H, np.ones((2, 2, 1), complex))
+
+
+def test_row_norms_are_numpy_norms():
+    # _row_norms, including rows that overflow or hold inf and nan
+    rng = np.random.default_rng(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(TRIALS):
+            n, k = int(rng.integers(1, 5)), int(rng.choice([1, 2, 7, 60]))
+            G = (10.0 ** rng.uniform(-170, 170, (k, 1))
+                 * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))))
+            if rng.random() < 0.3:
+                G[rng.integers(k), rng.integers(n)] = rng.choice(
+                    [np.inf, -np.inf, np.nan]) * rng.choice([1, 1j])
+            want = np.array([np.linalg.norm(g) for g in G])
+            got = lg._row_norms(G)
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            fin = np.isfinite(want)
+            assert _same(got[fin], want[fin])
+
+
+def test_row_maxima_and_steps():
+    # _term_scale's row maxima; the line search's l + t dl per row
+    for rng, B, L, c in _cases(5):
+        mags = np.abs(c)
+        assert _same(mags.max(axis=-1),
+                     np.array([float(np.max(m)) for m in mags]))
+        t = 0.5 ** rng.integers(0, 50, len(L)).astype(float)
+        dL = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
+        assert _same(L + t[:, None] * dL,
+                     np.array([l + float(s) * d
+                               for l, s, d in zip(L, t, dL)]))
+
+
+def test_start_draws_and_generator_restore():
+    # critical_points: a batch of starts is the one-start draws in order,
+    # and restoring the generator then drawing the used starts' doubles
+    # leaves it where the one-start search leaves it
+    for n in (1, 2, 3, 4):
+        for m in (1, 6, 41):
+            one = np.random.default_rng(10 * n + m)
+            want = np.array([one.uniform(-2.5, 2.5, n)
+                             + 1j * one.uniform(-math.pi, math.pi, n)
+                             for _ in range(m)])
+            rng = np.random.default_rng(10 * n + m)
+            state = rng.bit_generator.state
+            u = rng.uniform(lg._START_LOW, lg._START_HIGH, (m + 5, 2, n))
+            assert _same(u[:m, 0] + 1j * u[:m, 1], want)
+            rng.bit_generator.state = state
+            rng.random(2 * n * m)
+            assert rng.bit_generator.state == one.bit_generator.state
