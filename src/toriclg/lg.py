@@ -60,10 +60,7 @@ class LGPotential:
 
     @property
     def torsion_order(self):
-        out = 1
-        for d in self.torsion_invariants:
-            out *= d
-        return out
+        return math.prod(self.torsion_invariants)
 
     def components(self):
         """Character labels of the fibre components (trivial if no torsion)."""
@@ -149,17 +146,31 @@ class LGPotential:
 
 class CriticalDatum:
     def __init__(self, log_point, value, log_hessian, component=()):
+        H = np.asarray(log_hessian, dtype=complex)
+        self._fill(log_point, value, H, component, np.linalg.det(H),
+                   np.abs(H).max())
+
+    def _fill(self, log_point, value, log_hessian, component, deth, scale):
         self.log_point = np.asarray(log_point, dtype=complex)
         self.value = complex(value)
-        self.log_hessian = np.asarray(log_hessian, dtype=complex)
+        self.log_hessian = log_hessian
         self.component = component
-        deth = complex(np.linalg.det(self.log_hessian))
-        scale = float(np.max(np.abs(self.log_hessian))) or 1.0
-        self.det_hessian = deth
-        self.nondegenerate = abs(deth) > TOL_HESS * scale ** len(log_point)
+        self.det_hessian = deth = complex(deth)
+        self.nondegenerate = abs(deth) > TOL_HESS * (
+            float(scale) or 1.0) ** len(log_point)
         self.tag = "unknown"
         self.orientation = 1
         self.sqrt_det_h = cmath.sqrt(deth)
+
+    @classmethod
+    def stack(cls, L, values, H, components):
+        """One datum per row of the stacks L, values and H (Hessians), all
+        determinants and scales taken at once, each the one-matrix one."""
+        out = [object.__new__(cls) for _ in components]
+        for p, *row in zip(out, L, values, H, components, np.linalg.det(H),
+                           np.abs(H).max(axis=(-2, -1))):
+            p._fill(*row)
+        return out
 
     def __repr__(self):
         return f"CriticalDatum(value={self.value:.6g}, tag={self.tag})"
@@ -188,18 +199,19 @@ def _row_norms(X):
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _newton_steps(H, G):
-    """(-H^-1 g for each row, mask of the rows whose H is not singular)."""
+def _solve(H, X):
+    """(H^-1 X per matrix of the stack H, mask of the matrices that are not
+    singular; a singular one's rows are 0).  X = I gives `np.linalg.inv`."""
     try:
-        return np.linalg.solve(H, -G[:, :, None])[:, :, 0], np.ones(len(G), bool)
+        return np.linalg.solve(H, X), np.ones(len(H), bool)
     except np.linalg.LinAlgError:      # one singular H fails the whole stack
-        dL, ok = np.zeros_like(G), np.ones(len(G), bool)
-        for i, (h, g) in enumerate(zip(H, G)):
+        out, ok = np.zeros_like(X), np.ones(len(H), bool)
+        for i, (h, x) in enumerate(zip(H, X)):
             try:
-                dL[i] = np.linalg.solve(h, -g)
+                out[i] = np.linalg.solve(h, x)
             except np.linalg.LinAlgError:
                 ok[i] = False
-        return dL, ok
+        return out, ok
 
 
 def _line_trial(F, L, dL, t, gn, labels, tol):
@@ -245,7 +257,8 @@ def _newton_solve(F, L0, components, tol=TOL_NEWTON):
             if not go.all():
                 L, T, G, gn, labels, rows = (
                     x[go] for x in (L, T, G, gn, labels, rows))
-            dL, go = _newton_steps(F.hess(L, labels, T), G)
+            dL, go = _solve(F.hess(L, labels, T), -G[:, :, None])
+            dL = dL[:, :, 0]
             if not go.all():
                 L, T, dL, gn, labels, rows = (
                     x[go] for x in (L, T, dL, gn, labels, rows))
@@ -272,9 +285,10 @@ def _newton_solve(F, L0, components, tol=TOL_NEWTON):
     return out
 
 
-def _alpha_beta(F, l, component=()):
-    """Smale's (alpha, beta) at l for g(l) = sum_b t_b b - chi, the critical
-    point system in log coordinates, with t_b = c_b e^<b, l>.
+def _alpha_beta(F, L, components):
+    """Smale's (alpha, beta) at each row l of the (k, n) stack L, row i on
+    fibre component components[i], for g(l) = sum_b t_b b - chi, the
+    critical point system in log coordinates, with t_b = c_b e^<b, l>.
 
     beta = |H^-1 g| is the Newton step, raised by a bound on the rounding
     error of the evaluated g (about eps x sum_b |t_b| |b| x (terms + n |b|
@@ -291,40 +305,50 @@ def _alpha_beta(F, l, component=()):
     scan is capped at k = 200, where gamma takes the larger of the two.
 
     alpha = beta gamma; alpha < (13 - 3 sqrt 17)/4 makes l an approximate
-    zero whose associated zero is simple and lies within 2 beta of l."""
+    zero whose associated zero is simple and lies within 2 beta of l.
+
+    Returns arrays (alpha, beta), both inf where the terms, beta or gamma
+    are not finite or H is singular.  Each row scans k to its own cutoff
+    and equals the one-point test bit for bit (tests/alpha_oracle.py)."""
+    m = len(components)
+    L = np.asarray(L, dtype=complex).reshape(m, F.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = F.terms(l, component)
-        if not np.all(np.isfinite(t)):
-            return math.inf, math.inf
-        try:
-            h_inv = np.linalg.inv(F.hess(l, component, t))
-        except np.linalg.LinAlgError:
-            return math.inf, math.inf
-        a_inv = float(np.linalg.norm(h_inv))
+        T = F.terms(L, components)
+        H_inv, ok = _solve(F.hess(L, components, T), np.broadcast_to(
+            np.eye(F.n, dtype=complex), (m, F.n, F.n)))
+        run = ok & np.isfinite(T).all(axis=1)
+        a_inv = _row_norms(H_inv.reshape(m, -1))
         nb = np.linalg.norm(F.B, axis=1)
-        at = np.abs(t)
+        at = np.abs(T)
         eps = np.finfo(float).eps
         err = 2 * eps * (np.sum(at * nb * (F.nterms + 3 + F.n * nb
-                                           * np.linalg.norm(l)))
+                                           * _row_norms(L)[:, None]), axis=1)
                          + np.linalg.norm(F.chi))
-        beta = float(np.linalg.norm(h_inv @ F.grad(l, component, t))
-                     + a_inv * err)
-        w = a_inv * at
+        G = F.grad(L, components, T)
+        beta = _row_norms(np.matmul(H_inv, G[..., None])[..., 0]) + a_inv * err
+        W = a_inv[:, None] * at
         e_r = math.e * float(np.max(nb))
-        big_t = max(float(w @ nb), 1.0)
-        gamma = 0.0
+        big_t = np.maximum(np.vecdot(W, nb), 1.0)
+        good, gamma = run.copy(), np.zeros(m)
         p = nb * nb                  # |b|^(k+1) / k! at k = 1
         for k in range(2, 201):
             p = p * nb / k
-            gamma = max(gamma, float(w @ p) ** (1.0 / (k - 1)))
-            tail = big_t ** (1.0 / k) * e_r / (k + 1)
-            if k >= e_r and tail <= gamma:
+            v = _powers(np.vecdot(W, p), 1.0 / (k - 1))
+            gamma = np.where(run & (v > gamma), v, gamma)
+            tail = _powers(big_t, 1.0 / k) * e_r / (k + 1)
+            if k >= e_r:
+                run &= ~(tail <= gamma)
+            if not run.any():
                 break
-        else:
-            gamma = max(gamma, tail)
-    if not (math.isfinite(beta) and math.isfinite(gamma)):
-        return math.inf, math.inf
-    return beta * gamma, beta
+        gamma = np.where(run & (tail > gamma), tail, gamma)
+    good &= np.isfinite(beta) & np.isfinite(gamma)
+    return (np.where(good, beta * gamma, math.inf),
+            np.where(good, beta, math.inf))
+
+
+def _powers(a, e):
+    """a ** e per entry by Python's power; np.power differs in last bits."""
+    return np.array([x ** e for x in a.tolist()])
 
 
 def _alpha_certified(F, points):
@@ -333,15 +357,11 @@ def _alpha_certified(F, points):
     their wrapped log distance exceeds 2 (beta_i + beta_j), and each
     associated zero lies within 2 beta of its point.  The points are then
     that many distinct simple torus zeros."""
-    ab = [_alpha_beta(F, p.log_point, p.component) for p in points]
-    if not all(a < ALPHA_MAX for a, _ in ab):
-        return False
-    for (p, (_, bp)), (q, (_, bq)) in itertools.combinations(
-            zip(points, ab), 2):
-        gap = np.linalg.norm(_wrap_diff(p.log_point, q.log_point))
-        if p.component == q.component and not gap > 2 * (bp + bq):
-            return False
-    return True
+    alpha, beta = _alpha_beta(F, [p.log_point for p in points],
+                              [p.component for p in points])
+    i, j, gap, same = _pair_gaps(points)
+    return bool(np.all(alpha < ALPHA_MAX)
+                and not np.any(same & ~(gap > 2 * (beta[i] + beta[j]))))
 
 
 def critical_points(F: LGPotential, expected=None, rng=None,
@@ -370,12 +390,14 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     taken in order, one try each, exactly as one start at a time: the
     draws, the tries, the order of the found points and every stop are the
     same whatever the batch size.  A search that can still be certified
-    (exact bound, not yet decided) draws twice the points still missing;
-    any other search draws up to the floor, and past it twice the points
-    still missing, or the rest of the budget once the points exceed the
-    target.  Starts a batch drew beyond the one the search stopped at are
-    given back: the generator is restored and advanced by the starts used,
-    so it leaves in the state the one-start-at-a-time search leaves it in.
+    (exact bound, not yet decided), or is past the floor with m points
+    missing, draws 2 m starts in a component's first two batches and
+    2 m 2^(b-2) in its b-th: a point with a small basin then costs a few
+    lockstep passes, not one per two tries.  Any other search draws up to
+    the floor, or the rest of the budget once the points exceed the target.
+    Starts a batch drew beyond the one the search stopped at are given
+    back: the generator is restored and advanced by the starts used, so it
+    leaves in the state the one-start-at-a-time search leaves it in.
 
     Finding fewer raises IncompleteCount only when the count is exact
     (`expected` given, or the Kouchnirenko count); finding more than the
@@ -394,14 +416,13 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     def record(l, component):
         l = _canonical_log(l)
         if np.max(np.abs(l.real)) > 18.0:
-            return False
-        for p in found:
-            if p.component == component and \
-                    np.linalg.norm(_wrap_diff(p.log_point, l)) < dedupe_tol:
-                return False
+            return
+        near = [p.log_point for p in found if p.component == component]
+        if near and np.any(_row_norms(_wrap_diff(np.array(near), l))
+                           < dedupe_tol):
+            return
         found.append(CriticalDatum(l, F.value(l, component),
                                    F.hess(l, component), component))
-        return True
 
     components = F.components()
     per_comp_budget = max(budget // len(components), 40)
@@ -409,19 +430,19 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     certifiable = exact and stop == bound
     certified = None        # decided once, when the found points reach stop
     for component in components:
-        tries = 0
+        tries = batches = 0
         done = False
         while tries < per_comp_budget and not done:
             missing = stop - len(found)
-            if certified is None and certifiable:
-                size = 2 * missing
+            if (certified is None and certifiable
+                    or tries > floor and missing > 0):
+                size = 2 * missing << max(batches - 1, 0)
             elif tries <= floor:
                 size = floor + 1 - tries
-            elif missing > 0:
-                size = 2 * missing
             else:           # an over-count: only the budget ends the search
                 size = per_comp_budget
             size = min(size, per_comp_budget - tries)
+            batches += 1
             state = rng.bit_generator.state
             u = rng.uniform(_START_LOW, _START_HIGH, (size, 2, F.n))
             skip = 0
@@ -707,19 +728,12 @@ def track_critical_values(family, params, rng=None):
             if sol is None:
                 return None, i
             sols[i] = sol
-        out = []
-        for p, (l, t) in zip(prev_pts, sols):
-            q = CriticalDatum(_canonical_log(l), Fk.value(l, p.component, t),
-                              Fk.hess(l, p.component, t), p.component)
-            out.append(_transport_branch(p, q))
-        return out, None
-
-    def min_value_dist(pts_list):
-        best = math.inf
-        for i in range(len(pts_list)):
-            for j in range(i + 1, len(pts_list)):
-                best = min(best, abs(pts_list[i].value - pts_list[j].value))
-        return best
+        L = np.array([l for l, _ in sols]).reshape(len(sols), Fk.n)
+        T = np.array([t for _, t in sols]).reshape(len(sols), Fk.nterms)
+        nxt = CriticalDatum.stack(
+            _canonical_log(L), [Fk.value(*x) for x in zip(L, comps, T)],
+            Fk.hess(L, comps, T), comps)
+        return list(map(_transport_branch, prev_pts, nxt)), None
 
     def advance_adaptive(a, b, cur, prev_prev, depth):
         nxt, failed = advance(family(b), cur, prev_prev, 1.0)
@@ -735,15 +749,16 @@ def track_critical_values(family, params, rng=None):
         return advance_adaptive(mid, b, m1, pp, depth + 1)
 
     prev_prev = None
-    k = 0
     pending_from = None
-    while k < len(params) - 1:
+    for k in range(len(params) - 1):
         s0, s1 = params[k], params[k + 1]
         cur = [br[-1] for br in branches]
         nxt, prev_prev = advance_adaptive(s0, s1, cur, prev_prev, 0)
-        # two branches landing on one sheet (monodromy past a collision):
+        # two branches of one fibre component landing on one sheet, within
+        # 1e-8 in wrapped log distance (monodromy past a collision):
         # re-solve the fibre and re-match greedily
-        if _merged(nxt):
+        _, _, gap, same = _pair_gaps(nxt)
+        if np.any((gap < 1e-8) & same):
             nxt = _rematch(family(s1), cur, len(branches), rng)
             if nxt is None:
                 raise errors.LostBranch(
@@ -751,7 +766,8 @@ def track_critical_values(family, params, rng=None):
             events.append({"step": k, "kind": "branch_lost",
                            "param": _pnum(s1)})
         scale = max([1.0] + [abs(p.value) for p in nxt])
-        vd = min_value_dist(nxt)
+        vd = min([math.inf] + [abs(p.value - q.value)
+                               for p, q in itertools.combinations(nxt, 2)])
         for br, p in zip(branches, nxt):
             br.append(p)
         if vd < TOL_COLLIDE * scale and pending_from is None:
@@ -763,7 +779,6 @@ def track_critical_values(family, params, rng=None):
                            "kind": "collision_near_discriminant",
                            "param": _pnum(sstar)})
             pending_from = None
-        k += 1
     if pending_from is not None:
         sstar = _locate_collision(family, branches, params, pending_from,
                                   len(params) - 1)
@@ -773,16 +788,14 @@ def track_critical_values(family, params, rng=None):
     return Trajectory(params, branches, events, family)
 
 
-def _merged(pts):
-    """Whether two of the points on one fibre component lie within 1e-8 of
-    each other in wrapped log distance, all pairs at once."""
+def _pair_gaps(pts):
+    """(i, j, wrapped log distance, same fibre component) over the pairs
+    i < j of the points, all pairs at once."""
     i, j = np.triu_indices(len(pts), 1)
-    if not len(i):
-        return False
     P = np.array([p.log_point for p in pts])
     same = np.array([pts[a].component == pts[b].component
-                     for a, b in zip(i, j)])
-    return bool(np.any((_row_norms(_wrap_diff(P[i], P[j])) < 1e-8) & same))
+                     for a, b in zip(i, j)], bool)
+    return i, j, _row_norms(_wrap_diff(P[i], P[j])), same
 
 
 def _pnum(s):
@@ -811,28 +824,17 @@ def _rematch(F, prev_pts, nbranches, rng):
         return None
     if len(pts) < nbranches:
         return None
-    pairs = []
-    for i, p in enumerate(prev_pts):
-        for j, q in enumerate(pts):
-            if p.component != q.component:
-                continue
-            d = np.linalg.norm(_wrap_diff(p.log_point, q.log_point))
-            pairs.append((d, i, j))
-    pairs.sort(key=lambda t: t[0])
-    used_i, used_j = set(), set()
-    assign = {}
-    for d, i, j in pairs:
-        if i in used_i or j in used_j:
-            continue
-        assign[i] = j
-        used_i.add(i)
-        used_j.add(j)
+    pairs = sorted((np.linalg.norm(_wrap_diff(p.log_point, q.log_point)), i, j)
+                   for i, p in enumerate(prev_pts) for j, q in enumerate(pts)
+                   if p.component == q.component)
+    assign = {}             # nearest pairs first, each branch and point once
+    for _, i, j in pairs:
+        if i not in assign and j not in assign.values():
+            assign[i] = j
     if len(assign) < len(prev_pts):
         return None
-    out = []
-    for i, p in enumerate(prev_pts):
-        out.append(_transport_branch(p, pts[assign[i]]))
-    return out
+    return [_transport_branch(p, pts[assign[i]])
+            for i, p in enumerate(prev_pts)]
 
 
 def _locate_collision(family, branches, params, k_enter, k_exit):
@@ -850,11 +852,9 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
     left_seeds = [br[k0] for br in branches]
     nxt_pts = [br[k_exit] for br in branches]
     mid_pts = [br[min(k_enter + 1, k_exit)] for br in branches]
-    pair = min(((i, j) for i in range(len(mid_pts))
-                for j in range(i + 1, len(mid_pts))
-                if mid_pts[i].component == mid_pts[j].component),
+    i, j = min((ij for ij in itertools.combinations(range(len(mid_pts)), 2)
+                if mid_pts[ij[0]].component == mid_pts[ij[1]].component),
                key=lambda ij: abs(mid_pts[ij[0]].value - mid_pts[ij[1]].value))
-    i, j = pair
 
     # the pair from both sides' seeds, solved together
     seeds = [left_seeds[i], left_seeds[j], nxt_pts[i], nxt_pts[j]]

@@ -3,6 +3,7 @@ for path reparametrizations like t(lam) = lam^(2/3) + lam^(2/5)."""
 from __future__ import annotations
 
 import json
+import math
 
 from . import errors
 from .lattice import AbelianLattice, VectorSet
@@ -134,7 +135,11 @@ def _is_int(x):
 
 
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """Whether x is a finite real number: Python's json reads NaN and
+    Infinity as floats.  Every int is finite (isfinite overflows on some)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
 
 
 def _is_pair(v):
@@ -305,7 +310,6 @@ class Scenario:
         a, b, steps = p["from"], p["to"], p["steps"]
         kind = p.get("grid", "geometric")
         if kind == "geometric":
-            import math
             vals = np.exp(np.linspace(math.log(a), math.log(b), steps))
         else:
             vals = np.linspace(a, b, steps)

@@ -415,6 +415,9 @@ NEGATIVE_RUNS = {
     "path-steps-zero.json": ("track", "ScenarioError", "path.steps"),
     "path-values-not-numbers.json": ("track", "ScenarioError",
                                      "path.values"),
+    "path-values-infinity.json": ("track", "ScenarioError", "path.values"),
+    "path-from-nan.json": ("track", "ScenarioError", "path.from"),
+    "at-nan.json": ("critical", "ScenarioError", "at must be"),
     "chi-not-numbers.json": ("critical", "ScenarioError", "chi"),
     "chi-too-short.json": ("track", "ScenarioError", "chi"),
     "potential-not-an-object.json": ("critical", "ScenarioError",

@@ -240,7 +240,7 @@ def test_alpha_certificate_passes_on_found_points():
         pts = critical_points(F, rng=np.random.default_rng(0))
         assert len(pts) == F.expected_count()
         for p in pts:
-            alpha, beta = lg._alpha_beta(F, p.log_point, p.component)
+            [alpha], [beta] = lg._alpha_beta(F, [p.log_point], [p.component])
             assert alpha < lg.ALPHA_MAX and beta < 1e-10
         assert lg._alpha_certified(F, pts)
 
@@ -250,7 +250,7 @@ def test_alpha_certificate_fails_off_zeros_and_on_duplicates():
     pts = critical_points(F, rng=np.random.default_rng(0))
     rng = np.random.default_rng(4)
     start = rng.uniform(-2.5, 2.5, 4) + 1j * rng.uniform(-math.pi, math.pi, 4)
-    assert lg._alpha_beta(F, start)[0] >= lg.ALPHA_MAX
+    assert lg._alpha_beta(F, [start], [()])[0][0] >= lg.ALPHA_MAX
     stray = lg.CriticalDatum(start, F.value(start), F.hess(start))
     assert not lg._alpha_certified(F, pts[:-1] + [stray])
     # one zero recorded twice, bit for bit and as a second Newton solve
@@ -284,7 +284,7 @@ def test_alpha_gamma_bounds_every_order():
     cases += [(far, np.array([x], complex)) for x in (0.0, 0.3j, -0.2)]
     for G, l in cases:
         norms = [math.sqrt(sum(x * x for x in b)) for b in G.B_int]
-        alpha, beta = lg._alpha_beta(G, l)
+        [alpha], [beta] = lg._alpha_beta(G, [l], [()])
         terms = G.c * np.exp(G.B @ l)
         hinv = 1 / np.linalg.svd(G.hess(l), compute_uv=False)[-1]
         for k in range(2, 120):

@@ -109,6 +109,8 @@ def _search(module, F, seed, **kw):
 @pytest.mark.parametrize("F, kw, raises", [
     # certified stop at the Kouchnirenko count
     (bl_line_p4_family_lambda()(2.0), {}, False),
+    # a point with a small basin: a tail of 134 and 217 tries
+    (bl_line_p4_family_lambda()(0.001), {}, False),
     # three fibre components searched in turn, then certified
     (TORSION, {}, False),
     # inexact bound: the floor stop
@@ -119,7 +121,8 @@ def _search(module, F, seed, **kw):
     (cyclic_orbifold_potential(4, 0.9),
      {"expected": 3, "raise_on_incomplete": False, "budget_factor": 8},
      False),
-], ids=["certified", "torsion", "floor", "over-count", "incomplete"])
+], ids=["certified", "long-tail", "torsion", "floor", "over-count",
+        "incomplete"])
 def test_search_draws_as_one_start_at_a_time(F, kw, raises):
     for seed in (0, 5):
         got = _search(lg, F, seed, **kw)
@@ -132,3 +135,24 @@ def test_uncertified_exact_search_draws_as_one_start_at_a_time(monkeypatch):
     monkeypatch.setattr(lg, "_alpha_certified", lambda F, points: False)
     monkeypatch.setattr(oracle, "_alpha_certified", lambda F, points: False)
     assert _search(lg, F, 0) == _search(oracle, F, 0)
+
+
+def test_long_tail_search_makes_few_lockstep_calls(monkeypatch):
+    # one start at a time this search makes 142 tries; its batches after
+    # the second double, so it makes 7 lockstep solves (one per batch),
+    # where batches of twice the points still missing made 51
+    F = bl_line_p4_family_lambda()(0.005)
+    tries, batches = [], []
+    one, stacked = oracle.newton_solve, lg._newton_solve
+
+    def one_start(F, l0, component):
+        tries.append(1)
+        return one(F, l0, component)
+
+    def batch(F, L0, components):
+        batches.append(len(components))
+        return stacked(F, L0, components)
+    monkeypatch.setattr(oracle, "newton_solve", one_start)
+    monkeypatch.setattr(lg, "_newton_solve", batch)
+    assert _search(lg, F, 5) == _search(oracle, F, 5)
+    assert len(tries) > 100 and len(batches) <= 8

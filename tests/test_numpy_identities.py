@@ -65,7 +65,7 @@ def test_stacked_gradients_and_hessians():
 
 
 def test_stacked_solves():
-    # _newton_steps: one LAPACK solve per matrix of the stack
+    # _solve: one LAPACK solve per matrix of the stack
     for rng, B, L, c in _cases(3):
         n = B.shape[1]
         H = (rng.normal(size=(len(L), n, n))
@@ -127,3 +127,45 @@ def test_start_draws_and_generator_restore():
             rng.bit_generator.state = state
             rng.random(2 * n * m)
             assert rng.bit_generator.state == one.bit_generator.state
+
+
+def test_stacked_inverses_and_steps():
+    # _alpha_beta: H^-1 as a stacked solve against the identity (which is
+    # np.linalg.inv, matrix by matrix), its Frobenius norm, and H^-1 g
+    for rng, B, L, c in _cases(6):
+        n = B.shape[1]
+        H = (rng.normal(size=(len(L), n, n))
+             + 1j * rng.normal(size=(len(L), n, n)))
+        want = np.array([np.linalg.inv(h) for h in H])
+        assert _same(np.linalg.inv(H), want)
+        assert _same(np.linalg.solve(H, np.broadcast_to(
+            np.eye(n, dtype=complex), H.shape)), want)
+        assert _same(lg._row_norms(want.reshape(len(L), -1)),
+                     np.array([np.linalg.norm(h) for h in want]))
+        assert _same(np.matmul(want, L[..., None])[..., 0],
+                     np.array([h @ l for h, l in zip(want, L)]))
+
+
+def test_row_dots_and_sums():
+    # _alpha_beta: per-row dot products by np.vecdot and per-row sums.
+    # W @ p (one gemv) is not the per-row dot: it differs in the last bit,
+    # so it must not replace vecdot
+    gemv = 0
+    for rng, B, L, c in _cases(7):
+        W = 10.0 ** rng.uniform(-3, 3, c.shape)
+        p = 10.0 ** rng.uniform(-3, 3, c.shape[1])
+        want = np.array([w @ p for w in W])
+        assert _same(np.vecdot(W, p), want)
+        assert _same(np.sum(W, axis=1), np.array([np.sum(w) for w in W]))
+        gemv += int(np.sum(W @ p != want))
+    assert gemv > 0
+
+
+def test_stacked_determinants_and_scales():
+    # CriticalDatum.stack: one det and one max |H| over a stack of Hessians
+    for rng, B, L, c in _cases(8):
+        H = np.matmul(B.T * c[..., None, :], B)
+        assert _same(np.linalg.det(H),
+                     np.array([np.linalg.det(h) for h in H]))
+        assert _same(np.abs(H).max(axis=(-2, -1)),
+                     np.array([np.max(np.abs(h)) for h in H]))
