@@ -96,8 +96,8 @@ def _wall_from_scenario(scn):
     from .secondary import wall_between
     wall_spec = scn.doc.get("wall")
     if wall_spec and "plus" in wall_spec:
-        fp = scn.named_fan(wall_spec["plus"])
-        fm = scn.named_fan(wall_spec["minus"])
+        fp = scn.named_fan(wall_spec["plus"], "wall.plus")
+        fm = scn.named_fan(wall_spec["minus"], "wall.minus")
         return wall_between(fp, fm)
     fans, walls = _enumerate(scn)
     if not walls:
@@ -162,7 +162,8 @@ def _family_from_scenario(scn):
     qexprs = [_expr(e, var, f"potential.q[{i}]") for i, e in enumerate(qs)]
     texprs = {int(k): _expr(e, var, f"potential.t[{k!r}]")
               for k, e in ts.items()}
-    potential = chart_family(scn.named_fan(pot["chart"]), chi=pot.get("chi"),
+    fan = scn.named_fan(pot["chart"], "potential.chart")
+    potential = chart_family(fan, chi=pot.get("chi"),
                              splitting=pot.get("splitting"))
 
     def family(s):
@@ -299,7 +300,8 @@ def cmd_mutate(scn: Scenario, outdir, seed):
 _VARIETIES = None
 
 
-def _variety(name):
+def _variety(name, field):
+    """The preset variety `name`, read from the scenario field `field`."""
     global _VARIETIES
     from .ktheory import bl_line_p4, bl_point_p2, p1xp1, projective_space
     if _VARIETIES is None:
@@ -311,8 +313,11 @@ def _variety(name):
             "bl_line_p4": bl_line_p4,
             "bl_point_p2": bl_point_p2,
         }
+    if not isinstance(name, str):
+        raise errors.ScenarioError(
+            f"{field} must be a variety name (a string), got {name!r}")
     if name not in _VARIETIES:
-        raise errors.ScenarioError(f"unknown variety {name!r}")
+        raise errors.ScenarioError(f"{field}: unknown variety {name!r}")
     return _VARIETIES[name]()
 
 
@@ -320,7 +325,10 @@ def cmd_euler(scn: Scenario, outdir, seed):
     from .ktheory import (GammaData, KClass, build_cohomology_ring,
                           euler_pairing_gamma, euler_pairing_hrr)
     spec = _section(scn, "euler")
-    varieties = spec.get("varieties", ["p2", "p4", "p1xp1", "bl_line_p4"])
+    varieties = _checked(spec.get("varieties",
+                                  ["p2", "p4", "p1xp1", "bl_line_p4"]),
+                         lambda v: isinstance(v, list), "euler.varieties",
+                         "a list of variety names")
     size = _checked(spec.get("gram_size", 20), lambda x: _is_int(x) and x >= 1,
                     "euler.gram_size", "an integer >= 1")
     spread = _checked(spec.get("range", 3), lambda x: _is_int(x) and x >= 0,
@@ -333,8 +341,8 @@ def cmd_euler(scn: Scenario, outdir, seed):
     rng = np.random.default_rng(seed)
     report = {"name": scn.name, "varieties": {}}
     worst = 0.0
-    for vname in varieties:
-        ring = build_cohomology_ring(_variety(vname))
+    for i, vname in enumerate(varieties):
+        ring = build_cohomology_ring(_variety(vname, f"euler.varieties[{i}]"))
         gd = GammaData(ring)
         bundles = []
         for _ in range(size):
@@ -394,8 +402,8 @@ def cmd_orlov(scn: Scenario, outdir, seed):
 def cmd_gkz(scn: Scenario, outdir, seed):
     from .gkz import char_variety_at_limit, generic_rank_check, gkz_relation
     spec = _section(scn, "gkz")
-    fan = scn.named_fan(spec["chart"]) if "chart" in spec \
-        else _variety(spec.get("variety", "p2"))
+    fan = scn.named_fan(spec["chart"], "gkz.chart") if "chart" in spec \
+        else _variety(spec.get("variety", "p2"), "gkz.variety")
     rng = np.random.default_rng(seed)
     ok, witness = char_variety_at_limit(fan)
     rank_report = generic_rank_check(fan, rng=rng)

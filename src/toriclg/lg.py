@@ -2,6 +2,10 @@
 points by multistart damped Newton in log coordinates, conifold points,
 closed-form critical values over wall curves, Newton non-degeneracy tests,
 and predictor-corrector tracking of critical values along moduli paths.
+
+Every Newton iteration here is `_newton_solve`, damped Newton on a stack of
+log points in lockstep: the multistart search, tracking, the conifold point
+(one row) and the non-degeneracy test (one batch per face) all call it.
 """
 from __future__ import annotations
 
@@ -15,15 +19,21 @@ import numpy as np
 from . import errors
 from .cones import normalized_volume, polytope_facets, polytope_proper_faces
 from .fans import StackyFan
-from .rational import mat_inverse, matvec, rank, solve, vec
+from .rational import (integer_kernel, mat_inverse, matvec, primitive, rank,
+                       solve, transpose, vec, vsub)
 
 TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
-TOL_FACE = 1e-10         # relative residual of a face polynomial's zero
+TOL_FACE = 1e-10         # a face's critical value counts as 0 below this
+                         # times its term scale
 TOL_COLLIDE = 1e-4
 # a multistart start: Re log x uniform in [-2.5, 2.5], Im log x in [-pi, pi]
 _START_LOW = np.array([[-2.5], [-math.pi]])
 _START_HIGH = np.array([[2.5], [math.pi]])
+# the starts of each proper face in a non-degeneracy test, and their window
+FACE_STARTS = 60
+_FACE_LOW = np.array([[-2.0], [-math.pi]])
+_FACE_HIGH = np.array([[2.0], [math.pi]])
 # Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
 ALPHA_MAX = 0.1
 
@@ -483,33 +493,22 @@ def _wrap_diff(l1, l2):
 
 
 def conifold_point(F: LGPotential) -> CriticalDatum:
-    """The unique critical point of F on the positive real fibre locus: the
-    global minimum of the convex restriction."""
+    """The unique critical point of F on the positive real fibre locus, the
+    global minimum of the convex restriction: one `_newton_solve` row from
+    l = 0.  With positive real coefficients the terms, gradient, Hessian and
+    step of every iterate are real, so the point is exactly real.  Raises
+    NotPositiveReal when the row does not converge."""
     if np.any(np.abs(F.c.imag) > 1e-12) or np.any(F.c.real <= 0):
         raise errors.NotPositiveReal("potential coefficients must be positive real")
     if np.any(F.chi):
         raise errors.NotPositiveReal("conifold point is non-equivariant")
     if F.expected_count() is None:
         raise errors.NotPositiveReal("origin must be interior to the Newton polytope")
-    l = np.zeros(F.n, dtype=float)
-    creal = F.c.real
-    for _ in range(200):
-        e = np.exp(F.B @ l)
-        g = (creal * e) @ F.B
-        if np.linalg.norm(g) < TOL_NEWTON:
-            break
-        H = (F.B.T * (creal * e)) @ F.B
-        dl = np.linalg.solve(H, -g)
-        t = 1.0
-        f0 = np.sum(creal * e)
-        while t > 1e-12:
-            f1 = np.sum(creal * np.exp(F.B @ (l + t * dl)))
-            if f1 < f0:
-                break
-            t *= 0.5
-        l = l + t * dl
-    p = CriticalDatum(l.astype(complex), F.value(l.astype(complex)),
-                      F.hess(l.astype(complex)))
+    sol, = _newton_solve(F, np.zeros((1, F.n)), [()])
+    if sol is None:
+        raise errors.NotPositiveReal("Newton from l = 0 did not converge")
+    l, t = sol
+    p = CriticalDatum(l, F.value(l, terms=t), F.hess(l, terms=t))
     p.tag = "convergent"
     p.orientation = 1
     p.sqrt_det_h = math.sqrt(p.det_hessian.real)   # positive definite Hessian
@@ -567,10 +566,27 @@ def extraction_parameter(wall, q_minus_chart_value):
 # Newton non-degeneracy
 
 
-def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60):
-    """Kouchnirenko non-degeneracy by multistart search for torus critical
-    points of every proper-face restriction.  Probabilistic certificate:
-    returns (ok, report) with the budget recorded per face."""
+def newton_nondegenerate(F: LGPotential, rng=None):
+    """Kouchnirenko non-degeneracy: no proper face Delta of the Newton
+    polytope has a torus point where x d f_Delta = 0, f_Delta the terms of F
+    on Delta.  Returns (ok, report), the report giving each face's verdict
+    and the number of starts it was searched from.
+
+    A one-point face is a monomial, never degenerate.  On a larger face take
+    an active facet normal a: a.b = a0 for every b on Delta, and a0 > 0 as 0
+    is interior.  Euler's relation a . x d f_Delta = a0 f_Delta makes every
+    zero of x d f_Delta a zero of f_Delta, and x d phi = x^-b0 (x d f_Delta -
+    b0 f_Delta) for phi = x^-b0 f_Delta, b0 the face's first point.  So
+    Delta is degenerate iff phi has a torus critical point with critical
+    value 0.  phi is a Laurent polynomial in s = K l, K an integer basis of
+    the kernel of the active normals (b - b0 lies in it), its exponents the
+    integer coordinates of b - b0 over K; grad_l phi = K^T grad_s phi, so
+    its critical points are those in s.  A face's FACE_STARTS starts l0
+    (Re log x uniform in [-2, 2], Im log x in [-pi, pi]) are mapped to
+    s0 = K l0 and Newton-solved as one batch; the face is degenerate iff a
+    converged row's critical value is below TOL_FACE times its term scale.
+    A probabilistic certificate: a critical point no start reaches is
+    missed."""
     if rng is None:
         rng = np.random.default_rng(1)
     if not F.count_bound()[1]:
@@ -585,75 +601,20 @@ def newton_nondegenerate(F: LGPotential, rng=None, budget_per_face=60):
             # monomial face: x dF has constant nonzero coefficient
             report.append({"face": idx, "degenerate": False, "budget": 0})
             continue
-        sub = LGPotential([F.B_int[i] for i in idx], F.c[idx])
-        normals = [a for a, a0, act in facets if set(idx) <= set(act)]
-        hit = None
-        for _ in range(budget_per_face):
-            l0 = (rng.uniform(-2.0, 2.0, F.n)
-                  + 1j * rng.uniform(-math.pi, math.pi, F.n))
-            l = _face_search(sub, normals, l0)
-            if l is not None:
-                hit = l
-                break
-        report.append({"face": idx, "degenerate": hit is not None,
-                       "budget": budget_per_face})
-        if hit is not None:
-            ok = False
+        K = integer_kernel([primitive(a) for a, _, act in facets
+                            if set(idx) <= set(act)])
+        KT, b0 = transpose(K), F.B_int[idx[0]]
+        phi = LGPotential([solve(KT, vsub(F.B_int[i], b0)) for i in idx],
+                          F.c[idx])
+        u = rng.uniform(_FACE_LOW, _FACE_HIGH, (FACE_STARTS, 2, F.n))
+        S0 = (u[:, 0] + 1j * u[:, 1]) @ np.array(KT, dtype=float)
+        hit = any(abs(np.sum(t)) < TOL_FACE * _term_scale(phi, t)
+                  for _, t in filter(None, _newton_solve(
+                      phi, S0, [()] * FACE_STARTS)))
+        report.append({"face": idx, "degenerate": hit,
+                       "budget": FACE_STARTS})
+        ok = ok and not hit
     return ok, report
-
-
-def _face_search(sub: LGPotential, normals, l0):
-    """Gauss-Newton search for a torus critical point of a face polynomial,
-    restricted to the orthogonal complement of the face's scaling directions
-    (the active facet normals), so the iteration cannot trade residual decay
-    against drift to toric infinity."""
-    n = sub.n
-    A = np.asarray([[float(x) for x in a] for a in normals], dtype=float)
-    if A.size:
-        _, sv, Vt = np.linalg.svd(A)
-        nkeep = int(np.sum(sv > 1e-10))
-        V = Vt[nkeep:].T            # complement directions, n x k
-    else:
-        V = np.eye(n)
-    if V.shape[1] == 0:
-        return None
-    s0 = V.T @ np.asarray(l0, dtype=complex)
-    s = s0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(120):
-            l = V @ s
-            terms = sub.terms(l)
-            g = sub.grad(l, terms=terms)
-            sc = _term_scale(sub, terms)
-            if not np.isfinite(sc) or sc == 0:
-                return None
-            rel = np.linalg.norm(g) / sc
-            if rel < TOL_FACE:
-                return l
-            J = sub.hess(l, terms=terms) @ V
-            ds, *_ = np.linalg.lstsq(J, -g, rcond=None)
-            if not np.all(np.isfinite(ds)):
-                return None
-            t = 1.0
-            improved = False
-            for _ in range(40):
-                l2 = V @ (s + t * ds)
-                terms2 = sub.terms(l2)
-                g2 = sub.grad(l2, terms=terms2)
-                sc2 = _term_scale(sub, terms2)
-                rel2 = (np.linalg.norm(g2) / sc2
-                        if np.isfinite(sc2) and sc2 else math.inf)
-                if rel2 < rel * (1 - 0.2 * t) or rel2 < TOL_FACE:
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                return None
-            s = s + t * ds
-        l = V @ s
-        terms = sub.terms(l)
-        return (l if np.linalg.norm(sub.grad(l, terms=terms))
-                / _term_scale(sub, terms) < TOL_FACE else None)
 
 
 # ---------------------------------------------------------------------------

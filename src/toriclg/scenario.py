@@ -293,10 +293,15 @@ class Scenario:
             raise errors.ScenarioError(f"{path}: invalid JSON: {exc}") from None
         return cls(doc)
 
-    def named_fan(self, name):
+    def named_fan(self, name, field):
+        """The fan `name` of the `fans` object, read from the scenario field
+        `field`."""
         from .fans import StackyFan
+        if not isinstance(name, str):
+            raise errors.ScenarioError(
+                f"{field} must be a fan name (a string), got {name!r}")
         if name not in self.fans:
-            raise errors.ScenarioError(f"unknown fan {name!r}")
+            raise errors.ScenarioError(f"{field}: unknown fan {name!r}")
         return StackyFan(self.vector_set, [set(c) for c in self.fans[name]])
 
     def path_values(self):

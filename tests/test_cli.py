@@ -110,6 +110,9 @@ MALFORMED = [
     ("chi-too-short",
      p2_with(potential={"chart": "p2", "q": ["lam"], "chi": [1]}), "chi"),
     ("at-not-a-number", p2_with(at="x"), "at"),
+    ("chart-not-a-string",
+     p2_with(potential={"chart": ["p2"], "q": ["lam"], "t": {}}),
+     "potential.chart"),
     ("fans-not-an-object", p2_with(fans=[[0, 1]]), "fans must be an object"),
     ("fan-cone-not-integers", p2_with(fans={"p2": [["a", 1]]}), "fans.p2"),
     ("fan-cone-not-a-list", p2_with(fans={"p2": ["x"]}), "fans.p2"),
@@ -438,6 +441,15 @@ NEGATIVE_RUNS = {
     "curve-parameter-not-a-number.json": ("wallcross", "ScenarioError",
                                           "curve_parameter"),
     "fans-not-adjacent.json": ("wallcross", "NotAdjacent", "NotAdjacent"),
+    "potential-chart-not-a-string.json": ("critical", "ScenarioError",
+                                          "potential.chart"),
+    "gkz-chart-not-a-string.json": ("gkz", "ScenarioError", "gkz.chart"),
+    "gkz-variety-not-a-string.json": ("gkz", "ScenarioError",
+                                      "gkz.variety"),
+    "euler-variety-not-a-string.json": ("euler", "ScenarioError",
+                                        "euler.varieties[1]"),
+    "euler-varieties-not-a-list.json": ("euler", "ScenarioError",
+                                        "euler.varieties"),
 }
 
 

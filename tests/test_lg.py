@@ -401,14 +401,55 @@ def test_newton_nondegenerate():
     ok, report = newton_nondegenerate(p2_mirror(1.0))
     assert ok
     F = bl_line_p4_potential(0.8, 1.1)
-    ok, report = newton_nondegenerate(F, budget_per_face=25)
+    ok, report = newton_nondegenerate(F)
     assert ok
+    assert {r["budget"] for r in report if len(r["face"]) > 1} \
+        == {lg.FACE_STARTS}
     # degenerate: the edge x^2 + 2xy + y^2 = (x+y)^2 has torus critical
     # points along x = -y
     G = LGPotential([(2, 0), (1, 1), (0, 2), (-1, -1)],
                     [1.0, 2.0, 1.0, 1.0])
-    ok, report = newton_nondegenerate(G, budget_per_face=80)
+    ok, report = newton_nondegenerate(G)
     assert not ok
+    assert [r["face"] for r in report if r["degenerate"]] == [[0, 1, 2]]
+
+
+def test_face_and_conifold_cost_one_solve_each(monkeypatch):
+    calls = []
+    solve = lg._newton_solve
+
+    def counted(F, L0, components):
+        calls.append(len(components))
+        return solve(F, L0, components)
+    monkeypatch.setattr(lg, "_newton_solve", counted)
+    for F in (p2_mirror(1.3), bl_line_p4_potential(0.8, 1.1)):
+        calls.clear()
+        ok, report = newton_nondegenerate(F)
+        faces = [r for r in report if len(r["face"]) > 1]
+        assert ok and faces
+        assert calls == [lg.FACE_STARTS] * len(faces)
+        calls.clear()
+        conifold_point(F)
+        assert calls == [1]
+
+
+def test_conifold_point_is_exactly_real():
+    rng = np.random.default_rng(11)
+    for layout in (pn_mirror(2, 1.0), pn_mirror(4, 1.0),
+                   bl_line_p4_potential(1.0, 1.0)):
+        for _ in range(10):
+            F = layout.with_coefficients(rng.uniform(0.1, 5.0, layout.nterms))
+            p = conifold_point(F)
+            assert np.all(p.log_point.imag == 0)
+            assert np.linalg.norm(F.grad(p.log_point)) < 1e-10 * max(
+                1.0, np.max(np.abs(F.terms(p.log_point))))
+
+
+def test_conifold_unconverged_raises(monkeypatch):
+    monkeypatch.setattr(lg, "_newton_solve",
+                        lambda F, L0, components: [None])
+    with pytest.raises(errors.NotPositiveReal):
+        conifold_point(p2_mirror(1.0))
 
 
 def test_zero_coefficient_rejected():
