@@ -347,8 +347,8 @@ def cmd_euler(scn: Scenario, outdir, seed):
         bundles = []
         for _ in range(size):
             c1 = ring.zero()
-            for i in range(ring.m):
-                c1 = c1 + ring.divisor(i).scaled(
+            for ray in range(ring.m):
+                c1 = c1 + ring.divisor(ray).scaled(
                     Fraction(int(rng.integers(-spread, spread + 1))))
             bundles.append(KClass.line_bundle(ring, c1, "L"))
         gram = []

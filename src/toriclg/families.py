@@ -2,8 +2,6 @@
 and scenarios."""
 from __future__ import annotations
 
-import numpy as np
-
 from .lg import LGPotential
 
 
@@ -53,20 +51,6 @@ def bl_line_p4_family_lambda(t_of_lambda=None):
         q2 = lam * q1 ** 1.5
         return template.with_coefficients(_bl_line_p4_coefficients(q1, q2))
     return family
-
-
-def bl_line_p4_oracle_values(lam):
-    """Critical values t^{-1/2}(5x + 3x^3) over the nine roots of
-    x^5 (x^2+1)^2 = lam, with t = `_bl_line_p4_t(lam)`, sorted by decreasing
-    imaginary part."""
-    lam = complex(lam)
-    t = complex(_bl_line_p4_t(lam))
-    p = np.zeros(10, dtype=complex)
-    p[0], p[2], p[4], p[9] = 1, 2, 1, -lam
-    roots = np.roots(p)
-    vals = [t ** -0.5 * (5 * x + 3 * x ** 3) for x in roots]
-    vals.sort(key=lambda v: (-v.imag, v.real))
-    return vals
 
 
 def cyclic_orbifold_potential(d: int, t: complex) -> LGPotential:

@@ -11,27 +11,26 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
-
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import bilinear, frac
+from .rational import cleared, frac, idot
 
 # Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
 _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
                Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
                Fraction(-1, 1209600)]
 
-# transcendental constants at 30 digits, without touching the process-wide
-# mpmath precision
-with mpmath.workdps(30):
-    EULER_GAMMA = complex(mpmath.euler)
 
-
-def zeta_value(k: int) -> complex:
+@functools.lru_cache(maxsize=None)
+def _constant(k: int) -> complex:
+    """The Euler-Mascheroni constant (k = 1) or zeta(k) (k >= 2) at 30
+    digits, without touching the process-wide mpmath precision.  mpmath is
+    imported here, on the first evaluation of a GammaPoly, so the exact
+    K-theory never loads it."""
+    import mpmath
     with mpmath.workdps(30):
-        return complex(mpmath.zeta(k))
+        return complex(mpmath.euler if k == 1 else mpmath.zeta(k))
 
 
 class GammaPoly:
@@ -95,7 +94,7 @@ class GammaPoly:
         return self * Fraction(-1)
 
     def evaluate(self) -> complex:
-        vals = [EULER_GAMMA] + [zeta_value(k) for k in range(2, self.nzeta + 2)]
+        vals = [_constant(k) for k in range(1, self.nzeta + 2)]
         out = 0j
         for key, c in self.terms.items():
             t = complex(c)
@@ -294,9 +293,11 @@ class CohomologyRing:
 
     @functools.cached_property
     def euler_form(self):
-        """Exact Euler-form matrix X[a][b] = int e_a^dual e_b Td(X) on the
-        flattened basis, so chi(V, W) = flatten(ch V)^T X flatten(ch W);
-        built on first use from a single Todd class."""
+        """The Euler form X[a][b] = int e_a^dual e_b Td(X) on the flattened
+        basis, as (D, E) with E an int matrix and X = E / D over one common
+        denominator, so chi(V, W) = flatten(ch V)^T E flatten(ch W) / D.
+        Built on first use from a single Todd class: one product e_b Td(X)
+        per unit, then each entry is a top-degree read against e_a^dual."""
         units = []
         for d in range(self.n + 1):
             for i in range(len(self.basis[d])):
@@ -304,8 +305,18 @@ class CohomologyRing:
                 z.coeffs[d][i] = Fraction(1)
                 units.append(z)
         td = self.todd_class()
-        return [[(a.dual() * b * td).integrate() for b in units]
-                for a in units]
+        tds = [b * td for b in units]
+        D, flat = cleared([a.dual().product(t, self.n).integrate()
+                           for a in units for t in tds])
+        N = len(units)
+        return D, [flat[a * N:(a + 1) * N] for a in range(N)]
+
+    def chi(self, u, v):
+        """u^T X v for vectors cleared to (d, ints) (`rational.cleared`),
+        as (numerator, denominator) in int."""
+        D, E = self.euler_form
+        (du, iu), (dv, iv) = u, v
+        return idot(iu, [idot(row, iv) for row in E]), D * du * dv
 
 
 class Cls:
@@ -336,6 +347,12 @@ class Cls:
                                for d, v in self.coeffs.items()})
 
     def __mul__(self, other):
+        return self.product(other, 0)
+
+    def product(self, other, lowest):
+        """The part of self * other in degrees lowest..n; lowest = n reads
+        the top degree alone.  Each kept degree is summed in the order of
+        the full product, so it equals that product's bit for bit."""
         ring = self.ring
         poly = {}
         for d1, v1 in self.coeffs.items():
@@ -344,7 +361,7 @@ class Cls:
                     continue
                 mo1 = ring.basis[d1][i1]
                 for d2, v2 in other.coeffs.items():
-                    if d1 + d2 > ring.n:
+                    if not lowest <= d1 + d2 <= ring.n:
                         continue
                     for i2, c2 in enumerate(v2):
                         if c2 == 0:
@@ -420,6 +437,12 @@ class KClass:
     def line_bundle(cls, ring, divisor_class: Cls, label=None):
         return cls(ring, divisor_class.exp(), label or "O(D)")
 
+    @functools.cached_property
+    def int_ch(self):
+        """The flattened ch over its common denominator, as (d, ints)
+        (`rational.cleared`): the HRR pairing's integer form of the class."""
+        return cleared(self.ring.flatten(self.ch))
+
     def tensor(self, other):
         return KClass(self.ring, self.ch * other.ch,
                       f"{self.label}*{other.label}")
@@ -439,12 +462,14 @@ def build_cohomology_ring(fan: StackyFan) -> CohomologyRing:
 
 def euler_pairing_hrr(V1: KClass, V2: KClass) -> int:
     """chi(V1, V2) = int ch(V1^dual) ch(V2) Td(X), exact and integral;
-    evaluated through the ring's Euler-form matrix."""
-    ring = V1.ring
-    val = bilinear(ring.flatten(V1.ch), ring.euler_form, ring.flatten(V2.ch))
-    if not isinstance(val, Fraction) or val.denominator != 1:
-        raise errors.NonIntegral(f"HRR pairing not an integer: {val}")
-    return int(val)
+    evaluated in int through the ring's Euler form (D, E) and each class's
+    int_ch."""
+    num, den = V1.ring.chi(V1.int_ch, V2.int_ch)
+    q, r = divmod(num, den)
+    if r:
+        raise errors.NonIntegral(
+            f"HRR pairing not an integer: {Fraction(num, den)}")
+    return q
 
 
 def gamma_class(ring: CohomologyRing) -> Cls:
@@ -486,34 +511,40 @@ class GammaData:
         self._gamma_num = self.gamma.numeric()
         # exp(-pi i c1) depends on neither argument of the pairing
         self._exp_c1 = self.c1.numeric().scaled(-1j * math.pi).exp()
-        # id(V) -> (V, alpha(V)); holding V keeps its id from being reused
-        self._alphas = {}
+        # id(V) -> (V, b(V), alpha(V)); holding V keeps its id from being
+        # reused
+        self._factors = {}
 
-    def alpha(self, V: KClass) -> Cls:
-        """Gamma * (2 pi i)^{deg0/2} ch(V), computed once per class."""
-        hit = self._alphas.get(id(V))
+    def factors(self, V: KClass):
+        """(b, alpha) for V, computed once per class: alpha = Gamma *
+        (2 pi i)^{deg0/2} ch(V), the right factor of the pairing, and
+        b = e^{pi i mu} exp(-pi i c1) alpha with mu = (deg0 - n)/2, the
+        left one."""
+        hit = self._factors.get(id(V))
         if hit is not None:
-            return hit[1]
-        twopii = 2j * math.pi
-        chnum = V.ch.numeric()
-        scaled = Cls(self.ring, {d: [x * twopii ** d for x in v]
-                                 for d, v in chnum.coeffs.items()})
-        a = self._gamma_num * scaled
-        self._alphas[id(V)] = (V, a)
-        return a
-
-    def pairing(self, V1: KClass, V2: KClass) -> complex:
-        """[alpha_1, alpha_2) with alpha_i = Gamma * (2 pi i)^{deg0/2} ch(V_i)."""
+            return hit[1:]
         ring = self.ring
         n = ring.n
-        a1 = self.alpha(V1)
-        a2 = self.alpha(V2)
-        # exp(-pi i c1) * a1, then e^{pi i mu} with mu = (deg0 - n)/2
-        b1 = self._exp_c1 * a1
-        b1 = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2 * 1))
-                            for x in v] for d, v in b1.coeffs.items()})
-        val = (b1 * a2).integrate()
-        return val / (2 * math.pi) ** n
+        twopii = 2j * math.pi
+        chnum = V.ch.numeric()
+        scaled = Cls(ring, {d: [x * twopii ** d for x in v]
+                            for d, v in chnum.coeffs.items()})
+        a = self._gamma_num * scaled
+        b = self._exp_c1 * a
+        b = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2 * 1))
+                           for x in v] for d, v in b.coeffs.items()})
+        self._factors[id(V)] = (V, b, a)
+        return b, a
+
+    def pairing(self, V1: KClass, V2: KClass) -> complex:
+        """[alpha_1, alpha_2) with alpha_i = Gamma * (2 pi i)^{deg0/2} ch(V_i):
+        the integral of b_1 alpha_2, read from the top degree of the
+        product alone (`Cls.product`), with b_1 and alpha_2 cached per
+        class (`factors`)."""
+        b1 = self.factors(V1)[0]
+        a2 = self.factors(V2)[1]
+        val = b1.product(a2, self.ring.n).integrate()
+        return val / (2 * math.pi) ** self.ring.n
 
 
 def _cis(theta):

@@ -1,15 +1,13 @@
 """Marked reflection systems: admissible phases, Stokes/Gram matrices,
-left and right mutations, evolution along critical-value trajectories with
-ray-crossing detection, and the Orlov-block verification of an endpoint
-system."""
+left and right mutations, and evolution along critical-value trajectories
+with ray-crossing detection."""
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 
 from . import errors
-from .rational import bilinear, solve, transpose, vec
+from .rational import bilinear, cleared
 
 
 class MatrixBackend:
@@ -25,18 +23,18 @@ class MatrixBackend:
 
 class KBackend:
     """Exact Euler pairing on Chern-character vectors flattened over the
-    ring basis: u^T X v with X the ring's own Euler-form matrix
-    (CohomologyRing.euler_form), the same form euler_pairing_hrr uses."""
+    ring basis: u^T X v as a Fraction, with X the ring's integer Euler form
+    (CohomologyRing.euler_form, read by CohomologyRing.chi), the same form
+    euler_pairing_hrr uses; u and v are cleared to int on each call."""
 
     def __init__(self, ring):
         self.ring = ring
-        self.G = ring.euler_form
 
     def flatten(self, cls):
         return self.ring.flatten(cls)
 
     def pair(self, u, v):
-        return bilinear(u, self.G, v)
+        return Fraction(*self.ring.chi(cleared(u), cleared(v)))
 
 
 def admissible(phi, markings) -> bool:
@@ -283,81 +281,3 @@ def _refine_crossing(trajectory, k, i, j, phase, s_guess):
         if b - a < REFINE_TOL:
             break
     return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
-# Orlov-block verification of an evolved endpoint
-
-
-def verify_orlov_evolution(mrs: MarkedReflectionSystem, blowup=None,
-                           rank_minus=None, rank_center=None, J=None):
-    """Split the endpoint markings into the convergent cluster and J
-    divergent satellite clusters, then verify the block structure.
-
-    In K-class mode (blowup given) the convergent vectors must span
-    phi^* K(X_-) over Z and each divergent cluster must have the rank of
-    K(Z); in abstract mode only the cluster ranks are checked.
-    Returns a report dict."""
-    if blowup is not None:
-        rank_minus = blowup.rank_minus
-        rank_center = blowup.rank_center
-        J = blowup.J
-    n = len(mrs)
-    if rank_minus is None or J is None:
-        raise ValueError("need rank data")
-    mags = sorted(range(n), key=lambda i: abs(mrs.markings[i]))
-    conv_idx = mags[:rank_minus]
-    div_idx = mags[rank_minus:]
-    if rank_center is not None and len(div_idx) != J * rank_center:
-        raise errors.BlockMismatch(
-            f"{len(div_idx)} divergent markings, expected {J * rank_center}")
-    # cluster divergent markings by angle: cut the circle at the J largest
-    # angular gaps
-    clusters = {}
-    if div_idx:
-        m = len(div_idx)
-        by_angle = sorted(div_idx,
-                          key=lambda i: cmath.phase(mrs.markings[i]))
-        angs = [cmath.phase(mrs.markings[i]) for i in by_angle]
-        gaps = [(((angs[(t + 1) % m] - angs[t]) % (2 * math.pi)), t)
-                for t in range(m)]
-        cut_after = {t for _, t in sorted(gaps, reverse=True)[:min(J, m)]}
-        start = (max(cut_after) + 1) % m
-        cur = []
-        label = 0
-        for step in range(m):
-            idx = (start + step) % m
-            cur.append(by_angle[idx])
-            if idx in cut_after:
-                clusters[label] = cur
-                label += 1
-                cur = []
-        if cur:
-            clusters[label] = cur
-    if len(div_idx) and len(clusters) != J:
-        raise errors.BlockMismatch(
-            f"divergent markings fall into {len(clusters)} angular clusters,"
-            f" expected {J}")
-    report = {"convergent": conv_idx, "clusters": clusters}
-    if rank_center is not None:
-        for key, idxs in clusters.items():
-            if len(idxs) != rank_center:
-                raise errors.BlockMismatch(
-                    f"cluster {key} has {len(idxs)} markings, expected "
-                    f"{rank_center}")
-    if blowup is not None:
-        backend = mrs.backend
-        # phi^* K(X_-) span over Z
-        pull = []
-        for j, _ in blowup.minus_line_bundle_basis():
-            kc = blowup.pullback_line_bundle({blowup.center_twist_ray: j})
-            pull.append(backend.flatten(kc.ch))
-        for i in conv_idx:
-            coeff = solve(transpose([vec(r) for r in pull]),
-                          vec(mrs.vectors[i]))
-            if coeff is None or any(x.denominator != 1 for x in coeff):
-                raise errors.BlockMismatch(
-                    f"convergent vector {mrs.labels[i]} is not an integral "
-                    "combination of pulled-back classes")
-        report["convergent_in_pullback"] = True
-    return report

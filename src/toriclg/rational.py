@@ -4,9 +4,10 @@ Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
 stay small (a dozen rows/columns), so everything over Q is one plain
 Gauss-Jordan loop (`_eliminate`, read by `rref` and `mat_inverse`, and by
 `det` in its forward half only) and, over Z, one textbook Hermite reduction
-with full pivot tracking.  `primitive` and `idot` take `int` vectors as they
-are, for the callers (the double description, the stability probes) that
-run on integers and convert to Fraction only at their ends.
+with full pivot tracking.  `cleared`, `primitive` and `idot` take `int`
+vectors as they are, for the callers (the double description, the stability
+probes, the HRR pairing) that run on integers and convert to Fraction only
+at their ends.
 """
 from __future__ import annotations
 
@@ -173,12 +174,18 @@ def mat_inverse(rows):
     return inv, prod(factors, start=Fraction(1))
 
 
-def primitive(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1); int
-    entries are read as they are, without a Fraction."""
+def cleared(v):
+    """A rational vector over its least common denominator, as (den, ints)
+    with v = ints / den; int entries are read as they are, without a
+    Fraction."""
     v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    return den, [x.numerator * (den // x.denominator) for x in v]
+
+
+def primitive(v):
+    """Scale a rational vector to a primitive integer vector (gcd 1)."""
+    ints = cleared(v)[1]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 

@@ -148,39 +148,3 @@ def higher_residue_pairing(F: LGPotential, phi1=None, phi2=None, order=0,
                 s += (-1) ** m * a1[m] * a2[j - m]
             out[j] += s
     return out
-
-
-def grothendieck_residue_oracle(F: LGPotential, phi1=None, phi2=None, *,
-                                points):
-    """Independent order-0 oracle: sum over the critical points `points` of
-    phi1 phi2 / (|N_tor|^2 det h)."""
-
-    def ev(phi, p):
-        if phi is None:
-            return 1.0 + 0j
-        pB, pc = phi
-        return complex(np.sum(np.asarray(pc, dtype=complex)
-                              * np.exp(np.asarray(pB, dtype=float) @ p.log_point)))
-    total = 0j
-    for p in points:
-        total += ev(phi1, p) * ev(phi2, p) / (F.torsion_order ** 2
-                                              * p.det_hessian)
-    return total
-
-
-def steepest_descent_quadrature_p1(q, z_values):
-    """Numerical oracle for the P^1 mirror x + q/x at the conifold point:
-    evaluates int_0^infty e^{F/z} dx/x for z < 0 by trapezoid in t = log x
-    (doubly exponential decay makes the plain trapezoid spectrally accurate).
-    Returns the list of integral values."""
-    out = []
-    sq = math.sqrt(q)
-    for z in z_values:
-        assert z < 0
-        T = 14.0
-        npts = 4001
-        ts = np.linspace(-T, T, npts)
-        # x = sq * e^t: F = sq(e^t + e^-t) = 2 sq cosh t
-        vals = np.exp(2 * sq * np.cosh(ts) / z)
-        out.append(float(np.trapezoid(vals, ts)))
-    return out

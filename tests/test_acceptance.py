@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from critical_value_oracle import bl_line_p4_oracle_values
+from residue_oracle import (grothendieck_residue_oracle,
+                            steepest_descent_quadrature_p1)
 from toriclg import errors
-from toriclg.families import (bl_line_p4_family_lambda,
-                              bl_line_p4_oracle_values, p1_mirror, p2_mirror)
+from toriclg.families import bl_line_p4_family_lambda, p1_mirror, p2_mirror
 from toriclg.fans import StackyFan
 from toriclg.gkz import generic_rank_check, gkz_relation
 from toriclg.ktheory import (BlowupData, GammaData, KClass, bl_line_p4,
@@ -26,9 +28,7 @@ from toriclg.lg import (conifold_point, critical_points,
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               evolve)
 from toriclg.rational import det, primitive
-from toriclg.residues import (asym_expansion, grothendieck_residue_oracle,
-                              higher_residue_pairing,
-                              steepest_descent_quadrature_p1)
+from toriclg.residues import asym_expansion, higher_residue_pairing
 from toriclg.secondary import CurveChart, PLConeData, wall_between
 
 

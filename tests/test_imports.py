@@ -58,3 +58,24 @@ def test_exact_modules_load_without_numpy():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_exact_k_theory_loads_without_mpmath():
+    # mpmath is imported on the first evaluation of a Gamma class, so an
+    # Orlov basis and its semiorthogonality check never load it
+    code = ("import itertools, sys\n"
+            "from toriclg import ktheory, secondary\n"
+            "from toriclg.fans import StackyFan\n"
+            "plus = ktheory.bl_line_p4()\n"
+            "minus = StackyFan(plus.vector_set,"
+            " itertools.combinations(range(5), 4))\n"
+            "bd = ktheory.BlowupData(secondary.wall_between(plus, minus), 3)\n"
+            "classes, blocks = bd.orlov_basis(1)\n"
+            "assert ktheory.verify_sod(classes, blocks)[0]\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "ktheory.GammaData(bd.ring_plus)\n"
+            "assert 'mpmath' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from orlov_evolution_oracle import verify_orlov_evolution
 from toriclg import errors
 from toriclg.families import bl_line_p4_family_lambda
 from toriclg.fans import StackyFan
@@ -15,8 +16,7 @@ from toriclg.ktheory import (BlowupData, bl_line_p4, bl_line_p4_collection,
                              build_cohomology_ring)
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lg import track_critical_values
-from toriclg.mutation import (KBackend, MarkedReflectionSystem, evolve,
-                              verify_orlov_evolution)
+from toriclg.mutation import KBackend, MarkedReflectionSystem, evolve
 from toriclg.secondary import enumerate_adapted_fans, wall_between
 
 WALL_KINDS = {"flip", "contract_divisor", "extract_divisor", "root", "crepant"}

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from critical_value_oracle import bl_line_p4_oracle_values
 from toriclg import errors, lg
-from toriclg.families import (bl_line_p4_family_lambda,
-                              bl_line_p4_oracle_values, bl_line_p4_potential,
+from toriclg.families import (bl_line_p4_family_lambda, bl_line_p4_potential,
                               blowup_c2_potential, cyclic_orbifold_potential,
                               cyclic_resolution_potential, p1_mirror,
                               p2_mirror, pn_mirror)

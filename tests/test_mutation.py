@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orlov_evolution_oracle import verify_orlov_evolution
 from toriclg import errors
 from toriclg.families import bl_line_p4_family_lambda
 from toriclg.fans import StackyFan
@@ -16,7 +17,7 @@ from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lg import (CriticalDatum, LGPotential, Trajectory,
                         track_critical_values)
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
-                              admissible, evolve, verify_orlov_evolution)
+                              admissible, evolve)
 from toriclg.rational import det
 from toriclg.secondary import wall_between
 

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from residue_oracle import (grothendieck_residue_oracle,
+                            steepest_descent_quadrature_p1)
 from toriclg import errors
 from toriclg.families import p1_mirror, p2_mirror
 from toriclg.lg import LGPotential, conifold_point, critical_points
-from toriclg.residues import (asym_expansion, grothendieck_residue_oracle,
-                              higher_residue_pairing,
-                              steepest_descent_quadrature_p1)
+from toriclg.residues import asym_expansion, higher_residue_pairing
 
 
 def test_leading_term_is_gaussian():
