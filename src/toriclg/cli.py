@@ -16,8 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import errors
 from .scenario import Scenario, _is_int, _is_real, compile_expr
 
@@ -37,6 +35,13 @@ def _dump(obj, outdir, fname):
         json.dump(obj, fh, sort_keys=True, indent=1, default=_jnum)
         fh.write("\n")
     return path
+
+
+def _rng(seed):
+    """numpy's generator for --seed; numpy is imported only by the
+    subcommands that draw from it."""
+    import numpy as np
+    return np.random.default_rng(seed)
 
 
 def _checked(value, ok, field, want):
@@ -179,7 +184,7 @@ def cmd_critical(scn: Scenario, outdir, seed):
     if "at" in scn.doc:
         _checked(at, _is_real, "at", "a real number")
     F = family(complex(at))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     pts = critical_points(F, rng=rng)
     report = {"name": scn.name, "at": _jnum(complex(at)),
               "count": len(pts), "expected": F.expected_count(),
@@ -207,7 +212,7 @@ def _track(scn, seed):
     from .lg import track_critical_values
     family = _family_from_scenario(scn)
     params = scn.path_values()
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return track_critical_values(family, params, rng=rng), params
 
 
@@ -338,7 +343,7 @@ def cmd_euler(scn: Scenario, outdir, seed):
     tol = float(_checked(tols.get("gamma_vs_hrr", 1e-6),
                          lambda x: _is_real(x) and x > 0,
                          "tolerances.gamma_vs_hrr", "a positive number"))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     report = {"name": scn.name, "varieties": {}}
     worst = 0.0
     for i, vname in enumerate(varieties):
@@ -404,7 +409,7 @@ def cmd_gkz(scn: Scenario, outdir, seed):
     spec = _section(scn, "gkz")
     fan = scn.named_fan(spec["chart"], "gkz.chart") if "chart" in spec \
         else _variety(spec.get("variety", "p2"), "gkz.variety")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     ok, witness = char_variety_at_limit(fan)
     rank_report = generic_rank_check(fan, rng=rng)
     ops = []

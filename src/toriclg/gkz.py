@@ -9,8 +9,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import errors
 from .cones import normalized_volume, polytope_facets
 from .fans import StackyFan
@@ -310,6 +308,7 @@ def generic_rank_check(fan: StackyFan, rng=None):
     if not weak_fano(fan):
         raise errors.NotWeakFano("rank law requires a weak Fano chart")
     if rng is None:
+        import numpy as np
         rng = np.random.default_rng(123)
     expected = fan.lattice.torsion_order * fan.fan_polytope_volume()
     m = len(fan.S)

@@ -6,6 +6,8 @@ and predictor-corrector tracking of critical values along moduli paths.
 Every Newton iteration here is `_newton_solve`, damped Newton on a stack of
 log points in lockstep: the multistart search, tracking, the conifold point
 (one row) and the non-degeneracy test (one batch per face) all call it.
+Only the multistart search gives it the search box, where rows drifting to
+toric infinity are retired.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ TOL_HESS = 1e-9
 TOL_FACE = 1e-10         # a face's critical value counts as 0 below this
                          # times its term scale
 TOL_COLLIDE = 1e-4
+# a multistart search keeps points with |Re log x| <= SEARCH_BOX, and its
+# Newton rows leave the stack once they drift beyond it
+SEARCH_BOX = 18.0
 # a multistart start: Re log x uniform in [-2.5, 2.5], Im log x in [-pi, pi]
 _START_LOW = np.array([[-2.5], [-math.pi]])
 _START_HIGH = np.array([[2.5], [math.pi]])
@@ -104,14 +109,17 @@ class LGPotential:
     # -- evaluation in log coordinates l = log x ----------------------------
     # `terms`, `grad` and `hess` take one point (n,) or a stack of points
     # (k, n); a stack's terms are (k, nterms), its gradients (k, n) and its
-    # Hessians (k, n, n), and each row equals the one-point result bit for
-    # bit (tests/test_numpy_identities.py).  `value` takes one point.
+    # Hessians (k, n, n), its values (k,), and each row equals the one-point
+    # result bit for bit (tests/test_numpy_identities.py).
     def value(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
-        val = np.sum(t)
+        val = np.sum(t, axis=-1)
         if np.any(self.chi):
-            val -= np.sum(self.chi * l)
-        return complex(val)
+            # chi * l on a (1, 1) stack is not the one-point product's
+            # bits; chi broadcast to the stack's shape is, whatever the shape
+            chi = np.broadcast_to(self.chi, l.shape)
+            val = val - np.sum(chi * l, axis=-1)
+        return val if val.ndim else complex(val)
 
     def terms(self, l, component=()):
         """The monomial terms t_b = c_b x^b at l; `value`, `grad`, `hess` and
@@ -235,19 +243,26 @@ def _line_trial(F, L, dL, t, gn, labels, tol):
     return ok, [Lp, Tp, Gp, gp, sp]
 
 
-def _newton_solve(F, L0, components, tol=TOL_NEWTON):
+def _newton_solve(F, L0, components, tol=TOL_NEWTON, box=None):
     """Damped Newton from every row of the (k, n) stack L0, row i on fibre
     component components[i], all rows in lockstep.  Returns one entry per
     row: None unless that row converges, else (l, terms at l).
+
+    Given a `box`, a row still iterating whose max |Re l| exceeds it is
+    retired, as a row with a non-finite gradient is, and returns None.
+    Such a row follows an escape direction to toric infinity: the initial
+    system of some face has torus zeros there (Bernstein 1975, theorem B),
+    the gradient decays along the way and the line search keeps accepting,
+    so without the box it would run every pass.
 
     Each row keeps its own iterate, line-search step and exit, and leaves
     where a Newton solve from that row alone would: the stacked terms,
     gradients, Hessians, solves and norms equal their one-row forms bit for
     bit, so a row's result does not depend on the batch it is solved in
-    (tests/test_newton_oracle.py keeps the one-row solve as the oracle).
-    The terms, gradient, its norm and the term scale at each point are
-    evaluated once: an accepted line-search point's serve the next
-    iterate."""
+    (tests/test_newton_oracle.py keeps the one-row solve as the oracle),
+    with or without a box.  The terms, gradient, its norm and the term
+    scale at each point are evaluated once: an accepted line-search point's
+    serve the next iterate."""
     k = len(components)
     L = np.asarray(L0, dtype=complex).reshape(k, F.n)
     labels = np.fromiter(components, dtype=object, count=k)
@@ -262,6 +277,8 @@ def _newton_solve(F, L0, components, tol=TOL_NEWTON):
             for i in done.nonzero()[0]:
                 out[rows[i]] = (L[i], T[i])
             go = np.isfinite(gn) & ~done
+            if box is not None:
+                go &= np.abs(L.real).max(axis=1) <= box
             if it == 100 or not go.any():
                 break
             if not go.all():
@@ -367,9 +384,10 @@ def _alpha_certified(F, points):
     their wrapped log distance exceeds 2 (beta_i + beta_j), and each
     associated zero lies within 2 beta of its point.  The points are then
     that many distinct simple torus zeros."""
-    alpha, beta = _alpha_beta(F, [p.log_point for p in points],
-                              [p.component for p in points])
-    i, j, gap, same = _pair_gaps(points)
+    comps = [p.component for p in points]
+    alpha, beta = _alpha_beta(F, [p.log_point for p in points], comps)
+    i, j, same = _pairs(comps)
+    gap = _pair_gaps(points, i, j)
     return bool(np.all(alpha < ALPHA_MAX)
                 and not np.any(same & ~(gap > 2 * (beta[i] + beta[j]))))
 
@@ -380,10 +398,16 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     """All critical points x dF/dx = chi on the open torus, by multistart
     damped Newton in log coordinates, deduplicated modulo 2 pi i shifts.
 
-    Solutions drifting to toric infinity (|Re log x| beyond 18, where the
-    gradient decays without a genuine zero) are rejected.  The target
-    count is `expected`, or else the bound of `F.count_bound()`:
-    Bernstein's bound, which no isolated solution set exceeds.
+    Solutions drifting to toric infinity (|Re log x| beyond SEARCH_BOX,
+    where the gradient decays without a genuine zero) are rejected, and a
+    Newton row is retired as soon as it leaves that box: where 0 is not
+    interior to the Newton polytope most starts follow an escape direction
+    (Bernstein 1975, theorem B) and would otherwise run every pass only to
+    be rejected.  A row's result still does not depend on its batch.
+
+    The target count is `expected`, or else the bound of
+    `F.count_bound()`: Bernstein's bound, which no isolated solution set
+    exceeds.
 
     The search stops in one of two ways.  When the bound is exact (the
     Kouchnirenko count, 0 interior to the Newton polytope) and the found
@@ -425,7 +449,7 @@ def critical_points(F: LGPotential, expected=None, rng=None,
 
     def record(l, component):
         l = _canonical_log(l)
-        if np.max(np.abs(l.real)) > 18.0:
+        if np.max(np.abs(l.real)) > SEARCH_BOX:
             return
         near = [p.log_point for p in found if p.component == component]
         if near and np.any(_row_norms(_wrap_diff(np.array(near), l))
@@ -458,7 +482,7 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             skip = 0
             for used, sol in enumerate(
                     _newton_solve(F, u[:, 0] + 1j * u[:, 1],
-                                  [component] * size), 1):
+                                  [component] * size, box=SEARCH_BOX), 1):
                 tries += 1
                 if sol is not None:
                     record(sol[0], component)
@@ -672,6 +696,9 @@ def track_critical_values(family, params, rng=None):
     pts = critical_points(family(params[0]), rng=rng)
     branches = [[p] for p in pts]
     events = []
+    # a branch keeps its fibre component (re-matching too), so the pairs
+    # that share one are found once
+    pi, pj, same = _pairs([p.component for p in pts])
 
     def advance(Fk, prev_pts, prev_prev_pts, frac_step):
         # every branch from its prediction, then the failed ones again from
@@ -691,9 +718,8 @@ def track_critical_values(family, params, rng=None):
             sols[i] = sol
         L = np.array([l for l, _ in sols]).reshape(len(sols), Fk.n)
         T = np.array([t for _, t in sols]).reshape(len(sols), Fk.nterms)
-        nxt = CriticalDatum.stack(
-            _canonical_log(L), [Fk.value(*x) for x in zip(L, comps, T)],
-            Fk.hess(L, comps, T), comps)
+        nxt = CriticalDatum.stack(_canonical_log(L), Fk.value(L, terms=T),
+                                  Fk.hess(L, comps, T), comps)
         return list(map(_transport_branch, prev_pts, nxt)), None
 
     def advance_adaptive(a, b, cur, prev_prev, depth):
@@ -718,8 +744,7 @@ def track_critical_values(family, params, rng=None):
         # two branches of one fibre component landing on one sheet, within
         # 1e-8 in wrapped log distance (monodromy past a collision):
         # re-solve the fibre and re-match greedily
-        _, _, gap, same = _pair_gaps(nxt)
-        if np.any((gap < 1e-8) & same):
+        if np.any((_pair_gaps(nxt, pi, pj) < 1e-8) & same):
             nxt = _rematch(family(s1), cur, len(branches), rng)
             if nxt is None:
                 raise errors.LostBranch(
@@ -749,14 +774,18 @@ def track_critical_values(family, params, rng=None):
     return Trajectory(params, branches, events, family)
 
 
-def _pair_gaps(pts):
-    """(i, j, wrapped log distance, same fibre component) over the pairs
-    i < j of the points, all pairs at once."""
-    i, j = np.triu_indices(len(pts), 1)
+def _pairs(components):
+    """(i, j, same fibre component) over the pairs i < j of the labels."""
+    i, j = np.triu_indices(len(components), 1)
+    ids = {}
+    code = np.array([ids.setdefault(c, len(ids)) for c in components], int)
+    return i, j, code[i] == code[j]
+
+
+def _pair_gaps(pts, i, j):
+    """Wrapped log distance of each pair (i, j) of the points, all at once."""
     P = np.array([p.log_point for p in pts])
-    same = np.array([pts[a].component == pts[b].component
-                     for a, b in zip(i, j)], bool)
-    return i, j, _row_norms(_wrap_diff(P[i], P[j])), same
+    return _row_norms(_wrap_diff(P[i], P[j]))
 
 
 def _pnum(s):

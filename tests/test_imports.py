@@ -79,3 +79,22 @@ def test_exact_k_theory_loads_without_mpmath():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("fans", "a1.json"), ("fans", "bl-line-p4.json"),
+    ("orlov", "bl-line-p4.json")])
+def test_exact_subcommands_run_without_numpy(command, scenario, tmp_path):
+    # the CLI imports numpy only inside the subcommands that draw from a
+    # generator, so the exact ones never load it
+    code = ("import sys\n"
+            "from toriclg import cli\n"
+            f"rc = cli.main([{command!r}, '--scenario', {scenario!r},"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=PKG.parent.parent / "scenarios",
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -89,6 +89,46 @@ def test_singular_hessian_fails_only_its_row():
     assert _check_rows(F, L0, [()] * 4) == 2
 
 
+# charts where 0 is not interior to the Newton polytope: most starts drift
+# to toric infinity
+DRIFTING = {**{f"cyclic-d{d}-{t}": cyclic_orbifold_potential(d, t)
+               for d in (3, 4, 5) for t in (0.8, 1.1 - 0.2j, 1.4)},
+            **{f"blowup-c2-{t}": blowup_c2_potential(t)
+               for t in (0.7, 1.0, 1.3 + 0.1j)}}
+
+
+@pytest.mark.parametrize("i, name", enumerate(DRIFTING),
+                         ids=list(DRIFTING))
+def test_box_keeps_every_row_that_converges_inside_it(i, name, monkeypatch):
+    # every row the uncapped solve converges inside the search box converges
+    # to the same bits with the box; the box only retires drifting rows,
+    # which cuts the lockstep passes from 100 to a few dozen
+    F = DRIFTING[name]
+    u = np.random.default_rng(i).uniform(lg._START_LOW, lg._START_HIGH,
+                                         (150, 2, F.n))
+    L0 = u[:, 0] + 1j * u[:, 1]
+    passes, solve = [], lg._solve
+
+    def counted(H, X):
+        passes[-1] += 1
+        return solve(H, X)
+    monkeypatch.setattr(lg, "_solve", counted)
+    sols = []
+    for box in (None, lg.SEARCH_BOX):
+        passes.append(0)
+        sols.append(lg._newton_solve(F, L0, [()] * len(L0), box=box))
+    inside = 0
+    for free, capped in zip(*sols):
+        if capped is not None:
+            assert capped[0].tobytes() == free[0].tobytes()
+            assert capped[1].tobytes() == free[1].tobytes()
+            inside += 1
+        elif free is not None:      # only a point outside the box is lost
+            assert np.abs(free[0].real).max() > lg.SEARCH_BOX
+    assert inside > 0
+    assert passes[0] == 100 and passes[1] < 40
+
+
 def test_empty_stack():
     F = pn_mirror(2, 1.0)
     assert lg._newton_solve(F, np.empty((0, 2)), []) == []
@@ -113,16 +153,23 @@ def _search(module, F, seed, **kw):
     (bl_line_p4_family_lambda()(0.001), {}, False),
     # three fibre components searched in turn, then certified
     (TORSION, {}, False),
-    # inexact bound: the floor stop
+    # inexact bound: the floor stop, its drifting rows retired at the box
     (cyclic_orbifold_potential(3, 1.1), {}, False),
+    (cyclic_orbifold_potential(4, 0.85), {}, False),
+    (cyclic_orbifold_potential(4, 1.2 + 0.1j), {}, False),
+    (cyclic_orbifold_potential(5, 0.9), {}, False),
+    (cyclic_orbifold_potential(5, 1.15 - 0.2j), {}, False),
+    (blowup_c2_potential(0.85), {}, False),
+    (blowup_c2_potential(1.2), {}, False),
     # every converged start counts: the over-count
     (blowup_c2_potential(0.8), {"dedupe_tol": 0.0}, True),
     # fewer points than asked for: the whole budget
     (cyclic_orbifold_potential(4, 0.9),
      {"expected": 3, "raise_on_incomplete": False, "budget_factor": 8},
      False),
-], ids=["certified", "long-tail", "torsion", "floor", "over-count",
-        "incomplete"])
+], ids=["certified", "long-tail", "torsion", "floor", "floor-d4-a",
+        "floor-d4-b", "floor-d5-a", "floor-d5-b", "floor-blowup-a",
+        "floor-blowup-b", "over-count", "incomplete"])
 def test_search_draws_as_one_start_at_a_time(F, kw, raises):
     for seed in (0, 5):
         got = _search(lg, F, seed, **kw)
@@ -149,9 +196,9 @@ def test_long_tail_search_makes_few_lockstep_calls(monkeypatch):
         tries.append(1)
         return one(F, l0, component)
 
-    def batch(F, L0, components):
+    def batch(F, L0, components, **kw):
         batches.append(len(components))
-        return stacked(F, L0, components)
+        return stacked(F, L0, components, **kw)
     monkeypatch.setattr(oracle, "newton_solve", one_start)
     monkeypatch.setattr(lg, "_newton_solve", batch)
     assert _search(lg, F, 5) == _search(oracle, F, 5)

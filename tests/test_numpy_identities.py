@@ -161,6 +161,26 @@ def test_row_dots_and_sums():
     assert gemv > 0
 
 
+def test_stacked_values():
+    # LGPotential.value on a stack (a tracking step's values): per-row sums
+    # of complex terms, less the per-row sum of chi * l.  chi * L itself is
+    # not the per-row product when L is one row of one coordinate, so the
+    # stack broadcasts chi to its own shape first
+    for rng, B, L, c in _cases(9):
+        T = c * np.exp(np.matmul(B, L[..., None])[..., 0])
+        chi = rng.normal(size=B.shape[1]) + 1j * rng.normal(size=B.shape[1])
+        assert _same(np.sum(T, axis=-1), np.array([np.sum(t) for t in T]))
+        assert _same(np.sum(np.broadcast_to(chi, L.shape) * L, axis=-1),
+                     np.array([np.sum(chi * l) for l in L]))
+        for F in (lg.LGPotential(B.astype(int), c[0], chi=chi),
+                  lg.LGPotential(B.astype(int), c[0])):
+            want = np.array([np.sum(t) - np.sum(F.chi * l) if np.any(F.chi)
+                             else np.sum(t) for l, t in zip(L, T)])
+            assert _same(F.value(L, terms=T), want)
+            assert _same(np.array([F.value(l, terms=t)
+                                   for l, t in zip(L, T)]), want)
+
+
 def test_stacked_determinants_and_scales():
     # CriticalDatum.stack: one det and one max |H| over a stack of Hessians
     for rng, B, L, c in _cases(8):
