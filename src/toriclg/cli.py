@@ -11,6 +11,7 @@ byte-identical for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -58,11 +59,25 @@ def _section(scn, name):
 
 
 def _expr(text, var, field):
-    """compile_expr, with a parse error naming the scenario field."""
+    """compile_expr, with a parse error naming the scenario field.  Every
+    expression is a potential coefficient, so a failed evaluation or a zero
+    or non-finite value names the field and the parameter value."""
     try:
-        return compile_expr(text, var)
+        fn = compile_expr(text, var)
     except errors.ScenarioError as exc:
         raise errors.ScenarioError(f"{field}: {exc}") from None
+
+    def value(s):
+        try:
+            x = fn(s)
+        except ArithmeticError as exc:
+            problem = exc
+        else:
+            if x != 0 and cmath.isfinite(x):
+                return x
+            problem = "a potential coefficient must be finite and nonzero"
+        raise errors.ScenarioError(f"{field} at {var} = {s:.6g}: {problem}")
+    return value
 
 
 def _enumerate(scn):
@@ -184,6 +199,11 @@ def cmd_critical(scn: Scenario, outdir, seed):
     if "at" in scn.doc:
         _checked(at, _is_real, "at", "a real number")
     F = family(complex(at))
+    scan = scn.doc.get("nondegeneracy_scan", False)
+    if scan and F.expected_count() is None:
+        raise errors.ScenarioError(
+            "nondegeneracy_scan needs a potential whose Newton polytope has "
+            "0 in its interior")
     rng = _rng(seed)
     pts = critical_points(F, rng=rng)
     report = {"name": scn.name, "at": _jnum(complex(at)),
@@ -196,7 +216,7 @@ def cmd_critical(scn: Scenario, outdir, seed):
             "nondegenerate": p.nondegenerate,
             "tag": p.tag,
         })
-    if scn.doc.get("nondegeneracy_scan", False):
+    if scan:
         ok, faces = newton_nondegenerate(F, rng=rng)
         report["newton_nondegenerate"] = ok
         report["face_budgets"] = faces
@@ -212,6 +232,11 @@ def _track(scn, seed):
     from .lg import track_critical_values
     family = _family_from_scenario(scn)
     params = scn.path_values()
+    if len(params) < 2:
+        field = "path.values" if "values" in scn.doc["path"] else "path.steps"
+        raise errors.ScenarioError(
+            f"{field} must give at least two path parameters to track, "
+            f"got {len(params)}")
     rng = _rng(seed)
     return track_critical_values(family, params, rng=rng), params
 

@@ -2,7 +2,10 @@
 
 Conversion between generator and halfspace descriptions uses the double
 description method with the combinatorial adjacency test, run on primitive
-`int` vectors; its results, and everything else here, are Fraction tuples.
+`int` vectors.  Everything a cone computes (rays, lineality, inequalities,
+equalities, relative interior points) and the facets of a polytope are
+`int` tuples; a cone keeps the generators or inequalities it is given as
+they are, and its membership tests take `int` or Fraction points alike.
 Intended for the small ambient dimensions that occur at desk scale.
 """
 from __future__ import annotations
@@ -13,7 +16,7 @@ from math import gcd
 
 from .rational import (det, dot, idot, integer_kernel, is_zero, mat_inverse,
                        matvec, parallelepiped_units, primitive, rank, rref,
-                       solve, transpose, vec, vsub)
+                       solve, transpose, vsub)
 
 
 def _reduced(v):
@@ -29,7 +32,7 @@ def _project(x, v, s, l0):
 
 def dual_description(ineqs, eqs, dim):
     """Extreme rays and lineality of {x : a.x >= 0 for a in ineqs,
-    e.x = 0 for e in eqs}, as primitive integer vectors in Fraction tuples.
+    e.x = 0 for e in eqs}, as primitive `int` tuples.
 
     The double description method (Motzkin et al. 1953; Fukuda and Prodon
     1996) with the combinatorial adjacency test, run on primitive `int`
@@ -84,35 +87,32 @@ def dual_description(ineqs, eqs, dim):
         for r, z in new:
             seen[r] = seen[r] | z if r in seen else z
         rays = list(seen.items())
-    return ([vec(r) for r, _ in rays],
-            [vec(l) for l in lineality if any(l)])
+    return [r for r, _ in rays], [l for l in lineality if any(l)]
 
 
 class Cone:
-    """Rational polyhedral cone with cached V- and H-descriptions."""
+    """Rational polyhedral cone with cached V- and H-descriptions; the
+    computed ones are primitive `int` tuples."""
 
     def __init__(self, ambient_dim, rays=None, inequalities=None,
                  equalities=None):
         self.ambient = ambient_dim
-        self._gen_rays = [vec(r) for r in rays] if rays is not None else None
+        self._gen_rays = [tuple(r) for r in rays] if rays is not None else None
         self._rays = None       # canonical extreme rays
         self._lin = None        # canonical lineality basis
-        self._ineqs = [vec(a) for a in inequalities] if inequalities is not None else None
-        self._eqs = [vec(e) for e in (equalities or [])] if inequalities is not None else None
+        self._ineqs = [tuple(a) for a in inequalities] if inequalities is not None else None
+        self._eqs = [tuple(e) for e in (equalities or [])] if inequalities is not None else None
         if self._gen_rays is None and self._ineqs is None:
             raise ValueError("need rays or inequalities")
 
     @classmethod
     def from_rays(cls, rays, ambient_dim=None):
-        rays = [vec(r) for r in rays]
         if ambient_dim is None:
             ambient_dim = len(rays[0])
         return cls(ambient_dim, rays=rays)
 
     @classmethod
     def from_inequalities(cls, ineqs, eqs=(), ambient_dim=None):
-        ineqs = [vec(a) for a in ineqs]
-        eqs = [vec(e) for e in eqs]
         if ambient_dim is None:
             src = ineqs or eqs
             ambient_dim = len(src[0])
@@ -165,9 +165,7 @@ class Cone:
         return rank(gens)
 
     def dual(self):
-        ineqs = [tuple(r) for r in self.rays]
-        eqs = [tuple(l) for l in self.lineality]
-        return Cone.from_inequalities(ineqs, eqs, self.ambient)
+        return Cone.from_inequalities(self.rays, self.lineality, self.ambient)
 
     def intersection(self, other):
         ineqs = list(self.inequalities) + list(other.inequalities)
@@ -175,37 +173,31 @@ class Cone:
         return Cone.from_inequalities(ineqs, eqs, self.ambient)
 
     def contains(self, x) -> bool:
-        x = vec(x)
-        return (all(dot(a, x) >= 0 for a in self.inequalities)
-                and all(dot(e, x) == 0 for e in self.equalities))
+        return (all(idot(a, x) >= 0 for a in self.inequalities)
+                and all(idot(e, x) == 0 for e in self.equalities))
 
     def relint_contains(self, x) -> bool:
-        x = vec(x)
-        if not all(dot(e, x) == 0 for e in self.equalities):
+        if not all(idot(e, x) == 0 for e in self.equalities):
             return False
-        return all(dot(a, x) > 0 for a in self.inequalities)
+        return all(idot(a, x) > 0 for a in self.inequalities)
 
     def relint_point(self):
-        pts = [vec(r) for r in self.rays] + [vec(l) for l in self.lineality]
-        if not pts:
-            return tuple(Fraction(0) for _ in range(self.ambient))
-        acc = pts[0]
-        for p in pts[1:]:
+        acc = (0,) * self.ambient
+        for p in self.rays + self.lineality:
             acc = tuple(a + b for a, b in zip(acc, p))
         return acc
 
     def extreme_rays(self):
         """Canonical extreme rays as sorted primitive integer tuples."""
-        return sorted(primitive(r) for r in self.rays)
+        return sorted(self.rays)
 
     def ray_set(self):
-        return frozenset(self.extreme_rays())
+        return frozenset(self.rays)
 
     def __eq__(self, other):
         return (isinstance(other, Cone) and self.ambient == other.ambient
                 and self.ray_set() == other.ray_set()
-                and frozenset(map(primitive, self.lineality))
-                == frozenset(map(primitive, other.lineality)))
+                and frozenset(self.lineality) == frozenset(other.lineality))
 
     def __hash__(self):
         return hash((self.ambient, self.ray_set()))
@@ -217,11 +209,9 @@ class Cone:
 
 def polytope_facets(points):
     """Facets of conv(points) as (normal a, offset a0, active index tuple)
-    with the polytope in {x : a.x <= a0}."""
-    pts = [vec(p) for p in points]
-    hom = [tuple(p) + (Fraction(1),) for p in pts]
-    dim = len(pts[0]) + 1
-    drays, dlin = dual_description(hom, [], dim)
+    with the polytope in {x : a.x <= a0}; a and a0 are `int`."""
+    hom = [tuple(p) + (1,) for p in points]
+    drays, dlin = dual_description(hom, [], len(hom[0]))
     facets = []
     normals = list(drays)
     for l in dlin:
@@ -232,7 +222,7 @@ def polytope_facets(points):
         a0 = y[-1]
         if is_zero(a):
             continue
-        active = tuple(i for i, p in enumerate(pts) if dot(a, p) == a0)
+        active = tuple(i for i, p in enumerate(points) if idot(a, p) == a0)
         facets.append((a, a0, active))
     return facets
 
@@ -266,7 +256,7 @@ def triangulate_affine(points, facets=None):
     span their ambient space are first taken in coordinates on their affine
     hull.  `facets`, when given, are `polytope_facets(points)` of
     full-dimensional points, already computed by the caller."""
-    pts = [vec(p) for p in points]
+    pts = list(points)
     diffs = [vsub(p, pts[0]) for p in pts[1:]]
     d = rank(diffs)
     if d == 0:
@@ -286,7 +276,7 @@ def triangulate_affine(points, facets=None):
         facets = polytope_facets(pts)
     simplices = []
     for a, a0, act in facets:
-        if dot(a, pts[0]) == a0:
+        if idot(a, pts[0]) == a0:
             continue
         for s in triangulate_affine([pts[i] for i in act]):
             simplices.append((0,) + tuple(act[j] for j in s))
@@ -296,7 +286,7 @@ def triangulate_affine(points, facets=None):
 def normalized_volume(points, facets=None):
     """Lattice-normalized volume of conv(points) (unit simplex has volume 1);
     `facets` as in `triangulate_affine`."""
-    pts = [vec(p) for p in points]
+    pts = list(points)
     n = len(pts[0])
     total = Fraction(0)
     for s in triangulate_affine(pts, facets):

@@ -13,10 +13,10 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (dot, dual_lattice, integer_kernel,
+from .rational import (dot, dual_lattice, idot, integer_kernel,
                        lattice_from_generators, mat_inverse, matvec,
                        parallelepiped_units, preimage_lattice, primitive, rank,
-                       solve, transpose, vec)
+                       solve, transpose)
 
 
 def extended_sequences(vector_set: VectorSet):
@@ -24,7 +24,7 @@ def extended_sequences(vector_set: VectorSet):
 
     Returns (L_basis, D, surjective) where L_basis rows span
     L = ker(beta: Z^S -> N) and D[b] are the coordinates of D_b in the dual
-    basis of L_basis.
+    basis of L_basis, as `int` tuples.
     """
     S = vector_set.vectors
     lat = vector_set.lattice
@@ -55,7 +55,7 @@ def extended_sequences(vector_set: VectorSet):
         L_basis = lattice_from_generators(L_basis)
     else:
         L_basis = lattice_from_generators(ker_free) if ker_free else []
-    D = [tuple(Fraction(row[j]) for row in L_basis) for j in range(len(S))]
+    D = [tuple(row[j] for row in L_basis) for j in range(len(S))]
     return L_basis, D, vector_set.generates
 
 
@@ -109,7 +109,7 @@ class StackyFan:
         return self.lattice.rank
 
     def ray_free(self, i):
-        return vec(self.S[i].free)
+        return self.S[i].free
 
     def kernel_basis(self):
         if self._L is None:
@@ -220,15 +220,14 @@ class StackyFan:
         facets = {}
         for ci, (cs, Binv, _) in enumerate(self._charts()):
             for drop in self.max_cones[ci]:
-                h = vec(primitive(Binv[cs.index(drop)]))
+                h = primitive(Binv[cs.index(drop)])
                 key = self.max_cones[ci] - {drop}
                 facets.setdefault(key, []).append((ci, drop, h))
         walls = []
         for key, occ in facets.items():
             if len(occ) == 1:
                 _, _, h = occ[0]
-                if not all(dot(h, self.ray_free(j)) >= 0
-                           for j in range(len(self.S))):
+                if not all(idot(h, b.free) >= 0 for b in self.S):
                     raise errors.SupportMismatch(
                         "boundary facet not supporting Pi: union of cones "
                         "does not equal the support")
@@ -342,7 +341,7 @@ class StackyFan:
     def psi(self, v):
         """Psi^Sigma(v) in Q^S for v with free image inside the support."""
         v = as_element(self.lattice, v)
-        found = self.locate(vec(v.free))
+        found = self.locate(v.free)
         if found is None:
             raise errors.OutsideSupport(
                 f"{v} is not in the support of the fan")
@@ -380,8 +379,7 @@ class StackyFan:
         plz = self.pl_lattice()
         imgs = []
         for c in plz:
-            img = tuple(int(sum(Fraction(row[j]) * c[j] for j in range(len(c))))
-                        for row in L)
+            img = tuple(idot(row, c) for row in L)
             if any(img):
                 imgs.append(img)
         return lattice_from_generators(imgs)
@@ -391,7 +389,7 @@ class StackyFan:
         plq = self.plq_lattice()
         if not plq:
             return []
-        return dual_lattice([vec(r) for r in plq])
+        return dual_lattice(plq)
 
     def open_mori_cone(self):
         """OE^(X_Sigma) as a cone in Q^S (sum of the per-cone preimages)."""
@@ -421,7 +419,7 @@ class StackyFan:
         m = len(self.S)
         Bbar = [tuple(self.S[b].free[i] for b in range(m)) for i in range(self.n)]
         sub = Cone.from_inequalities(list(oe.inequalities),
-                                     list(oe.equalities) + [vec(r) for r in Bbar],
+                                     list(oe.equalities) + Bbar,
                                      m)
         # express rays in kernel-basis coordinates
         L = self.kernel_basis()
@@ -445,7 +443,7 @@ class StackyFan:
         as vectors in Q^S."""
         oe = self.open_mori_cone()
         plz = self.pl_lattice()
-        obar = dual_lattice([vec(r) for r in plz])
+        obar = dual_lattice(plz)
         return hilbert_basis(oe, obar)
 
     # -- misc ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from . import errors
 from .cones import normalized_volume, polytope_facets
 from .fans import StackyFan
 from .lattice import NElt, as_element
-from .rational import (dot, nullspace, rank, solve, transpose, vec)
+from .rational import dot, idot, nullspace, rank, solve, transpose
 
 
 class GKZOperator:
@@ -136,13 +136,10 @@ class GKZOperator:
         r = len(fan.kernel_basis())
         total = sum(self.lam)
 
-        def linear_form(b):
-            return tuple(Fraction(x) for x in D[b])
-
         def product(factors):
             poly = {(0,) * r: Fraction(1)}
             for b, _ in factors:
-                lf = linear_form(b)
+                lf = D[b]
                 new = {}
                 for e, c in poly.items():
                     for i in range(r):
@@ -167,17 +164,16 @@ def _default_splitting(fan: StackyFan):
     maps into the span of the first column subset on which D is invertible,
     and chi(b) = e_b^* - D-hat(D_b) lands in ker(D) = M."""
     m = len(fan.S)
-    n = fan.n
     r = len(fan.kernel_basis())
-    srows = [[Fraction(fan.S[i].free[k]) for k in range(n)] for i in range(m)]
+    srows = [b.free for b in fan.S]
     if r == 0:
         out = {}
         for b in range(m):
             row = [Fraction(0)] * m
             row[b] = Fraction(1)
-            out[b] = tuple(solve([tuple(x) for x in srows], row))
+            out[b] = solve(srows, row)
         return out
-    cols = [vec(fan.divisor_images()[b]) for b in range(m)]
+    cols = fan.divisor_images()
     J = next(combo for combo in itertools.combinations(range(m), r)
              if rank([cols[b] for b in combo]) == r)
     out = {}
@@ -188,8 +184,7 @@ def _default_splitting(fan: StackyFan):
         for cj, j in zip(coeff, J):
             row[j] -= cj
         # express the functional on N through its values on the images of S
-        mvec = solve([tuple(x) for x in srows], row)
-        out[b] = tuple(mvec)
+        out[b] = solve(srows, row)
     return out
 
 
@@ -203,7 +198,7 @@ def gkz_relation(fan: StackyFan, v, lam) -> GKZOperator:
     # membership: lam in L and in NE^
     if L:
         Lt = [tuple(row[j] for row in L) for j in range(len(fan.S))]
-        coeff = solve(Lt, vec(lam))
+        coeff = solve(Lt, lam)
         if coeff is None or any(x.denominator != 1 for x in coeff):
             raise errors.NotInMoriCone("lambda is not in L")
         ne = fan.extended_mori_cone()
@@ -233,7 +228,7 @@ def char_variety_at_limit(fan: StackyFan):
     for size in range(1, m + 1):
         for T in itertools.combinations(range(m), size):
             # V_T = {xi : D_b(xi) = 0 for b off T}
-            rows = [vec(D[b]) for b in range(m) if b not in T]
+            rows = [D[b] for b in range(m) if b not in T]
             ker = nullspace(rows, r) if rows else \
                 [tuple(Fraction(1) if i == j else Fraction(0)
                        for j in range(r)) for i in range(r)]
@@ -241,7 +236,7 @@ def char_variety_at_limit(fan: StackyFan):
                 continue
             # T realizable as an exact support: no b in T with D_b
             # identically zero on V_T
-            if any(all(dot(vec(D[b]), k) == 0 for k in ker) for b in T):
+            if any(all(dot(D[b], k) == 0 for k in ker) for b in T):
                 continue
             # relation from centroid(T) = sum f_b b over its cone's rays
             target = [Fraction(0)] * fan.n
@@ -253,7 +248,7 @@ def char_variety_at_limit(fan: StackyFan):
                 continue    # the symbol of P_lambda kills this stratum
             # lam = 0 forces T = R cap sigma; since V_T != 0 the
             # complementary divisor classes fail to span: genuine witness
-            witness = _generic_kernel_vector(ker, [vec(D[b]) for b in T])
+            witness = _generic_kernel_vector(ker, [D[b] for b in T])
             return False, witness
     return True, None
 
@@ -288,17 +283,11 @@ def _relation_lambda(fan: StackyFan, T, target):
 def weak_fano(fan: StackyFan) -> bool:
     """S inside the fan polytope and the fan polytope convex (the cone
     simplices tile their convex hull)."""
-    pts = [vec(fan.S[i].free) for i in fan.rays]
-    origin = tuple(Fraction(0) for _ in range(fan.n))
-    hull_pts = pts + [origin]
+    hull_pts = [fan.S[i].free for i in fan.rays] + [(0,) * fan.n]
     facets = polytope_facets(hull_pts)
     if normalized_volume(hull_pts, facets) != fan.fan_polytope_volume():
         return False
-    for b in range(len(fan.S)):
-        p = vec(fan.S[b].free)
-        if not all(dot(a, p) <= a0 for a, a0, _ in facets):
-            return False
-    return True
+    return all(idot(a, b.free) <= a0 for b in fan.S for a, a0, _ in facets)
 
 
 def generic_rank_check(fan: StackyFan, rng=None):

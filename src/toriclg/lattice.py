@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .cones import Cone
-from .rational import rank, vec
+from .rational import rank
 
 
 class AbelianLattice:
@@ -102,7 +102,7 @@ class VectorSet:
         self.vectors = [as_element(lattice, b) for b in vectors]
         if not self.vectors:
             raise ValueError("S must be nonempty")
-        frees = [vec(b.free) for b in self.vectors]
+        frees = [b.free for b in self.vectors]
         self.support_cone = Cone.from_rays(frees, lattice.rank)
         if rank(frees) != lattice.rank:
             raise ValueError("support cone Pi is not full-dimensional")

@@ -22,7 +22,7 @@ from . import errors
 from .cones import normalized_volume, polytope_facets, polytope_proper_faces
 from .fans import StackyFan
 from .rational import (integer_kernel, mat_inverse, matvec, primitive, rank,
-                       solve, transpose, vec, vsub)
+                       solve, transpose, vsub)
 
 TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
@@ -144,11 +144,11 @@ class LGPotential:
         family of potentials sharing one.  The memo keeps the facets of
         conv(supp F) in the exact case, for `newton_nondegenerate`."""
         if not self._bound:
-            pts = [vec(p) for p in self.B_int]
+            pts = self.B_int
             facets = polytope_facets(pts)
             exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
             if np.any(self.chi) and not exact:
-                pts.append(vec((0,) * self.n))
+                pts = pts + [(0,) * self.n]
                 facets = None
             self._bound.append(
                 (self.torsion_order * int(normalized_volume(pts, facets)),
@@ -452,7 +452,7 @@ def critical_points(F: LGPotential, expected=None, rng=None,
         if np.max(np.abs(l.real)) > SEARCH_BOX:
             return
         near = [p.log_point for p in found if p.component == component]
-        if near and np.any(_row_norms(_wrap_diff(np.array(near), l))
+        if near and np.any(_row_norms(_canonical_log(np.array(near) - l))
                            < dedupe_tol):
             return
         found.append(CriticalDatum(l, F.value(l, component),
@@ -509,11 +509,6 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             f"{expected}; parameter may be near the discriminant")
     found.sort(key=lambda p: (-p.value.imag, p.value.real))
     return found
-
-
-def _wrap_diff(l1, l2):
-    d = l1 - l2
-    return d.real + 1j * ((d.imag + math.pi) % (2 * math.pi) - math.pi)
 
 
 def conifold_point(F: LGPotential) -> CriticalDatum:
@@ -615,11 +610,10 @@ def newton_nondegenerate(F: LGPotential, rng=None):
         rng = np.random.default_rng(1)
     if not F.count_bound()[1]:
         raise ValueError("Newton polytope must contain 0 in its interior")
-    pts = [vec(p) for p in F.B_int]
     facets = F._bound[0][2]         # conv(supp F)'s, from the bound
     report = []
     ok = True
-    for face in polytope_proper_faces(pts, facets):
+    for face in polytope_proper_faces(F.B_int, facets):
         idx = list(face)
         if len(idx) == 1:
             # monomial face: x dF has constant nonzero coefficient
@@ -785,7 +779,7 @@ def _pairs(components):
 def _pair_gaps(pts, i, j):
     """Wrapped log distance of each pair (i, j) of the points, all at once."""
     P = np.array([p.log_point for p in pts])
-    return _row_norms(_wrap_diff(P[i], P[j]))
+    return _row_norms(_canonical_log(P[i] - P[j]))
 
 
 def _pnum(s):
@@ -814,7 +808,8 @@ def _rematch(F, prev_pts, nbranches, rng):
         return None
     if len(pts) < nbranches:
         return None
-    pairs = sorted((np.linalg.norm(_wrap_diff(p.log_point, q.log_point)), i, j)
+    pairs = sorted((np.linalg.norm(_canonical_log(p.log_point - q.log_point)),
+                    i, j)
                    for i, p in enumerate(prev_pts) for j, q in enumerate(pts)
                    if p.component == q.component)
     assign = {}             # nearest pairs first, each branch and point once
@@ -852,8 +847,8 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
     def dist(si, sj):
         if si is None or sj is None:
             return math.inf
-        return float(np.linalg.norm(_wrap_diff(_canonical_log(si[0]),
-                                               _canonical_log(sj[0]))))
+        return float(np.linalg.norm(_canonical_log(
+            _canonical_log(si[0]) - _canonical_log(sj[0]))))
 
     def phi(s):
         li, lj, ri, rj = _newton_solve(family(s),
@@ -912,7 +907,7 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
     elif not (isinstance(splitting, (list, tuple))
               and all(isinstance(i, int) and i in rays for i in splitting)
               and len(set(splitting)) == len(splitting) == n
-              and rank([vec(S[i].free) for i in splitting]) == n):
+              and rank([S[i].free for i in splitting]) == n):
         raise errors.ScenarioError(
             f"splitting must be {n} distinct ray indices of the chart on rays "
             f"{rays} with independent vectors, got {splitting!r}")
@@ -921,14 +916,14 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
             and all(isinstance(x, (int, float, complex))
                     and not isinstance(x, bool) for x in chi)):
         raise errors.ScenarioError(f"chi must be {n} numbers, got {chi!r}")
-    Binv, _ = mat_inverse([[Fraction(S[i].free[j]) for i in splitting]
+    Binv, _ = mat_inverse([[S[i].free[j] for i in splitting]
                            for j in range(n)])
     lam_basis = _lambda_sigma_basis(fan)
     lam_cols = [tuple(r[j] for r in lam_basis) for j in range(m)]
     q_exps = []             # per term: (q index, float exponent) pairs
     for b in range(m):
         lam_b = list(fan.psi(S[b]))
-        for i, x in zip(splitting, matvec(Binv, vec(S[b].free))):
+        for i, x in zip(splitting, matvec(Binv, S[b].free)):
             lam_b[i] -= x
         co = solve(lam_cols, tuple(lam_b)) if lam_basis else ()
         q_exps.append([(k, float(e)) for k, e in enumerate(co) if e != 0])
@@ -959,7 +954,7 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
 
 def _first_ray_basis(fan: StackyFan):
     for combo in itertools.combinations(sorted(fan.rays), fan.n):
-        if rank([vec(fan.S[i].free) for i in combo]) == fan.n:
+        if rank([fan.S[i].free for i in combo]) == fan.n:
             return list(combo)
     raise ValueError("no ray basis found")
 

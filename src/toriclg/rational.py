@@ -5,9 +5,9 @@ stay small (a dozen rows/columns), so everything over Q is one plain
 Gauss-Jordan loop (`_eliminate`, read by `rref` and `mat_inverse`, and by
 `det` in its forward half only) and, over Z, one textbook Hermite reduction
 with full pivot tracking.  `cleared`, `primitive` and `idot` take `int`
-vectors as they are, for the callers (the double description, the stability
-probes, the HRR pairing) that run on integers and convert to Fraction only
-at their ends.
+vectors as they are, for the callers that run on integers: the cones (the
+double description, membership tests and polytope facets), the chamber
+walk's probes and walls, the fan cover check and the HRR pairing.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ from . import errors
 from .cones import Cone, dual_description
 from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
-from .rational import (dot, idot, in_lattice, mat_inverse, primitive, solve,
+from .rational import (idot, in_lattice, mat_inverse, primitive, solve,
                        transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
@@ -90,7 +90,7 @@ class PLConeData:
         """xi in cpl(Sigma) cap daleth (chamber-restricted integral structure)."""
         if self.cpl is None:
             return all(x == 0 for x in xi)
-        return self.cpl.contains(xi) and in_lattice(xi, [vec(r) for r in self.plq_lattice])
+        return self.cpl.contains(xi) and in_lattice(xi, self.plq_lattice)
 
     def daleth_tilde_membership_up_to_height(self, c, height: int) -> bool:
         """Test c in daleth~ by checking eta_c integrality on lattice points of
@@ -112,8 +112,8 @@ def _lattice_points_in_support(fan: StackyFan, height: int):
     sup = fan.vector_set.support_cone
     out = []
     for pt in itertools.product(range(-height, height + 1), repeat=n):
-        if sup.contains(vec(pt)):
-            out.append(vec(pt))
+        if sup.contains(pt):
+            out.append(pt)
     return out
 
 
@@ -233,15 +233,15 @@ def enumerate_adapted_fans(vector_set: VectorSet):
     if r == 0:
         # L = 0 forces S to be a basis of N_Q: a single chamber
         return [StackyFan(vector_set, [frozenset(range(len(S)))])], []
-    support = Cone.from_rays([vec(d) for d in D], r)
+    support = Cone.from_rays(D, r)
     table = _complement_table(vector_set, D)
     import random
     rng = random.Random(20200422)
     built = {}
     start = None
     for _ in range(200):
-        omega = tuple(sum(Fraction(rng.randint(1, 97)) * Fraction(D[b][j])
-                          for b in range(len(S))) for j in range(r))
+        omega = tuple(sum(rng.randint(1, 97) * D[b][j] for b in range(len(S)))
+                      for j in range(r))
         fan = _fan_from_stability(vector_set, table, omega, built)
         if fan is not None:
             data = pl_cone_data(fan)
@@ -259,16 +259,16 @@ def enumerate_adapted_fans(vector_set: VectorSet):
         cpl = pl_cone_data(fans[fi]).cpl
         for g in cpl.inequalities:
             # facet relint point (the origin when the facet is {0})
-            face_rays = [rr for rr in cpl.rays if dot(g, rr) == 0]
-            p = tuple(Fraction(0) for _ in range(len(g)))
+            face_rays = [rr for rr in cpl.rays if idot(g, rr) == 0]
+            p = (0,) * r
             for rr in face_rays:
                 p = tuple(a + b for a, b in zip(p, rr))
             # boundary facet of the support: no neighbour
-            if all(dot(g, vec(D[b])) >= 0 for b in range(len(S))):
+            if all(idot(g, d) >= 0 for d in D):
                 continue
             neighbour = None
             for k in range(1, 64):
-                omega = tuple(Fraction(2 ** k) * a - b for a, b in zip(p, g))
+                omega = tuple(2 ** k * a - b for a, b in zip(p, g))
                 if not support.contains(omega):
                     continue
                 cand = _fan_from_stability(vector_set, table, omega, built)
@@ -288,10 +288,9 @@ def enumerate_adapted_fans(vector_set: VectorSet):
                 fans.append(neighbour)
                 queue.append(seen[key])
             wi = seen[key]
-            wall_normal = primitive(g)
             pair = (min(fi, wi), max(fi, wi))
             if not any((a, b) == pair for a, b, _ in walls):
-                walls.append((pair[0], pair[1], wall_normal))
+                walls.append((pair[0], pair[1], g))
     return fans, walls
 
 
@@ -310,12 +309,11 @@ class WallCrossing:
                  swapped=False):
         self.plus_fan = plus_fan
         self.minus_fan = minus_fan
-        self.w = tuple(int(x) for x in w)
+        self.w = w
         self.swapped = swapped
         S = plus_fan.S
         lat = plus_fan.lattice
-        D = plus_fan.divisor_images()
-        self.k = [int(dot(vec(D[b]), vec(self.w))) for b in range(len(S))]
+        self.k = [idot(d, w) for d in plus_fan.divisor_images()]
         self.M_plus = [b for b in range(len(S)) if self.k[b] > 0]
         self.M_minus = [b for b in range(len(S)) if self.k[b] < 0]
         self.discrepancy = sum(self.k)
@@ -378,13 +376,13 @@ def wall_between(fan_plus: StackyFan, fan_minus: StackyFan) -> WallCrossing:
     normals = nullspace([tuple(rr) for rr in inter.rays], r)
     if len(normals) != 1:
         raise errors.NotAdjacent("wall face does not span a hyperplane")
-    w = vec(primitive(normals[0]))
-    if not all(dot(w, rr) >= 0 for rr in d1.cpl.rays):
+    w = primitive(normals[0])
+    if not all(idot(w, rr) >= 0 for rr in d1.cpl.rays):
         w = tuple(-x for x in w)
-    wc = WallCrossing(fan_plus, fan_minus, primitive(w))
+    wc = WallCrossing(fan_plus, fan_minus, w)
     if wc.discrepancy < 0:
-        wc = WallCrossing(fan_minus, fan_plus,
-                          tuple(-x for x in primitive(w)), swapped=True)
+        wc = WallCrossing(fan_minus, fan_plus, tuple(-x for x in w),
+                          swapped=True)
     return wc
 
 
@@ -413,7 +411,7 @@ class CurveChart:
     def _common_denominator(self, fan: StackyFan) -> int:
         """Smallest common denominator of {c in Q : c*w in Lambda(fan)}."""
         lam = fan.big_lambda_lattice()
-        coeff = solve(transpose([vec(r) for r in lam]), vec(self.wall.w))
+        coeff = solve(transpose(lam), self.wall.w)
         if coeff is None:
             raise errors.NotAdjacent("w not in Lambda_Q")
         # minimal t > 0 with t*coeff integral: t = lcm(denoms)/gcd(numers)
@@ -455,7 +453,7 @@ class CurveChart:
         coeff = solve(Lt, vec(diff))
         if coeff is None:
             raise errors.NotAdjacent("difference not in L_Q")
-        wv = vec(self.wall.w)
+        wv = self.wall.w
         # coeff = c * w in kernel coordinates
         idx = next(i for i in range(len(wv)) if wv[i] != 0)
         c = coeff[idx] / wv[idx]
@@ -488,7 +486,7 @@ def sigma0_max_cones(wall: WallCrossing):
     members = []
     for size in range(m + 1):
         for I in itertools.combinations(range(m), size):
-            rest = [vec(D[b]) for b in range(m) if b not in I]
+            rest = [D[b] for b in range(m) if b not in I]
             if not rest:
                 if all(x == 0 for x in p0):
                     members.append(frozenset(I))
@@ -509,6 +507,6 @@ def _common_cone_sigma0(wall: WallCrossing, v1, v2, cache=None):
     """Whether v1bar, v2bar lie in a common cone of Sigma_0."""
     cones = cache if cache is not None else sigma0_max_cones(wall)
     for _, cone in cones:
-        if cone.contains(vec(v1.free)) and cone.contains(vec(v2.free)):
+        if cone.contains(v1.free) and cone.contains(v2.free):
             return True
     return False

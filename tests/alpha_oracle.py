@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from toriclg.lg import ALPHA_MAX, _wrap_diff
+from toriclg.lg import ALPHA_MAX, _canonical_log
 
 
 def alpha_beta(F, l, component=()):
@@ -63,7 +63,7 @@ def alpha_certified(F, points):
         return False
     for (p, (_, bp)), (q, (_, bq)) in itertools.combinations(
             zip(points, ab), 2):
-        gap = np.linalg.norm(_wrap_diff(p.log_point, q.log_point))
+        gap = np.linalg.norm(_canonical_log(p.log_point - q.log_point))
         if p.component == q.component and not gap > 2 * (bp + bq):
             return False
     return True

@@ -15,7 +15,7 @@ import numpy as np
 
 from toriclg import errors
 from toriclg.lg import (TOL_NEWTON, CriticalDatum, _alpha_certified,
-                        _canonical_log, _wrap_diff)
+                        _canonical_log)
 
 
 def terms(F, l, component=()):
@@ -95,8 +95,8 @@ def critical_points(F, expected=None, rng=None, budget_factor=200,
         if np.max(np.abs(l.real)) > 18.0:
             return
         for p in found:
-            if p.component == component and \
-                    np.linalg.norm(_wrap_diff(p.log_point, l)) < dedupe_tol:
+            if p.component == component and np.linalg.norm(
+                    _canonical_log(p.log_point - l)) < dedupe_tol:
                 return
         found.append(CriticalDatum(l, value(F, l, component),
                                    hess(F, terms(F, l, component)),

@@ -450,6 +450,18 @@ NEGATIVE_RUNS = {
                                         "euler.varieties[1]"),
     "euler-varieties-not-a-list.json": ("euler", "ScenarioError",
                                         "euler.varieties"),
+    "potential-t-division-by-zero.json": ("critical", "ScenarioError",
+                                          "potential.t['2'] at lam = 1+0j"),
+    "potential-t-zero-to-negative-power.json": (
+        "track", "ScenarioError", "potential.t['2'] at lam = 0.5+0j"),
+    "potential-t-zero-at-parameter.json": ("critical", "ScenarioError",
+                                           "potential.t['2'] at lam = 1+0j"),
+    "potential-t-infinite.json": ("critical", "ScenarioError",
+                                  "potential.t['2'] at lam = 1+0j"),
+    "nondegeneracy-scan-origin-not-interior.json": (
+        "critical", "ScenarioError", "nondegeneracy_scan"),
+    "path-one-step.json": ("track", "ScenarioError", "path.steps"),
+    "path-values-one-point.json": ("mutate", "ScenarioError", "path.values"),
 }
 
 

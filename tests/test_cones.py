@@ -6,14 +6,16 @@ import pytest
 
 from dual_description_oracle import fraction_dual_description
 from hilbert_oracle import zonotope_hilbert_basis
-from toriclg import cones, secondary
+from toriclg import cones, rational, secondary
 from toriclg.cones import (Cone, dual_description, hilbert_basis,
                            normalized_volume, polytope_facets,
                            polytope_proper_faces)
+from toriclg.fans import extended_sequences
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lp import feasible_strict, lp_maximize
 from toriclg.rational import dual_lattice, vec
-from toriclg.secondary import enumerate_adapted_fans
+from toriclg.secondary import (enumerate_adapted_fans, pl_cone_data,
+                               wall_between)
 
 
 def test_lp_basic():
@@ -65,11 +67,11 @@ def test_halfspace_has_lineality():
 
 def assert_matches_oracle(ineqs, eqs, dim):
     """The integer double description returns the Fraction oracle's rays in
-    the same order and its lineality with the same signs, as Fraction
-    tuples."""
+    the same order and its lineality with the same signs, as the primitive
+    `int` tuples it computes."""
     got = dual_description(ineqs, eqs, dim)
     assert got == fraction_dual_description(ineqs, eqs, dim)
-    assert all(type(x) is Fraction for part in got for v in part for x in v)
+    assert all(type(x) is int for part in got for v in part for x in v)
     return got
 
 
@@ -158,6 +160,65 @@ def test_dual_descriptions_of_the_chamber_walk_match_oracle(S, monkeypatch):
                                                    S))
     assert len(fans) >= 2 and walls
     assert len(normals) >= len(fans) and conversions
+
+
+def is_int_vector(v):
+    return all(type(x) is int for x in v)
+
+
+def fraction_verdicts(cone, x):
+    """(contains, relint_contains) of x read from Fraction dot products."""
+    x = vec(x)
+    on = all(rational.dot(e, x) == 0 for e in cone.equalities)
+    vals = [rational.dot(a, x) for a in cone.inequalities]
+    return on and all(v >= 0 for v in vals), on and all(v > 0 for v in vals)
+
+
+@pytest.mark.parametrize("S", CHAMBER_WALK_SETS, ids=WALK_IDS)
+def test_chamber_walk_stays_integral(S, monkeypatch):
+    # the walk and its walls take no Fraction dot product in `cones` or
+    # `secondary` (patched where the module has `dot`)
+    dots = []
+    real = rational.dot
+
+    def counting(u, v):
+        dots.append((u, v))
+        return real(u, v)
+    for mod in (cones, secondary):
+        if getattr(mod, "dot", None) is real:
+            monkeypatch.setattr(mod, "dot", counting)
+    vs = VectorSet(AbelianLattice(len(S[0])), S)
+    fans, walls = enumerate_adapted_fans(vs)
+    crossings = [wall_between(fans[a], fans[b]) for a, b, _ in walls]
+    assert dots == []
+    monkeypatch.undo()
+
+    # everything the walk computes on integral data is `int`
+    _, D, _ = extended_sequences(vs)
+    assert all(map(is_int_vector, D))
+    chambers = [pl_cone_data(fan).cpl for fan in fans]
+    for cpl in chambers:
+        assert all(map(is_int_vector, cpl.rays + cpl.lineality))
+        assert all(map(is_int_vector, cpl.inequalities + cpl.equalities))
+        assert is_int_vector(cpl.relint_point())
+    for wc in crossings:
+        assert is_int_vector(wc.w) and is_int_vector(wc.k)
+    for a, a0, _ in polytope_facets(S + [(0,) * len(S[0])]):
+        assert is_int_vector(a + (a0,))
+
+    # membership agrees with Fraction dot products on int and Fraction
+    # points: rays, relative interior points, lattice points and their
+    # non-integral multiples
+    rng = random.Random(len(S))
+    r = len(D[0])
+    support = Cone.from_rays(D, r)
+    for cone in chambers + [support]:
+        points = cone.rays + [cone.relint_point()] + [
+            tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(40)]
+        for x in points:
+            for y in (x, vec(x), tuple(Fraction(k, 3) for k in x)):
+                assert (cone.contains(y), cone.relint_contains(y)) \
+                    == fraction_verdicts(cone, y)
 
 
 def test_polytope_facets_square():

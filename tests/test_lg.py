@@ -256,7 +256,7 @@ def test_alpha_certificate_fails_off_zeros_and_on_duplicates():
     # one zero recorded twice, bit for bit and as a second Newton solve
     assert not lg._alpha_certified(F, pts[:-1] + [pts[0]])
     [(again, _)] = lg._newton_solve(F, [pts[0].log_point + 1e-3], [()])
-    assert np.linalg.norm(lg._wrap_diff(again, pts[0].log_point)) < 1e-9
+    assert np.linalg.norm(lg._canonical_log(again - pts[0].log_point)) < 1e-9
     twice = lg.CriticalDatum(lg._canonical_log(again), F.value(again),
                              F.hess(again))
     assert not lg._alpha_certified(F, [pts[0], twice])
