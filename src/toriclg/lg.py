@@ -7,7 +7,10 @@ Every Newton iteration here is `_newton_solve`, damped Newton on a stack of
 log points in lockstep: the multistart search, tracking, the conifold point
 (one row) and the non-degeneracy test (one batch per face) all call it.
 Only the multistart search gives it the search box, where rows drifting to
-toric infinity are retired.
+toric infinity are retired.  Each row carries its own coefficients, so one
+stack can hold points of several potentials of one family: mutation
+refinement solves the crossing branches of a whole trajectory, each at its
+own parameter, as one stack per bisection level (`Trajectory.resolve`).
 """
 from __future__ import annotations
 
@@ -97,20 +100,21 @@ class LGPotential:
             tw.append(cmath.exp(1j * phase))
         return self.c * np.asarray(tw)
 
-    def _coefficient_rows(self, component):
-        """The coefficients for a point or a stack of points: one component
-        label (a tuple) serves every row, a sequence of labels gives one row
-        of coefficients per point."""
-        if not self.torsion_invariants or isinstance(component, tuple):
-            return self.coefficients_on(component)
-        return np.array([self.coefficients_on(c) for c in component],
-                        dtype=complex).reshape(-1, self.nterms)
+    def coefficient_rows(self, components):
+        """The (k, nterms) coefficient stack of k points, row i twisted by
+        the character of fibre component components[i]: what `_newton_solve`
+        and `_terms` take for a stack."""
+        on = {c: self.coefficients_on(c) for c in set(components)}
+        return np.array([on[c] for c in components],
+                        dtype=complex).reshape(len(components), self.nterms)
 
     # -- evaluation in log coordinates l = log x ----------------------------
     # `terms`, `grad` and `hess` take one point (n,) or a stack of points
     # (k, n); a stack's terms are (k, nterms), its gradients (k, n) and its
     # Hessians (k, n, n), its values (k,), and each row equals the one-point
-    # result bit for bit (tests/test_numpy_identities.py).
+    # result bit for bit (tests/test_numpy_identities.py).  `terms` puts a
+    # stack on one component; rows on several take `_terms` with their
+    # `coefficient_rows`.
     def value(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
         val = np.sum(t, axis=-1)
@@ -124,8 +128,7 @@ class LGPotential:
     def terms(self, l, component=()):
         """The monomial terms t_b = c_b x^b at l; `value`, `grad`, `hess` and
         `_term_scale` accept them, so one point costs one exponential."""
-        return self._coefficient_rows(component) * np.exp(
-            np.matmul(self.B, l[..., None])[..., 0])
+        return _terms(self, l, self.coefficients_on(component))
 
     def grad(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
@@ -198,6 +201,14 @@ def _canonical_log(l):
     return l.real + 1j * ((l.imag + math.pi) % (2 * math.pi) - math.pi)
 
 
+def _terms(F, L, C):
+    """The monomial terms C * e^<b, l> of each point of L, row i of a (k, n)
+    stack with its row C[i] of a (k, nterms) coefficient stack.  Each row
+    equals the one-point product bit for bit; one (nterms,) row broadcast
+    over the stack does not always (tests/test_numpy_identities.py)."""
+    return C * np.exp(np.matmul(F.B, L[..., None])[..., 0])
+
+
 def _term_scale(F, terms):
     """Magnitude of the largest monomial term, per row of a stack (convergence
     is judged relative to this, so drift to toric infinity never passes as a
@@ -232,21 +243,28 @@ def _solve(H, X):
         return out, ok
 
 
-def _line_trial(F, L, dL, t, gn, labels, tol):
+def _line_trial(F, L, dL, t, gn, C, tol):
     """One backtracking trial per row at l + t dl: whether it is accepted,
     and the point with its terms, gradient, gradient norm and term scale."""
     Lp = L + t[:, None] * dL
-    Tp = F.terms(Lp, labels)
-    Gp = F.grad(Lp, labels, Tp)
+    Tp = _terms(F, Lp, C)
+    Gp = F.grad(Lp, terms=Tp)
     gp, sp = _row_norms(Gp), _term_scale(F, Tp)
     ok = np.isfinite(gp) & ((gp < (1 - 0.25 * t) * gn) | (gp < tol * sp))
     return ok, [Lp, Tp, Gp, gp, sp]
 
 
-def _newton_solve(F, L0, components, tol=TOL_NEWTON, box=None):
-    """Damped Newton from every row of the (k, n) stack L0, row i on fibre
-    component components[i], all rows in lockstep.  Returns one entry per
-    row: None unless that row converges, else (l, terms at l).
+def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
+    """Damped Newton from every row of the (k, n) stack L0, row i with the
+    coefficients C[i] of the (k, nterms) stack C, all rows in lockstep.
+    Returns one entry per row: None unless that row converges, else
+    (l, terms at l).
+
+    F gives the exponents and chi, C alone the coefficients: C[i] is
+    `F.coefficient_rows` of the row's fibre component, or that of another
+    potential with F's layout, so rows of one family at different
+    parameters share a stack (`Trajectory.resolve`).  C is built once per
+    solve and filtered with the rows.
 
     Given a `box`, a row still iterating whose max |Re l| exceeds it is
     retired, as a row with a non-finite gradient is, and returns None.
@@ -263,14 +281,13 @@ def _newton_solve(F, L0, components, tol=TOL_NEWTON, box=None):
     with or without a box.  The terms, gradient, its norm and the term
     scale at each point are evaluated once: an accepted line-search point's
     serve the next iterate."""
-    k = len(components)
+    k = len(C)
     L = np.asarray(L0, dtype=complex).reshape(k, F.n)
-    labels = np.fromiter(components, dtype=object, count=k)
     rows = np.arange(k)         # input index of each row still iterating
     out = [None] * k
     with np.errstate(over="ignore", invalid="ignore"):
-        T = F.terms(L, labels)
-        G = F.grad(L, labels, T)
+        T = _terms(F, L, C)
+        G = F.grad(L, terms=T)
         gn, sc = _row_norms(G), _term_scale(F, T)
         for it in range(101):   # the 101st pass only tests convergence
             done = gn < tol * sc
@@ -282,24 +299,24 @@ def _newton_solve(F, L0, components, tol=TOL_NEWTON, box=None):
             if it == 100 or not go.any():
                 break
             if not go.all():
-                L, T, G, gn, labels, rows = (
-                    x[go] for x in (L, T, G, gn, labels, rows))
-            dL, go = _solve(F.hess(L, labels, T), -G[:, :, None])
+                L, T, G, gn, C, rows = (
+                    x[go] for x in (L, T, G, gn, C, rows))
+            dL, go = _solve(F.hess(L, terms=T), -G[:, :, None])
             dL = dL[:, :, 0]
             if not go.all():
-                L, T, dL, gn, labels, rows = (
-                    x[go] for x in (L, T, dL, gn, labels, rows))
+                L, T, dL, gn, C, rows = (
+                    x[go] for x in (L, T, dL, gn, C, rows))
             # backtracking line search, each row halving its own step: a
             # full step for every row, then the rows that failed it again
             t = np.ones(len(rows))
-            ok, new = _line_trial(F, L, dL, t, gn, labels, tol)
+            ok, new = _line_trial(F, L, dL, t, gn, C, tol)
             pend = (~ok).nonzero()[0]
             for _ in range(49):
                 if not len(pend):
                     break
                 t[pend] *= 0.5
                 ok, tried = _line_trial(F, L[pend], dL[pend], t[pend],
-                                        gn[pend], labels[pend], tol)
+                                        gn[pend], C[pend], tol)
                 for x, y in zip(new, tried):
                     x[pend[ok]] = y[ok]
                 pend = pend[~ok]
@@ -307,8 +324,8 @@ def _newton_solve(F, L0, components, tol=TOL_NEWTON, box=None):
             if len(pend):       # no step accepted: those rows fail
                 go = np.ones(len(rows), bool)
                 go[pend] = False
-                L, T, G, gn, sc, labels, rows = (
-                    x[go] for x in (L, T, G, gn, sc, labels, rows))
+                L, T, G, gn, sc, C, rows = (
+                    x[go] for x in (L, T, G, gn, sc, C, rows))
     return out
 
 
@@ -340,8 +357,8 @@ def _alpha_beta(F, L, components):
     m = len(components)
     L = np.asarray(L, dtype=complex).reshape(m, F.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        T = F.terms(L, components)
-        H_inv, ok = _solve(F.hess(L, components, T), np.broadcast_to(
+        T = _terms(F, L, F.coefficient_rows(components))
+        H_inv, ok = _solve(F.hess(L, terms=T), np.broadcast_to(
             np.eye(F.n, dtype=complex), (m, F.n, F.n)))
         run = ok & np.isfinite(T).all(axis=1)
         a_inv = _row_norms(H_inv.reshape(m, -1))
@@ -351,7 +368,7 @@ def _alpha_beta(F, L, components):
         err = 2 * eps * (np.sum(at * nb * (F.nterms + 3 + F.n * nb
                                            * _row_norms(L)[:, None]), axis=1)
                          + np.linalg.norm(F.chi))
-        G = F.grad(L, components, T)
+        G = F.grad(L, terms=T)
         beta = _row_norms(np.matmul(H_inv, G[..., None])[..., 0]) + a_inv * err
         W = a_inv[:, None] * at
         e_r = math.e * float(np.max(nb))
@@ -482,7 +499,8 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             skip = 0
             for used, sol in enumerate(
                     _newton_solve(F, u[:, 0] + 1j * u[:, 1],
-                                  [component] * size, box=SEARCH_BOX), 1):
+                                  F.coefficient_rows([component] * size),
+                                  box=SEARCH_BOX), 1):
                 tries += 1
                 if sol is not None:
                     record(sol[0], component)
@@ -523,7 +541,7 @@ def conifold_point(F: LGPotential) -> CriticalDatum:
         raise errors.NotPositiveReal("conifold point is non-equivariant")
     if F.expected_count() is None:
         raise errors.NotPositiveReal("origin must be interior to the Newton polytope")
-    sol, = _newton_solve(F, np.zeros((1, F.n)), [()])
+    sol, = _newton_solve(F, np.zeros((1, F.n)), F.coefficient_rows([()]))
     if sol is None:
         raise errors.NotPositiveReal("Newton from l = 0 did not converge")
     l, t = sol
@@ -628,7 +646,7 @@ def newton_nondegenerate(F: LGPotential, rng=None):
         S0 = (u[:, 0] + 1j * u[:, 1]) @ np.array(KT, dtype=float)
         hit = any(abs(np.sum(t)) < TOL_FACE * _term_scale(phi, t)
                   for _, t in filter(None, _newton_solve(
-                      phi, S0, [()] * FACE_STARTS)))
+                      phi, S0, phi.coefficient_rows([()] * FACE_STARTS))))
         report.append({"face": idx, "degenerate": hit,
                        "budget": FACE_STARTS})
         ok = ok and not hit
@@ -655,23 +673,32 @@ class Trajectory:
     def values_at_step(self, k):
         return [br[k].value for br in self.branches]
 
-    def resolve(self, param, near_step, which):
-        """Critical values of the branches `which` (indices) at an
-        intermediate parameter, in that order.  The branches are Newton-solved
-        together, each on its own fibre component from its point at the
-        stored step `near_step`; the other branches are not touched, so
-        mutation refinement re-solves only the crossing pair.  Raises
-        LostBranch naming the first branch whose solve fails."""
-        F = self.family(param)
-        pts = [self.branches[b][near_step] for b in which]
-        sols = _newton_solve(F, [p.log_point for p in pts],
-                             [p.component for p in pts])
-        out = []
-        for b, p, sol in zip(which, pts, sols):
-            if sol is None:
-                raise errors.LostBranch(
-                    f"refinement lost branch {b} at parameter {param}")
-            out.append(F.value(sol[0], p.component, sol[1]))
+    def resolve(self, rows):
+        """Critical values at intermediate parameters, one per row
+        (param, near_step, branch): that branch Newton-solved at param, on
+        its own fibre component, from its point at the stored step
+        near_step.  None for a row whose solve fails; no other branch is
+        touched.
+
+        All rows are one `_newton_solve` stack, whatever their parameters:
+        the family's potentials share one layout (exponents, chi, torsion
+        data) and differ only in their coefficients, so each row carries
+        its own potential's coefficient row.  A row's value is its one-row
+        solve's bit for bit, so mutation refinement bisects every crossing
+        of a trajectory in lockstep, one call per bisection level."""
+        fam = {p: self.family(p) for p in dict.fromkeys(r[0] for r in rows)}
+        pts = [self.branches[b][k] for _, k, b in rows]
+        F = fam[rows[0][0]]
+        C = np.array([fam[p].coefficients_on(q.component)
+                      for (p, _, _), q in zip(rows, pts)],
+                     dtype=complex).reshape(len(rows), F.nterms)
+        sols = _newton_solve(F, [q.log_point for q in pts], C)
+        done = [r for r, sol in enumerate(sols) if sol is not None]
+        out = [None] * len(rows)
+        if done:        # values read only chi, which the family shares
+            L, T = (np.array([sols[r][x] for r in done]) for x in (0, 1))
+            for r, v in zip(done, F.value(L, terms=T).tolist()):
+                out[r] = v
         return out
 
 
@@ -702,11 +729,11 @@ def track_critical_values(family, params, rng=None):
         if prev_prev_pts is not None:
             preds = [p.log_point + (p.log_point - pp.log_point) * frac_step
                      for p, pp in zip(prev_pts, prev_prev_pts)]
-        sols = _newton_solve(Fk, preds, comps)
+        C = Fk.coefficient_rows(comps)
+        sols = _newton_solve(Fk, preds, C)
         retry = [i for i, sol in enumerate(sols) if sol is None]
         for i, sol in zip(retry, _newton_solve(
-                Fk, [prev_pts[i].log_point for i in retry],
-                [comps[i] for i in retry])):
+                Fk, [prev_pts[i].log_point for i in retry], C[retry])):
             if sol is None:
                 return None, i
             sols[i] = sol
@@ -851,10 +878,10 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
             _canonical_log(si[0]) - _canonical_log(sj[0]))))
 
     def phi(s):
-        li, lj, ri, rj = _newton_solve(family(s),
-                                       [p.log_point for p in seeds],
-                                       [p.component for p in seeds],
-                                       tol=1e-10)
+        F = family(s)
+        li, lj, ri, rj = _newton_solve(
+            F, [p.log_point for p in seeds],
+            F.coefficient_rows([p.component for p in seeds]), tol=1e-10)
         return max(dist(li, lj), dist(ri, rj))
 
     invphi = (math.sqrt(5) - 1) / 2

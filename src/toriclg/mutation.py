@@ -166,29 +166,111 @@ COLLIDE_EPS = 1e-9
 REFINE_TOL = 1e-10
 
 
-def _crossing_in_step(u0, u1, phase):
-    """Ray crossings between two consecutive marking snapshots: returns
-    (i, j, direction, s) with i behind, j in front, direction the sign
-    change of Im(e^{-i phi}(u_j - u_i)), and s in (0,1] the interpolated
-    crossing time."""
+def _crossings(values, phase):
+    """Ray crossings along a trajectory's marking snapshots, values[k] the
+    markings at node k: for each step k, the list of (i, j, direction, s)
+    with i behind, j in front, direction the sign change of the alignment
+    Im(e^{-i phi}(u_j - u_i)), and s in (0,1] the interpolated crossing time
+    in the step, in the order of the pairs (i, j).
+
+    A pair carries its last nonzero alignment across nodes where it is
+    exactly 0: opposite signs on the two sides make one crossing, placed at
+    the first node on the ray (s = 1 in the step ending there), and a touch
+    that returns to its side makes none."""
     d = cmath.exp(-1j * phase)
-    n = len(u0)
-    out = []
+    n = len(values[0])
+    out = [[] for _ in values[1:]]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            a0 = (d * (u0[j] - u0[i])).imag
-            a1 = (d * (u1[j] - u1[i])).imag
-            if a0 == 0 or (a0 > 0) == (a1 > 0):
+            last = None         # (node, alignment) of the last nonzero one
+            for k, u1 in enumerate(values):
+                a1 = (d * (u1[j] - u1[i])).imag
+                if a1 == 0:
+                    continue
+                if last is not None and (last[1] > 0) != (a1 > 0):
+                    k0, a0 = last
+                    u0 = values[k0]
+                    if k0 == k - 1:
+                        s = a0 / (a0 - a1)
+                        ui = u0[i] + (u1[i] - u0[i]) * s
+                        uj = u0[j] + (u1[j] - u0[j]) * s
+                    else:
+                        s = 1.0
+                        ui, uj = values[k0 + 1][i], values[k0 + 1][j]
+                    # j must be in front: otherwise a collision or behind
+                    if (d * (uj - ui)).real > COLLIDE_EPS:
+                        out[k0].append((i, j, "up" if a1 > a0 else "down",
+                                        s))
+                last = k, a1
+    return out
+
+
+def _refine(trajectory, found, phase):
+    """Bisection of the crossing times `found`, (k, i, j, s) each with s
+    the interpolated time in step k, all crossings in lockstep.  Every level
+    is one `Trajectory.resolve` call: the first solves branches i and j of
+    each crossing at both ends of its step, each later one at the midpoint
+    of each crossing still bisected, all seeded from step k.  Returns one
+    entry per crossing: its refined time, or the LostBranch of its first
+    failed solve (by level, then end, then i before j), which ends that
+    crossing's bisection."""
+    d = cmath.exp(-1j * phase)
+    params = trajectory.params
+
+    def align(points):
+        # the alignment of each crossing c at time s, or its LostBranch
+        rows = []
+        for c, s in points:
+            k, i, j, _ = found[c]
+            p = params[k] + (params[k + 1] - params[k]) * s
+            rows += [(p, k, i), (p, k, j)]
+        vals = trajectory.resolve(rows)
+        out = []
+        for (p, _, i), (_, _, j), ui, uj in zip(rows[::2], rows[1::2],
+                                                vals[::2], vals[1::2]):
+            if ui is None or uj is None:
+                out.append(errors.LostBranch(
+                    f"refinement lost branch {i if ui is None else j} at "
+                    f"parameter {p}"))
+            else:
+                out.append((d * (uj - ui)).imag)
+        return out
+
+    out = [None] * len(found)
+    ends = align([(c, s) for c in range(len(found)) for s in (0.0, 1.0)])
+    live = []           # (crossing, a, b, alignment at a) while bisected
+    for c, (fa, fb) in enumerate(zip(ends[::2], ends[1::2])):
+        lost = [f for f in (fa, fb) if isinstance(f, errors.LostBranch)]
+        if lost:
+            out[c] = lost[0]
+        elif fa == 0:
+            out[c] = 0.0
+        elif (fa > 0) == (fb > 0):
+            out[c] = found[c][3]
+        else:
+            live.append((c, 0.0, 1.0, fa))
+    while live:         # b - a halves exactly, so at most 34 levels
+        bisected = []
+        for (c, a, b, fa), fm in zip(live, align(
+                [(c, 0.5 * (a + b)) for c, a, b, _ in live])):
+            m = 0.5 * (a + b)
+            if isinstance(fm, errors.LostBranch):
+                out[c] = fm
                 continue
-            s = a0 / (a0 - a1)
-            ui = u0[i] + (u1[i] - u0[i]) * s
-            uj = u0[j] + (u1[j] - u0[j]) * s
-            re = (d * (uj - ui)).real
-            if re <= COLLIDE_EPS:
-                continue          # j not in front: collision or behind
-            out.append((i, j, "up" if a1 > a0 else "down", s))
+            if fm == 0:
+                out[c] = m
+                continue
+            if (fa > 0) == (fm > 0):
+                a, fa = m, fm
+            else:
+                b = m
+            if b - a < REFINE_TOL:
+                out[c] = 0.5 * (a + b)
+            else:
+                bisected.append((c, a, b, fa))
+        live = bisected
     return out
 
 
@@ -199,11 +281,15 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
     system's phase throughout.
 
     Returns (final system, events).  Vectors in `mrs` are aligned with
-    trajectory branches by index.  When the trajectory carries its family,
-    each crossing time is refined by bisection on the two crossing branches
-    alone, re-solved at each midpoint (LostBranch if either is lost);
-    otherwise the in-step linear interpolant gives it.  Two overlapping
-    events sharing a mutated vector raise SimultaneousCrossing.
+    trajectory branches by index.  The crossings of every step are found
+    first, from the stored branch values alone (`_crossings`).  When the
+    trajectory carries its family, every crossing time is then refined by
+    one lockstep bisection (`_refine`) on the two crossing branches of each,
+    re-solved at each midpoint; otherwise the in-step linear interpolant
+    gives it.  The steps are then taken in order.  At each, a crossing
+    that lost a branch raises its LostBranch (the step's first such
+    crossing), and then two overlapping events sharing a mutated vector
+    raise SimultaneousCrossing; a later step's error is never reached.
     """
     if len(mrs) != trajectory.nbranches:
         raise ValueError("system and trajectory sizes differ")
@@ -211,18 +297,19 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
     events = []
     params = trajectory.params
     phase = mrs.phase
-    for k in range(len(params) - 1):
-        u0 = [br[k].value for br in trajectory.branches]
-        u1 = [br[k + 1].value for br in trajectory.branches]
-        found = _crossing_in_step(u0, u1, phase)
-        if not found:
-            cur.markings = list(u1)
-            continue
+    values = [[br[k].value for br in trajectory.branches]
+              for k in range(len(params))]
+    steps = _crossings(values, phase)
+    found = [(k, i, j, s) for k, step in enumerate(steps)
+             for i, j, _, s in step]
+    times = iter(_refine(trajectory, found, phase)
+                 if trajectory.family is not None and found
+                 else [s for *_, s in found])
+    for k, step in enumerate(steps):
         refined = []
-        for (i, j, direction, s) in found:
-            s_ref = s
-            if trajectory.family is not None:
-                s_ref = _refine_crossing(trajectory, k, i, j, phase, s)
+        for (i, j, direction, _), s_ref in zip(step, times):
+            if isinstance(s_ref, errors.LostBranch):
+                raise s_ref
             refined.append((s_ref, i, j, direction))
         refined.sort(key=lambda t: t[0])
         for a in range(len(refined)):
@@ -243,41 +330,9 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
                                    zip(cur.vectors[i], cur.vectors[j]))
             at = params[k] + (params[k + 1] - params[k]) * s_ref
             events.append(MutationEvent(k, i, j, direction, c, at,
-                                        u0[i], u0[j]))
-        cur.markings = list(u1)
+                                        values[k][i], values[k][j]))
+        cur.markings = list(values[k + 1])
     if not admissible(phase, cur.markings):
         raise errors.NonAdmissibleEndpoint(
             "endpoint phase is not admissible for the final markings")
     return cur, events
-
-
-def _refine_crossing(trajectory, k, i, j, phase, s_guess):
-    """Bisection refinement of the crossing time of branches i and j within
-    [params[k], params[k+1]]; each midpoint re-solves only those two
-    branches, seeded from step k."""
-    d = cmath.exp(-1j * phase)
-    params = trajectory.params
-
-    def align(s):
-        p = params[k] + (params[k + 1] - params[k]) * s
-        ui, uj = trajectory.resolve(p, k, (i, j))
-        return (d * (uj - ui)).imag
-    a, b = 0.0, 1.0
-    fa = align(a)
-    fb = align(b)
-    if fa == 0:
-        return 0.0
-    if (fa > 0) == (fb > 0):
-        return s_guess
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = align(m)
-        if fm == 0:
-            return m
-        if (fa > 0) == (fm > 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-        if b - a < REFINE_TOL:
-            break
-    return 0.5 * (a + b)

@@ -99,7 +99,8 @@ def _certificate_cases():
     rng = np.random.default_rng(4)
     start = rng.uniform(-2.5, 2.5, 4) + 1j * rng.uniform(-math.pi, math.pi, 4)
     stray = lg.CriticalDatum(start, F.value(start), F.hess(start))
-    [(again, _)] = lg._newton_solve(F, [pts[0].log_point + 1e-3], [()])
+    [(again, _)] = lg._newton_solve(F, [pts[0].log_point + 1e-3],
+                                    F.coefficient_rows([()]))
     twice = lg.CriticalDatum(lg._canonical_log(again), F.value(again),
                              F.hess(again))
     out += [(F, pts[:-1] + [stray], False), (F, pts[:-1] + [pts[0]], False),

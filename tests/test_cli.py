@@ -364,7 +364,9 @@ def test_cmd_orlov_bl_line(tmp_path):
 
 # Refined crossing parameters of `mutate bl-line-p4 --seed 0`.  Each is a
 # bisection over Newton solves of the two crossing branches, so a change to
-# those solves or to the bisection moves these digits.
+# those solves or to the bisection moves these digits.  All crossings are
+# bisected in lockstep, one stacked solve per level, and a row's solve does
+# not depend on its stack, so how the rows are batched must not move them.
 BL_LINE_MUTATION_PARAMS = [
     (32, "(2.6909313446062195+0j)"), (32, "(2.6909313446062195+0j)"),
     (83, "(0.23809931309332094+0j)"), (83, "(0.23809931309332094+0j)"),

@@ -218,9 +218,9 @@ def _count_rows(monkeypatch):
     rows = []
     solve = lg._newton_solve
 
-    def counted(F, L0, components, *args, **kwargs):
-        rows.append(len(components))
-        return solve(F, L0, components, *args, **kwargs)
+    def counted(F, L0, C, *args, **kwargs):
+        rows.append(len(C))
+        return solve(F, L0, C, *args, **kwargs)
     monkeypatch.setattr(lg, "_newton_solve", counted)
     return rows
 
@@ -255,7 +255,8 @@ def test_alpha_certificate_fails_off_zeros_and_on_duplicates():
     assert not lg._alpha_certified(F, pts[:-1] + [stray])
     # one zero recorded twice, bit for bit and as a second Newton solve
     assert not lg._alpha_certified(F, pts[:-1] + [pts[0]])
-    [(again, _)] = lg._newton_solve(F, [pts[0].log_point + 1e-3], [()])
+    [(again, _)] = lg._newton_solve(F, [pts[0].log_point + 1e-3],
+                                    F.coefficient_rows([()]))
     assert np.linalg.norm(lg._canonical_log(again - pts[0].log_point)) < 1e-9
     twice = lg.CriticalDatum(lg._canonical_log(again), F.value(again),
                              F.hess(again))
@@ -418,9 +419,9 @@ def test_face_and_conifold_cost_one_solve_each(monkeypatch):
     calls = []
     solve = lg._newton_solve
 
-    def counted(F, L0, components):
-        calls.append(len(components))
-        return solve(F, L0, components)
+    def counted(F, L0, C):
+        calls.append(len(C))
+        return solve(F, L0, C)
     monkeypatch.setattr(lg, "_newton_solve", counted)
     for F in (p2_mirror(1.3), bl_line_p4_potential(0.8, 1.1)):
         calls.clear()
@@ -447,7 +448,7 @@ def test_conifold_point_is_exactly_real():
 
 def test_conifold_unconverged_raises(monkeypatch):
     monkeypatch.setattr(lg, "_newton_solve",
-                        lambda F, L0, components: [None])
+                        lambda F, L0, C: [None])
     with pytest.raises(errors.NotPositiveReal):
         conifold_point(p2_mirror(1.0))
 
@@ -492,11 +493,19 @@ def test_resolve_twisted_component_matches_stored_values():
                                  rng=np.random.default_rng(0))
     assert {br[1].component for br in traj.branches} == {(0,), (1,)}
     which = range(traj.nbranches)
-    got = traj.resolve(traj.params[1], 1, which)
+    got = traj.resolve([(traj.params[1], 1, b) for b in which])
     for b, v in zip(which, got):
         assert abs(v - traj.branches[b][1].value) < 1e-12
     # a subset comes back in the requested order
-    assert traj.resolve(traj.params[1], 1, (3, 0)) == [got[3], got[0]]
+    assert traj.resolve([(traj.params[1], 1, 3), (traj.params[1], 1, 0)]) \
+        == [got[3], got[0]]
+    # rows at several parameters and seed steps share one stack, and each
+    # row is its one-parameter solve bit for bit, on both components
+    rows = [(p, k, b) for p, k in ((1.03, 0), (1.07, 1), (1.15, 1),
+                                   (1.19, 2)) for b in which]
+    alone = [v for p, k, b in rows for v in traj.resolve([(p, k, b)])]
+    assert None not in alone
+    assert np.array(traj.resolve(rows)).tobytes() == np.array(alone).tobytes()
 
 
 def test_tracking_collision_event_at_discriminant():

@@ -8,7 +8,7 @@ import pytest
 
 from orlov_evolution_oracle import verify_orlov_evolution
 from toriclg import errors
-from toriclg.families import bl_line_p4_family_lambda
+from toriclg.families import bl_line_p4_family_lambda, pn_mirror
 from toriclg.fans import StackyFan
 from toriclg.ktheory import (BlowupData, KClass, bl_line_p4,
                              bl_line_p4_collection, build_cohomology_ring,
@@ -197,12 +197,13 @@ class _D:
 
 
 def _fake_traj(values):
-    """A two-step trajectory without a family, one (start, end) value pair
-    per branch, so crossings keep their interpolated times."""
+    """A trajectory without a family, one tuple of node values per branch
+    (start, ..., end) at evenly spaced parameters in [0, 1], so crossings
+    keep their interpolated times."""
     class FakeTraj:
-        params = [0.0, 1.0]
+        params = [k / (len(values[0]) - 1) for k in range(len(values[0]))]
         family = None
-        branches = [[_D(u0), _D(u1)] for u0, u1 in values]
+        branches = [[_D(u) for u in row] for row in values]
         nbranches = len(values)
     return FakeTraj()
 
@@ -252,6 +253,48 @@ def test_evolve_refinement_lost_branch_raises():
     mrs = _identity_system([u0 for u0, _ in values])
     with pytest.raises(errors.LostBranch, match="branch 0"):
         evolve(mrs, traj)
+
+
+@pytest.mark.parametrize("heights, want", [
+    ((-1, 0, 1), [(0, "up", 0.5)]),
+    ((1, 0, -1), [(0, "down", 0.5)]),
+    ((1, 0, 1), []),
+    ((-1, 0, -1), []),
+    ((1, 0, 0, -1), [(0, "down", 1 / 3)]),
+], ids=["up-through-node", "down-through-node", "touch-above",
+        "touch-below", "two-nodes-on-ray"])
+def test_evolve_crossing_through_a_node(heights, want):
+    # branch 1 in front of branch 0 (real part 1) at the given heights
+    # Im(u_1 - u_0) per node: exactly 0 at a node is on the ray, and the
+    # signs on either side decide, not the step that reaches the node
+    values = [(0,) * len(heights), tuple(1 + 1j * h for h in heights)]
+    mrs = _identity_system([v[0] for v in values])
+    _, events = evolve(mrs, _fake_traj(values))
+    assert [(e.step, e.direction, e.at) for e in events] == want
+    assert all((e.moving, e.pivot) == (0, 1) for e in events)
+
+
+@pytest.mark.parametrize("branch2, error, match", [
+    ((2 - 2j, 2 + 2j, 2 + 2j), errors.SimultaneousCrossing, "at step 0"),
+    ((2 - 2j, 2 - 2j, 2 - 2j), errors.LostBranch,
+     "branch 1 at parameter 1.0"),
+], ids=["entangled-first", "lost-alone"])
+def test_evolve_step_errors_raise_in_step_order(branch2, error, match):
+    # the P^2 mirror at q = 1 throughout, seeded at its three critical
+    # points, so re-solved values never change and each crossing keeps its
+    # interpolated time.  Branch 1 crosses the ray of branch 0 in step 0
+    # and back in step 1, where its seed is not finite, so that refinement
+    # loses it; when branch 2 crosses that ray with branch 1 in step 0, the
+    # entangled step 0 raises first
+    F = pn_mirror(2, 1.0)
+    values = [(0, 0, 0), (1 - 1j, 1 + 1j, 1 - 1j), branch2]
+    branches = [[CriticalDatum(np.full(2, 2j * math.pi * b / 3), u,
+                               np.eye(2)) for u in row]
+                for b, row in enumerate(values)]
+    branches[1][1].log_point = np.full(2, complex(np.nan))
+    traj = Trajectory([0.0, 1.0, 2.0], branches, [], family=lambda s: F)
+    with pytest.raises(error, match=match):
+        evolve(_identity_system([v[0] for v in values]), traj)
 
 
 def test_verify_orlov_evolution_abstract_cyclic():

@@ -33,7 +33,7 @@ def _check_rows(F, L0, comps, tol=lg.TOL_NEWTON):
     """Solve the rows as one stack and each alone with the oracle; every
     row's point, terms, value and Hessian must match bit for bit.  Returns
     how many rows converged."""
-    sols = lg._newton_solve(F, L0, comps, tol=tol)
+    sols = lg._newton_solve(F, L0, F.coefficient_rows(comps), tol=tol)
     assert len(sols) == len(comps)
     for l0, c, sol in zip(L0, comps, sols):
         want = oracle.newton_solve(F, l0, c, tol)
@@ -116,7 +116,8 @@ def test_box_keeps_every_row_that_converges_inside_it(i, name, monkeypatch):
     sols = []
     for box in (None, lg.SEARCH_BOX):
         passes.append(0)
-        sols.append(lg._newton_solve(F, L0, [()] * len(L0), box=box))
+        sols.append(lg._newton_solve(F, L0, F.coefficient_rows([()] * len(L0)),
+                                    box=box))
     inside = 0
     for free, capped in zip(*sols):
         if capped is not None:
@@ -131,7 +132,7 @@ def test_box_keeps_every_row_that_converges_inside_it(i, name, monkeypatch):
 
 def test_empty_stack():
     F = pn_mirror(2, 1.0)
-    assert lg._newton_solve(F, np.empty((0, 2)), []) == []
+    assert lg._newton_solve(F, np.empty((0, 2)), F.coefficient_rows([])) == []
 
 
 def _search(module, F, seed, **kw):
@@ -196,9 +197,9 @@ def test_long_tail_search_makes_few_lockstep_calls(monkeypatch):
         tries.append(1)
         return one(F, l0, component)
 
-    def batch(F, L0, components, **kw):
-        batches.append(len(components))
-        return stacked(F, L0, components, **kw)
+    def batch(F, L0, C, **kw):
+        batches.append(len(C))
+        return stacked(F, L0, C, **kw)
     monkeypatch.setattr(oracle, "newton_solve", one_start)
     monkeypatch.setattr(lg, "_newton_solve", batch)
     assert _search(lg, F, 5) == _search(oracle, F, 5)

@@ -7,10 +7,12 @@ starts and branches are batched.  Each test below is one stacked form that
 `lg` uses against its one-row form.  A numpy build (or BLAS) that breaks one
 fails here, by name, rather than as a digest mismatch in
 `tests/test_cli_bytes.py`.  Shapes follow the shipped potentials: 2 to 9
-terms in 1 to 4 variables.  A potential with a single term is not covered:
-numpy multiplies two one-element complex arrays in another loop than
-longer ones, and their last bits can differ.
+terms in 1 to 4 variables.  Only the product of coefficients and
+exponentials also covers a single term: numpy multiplies two one-element
+complex arrays in another loop than longer ones, so the stacks `lg` solves
+carry a full row of coefficients per point.
 """
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +51,30 @@ def test_stacked_exponent_products():
             assert _same(c[0] * E, np.array([c[0] * np.exp(B @ l)
                                              for l in L]))
             assert _same(np.matmul(B, L[0][..., None])[..., 0], B @ L[0])
+
+
+def test_full_coefficient_stacks():
+    # _terms: a (k, nterms) coefficient stack times e^<b, l> is the
+    # one-point product row by row, one term or several.  One (nterms,)
+    # row broadcast over the stack is not: at k = 1, nterms = 1 numpy
+    # takes another loop, and the last bits differ
+    rng = np.random.default_rng(10)
+    broadcast = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for single, _ in itertools.product((False, True), range(TRIALS)):
+            n = int(rng.integers(1, 5))
+            nt = 1 if single else int(rng.integers(1, 10))
+            k = 1 if single else int(rng.choice([1, 2, 3, 9, 40]))
+            B = rng.integers(-5, 6, (nt, n))
+            L = 10.0 ** rng.uniform(-2, 1.5) * (rng.normal(size=(k, n))
+                                                + 1j * rng.normal(size=(k, n)))
+            C = rng.normal(size=(k, nt)) + 1j * rng.normal(size=(k, nt))
+            F = lg.LGPotential(B, C[0])
+            want = np.array([c * np.exp(F.B @ l) for c, l in zip(C, L)])
+            assert _same(lg._terms(F, L, C), want)
+            if single:
+                broadcast += not _same(lg._terms(F, L, C[0]), want)
+    assert broadcast > 0
 
 
 def test_stacked_gradients_and_hessians():
