@@ -284,54 +284,50 @@ class StackyFan:
         return True
 
     # -- Box and dimensions -------------------------------------------------
-    def box_of_cone(self, cone_idx):
-        """Box elements attached to one maximal cone (all torsion lifts).
-
-        Box(sigma) is the group B^-1 Z^n / Z^n, read in ray coordinates in
-        [0,1)^n: the lattice points of the cone's half-open parallelepiped,
-        walked by `parallelepiped_units` from the chart inverse."""
+    def _box_points(self, cone_idx):
+        """(pt, u) per lattice point of one maximal cone's half-open
+        parallelepiped, walked by `parallelepiped_units` from the chart
+        inverse: pt the point in `int`, u its ray coordinates in units of
+        1/vol.  VolumeBoxMismatch unless every point is integral and there
+        are vol of them."""
         c, Binv, vol = self._charts()[cone_idx]
-        n = self.n
-        B = [[self.S[i].free[j] for i in c] for j in range(n)]   # columns = rays
-        pts = sorted((tuple(Fraction(sum(b * k for b, k in zip(row, u)), vol)
-                            for row in B), u)
-                     for u in parallelepiped_units(Binv, vol))
-        out = []
-        for pt, u in pts:
-            if any(x.denominator != 1 for x in pt):
+        B = [[self.S[i].free[j] for i in c] for j in range(self.n)]   # columns = rays
+        pts = []
+        for u in parallelepiped_units(Binv, vol):
+            pt = [sum(b * k for b, k in zip(row, u)) for row in B]
+            if any(x % vol for x in pt):
                 raise errors.VolumeBoxMismatch("non-integral box point")
-            coeff = [Fraction(k, vol) for k in u]
-            coeffs = {c[i]: coeff[i] for i in range(n) if coeff[i] != 0}
-            age = sum(coeff, Fraction(0))
-            for torp in self.lattice.torsion_elements():
-                v = self.lattice.element(tuple(int(x) for x in pt), torp)
-                out.append(BoxElement(v, cone_idx, coeffs, age))
-        expected = self.lattice.torsion_order * vol
-        if len(out) != expected:
-            raise errors.VolumeBoxMismatch(
-                f"cone {c}: {len(out)} box points, determinant predicts {expected}")
-        return out
+            pts.append((tuple(x // vol for x in pt), u))
+        if len(pts) != vol:
+            t = self.lattice.torsion_order
+            raise errors.VolumeBoxMismatch(f"cone {c}: {t * len(pts)} box "
+                                           f"points, determinant predicts {t * vol}")
+        return pts
 
     def box_elements(self):
-        """Deduplicated Box(Sigma) with ages; includes v = 0 with age 0."""
+        """Deduplicated Box(Sigma) with ages; includes v = 0 with age 0.
+        Box(sigma) is the group B^-1 Z^n / Z^n, read in ray coordinates in
+        [0,1)^n: the points of `_box_points`, each with every torsion lift."""
         seen = {}
-        for ci in range(len(self.max_cones)):
-            for be in self.box_of_cone(ci):
-                key = be.element
-                if key in seen:
-                    if seen[key].age != be.age:
+        for ci, (c, _, vol) in enumerate(self._charts()):
+            for pt, u in self._box_points(ci):
+                coeffs = {c[i]: Fraction(k, vol) for i, k in enumerate(u) if k}
+                age = Fraction(sum(u), vol)
+                for torp in self.lattice.torsion_elements():
+                    key = self.lattice.element(pt, torp)
+                    if key not in seen:
+                        seen[key] = BoxElement(key, ci, coeffs, age)
+                    elif seen[key].age != age:
                         raise errors.VolumeBoxMismatch(
-                            f"age mismatch for {key}: {seen[key].age} vs {be.age}")
-                else:
-                    seen[key] = be
+                            f"age mismatch for {key}: {seen[key].age} vs {age}")
         return [seen[k] for k in sorted(seen)]
 
     def dim_orbifold_cohomology(self) -> int:
         """|N_tor| x sum of normalized cone volumes, cross-checked against the
         per-sector Box count."""
         total = self.lattice.torsion_order * self.fan_polytope_volume()
-        sector = sum(len(self.box_of_cone(ci))
-                     for ci in range(len(self.max_cones)))
+        sector = self.lattice.torsion_order * sum(
+            len(self._box_points(ci)) for ci in range(len(self.max_cones)))
         if sector != total:
             raise errors.VolumeBoxMismatch(
                 f"box-sector count {sector} != volume count {total}")

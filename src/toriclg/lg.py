@@ -722,8 +722,8 @@ def track_critical_values(family, params, rng=None):
     pi, pj, same = _pairs([p.component for p in pts])
 
     def advance(Fk, prev_pts, prev_prev_pts, frac_step):
-        # every branch from its prediction, then the failed ones again from
-        # their previous points; the first branch failing both is reported
+        # every branch from its prediction, then the failed ones (if any)
+        # again from their previous points; the first failing both is reported
         comps = [p.component for p in prev_pts]
         preds = [p.log_point for p in prev_pts]
         if prev_prev_pts is not None:
@@ -732,7 +732,7 @@ def track_critical_values(family, params, rng=None):
         C = Fk.coefficient_rows(comps)
         sols = _newton_solve(Fk, preds, C)
         retry = [i for i, sol in enumerate(sols) if sol is None]
-        for i, sol in zip(retry, _newton_solve(
+        for i, sol in zip(retry, retry and _newton_solve(
                 Fk, [prev_pts[i].log_point for i in retry], C[retry])):
             if sol is None:
                 return None, i

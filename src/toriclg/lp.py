@@ -2,13 +2,23 @@
 
 Small dense problems only; used for the strict-convexity certificate of a
 fan, where floating point would not be trustworthy.  Each simplex step is
-`rational.pivot`, the Gauss-Jordan step of `rref`.
+`pivot`, one Gauss-Jordan step over Fraction on the tableau.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import frac, pivot
+from .rational import frac
+
+
+def pivot(T, r, c):
+    """Scale row r to a 1 in column c and clear column c from every other
+    row, in place."""
+    pv = T[r][c]
+    T[r] = row = [x / pv for x in T[r]]
+    for i, other in enumerate(T):
+        if i != r and (f := other[c]) != 0:
+            T[i] = [a - f * b for a, b in zip(other, row)]
 
 
 def _simplex(T, basis, nrows, ncols):
@@ -79,8 +89,7 @@ def lp_maximize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     for i in range(m):
         zrow = [a - b for a, b in zip(zrow, T[i])]
     # z-row entries of artificial columns must be zero in phase 1 objective
-    for i in range(m):
-        zrow[ncols + i] = Fraction(0)
+    zrow[ncols:width] = [Fraction(0)] * m
     T.append(zrow)
     status = _simplex(T, basis, m, width)
     if status != "optimal" or T[m][width] != 0:
@@ -89,22 +98,17 @@ def lp_maximize(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     for i in range(m):
         if basis[i] >= ncols:
             col = next((j for j in range(ncols) if T[i][j] != 0), None)
-            if col is None:
-                continue
-            pivot(T, i, col)
-            basis[i] = col
+            if col is not None:
+                pivot(T, i, col)
+                basis[i] = col
     # phase 2
     obj = [Fraction(0)] * (width + 1)
     for j in range(n):
         obj[j] = -c[j]       # minimize -c.x
         obj[n + j] = c[j]
-    for j in range(ncols, width):
-        obj[j] = Fraction(0)
     T[m] = obj
-    for i in range(m):
-        j = basis[i]
-        if T[m][j] != 0:
-            f = T[m][j]
+    for i, j in enumerate(basis):
+        if (f := T[m][j]) != 0:
             T[m] = [a - f * b for a, b in zip(T[m], T[i])]
     # phase 2 pivots only on the first ncols columns, so artificial columns
     # never re-enter

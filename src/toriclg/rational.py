@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals and over Z.
 
 Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
-stay small (a dozen rows/columns), so everything over Q is one plain
-Gauss-Jordan loop (`_eliminate`, read by `rref` and `mat_inverse`, and by
-`det` in its forward half only) and, over Z, one textbook Hermite reduction
-with full pivot tracking.  `cleared`, `primitive` and `idot` take `int`
-vectors as they are, for the callers that run on integers: the cones (the
-double description, membership tests and polytope facets), the chamber
-walk's probes and walls, the fan cover check and the HRR pairing.
+stay small (a dozen rows/columns), so everything over Q is one
+fraction-free Gauss-Jordan loop on `int` rows (`_eliminate`; `det` takes
+its forward half), whose readers build a Fraction only for an entry they
+return, and, over Z, one textbook Hermite reduction with full pivot
+tracking.  `cleared`, `primitive` and `idot` take `int` vectors as they
+are, for the callers that run on integers: the cones, the chamber walk's
+probes, walls and complement adjugates, the fan cover check and the HRR
+pairing.
 """
 from __future__ import annotations
 
@@ -54,64 +55,68 @@ def transpose(rows):
     return [tuple(col) for col in zip(*rows)]
 
 
-def pivot(rows, r, c, _forward=False):
-    """Scale row r to a 1 in column c and clear column c from every other
-    row, in place: the one Gauss-Jordan step of the package (`rref` and
-    the simplex tableau of `lp` both take it).  Returns the pivot value.
-    With `_forward` (the forward half of an elimination, for `det`) row r
-    is left as it is and only the rows below it are cleared."""
-    pv = rows[r][c]
-    if not _forward:
-        rows[r] = [x / pv for x in rows[r]]
-    for i in range(r + 1 if _forward else 0, len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c] / pv if _forward else rows[i][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-    return pv
-
-
 def _eliminate(rows, ncols, _forward=False):
-    """Gauss-Jordan elimination of the lists `rows` in place over their
-    first ncols columns.  Returns (pivots, factors): pivots a dict column ->
-    row index, factors the pivot values and a -1 per row swap.  Their
-    product is the determinant of a full-rank square block: a swap flips
-    it, scaling a row by 1/p divides it by p, clearing leaves it, and the
-    reduced block is the identity.  With `_forward` only the rows below
-    each pivot are cleared and no row is scaled: the block ends upper
-    triangular with the pivot values on its diagonal, and the product of
-    the factors is the same."""
+    """Fraction-free Gauss-Jordan elimination of the `int` lists `rows` in
+    place over their first ncols columns.  The pivot row (pivot p) clears
+    row i (entry f; a row with f = 0 is not written) to (p/g) row_i -
+    (f/g) pivot row over its content, g = gcd(p, f), so each row stays a
+    multiple of the row that elimination over Q leaves there; a pivot row
+    is its reduced row times its final pivot value.  `_forward` clears
+    only below each pivot.  Returns (pivots, (num, den)): pivots a dict
+    column -> row index, num / den the determinant of a full-rank square
+    block (its final pivots' product, with the swaps, multipliers p/g and
+    contents undone)."""
     pivots = {}
-    factors = []
-    r = 0
+    num, den, r = 1, 1, 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            factors.append(-1)
-        factors.append(pivot(rows, r, c, _forward))
+            num = -num
+        prow = rows[r]
+        p = prow[c]
+        for i in range(r + 1 if _forward else 0, len(rows)):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                content = gcd(*row)
+                rows[i] = [x // content for x in row] if content > 1 else row
+                num *= content
+                den *= a
         pivots[c] = r
         r += 1
         if r == len(rows):
             break
-    return pivots, factors
+    for c, i in pivots.items():
+        num *= rows[i][c]
+    return pivots, (num, den)
+
+
+def _int_rows(rows):
+    """(ints, dens): each row over its least common denominator
+    (`cleared`), row i = ints[i] / dens[i]; `int` rows pass as they are."""
+    pairs = [(1, list(r)) if all(type(x) is int for x in r) else cleared(r)
+             for r in rows]
+    return [r for _, r in pairs], [d for d, _ in pairs]
 
 
 def rref(rows, ncols=None):
     """Reduced row echelon form.  Returns (rows, pivots) with pivots a dict
     column -> row index."""
-    rows = [list(vec(r)) for r in rows]
+    rows = _int_rows(rows)[0]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     pivots, _ = _eliminate(rows, ncols)
-    return [tuple(row) for row in rows[:len(pivots)]], pivots
+    return [tuple(Fraction(x, rows[r][c]) for x in rows[r])
+            for c, r in pivots.items()], pivots
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
+    return len(_eliminate(_int_rows(rows)[0], len(rows[0]))[0]) if rows else 0
 
 
 def solve(rows, b):
@@ -119,32 +124,29 @@ def solve(rows, b):
     if not rows:
         return None if not is_zero(b) else ()
     n = len(rows[0])
-    aug = [tuple(r) + (bb,) for r, bb in zip(rows, b)]
-    red, piv = rref(aug, n + 1)
+    aug = _int_rows(tuple(r) + (bb,) for r, bb in zip(rows, b))[0]
+    piv, _ = _eliminate(aug, n + 1)
     if n in piv:
         return None
     # a reduced pivot row is zero in every other pivot column, so with the
     # free variables at 0 each pivot variable is read off the last column
     x = [Fraction(0)] * n
     for c, r in piv.items():
-        x[c] = red[r][n]
+        x[c] = Fraction(aug[r][n], aug[r][c])
     return tuple(x)
 
 
 def nullspace(rows, ncols=None):
     """Basis of the rational kernel of the matrix."""
-    if not rows:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(ncols))
-                for i in range(ncols)] if ncols else []
-    n = ncols if ncols is not None else len(rows[0])
-    red, piv = rref(rows, n)
-    free = [c for c in range(n) if c not in piv]
+    n = ncols if ncols is not None else len(rows[0]) if rows else 0
+    red = _int_rows(rows)[0]
+    piv, _ = _eliminate(red, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in piv):
         x = [Fraction(0)] * n
         x[fc] = Fraction(1)
         for c, r in piv.items():
-            x[c] = -red[r][fc]
+            x[c] = Fraction(-red[r][fc], red[r][c])
         basis.append(tuple(x))
     return basis
 
@@ -152,26 +154,42 @@ def nullspace(rows, ncols=None):
 def det(rows) -> Fraction:
     """Determinant of a square matrix, from the forward half of one
     elimination."""
-    rows = [list(vec(r)) for r in rows]
-    pivots, factors = _eliminate(rows, len(rows), _forward=True)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return prod(factors, start=Fraction(1))
+    rows, dens = _int_rows(rows)
+    pivots, (num, den) = _eliminate(rows, len(rows), _forward=True)
+    return Fraction(num, den * prod(dens)) if len(pivots) == len(rows) \
+        else Fraction(0)
+
+
+def _inverse_rows(rows):
+    """(q, right half) of the pivot row of each column c in order, from one
+    elimination of [B | I] for a square B, and det B as (num, den): row c
+    of B^-1 is that half over q.  ValueError when B is singular."""
+    n = len(rows)
+    aug, dens = _int_rows(rows)
+    for i, d in enumerate(dens):
+        aug[i] += [0] * n
+        aug[i][n + i] = d
+    piv, (num, den) = _eliminate(aug, 2 * n)
+    if len(piv) < n or any(c >= n for c in piv):
+        raise ValueError("singular matrix")
+    return [(aug[r][c], aug[r][n:]) for c, r in piv.items()], \
+        (num, den * prod(dens))
 
 
 def mat_inverse(rows):
     """(B^-1, det B) of a square matrix B, both from one elimination of
     [B | I]."""
-    n = len(rows)
-    aug = [list(vec(r)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, r in enumerate(rows)]
-    piv, factors = _eliminate(aug, 2 * n)
-    if len(piv) < n or any(c >= n for c in piv):
-        raise ValueError("singular matrix")
-    inv = [None] * n
-    for c, r in piv.items():
-        inv[c] = tuple(aug[r][n:])
-    return inv, prod(factors, start=Fraction(1))
+    halves, d = _inverse_rows(rows)
+    return [tuple(Fraction(x, q) for x in h) for q, h in halves], \
+        Fraction(*d)
+
+
+def adjugate(rows):
+    """(adj B, det B) = (det B * B^-1, det B) of a square `int` matrix B, in
+    `int`.  ValueError when B is singular."""
+    halves, (num, den) = _inverse_rows(rows)
+    d = num // den
+    return [tuple(d * x // q for x in h) for q, h in halves], d
 
 
 def cleared(v):
@@ -194,10 +212,6 @@ def primitive(v):
 # integer lattice routines
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
 def hnf(rows):
     """Row-style Hermite normal form of an integer matrix.
 
@@ -216,8 +230,7 @@ def hnf(rows):
             if not nz:
                 break
             piv = min(nz, key=lambda i: abs(m[i][c]))
-            _swap_rows(m, r, piv)
-            _swap_rows(U, r, piv)
+            m[r], m[piv], U[r], U[piv] = m[piv], m[r], U[piv], U[r]
             done = True
             for i in range(r + 1, nr):
                 if m[i][c] != 0:
@@ -255,17 +268,6 @@ def integer_kernel(rows):
     return [u for h, u in zip(H, U) if not any(h)]
 
 
-def integer_solutions_mod(rows_num, den):
-    """Basis of {x in Z^n : rows_num * x = 0 mod den} (rows_num integer)."""
-    nc = len(rows_num[0])
-    k = len(rows_num)
-    big = [list(r) + [0] * k for r in rows_num]
-    for i in range(k):
-        big[i][nc + i] = -den
-    ker = integer_kernel(big)
-    return [v[:nc] for v in ker]
-
-
 def lattice_from_generators(gens):
     """HNF basis of the lattice spanned by integer generator rows."""
     if not gens:
@@ -275,10 +277,14 @@ def lattice_from_generators(gens):
 
 
 def preimage_lattice(w_rows, ncols):
-    """Basis of {c in Z^ncols : W c in Z^k} for a rational matrix W."""
+    """Basis of {c in Z^ncols : W c in Z^k} for a rational matrix W: with
+    W = P / den, the c with P c = 0 mod den, read from the integer kernel
+    of [P | -den I]."""
     den = lcm(*(frac(x).denominator for r in w_rows for x in r))
-    P = [[int(frac(x) * den) for x in r] for r in w_rows]
-    return integer_solutions_mod(P, den)
+    k = len(w_rows)
+    big = [[int(frac(x) * den) for x in r] + [-den * (i == j) for j in range(k)]
+           for i, r in enumerate(w_rows)]
+    return [v[:len(big[0]) - k] for v in integer_kernel(big)]
 
 
 def dual_lattice(basis_rows):
@@ -289,15 +295,11 @@ def dual_lattice(basis_rows):
 
 def lattice_index(sup_rows, sub_rows) -> int:
     """Index [sup : sub] for full-rank lattices given by basis rows."""
-    T = []
     supinv, _ = mat_inverse(sup_rows)
-    for s in sub_rows:
-        coeff = matvec(transpose(supinv), s)
-        if any(x.denominator != 1 for x in coeff):
-            raise ValueError("not a sublattice")
-        T.append(coeff)
-    d = det(T)
-    return abs(int(d))
+    T = [matvec(transpose(supinv), s) for s in sub_rows]
+    if any(x.denominator != 1 for coeff in T for x in coeff):
+        raise ValueError("not a sublattice")
+    return abs(int(det(T)))
 
 
 def parallelepiped_units(inv, vol):

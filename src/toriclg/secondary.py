@@ -11,7 +11,7 @@ from . import errors
 from .cones import Cone, dual_description
 from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
-from .rational import (idot, in_lattice, mat_inverse, primitive, solve,
+from .rational import (adjugate, idot, in_lattice, primitive, solve,
                        transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
@@ -151,15 +151,13 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 
 
 def _complement_inverse(D, rest):
-    """(|det M| M^-1 as `int` rows, |det M|) for the r x r matrix M whose
-    columns are D_b, b in `rest`; M is integral, so |det M| M^-1 is too.
-    Row k reads |det M| times the coefficient of D_{rest[k]}, so the rows
-    are the inner facet normals of cone(D_b : b in rest).  ValueError when
-    the D_b are not a basis of L^*_Q."""
-    inv, det_m = mat_inverse([[D[b][j] for b in rest]
-                              for j in range(len(D[0]))])
-    vol = abs(det_m.numerator)
-    return [tuple((x * vol).numerator for x in row) for row in inv], vol
+    """(|det M| M^-1, |det M|) in `int` for the r x r matrix M whose columns
+    are D_b, b in `rest`: the adjugate, negated when det M < 0.  Row k reads
+    |det M| times the coefficient of D_{rest[k]}, so the rows are the inner
+    facet normals of cone(D_b : b in rest).  ValueError when the D_b are
+    not a basis of L^*_Q."""
+    adj, d = adjugate([[D[b][j] for b in rest] for j in range(len(D[0]))])
+    return [tuple(-x for x in row) for row in adj] if d < 0 else adj, abs(d)
 
 
 def _complement_table(vector_set: VectorSet, D):

@@ -225,6 +225,17 @@ def _count_rows(monkeypatch):
     return rows
 
 
+def test_tracking_solves_no_empty_stack(monkeypatch, tmp_path):
+    # a tracking step retries only the rows that failed, and skips the
+    # retry solve when none did
+    from toriclg.cli import main
+    rows = _count_rows(monkeypatch)
+    rc = main(["track", "--scenario", os.path.join(SCN, "bl-line-p4.json"),
+               "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 0
+    assert rows and 0 not in rows
+
+
 def test_search_stops_at_count_bound(monkeypatch):
     rows = _count_rows(monkeypatch)
     pts = critical_points(cyclic_orbifold_potential(4, 1.0),

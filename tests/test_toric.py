@@ -137,6 +137,23 @@ def test_box_elements_a1():
     assert data == [((0, 0), 0), ((0, 1), 1)]
 
 
+def test_corrupted_chart_fails_the_box_checks(monkeypatch):
+    # both checks of the shared box walk raise VolumeBoxMismatch from the
+    # count and from the elements: a chart claiming index 2 for a smooth
+    # cone walks one point, and a halved inverse walks a non-lattice point
+    fan = StackyFan(blowup_c2_vector_set(), [{0, 2}, {1, 2}])
+    (cs, Binv, vol), rest = fan._charts()[0], fan._charts()[1:]
+    assert vol == 1
+    half = [tuple(x / 2 for x in row) for row in Binv]
+    for chart, message in (((cs, Binv, 2), "1 box points, determinant "
+                                           "predicts 2"),
+                           ((cs, half, 2), "non-integral box point")):
+        monkeypatch.setattr(fan, "_chart_table", [chart] + rest)
+        for call in (fan.dim_orbifold_cohomology, fan.box_elements):
+            with pytest.raises(errors.VolumeBoxMismatch, match=message):
+                call()
+
+
 def test_box_elements_cyclic_scan_oracle():
     for d in (3, 4, 5):
         vs = cyclic_vector_set(d)
