@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import cleared, frac, idot
+from .rational import cleared, frac, idot, rank, rref
 
 # Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
 _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
@@ -186,49 +186,29 @@ class CohomologyRing:
         """Graded bases and coordinates from intersection numbers.
 
         By Poincaré duality a degree-d class is fixed by its integrals
-        against the degree-(n - d) monomials.  Scanning the monomials from
-        the last one back, a monomial joins the basis iff its pairing row is
-        not in the span of the later rows; the others get their unique
-        coordinates over the later basis monomials (the non-pivot columns
-        and reduced rows of an RREF of the relations, without the RREF)."""
+        against the degree-(n - d) monomials, and those in the divisors off
+        one maximal cone already suffice: the divisors are a basis of H^2
+        (the linear relations of the cone's dual basis express the rest)
+        and H^2 generates the ring.  So one RREF of the pairing matrix, a
+        row per such monomial and a column per degree-d monomial from the
+        last one back, has the basis as its pivot columns (a monomial joins
+        iff it is independent of the later ones), and a monomial's
+        coordinates over the basis are its column of the reduced rows."""
         integral = self._top_integrals()
+        cone = {self.ray_indices.index(i) for i in self.fan.max_cones[0]}
         self.basis = {}
         self.reduce_map = {}
         for d in range(self.n + 1):
             monos = self._monomials(d)
-            cols = self._monomials(self.n - d)
-            found = []       # basis monomials in the order found
-            echelon = []     # (pivot, reduced row, that row over found rows)
-            coords = {}
-            for mo in reversed(monos):
-                row = [Fraction(integral(tuple(a + b for a, b in zip(mo, c))))
-                       for c in cols]
-                combo = {}
-                for p, e, ecombo in echelon:
-                    f = row[p]
-                    if f:
-                        row = [x - f * y for x, y in zip(row, e)]
-                        for k, x in ecombo.items():
-                            combo[k] = combo.get(k, 0) + f * x
-                p = next((p for p, x in enumerate(row) if x), None)
-                if p is None:
-                    coords[mo] = combo
-                    continue
-                inv = 1 / row[p]
-                ecombo = {k: -x * inv for k, x in combo.items()}
-                ecombo[len(found)] = inv
-                echelon.append((p, [x * inv for x in row], ecombo))
-                coords[mo] = {len(found): Fraction(1)}
-                found.append(mo)
-            r = len(found)
-            self.basis[d] = found[::-1]
-            rmap = {}
-            for mo in monos:
-                v = [Fraction(0)] * r
-                for k, x in coords[mo].items():
-                    v[r - 1 - k] = x
-                rmap[mo] = v
-            self.reduce_map[d] = rmap
+            last = len(monos) - 1
+            duals = [c for c in self._monomials(self.n - d)
+                     if not any(c[i] for i in cone)]
+            red, piv = rref([[integral(tuple(a + b for a, b in zip(mo, c)))
+                              for mo in reversed(monos)] for c in duals],
+                            len(monos))
+            self.basis[d] = [monos[last - j] for j in reversed(piv)]
+            self.reduce_map[d] = {mo: [row[last - j] for row in reversed(red)]
+                                  for j, mo in enumerate(monos)}
         if len(self.basis[self.n]) != 1:
             raise errors.RankMismatch("top cohomology is not one-dimensional")
         self.top_scale = 1 / Fraction(integral(self.basis[self.n][0]))
@@ -679,8 +659,7 @@ class BlowupData:
 
 def _spans(ring, chs):
     """Whether the Chern characters span H^*(X;Q)."""
-    from .rational import rank as mrank
-    return mrank([ring.flatten(ch) for ch in chs]) == ring.total_dim()
+    return rank([ring.flatten(ch) for ch in chs]) == ring.total_dim()
 
 
 def gram_matrix(classes):

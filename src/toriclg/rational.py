@@ -4,11 +4,13 @@ Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
 stay small (a dozen rows/columns), so everything over Q is one
 fraction-free Gauss-Jordan loop on `int` rows (`_eliminate`; `det` takes
 its forward half), whose readers build a Fraction only for an entry they
-return, and, over Z, one textbook Hermite reduction with full pivot
-tracking.  `cleared`, `primitive` and `idot` take `int` vectors as they
-are, for the callers that run on integers: the cones, the chamber walk's
-probes, walls and complement adjugates, the fan cover check and the HRR
-pairing.
+return: `rref` (the Chow ring's graded bases, one call per degree),
+`rank`, `solve`, `nullspace`, `det`, `mat_inverse` (the cone charts) and
+`adjugate` (the complement table).  Over Z there is one textbook Hermite
+reduction with full pivot tracking.  `cleared`, `primitive` and `idot`
+take `int` vectors as they are, for the callers that run on integers: the
+cones, the chamber walk's probes, walls and complement adjugates, the fan
+cover check and the HRR pairing.
 """
 from __future__ import annotations
 

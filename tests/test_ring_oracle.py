@@ -1,16 +1,19 @@
-"""The Chow ring built from intersection numbers against the presentation
-Q[D_b] / (linear relations + Stanley-Reisner ideal), eliminated by one
-exact RREF per degree."""
+"""The Chow ring built from intersection numbers against two oracles: the
+presentation Q[D_b] / (linear relations + Stanley-Reisner ideal),
+eliminated by one exact RREF per degree, and the greedy `Fraction` echelon
+the build used before it read `rational.rref` (`ring_build_oracle`)."""
 import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from toriclg import rational
+import ring_build_oracle
+from toriclg import ktheory, rational
 from toriclg.fans import StackyFan
 from toriclg.ktheory import (CohomologyRing, bl_line_p4, bl_point_p2, p1xp1,
                              projective_space)
+from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.secondary import wall_between
 
 
@@ -115,6 +118,28 @@ def bl_line_wall_fans():
     return wall.plus_fan, wall.minus_fan
 
 
+def fan_of(vecs, cones):
+    return StackyFan(VectorSet(AbelianLattice(len(vecs[0])), vecs), cones)
+
+
+def hexagon():
+    """The toric del Pezzo surface of degree 6 (m = 6, n = 2)."""
+    vecs = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    return fan_of(vecs, [{i, (i + 1) % 6} for i in range(6)])
+
+
+def hirzebruch(a):
+    return fan_of([(1, 0), (0, 1), (-1, a), (0, -1)],
+                  [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
+
+
+def p2xp1():
+    vecs = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return fan_of(vecs, [set(c) | {t}
+                         for c in itertools.combinations(range(3), 2)
+                         for t in (3, 4)])
+
+
 FANS = {
     "p2": lambda: projective_space(2),
     "p3": lambda: projective_space(3),
@@ -124,6 +149,10 @@ FANS = {
     "bl_line_p4": bl_line_p4,
     "wall_plus": lambda: bl_line_wall_fans()[0],
     "wall_minus": lambda: bl_line_wall_fans()[1],
+    "hexagon": hexagon,
+    "f2": lambda: hirzebruch(2),
+    "f3": lambda: hirzebruch(3),
+    "p2xp1": p2xp1,
 }
 
 
@@ -131,15 +160,28 @@ def typed(x):
     return (type(x), x)
 
 
+def typed_maps(reduce_map):
+    """Each degree's reduce map as its (monomial, typed coordinates) list,
+    so key order counts too."""
+    return {d: [(mo, [typed(x) for x in v]) for mo, v in rm.items()]
+            for d, rm in reduce_map.items()}
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_ring_matches_greedy_echelon_oracle(name):
+    ring = CohomologyRing(FANS[name]())
+    basis, reduce_map, top_scale = ring_build_oracle.build(ring)
+    assert ring.basis == basis
+    assert typed_maps(ring.reduce_map) == typed_maps(reduce_map)
+    assert typed(ring.top_scale) == typed(top_scale)
+
+
 @pytest.mark.parametrize("name", sorted(FANS))
 def test_ring_matches_rref_oracle(name):
     ring = CohomologyRing(FANS[name]())
     basis, reduce_map, top_scale = rref_ring(ring)
     assert ring.basis == basis
-    assert {d: {mo: [typed(x) for x in v] for mo, v in rm.items()}
-            for d, rm in ring.reduce_map.items()} == \
-        {d: {mo: [typed(x) for x in v] for mo, v in rm.items()}
-         for d, rm in reduce_map.items()}
+    assert typed_maps(ring.reduce_map) == typed_maps(reduce_map)
     assert typed(ring.top_scale) == typed(top_scale)
 
 
@@ -156,17 +198,26 @@ def test_ring_kills_relations_and_integrates_cones_to_one(name):
 
 def test_ring_build_passes_rref_no_more_rows_than_monomials(monkeypatch):
     rows_seen = []
-    rref = rational.rref
+    eliminations = []
+    rref, eliminate = ktheory.rref, rational._eliminate
 
     def counting(rows, ncols=None):
         rows = list(rows)
         rows_seen.append(len(rows))
         return rref(rows, ncols)
-    monkeypatch.setattr(rational, "rref", counting)
-    fan = bl_line_p4()
+
+    def counting_eliminate(*args, **kwargs):
+        eliminations.append(args[1])
+        return eliminate(*args, **kwargs)
+    fan = bl_line_p4()      # its cone charts are inverted while it is built
+    monkeypatch.setattr(ktheory, "rref", counting)
+    monkeypatch.setattr(rational, "_eliminate", counting_eliminate)
     ring = CohomologyRing(fan)
     # the fewest monomials of any positive degree are the m of degree 1;
     # the RREF build passes 216 rows for the 126 monomials of degree 4
     fewest = min(comb(ring.m + d - 1, d) for d in range(1, ring.n + 1))
     assert fewest == ring.m == 6
     assert all(r <= fewest for r in rows_seen), rows_seen
+    # one rref per degree, and no elimination besides those
+    assert len(rows_seen) == ring.n + 1
+    assert len(eliminations) == len(rows_seen), eliminations
