@@ -14,9 +14,9 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .rational import (det, dot, idot, integer_kernel, is_zero, mat_inverse,
+from .rational import (det, dot, dual_lattice, idot, integer_kernel, is_zero,
                        matvec, parallelepiped_units, primitive, rank, rref,
-                       solve, transpose, vsub)
+                       scaled_inverse, solve, transpose, vsub)
 
 
 def _reduced(v):
@@ -332,21 +332,20 @@ def hilbert_basis(cone: Cone, lattice_basis):
         return []
     # the equalities of the cone in lattice coordinates, then a basis of
     # span(cone) ∩ Λ in ambient ones; the zero row keeps all of Λ when
-    # there are no equalities
-    inv, _ = mat_inverse(lattice_basis)
-    inv_t = transpose(inv)
-    eqs = integer_kernel([primitive(matvec(inv_t, r)) for r in cone.rays])
+    # there are no equalities; the lattice coordinates of r are its
+    # products with the dual basis
+    dual = dual_lattice(lattice_basis)
+    eqs = integer_kernel([primitive(matvec(dual, r)) for r in cone.rays])
     span = [matvec(transpose(lattice_basis), k)
-            for k in integer_kernel([(0,) * len(inv)] + eqs)]
+            for k in integer_kernel([(0,) * len(dual)] + eqs)]
     span_t = transpose(span)
     rays = [primitive(solve(span_t, r)) for r in cone.rays]
     d = len(span)
     cands = set(rays)
     for s in triangulate_affine([(0,) * d] + rays):
         R = [[rays[i - 1][j] for i in s if i] for j in range(d)]
-        Rinv, det_R = mat_inverse(R)
-        vol = abs(int(det_R))
-        for u in parallelepiped_units(Rinv, vol)[1:]:
+        A, vol = scaled_inverse(R)
+        for u in parallelepiped_units(A, vol)[1:]:
             cands.add(tuple(sum(x * k for x, k in zip(row, u)) // vol
                             for row in R))
     # facet values of each candidate: v - h is in the cone iff v's values

@@ -13,10 +13,10 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (dot, dual_lattice, idot, integer_kernel,
-                       lattice_from_generators, mat_inverse, matvec,
-                       parallelepiped_units, preimage_lattice, primitive, rank,
-                       solve, transpose)
+from .rational import (cleared, dual_lattice, idot, integer_kernel,
+                       lattice_from_generators, parallelepiped_units,
+                       preimage_lattice, primitive, rank, scaled_inverse,
+                       solve)
 
 
 def extended_sequences(vector_set: VectorSet):
@@ -85,7 +85,10 @@ class StackyFan:
     the wall-local LP of `_wall_heights` finds one.
 
     Every per-cone coordinate is read from one chart per maximal cone,
-    built once per fan by `_charts`: `coords` and `locate` are its readers.
+    built once per fan by `_charts`: `coords` and `locate` are its readers,
+    and `circuits`, also built once per fan, holds the circuit rows that
+    the convexity certificate, the wall LP, the open Mori cone, CPL_+ and
+    the Chow ring's intersection numbers read.
     """
 
     def __init__(self, vector_set: VectorSet, max_cones, validate=True,
@@ -99,6 +102,7 @@ class StackyFan:
         self._D = None
         self._plz = None
         self._chart_table = None
+        self._circuit_table = None
         self._pl_cone_data = None    # secondary.pl_cone_data memoizes here
         if validate:
             self._validate(heights)
@@ -124,33 +128,55 @@ class StackyFan:
 
     # -- charts of the maximal cones ----------------------------------------
     def _charts(self):
-        """Per maximal cone, in `max_cones` order: (cs, B^-1, |det B|) with
-        cs the sorted ray indices and B the matrix whose columns are v_i,
-        i in cs; B^-1 and det B come from one elimination.  Row k of B^-1
-        reads the coordinate over ray cs[k]; it vanishes on the other rays,
-        so it is also the inner normal of the facet opposite cs[k]."""
+        """Per maximal cone, in `max_cones` order: (cs, A, vol) in `int`
+        with cs the sorted ray indices, B the matrix whose columns are v_i,
+        i in cs, and (A, vol) = (|det B| B^-1, |det B|) from
+        `scaled_inverse`.  Row k of A reads vol times the coordinate over
+        ray cs[k]; it vanishes on the other rays, so it is also an inner
+        normal of the facet opposite cs[k]."""
         if self._chart_table is None:
             self._chart_table = []
             for c in self.max_cones:
                 cs = sorted(c)
                 B = [[self.S[i].free[j] for i in cs] for j in range(self.n)]
-                Binv, d = mat_inverse(B)
-                self._chart_table.append((cs, Binv, abs(int(d))))
+                self._chart_table.append((cs,) + scaled_inverse(B))
         return self._chart_table
 
     def coords(self, ci, x):
         """Coordinates of x in Q^n over the rays of maximal cone `ci`, in
         sorted ray order."""
-        return matvec(self._charts()[ci][1], x)
+        _, A, vol = self._charts()[ci]
+        return tuple(Fraction(idot(row, x), vol) for row in A)
 
     def locate(self, x):
         """(cs, coords) for the first maximal cone on whose rays x has only
         nonnegative coordinates, or None when x is outside the support."""
-        for ci, (cs, _, _) in enumerate(self._charts()):
-            coeff = self.coords(ci, x)
-            if all(t >= 0 for t in coeff):
-                return cs, coeff
+        for cs, A, vol in self._charts():
+            scaled = [idot(row, x) for row in A]
+            if all(t >= 0 for t in scaled):
+                return cs, tuple(Fraction(t, vol) for t in scaled)
         return None
+
+    def circuits(self):
+        """Per maximal cone, in `max_cones` order: {b: row} for each b in S
+        outside the cone, row the `int` vector vol e_b - sum_k (A v_b)_k
+        e_{cs[k]} in Z^S of its chart (cs, A, vol).  For heights c in Q^S,
+        row . c = vol (c_b - m_sigma(b)), m_sigma the linear function that
+        agrees with c on the cone's rays."""
+        if self._circuit_table is None:
+            self._circuit_table = []
+            for cs, A, vol in self._charts():
+                rows = {}
+                for b in range(len(self.S)):
+                    if b in cs:
+                        continue
+                    row = [0] * len(self.S)
+                    row[b] = vol
+                    for i, a in zip(cs, A):
+                        row[i] = -idot(a, self.ray_free(b))
+                    rows[b] = tuple(row)
+                self._circuit_table.append(rows)
+        return self._circuit_table
 
     # -- validation --------------------------------------------------------
     def _validate(self, heights=None):
@@ -218,9 +244,9 @@ class StackyFan:
         interior walls as pairs (cone index, ray of the neighbouring cone
         outside it)."""
         facets = {}
-        for ci, (cs, Binv, _) in enumerate(self._charts()):
+        for ci, (cs, A, _) in enumerate(self._charts()):
             for drop in self.max_cones[ci]:
-                h = primitive(Binv[cs.index(drop)])
+                h = primitive(A[cs.index(drop)])
                 key = self.max_cones[ci] - {drop}
                 facets.setdefault(key, []).append((ci, drop, h))
         walls = []
@@ -245,20 +271,13 @@ class StackyFan:
         """Heights in Q^S strictly convex across every interior wall, from an
         exact LP in the ray heights, or None if there are none.  The wall
         between sigma and its neighbour through ray q gives one circuit row
-        c_q - sum_{i in sigma} mu_i c_i > 0, where v_q = sum mu_i v_i."""
+        of `circuits`, a positive multiple of c_q - sum_{i in sigma} mu_i c_i
+        > 0, where v_q = sum mu_i v_i."""
         c = [Fraction(0)] * len(self.S)
         if not walls:
             return c        # a single cone
-        pos = {b: k for k, b in enumerate(self.rays)}
-        rows = []
-        for si, q in walls:
-            cs = self._charts()[si][0]
-            mu = self.coords(si, self.ray_free(q))
-            row = [Fraction(0)] * len(self.rays)
-            row[pos[q]] = Fraction(1)
-            for i, x in zip(cs, mu):
-                row[pos[i]] -= x
-            rows.append(row)
+        circuits = self.circuits()
+        rows = [[circuits[si][q][b] for b in self.rays] for si, q in walls]
         ok, x = feasible_strict(rows)
         if not ok:
             return None
@@ -271,17 +290,15 @@ class StackyFan:
         each maximal cone sigma, c_b - m_sigma(b) > 0 for every ray b outside
         sigma, where m_sigma is the linear function agreeing with c on sigma.
         This is the only convexity certificate; entries of c off the rays
-        are ignored."""
-        c = [Fraction(x) for x in heights]
-        if len(c) != len(self.S):
-            raise ValueError(f"{len(c)} heights for {len(self.S)} vectors")
-        for cs, Binv, _ in self._charts():
-            # m_sigma = B^-T c|_cs takes the value c_i on each ray v_i of sigma
-            m = matvec(transpose(Binv), [c[b] for b in cs])
-            if any(c[b] - dot(m, self.ray_free(b)) <= 0
-                   for b in self.rays if b not in cs):
-                return False
-        return True
+        are ignored.  Each test reads the sign of a circuit row on c cleared
+        of denominators, a positive multiple of c_b - m_sigma(b)."""
+        if len(heights) != len(self.S):
+            raise ValueError(f"{len(heights)} heights for {len(self.S)} "
+                             f"vectors")
+        c = cleared(heights)[1]
+        return all(idot(circuits[b], c) > 0
+                   for circuits in self.circuits()
+                   for b in self.rays if b in circuits)
 
     # -- Box and dimensions -------------------------------------------------
     def _box_points(self, cone_idx):
@@ -290,10 +307,10 @@ class StackyFan:
         inverse: pt the point in `int`, u its ray coordinates in units of
         1/vol.  VolumeBoxMismatch unless every point is integral and there
         are vol of them."""
-        c, Binv, vol = self._charts()[cone_idx]
+        c, A, vol = self._charts()[cone_idx]
         B = [[self.S[i].free[j] for i in c] for j in range(self.n)]   # columns = rays
         pts = []
-        for u in parallelepiped_units(Binv, vol):
+        for u in parallelepiped_units(A, vol):
             pt = [sum(b * k for b, k in zip(row, u)) for row in B]
             if any(x % vol for x in pt):
                 raise errors.VolumeBoxMismatch("non-integral box point")
@@ -357,12 +374,13 @@ class StackyFan:
             return self._plz
         m = len(self.S)
         conds = []
-        for cs, Binv, _ in self._charts():
-            # m_sigma(c) = Binv^T c|_cs ; integrality of all n coordinates
+        for cs, A, vol in self._charts():
+            # m_sigma(c) = B^-T c|_cs = A^T c|_cs / vol; integrality of all
+            # n coordinates
             for i in range(self.n):
                 row = [Fraction(0)] * m
                 for k, b in enumerate(cs):
-                    row[b] = Binv[k][i]
+                    row[b] = Fraction(A[k][i], vol)
                 conds.append(row)
         self._plz = preimage_lattice(conds, m)
         return self._plz
@@ -389,24 +407,13 @@ class StackyFan:
 
     def open_mori_cone(self):
         """OE^(X_Sigma) as a cone in Q^S (sum of the per-cone preimages)."""
-        gens = []
         m = len(self.S)
-        for ci, c in enumerate(self.max_cones):
-            cs = sorted(c)
-            for b in c:
-                e = [Fraction(0)] * m
-                e[b] = Fraction(1)
-                gens.append(tuple(e))
-            for b in range(m):
-                if b in c:
-                    continue
-                # e_b minus the (possibly signed) expansion of b over the cone basis
-                coeff = self.coords(ci, self.ray_free(b))
-                d = [Fraction(0)] * m
-                d[b] = Fraction(1)
-                for i, x in zip(cs, coeff):
-                    d[i] -= x
-                gens.append(tuple(d))
+        gens = []
+        for c, circuits in zip(self.max_cones, self.circuits()):
+            gens.extend(tuple(int(i == b) for i in range(m)) for b in c)
+            # e_b minus the (possibly signed) expansion of b over the cone
+            # basis, up to the positive factor vol
+            gens.extend(circuits.values())
         return Cone.from_rays(gens, m)
 
     def extended_mori_cone(self):

@@ -150,18 +150,17 @@ class CohomologyRing:
         -sum_{b not in sigma} <u_i, v_b> D_b, which strictly grows the
         support (Fulton 1993, section 5.2)."""
         fan = self.fan
-        cones = [frozenset(self.ray_indices.index(i) for i in c)
-                 for c in fan.max_cones]
+        rays = self.ray_indices
+        cones = [frozenset(rays.index(i) for i in c) for c in fan.max_cones]
         # cone -> {i in cone: [(b, <u_i, v_b>) for b not in cone]}, the
-        # pairings being the coordinates of v_b over the cone's rays; ray
-        # indices are sorted, so local order is the chart's ray order
+        # pairings being the coordinates of v_b over the cone's rays: on a
+        # smooth fan vol = 1, so <u_i, v_b> is minus entry i of b's circuit
+        # row
         duals = {}
-        for ci, c in enumerate(cones):
+        for c, circuits in zip(cones, fan.circuits()):
             others = [b for b in range(self.m) if b not in c]
-            coeffs = {b: fan.coords(ci, fan.ray_free(self.ray_indices[b]))
-                      for b in others}
-            duals[c] = {i: [(b, coeffs[b][k]) for b in others]
-                        for k, i in enumerate(sorted(c))}
+            duals[c] = {i: [(b, -circuits[rays[b]][rays[i]]) for b in others]
+                        for i in c}
 
         @functools.lru_cache(maxsize=None)
         def integral(mo):

@@ -111,7 +111,7 @@ class VectorSet:
     def _generates(self) -> bool:
         # S generates N as a group: free part spans Z^n and torsion residues
         # cover, via the Hermite form of the combined presentation
-        from .rational import lattice_index, lattice_from_generators
+        from .rational import det, lattice_from_generators
         n = self.lattice.rank
         tor = self.lattice.torsion
         k = len(tor)
@@ -121,13 +121,7 @@ class VectorSet:
         for i, d in enumerate(tor):
             gens.append((0,) * n + tuple(d if j == i else 0 for j in range(k)))
         L = lattice_from_generators(gens)
-        if len(L) < n + k:
-            return False
-        std = [tuple(1 if i == j else 0 for j in range(n + k)) for i in range(n + k)]
-        try:
-            return lattice_index(std, L) == 1
-        except ValueError:
-            return False
+        return len(L) == n + k and abs(det(L)) == 1
 
     def __len__(self):
         return len(self.vectors)

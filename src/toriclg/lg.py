@@ -24,7 +24,7 @@ import numpy as np
 from . import errors
 from .cones import normalized_volume, polytope_facets, polytope_proper_faces
 from .fans import StackyFan
-from .rational import (integer_kernel, mat_inverse, matvec, primitive, rank,
+from .rational import (idot, integer_kernel, primitive, rank, scaled_inverse,
                        solve, transpose, vsub)
 
 TOL_NEWTON = 1e-12
@@ -943,15 +943,15 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
             and all(isinstance(x, (int, float, complex))
                     and not isinstance(x, bool) for x in chi)):
         raise errors.ScenarioError(f"chi must be {n} numbers, got {chi!r}")
-    Binv, _ = mat_inverse([[S[i].free[j] for i in splitting]
-                           for j in range(n)])
+    A, vol = scaled_inverse([[S[i].free[j] for i in splitting]
+                             for j in range(n)])
     lam_basis = _lambda_sigma_basis(fan)
     lam_cols = [tuple(r[j] for r in lam_basis) for j in range(m)]
     q_exps = []             # per term: (q index, float exponent) pairs
     for b in range(m):
         lam_b = list(fan.psi(S[b]))
-        for i, x in zip(splitting, matvec(Binv, S[b].free)):
-            lam_b[i] -= x
+        for i, row in zip(splitting, A):
+            lam_b[i] -= Fraction(idot(row, S[b].free), vol)
         co = solve(lam_cols, tuple(lam_b)) if lam_basis else ()
         q_exps.append([(k, float(e)) for k, e in enumerate(co) if e != 0])
     template = LGPotential([b.free for b in S], [1] * m, chi=chi,

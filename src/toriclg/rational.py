@@ -5,12 +5,15 @@ stay small (a dozen rows/columns), so everything over Q is one
 fraction-free Gauss-Jordan loop on `int` rows (`_eliminate`; `det` takes
 its forward half), whose readers build a Fraction only for an entry they
 return: `rref` (the Chow ring's graded bases, one call per degree),
-`rank`, `solve`, `nullspace`, `det`, `mat_inverse` (the cone charts) and
-`adjugate` (the complement table).  Over Z there is one textbook Hermite
-reduction with full pivot tracking.  `cleared`, `primitive` and `idot`
-take `int` vectors as they are, for the callers that run on integers: the
-cones, the chamber walk's probes, walls and complement adjugates, the fan
-cover check and the HRR pairing.
+`rank`, `solve`, `nullspace` and `det`.  The one matrix inverse,
+`scaled_inverse`, returns (|det B| B^-1, |det B|) in `int`: the cone
+charts, the complement table, dual lattices, Hilbert bases and a
+potential family's splitting inverse read it.  Over Z there is one
+textbook Hermite reduction with full pivot tracking.  `cleared`,
+`primitive` and `idot` take `int` vectors as they are, for the callers
+that run on integers: the cones, the chamber walk's probes, walls and
+complement inverses, the fan's charts, circuit rows and cover check, and
+the HRR pairing.
 """
 from __future__ import annotations
 
@@ -162,36 +165,19 @@ def det(rows) -> Fraction:
         else Fraction(0)
 
 
-def _inverse_rows(rows):
-    """(q, right half) of the pivot row of each column c in order, from one
-    elimination of [B | I] for a square B, and det B as (num, den): row c
-    of B^-1 is that half over q.  ValueError when B is singular."""
+def scaled_inverse(rows):
+    """(A, vol) = (|det B| B^-1, |det B|) of a square `int` matrix B, both
+    `int`, from one elimination of [B | I]: the pivot row of column c,
+    over its pivot, is row c of B^-1.  ValueError when B is singular."""
     n = len(rows)
-    aug, dens = _int_rows(rows)
-    for i, d in enumerate(dens):
-        aug[i] += [0] * n
-        aug[i][n + i] = d
+    aug = [list(r) + [int(i == j) for j in range(n)]
+           for i, r in enumerate(rows)]
     piv, (num, den) = _eliminate(aug, 2 * n)
     if len(piv) < n or any(c >= n for c in piv):
         raise ValueError("singular matrix")
-    return [(aug[r][c], aug[r][n:]) for c, r in piv.items()], \
-        (num, den * prod(dens))
-
-
-def mat_inverse(rows):
-    """(B^-1, det B) of a square matrix B, both from one elimination of
-    [B | I]."""
-    halves, d = _inverse_rows(rows)
-    return [tuple(Fraction(x, q) for x in h) for q, h in halves], \
-        Fraction(*d)
-
-
-def adjugate(rows):
-    """(adj B, det B) = (det B * B^-1, det B) of a square `int` matrix B, in
-    `int`.  ValueError when B is singular."""
-    halves, (num, den) = _inverse_rows(rows)
-    d = num // den
-    return [tuple(d * x // q for x in h) for q, h in halves], d
+    vol = abs(num // den)
+    return [tuple(vol * x // aug[r][c] for x in aug[r][n:])
+            for c, r in piv.items()], vol
 
 
 def cleared(v):
@@ -290,29 +276,23 @@ def preimage_lattice(w_rows, ncols):
 
 
 def dual_lattice(basis_rows):
-    """Dual basis of a full-rank lattice in Q^n: rows of (B^-1)^T."""
-    inv, _ = mat_inverse(basis_rows)
-    return transpose(inv)
+    """Dual basis of a full-rank lattice in Q^n: rows of (B^-1)^T, read
+    from `scaled_inverse` of B cleared to one denominator, B = P / den,
+    as B^-1 = den A / vol."""
+    den = lcm(*(frac(x).denominator for r in basis_rows for x in r))
+    A, vol = scaled_inverse([[int(x * den) for x in r] for r in basis_rows])
+    return [tuple(Fraction(den * x, vol) for x in col) for col in zip(*A)]
 
 
-def lattice_index(sup_rows, sub_rows) -> int:
-    """Index [sup : sub] for full-rank lattices given by basis rows."""
-    supinv, _ = mat_inverse(sup_rows)
-    T = [matvec(transpose(supinv), s) for s in sub_rows]
-    if any(x.denominator != 1 for coeff in T for x in coeff):
-        raise ValueError("not a sublattice")
-    return abs(int(det(T)))
-
-
-def parallelepiped_units(inv, vol):
+def parallelepiped_units(A, vol):
     """The lattice points of the half-open parallelepiped B[0,1)^n of an
     integer matrix B, as their coordinates over B's columns in units of
-    1/vol, given B^-1 and vol = |det B| (which clears B^-1's denominators).
-    These points form the group B^-1 Z^n / Z^n of order vol, so they are
-    the closure under addition mod 1 of B^-1's columns, the coordinates of
-    the unit vectors.  Sorted integer tuples in [0, vol)^n, 0 first."""
-    gens = [tuple(int(x * vol) % vol for x in col) for col in zip(*inv)]
-    zero = (0,) * len(inv)
+    1/vol, given (A, vol) = `scaled_inverse(B)`.  These points form the
+    group B^-1 Z^n / Z^n of order vol, so they are the closure under
+    addition mod 1 of B^-1's columns, the coordinates of the unit vectors.
+    Sorted integer tuples in [0, vol)^n, 0 first."""
+    gens = [tuple(x % vol for x in col) for col in zip(*A)]
+    zero = (0,) * len(A)
     units, frontier = {zero}, {zero}
     while frontier:
         frontier = {tuple((a + b) % vol for a, b in zip(x, g))

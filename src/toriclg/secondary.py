@@ -11,7 +11,7 @@ from . import errors
 from .cones import Cone, dual_description
 from .fans import StackyFan, cones_key, extended_sequences
 from .lattice import VectorSet
-from .rational import (adjugate, idot, in_lattice, primitive, solve,
+from .rational import (idot, in_lattice, primitive, scaled_inverse, solve,
                        transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
@@ -44,8 +44,7 @@ class PLConeData:
             normals = {}
             for c in fan.max_cones:
                 rest = [b for b in range(m) if b not in c]
-                adj, _ = _complement_inverse(D, rest)
-                for row in adj:
+                for row in _complement_inverse(D, rest):
                     normals.setdefault(primitive(row))
             rays, _ = dual_description(list(normals), [], self.rank)
             if rays:
@@ -56,26 +55,11 @@ class PLConeData:
         """CPL_+(Sigma) in Q^S: c >= 0 and, for each maximal cone sigma and
         b outside it, c_b >= m_sigma(c)(b)."""
         if self._cpl_plus is None:
-            fan = self.fan
-            m = len(fan.S)
-            ineqs = []
-            for b in range(m):
-                e = [Fraction(0)] * m
-                e[b] = Fraction(1)
-                ineqs.append(tuple(e))
-            for ci, c in enumerate(fan.max_cones):
-                cs = sorted(c)
-                for b in range(m):
-                    if b in c:
-                        continue
-                    # c_b - m_sigma(c)(b) >= 0 with m_sigma determined by
-                    # c|_cs; m_sigma(b) = sum_k (B^-1 b)_k c_{cs[k]}
-                    coeff = fan.coords(ci, fan.ray_free(b))
-                    row = [Fraction(0)] * m
-                    row[b] = Fraction(1)
-                    for i, x in zip(cs, coeff):
-                        row[i] -= x
-                    ineqs.append(tuple(row))
+            m = len(self.fan.S)
+            ineqs = [tuple(int(i == b) for i in range(m)) for b in range(m)]
+            # c_b - m_sigma(c)(b) >= 0, up to the positive factor vol
+            for circuits in self.fan.circuits():
+                ineqs.extend(circuits.values())
             self._cpl_plus = Cone.from_inequalities(ineqs, ambient_dim=m)
         return self._cpl_plus
 
@@ -151,26 +135,24 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 
 
 def _complement_inverse(D, rest):
-    """(|det M| M^-1, |det M|) in `int` for the r x r matrix M whose columns
-    are D_b, b in `rest`: the adjugate, negated when det M < 0.  Row k reads
-    |det M| times the coefficient of D_{rest[k]}, so the rows are the inner
-    facet normals of cone(D_b : b in rest).  ValueError when the D_b are
-    not a basis of L^*_Q."""
-    adj, d = adjugate([[D[b][j] for b in rest] for j in range(len(D[0]))])
-    return [tuple(-x for x in row) for row in adj] if d < 0 else adj, abs(d)
+    """|det M| M^-1 in `int` for the r x r matrix M whose columns are D_b,
+    b in `rest`.  Row k reads |det M| times the coefficient of D_{rest[k]},
+    so the rows are the inner facet normals of cone(D_b : b in rest).
+    ValueError when the D_b are not a basis of L^*_Q."""
+    return scaled_inverse([[D[b][j] for b in rest]
+                           for j in range(len(D[0]))])[0]
 
 
 def _complement_table(vector_set: VectorSet, D):
-    """(I, rest, adj, vol) for each n-subset I of S, in `combinations`
-    order, whose complement {D_b : b in rest} is a basis of L^*_Q;
-    (adj, vol) = (|det M_I| M_I^-1, |det M_I|) is
-    `_complement_inverse(D, rest)`."""
+    """(I, rest, adj) for each n-subset I of S, in `combinations` order,
+    whose complement {D_b : b in rest} is a basis of L^*_Q; adj =
+    |det M_I| M_I^-1 is `_complement_inverse(D, rest)`."""
     m = len(vector_set.vectors)
     table = []
     for I in itertools.combinations(range(m), vector_set.lattice.rank):
         rest = [b for b in range(m) if b not in I]
         try:
-            table.append((frozenset(I), rest) + _complement_inverse(D, rest))
+            table.append((frozenset(I), rest, _complement_inverse(D, rest)))
         except ValueError:
             continue    # D_rest is not a basis: rank S_I < n
     return table
@@ -188,8 +170,9 @@ def _fan_from_stability(vector_set: VectorSet, table, omega, built):
     certifies strict convexity without an LP.
 
     The signs are tested in `int`: with den the common denominator of omega
-    and w = den omega, adj w = vol den lam, so lam > 0 iff adj w > 0, and
-    the heights are read exactly as lam_b = (adj w)_b / (vol den).
+    and w = den omega, adj w = |det M_I| den lam, so lam > 0 iff adj w > 0.
+    The heights are the `int` entries (adj w)_b, the positive multiple
+    |det M_I| den of lam, which certifies convexity as well.
 
     `built` maps `cones_key` to the fans already validated (None when
     rejected); a known selection is returned from it without rebuilding.
@@ -200,13 +183,13 @@ def _fan_from_stability(vector_set: VectorSet, table, omega, built):
     w = [x.numerator * (den // x.denominator) for x in omega]
     max_cones = []
     heights = None
-    for I, rest, adj, vol in table:
+    for I, rest, adj in table:
         if all(idot(row, w) > 0 for row in adj):
             max_cones.append(I)
             if heights is None:
-                heights = [Fraction(0)] * len(vector_set.vectors)
+                heights = [0] * len(vector_set.vectors)
                 for b, row in zip(rest, adj):
-                    heights[b] = Fraction(idot(row, w), vol * den)
+                    heights[b] = idot(row, w)
     if not max_cones:
         return None
     key = cones_key(max_cones)

@@ -4,7 +4,9 @@ fraction-free `rational._eliminate` and the entries read from it.
 Every row is a list of Fraction; a pivot row is scaled to a 1 and every
 other row cleared by it, so the reduced rows are read as they stand.  The
 package's versions must return equal values of the same types: Fraction
-wherever these return Fraction, `int` for `adjugate`.
+wherever these return Fraction, `int` for `scaled_inverse`.  `mat_inverse`
+is the `Fraction` inverse that `scaled_inverse` replaced; the other
+oracles read it too.
 """
 from fractions import Fraction
 from math import prod
@@ -110,8 +112,9 @@ def mat_inverse(rows):
     return inv, prod(factors, start=Fraction(1))
 
 
-def adjugate(rows):
-    """(det B * B^-1, det B) of an `int` matrix, converted to `int`."""
+def scaled_inverse(rows):
+    """(|det B| B^-1, |det B|) of an `int` matrix, converted to `int`."""
     inv, d = mat_inverse(rows)
-    assert d.denominator == 1
-    return [tuple(int(x * d) for x in row) for row in inv], int(d)
+    vol = abs(d)
+    assert vol.denominator == 1
+    return [tuple(int(x * vol) for x in row) for row in inv], int(vol)

@@ -12,8 +12,9 @@ import math
 from fractions import Fraction
 
 from toriclg.lp import lp_maximize
-from toriclg.rational import (frac, is_zero, mat_inverse, matvec, transpose,
-                              vsub)
+from toriclg.rational import frac, is_zero, matvec, transpose, vsub
+
+from elimination_oracle import mat_inverse
 
 
 def zonotope_hilbert_basis(cone, lattice_basis):

@@ -24,13 +24,21 @@ K-theory ring or the mutation bookkeeping.  The `euler` file also holds
 the float deviation of the Gamma pairing from the exact one, and `mutate`
 the float crossing parameters of its track, so those two digests carry
 the same numpy-build caveat as `critical` and `track`.
+
+The `euler` digests of the scenarios without an `euler` section (each
+runs the default varieties), `critical` on `discriminant-probe` and
+`track` on `bl-line-p4` complete the runs that exit 0.  Every other run
+of the 8 subcommands on the 9 shipped scenarios exits 2, and `EXIT_2`
+pins its one stderr line; `test_every_run_is_pinned` checks that the two
+tables together cover all 72 runs.
 """
+import glob
 import hashlib
 import os
 
 import pytest
 
-from toriclg.cli import main
+from toriclg.cli import COMMANDS, main
 
 SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -120,7 +128,64 @@ DIGESTS = {
         "euler.json": "c66a0ca35bf4bf0d1e6f311ef5ae654ec28f0fa2f63228c27bb98d211d63b619"},
     ("mutate", "bl-line-p4"): {
         "mutate.json": "ac71c694e713e41181226298ae230af31becaca3543e8ac3be7ab5c5aabc9850"},
+    ("euler", "a1"): {
+        "euler.json": "5a7760a5db2de83798a5e02ea3998c9fd7a8e4f27decdf4ef4e696faeff41ad7"},
+    ("euler", "bl-line-p4"): {
+        "euler.json": "a85bfd578cef64b63a0dd534c0bd0fc7e2fe8d99ea249d8efeb513f45ceb6771"},
+    ("euler", "blowup-c2"): {
+        "euler.json": "d6990f587339cdd24e57c7b32ef4641fe299c5fa2bb2954984a28bfbb9bab51b"},
+    ("euler", "cyclic-d3"): {
+        "euler.json": "e5fd9476291505e55612a64cfa3f02dbc172bb14f3a684c91bcd1802667b64d5"},
+    ("euler", "cyclic-d4"): {
+        "euler.json": "5a3d6527203da6c80289594b3e6690b002a96ed019a11850b6fa71aad3571476"},
+    ("euler", "cyclic-d5"): {
+        "euler.json": "3cd448cc0fc8f8cf0fc516f6d63ad2c2af52c1137f55ea5be1637984d6c39973"},
+    ("euler", "discriminant-probe"): {
+        "euler.json": "b0d0b5923b836f4f4a93d0eadf90216f534a61c1c4ffd5549254e6759c29a811"},
+    ("euler", "p2"): {
+        "euler.json": "6ace3f7d720c76a1172adea4f6b184e75990c15945b0017f46e15eb7f1e9318e"},
+    ("critical", "discriminant-probe"): {
+        "critical.json": "3276e34527e5545d975fded233ce2891f3fe17c61da92a1bd5f294d9331b252f"},
+    ("track", "bl-line-p4"): {
+        "events.json": "ec9ca22cde2c62d8083bdd66a0de8336451a3fa51b94d5e181f44d2bc1e29181",
+        "trajectory.csv": "5bd8529157c5a97f419ce0989bf7745be812121678f4172fa8ba6eef866c4f7f"},
 }
+
+NO_POTENTIAL = "ScenarioError: scenario has no potential"
+NO_LATTICE = "ScenarioError: scenario has no lattice/S data"
+MUTATE_PRESET = "ScenarioError: mutate currently ships the bl_line_p4 preset"
+NO_ORLOV_WALL = "RankMismatch: Orlov data requires a type II-i or III wall"
+NO_WALLS = "NotAdjacent: no walls in the secondary fan"
+
+EXIT_2 = {
+    ("critical", "euler-gram"): NO_POTENTIAL,
+    ("track", "euler-gram"): NO_POTENTIAL,
+    ("fans", "discriminant-probe"): NO_LATTICE,
+    ("fans", "euler-gram"): NO_LATTICE,
+    ("wallcross", "discriminant-probe"): NO_LATTICE,
+    ("wallcross", "euler-gram"): NO_LATTICE,
+    ("wallcross", "p2"): NO_WALLS,
+    ("orlov", "a1"): NO_ORLOV_WALL,
+    ("orlov", "blowup-c2"): "NotComplete: ring requires a complete fan",
+    ("orlov", "cyclic-d3"): NO_ORLOV_WALL,
+    ("orlov", "cyclic-d4"): NO_ORLOV_WALL,
+    ("orlov", "cyclic-d5"): NO_ORLOV_WALL,
+    ("orlov", "discriminant-probe"): NO_LATTICE,
+    ("orlov", "euler-gram"): NO_LATTICE,
+    ("orlov", "p2"): NO_WALLS,
+    **{("mutate", s): MUTATE_PRESET
+       for s in ("a1", "blowup-c2", "cyclic-d3", "cyclic-d4", "cyclic-d5",
+                 "discriminant-probe", "euler-gram", "p2")},
+}
+
+
+def test_every_run_is_pinned():
+    scenarios = {os.path.basename(p)[:-len(".json")]
+                 for p in glob.glob(os.path.join(SCN, "*.json"))}
+    runs = {(c, s) for c in COMMANDS for s in scenarios}
+    assert len(runs) == 72
+    assert not set(DIGESTS) & set(EXIT_2)
+    assert set(DIGESTS) | set(EXIT_2) == runs
 
 
 @pytest.mark.parametrize("command,scenario", sorted(DIGESTS),
@@ -132,3 +197,14 @@ def test_output_bytes_pinned(tmp_path, command, scenario):
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in sorted(os.listdir(tmp_path))}
     assert got == DIGESTS[command, scenario]
+
+
+@pytest.mark.parametrize("command,scenario", sorted(EXIT_2),
+                         ids=[f"{c}-{s}" for c, s in sorted(EXIT_2)])
+def test_exit_2_pinned(tmp_path, capsys, command, scenario):
+    rc = main([command, "--scenario", os.path.join(SCN, scenario + ".json"),
+               "--out", str(tmp_path), "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err.splitlines()[-1:]) == \
+        (2, "", [EXIT_2[command, scenario]])
+    assert os.listdir(tmp_path) == []

@@ -17,7 +17,7 @@ from toriclg.fans import StackyFan
 from toriclg.ktheory import (bl_line_p4, bl_point_p2, p1xp1,
                              projective_space)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.rational import dot, solve, vec
+from toriclg.rational import dot, primitive, solve, vec
 from toriclg.scenario import Scenario
 from toriclg.secondary import enumerate_adapted_fans, pl_cone_data
 
@@ -90,13 +90,24 @@ def solve_cpl_rows(fan):
 
 
 def assert_chart_matches_solve(fan):
-    """Chart coordinates, psi, the height certificate and the CPL_+ rows
-    agree with their per-cone `solve` versions."""
+    """Chart coordinates, circuit rows, psi, the height certificate and the
+    CPL_+ rows agree with their per-cone `solve` versions."""
+    m = len(fan.S)
     for ci, cone in enumerate(fan.max_cones):
-        B = cone_matrix(fan, sorted(cone))
-        for b in range(len(fan.S)):
-            assert fan.coords(ci, fan.ray_free(b)) == \
-                solve(B, fan.ray_free(b))
+        cs = sorted(cone)
+        B = cone_matrix(fan, cs)
+        vol = fan._charts()[ci][2]
+        for b in range(m):
+            coeff = solve(B, fan.ray_free(b))
+            assert fan.coords(ci, fan.ray_free(b)) == coeff
+            if b in cone:
+                continue
+            # vol (e_b - sum_k coeff_k e_{cs[k]}), in `int`
+            row = [Fraction(vol * (a == b)) for a in range(m)]
+            for i, x in zip(cs, coeff):
+                row[i] -= vol * x
+            assert fan.circuits()[ci][b] == tuple(row)
+            assert all(type(x) is int for x in fan.circuits()[ci][b])
     for v in fan.S:
         assert fan.psi(v) == solve_psi(fan, v)
     rng = random.Random(3)
@@ -106,7 +117,9 @@ def assert_chart_matches_solve(fan):
                 for _ in range(4)]
     for c in heights:
         assert fan._heights_certify(c) == solve_certify(fan, c)
-    assert pl_cone_data(fan).cpl_plus.inequalities == solve_cpl_rows(fan)
+    # the rows of the circuit table are positive multiples of the solved ones
+    assert [primitive(a) for a in pl_cone_data(fan).cpl_plus.inequalities] \
+        == [primitive(a) for a in solve_cpl_rows(fan)]
 
 
 def mother_fan():

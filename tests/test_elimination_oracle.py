@@ -16,8 +16,7 @@ from toriclg.cli import main
 from toriclg.lattice import AbelianLattice, VectorSet
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-NAMES = ("rref", "rank", "solve", "nullspace", "det", "mat_inverse",
-         "adjugate")
+NAMES = ("rref", "rank", "solve", "nullspace", "det", "scaled_inverse")
 
 
 def perfbench_constant(name):
@@ -88,7 +87,7 @@ def random_matrix(rng, m, n):
 def test_random_matrices_match_the_fraction_loop():
     rng = random.Random(20)
     seen = {"square": 0, "singular": 0, "wide": 0, "tall": 0, "fraction": 0,
-            "negative pivot": 0, "inconsistent": 0}
+            "negative pivot": 0, "inconsistent": 0, "negative det": 0}
     shapes = [(0, 0)] + [(rng.randint(1, 6), rng.randint(1, 6))
                          for _ in range(599)]
     for m, n in shapes:
@@ -112,9 +111,13 @@ def test_random_matrices_match_the_fraction_loop():
             seen["square"] += 1
             d = check("det", A)
             seen["singular"] += d == 0
-            check("mat_inverse", A)
             if all(type(x) is int for r in A for x in r):
-                check("adjugate", A)
+                # A and A with its first row negated: opposite determinants
+                flipped = [tuple(-x for x in r) if i == 0 else r
+                           for i, r in enumerate(A)]
+                for B in (A, flipped):
+                    check("scaled_inverse", B)
+                    seen["negative det"] += rational.det(B) < 0
     check("solve", [], ())
     check("nullspace", [], 3)
     assert min(seen.values()) > 20, seen
@@ -150,7 +153,7 @@ def replay(calls):
 
 
 def test_chamber_inputs_match_the_fraction_loop(monkeypatch):
-    # every chart, complement adjugate and wall nullspace of the chamber
+    # every chart, complement inverse and wall nullspace of the chamber
     # workload's inputs
     calls = record_calls(monkeypatch)
     for S in RANK2_SETS + [BL_LINE_P4_S]:
@@ -161,7 +164,7 @@ def test_chamber_inputs_match_the_fraction_loop(monkeypatch):
         for a, b, _ in walls:
             secondary.wall_between(fans[a], fans[b])
     monkeypatch.undo()
-    assert {"mat_inverse", "adjugate", "nullspace"} <= replay(calls)
+    assert {"scaled_inverse", "nullspace"} <= replay(calls)
 
 
 @pytest.mark.parametrize("scenario", sorted(
@@ -195,7 +198,7 @@ def test_elimination_stays_on_integers(monkeypatch):
 
 def test_singular_complement_is_skipped_not_divided_by_zero():
     # S_I = {v0, v1} spans a line, so the complement {D_2, D_3} is no basis
-    # of L^*_Q: the adjugate raises ValueError and the table skips I
+    # of L^*_Q: the inverse raises ValueError and the table skips I
     S = [(1, 0), (-1, 0), (0, 1), (1, -1)]
     vs = VectorSet(AbelianLattice(2), S)
     D = secondary.extended_sequences(vs)[1]
@@ -205,4 +208,4 @@ def test_singular_complement_is_skipped_not_divided_by_zero():
     subsets = {I for I, *_ in table}
     assert frozenset({0, 1}) not in subsets and len(subsets) == 5
     with pytest.raises(ValueError):
-        rational.adjugate([(2, 4), (1, 2)])
+        rational.scaled_inverse([(2, 4), (1, 2)])

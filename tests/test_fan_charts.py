@@ -1,11 +1,13 @@
 """Work counts of the per-fan chart: every per-cone coordinate of a fan is
 read from one elimination of each maximal cone's ray matrix, which gives
-both its inverse and its determinant."""
+both its inverse and its determinant, and every circuit row from one table
+per fan built on those charts."""
 from collections import Counter
 from fractions import Fraction
 
 from toriclg import cones, fans, gkz, ktheory, lg, rational, secondary
 from toriclg.ktheory import CohomologyRing, bl_line_p4
+from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.secondary import PLConeData
 
 # the modules that import the kernel's routines; rational's own internal
@@ -46,7 +48,7 @@ def record_eliminations(monkeypatch):
 
 
 def test_each_cone_ray_matrix_is_inverted_once(monkeypatch):
-    inverted = record(monkeypatch, "mat_inverse")
+    inverted = record(monkeypatch, "scaled_inverse")
     solved = record(monkeypatch, "solve")
     dets = record(monkeypatch, "det")
     kernels = record(monkeypatch, "nullspace")
@@ -84,15 +86,47 @@ def test_box_count_inverts_nothing_beyond_the_charts(monkeypatch):
     # Box(sigma) is read from the chart inverse's columns: building and
     # validating a fan and counting its orbifold cohomology invert each
     # cone's ray matrix once, for its chart
-    from toriclg.lattice import AbelianLattice, VectorSet
     cyclic = VectorSet(AbelianLattice(2), [(0, 1), (5, -1), (1, 0)])
     twisted = VectorSet(AbelianLattice(2, (2,)),
                         [((1, 0), (1,)), ((0, 1), (0,)), ((-1, -1), (0,))])
     builds = (bl_line_p4, lambda: fans.StackyFan(cyclic, [{0, 1}]),
               lambda: fans.StackyFan(twisted, [{0, 1}, {1, 2}, {0, 2}]))
-    inverted = record(monkeypatch, "mat_inverse")
+    inverted = record(monkeypatch, "scaled_inverse")
     for build in builds:
         before = len(inverted)
         fan = build()
         fan.dim_orbifold_cohomology()
         assert len(inverted) - before == len(fan.max_cones)
+
+
+def test_circuit_readers_share_one_table(monkeypatch):
+    # validation (by the wall LP and by the chamber walk's heights), the
+    # open Mori cone, CPL_+ and the Chow ring's intersection numbers read
+    # the circuit rows from one table per fan, never a chart coordinate
+    coords, tables = [], {}
+    real_coords = fans.StackyFan.coords
+    real_circuits = fans.StackyFan.circuits
+
+    def counting_coords(self, ci, x):
+        coords.append((self, ci, x))
+        return real_coords(self, ci, x)
+
+    def counting_circuits(self):
+        table = real_circuits(self)
+        tables.setdefault(id(self), (self, []))[1].append(table)
+        return table
+    monkeypatch.setattr(fans.StackyFan, "coords", counting_coords)
+    monkeypatch.setattr(fans.StackyFan, "circuits", counting_circuits)
+    blown_up = bl_line_p4()
+    walked, _ = secondary.enumerate_adapted_fans(VectorSet(
+        AbelianLattice(2), [(1, 0), (1, 1), (0, 1), (-1, -1), (-1, 0)]))
+    assert len(walked) > 1
+    for fan in [blown_up] + walked:
+        fan.open_mori_cone()
+        assert PLConeData(fan).cpl_plus.rays
+    CohomologyRing(blown_up)
+    assert coords == []
+    # every fan reads its table several times, and it is one table
+    for fan in [blown_up] + walked:
+        seen = tables[id(fan)][1]
+        assert len(seen) > 1 and all(t is seen[0] for t in seen)

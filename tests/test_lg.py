@@ -387,7 +387,7 @@ def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
     assert len(calls) == once
     # a scenario chart: one bound, one splitting inverse and one
     # Lambda^Sigma basis for the whole `track`
-    work = {"mat_inverse": 0, "_lambda_sigma_basis": 0}
+    work = {"scaled_inverse": 0, "_lambda_sigma_basis": 0}
     for name in work:
         def counted(*args, _name=name, _fn=getattr(lg, name)):
             work[_name] += 1
@@ -400,7 +400,7 @@ def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
                    "--out", str(tmp_path), "--seed", "0"])
         assert rc == 0
         assert calls.count(2) == 1
-        assert work == {"mat_inverse": 1, "_lambda_sigma_basis": 1}
+        assert work == {"scaled_inverse": 1, "_lambda_sigma_basis": 1}
     # `critical` computes the Newton polytope's facets once, for the bound;
     # the non-degeneracy check and its face lattice reuse them
     calls.clear()

@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import prod
 
 from toriclg import rational
+from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.rational import (det, dual_lattice, hnf, in_lattice,
-                              integer_kernel, lattice_index, mat_inverse,
-                              matvec, nullspace, parallelepiped_units,
-                              preimage_lattice, primitive, rank, rref, solve,
+                              integer_kernel, matvec, nullspace,
+                              parallelepiped_units, preimage_lattice,
+                              primitive, rank, rref, scaled_inverse, solve,
                               transpose, vec)
 
 
@@ -83,13 +84,25 @@ def test_integer_kernel_saturation_oracle():
 def test_preimage_and_dual_lattice():
     # {c in Z^3 : (c1+c2)/2 in Z} has index 2 in Z^3
     L = preimage_lattice([(Fraction(1, 2), Fraction(1, 2), 0)], 3)
-    std = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert lattice_index(std, L) == 2
+    assert abs(det(L)) == 2
     # dual of 2Z in Q^1 is (1/2)Z
     dl = dual_lattice([(2,)])
     assert dl == [(Fraction(1, 2),)]
     assert in_lattice((Fraction(3, 2),), dl)
     assert not in_lattice((Fraction(1, 3),), dl)
+
+
+def test_vector_set_generates():
+    # the free set spans a sublattice of index 2; the torsion set's free
+    # parts span Z^2 but its residues mod 2 miss 1; the last set generates
+    free = VectorSet(AbelianLattice(2), [(1, 1), (1, -1), (-1, -1)])
+    lat = AbelianLattice(2, (2,))
+    missed = VectorSet(lat, [((1, 0), (0,)), ((0, 1), (0,)),
+                             ((-1, -1), (0,))])
+    full = VectorSet(lat, [((1, 0), (1,)), ((0, 1), (0,)),
+                           ((-1, -1), (0,))])
+    assert (free.generates, missed.generates, full.generates) == \
+        (False, False, True)
 
 
 def test_hnf_preserves_lattice():
@@ -125,10 +138,10 @@ def test_det_matches_cofactor_expansion():
         seen["swapped"] += A[0][0] == 0 and d != 0
         # the inverse comes with the same determinant
         if d != 0:
-            inv, d_inv = mat_inverse(A)
-            assert d_inv == d
-            assert [matvec(A, col) for col in zip(*inv)] == \
-                [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            scaled, vol = scaled_inverse(A)
+            assert vol == abs(d)
+            assert [matvec(A, col) for col in zip(*scaled)] == \
+                [tuple(vol * (i == j) for i in range(n)) for j in range(n)]
     assert seen["singular"] > 20 and seen["swapped"] > 20
 
 
@@ -172,9 +185,8 @@ def test_parallelepiped_point_count_is_the_determinant():
         if det(B) == 0:
             continue
         done += 1
-        inv, d = mat_inverse(B)
-        vol = abs(int(d))
-        units = parallelepiped_units(inv, vol)
+        units = parallelepiped_units(*scaled_inverse(B))
+        vol = abs(det(B))
         assert len(units) == vol and units[0] == (0, 0, 0)
         for u in units:
             assert all(0 <= k < vol for k in u)

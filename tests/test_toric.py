@@ -7,9 +7,10 @@ import pytest
 from toriclg import errors
 from toriclg.fans import StackyFan, extended_sequences, validate_stacky_fan
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.rational import det, mat_inverse, matvec, primitive, vec
+from toriclg.rational import det, matvec, primitive, vec
 
 from convexity_oracle import convexity_certificate
+from elimination_oracle import mat_inverse
 
 
 def a1_vector_set():
@@ -140,14 +141,15 @@ def test_box_elements_a1():
 def test_corrupted_chart_fails_the_box_checks(monkeypatch):
     # both checks of the shared box walk raise VolumeBoxMismatch from the
     # count and from the elements: a chart claiming index 2 for a smooth
-    # cone walks one point, and a halved inverse walks a non-lattice point
+    # cone, (2A, 2), walks one point, and a halved inverse, (A, 2), walks a
+    # non-lattice point
     fan = StackyFan(blowup_c2_vector_set(), [{0, 2}, {1, 2}])
-    (cs, Binv, vol), rest = fan._charts()[0], fan._charts()[1:]
+    (cs, A, vol), rest = fan._charts()[0], fan._charts()[1:]
     assert vol == 1
-    half = [tuple(x / 2 for x in row) for row in Binv]
-    for chart, message in (((cs, Binv, 2), "1 box points, determinant "
-                                           "predicts 2"),
-                           ((cs, half, 2), "non-integral box point")):
+    double = [tuple(2 * x for x in row) for row in A]
+    for chart, message in (((cs, double, 2), "1 box points, determinant "
+                                             "predicts 2"),
+                           ((cs, A, 2), "non-integral box point")):
         monkeypatch.setattr(fan, "_chart_table", [chart] + rest)
         for call in (fan.dim_orbifold_cohomology, fan.box_elements):
             with pytest.raises(errors.VolumeBoxMismatch, match=message):
