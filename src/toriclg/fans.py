@@ -39,10 +39,8 @@ def extended_sequences(vector_set: VectorSet):
             coeffs.append(tuple(sum(T[i][j] * lam[j] for j in range(len(S)))
                                 for i in range(len(tor))))
         # sub-lattice of coefficient space where T*K*x = 0 mod d_i
-        rows = []
-        for i, d in enumerate(tor):
-            rows.append(tuple(Fraction(coeffs[j][i], d) for j in range(len(ker_free))))
-        sub = preimage_lattice(rows, len(ker_free)) if rows else \
+        rows = [([c[i] for c in coeffs], d) for i, d in enumerate(tor)]
+        sub = preimage_lattice(rows) if rows else \
             [tuple(1 if i == j else 0 for j in range(len(ker_free)))
              for i in range(len(ker_free))]
         L_basis = []
@@ -378,11 +376,11 @@ class StackyFan:
             # m_sigma(c) = B^-T c|_cs = A^T c|_cs / vol; integrality of all
             # n coordinates
             for i in range(self.n):
-                row = [Fraction(0)] * m
+                row = [0] * m
                 for k, b in enumerate(cs):
-                    row[b] = Fraction(A[k][i], vol)
-                conds.append(row)
-        self._plz = preimage_lattice(conds, m)
+                    row[b] = A[k][i]
+                conds.append((row, vol))
+        self._plz = preimage_lattice(conds)
         return self._plz
 
     def plq_lattice(self):

@@ -21,6 +21,10 @@ _TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
                Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
                Fraction(-1, 1209600)]
 
+# the entry of every fresh coefficient vector (`CohomologyRing.zero`):
+# Fractions are immutable and each writer rebinds its entry
+_ZERO = Fraction(0)
+
 
 @functools.lru_cache(maxsize=None)
 def _constant(k: int) -> complex:
@@ -107,13 +111,24 @@ class GammaPoly:
         other = self._lift(other)
         return isinstance(other, GammaPoly) and self.terms == other.terms
 
+    def __bool__(self):
+        """Equal to `self != 0` without lifting 0: const(0) has no terms."""
+        return bool(self.terms)
+
     def __repr__(self):
         return f"GammaPoly({self.terms})"
 
 
 class CohomologyRing:
     """Rational Chow/cohomology ring of a smooth complete simplicial toric
-    variety, with graded monomial bases and an exact degree map."""
+    variety, with graded monomial bases and an exact degree map.
+
+    The ring also holds the index tables of its product (`product_ids`):
+    for a pair of degrees (d1, d2), the int id of the product monomial of
+    basis[d1][i1] and basis[d2][i2], and, per id, the degree of that
+    monomial and its nonzero `reduce_map` coordinates.  A table is built on
+    the first product that touches its degree pair and lives with the
+    ring."""
 
     def __init__(self, fan: StackyFan):
         if not fan.is_smooth():
@@ -125,6 +140,9 @@ class CohomologyRing:
         self.m = len(fan.rays)
         self.ray_indices = list(fan.rays)      # indices into S
         self._build()
+        self._ids = {}          # product monomial -> id
+        self.reductions = []    # id -> (degree, [(i, x) for x != 0])
+        self._tables = {}       # (d1, d2) -> ids[i1][i2]
         total = sum(len(b) for b in self.basis.values())
         if total != fan.fan_polytope_volume():
             raise errors.RankMismatch(
@@ -212,9 +230,33 @@ class CohomologyRing:
             raise errors.RankMismatch("top cohomology is not one-dimensional")
         self.top_scale = 1 / Fraction(integral(self.basis[self.n][0]))
 
+    def product_ids(self, d1, d2):
+        """ids[i1][i2], the id of the monomial basis[d1][i1] *
+        basis[d2][i2], for d1 + d2 <= n; `reductions[id]` is its degree
+        and its reduction as the nonzero (i, x) of `reduce_map`, in index
+        order.  Built on first use."""
+        table = self._tables.get((d1, d2))
+        if table is None:
+            ids, red = self._ids, self.reduce_map[d1 + d2]
+            table = []
+            for mo1 in self.basis[d1]:
+                row = []
+                for mo2 in self.basis[d2]:
+                    mo = tuple(a + b for a, b in zip(mo1, mo2))
+                    k = ids.get(mo)
+                    if k is None:
+                        k = ids[mo] = len(self.reductions)
+                        self.reductions.append(
+                            (d1 + d2, [(i, x) for i, x in enumerate(red[mo])
+                                       if x]))
+                    row.append(k)
+                table.append(row)
+            self._tables[d1, d2] = table
+        return table
+
     # -- elements ------------------------------------------------------------
     def zero(self):
-        return Cls(self, {d: [Fraction(0)] * len(self.basis[d])
+        return Cls(self, {d: [_ZERO] * len(self.basis[d])
                           for d in range(self.n + 1)})
 
     def one(self):
@@ -302,7 +344,14 @@ class Cls:
     """Element of a CohomologyRing: per-degree coefficient vectors over the
     monomial basis.  The scalars may be Fractions, complex numbers or
     GammaPoly; one product (`*`) and one truncated exponential (`exp`)
-    serve all three."""
+    serve all three.
+
+    The product reads the ring's index tables (`product_ids`), which key
+    each product monomial by an int id, and does the arithmetic of the
+    product over monomial tuples in the same order: terms summed per
+    monomial in first-seen order, then reduced in that order, zeros
+    skipped.  Floating-point sums depend on that order, and `euler.json`
+    prints the Gamma pairing's deviation to full precision."""
 
     def __init__(self, ring: CohomologyRing, coeffs):
         self.ring = ring
@@ -335,26 +384,25 @@ class Cls:
         ring = self.ring
         poly = {}
         for d1, v1 in self.coeffs.items():
+            tables = None
             for i1, c1 in enumerate(v1):
-                if c1 == 0:
+                if not c1:
                     continue
-                mo1 = ring.basis[d1][i1]
-                for d2, v2 in other.coeffs.items():
-                    if not lowest <= d1 + d2 <= ring.n:
-                        continue
-                    for i2, c2 in enumerate(v2):
-                        if c2 == 0:
+                if tables is None:
+                    tables = [(ring.product_ids(d1, d2), v2)
+                              for d2, v2 in other.coeffs.items()
+                              if lowest <= d1 + d2 <= ring.n]
+                for ids, v2 in tables:
+                    for k, c2 in zip(ids[i1], v2):
+                        if not c2:
                             continue
-                        mo2 = ring.basis[d2][i2]
-                        mo = tuple(a + b for a, b in zip(mo1, mo2))
-                        poly[mo] = poly.get(mo, 0) + c1 * c2
+                        poly[k] = poly.get(k, 0) + c1 * c2
         out = ring.zero()
-        for mo, c in poly.items():
-            d = sum(mo)
-            red = ring.reduce_map[d][mo]
-            for i, x in enumerate(red):
-                if x:
-                    out.coeffs[d][i] = out.coeffs[d][i] + c * x
+        for k, c in poly.items():
+            d, red = ring.reductions[k]
+            v = out.coeffs[d]
+            for i, x in red:
+                v[i] = v[i] + c * x
         return out
 
     def exp(self):

@@ -190,8 +190,10 @@ def cleared(v):
 
 
 def primitive(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    ints = cleared(v)[1]
+    """Scale a rational vector to a primitive integer vector (gcd 1).  An
+    all-`int` vector goes to the gcd as it is, without `cleared`."""
+    v = tuple(v)
+    ints = v if all(type(x) is int for x in v) else cleared(v)[1]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 
@@ -264,14 +266,16 @@ def lattice_from_generators(gens):
     return [r for r in H if any(x != 0 for x in r)]
 
 
-def preimage_lattice(w_rows, ncols):
-    """Basis of {c in Z^ncols : W c in Z^k} for a rational matrix W: with
-    W = P / den, the c with P c = 0 mod den, read from the integer kernel
-    of [P | -den I]."""
-    den = lcm(*(frac(x).denominator for r in w_rows for x in r))
-    k = len(w_rows)
-    big = [[int(frac(x) * den) for x in r] + [-den * (i == j) for j in range(k)]
-           for i, r in enumerate(w_rows)]
+def preimage_lattice(rows):
+    """Basis of {c in Z^m : W c in Z^k} for a rational k x m matrix W
+    given as k pairs (p, q), row p / q with p an `int` row and q > 0: with
+    W = P / den, den the lcm of the reduced denominators of W's entries,
+    the c with P c = 0 mod den, read from the integer kernel of
+    [P | -den I].  The basis is that kernel's, not a normal form."""
+    den = lcm(*(q // gcd(x, q) for p, q in rows for x in p))
+    k = len(rows)
+    big = [[x * den // q for x in p] + [-den * (i == j) for j in range(k)]
+           for i, (p, q) in enumerate(rows)]
     return [v[:len(big[0]) - k] for v in integer_kernel(big)]
 
 

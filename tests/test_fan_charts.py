@@ -5,6 +5,7 @@ per fan built on those charts."""
 from collections import Counter
 from fractions import Fraction
 
+from test_rational import fraction_preimage_lattice
 from toriclg import cones, fans, gkz, ktheory, lg, rational, secondary
 from toriclg.ktheory import CohomologyRing, bl_line_p4
 from toriclg.lattice import AbelianLattice, VectorSet
@@ -130,3 +131,31 @@ def test_circuit_readers_share_one_table(monkeypatch):
     for fan in [blown_up] + walked:
         seen = tables[id(fan)][1]
         assert len(seen) > 1 and all(t is seen[0] for t in seen)
+
+
+# the rank-2 vector sets of the `chambers` benchmark workload
+CHAMBER_SETS = [
+    [(-2, 1), (3, -3), (-1, -3), (3, 3)],
+    [(1, -3), (3, -2), (-1, 2), (2, 0)],
+    [(0, -1), (0, 1), (1, -2), (0, 2), (2, 2)],
+    [(-2, 1), (0, -2), (3, -3), (0, -1), (2, -2)],
+    [(-2, 0), (-3, -3), (-3, -2), (-2, -2), (-1, -2)],
+]
+
+
+def test_pl_lattice_is_the_fraction_conditions_kernel():
+    # the integrality conditions pass as int chart rows over vol; the
+    # basis is the raw kernel the Fraction conditions gave, row for row
+    walked = [f for S in CHAMBER_SETS for f in secondary.enumerate_adapted_fans(
+        VectorSet(AbelianLattice(2), S))[0]]
+    assert len(walked) == 24
+    for fan in walked + [bl_line_p4()]:
+        m = len(fan.S)
+        conds = []
+        for cs, A, vol in fan._charts():
+            for i in range(fan.n):
+                row = [Fraction(0)] * m
+                for k, b in enumerate(cs):
+                    row[b] = Fraction(A[k][i], vol)
+                conds.append(row)
+        assert fan.pl_lattice() == fraction_preimage_lattice(conds)

@@ -4,7 +4,9 @@ Fraction pairings they replaced.
 The oracle HRR pairing is u^T X v by `rational.bilinear` over the Euler form
 X[a][b] = int (e_a^dual e_b Td(X)) taken as a triple product of classes,
 all in Fraction.  The oracle Gamma pairing integrates the full product
-b_1 alpha_2, both factors rebuilt for every pair."""
+b_1 alpha_2, both factors rebuilt for every pair.  Both oracles multiply
+through the tuple-keyed product of `product_oracle`, never through
+`Cls.product`."""
 import itertools
 import math
 import random
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+import product_oracle
+from product_oracle import mul
 from toriclg import ktheory
 from toriclg.fans import StackyFan
 from toriclg.ktheory import (BlowupData, Cls, GammaData, KClass, bl_line_p4,
@@ -30,8 +34,9 @@ def oracle_euler_form(ring):
             z = ring.zero()
             z.coeffs[d][i] = Fraction(1)
             units.append(z)
-    td = ring.todd_class()
-    return [[(a.dual() * b * td).integrate() for b in units] for a in units]
+    td = product_oracle.todd_class(ring)
+    return [[mul(mul(a.dual(), b), td).integrate() for b in units]
+            for a in units]
 
 
 def oracle_hrr(X, ring, u, v):
@@ -44,20 +49,20 @@ def oracle_gamma(ring):
     """[alpha_1, alpha_2) as the integral of the full product b_1 alpha_2,
     both factors rebuilt for each pair."""
     n = ring.n
-    gamma_num = ktheory.gamma_class(ring).numeric()
-    exp_c1 = ring.c1().numeric().scaled(-1j * math.pi).exp()
+    gamma_num = product_oracle.gamma_class(ring).numeric()
+    exp_c1 = product_oracle.exp(ring.c1().numeric().scaled(-1j * math.pi))
 
     def alpha(V):
         twopii = 2j * math.pi
         chnum = V.ch.numeric()
-        return gamma_num * Cls(ring, {d: [x * twopii ** d for x in v]
-                                      for d, v in chnum.coeffs.items()})
+        return mul(gamma_num, Cls(ring, {d: [x * twopii ** d for x in v]
+                                         for d, v in chnum.coeffs.items()}))
 
     def pairing(V1, V2):
-        b1 = exp_c1 * alpha(V1)
+        b1 = mul(exp_c1, alpha(V1))
         b1 = Cls(ring, {d: [x * ktheory._cis(math.pi * (d - n / 2 * 1))
                             for x in v] for d, v in b1.coeffs.items()})
-        return (b1 * alpha(V2)).integrate() / (2 * math.pi) ** n
+        return mul(b1, alpha(V2)).integrate() / (2 * math.pi) ** n
     return pairing
 
 

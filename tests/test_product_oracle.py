@@ -1,0 +1,184 @@
+"""The ring product on per-ring index tables against the tuple-keyed loop
+it replaced (`product_oracle`), bit for bit, and the work the tables
+save: after a ring's first pairing, a Gamma Gram reads no basis monomial
+and no `reduce_map` entry."""
+import math
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import product_oracle
+from test_ring_oracle import FANS
+from toriclg.ktheory import (Cls, CohomologyRing, GammaData, GammaPoly,
+                             KClass, bl_line_p4)
+
+
+def canon(x):
+    """A scalar as a comparable key that tells apart what `==` merges: the
+    type of a Fraction, the bits of each complex part (-0.0 and nan too)
+    and the order of a GammaPoly's terms."""
+    if isinstance(x, complex):
+        return "complex", x.real.hex(), x.imag.hex()
+    if isinstance(x, GammaPoly):
+        return "gamma", [(k, type(v), v) for k, v in x.terms.items()]
+    return type(x), x
+
+
+def canon_cls(c):
+    return {d: [canon(x) for x in v] for d, v in c.coeffs.items()}
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def random_complex(rng):
+    r = rng.random()
+    if r < 0.05:
+        return complex(math.nan, rng.uniform(-2, 2))
+    if r < 0.15:
+        return complex(-0.0, rng.choice((-0.0, 0.0, rng.uniform(-2, 2))))
+    return complex(rng.uniform(-2, 2), rng.choice((-0.0, rng.uniform(-2, 2))))
+
+
+def random_gamma(rng, nz):
+    """A GammaPoly with up to three terms (none: the zero polynomial), or
+    a Fraction, as the entries of a class built by `gamma_class` mix
+    both."""
+    if rng.random() < 0.3:
+        return random_fraction(rng)
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        key = tuple(rng.randint(0, 2) for _ in range(nz + 1))
+        terms[key] = random_fraction(rng) or Fraction(1)
+    return GammaPoly(terms, nz)
+
+
+def random_class(ring, rng, kind):
+    nz = max(ring.n - 1, 1)
+    draw = {"fraction": random_fraction,
+            "complex": random_complex,
+            "gamma": lambda r: random_gamma(r, nz)}[kind]
+    coeffs = {}
+    for d in range(ring.n + 1):
+        coeffs[d] = [Fraction(0) if rng.random() < 0.3 else draw(rng)
+                     for _ in ring.basis[d]]
+    if rng.random() < 0.2:      # a whole degree of zeros
+        d = rng.randint(0, ring.n)
+        zero = complex(-0.0, 0.0) if kind == "complex" else Fraction(0)
+        coeffs[d] = [zero] * len(coeffs[d])
+    return Cls(ring, coeffs)
+
+
+KINDS = [("fraction", "fraction"), ("complex", "complex"),
+         ("gamma", "gamma"), ("gamma", "fraction"), ("fraction", "gamma"),
+         ("complex", "fraction")]
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_product_equals_the_tuple_oracle_bit_for_bit(name):
+    ring = CohomologyRing(FANS[name]())
+    rng = random.Random(sorted(FANS).index(name))
+    for lowest in range(ring.n + 1):
+        for k1, k2 in KINDS:
+            for _ in range(2):
+                a = random_class(ring, rng, k1)
+                b = random_class(ring, rng, k2)
+                want = product_oracle.product(a, b, lowest)
+                got = a.product(b, lowest)
+                assert canon_cls(got) == canon_cls(want), (lowest, k1, k2)
+                if lowest == 0:
+                    assert canon_cls(a * b) == canon_cls(want)
+
+
+def test_complex_nan_and_signed_zeros_are_kept():
+    ring = CohomologyRing(FANS["p2"]())
+    a, b = ring.zero(), ring.zero()
+    a.coeffs[0][0] = complex(math.nan, 1.0)
+    a.coeffs[1][0] = complex(-0.0, -0.0)        # a zero: skipped
+    b.coeffs[0][0] = complex(-0.0, 2.0)
+    b.coeffs[1][0] = complex(1.0, -0.0)
+    got = a * b
+    want = product_oracle.product(a, b, 0)
+    assert canon_cls(got) == canon_cls(want)
+    assert math.isnan(got.coeffs[0][0].real)
+
+
+def test_gamma_poly_truth_is_inequality_with_zero():
+    rng = random.Random(3)
+    values = [GammaPoly.const(0, 2), GammaPoly.const(Fraction(1, 3), 2),
+              GammaPoly.symbol("gamma", 2), GammaPoly({}, 1),
+              GammaPoly.symbol("zeta2", 2) * Fraction(0),
+              GammaPoly.symbol("gamma", 2) + GammaPoly.symbol("gamma", 2)
+              * Fraction(-1)]
+    values += [random_gamma(rng, 2) for _ in range(50)]
+    values = [g for g in values if isinstance(g, GammaPoly)]
+    assert any(not g.terms for g in values) and any(g.terms for g in values)
+    for g in values:
+        assert bool(g) == (g != 0)
+
+
+class CountingDict(dict):
+    def __init__(self, data, hits):
+        super().__init__(data)
+        self.hits = hits
+
+    def __getitem__(self, key):
+        self.hits["reduce_map"] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.hits["reduce_map"] += 1
+        return super().get(key, default)
+
+
+class CountingList(list):
+    def __init__(self, data, hits):
+        super().__init__(data)
+        self.hits = hits
+
+    def __getitem__(self, i):
+        self.hits["basis"] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.hits["basis"] += len(self)
+        return super().__iter__()
+
+
+class TableLog(dict):
+    def __init__(self, built):
+        super().__init__()
+        self.built = built
+
+    def __setitem__(self, key, value):
+        self.built[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_gamma_gram_reads_only_the_index_tables():
+    ring = CohomologyRing(bl_line_p4())
+    rng = random.Random(11)
+    hits, built = Counter(), Counter()
+    ring.basis = {d: CountingList(b, hits) for d, b in ring.basis.items()}
+    ring.reduce_map = {d: CountingDict(r, hits)
+                       for d, r in ring.reduce_map.items()}
+    ring._tables = TableLog(built)
+    gd = GammaData(ring)
+    classes = []
+    for _ in range(6):
+        c1 = ring.zero()
+        for i in range(ring.m):
+            c1 = c1 + ring.divisor(i).scaled(Fraction(rng.randint(-2, 2)))
+        classes.append(KClass.line_bundle(ring, c1, "L"))
+    gd.pairing(classes[0], classes[1])
+    assert built and all(k == 1 for k in built.values())
+    assert all(d1 + d2 <= ring.n for d1, d2 in built)
+    before = Counter(built)
+    hits.clear()
+    gram = [[gd.pairing(a, b) for b in classes] for a in classes]
+    assert hits == Counter(), hits
+    assert built == before
+    assert len(gram) == 6 and all(len(row) == 6 for row in gram)

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 from toriclg import rational
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.rational import (det, dual_lattice, hnf, in_lattice,
-                              integer_kernel, matvec, nullspace,
+from toriclg.rational import (cleared, det, dual_lattice, frac, hnf,
+                              in_lattice, integer_kernel, matvec, nullspace,
                               parallelepiped_units, preimage_lattice,
                               primitive, rank, rref, scaled_inverse, solve,
                               transpose, vec)
@@ -83,13 +83,72 @@ def test_integer_kernel_saturation_oracle():
 
 def test_preimage_and_dual_lattice():
     # {c in Z^3 : (c1+c2)/2 in Z} has index 2 in Z^3
-    L = preimage_lattice([(Fraction(1, 2), Fraction(1, 2), 0)], 3)
+    L = preimage_lattice([((1, 1, 0), 2)])
     assert abs(det(L)) == 2
     # dual of 2Z in Q^1 is (1/2)Z
     dl = dual_lattice([(2,)])
     assert dl == [(Fraction(1, 2),)]
     assert in_lattice((Fraction(3, 2),), dl)
     assert not in_lattice((Fraction(1, 3),), dl)
+
+
+def fraction_preimage_lattice(w_rows):
+    """`preimage_lattice` as it took a matrix of Fractions: cleared to the
+    lcm of the reduced denominators, then the kernel of [P | -den I]."""
+    den = lcm(*(frac(x).denominator for r in w_rows for x in r))
+    k = len(w_rows)
+    big = [[int(frac(x) * den) for x in r] + [-den * (i == j) for j in range(k)]
+           for i, r in enumerate(w_rows)]
+    return [v[:len(big[0]) - k] for v in integer_kernel(big)]
+
+
+def test_preimage_lattice_of_int_rows_is_the_fraction_form():
+    # the same [P | -den I], so the same raw kernel basis, row for row;
+    # shared factors of p and q make the reduced denominators smaller
+    rng = random.Random(5)
+    for _ in range(150):
+        k, m = rng.randint(1, 3), rng.randint(1, 5)
+        rows = []
+        for _ in range(k):
+            q = rng.choice((1, 2, 3, 4, 6, 12))
+            f = rng.choice((1, 1, 2, 3))
+            rows.append(([f * rng.randint(-6, 6) for _ in range(m)], q))
+        want = fraction_preimage_lattice([[Fraction(x, q) for x in p]
+                                          for p, q in rows])
+        assert preimage_lattice(rows) == want
+
+
+def primitive_by_cleared(v):
+    ints = cleared(v)[1]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def test_primitive_of_int_vectors_skips_cleared(monkeypatch):
+    rng = random.Random(9)
+    vectors = [(0, 0, 0), [0], (), [0, 0]]
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        v = [rng.randint(-9, 9) * rng.choice((1, 1, 2, 6)) for _ in range(m)]
+        if rng.random() < 0.4:
+            v = [Fraction(x, rng.randint(1, 4)) for x in v]
+        elif rng.random() < 0.2:
+            v[0] = Fraction(v[0], 3)
+        vectors.append(tuple(v) if rng.random() < 0.5 else v)
+    want = [primitive_by_cleared(v) for v in vectors]
+    calls = []
+    real = rational.cleared
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+    monkeypatch.setattr(rational, "cleared", counting)
+    got = [primitive(v) for v in vectors]
+    assert [[(type(x), x) for x in g] for g in got] == \
+        [[(type(x), x) for x in w] for w in want]
+    assert all(type(g) is tuple for g in got)
+    assert len(calls) == sum(not all(type(x) is int for x in v)
+                             for v in vectors)
 
 
 def test_vector_set_generates():
