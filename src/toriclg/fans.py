@@ -83,10 +83,11 @@ class StackyFan:
     the wall-local LP of `_wall_heights` finds one.
 
     Every per-cone coordinate is read from one chart per maximal cone,
-    built once per fan by `_charts`: `coords` and `locate` are its readers,
-    and `circuits`, also built once per fan, holds the circuit rows that
-    the convexity certificate, the wall LP, the open Mori cone, CPL_+ and
-    the Chow ring's intersection numbers read.
+    built once per fan by `_charts`: `locate` is the program's reader of
+    it, and `coords` serves the tests.  `circuits`, also built once per
+    fan, holds the circuit rows that the convexity certificate, the wall
+    LP, the open Mori cone, CPL_+ and the Chow ring's intersection numbers
+    read.
     """
 
     def __init__(self, vector_set: VectorSet, max_cones, validate=True,

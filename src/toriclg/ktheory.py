@@ -71,7 +71,7 @@ class GammaPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in self._lift(other).terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, _ZERO) + v
             if out[k] == 0:
                 del out[k]
         return GammaPoly(out, self.nzeta)
@@ -84,7 +84,7 @@ class GammaPoly:
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                out[k] = out.get(k, _ZERO) + v1 * v2
                 if out[k] == 0:
                     del out[k]
         return GammaPoly(out, self.nzeta)
@@ -117,6 +117,10 @@ class GammaPoly:
 
     def __repr__(self):
         return f"GammaPoly({self.terms})"
+
+
+# the entry types whose sum with an exact Fraction zero is the entry itself
+_EXACT = (Fraction, GammaPoly)
 
 
 class CohomologyRing:
@@ -300,6 +304,11 @@ class CohomologyRing:
         return tuple(out)
 
     def todd_class(self):
+        return self._series_product(_TODD_COEFF)
+
+    def _series_product(self, coeffs):
+        """prod_b sum_{k=0..n} coeffs[k] D_b^k over the rays b: n products
+        by D_b per ray and one product per ray into the running class."""
         out = self.one()
         for i in range(self.m):
             D = self.divisor(i)
@@ -308,7 +317,7 @@ class CohomologyRing:
             for k in range(self.n + 1):
                 if k:
                     pw = pw * D
-                s = s + pw.scaled(_TODD_COEFF[k])
+                s = s + pw.scaled(coeffs[k])
             out = out * s
         return out
 
@@ -361,16 +370,34 @@ class Cls:
         return Cls(self.ring, {d: list(v) for d, v in self.coeffs.items()})
 
     def __add__(self, other):
+        """Entrywise sum.  Adding an exact Fraction zero to or from a
+        Fraction or GammaPoly entry is skipped, as it returns the other
+        entry's value and type; a complex entry still takes every addition,
+        since -0.0 + 0 is +0.0."""
         out = self.copy()
         for d, v in other.coeffs.items():
+            w = out.coeffs[d]
             for i, x in enumerate(v):
-                out.coeffs[d][i] = out.coeffs[d][i] + x
+                y = w[i]
+                if type(x) is Fraction and not x and type(y) in _EXACT:
+                    continue
+                if type(y) is Fraction and not y and type(x) in _EXACT:
+                    w[i] = x
+                else:
+                    w[i] = y + x
         return out
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, c):
+        """c times each entry; a Fraction c leaves a Fraction zero entry
+        as it is.  A complex or GammaPoly c multiplies every entry, zeros
+        too, as its product with Fraction(0) is a complex or GammaPoly."""
+        if type(c) is Fraction:
+            return Cls(self.ring, {d: [x if type(x) is Fraction and not x
+                                       else c * x for x in v]
+                                   for d, v in self.coeffs.items()})
         return Cls(self.ring, {d: [c * x for x in v]
                                for d, v in self.coeffs.items()})
 
@@ -499,30 +526,46 @@ def euler_pairing_hrr(V1: KClass, V2: KClass) -> int:
     return q
 
 
+@functools.lru_cache(maxsize=None)
+def _gamma_series(n: int) -> tuple:
+    """g_0..g_n, the Taylor coefficients of Gamma(1 + x) = exp(sum_k l_k
+    x^k) up to x^n, with l_1 = -gamma and l_k = zeta(k) (-1)^k / k, kept
+    symbolic (GammaPoly; g_0 = 1).
+
+    The exponential is summed as `Cls.exp` sums it, term_k = term_{k-1} *
+    log / k with the product's terms in its order, so each g_k holds its
+    terms in the order that a ring exp of the log series gives, which
+    `GammaPoly.evaluate` sums in."""
+    nz = max(n - 1, 1)
+    log = [_ZERO, GammaPoly.symbol("gamma", nz) * Fraction(-1)]
+    log += [GammaPoly.symbol(f"zeta{k}", nz) *
+            (Fraction(-1) ** k * Fraction(1, k)) for k in range(2, n + 1)]
+    out = [Fraction(1)] + [_ZERO] * n
+    term = list(out)
+    for k in range(1, n + 1):
+        prod = [_ZERO] * (n + 1)
+        for i, a in enumerate(term):
+            if a:
+                for j in range(1, n + 1 - i):
+                    prod[i + j] = prod[i + j] + a * log[j]
+        term = [x / k for x in prod]
+        out = [x + y for x, y in zip(out, term)]
+    return tuple(out)
+
+
 def gamma_class(ring: CohomologyRing) -> Cls:
     """Gamma-hat class prod_b Gamma(1 + D_b) with coefficients kept symbolic
-    in the Euler-Mascheroni constant and zeta(2..n)."""
-    n = ring.n
-    nz = max(n - 1, 1)
-    out = ring.one()
-    for i in range(ring.m):
-        D = ring.divisor(i)
-        # log Gamma(1+x) = -gamma x + sum_{k>=2} zeta(k) (-x)^k / k
-        logg = ring.zero()
-        pw = ring.one()
-        for k in range(1, n + 1):
-            pw = pw * D
-            if k == 1:
-                coef = GammaPoly.symbol("gamma", nz) * Fraction(-1)
-            else:
-                coef = GammaPoly.symbol(f"zeta{k}", nz) * \
-                    (Fraction(-1) ** k * Fraction(1, k))
-            logg = logg + pw.scaled(coef)
-        out = out * logg.exp()
-    return out
+    in the Euler-Mascheroni constant and zeta(2..n): one Taylor series of
+    Gamma(1 + x) per dimension (`_gamma_series`), summed in each D_b."""
+    return ring._series_product(_gamma_series(ring.n))
 
 
 class GammaData:
+    """The Gamma pairing's data on one ring: the Gamma class
+    (`gamma_class`, symbolic, checked to have degree-2 part -gamma c1) and
+    its numeric value, exp(-pi i c1), and each class's pairing factors,
+    computed once per class."""
+
     def __init__(self, ring: CohomologyRing):
         self.ring = ring
         self.gamma = gamma_class(ring)

@@ -2,11 +2,15 @@
 tables: each pair of basis monomials rebuilds its product tuple, which is
 looked up in `reduce_map`.  The scalars are tested against 0 by `==`.
 
-`product(a, b, lowest)` is the loop unchanged; `mul`, `exp`,
+`product(a, b, lowest)` is the loop unchanged.  `add` and `scaled` are
+`Cls.__add__` and `Cls.scaled` as they were before they skipped exact
+zeros: every entry takes the addition and the scale.  `mul`, `exp`,
 `todd_class` and `gamma_class` are `Cls.__mul__`, `Cls.exp`,
-`CohomologyRing.todd_class` and `ktheory.gamma_class` with every product
-going through it, for oracles that must not multiply through the
-program."""
+`CohomologyRing.todd_class` and `ktheory.gamma_class` with every product,
+sum and scale going through these, for oracles that must not compute
+through the program.  `gamma_class` is the route the program took before
+one Taylor series of Gamma(1 + x) per dimension: per ray, the series of
+log Gamma(1 + D_b) in the ring and its ring `exp`."""
 from fractions import Fraction
 
 from toriclg.ktheory import _TODD_COEFF, Cls, GammaPoly
@@ -39,6 +43,18 @@ def product(self, other, lowest):
     return out
 
 
+def add(a, b):
+    out = a.copy()
+    for d, v in b.coeffs.items():
+        for i, x in enumerate(v):
+            out.coeffs[d][i] = out.coeffs[d][i] + x
+    return out
+
+
+def scaled(a, c):
+    return Cls(a.ring, {d: [c * x for x in v] for d, v in a.coeffs.items()})
+
+
 def mul(a, b):
     return product(a, b, 0)
 
@@ -52,7 +68,7 @@ def exp(cls):
         term = mul(term, cls)
         term = Cls(ring, {d: [x / k for x in v]
                           for d, v in term.coeffs.items()})
-        out = out + term
+        out = add(out, term)
     return out
 
 
@@ -65,7 +81,7 @@ def todd_class(ring):
         for k in range(ring.n + 1):
             if k:
                 pw = mul(pw, D)
-            s = s + pw.scaled(_TODD_COEFF[k])
+            s = add(s, scaled(pw, _TODD_COEFF[k]))
         out = mul(out, s)
     return out
 
@@ -85,6 +101,6 @@ def gamma_class(ring):
             else:
                 coef = GammaPoly.symbol(f"zeta{k}", nz) * \
                     (Fraction(-1) ** k * Fraction(1, k))
-            logg = logg + pw.scaled(coef)
+            logg = add(logg, scaled(pw, coef))
         out = mul(out, exp(logg))
     return out

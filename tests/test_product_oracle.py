@@ -1,7 +1,9 @@
 """The ring product on per-ring index tables against the tuple-keyed loop
 it replaced (`product_oracle`), bit for bit, and the work the tables
 save: after a ring's first pairing, a Gamma Gram reads no basis monomial
-and no `reduce_map` entry."""
+and no `reduce_map` entry.  The element sum and scale, which skip exact
+zeros, against the loops that did not, and the Gamma class from one
+series per dimension against the per-ray log and `exp` route."""
 import math
 import random
 from collections import Counter
@@ -11,8 +13,10 @@ import pytest
 
 import product_oracle
 from test_ring_oracle import FANS
+from toriclg import ktheory
 from toriclg.ktheory import (Cls, CohomologyRing, GammaData, GammaPoly,
-                             KClass, bl_line_p4)
+                             KClass, bl_line_p4, gamma_class,
+                             projective_space)
 
 
 def canon(x):
@@ -182,3 +186,95 @@ def test_gamma_gram_reads_only_the_index_tables():
     assert hits == Counter(), hits
     assert built == before
     assert len(gram) == 6 and all(len(row) == 6 for row in gram)
+
+
+# the twelve oracle rings, the five varieties of the `ktheory` benchmark
+# among them, and P^1, the CLI's one-dimensional variety
+RINGS = dict(FANS, p1=lambda: projective_space(1))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_gamma_class_equals_the_log_exp_oracle_bit_for_bit(name):
+    ring = CohomologyRing(RINGS[name]())
+    got = gamma_class(ring)
+    want = product_oracle.gamma_class(ring)
+    assert got == want
+    assert canon_cls(got.numeric()) == canon_cls(want.numeric())
+
+
+def test_gamma_class_takes_no_exp_and_one_series_per_dimension(monkeypatch):
+    calls = Counter()
+    real_exp = Cls.exp
+
+    def exp(self):
+        calls["exp"] += 1
+        return real_exp(self)
+    monkeypatch.setattr(Cls, "exp", exp)
+    ring = CohomologyRing(bl_line_p4())
+    gamma_class(ring)
+    assert calls["exp"] == 0
+    ktheory._gamma_series.cache_clear()
+    GammaData(ring)
+    GammaData(CohomologyRing(bl_line_p4()))
+    info = ktheory._gamma_series.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def add_and_scale_cases(ring, rng):
+    """(kind, class) pairs: random classes of each scalar kind, the unit
+    classes, and for every `lowest` a product that keeps only degrees
+    lowest..n, so its lower degrees are exact zeros."""
+    kinds = ("fraction", "complex", "gamma")
+    cases = [(k, random_class(ring, rng, k)) for k in kinds for _ in range(3)]
+    cases += [("fraction", ring.zero()), ("fraction", ring.one()),
+              ("fraction", ring.divisor(0))]
+    for lowest in range(ring.n + 1):
+        k = kinds[lowest % 3]
+        a, b = random_class(ring, rng, k), random_class(ring, rng, k)
+        cases.append((k, a.product(b, lowest)))
+    return cases
+
+
+def scales(kind, nz):
+    """The scales a class of the kind can take: an int, Fractions (zero
+    included), complex numbers with signed zeros, GammaPolys."""
+    out = [-1, Fraction(-3, 2), Fraction(0)]
+    if kind != "gamma":
+        out += [complex(-0.0, 1.5), complex(0.0, -0.0)]
+    if kind != "complex":
+        out += [GammaPoly.symbol("gamma", nz) * Fraction(2), GammaPoly({}, nz)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_add_and_scaled_equal_the_old_loops(name):
+    ring = CohomologyRing(FANS[name]())
+    rng = random.Random(100 + sorted(FANS).index(name))
+    nz = max(ring.n - 1, 1)
+    cases = add_and_scale_cases(ring, rng)
+    for ka, a in cases:
+        for c in scales(ka, nz):
+            assert canon_cls(a.scaled(c)) == \
+                canon_cls(product_oracle.scaled(a, c)), (ka, c)
+        for kb, b in cases:
+            if {ka, kb} == {"complex", "gamma"}:
+                continue        # GammaPoly takes no complex operand
+            want = product_oracle.add(a, b)
+            assert canon_cls(a + b) == canon_cls(want), (ka, kb)
+            assert canon_cls(a - b) == canon_cls(
+                product_oracle.add(a, product_oracle.scaled(b, -1)))
+
+
+def test_add_keeps_complex_signed_zeros_and_nan():
+    ring = CohomologyRing(FANS["p2"]())
+    a = ring.zero()
+    a.coeffs[0][0] = complex(-0.0, -0.0)
+    a.coeffs[1][0] = complex(math.nan, -0.0)
+    for got, want in [(a + ring.zero(), product_oracle.add(a, ring.zero())),
+                      (ring.zero() + a, product_oracle.add(ring.zero(), a)),
+                      (a.scaled(Fraction(2)),
+                       product_oracle.scaled(a, Fraction(2)))]:
+        assert canon_cls(got) == canon_cls(want)
+    # an exact zero added to -0.0 gives +0.0: the addition is not skipped
+    assert (a + ring.zero()).coeffs[0][0].real.hex() == "0x0.0p+0"
+    assert math.isnan((a + ring.zero()).coeffs[1][0].real)
