@@ -4,13 +4,21 @@ closed-form critical values over wall curves, Newton non-degeneracy tests,
 and predictor-corrector tracking of critical values along moduli paths.
 
 Every Newton iteration here is `_newton_solve`, damped Newton on a stack of
-log points in lockstep: the multistart search, tracking, the conifold point
-(one row) and the non-degeneracy test (one batch per face) all call it.
-Only the multistart search gives it the search box, where rows drifting to
-toric infinity are retired.  Each row carries its own coefficients, so one
-stack can hold points of several potentials of one family: mutation
-refinement solves the crossing branches of a whole trajectory, each at its
-own parameter, as one stack per bisection level (`Trajectory.resolve`).
+log points in lockstep: the multistart search, tracking, the collision
+search, the conifold point (one row) and the non-degeneracy test (one batch
+per face) all call it.  Only the multistart search gives it the search box,
+where rows drifting to toric infinity are retired.  Each row carries its own
+coefficients, so one stack can hold points of several potentials of one
+family: mutation refinement solves the crossing branches of a whole
+trajectory, each at its own parameter, as one stack per bisection level
+(`Trajectory.resolve`), and the collision search solves the probes of its
+next COLLISION_LOOKAHEAD golden-section moves as one stack.
+
+The multistart dedupe runs in lockstep too: each batch's converged rows are
+compared with the points found before as one matrix, and the kept points
+are evaluated as one stack, then taken in order.  Every stacked form gives
+each row its one-point bits (tests/test_numpy_identities.py), so no output
+depends on how the rows are batched.
 """
 from __future__ import annotations
 
@@ -42,6 +50,8 @@ _START_HIGH = np.array([[2.5], [math.pi]])
 FACE_STARTS = 60
 _FACE_LOW = np.array([[-2.0], [-math.pi]])
 _FACE_HIGH = np.array([[2.0], [math.pi]])
+# golden-section moves of the collision search solved as one stack
+COLLISION_LOOKAHEAD = 3
 # Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
 ALPHA_MAX = 0.1
 
@@ -58,6 +68,13 @@ class LGPotential:
         self.nterms, self.n = self.B.shape
         self.chi = (np.zeros(self.n, dtype=complex) if chi is None
                     else np.asarray(chi, dtype=complex))
+        # max |chi| once per layout, None when chi = 0: the term scale and
+        # the value read it.  The gradient skips subtracting a chi of +0
+        # entries, as x - (+0) is x bit for bit (x - (-0) is not)
+        zero = not self.chi.any()
+        self.chi_max = None if zero else float(np.abs(self.chi).max())
+        self._chi_plus_zero = zero and not (
+            np.signbit(self.chi.real).any() or np.signbit(self.chi.imag).any())
         self.torsion_invariants = tuple(int(d) for d in torsion_invariants)
         self.torsion_parts = (torsion_parts if torsion_parts is not None
                               else [(0,) * len(self.torsion_invariants)] * self.nterms)
@@ -66,7 +83,7 @@ class LGPotential:
 
     def _set_coefficients(self, coefficients):
         self.c = np.asarray(coefficients, dtype=complex)
-        if np.any(self.c == 0):
+        if (self.c == 0).any():
             raise ValueError("zero coefficients are not allowed in a potential")
 
     def with_coefficients(self, coefficients):
@@ -118,7 +135,7 @@ class LGPotential:
     def value(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
         val = np.sum(t, axis=-1)
-        if np.any(self.chi):
+        if self.chi_max is not None:
             # chi * l on a (1, 1) stack is not the one-point product's
             # bits; chi broadcast to the stack's shape is, whatever the shape
             chi = np.broadcast_to(self.chi, l.shape)
@@ -132,7 +149,8 @@ class LGPotential:
 
     def grad(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
-        return np.matmul(t[..., None, :], self.B)[..., 0, :] - self.chi
+        g = np.matmul(t[..., None, :], self.B)[..., 0, :]
+        return g if self._chi_plus_zero else g - self.chi
 
     def hess(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
@@ -150,7 +168,7 @@ class LGPotential:
             pts = self.B_int
             facets = polytope_facets(pts)
             exact = bool(facets) and all(a0 > 0 for _, a0, _ in facets)
-            if np.any(self.chi) and not exact:
+            if self.chi_max is not None and not exact:
                 pts = pts + [(0,) * self.n]
                 facets = None
             self._bound.append(
@@ -215,8 +233,8 @@ def _term_scale(F, terms):
     zero).  Callers hold numpy's overflow and invalid warnings."""
     s = np.abs(terms).max(axis=-1)
     s = np.where(np.isfinite(s), s, math.inf)
-    if np.any(F.chi):
-        s = np.maximum(s, np.max(np.abs(F.chi)))
+    if F.chi_max is not None:
+        s = np.maximum(s, F.chi_max)
     return np.maximum(s, 1e-300)
 
 
@@ -230,9 +248,11 @@ def _row_norms(X):
 
 def _solve(H, X):
     """(H^-1 X per matrix of the stack H, mask of the matrices that are not
-    singular; a singular one's rows are 0).  X = I gives `np.linalg.inv`."""
+    singular; a singular one's rows are 0).  X = I gives `np.linalg.inv`.
+    When none is singular the mask is np.True_, which broadcasts as an
+    all-true mask and saves building one on every pass."""
     try:
-        return np.linalg.solve(H, X), np.ones(len(H), bool)
+        return np.linalg.solve(H, X), np.True_
     except np.linalg.LinAlgError:      # one singular H fails the whole stack
         out, ok = np.zeros_like(X), np.ones(len(H), bool)
         for i, (h, x) in enumerate(zip(H, X)):
@@ -405,8 +425,29 @@ def _alpha_certified(F, points):
     alpha, beta = _alpha_beta(F, [p.log_point for p in points], comps)
     i, j, same = _pairs(comps)
     gap = _pair_gaps(points, i, j)
-    return bool(np.all(alpha < ALPHA_MAX)
-                and not np.any(same & ~(gap > 2 * (beta[i] + beta[j]))))
+    return bool((alpha < ALPHA_MAX).all()
+                and not (same & ~(gap > 2 * (beta[i] + beta[j]))).any())
+
+
+def _new_points(L, near, tol):
+    """The rows of the (k, n) stack L of canonical log points that a
+    one-point-at-a-time record keeps, in order: those inside the search box
+    whose wrapped log distance is at least tol from every row of `near`
+    (the points found before) and from every row kept before them.  The
+    distances to `near` are one (k, len(near)) matrix; each survivor is then
+    checked against the few rows kept before it, so no (k, k) matrix is
+    built.  Each distance is the one-point check's bit for bit."""
+    k, n = L.shape
+    keep = ~(np.abs(L.real).max(axis=1) > SEARCH_BOX)
+    if len(near):
+        D = _row_norms(_canonical_log(near[None] - L[:, None]).reshape(-1, n))
+        keep &= ~(D.reshape(k, -1) < tol).any(axis=1)
+    kept = []
+    for r in keep.nonzero()[0].tolist():
+        if not (kept and (_row_norms(_canonical_log(L[kept] - L[r]))
+                          < tol).any()):
+            kept.append(r)
+    return kept
 
 
 def critical_points(F: LGPotential, expected=None, rng=None,
@@ -440,11 +481,16 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     Starts are drawn and Newton-solved in batches (`_newton_solve`), then
     taken in order, one try each, exactly as one start at a time: the
     draws, the tries, the order of the found points and every stop are the
-    same whatever the batch size.  A search that can still be certified
-    (exact bound, not yet decided), or is past the floor with m points
-    missing, draws 2 m starts in a component's first two batches and
-    2 m 2^(b-2) in its b-th: a point with a small basin then costs a few
-    lockstep passes, not one per two tries.  Any other search draws up to
+    same whatever the batch size.  The dedupe runs in lockstep as well: a
+    batch's converged rows are compared with the points found before it as
+    one rows x found matrix, each survivor only with the rows kept before it
+    in the batch (`_new_points`), and the kept rows' values and Hessians are
+    one stack, so the walk through the batch only appends them.
+
+    A search that can still be certified (exact bound, not yet decided), or
+    is past the floor with m points missing, draws 2 m starts in a
+    component's first two batches and 2 m 2^(b-2) in its b-th: a point with
+    a small basin then costs a few lockstep passes, not one per two tries.  Any other search draws up to
     the floor, or the rest of the budget once the points exceed the target.
     Starts a batch drew beyond the one the search stopped at are given
     back: the generator is restored and advanced by the starts used, so it
@@ -464,16 +510,24 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     found = []
     budget = budget_factor * stop
 
-    def record(l, component):
-        l = _canonical_log(l)
-        if np.max(np.abs(l.real)) > SEARCH_BOX:
-            return
-        near = [p.log_point for p in found if p.component == component]
-        if near and np.any(_row_norms(_canonical_log(np.array(near) - l))
-                           < dedupe_tol):
-            return
-        found.append(CriticalDatum(l, F.value(l, component),
-                                   F.hess(l, component), component))
+    def record(sols, component):
+        # the points a one-at-a-time record keeps from this batch, each as
+        # one-point evaluation builds it: {batch row: CriticalDatum}
+        conv = [r for r, sol in enumerate(sols) if sol is not None]
+        if not conv:
+            return {}
+        L = _canonical_log(np.array([sols[r][0] for r in conv]).reshape(
+            len(conv), F.n))
+        near = np.array([p.log_point for p in found
+                         if p.component == component]).reshape(-1, F.n)
+        kept = _new_points(L, near, dedupe_tol)
+        if not kept:
+            return {}
+        L, comps = L[kept], [component] * len(kept)
+        T = _terms(F, L, F.coefficient_rows(comps))
+        pts = CriticalDatum.stack(L, F.value(L, terms=T),
+                                  F.hess(L, terms=T), comps)
+        return {conv[r]: p for r, p in zip(kept, pts)}
 
     components = F.components()
     per_comp_budget = max(budget // len(components), 40)
@@ -497,13 +551,13 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             state = rng.bit_generator.state
             u = rng.uniform(_START_LOW, _START_HIGH, (size, 2, F.n))
             skip = 0
-            for used, sol in enumerate(
-                    _newton_solve(F, u[:, 0] + 1j * u[:, 1],
-                                  F.coefficient_rows([component] * size),
-                                  box=SEARCH_BOX), 1):
+            new = record(_newton_solve(F, u[:, 0] + 1j * u[:, 1],
+                                       F.coefficient_rows([component] * size),
+                                       box=SEARCH_BOX), component)
+            for used in range(1, size + 1):
                 tries += 1
-                if sol is not None:
-                    record(sol[0], component)
+                if used - 1 in new:
+                    found.append(new[used - 1])
                 if len(found) == stop:
                     if certified is None:
                         certified = certifiable and _alpha_certified(F, found)
@@ -535,9 +589,9 @@ def conifold_point(F: LGPotential) -> CriticalDatum:
     l = 0.  With positive real coefficients the terms, gradient, Hessian and
     step of every iterate are real, so the point is exactly real.  Raises
     NotPositiveReal when the row does not converge."""
-    if np.any(np.abs(F.c.imag) > 1e-12) or np.any(F.c.real <= 0):
+    if (np.abs(F.c.imag) > 1e-12).any() or (F.c.real <= 0).any():
         raise errors.NotPositiveReal("potential coefficients must be positive real")
-    if np.any(F.chi):
+    if F.chi_max is not None:
         raise errors.NotPositiveReal("conifold point is non-equivariant")
     if F.expected_count() is None:
         raise errors.NotPositiveReal("origin must be interior to the Newton polytope")
@@ -707,10 +761,12 @@ def track_critical_values(family, params, rng=None):
     family along the parameter list.
 
     family: callable param -> LGPotential with a fixed exponent layout.
-    Collision events (two values approaching within TOL_COLLIDE * scale)
-    are localized by golden-section on the minimal pairwise distance of the
-    critical points and logged with the refined parameter.  A failed step
-    is halved at most 12 times before the branch counts as lost.
+    Each step solves every branch from its linear prediction as one
+    lockstep stack.  Collision events (two values approaching within
+    TOL_COLLIDE * scale) are localized by golden-section on the distance of
+    the colliding pair, its probes solved in lockstep a few moves ahead
+    (`_locate_collision`), and logged with the refined parameter.  A failed
+    step is halved at most 12 times before the branch counts as lost.
     """
     if len(params) < 2:
         raise ValueError("need at least two path parameters")
@@ -721,14 +777,15 @@ def track_critical_values(family, params, rng=None):
     # that share one are found once
     pi, pj, same = _pairs([p.component for p in pts])
 
-    def advance(Fk, prev_pts, prev_prev_pts, frac_step):
-        # every branch from its prediction, then the failed ones (if any)
-        # again from their previous points; the first failing both is reported
+    def advance(Fk, prev_pts, prev_prev_pts):
+        # every branch from its linear prediction, then the failed ones (if
+        # any) again from their previous points; the first failing both is
+        # reported
         comps = [p.component for p in prev_pts]
-        preds = [p.log_point for p in prev_pts]
+        preds = np.array([p.log_point for p in prev_pts])
         if prev_prev_pts is not None:
-            preds = [p.log_point + (p.log_point - pp.log_point) * frac_step
-                     for p, pp in zip(prev_pts, prev_prev_pts)]
+            preds = preds + (preds - np.array([p.log_point
+                                               for p in prev_prev_pts]))
         C = Fk.coefficient_rows(comps)
         sols = _newton_solve(Fk, preds, C)
         retry = [i for i, sol in enumerate(sols) if sol is None]
@@ -744,7 +801,7 @@ def track_critical_values(family, params, rng=None):
         return list(map(_transport_branch, prev_pts, nxt)), None
 
     def advance_adaptive(a, b, cur, prev_prev, depth):
-        nxt, failed = advance(family(b), cur, prev_prev, 1.0)
+        nxt, failed = advance(family(b), cur, prev_prev)
         if nxt is not None:
             return nxt, cur
         if depth >= 12:
@@ -765,7 +822,7 @@ def track_critical_values(family, params, rng=None):
         # two branches of one fibre component landing on one sheet, within
         # 1e-8 in wrapped log distance (monodromy past a collision):
         # re-solve the fibre and re-match greedily
-        if np.any((_pair_gaps(nxt, pi, pj) < 1e-8) & same):
+        if ((_pair_gaps(nxt, pi, pj) < 1e-8) & same).any():
             nxt = _rematch(family(s1), cur, len(branches), rng)
             if nxt is None:
                 raise errors.LostBranch(
@@ -854,10 +911,19 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
     k_enter (separation dipped below threshold) and k_exit (separation rose
     again).
 
-    The colliding pair's separation is re-evaluated by Newton from seeds on
-    BOTH sides (left seeds are only valid below the discriminant and vice
+    The colliding pair's separation phi is re-evaluated by Newton from seeds
+    on BOTH sides (left seeds are only valid below the discriminant and vice
     versa, so the maximum of the two distances is V-shaped with minimum at
-    the collision)."""
+    the collision).
+
+    The search runs in lockstep.  Golden section takes each move from one
+    comparison, so the next COLLISION_LOOKAHEAD moves can probe only
+    2^COLLISION_LOOKAHEAD - 1 points: all of them are solved as one
+    `_newton_solve` stack, four seed rows per parameter, each row with its
+    own potential's coefficients, and the search then walks its real path
+    through the solved points.  A row's result does not depend on its
+    batch, so the walk, and the parameter returned, are the one-point-at-a-
+    time search's bit for bit (tests/collision_oracle.py keeps it)."""
     k0 = max(k_enter - 1, 0)
     lo = params[k0]
     hi = params[k_exit]
@@ -870,6 +936,9 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
 
     # the pair from both sides' seeds, solved together
     seeds = [left_seeds[i], left_seeds[j], nxt_pts[i], nxt_pts[j]]
+    comps = [p.component for p in seeds]
+    solved = {}             # golden-section coordinate -> the seeds' solves
+    phis = {}
 
     def dist(si, sj):
         if si is None or sj is None:
@@ -877,33 +946,70 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
         return float(np.linalg.norm(_canonical_log(
             _canonical_log(si[0]) - _canonical_log(sj[0]))))
 
-    def phi(s):
-        F = family(s)
-        li, lj, ri, rj = _newton_solve(
-            F, [p.log_point for p in seeds],
-            F.coefficient_rows([p.component for p in seeds]), tol=1e-10)
-        return max(dist(li, lj), dist(ri, rj))
+    def phi(t):
+        if t not in phis:
+            li, lj, ri, rj = solved[t]
+            phis[t] = max(dist(li, lj), dist(ri, rj))
+        return phis[t]
+
+    def solve(ts):
+        Fs = [family(at(t)) for t in ts]
+        sols = _newton_solve(
+            Fs[0], [p.log_point for p in seeds] * len(ts),
+            np.concatenate([F.coefficient_rows(comps) for F in Fs]),
+            tol=1e-10)
+        for r, t in enumerate(ts):
+            solved[t] = sols[4 * r:4 * r + 4]
 
     invphi = (math.sqrt(5) - 1) / 2
-    a, b = 0.0, 1.0
 
     def at(t):
         return lo + (hi - lo) * t
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(at(c)), phi(at(d))
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
+
+    # a state (a, b, c, d, moves): the bracket, its two probes, and the
+    # moves made; it compares phi(c) with phi(d) unless the search is over
+    def live(state):
+        a, b, _, _, m = state
+        return m == 0 or m < 80 and not abs(b - a) * abs(hi - lo) < 1e-10
+
+    def move(state, left):
+        a, b, c, d, m = state
+        if left:                # phi(c) < phi(d)
+            b, d = d, c
             c = b - invphi * (b - a)
-            fc = phi(at(c))
         else:
-            a, c, fc = c, d, fd
+            a, c = c, d
             d = a + invphi * (b - a)
-            fd = phi(at(d))
-        if abs(b - a) * abs(hi - lo) < 1e-10:
-            break
-    return at((a + b) / 2)
+        return a, b, c, d, m + 1
+
+    def reachable(state):
+        # the live states one move on: both branches of a comparison whose
+        # probes are not solved yet
+        _, _, c, d, _ = state
+        lefts = ((phi(c) < phi(d),) if c in solved and d in solved
+                 else (True, False))
+        return [s for s in (move(state, left) for left in lefts) if live(s)]
+
+    def lookahead(state):
+        # the unsolved probes of the states the next moves can reach, level
+        # by level, while they fit in one stack of 2^K - 1 parameters (the
+        # first level always: the opening state needs both its probes)
+        ts, level = {}, [state]
+        while level:
+            need = dict.fromkeys(t for s in level for t in s[2:4]
+                                 if t not in solved and t not in ts)
+            if ts and len(ts) + len(need) > 2 ** COLLISION_LOOKAHEAD - 1:
+                break
+            ts.update(need)
+            level = [nxt for s in level for nxt in reachable(s)]
+        return list(ts)
+
+    state = (0.0, 1.0, 1.0 - invphi, invphi, 0)
+    while live(state):
+        if state[2] not in solved or state[3] not in solved:
+            solve(lookahead(state))
+        state = move(state, phi(state[2]) < phi(state[3]))
+    return at((state[0] + state[1]) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,45 @@ def test_search_stops_at_count_bound(monkeypatch):
     assert rows == []
 
 
+def test_batched_dedupe_is_rows_times_found():
+    # critical_points' record on a floor-size batch: the 181 starts of
+    # bl_line_p4 at lambda = 2 (budget 1800, floor 180), all converged.  It
+    # keeps the rows a one-at-a-time record keeps, and compares them with
+    # the points found before as one rows x found matrix, never rows x
+    # rows: its traced peak stays below the size of one rows^2 stack of
+    # points, which a pairwise matrix alone would reach
+    import tracemalloc
+    F = bl_line_p4_family_lambda()(2.0)
+    found = np.array([p.log_point for p in critical_points(
+        F, rng=np.random.default_rng(0))])
+    u = np.random.default_rng(1).uniform(lg._START_LOW, lg._START_HIGH,
+                                         (181, 2, F.n))
+    sols = lg._newton_solve(F, u[:, 0] + 1j * u[:, 1],
+                            F.coefficient_rows([()] * 181), box=lg.SEARCH_BOX)
+    L = lg._canonical_log(np.array([s[0] for s in sols if s is not None]))
+    assert len(L) >= 180
+    for near in (found, found[:0]):
+        want, seen = [], list(near)
+        for r, l in enumerate(L):
+            if not (seen and np.any(lg._row_norms(
+                    lg._canonical_log(np.array(seen) - l)) < 1e-5)):
+                want.append(r)
+                seen.append(l)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            kept = lg._new_points(L, near, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert kept == want and len(kept) == 9 - len(near)
+        assert peak < len(L) ** 2 * F.n * L.itemsize
+
+
 def test_alpha_certificate_passes_on_found_points():
     for F in (p2_mirror(1.0), bl_line_p4_family_lambda()(2.0)):
         pts = critical_points(F, rng=np.random.default_rng(0))

@@ -215,3 +215,25 @@ def test_stacked_determinants_and_scales():
                      np.array([np.linalg.det(h) for h in H]))
         assert _same(np.abs(H).max(axis=(-2, -1)),
                      np.array([np.max(np.abs(h)) for h in H]))
+
+
+def test_stacked_dedupe_distances():
+    # critical_points' batched record: the wrapped log distances of k
+    # points to m found ones as one (k, m) broadcast stack are the
+    # one-point check's, row by row, and the canonical log of a stack is
+    # its per-row form
+    rng = np.random.default_rng(11)
+    for _ in range(TRIALS):
+        n = int(rng.integers(1, 5))
+        k, m = int(rng.choice([1, 2, 9, 40])), int(rng.choice([1, 2, 9]))
+        L = 10.0 ** rng.uniform(-2, 1.5) * (rng.normal(size=(k, n))
+                                            + 1j * rng.normal(size=(k, n)))
+        near = L[rng.integers(k, size=m)] + 10.0 ** rng.uniform(-12, 0) * (
+            rng.normal(size=(m, n)) + 2j * math.pi * rng.integers(-2, 3, (m, n)))
+        D = lg._row_norms(lg._canonical_log(near[None] - L[:, None])
+                          .reshape(-1, n)).reshape(k, m)
+        for r, l in enumerate(L):
+            assert _same(D[r], lg._row_norms(lg._canonical_log(
+                np.array(near) - l)))
+        assert _same(lg._canonical_log(L),
+                     np.array([lg._canonical_log(l) for l in L]))
