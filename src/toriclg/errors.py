@@ -103,10 +103,6 @@ class NonAdmissibleEndpoint(ToricLGError):
     pass
 
 
-class BlockMismatch(ToricLGError):
-    pass
-
-
 # GKZ
 class NotInMoriCone(ToricLGError):
     pass

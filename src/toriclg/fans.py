@@ -13,7 +13,7 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (cleared, dual_lattice, idot, integer_kernel,
+from .rational import (dual_lattice, idot, integer_kernel,
                        lattice_from_generators, parallelepiped_units,
                        preimage_lattice, primitive, rank, scaled_inverse,
                        solve)
@@ -83,11 +83,10 @@ class StackyFan:
     the wall-local LP of `_wall_heights` finds one.
 
     Every per-cone coordinate is read from one chart per maximal cone,
-    built once per fan by `_charts`: `locate` is the program's reader of
-    it, and `coords` serves the tests.  `circuits`, also built once per
-    fan, holds the circuit rows that the convexity certificate, the wall
-    LP, the open Mori cone, CPL_+ and the Chow ring's intersection numbers
-    read.
+    built once per fan by `_charts`, whose program reader is `locate`.
+    `circuits`, also built once per fan, holds the circuit rows that the
+    convexity certificate, the wall LP, the open Mori cone, CPL_+ and the
+    Chow ring's intersection numbers read.
     """
 
     def __init__(self, vector_set: VectorSet, max_cones, validate=True,
@@ -140,12 +139,6 @@ class StackyFan:
                 B = [[self.S[i].free[j] for i in cs] for j in range(self.n)]
                 self._chart_table.append((cs,) + scaled_inverse(B))
         return self._chart_table
-
-    def coords(self, ci, x):
-        """Coordinates of x in Q^n over the rays of maximal cone `ci`, in
-        sorted ray order."""
-        _, A, vol = self._charts()[ci]
-        return tuple(Fraction(idot(row, x), vol) for row in A)
 
     def locate(self, x):
         """(cs, coords) for the first maximal cone on whose rays x has only
@@ -267,12 +260,12 @@ class StackyFan:
         return walls
 
     def _wall_heights(self, walls):
-        """Heights in Q^S strictly convex across every interior wall, from an
-        exact LP in the ray heights, or None if there are none.  The wall
-        between sigma and its neighbour through ray q gives one circuit row
-        of `circuits`, a positive multiple of c_q - sum_{i in sigma} mu_i c_i
-        > 0, where v_q = sum mu_i v_i."""
-        c = [Fraction(0)] * len(self.S)
+        """`int` heights in Z^S strictly convex across every interior wall,
+        from an exact LP in the ray heights, or None if there are none.  The
+        wall between sigma and its neighbour through ray q gives one circuit
+        row of `circuits`, a positive multiple of c_q - sum_{i in sigma}
+        mu_i c_i > 0, where v_q = sum mu_i v_i."""
+        c = [0] * len(self.S)
         if not walls:
             return c        # a single cone
         circuits = self.circuits()
@@ -289,13 +282,12 @@ class StackyFan:
         each maximal cone sigma, c_b - m_sigma(b) > 0 for every ray b outside
         sigma, where m_sigma is the linear function agreeing with c on sigma.
         This is the only convexity certificate; entries of c off the rays
-        are ignored.  Each test reads the sign of a circuit row on c cleared
-        of denominators, a positive multiple of c_b - m_sigma(b)."""
+        are ignored.  Each test reads the sign of a circuit row on c, a
+        positive multiple of c_b - m_sigma(b), in the entries' own type."""
         if len(heights) != len(self.S):
             raise ValueError(f"{len(heights)} heights for {len(self.S)} "
                              f"vectors")
-        c = cleared(heights)[1]
-        return all(idot(circuits[b], c) > 0
+        return all(idot(circuits[b], heights) > 0
                    for circuits in self.circuits()
                    for b in self.rays if b in circuits)
 

@@ -2,8 +2,10 @@
 
 Vectors are tuples of Fraction, matrices are lists of row tuples.  Sizes
 stay small (a dozen rows/columns), so everything over Q is one
-fraction-free Gauss-Jordan loop on `int` rows (`_eliminate`; `det` takes
-its forward half), whose readers build a Fraction only for an entry they
+fraction-free row step on `int` rows, `clear_column`, which clears one
+pivot's column.  Its two callers are the Gauss-Jordan loop `_eliminate`
+(`det` takes its forward half) and the simplex of `lp.feasible_strict`.
+The readers of `_eliminate` build a Fraction only for an entry they
 return: `rref` (the Chow ring's graded bases, one call per degree),
 `rank`, `solve`, `nullspace` and `det`.  The one matrix inverse,
 `scaled_inverse`, returns (|det B| B^-1, |det B|) in `int`: the cone
@@ -60,17 +62,39 @@ def transpose(rows):
     return [tuple(col) for col in zip(*rows)]
 
 
+def clear_column(rows, r, c, lo=0):
+    """Clear column c of the `int` lists rows[lo:], row r excepted, in place
+    by the pivot row r (pivot p): a row with entry f != 0 becomes (p/g)
+    row - (f/g) pivot row over its content, g = gcd(p, f); a row with f = 0
+    is not written.  Each row stays a multiple of the row that the same
+    pivot over Q leaves there, a positive one when p > 0.  Returns
+    (contents, multipliers): the products of the contents divided out and
+    of the p/g, the factors a determinant undoes."""
+    prow = rows[r]
+    p = prow[c]
+    num = den = 1
+    for i in range(lo, len(rows)):
+        f = rows[i][c]
+        if f and i != r:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(rows[i], prow)]
+            content = gcd(*row)
+            rows[i] = [x // content for x in row] if content > 1 else row
+            num *= content
+            den *= a
+    return num, den
+
+
 def _eliminate(rows, ncols, _forward=False):
     """Fraction-free Gauss-Jordan elimination of the `int` lists `rows` in
-    place over their first ncols columns.  The pivot row (pivot p) clears
-    row i (entry f; a row with f = 0 is not written) to (p/g) row_i -
-    (f/g) pivot row over its content, g = gcd(p, f), so each row stays a
-    multiple of the row that elimination over Q leaves there; a pivot row
-    is its reduced row times its final pivot value.  `_forward` clears
-    only below each pivot.  Returns (pivots, (num, den)): pivots a dict
-    column -> row index, num / den the determinant of a full-rank square
-    block (its final pivots' product, with the swaps, multipliers p/g and
-    contents undone)."""
+    place over their first ncols columns, one `clear_column` per pivot, so
+    each row stays a multiple of the row that elimination over Q leaves
+    there; a pivot row is its reduced row times its final pivot value.
+    `_forward` clears only below each pivot.  Returns (pivots, (num,
+    den)): pivots a dict column -> row index, num / den the determinant of
+    a full-rank square block (its final pivots' product, with the swaps,
+    multipliers and contents undone)."""
     pivots = {}
     num, den, r = 1, 1, 0
     for c in range(ncols):
@@ -80,18 +104,10 @@ def _eliminate(rows, ncols, _forward=False):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             num = -num
-        prow = rows[r]
-        p = prow[c]
-        for i in range(r + 1 if _forward else 0, len(rows)):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(rows[i], prow)]
-                content = gcd(*row)
-                rows[i] = [x // content for x in row] if content > 1 else row
-                num *= content
-                den *= a
+        contents, multipliers = clear_column(rows, r, c,
+                                             r + 1 if _forward else 0)
+        num *= contents
+        den *= multipliers
         pivots[c] = r
         r += 1
         if r == len(rows):

@@ -8,7 +8,7 @@ strictly convex support function iff the largest eps is positive.
 """
 from fractions import Fraction
 
-from toriclg.lp import lp_maximize
+from lp_oracle import lp_maximize
 
 
 def convexity_certificate(fan):

@@ -11,10 +11,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from toriclg.lp import lp_maximize
 from toriclg.rational import frac, is_zero, matvec, transpose, vsub
 
 from elimination_oracle import mat_inverse
+from lp_oracle import lp_maximize
 
 
 def zonotope_hilbert_basis(cone, lattice_basis):

@@ -10,6 +10,10 @@ from toriclg.mutation import MarkedReflectionSystem
 from toriclg.rational import solve, transpose, vec
 
 
+class BlockMismatch(errors.ToricLGError):
+    """The endpoint markings do not split into the expected Orlov blocks."""
+
+
 def verify_orlov_evolution(mrs: MarkedReflectionSystem, blowup=None,
                            rank_minus=None, rank_center=None, J=None):
     """Split the endpoint markings into the convergent cluster and J
@@ -30,7 +34,7 @@ def verify_orlov_evolution(mrs: MarkedReflectionSystem, blowup=None,
     conv_idx = mags[:rank_minus]
     div_idx = mags[rank_minus:]
     if rank_center is not None and len(div_idx) != J * rank_center:
-        raise errors.BlockMismatch(
+        raise BlockMismatch(
             f"{len(div_idx)} divergent markings, expected {J * rank_center}")
     # cluster divergent markings by angle: cut the circle at the J largest
     # angular gaps
@@ -56,14 +60,14 @@ def verify_orlov_evolution(mrs: MarkedReflectionSystem, blowup=None,
         if cur:
             clusters[label] = cur
     if len(div_idx) and len(clusters) != J:
-        raise errors.BlockMismatch(
+        raise BlockMismatch(
             f"divergent markings fall into {len(clusters)} angular clusters,"
             f" expected {J}")
     report = {"convergent": conv_idx, "clusters": clusters}
     if rank_center is not None:
         for key, idxs in clusters.items():
             if len(idxs) != rank_center:
-                raise errors.BlockMismatch(
+                raise BlockMismatch(
                     f"cluster {key} has {len(idxs)} markings, expected "
                     f"{rank_center}")
     if blowup is not None:
@@ -77,7 +81,7 @@ def verify_orlov_evolution(mrs: MarkedReflectionSystem, blowup=None,
             coeff = solve(transpose([vec(r) for r in pull]),
                           vec(mrs.vectors[i]))
             if coeff is None or any(x.denominator != 1 for x in coeff):
-                raise errors.BlockMismatch(
+                raise BlockMismatch(
                     f"convergent vector {mrs.labels[i]} is not an integral "
                     "combination of pulled-back classes")
         report["convergent_in_pullback"] = True

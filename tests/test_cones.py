@@ -6,13 +6,14 @@ import pytest
 
 from dual_description_oracle import fraction_dual_description
 from hilbert_oracle import zonotope_hilbert_basis
+from lp_oracle import lp_maximize
 from toriclg import cones, rational, secondary
 from toriclg.cones import (Cone, dual_description, hilbert_basis,
                            normalized_volume, polytope_facets,
                            polytope_proper_faces)
 from toriclg.fans import extended_sequences
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lp import feasible_strict, lp_maximize
+from toriclg.lp import feasible_strict
 from toriclg.rational import dual_lattice, vec
 from toriclg.secondary import (enumerate_adapted_fans, pl_cone_data,
                                wall_between)

@@ -17,7 +17,7 @@ from toriclg.fans import StackyFan
 from toriclg.ktheory import (bl_line_p4, bl_point_p2, p1xp1,
                              projective_space)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.rational import dot, primitive, solve, vec
+from toriclg.rational import dot, idot, primitive, solve, vec
 from toriclg.scenario import Scenario
 from toriclg.secondary import enumerate_adapted_fans, pl_cone_data
 
@@ -96,10 +96,11 @@ def assert_chart_matches_solve(fan):
     for ci, cone in enumerate(fan.max_cones):
         cs = sorted(cone)
         B = cone_matrix(fan, cs)
-        vol = fan._charts()[ci][2]
+        _, A, vol = fan._charts()[ci]
         for b in range(m):
             coeff = solve(B, fan.ray_free(b))
-            assert fan.coords(ci, fan.ray_free(b)) == coeff
+            assert tuple(Fraction(idot(row, fan.ray_free(b)), vol)
+                         for row in A) == coeff
             if b in cone:
                 continue
             # vol (e_b - sum_k coeff_k e_{cs[k]}), in `int`

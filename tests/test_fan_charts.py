@@ -104,19 +104,19 @@ def test_circuit_readers_share_one_table(monkeypatch):
     # validation (by the wall LP and by the chamber walk's heights), the
     # open Mori cone, CPL_+ and the Chow ring's intersection numbers read
     # the circuit rows from one table per fan, never a chart coordinate
-    coords, tables = [], {}
-    real_coords = fans.StackyFan.coords
+    located, tables = [], {}
+    real_locate = fans.StackyFan.locate
     real_circuits = fans.StackyFan.circuits
 
-    def counting_coords(self, ci, x):
-        coords.append((self, ci, x))
-        return real_coords(self, ci, x)
+    def counting_locate(self, x):
+        located.append((self, x))
+        return real_locate(self, x)
 
     def counting_circuits(self):
         table = real_circuits(self)
         tables.setdefault(id(self), (self, []))[1].append(table)
         return table
-    monkeypatch.setattr(fans.StackyFan, "coords", counting_coords)
+    monkeypatch.setattr(fans.StackyFan, "locate", counting_locate)
     monkeypatch.setattr(fans.StackyFan, "circuits", counting_circuits)
     blown_up = bl_line_p4()
     walked, _ = secondary.enumerate_adapted_fans(VectorSet(
@@ -126,7 +126,7 @@ def test_circuit_readers_share_one_table(monkeypatch):
         fan.open_mori_cone()
         assert PLConeData(fan).cpl_plus.rays
     CohomologyRing(blown_up)
-    assert coords == []
+    assert located == []
     # every fan reads its table several times, and it is one table
     for fan in [blown_up] + walked:
         seen = tables[id(fan)][1]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orlov_evolution_oracle import verify_orlov_evolution
+from orlov_evolution_oracle import BlockMismatch, verify_orlov_evolution
 from toriclg import errors
 from toriclg.families import bl_line_p4_family_lambda, pn_mirror
 from toriclg.fans import StackyFan
@@ -318,5 +318,5 @@ def test_verify_orlov_evolution_blockmismatch():
     back = MatrixBackend([[1, 0], [0, 1]])
     mrs = MarkedReflectionSystem(back, [(1, 0), (0, 1)], [0.1, 5.0],
                                  phase=0.0)
-    with pytest.raises(errors.BlockMismatch):
+    with pytest.raises(BlockMismatch):
         verify_orlov_evolution(mrs, rank_minus=1, rank_center=1, J=2)
