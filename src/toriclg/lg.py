@@ -14,6 +14,12 @@ trajectory, each at its own parameter, as one stack per bisection level
 (`Trajectory.resolve`), and the collision search solves the probes of its
 next COLLISION_LOOKAHEAD golden-section moves as one stack.
 
+The backtracking line search of each Newton pass runs in lockstep as well.
+Every row starts at the full step and halves it, so all rows still pending
+after h halvings share the step 2^-h: the next HALVING_LOOKAHEAD halvings of
+all of them are one stack, and each row takes its first accepted level,
+which is the step a search halving one level at a time takes.
+
 The multistart dedupe runs in lockstep too: each batch's converged rows are
 compared with the points found before as one matrix, and the kept points
 are evaluated as one stack, then taken in order.  Every stacked form gives
@@ -28,6 +34,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+# the LAPACK gesv gufunc that `np.linalg.solve` calls (a private module,
+# the same in numpy 1.x and 2.x; pinned on numpy 2.4 by
+# tests/test_numpy_identities.py)
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from . import errors
 from .cones import normalized_volume, polytope_facets, polytope_proper_faces
@@ -52,6 +62,12 @@ _FACE_LOW = np.array([[-2.0], [-math.pi]])
 _FACE_HIGH = np.array([[2.0], [math.pi]])
 # golden-section moves of the collision search solved as one stack
 COLLISION_LOOKAHEAD = 3
+# the line search halves a Newton step at most MAX_HALVINGS times, and tries
+# the next HALVING_LOOKAHEAD halvings of all rows still pending as one stack
+MAX_HALVINGS = 49
+HALVING_LOOKAHEAD = 3
+# the step 2^-h of h halvings, exact
+_STEPS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
 # Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
 ALPHA_MAX = 0.1
 
@@ -66,6 +82,10 @@ class LGPotential:
         self.B = np.asarray(exponents, dtype=float)
         self.B_int = [tuple(int(x) for x in row) for row in exponents]
         self.nterms, self.n = self.B.shape
+        # B and B^T as the complex arrays numpy would cast B to in every
+        # product with terms, once per layout
+        self._Bc = self.B.astype(complex)
+        self._BcT = np.ascontiguousarray(self._Bc.T)
         self.chi = (np.zeros(self.n, dtype=complex) if chi is None
                     else np.asarray(chi, dtype=complex))
         # max |chi| once per layout, None when chi = 0: the term scale and
@@ -149,12 +169,12 @@ class LGPotential:
 
     def grad(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
-        g = np.matmul(t[..., None, :], self.B)[..., 0, :]
+        g = np.matmul(t[..., None, :], self._Bc)[..., 0, :]
         return g if self._chi_plus_zero else g - self.chi
 
     def hess(self, l, component=(), terms=None):
         t = self.terms(l, component) if terms is None else terms
-        return np.matmul(self.B.T * t[..., None, :], self.B)
+        return np.matmul(self._BcT * t[..., None, :], self._Bc)
 
     def count_bound(self):
         """(bound, exact): Bernstein's bound |N_tor| x normalized volume of
@@ -224,14 +244,14 @@ def _terms(F, L, C):
     stack with its row C[i] of a (k, nterms) coefficient stack.  Each row
     equals the one-point product bit for bit; one (nterms,) row broadcast
     over the stack does not always (tests/test_numpy_identities.py)."""
-    return C * np.exp(np.matmul(F.B, L[..., None])[..., 0])
+    return C * np.exp(np.matmul(F._Bc, L[..., None])[..., 0])
 
 
 def _term_scale(F, terms):
     """Magnitude of the largest monomial term, per row of a stack (convergence
     is judged relative to this, so drift to toric infinity never passes as a
     zero).  Callers hold numpy's overflow and invalid warnings."""
-    s = np.abs(terms).max(axis=-1)
+    s = np.maximum.reduce(np.abs(terms), axis=-1)
     s = np.where(np.isfinite(s), s, math.inf)
     if F.chi_max is not None:
         s = np.maximum(s, F.chi_max)
@@ -246,13 +266,22 @@ def _row_norms(X):
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.solve's error state: its gufunc flags a singular matrix invalid
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def _solve(H, X):
-    """(H^-1 X per matrix of the stack H, mask of the matrices that are not
-    singular; a singular one's rows are 0).  X = I gives `np.linalg.inv`.
-    When none is singular the mask is np.True_, which broadcasts as an
-    all-true mask and saves building one on every pass."""
+    """(H^-1 X per matrix of the complex stack H, mask of the matrices that
+    are not singular; a singular one's rows are 0).  X = I gives
+    `np.linalg.inv`.  The stack goes to the gufunc under `np.linalg.solve`
+    with the wrapper's signature, skipping its type checks.  When none is
+    singular the mask is np.True_, which broadcasts as an all-true mask and
+    saves building one on every pass."""
     try:
-        return np.linalg.solve(H, X), np.True_
+        return _gesv(H, X, signature="DD->D"), np.True_
     except np.linalg.LinAlgError:      # one singular H fails the whole stack
         out, ok = np.zeros_like(X), np.ones(len(H), bool)
         for i, (h, x) in enumerate(zip(H, X)):
@@ -265,12 +294,14 @@ def _solve(H, X):
 
 def _line_trial(F, L, dL, t, gn, C, tol):
     """One backtracking trial per row at l + t dl: whether it is accepted,
-    and the point with its terms, gradient, gradient norm and term scale."""
+    and the point with its terms, gradient, gradient norm and term scale.
+    A row's gn is finite, so a nan or inf trial norm is never accepted: a
+    nan compares False and +inf is below neither bound."""
     Lp = L + t[:, None] * dL
     Tp = _terms(F, Lp, C)
     Gp = F.grad(Lp, terms=Tp)
     gp, sp = _row_norms(Gp), _term_scale(F, Tp)
-    ok = np.isfinite(gp) & ((gp < (1 - 0.25 * t) * gn) | (gp < tol * sp))
+    ok = (gp < (1 - 0.25 * t) * gn) | (gp < tol * sp)
     return ok, [Lp, Tp, Gp, gp, sp]
 
 
@@ -300,7 +331,17 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
     (tests/test_newton_oracle.py keeps the one-row solve as the oracle),
     with or without a box.  The terms, gradient, its norm and the term
     scale at each point are evaluated once: an accepted line-search point's
-    serve the next iterate."""
+    serve the next iterate.
+
+    The line search (Armijo 1966) tries the full step, then halves it at
+    most MAX_HALVINGS times.  Its halvings run in lockstep: the rows still
+    pending after h halvings all try 2^-h, so the next HALVING_LOOKAHEAD
+    levels of them are one `_line_trial` stack, level-major, and each row
+    takes its first accepted level.  A trial row depends only on its own
+    inputs, so the levels a one-row search would not reach change nothing,
+    and the chosen step is the one halving one level at a time gives
+    (tests/test_newton_oracle.py checks a stack whose rows leave on both
+    sides of a chunk boundary, at the cap and past it)."""
     k = len(C)
     L = np.asarray(L0, dtype=complex).reshape(k, F.n)
     rows = np.arange(k)         # input index of each row still iterating
@@ -326,20 +367,23 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
             if not go.all():
                 L, T, dL, gn, C, rows = (
                     x[go] for x in (L, T, dL, gn, C, rows))
-            # backtracking line search, each row halving its own step: a
-            # full step for every row, then the rows that failed it again
-            t = np.ones(len(rows))
-            ok, new = _line_trial(F, L, dL, t, gn, C, tol)
+            # backtracking line search, halvings in lockstep (see above)
+            ok, new = _line_trial(F, L, dL, np.ones(len(rows)), gn, C, tol)
             pend = (~ok).nonzero()[0]
-            for _ in range(49):
-                if not len(pend):
-                    break
-                t[pend] *= 0.5
-                ok, tried = _line_trial(F, L[pend], dL[pend], t[pend],
-                                        gn[pend], C[pend], tol)
+            h = 0
+            while len(pend) and h < MAX_HALVINGS:
+                m, p = min(HALVING_LOOKAHEAD, MAX_HALVINGS - h), len(pend)
+                at = pend[None].repeat(m, axis=0).ravel()
+                ok, tried = _line_trial(F, L[at], dL[at],
+                                        _STEPS[h + 1:h + m + 1].repeat(p),
+                                        gn[at], C[at], tol)
+                ok = ok.reshape(m, p)
+                acc = ok.any(axis=0)
+                pick = ok.argmax(axis=0)[acc] * p + acc.nonzero()[0]
                 for x, y in zip(new, tried):
-                    x[pend[ok]] = y[ok]
-                pend = pend[~ok]
+                    x[pend[acc]] = y[pick]
+                pend = pend[~acc]
+                h += m
             L, T, G, gn, sc = new
             if len(pend):       # no step accepted: those rows fail
                 go = np.ones(len(rows), bool)

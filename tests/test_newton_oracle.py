@@ -1,6 +1,7 @@
 """The lockstep Newton of `lg` against the one-start solve it replaced
 (`tests/newton_oracle.py`): every row's result, the terms it returns and
 the multistart search's generator, bit for bit."""
+import cmath
 import math
 
 import numpy as np
@@ -87,6 +88,55 @@ def test_singular_hessian_fails_only_its_row():
     L0 = np.array([[0.1 + 0.05j], at, [-0.1j], at])
     assert oracle.newton_solve(F, at) is None
     assert _check_rows(F, L0, [()] * 4) == 2
+
+
+def _first_halvings(F, l0, cap=60):
+    """The halvings the one-start solve's first line search from l0 makes
+    before it accepts a step, counted on past the solver's cap up to `cap`
+    (None beyond), and whether its full-step trial norm is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = oracle.terms(F, l0)
+        g = t @ F.B - F.chi
+        gn = np.linalg.norm(g)
+        dl = np.linalg.solve(oracle.hess(F, t), -g)
+        finite = None
+        for h in range(cap + 1):
+            t2 = oracle.terms(F, l0 + 0.5 ** h * dl)
+            g2n = np.linalg.norm(t2 @ F.B - F.chi)
+            if finite is None:
+                finite = bool(np.isfinite(g2n))
+            if np.isfinite(g2n) and (
+                    g2n < (1 - 0.25 * 0.5 ** h) * gn
+                    or g2n < lg.TOL_NEWTON * oracle.term_scale(F, t2)):
+                return h, finite
+    return None, finite
+
+
+def test_mixed_line_search_stack_matches_one_start_solves():
+    # near the fold x = 1/2 of F = x - x^2/2 (see above) the Newton step
+    # is long, and the closer the start, the more halvings its first line
+    # search makes.  One start per (halvings, finite full-step trial norm)
+    # class makes one stack whose rows leave the lockstep halvings at every
+    # level: the full step, both sides of the first chunk boundary
+    # (HALVING_LOOKAHEAD), the cap of 49, and one past it, so the row fails.
+    # The (cap, True) row converges, and the (cap + 1, False) row would
+    # with one more halving, so a cap of 48 or 50 shows.  A row of a False
+    # class backtracks from a full step whose trial norm is nan or inf
+    F = LGPotential([(1,), (2,)], [1.0, -0.5])
+    fold = math.log(0.5)
+    starts = {}
+    for e in np.geomspace(1e-8, 0.5, 150):
+        for d in (1, -1, 1j, cmath.exp(1j * math.pi / 3)):
+            l0 = np.array([fold + d * e])
+            starts.setdefault(_first_halvings(F, l0), l0)
+    k, cap = lg.HALVING_LOOKAHEAD, 49     # the one-start solve's cap
+    classes = set(starts)
+    assert {(0, True), (k, True), (k + 1, True), (cap, True),
+            (cap + 1, True), (cap + 1, False)} <= classes
+    assert oracle.newton_solve(F, starts[cap + 1, True]) is None
+    assert oracle.newton_solve(F, starts[cap, True]) is not None
+    L0 = np.array(list(starts.values()))
+    assert _check_rows(F, L0, [()] * len(L0)) > 0
 
 
 # charts where 0 is not interior to the Newton polytope: most starts drift
@@ -204,3 +254,27 @@ def test_long_tail_search_makes_few_lockstep_calls(monkeypatch):
     monkeypatch.setattr(lg, "_newton_solve", batch)
     assert _search(lg, F, 5) == _search(oracle, F, 5)
     assert len(tries) > 100 and len(batches) <= 8
+
+
+def test_long_tail_search_backtracks_in_few_stacks(monkeypatch):
+    # each Newton pass makes one full-step trial and one gradient solve;
+    # the trials past those are the backtracking stacks.  Halving one
+    # level at a time this search backtracks in 150 trials over its 88
+    # passes, HALVING_LOOKAHEAD = 3 levels at a time in 67
+    F = bl_line_p4_family_lambda()(0.005)
+    trials, passes = [], []
+    trial, solve = lg._line_trial, lg._solve
+
+    def counted_trial(*args):
+        trials.append(1)
+        return trial(*args)
+
+    def counted_solve(H, X):
+        if X.shape[-1] == 1:        # a Newton step, not an alpha-test inverse
+            passes.append(1)
+        return solve(H, X)
+    monkeypatch.setattr(lg, "_line_trial", counted_trial)
+    monkeypatch.setattr(lg, "_solve", counted_solve)
+    assert len(lg.critical_points(F, rng=np.random.default_rng(5))) == 9
+    assert len(passes) == 88
+    assert len(trials) - len(passes) <= 75

@@ -78,9 +78,16 @@ def test_full_coefficient_stacks():
 
 
 def test_stacked_gradients_and_hessians():
-    # LGPotential.grad and LGPotential.hess on a stack of terms
+    # LGPotential.grad and LGPotential.hess on a stack of terms.  They take
+    # the complex B and B^T of the layout, the arrays numpy casts a float B
+    # to in each product with complex terms, so either gives the same bits
     for _, B, L, c in _cases(2):
         T = c * np.exp(np.matmul(B, L[..., None])[..., 0])
+        F = lg.LGPotential(B.astype(int), c[0])
+        assert _same(lg._terms(F, L, c), T)
+        assert _same(F.grad(L, terms=T),
+                     np.matmul(T[..., None, :], B)[..., 0, :])
+        assert _same(F.hess(L, terms=T), np.matmul(B.T * T[..., None, :], B))
         assert _same(np.matmul(T[..., None, :], B)[..., 0, :],
                      np.array([t @ B for t in T]))
         assert _same(np.matmul(B.T * T[..., None, :], B),
@@ -91,17 +98,35 @@ def test_stacked_gradients_and_hessians():
 
 
 def test_stacked_solves():
-    # _solve: one LAPACK solve per matrix of the stack
+    # _solve: one LAPACK solve per matrix of the stack, calling the gufunc
+    # under np.linalg.solve directly, bit for bit the wrapper's solve
     for rng, B, L, c in _cases(3):
         n = B.shape[1]
         H = (rng.normal(size=(len(L), n, n))
              + 1j * rng.normal(size=(len(L), n, n)))
-        assert _same(np.linalg.solve(H, -L[:, :, None])[:, :, 0],
+        want = np.linalg.solve(H, -L[:, :, None])
+        assert _same(want[:, :, 0],
                      np.array([np.linalg.solve(h, -g) for h, g in zip(H, L)]))
+        got, ok = lg._solve(H, -L[:, :, None])
+        assert ok is np.True_ and _same(got, want)
     # one singular matrix fails the whole stack: the per-matrix fallback
-    H = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)])
+    # solves the others and gives the singular one zeros and a False mask
+    rng = np.random.default_rng(12)
+    H = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    X = rng.normal(size=(5, 3, 1)) + 1j * rng.normal(size=(5, 3, 1))
+    H[2] = np.outer([1, 2, 3j], [1, -1, 0.5])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(H, np.ones((2, 2, 1), complex))
+        np.linalg.solve(H, X)
+    got, ok = lg._solve(H, X)
+    assert ok.tolist() == [True, True, False, True, True]
+    assert not got[2].any()
+    rest = [0, 1, 3, 4]
+    assert _same(got[rest], np.linalg.solve(H[rest], X[rest]))
+    # a nan matrix is not singular to LAPACK: nan rows, the others exact
+    H[2] = np.nan
+    got, ok = lg._solve(H, X)
+    assert ok is np.True_ and np.isnan(got[2]).all()
+    assert _same(got, np.linalg.solve(H, X))
 
 
 def test_row_norms_are_numpy_norms():
@@ -127,7 +152,7 @@ def test_row_maxima_and_steps():
     # _term_scale's row maxima; the line search's l + t dl per row
     for rng, B, L, c in _cases(5):
         mags = np.abs(c)
-        assert _same(mags.max(axis=-1),
+        assert _same(np.maximum.reduce(mags, axis=-1),
                      np.array([float(np.max(m)) for m in mags]))
         t = 0.5 ** rng.integers(0, 50, len(L)).astype(float)
         dL = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
@@ -164,8 +189,9 @@ def test_stacked_inverses_and_steps():
              + 1j * rng.normal(size=(len(L), n, n)))
         want = np.array([np.linalg.inv(h) for h in H])
         assert _same(np.linalg.inv(H), want)
-        assert _same(np.linalg.solve(H, np.broadcast_to(
-            np.eye(n, dtype=complex), H.shape)), want)
+        eye = np.broadcast_to(np.eye(n, dtype=complex), H.shape)
+        assert _same(np.linalg.solve(H, eye), want)
+        assert _same(lg._solve(H, eye)[0], want)
         assert _same(lg._row_norms(want.reshape(len(L), -1)),
                      np.array([np.linalg.norm(h) for h in want]))
         assert _same(np.matmul(want, L[..., None])[..., 0],
