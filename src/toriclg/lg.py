@@ -18,7 +18,9 @@ The backtracking line search of each Newton pass runs in lockstep as well.
 Every row starts at the full step and halves it, so all rows still pending
 after h halvings share the step 2^-h: the next HALVING_LOOKAHEAD halvings of
 all of them are one stack, and each row takes its first accepted level,
-which is the step a search halving one level at a time takes.
+which is the step a search halving one level at a time takes.  The full
+step that starts each search is l + dl against 0.75 |grad|, the bits of the
+unit step without multiplying by it.
 
 The multistart dedupe runs in lockstep too: each batch's converged rows are
 compared with the points found before as one matrix, and the kept points
@@ -68,6 +70,12 @@ MAX_HALVINGS = 49
 HALVING_LOOKAHEAD = 3
 # the step 2^-h of h halvings, exact
 _STEPS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
+# the fewest starts of a multistart batch after a component's first.  One
+# lockstep Newton pass costs about 55 us whatever its size plus about 1.4 us
+# a row (bl_line_p4 from multistart starts, median CPU time per pass: 57 us
+# at 2 rows, 118 us at 32, 239 us at 128, one core of a shared 2-core x86-64
+# box), so a smaller tail batch pays mostly for its passes
+MIN_BATCH = 32
 # Smale's alpha-test threshold, a margin below alpha_0 = (13 - 3 sqrt 17)/4
 ALPHA_MAX = 0.1
 
@@ -266,6 +274,22 @@ def _row_norms(X):
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+# a gradient norm below 2^-511 = sqrt(smallest normal) may have lost its
+# squares to underflow: every entry is below it, so each square is subnormal
+# or 0, and a nonzero gradient can give the norm 0
+_NORM_FLOOR = 2.0 ** -511
+
+
+def _small_gradient(g, bound):
+    """Whether the gradient g of one row has norm below `bound`, taken over
+    its largest |entry| so that no square underflows; an exact zero passes.
+    `_newton_solve` asks it only of rows whose norm is below _NORM_FLOOR
+    and already passed."""
+    v = np.abs(np.concatenate((g.real, g.imag)))
+    s = v.max()
+    return not s or s * np.linalg.norm(v / s) < bound
+
+
 def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -296,12 +320,19 @@ def _line_trial(F, L, dL, t, gn, C, tol):
     """One backtracking trial per row at l + t dl: whether it is accepted,
     and the point with its terms, gradient, gradient norm and term scale.
     A row's gn is finite, so a nan or inf trial norm is never accepted: a
-    nan compares False and +inf is below neither bound."""
-    Lp = L + t[:, None] * dL
+    nan compares False and +inf is below neither bound.
+
+    t=None is the full step, t = 1 for every row: the point is l + dl and
+    the bound 0.75 gn, the bits of 1 dl and (1 - 0.25) gn for a finite dl,
+    without building the ones and multiplying by them."""
+    if t is None:
+        Lp, bound = L + dL, 0.75 * gn
+    else:
+        Lp, bound = L + t[:, None] * dL, (1 - 0.25 * t) * gn
     Tp = _terms(F, Lp, C)
     Gp = F.grad(Lp, terms=Tp)
     gp, sp = _row_norms(Gp), _term_scale(F, Tp)
-    ok = (gp < (1 - 0.25 * t) * gn) | (gp < tol * sp)
+    ok = (gp < bound) | (gp < tol * sp)
     return ok, [Lp, Tp, Gp, gp, sp]
 
 
@@ -309,7 +340,11 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
     """Damped Newton from every row of the (k, n) stack L0, row i with the
     coefficients C[i] of the (k, nterms) stack C, all rows in lockstep.
     Returns one entry per row: None unless that row converges, else
-    (l, terms at l).
+    (l, terms at l).  A row converges when its gradient norm is below tol
+    times its term scale; a norm below _NORM_FLOOR, whose squares may have
+    underflowed, must pass again over the gradient's largest entry
+    (`_small_gradient`), so a gradient of 1e-180 at terms of 1e-180 is no
+    zero.
 
     F gives the exponents and chi, C alone the coefficients: C[i] is
     `F.coefficient_rows` of the row's fibre component, or that of another
@@ -353,7 +388,11 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
         for it in range(101):   # the 101st pass only tests convergence
             done = gn < tol * sc
             for i in done.nonzero()[0]:
-                out[rows[i]] = (L[i], T[i])
+                if gn[i] < _NORM_FLOOR and not _small_gradient(G[i],
+                                                               tol * sc[i]):
+                    done[i] = False     # the squares underflowed, not a zero
+                else:
+                    out[rows[i]] = (L[i], T[i])
             go = np.isfinite(gn) & ~done
             if box is not None:
                 go &= np.abs(L.real).max(axis=1) <= box
@@ -368,7 +407,7 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
                 L, T, dL, gn, C, rows = (
                     x[go] for x in (L, T, dL, gn, C, rows))
             # backtracking line search, halvings in lockstep (see above)
-            ok, new = _line_trial(F, L, dL, np.ones(len(rows)), gn, C, tol)
+            ok, new = _line_trial(F, L, dL, None, gn, C, tol)
             pend = (~ok).nonzero()[0]
             h = 0
             while len(pend) and h < MAX_HALVINGS:
@@ -478,19 +517,21 @@ def _new_points(L, near, tol):
     one-point-at-a-time record keeps, in order: those inside the search box
     whose wrapped log distance is at least tol from every row of `near`
     (the points found before) and from every row kept before them.  The
-    distances to `near` are one (k, len(near)) matrix; each survivor is then
-    checked against the few rows kept before it, so no (k, k) matrix is
-    built.  Each distance is the one-point check's bit for bit."""
+    distances to `near` are one (k, len(near)) matrix.  Then the first
+    survivor is kept and the later survivors within tol of it are dropped,
+    as one stack of distances, until none is left: one stack per kept row,
+    not one per survivor, and no (k, k) matrix is built.  Each distance is
+    the one-point check's bit for bit."""
     k, n = L.shape
     keep = ~(np.abs(L.real).max(axis=1) > SEARCH_BOX)
     if len(near):
         D = _row_norms(_canonical_log(near[None] - L[:, None]).reshape(-1, n))
         keep &= ~(D.reshape(k, -1) < tol).any(axis=1)
-    kept = []
-    for r in keep.nonzero()[0].tolist():
-        if not (kept and (_row_norms(_canonical_log(L[kept] - L[r]))
-                          < tol).any()):
-            kept.append(r)
+    kept, rest = [], keep.nonzero()[0]
+    while len(rest):
+        r, rest = rest[0], rest[1:]
+        kept.append(int(r))
+        rest = rest[~(_row_norms(_canonical_log(L[r] - L[rest])) < tol)]
     return kept
 
 
@@ -527,14 +568,16 @@ def critical_points(F: LGPotential, expected=None, rng=None,
     draws, the tries, the order of the found points and every stop are the
     same whatever the batch size.  The dedupe runs in lockstep as well: a
     batch's converged rows are compared with the points found before it as
-    one rows x found matrix, each survivor only with the rows kept before it
-    in the batch (`_new_points`), and the kept rows' values and Hessians are
-    one stack, so the walk through the batch only appends them.
+    one rows x found matrix, then each row kept in the batch with the later
+    survivors as one stack (`_new_points`), and the kept rows' values and
+    Hessians are one stack, so the walk through the batch only appends them.
 
     A search that can still be certified (exact bound, not yet decided), or
-    is past the floor with m points missing, draws 2 m starts in a
-    component's first two batches and 2 m 2^(b-2) in its b-th: a point with
-    a small basin then costs a few lockstep passes, not one per two tries.  Any other search draws up to
+    is past the floor with m points missing, draws 4 m starts in a
+    component's first batch and max(4 m 2^(b-1), MIN_BATCH) in its later
+    batch b = 1, 2, ...: a lockstep pass costs mostly its fixed overhead, so
+    a point with a small basin costs a few batches of a dozen passes each,
+    not many small ones.  Any other search draws up to
     the floor, or the rest of the budget once the points exceed the target.
     Starts a batch drew beyond the one the search stopped at are given
     back: the generator is restored and advanced by the starts used, so it
@@ -585,7 +628,8 @@ def critical_points(F: LGPotential, expected=None, rng=None,
             missing = stop - len(found)
             if (certified is None and certifiable
                     or tries > floor and missing > 0):
-                size = 2 * missing << max(batches - 1, 0)
+                size = (max(4 * missing << batches - 1, MIN_BATCH) if batches
+                        else 4 * missing)
             elif tries <= floor:
                 size = floor + 1 - tries
             else:           # an over-count: only the budget ends the search

@@ -42,6 +42,18 @@ def term_scale(F, t):
     return max(s, 1e-300)
 
 
+def converged(g, gn, bound):
+    """gn < bound, where a norm below 2^-511 (each square subnormal or 0)
+    must pass again taken over the largest |entry| of g; 0 passes."""
+    if not gn < bound:
+        return False
+    if gn >= 2.0 ** -511:
+        return True
+    v = np.abs(np.concatenate((g.real, g.imag)))
+    s = v.max()
+    return not s or s * np.linalg.norm(v / s) < bound
+
+
 def newton_solve(F, l0, component=(), tol=TOL_NEWTON):
     """Damped Newton from l0; None unless it converges."""
     l = np.asarray(l0, dtype=complex)
@@ -52,7 +64,7 @@ def newton_solve(F, l0, component=(), tol=TOL_NEWTON):
             gn = np.linalg.norm(g)
             if not np.isfinite(gn):
                 return None
-            if gn < tol * term_scale(F, t):
+            if converged(g, gn, tol * term_scale(F, t)):
                 return l
             try:
                 dl = np.linalg.solve(hess(F, t), -g)
@@ -71,7 +83,8 @@ def newton_solve(F, l0, component=(), tol=TOL_NEWTON):
             else:
                 return None
             l, t = l2, t2
-        if np.linalg.norm(t @ F.B - F.chi) < tol * term_scale(F, t):
+        g = t @ F.B - F.chi
+        if converged(g, np.linalg.norm(g), tol * term_scale(F, t)):
             return l
         return None
 

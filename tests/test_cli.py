@@ -399,11 +399,16 @@ def test_cli_error_carries_module_error_name(tmp_path, capsys):
     assert "NotAdjacent" in captured.err
 
 
-def test_console_entry_point():
+def test_console_entry_point(tmp_path):
+    # the child sees src on PYTHONPATH, as pytest's own pythonpath setting
+    # does not reach it
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "toriclg.cli", "fans",
                           "--scenario", scn("a1.json"), "--out",
-                          "/tmp/toriclg-cli-smoke"],
-                         capture_output=True, text=True)
+                          str(tmp_path)],
+                         env=env, capture_output=True, text=True)
     assert out.returncode == 0
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -157,10 +158,15 @@ def test_gammapoly_scalar_operands():
 
 
 def test_import_keeps_mpmath_precision():
+    # the child sees src on PYTHONPATH, as pytest's own pythonpath setting
+    # does not reach it
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
          "import mpmath, toriclg.ktheory; print(mpmath.mp.dps)"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "15"
 

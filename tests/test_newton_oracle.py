@@ -93,7 +93,8 @@ def test_singular_hessian_fails_only_its_row():
 def _first_halvings(F, l0, cap=60):
     """The halvings the one-start solve's first line search from l0 makes
     before it accepts a step, counted on past the solver's cap up to `cap`
-    (None beyond), and whether its full-step trial norm is finite."""
+    (None beyond), whether its full-step trial norm is finite, and whether
+    the one-start solve from the accepted point converges."""
     with np.errstate(over="ignore", invalid="ignore"):
         t = oracle.terms(F, l0)
         g = t @ F.B - F.chi
@@ -101,42 +102,94 @@ def _first_halvings(F, l0, cap=60):
         dl = np.linalg.solve(oracle.hess(F, t), -g)
         finite = None
         for h in range(cap + 1):
-            t2 = oracle.terms(F, l0 + 0.5 ** h * dl)
+            l1 = l0 + 0.5 ** h * dl
+            t2 = oracle.terms(F, l1)
             g2n = np.linalg.norm(t2 @ F.B - F.chi)
             if finite is None:
                 finite = bool(np.isfinite(g2n))
             if np.isfinite(g2n) and (
                     g2n < (1 - 0.25 * 0.5 ** h) * gn
                     or g2n < lg.TOL_NEWTON * oracle.term_scale(F, t2)):
-                return h, finite
-    return None, finite
+                return h, finite, oracle.newton_solve(F, l1) is not None
+    return None, finite, False
 
 
 def test_mixed_line_search_stack_matches_one_start_solves():
     # near the fold x = 1/2 of F = x - x^2/2 (see above) the Newton step
     # is long, and the closer the start, the more halvings its first line
-    # search makes.  One start per (halvings, finite full-step trial norm)
-    # class makes one stack whose rows leave the lockstep halvings at every
-    # level: the full step, both sides of the first chunk boundary
-    # (HALVING_LOOKAHEAD), the cap of 49, and one past it, so the row fails.
-    # The (cap, True) row converges, and the (cap + 1, False) row would
-    # with one more halving, so a cap of 48 or 50 shows.  A row of a False
-    # class backtracks from a full step whose trial norm is nan or inf
+    # search makes.  One start per class (halvings, finite full-step trial
+    # norm, converges from the accepted point) makes one stack whose rows
+    # leave the lockstep halvings at every level: the full step, both sides
+    # of the first chunk boundary (HALVING_LOOKAHEAD), the cap of 49, and
+    # one past it, so the row fails.  A (cap, ., True) row converges, and
+    # a (cap + 1, ., True) row would with one more halving, so a cap of 48
+    # or 50 shows.  A row of a False class backtracks from a full step
+    # whose trial norm is nan or inf
     F = LGPotential([(1,), (2,)], [1.0, -0.5])
     fold = math.log(0.5)
     starts = {}
-    for e in np.geomspace(1e-8, 0.5, 150):
-        for d in (1, -1, 1j, cmath.exp(1j * math.pi / 3)):
+    for e in np.geomspace(1e-9, 0.5, 150):
+        for d in (1, -1, 1j, cmath.exp(1j * math.pi / 3),
+                  cmath.exp(7j * math.pi / 24)):
             l0 = np.array([fold + d * e])
             starts.setdefault(_first_halvings(F, l0), l0)
     k, cap = lg.HALVING_LOOKAHEAD, 49     # the one-start solve's cap
     classes = set(starts)
-    assert {(0, True), (k, True), (k + 1, True), (cap, True),
-            (cap + 1, True), (cap + 1, False)} <= classes
-    assert oracle.newton_solve(F, starts[cap + 1, True]) is None
-    assert oracle.newton_solve(F, starts[cap, True]) is not None
+    assert {(0, True), (k, True), (k + 1, True), (cap + 1, True),
+            (cap + 1, False)} <= {c[:2] for c in classes}
+    assert {(cap, False, True), (cap + 1, False, True)} <= classes
+    assert oracle.newton_solve(F, starts[cap + 1, False, True]) is None
+    assert oracle.newton_solve(F, starts[cap, False, True]) is not None
     L0 = np.array(list(starts.values()))
     assert _check_rows(F, L0, [()] * len(L0)) > 0
+
+
+def test_full_step_trial_is_the_unit_step_trial():
+    # `_newton_solve` tries the full step as t=None: l + dl against
+    # 0.75 gn, which must be the t = 1 trial bit for bit.  Starts near the
+    # fold of x - x^2/2 give accepted and rejected full steps and trial
+    # norms that are nan (the terms overflow to inf - inf) or inf (finite
+    # gradient entries whose squares overflow)
+    F = LGPotential([(1,), (2,)], [1.0, -0.5])
+    fold = math.log(0.5)
+    L = np.array([[fold + d * e] for e in np.geomspace(1e-8, 0.5, 150)
+                  for d in (1, -1, 1j, cmath.exp(1j * math.pi / 3))])
+    C = F.coefficient_rows([()] * len(L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = lg._terms(F, L, C)
+        G = F.grad(L, terms=T)
+        gn = lg._row_norms(G)
+        dL, ok = lg._solve(F.hess(L, terms=T), -G[:, :, None])
+        dL = dL[:, :, 0]
+        full = lg._line_trial(F, L, dL, None, gn, C, lg.TOL_NEWTON)
+        unit = lg._line_trial(F, L, dL, np.ones(len(L)), gn, C,
+                              lg.TOL_NEWTON)
+    assert ok and np.isfinite(gn).all() and np.isfinite(dL).all()
+    acc, gp = full[0], full[1][3]
+    assert acc.any() and (~acc & np.isfinite(gp)).any()
+    assert np.isnan(gp).any() and np.isinf(gp).any()
+    assert acc.tobytes() == unit[0].tobytes()
+    for x, y in zip(full[1], unit[1]):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_underflowed_gradient_is_no_zero():
+    # from just off the fold of x - x^2/2 with no search box the solve
+    # walks to x ~ 1e-180, where the gradient x - x^2 is as large as the
+    # term scale, 4.7e-180: its squared norm underflows to 0, and the row
+    # used to pass as converged at l ~ -412.9 + 4.1e8 i.  It fails now, in
+    # the stack and in the one-start solve, while an exactly zero gradient
+    # (x = 1, l = 0) still converges
+    F = LGPotential([(1,), (2,)], [1.0, -0.5])
+    L0 = np.array([[math.log(0.5) + 2.92e-8j], [0j]])
+    sols = lg._newton_solve(F, L0, F.coefficient_rows([()] * 2))
+    assert sols[0] is None
+    assert sols[1][0].tobytes() == L0[1].tobytes()
+    assert _check_rows(F, L0, [()] * 2) == 1
+    assert not lg._small_gradient(np.array([-1.6e-180 + 4.4e-180j]),
+                                  lg.TOL_NEWTON * 4.7e-180)
+    assert lg._small_gradient(np.array([3e-200, -4e-200j]), 1e-192)
+    assert lg._small_gradient(np.zeros(2, complex), 1e-312)
 
 
 # charts where 0 is not interior to the Newton polytope: most starts drift
@@ -236,9 +289,12 @@ def test_uncertified_exact_search_draws_as_one_start_at_a_time(monkeypatch):
 
 
 def test_long_tail_search_makes_few_lockstep_calls(monkeypatch):
-    # one start at a time this search makes 142 tries; its batches after
-    # the second double, so it makes 7 lockstep solves (one per batch),
-    # where batches of twice the points still missing made 51
+    # one start at a time this search makes 142 tries.  Its first batch
+    # draws 4 starts per point missing (36), each later one at least
+    # MIN_BATCH = 32, doubling from 4 per point missing: 5 lockstep solves,
+    # one per batch.  Batches of twice the points missing made 51, and
+    # doubling them from the second batch on without a minimum 7
+    # (18, 6, 12, 24, 16, 32, 64)
     F = bl_line_p4_family_lambda()(0.005)
     tries, batches = [], []
     one, stacked = oracle.newton_solve, lg._newton_solve
@@ -253,14 +309,16 @@ def test_long_tail_search_makes_few_lockstep_calls(monkeypatch):
     monkeypatch.setattr(oracle, "newton_solve", one_start)
     monkeypatch.setattr(lg, "_newton_solve", batch)
     assert _search(lg, F, 5) == _search(oracle, F, 5)
-    assert len(tries) > 100 and len(batches) <= 8
+    assert len(tries) > 100 and batches == [36, 32, 32, 32, 32]
 
 
 def test_long_tail_search_backtracks_in_few_stacks(monkeypatch):
     # each Newton pass makes one full-step trial and one gradient solve;
-    # the trials past those are the backtracking stacks.  Halving one
-    # level at a time this search backtracks in 150 trials over its 88
-    # passes, HALVING_LOOKAHEAD = 3 levels at a time in 67
+    # the trials past those are the backtracking stacks.  With batches of
+    # at least MIN_BATCH starts after the first (see above) the search
+    # makes 64 passes and backtracks HALVING_LOOKAHEAD = 3 levels at a
+    # time in 53 stacks.  Its 7 batches without the minimum made 88 passes
+    # and 67 stacks, and halving one level at a time, 150
     F = bl_line_p4_family_lambda()(0.005)
     trials, passes = [], []
     trial, solve = lg._line_trial, lg._solve
@@ -276,5 +334,5 @@ def test_long_tail_search_backtracks_in_few_stacks(monkeypatch):
     monkeypatch.setattr(lg, "_line_trial", counted_trial)
     monkeypatch.setattr(lg, "_solve", counted_solve)
     assert len(lg.critical_points(F, rng=np.random.default_rng(5))) == 9
-    assert len(passes) == 88
-    assert len(trials) - len(passes) <= 75
+    assert len(passes) == 64
+    assert len(trials) - len(passes) <= 55
