@@ -11,14 +11,13 @@ byte-identical for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import os
 import sys
 from fractions import Fraction
 
 from . import errors
-from .scenario import Scenario, _is_int, _is_real, compile_expr
+from .scenario import Scenario
 
 
 def _jnum(x):
@@ -35,7 +34,6 @@ def _dump(obj, outdir, fname):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1, default=_jnum)
         fh.write("\n")
-    return path
 
 
 def _rng(seed):
@@ -45,51 +43,9 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _checked(value, ok, field, want):
-    """value, or a ScenarioError naming the field when ok(value) fails."""
-    if not ok(value):
-        raise errors.ScenarioError(f"{field} must be {want}, got {value!r}")
-    return value
-
-
-def _section(scn, name):
-    """The scenario's `name` object, {} when absent."""
-    return _checked(scn.doc.get(name, {}), lambda s: isinstance(s, dict),
-                    name, "an object")
-
-
-def _expr(text, var, field):
-    """compile_expr, with a parse error naming the scenario field.  Every
-    expression is a potential coefficient, so a failed evaluation or a zero
-    or non-finite value names the field and the parameter value."""
-    try:
-        fn = compile_expr(text, var)
-    except errors.ScenarioError as exc:
-        raise errors.ScenarioError(f"{field}: {exc}") from None
-
-    def value(s):
-        try:
-            x = fn(s)
-        except ArithmeticError as exc:
-            problem = exc
-        else:
-            if x != 0 and cmath.isfinite(x):
-                return x
-            problem = "a potential coefficient must be finite and nonzero"
-        raise errors.ScenarioError(f"{field} at {var} = {s:.6g}: {problem}")
-    return value
-
-
-def _enumerate(scn):
-    from .secondary import enumerate_adapted_fans
-    if scn.vector_set is None:
-        raise errors.ScenarioError("scenario has no lattice/S data")
-    return enumerate_adapted_fans(scn.vector_set)
-
-
 def cmd_fans(scn: Scenario, outdir, seed):
-    from .secondary import wall_between
-    fans, walls = _enumerate(scn)
+    from .secondary import enumerate_adapted_fans, wall_between
+    fans, walls = enumerate_adapted_fans(scn.vector_set())
     report = {"name": scn.name, "count": len(fans), "fans": [], "walls": []}
     for i, fan in enumerate(fans):
         report["fans"].append({
@@ -112,24 +68,10 @@ def cmd_fans(scn: Scenario, outdir, seed):
     return 0
 
 
-def _wall_from_scenario(scn):
-    from .secondary import wall_between
-    wall_spec = scn.doc.get("wall")
-    if wall_spec and "plus" in wall_spec:
-        fp = scn.named_fan(wall_spec["plus"], "wall.plus")
-        fm = scn.named_fan(wall_spec["minus"], "wall.minus")
-        return wall_between(fp, fm)
-    fans, walls = _enumerate(scn)
-    if not walls:
-        raise errors.NotAdjacent("no walls in the secondary fan")
-    a, b, _ = walls[0]
-    return wall_between(fans[a], fans[b])
-
-
 def cmd_wallcross(scn: Scenario, outdir, seed):
     from .lg import curve_critical_values
     from .secondary import CurveChart
-    wall = _wall_from_scenario(scn)
+    wall = scn.wall()
     report = {
         "name": scn.name,
         "kind": wall.kind,
@@ -147,8 +89,7 @@ def cmd_wallcross(scn: Scenario, outdir, seed):
         chart = CurveChart(wall)
         report["e_plus"] = chart.e_plus
         report["e_minus"] = chart.e_minus
-        tval = _checked(scn.doc.get("curve_parameter", 1.0), _is_real,
-                        "curve_parameter", "a real number")
+        tval = scn.get("curve_parameter")
         vals = curve_critical_values(wall, tval)
         report["curve_values_at_t"] = {
             "t": _jnum(complex(tval)),
@@ -158,52 +99,9 @@ def cmd_wallcross(scn: Scenario, outdir, seed):
     return 0
 
 
-def _family_from_scenario(scn):
-    pot = scn.doc.get("potential")
-    if pot is None:
-        raise errors.ScenarioError("scenario has no potential")
-    _checked(pot, lambda p: isinstance(p, dict), "potential", "an object")
-    var = scn.path_variable()
-    if "preset" in pot:
-        _checked(pot["preset"], lambda p: p == "bl_line_p4",
-                 "potential.preset", "'bl_line_p4'")
-        from .families import bl_line_p4_family_lambda
-        texpr = pot.get("t_of_lambda")
-        t_of = _expr(texpr, var, "potential.t_of_lambda") if texpr else None
-        return bl_line_p4_family_lambda(t_of)
-    from .lg import chart_family
-    if "chart" not in pot:
-        raise errors.ScenarioError("potential needs a chart or a preset")
-    qs = _checked(pot.get("q", []), lambda q: isinstance(q, list),
-                  "potential.q", "a list")
-    ts = _checked(pot.get("t", {}), lambda t: isinstance(t, dict) and all(
-        k.isascii() and k.isdigit() for k in t), "potential.t",
-        "an object keyed by S indices")
-    qexprs = [_expr(e, var, f"potential.q[{i}]") for i, e in enumerate(qs)]
-    texprs = {int(k): _expr(e, var, f"potential.t[{k!r}]")
-              for k, e in ts.items()}
-    fan = scn.named_fan(pot["chart"], "potential.chart")
-    potential = chart_family(fan, chi=pot.get("chi"),
-                             splitting=pot.get("splitting"))
-
-    def family(s):
-        return potential([f(s) for f in qexprs],
-                         {k: f(s) for k, f in texprs.items()})
-    return family
-
-
 def cmd_critical(scn: Scenario, outdir, seed):
     from .lg import conifold_point, critical_points, newton_nondegenerate
-    family = _family_from_scenario(scn)
-    at = scn.doc.get("at", scn.path_values()[0])
-    if "at" in scn.doc:
-        _checked(at, _is_real, "at", "a real number")
-    F = family(complex(at))
-    scan = scn.doc.get("nondegeneracy_scan", False)
-    if scan and F.expected_count() is None:
-        raise errors.ScenarioError(
-            "nondegeneracy_scan needs a potential whose Newton polytope has "
-            "0 in its interior")
+    at, F = scn.potential()
     rng = _rng(seed)
     pts = critical_points(F, rng=rng)
     report = {"name": scn.name, "at": _jnum(complex(at)),
@@ -216,11 +114,11 @@ def cmd_critical(scn: Scenario, outdir, seed):
             "nondegenerate": p.nondegenerate,
             "tag": p.tag,
         })
-    if scan:
+    if scn.get("nondegeneracy_scan"):
         ok, faces = newton_nondegenerate(F, rng=rng)
         report["newton_nondegenerate"] = ok
         report["face_budgets"] = faces
-    if scn.doc.get("conifold", False):
+    if scn.get("conifold"):
         p = conifold_point(F)
         report["conifold"] = {"log_point": [_jnum(z) for z in p.log_point],
                               "value": _jnum(p.value)}
@@ -230,13 +128,8 @@ def cmd_critical(scn: Scenario, outdir, seed):
 
 def _track(scn, seed):
     from .lg import track_critical_values
-    family = _family_from_scenario(scn)
-    params = scn.path_values()
-    if len(params) < 2:
-        field = "path.values" if "values" in scn.doc["path"] else "path.steps"
-        raise errors.ScenarioError(
-            f"{field} must give at least two path parameters to track, "
-            f"got {len(params)}")
+    family = scn.family()
+    params = scn.path_values(at_least=2)
     rng = _rng(seed)
     return track_critical_values(family, params, rng=rng), params
 
@@ -262,17 +155,14 @@ def cmd_track(scn: Scenario, outdir, seed):
 
 
 def cmd_mutate(scn: Scenario, outdir, seed):
-    from .ktheory import (bl_line_p4, bl_line_p4_collection,
+    from .ktheory import (bl_line_p4_collection,
                           bl_line_p4_initial_collection,
                           build_cohomology_ring)
     from .mutation import MarkedReflectionSystem, KBackend, evolve
-    coll_spec = _section(scn, "collection")
-    if coll_spec.get("preset") != "bl_line_p4":
-        raise errors.ScenarioError("mutate currently ships the bl_line_p4 preset")
-    phase = float(_checked(scn.doc.get("phase", 0.0), _is_real, "phase",
-                           "a real number"))
+    variety = scn.collection()
+    phase = float(scn.get("phase"))
     traj, params = _track(scn, seed)
-    ring = build_cohomology_ring(bl_line_p4())
+    ring = build_cohomology_ring(variety)
     back = KBackend(ring)
     initial = bl_line_p4_initial_collection(ring)
     order0 = sorted(range(traj.nbranches),
@@ -327,52 +217,16 @@ def cmd_mutate(scn: Scenario, outdir, seed):
     return 0 if (ok and unipotent) else 1
 
 
-_VARIETIES = None
-
-
-def _variety(name, field):
-    """The preset variety `name`, read from the scenario field `field`."""
-    global _VARIETIES
-    from .ktheory import bl_line_p4, bl_point_p2, p1xp1, projective_space
-    if _VARIETIES is None:
-        _VARIETIES = {
-            "p1": lambda: projective_space(1),
-            "p2": lambda: projective_space(2),
-            "p4": lambda: projective_space(4),
-            "p1xp1": p1xp1,
-            "bl_line_p4": bl_line_p4,
-            "bl_point_p2": bl_point_p2,
-        }
-    if not isinstance(name, str):
-        raise errors.ScenarioError(
-            f"{field} must be a variety name (a string), got {name!r}")
-    if name not in _VARIETIES:
-        raise errors.ScenarioError(f"{field}: unknown variety {name!r}")
-    return _VARIETIES[name]()
-
-
 def cmd_euler(scn: Scenario, outdir, seed):
     from .ktheory import (GammaData, KClass, build_cohomology_ring,
                           euler_pairing_gamma, euler_pairing_hrr)
-    spec = _section(scn, "euler")
-    varieties = _checked(spec.get("varieties",
-                                  ["p2", "p4", "p1xp1", "bl_line_p4"]),
-                         lambda v: isinstance(v, list), "euler.varieties",
-                         "a list of variety names")
-    size = _checked(spec.get("gram_size", 20), lambda x: _is_int(x) and x >= 1,
-                    "euler.gram_size", "an integer >= 1")
-    spread = _checked(spec.get("range", 3), lambda x: _is_int(x) and x >= 0,
-                      "euler.range", "an integer >= 0")
-    tols = _checked(scn.tolerances, lambda t: isinstance(t, dict),
-                    "tolerances", "an object")
-    tol = float(_checked(tols.get("gamma_vs_hrr", 1e-6),
-                         lambda x: _is_real(x) and x > 0,
-                         "tolerances.gamma_vs_hrr", "a positive number"))
+    size, spread = scn.get("euler.gram_size"), scn.get("euler.range")
+    tol = float(scn.get("tolerances.gamma_vs_hrr"))
     rng = _rng(seed)
     report = {"name": scn.name, "varieties": {}}
     worst = 0.0
-    for i, vname in enumerate(varieties):
-        ring = build_cohomology_ring(_variety(vname, f"euler.varieties[{i}]"))
+    for vname in scn.get("euler.varieties"):
+        ring = build_cohomology_ring(scn.variety(vname))
         gd = GammaData(ring)
         bundles = []
         for _ in range(size):
@@ -400,18 +254,10 @@ def cmd_euler(scn: Scenario, outdir, seed):
 
 
 def cmd_orlov(scn: Scenario, outdir, seed):
-    from .ktheory import BlowupData, verify_sod
-    spec = _section(scn, "orlov")
-    if "h" in spec:
-        _checked(spec["h"], _is_int, "orlov.h", "an integer")
-    wall = _wall_from_scenario(scn)
-    if "center_twist_ray" in spec:
-        shared = set(wall.plus_fan.rays) & set(wall.minus_fan.rays)
-        _checked(spec["center_twist_ray"], lambda b: _is_int(b) and b in shared,
-                 "orlov.center_twist_ray",
-                 f"the S index of a ray of both fans {sorted(shared)}")
-    bd = BlowupData(wall, spec.get("center_twist_ray"))
-    h = spec.get("h", min(1, bd.J))
+    from .ktheory import verify_sod
+    bd = scn.blowup()
+    h = scn.get("orlov.h")
+    h = min(1, bd.J) if h is None else h
     classes, blocks = bd.orlov_basis(h)
     ok, G = verify_sod(classes, blocks)
     bd.verify_k_relations()
@@ -431,9 +277,8 @@ def cmd_orlov(scn: Scenario, outdir, seed):
 
 def cmd_gkz(scn: Scenario, outdir, seed):
     from .gkz import char_variety_at_limit, generic_rank_check, gkz_relation
-    spec = _section(scn, "gkz")
-    fan = scn.named_fan(spec["chart"], "gkz.chart") if "chart" in spec \
-        else _variety(spec.get("variety", "p2"), "gkz.variety")
+    fan = scn.fan("gkz.chart") if scn.get("gkz.chart") is not None \
+        else scn.variety(scn.get("gkz.variety"))
     rng = _rng(seed)
     ok, witness = char_variety_at_limit(fan)
     rank_report = generic_rank_check(fan, rng=rng)

@@ -14,9 +14,11 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .rational import (det, dot, dual_lattice, idot, integer_kernel, is_zero,
-                       matvec, parallelepiped_units, primitive, rank, rref,
-                       scaled_inverse, solve, transpose, vsub)
+from . import errors
+from .rational import (MAX_BOX_INDEX, det, dot, dual_lattice, idot,
+                       integer_kernel, is_zero, matvec, parallelepiped_units,
+                       primitive, rank, rref, scaled_inverse, solve,
+                       transpose, vsub)
 
 
 def _reduced(v):
@@ -313,7 +315,8 @@ def hilbert_basis(cone: Cone, lattice_basis):
       simplices cover the cone;
     - the candidates are the primitive rays and the nonzero lattice points
       of each simplicial cone's half-open parallelepiped
-      (`parallelepiped_units`);
+      (`parallelepiped_units`; TooLarge before the walk when its index
+      exceeds MAX_BOX_INDEX);
     - in order of increasing degree, the sum of the cone's facet normals
       (positive on the pointed cone minus 0), a candidate v is kept iff no
       kept h has v - h in the cone.
@@ -345,6 +348,10 @@ def hilbert_basis(cone: Cone, lattice_basis):
     for s in triangulate_affine([(0,) * d] + rays):
         R = [[rays[i - 1][j] for i in s if i] for j in range(d)]
         A, vol = scaled_inverse(R)
+        if vol > MAX_BOX_INDEX:
+            raise errors.TooLarge(f"simplex {s} of the cone on rays "
+                                  f"{cone.rays}: index {vol} exceeds the Box "
+                                  f"budget {MAX_BOX_INDEX}")
         for u in parallelepiped_units(A, vol)[1:]:
             cands.add(tuple(sum(x * k for x, k in zip(row, u)) // vol
                             for row in R))

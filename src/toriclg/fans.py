@@ -13,7 +13,7 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (dual_lattice, idot, integer_kernel,
+from .rational import (MAX_BOX_INDEX, dual_lattice, idot, integer_kernel,
                        lattice_from_generators, parallelepiped_units,
                        preimage_lattice, primitive, rank, scaled_inverse,
                        solve)
@@ -297,8 +297,13 @@ class StackyFan:
         parallelepiped, walked by `parallelepiped_units` from the chart
         inverse: pt the point in `int`, u its ray coordinates in units of
         1/vol.  VolumeBoxMismatch unless every point is integral and there
-        are vol of them."""
+        are vol of them; TooLarge, before the walk, when the cone's index
+        (vol times the torsion order, the Box's size) exceeds MAX_BOX_INDEX."""
         c, A, vol = self._charts()[cone_idx]
+        index = vol * self.lattice.torsion_order
+        if index > MAX_BOX_INDEX:
+            raise errors.TooLarge(f"cone {c}: index {index} exceeds the Box "
+                                  f"budget {MAX_BOX_INDEX}")
         B = [[self.S[i].free[j] for i in c] for j in range(self.n)]   # columns = rays
         pts = []
         for u in parallelepiped_units(A, vol):

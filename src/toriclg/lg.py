@@ -55,6 +55,8 @@ TOL_COLLIDE = 1e-4
 # a multistart search keeps points with |Re log x| <= SEARCH_BOX, and its
 # Newton rows leave the stack once they drift beyond it
 SEARCH_BOX = 18.0
+# a multistart search tries up to 200 starts per point of the count bound
+MAX_CRITICAL_POINTS = 10 ** 3
 # a multistart start: Re log x uniform in [-2.5, 2.5], Im log x in [-pi, pi]
 _START_LOW = np.array([[-2.5], [-math.pi]])
 _START_HIGH = np.array([[2.5], [math.pi]])
@@ -191,7 +193,8 @@ class LGPotential:
         holds when 0 is interior to the Newton polytope (the Kouchnirenko
         count).  It depends only on the layout, so it is computed once per
         family of potentials sharing one.  The memo keeps the facets of
-        conv(supp F) in the exact case, for `newton_nondegenerate`."""
+        conv(supp F) in the exact case, for `newton_nondegenerate`.
+        TooLarge when the bound exceeds MAX_CRITICAL_POINTS."""
         if not self._bound:
             pts = self.B_int
             facets = polytope_facets(pts)
@@ -199,9 +202,12 @@ class LGPotential:
             if self.chi_max is not None and not exact:
                 pts = pts + [(0,) * self.n]
                 facets = None
-            self._bound.append(
-                (self.torsion_order * int(normalized_volume(pts, facets)),
-                 exact, facets if exact else None))
+            bound = self.torsion_order * int(normalized_volume(pts, facets))
+            if bound > MAX_CRITICAL_POINTS:
+                raise errors.TooLarge(
+                    f"critical-point bound {bound} exceeds the budget "
+                    f"{MAX_CRITICAL_POINTS}")
+            self._bound.append((bound, exact, facets if exact else None))
         return self._bound[0][:2]
 
     def expected_count(self):
@@ -344,7 +350,8 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
     times its term scale; a norm below _NORM_FLOOR, whose squares may have
     underflowed, must pass again over the gradient's largest entry
     (`_small_gradient`), so a gradient of 1e-180 at terms of 1e-180 is no
-    zero.
+    zero.  A row that passes with every term exactly 0 is retired: its
+    gradient is 0 against the clamped term scale far out at toric infinity.
 
     F gives the exponents and chi, C alone the coefficients: C[i] is
     `F.coefficient_rows` of the row's fibre component, or that of another
@@ -388,11 +395,16 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
         for it in range(101):   # the 101st pass only tests convergence
             done = gn < tol * sc
             for i in done.nonzero()[0]:
-                if gn[i] < _NORM_FLOOR and not _small_gradient(G[i],
-                                                               tol * sc[i]):
-                    done[i] = False     # the squares underflowed, not a zero
-                else:
+                # all terms 0 leave the gradient -chi, which passes only
+                # when chi = 0, so the test sits under the small norms
+                if gn[i] >= _NORM_FLOOR:
                     out[rows[i]] = (L[i], T[i])
+                elif not T[i].any():    # every term underflowed: retired
+                    done[i], gn[i] = False, math.nan
+                elif _small_gradient(G[i], tol * sc[i]):
+                    out[rows[i]] = (L[i], T[i])
+                else:
+                    done[i] = False     # the squares underflowed, not a zero
             go = np.isfinite(gn) & ~done
             if box is not None:
                 go &= np.abs(L.real).max(axis=1) <= box
@@ -1115,28 +1127,16 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
     basis of Lambda^Sigma, and each ghost term also t_b.  Computed once: the
     splitting inverse, the Lambda^Sigma basis and every term's q-exponents.
 
-    q_values: sequence of complex values for the canonical q-basis.
-    t_values: dict S-index -> complex, one entry per ghost index.
+    q_values: `q_count` complex values for the canonical q-basis; t_values:
+    dict S-index -> complex, one per index of `ghosts` (both attributes of
+    the returned map, which checks neither).
     """
     S = fan.S
     n = fan.n
     m = len(S)
-    rays = fan.rays
-    ghosts = [b for b in range(m) if b not in rays]
+    ghosts = [b for b in range(m) if b not in fan.rays]
     if splitting is None:
         splitting = _first_ray_basis(fan)
-    elif not (isinstance(splitting, (list, tuple))
-              and all(isinstance(i, int) and i in rays for i in splitting)
-              and len(set(splitting)) == len(splitting) == n
-              and rank([S[i].free for i in splitting]) == n):
-        raise errors.ScenarioError(
-            f"splitting must be {n} distinct ray indices of the chart on rays "
-            f"{rays} with independent vectors, got {splitting!r}")
-    if chi is not None and not (
-            isinstance(chi, (list, tuple)) and len(chi) == n
-            and all(isinstance(x, (int, float, complex))
-                    and not isinstance(x, bool) for x in chi)):
-        raise errors.ScenarioError(f"chi must be {n} numbers, got {chi!r}")
     A, vol = scaled_inverse([[S[i].free[j] for i in splitting]
                              for j in range(n)])
     lam_basis = _lambda_sigma_basis(fan)
@@ -1153,14 +1153,6 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
                            torsion_invariants=fan.lattice.torsion)
 
     def potential(q_values, t_values):
-        if len(q_values) != len(lam_basis):
-            raise errors.ScenarioError(
-                f"chart on rays {rays} needs {len(lam_basis)} q-values "
-                f"(canonical Lambda^Sigma basis), got {len(q_values)}")
-        if sorted(t_values) != ghosts:
-            raise errors.ScenarioError(
-                f"chart on rays {rays} needs t-values for ghost indices "
-                f"{ghosts}, got {sorted(t_values)}")
         coeffs = []
         for b in range(m):
             coeff = 1 + 0j
@@ -1170,6 +1162,7 @@ def chart_family(fan: StackyFan, chi=None, splitting=None):
                 coeff *= complex(t_values[b])
             coeffs.append(coeff)
         return template.with_coefficients(coeffs)
+    potential.q_count, potential.ghosts = len(lam_basis), ghosts
     return potential
 
 

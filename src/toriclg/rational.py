@@ -304,6 +304,11 @@ def dual_lattice(basis_rows):
     return [tuple(Fraction(den * x, vol) for x in col) for col in zip(*A)]
 
 
+# the largest index |det B| whose parallelepiped a caller walks: the walk
+# visits each of its points, so a larger index raises errors.TooLarge first
+MAX_BOX_INDEX = 10 ** 5
+
+
 def parallelepiped_units(A, vol):
     """The lattice points of the half-open parallelepiped B[0,1)^n of an
     integer matrix B, as their coordinates over B's columns in units of

@@ -1,133 +1,51 @@
-"""Scenario files: one JSON document per run, with a tiny expression grammar
-for path reparametrizations like t(lam) = lam^(2/3) + lam^(2/5)."""
+"""Scenario files: one JSON document per run.  `FIELDS` is the one table of
+what a document may hold, checked once at load; `Scenario`'s readers build
+the fans, wall, potential family and path the subcommands compute on.
+Coefficients are expressions in the path variable, like
+t(lam) = lam^(2/3) + lam^(2/5)."""
 from __future__ import annotations
 
+import ast
+import cmath
 import json
 import math
+import operator
+from typing import Callable, NamedTuple
 
 from . import errors
 from .lattice import AbelianLattice, VectorSet
 
-
-class ExprParser:
-    """Recursive descent for {+, -, *, /, ^ with rational exponents} over a
-    single variable; ^ binds tightest, unary minus allowed."""
-
-    def __init__(self, text, varname):
-        self.text = text.replace(" ", "")
-        self.pos = 0
-        self.varname = varname
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def eat(self, ch):
-        if self.peek() != ch:
-            raise errors.ScenarioError(
-                f"expected '{ch}' at {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.text):
-            raise errors.ScenarioError(
-                f"trailing input at {self.pos} in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.factor()
-            node = ("*" if op == "*" else "/", node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() == "-":
-            self.pos += 1
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            expo = self.factor()
-            return ("^", base, expo)
-        return base
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.eat("(")
-            node = self.expr()
-            self.eat(")")
-            return node
-        if ch is not None and (ch.isdigit() or ch == "."):
-            start = self.pos
-            while self.peek() is not None and (self.peek().isdigit()
-                                               or self.peek() == "."):
-                self.pos += 1
-            digits = self.text[start:self.pos]
-            try:
-                return ("num", float(digits))
-            except ValueError:
-                raise errors.ScenarioError(
-                    f"bad number {digits!r} at {start} in {self.text!r}"
-                ) from None
-        if ch is not None and ch.isalpha():
-            start = self.pos
-            while self.peek() is not None and (self.peek().isalnum()
-                                               or self.peek() == "_"):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name == self.varname:
-                return ("var",)
-            if name == "i":
-                return ("num", 1j)
-            raise errors.ScenarioError(f"unknown name {name!r}")
-        raise errors.ScenarioError(f"parse error at {self.pos} in {self.text!r}")
-
-
-def eval_expr(node, value):
-    op = node[0]
-    if op == "num":
-        return complex(node[1])
-    if op == "var":
-        return complex(value)
-    if op == "neg":
-        return -eval_expr(node[1], value)
-    a = eval_expr(node[1], value)
-    if op == "^":
-        return a ** eval_expr(node[2], value)
-    b = eval_expr(node[2], value)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise errors.ScenarioError(f"bad node {node!r}")
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow}
+_NODES = (ast.BinOp, ast.UnaryOp, ast.USub, ast.Load, *_OPS)
 
 
 def compile_expr(text, varname):
-    node = ExprParser(str(text), varname).parse()
+    """value -> complex for an expression in the variable `varname`:
+    numbers, the variable, i, + - * /, ^ (binding tightest, right to left)
+    and unary minus, every value complex."""
+    text = str(text)
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval").body
+    except (SyntaxError, ValueError, MemoryError):
+        raise errors.ScenarioError(f"cannot parse {text!r}") from None
+    for node in ast.walk(tree):
+        if not (node.id in (varname, "i") if isinstance(node, ast.Name) else
+                type(node.value) in (int, float) if isinstance(
+                    node, ast.Constant) else isinstance(node, _NODES)):
+            raise errors.ScenarioError(f"{text!r} is not +, -, *, / and ^ "
+                                       f"of numbers, {varname} and i")
 
-    def fn(value):
-        return eval_expr(node, value)
-    return fn
+    def value(node, s):
+        if isinstance(node, ast.BinOp):
+            return _OPS[type(node.op)](value(node.left, s),
+                                       value(node.right, s))
+        if isinstance(node, ast.UnaryOp):
+            return -value(node.operand, s)
+        if isinstance(node, ast.Name):
+            return complex(s) if node.id == varname else 1j
+        return complex(node.value)
+    return lambda s: value(tree, s)
 
 
 def _is_int(x):
@@ -151,135 +69,227 @@ def _is_int_vector(v, length):
     return isinstance(v, list) and len(v) == length and all(map(_is_int, v))
 
 
-class Scenario:
-    """Validated scenario document."""
+def _is_expr(x, scn):
+    try:
+        compile_expr(x, scn.get("path.variable"))
+    except errors.ScenarioError:
+        return False
+    return isinstance(x, str) or _is_real(x)
 
-    REQUIRED = ("name",)
-    GRIDS = ("geometric", "linear")
+
+def _is_s_entry(b, scn):
+    """Whether b is `lattice.rank` integers, or [free, torsion] on a lattice
+    with torsion; unchecked without a lattice, which `vector_set` reports."""
+    rank, torsion = scn.get("lattice.rank"), scn.get("lattice.torsion")
+    free, tor = b, None
+    if torsion and isinstance(b, list) and len(b) == 2 \
+            and isinstance(b[0], list):
+        free, tor = b
+    return rank is None or _is_int_vector(free, rank) and (
+        tor is None or _is_int_vector(tor, len(torsion)))
+
+
+def _is_cone_list(cones, scn):
+    m = len(scn.get("S") or ())
+    return isinstance(cones, list) and all(isinstance(c, list) and all(
+        _is_int(i) and (not m or 0 <= i < m) for i in c) for c in cones)
+
+
+def _kind(pred, want):
+    """A row's (ok, want) for a check that reads the value alone."""
+    return (lambda x, scn: pred(x)), want
+
+
+def _int_from(lo, hi=math.inf):
+    return _kind(lambda x: _is_int(x) and lo <= x <= hi,
+                 f"an integer >= {lo}" if hi == math.inf
+                 else f"an integer from {lo} to {hi}")
+
+
+def _one_of(*names):
+    return _kind(lambda x: isinstance(x, str) and x in names,
+                 repr(names[0]) if len(names) == 1
+                 else "one of " + ", ".join(map(repr, names)))
+
+
+OBJECT = _kind(lambda x: isinstance(x, dict), "an object")
+LIST = _kind(lambda x: isinstance(x, list), "a list")
+REAL = _kind(_is_real, "a real number")
+BOOL = _kind(lambda x: isinstance(x, bool), "true or false")
+EXPR = (_is_expr, "a number or an expression in the path variable")
+FAN = (lambda x, scn: isinstance(x, str) and x in scn.get("fans"),
+       "the name of a fan in fans")
+GEOMETRIC = (lambda x, scn: x > 0 or scn.get("path.grid") != "geometric",
+             "> 0 on a geometric grid")
+VARIETIES = ("p1", "p2", "p4", "p1xp1", "bl_line_p4", "bl_point_p2")
+VARIETY = _one_of(*VARIETIES)
+REQUIRED = object()         # the default of a field that must be given
+# budgets on the loops a scenario sizes directly: a track solves at every
+# path point and `euler` pairs gram_size^2 bundles per variety
+MAX_PATH_STEPS = 10 ** 4
+MAX_GRAM_SIZE = 200
+
+
+def _grid(scn):
+    return scn.get("path.values") is None
+
+
+def _preset(scn):
+    return scn.get("potential.preset") is not None
+
+
+def _chart(scn):
+    return scn.get("potential.preset") is None
+
+
+class Field(NamedTuple):
+    """One row of `FIELDS`.  `path` is dotted from the document's top; a
+    last part `[]` means every item of a list, `*` every value of an object.
+    An absent or null field takes `default` unchecked, as does every field
+    under an absent object (a REQUIRED one is then absent too).  A given
+    value must pass ok(value, scenario), where `scenario.get` reads the rows
+    above, else the error reads "<field> must be <want>, got <value>".  A
+    row with `when` applies only where when(scenario) holds."""
+    path: str
+    default: object
+    ok: Callable
+    want: str
+    when: Callable = None
+
+
+FIELDS = (
+    Field("name", REQUIRED, *_kind(lambda x: isinstance(x, str), "a string")),
+    Field("lattice", None, *OBJECT),
+    Field("lattice.rank", REQUIRED, *_int_from(1)),
+    Field("lattice.torsion", [], *_kind(lambda t: isinstance(t, list) and all(
+        map(_is_int, t)), "a list of integers")),
+    Field("S", None, *_kind(lambda x: isinstance(x, list) and len(x) > 0,
+                            "a nonempty list")),
+    Field("S[]", None, _is_s_entry, "lattice.rank integers, or [free, "
+          "torsion] with one integer per lattice.torsion factor"),
+    Field("fans", {}, *OBJECT),
+    Field("fans.*", None, _is_cone_list,
+          "a list of cones, each a list of S indices"),
+    Field("wall", None, *OBJECT),
+    Field("wall.plus", REQUIRED, *FAN),
+    Field("wall.minus", REQUIRED, *FAN),
+    Field("path", None, *OBJECT),
+    Field("path.variable", "lam", *_kind(lambda x: isinstance(x, str)
+                                         and x.isidentifier(), "a name")),
+    Field("path.values", None, *_kind(
+        lambda v: isinstance(v, list) and v and all(
+            _is_real(x) or _is_pair(x) for x in v),
+        "a nonempty list of numbers or [re, im] pairs")),
+    Field("path.prefactor", None, *_kind(_is_pair, "an [re, im] pair"), _grid),
+    Field("path.from", REQUIRED, *REAL, _grid),
+    Field("path.to", REQUIRED, *REAL, _grid),
+    Field("path.steps", REQUIRED, *_int_from(1, MAX_PATH_STEPS), _grid),
+    Field("path.grid", "geometric", *_one_of("geometric", "linear"), _grid),
+    Field("path.from", REQUIRED, *GEOMETRIC, _grid),
+    Field("path.to", REQUIRED, *GEOMETRIC, _grid),
+    Field("potential", None, *OBJECT),
+    Field("potential.preset", None, *_one_of("bl_line_p4")),
+    Field("potential.t_of_lambda", None, *EXPR, _preset),
+    Field("potential.chart", REQUIRED, FAN[0],
+          FAN[1] + " (a potential needs a chart or a preset)", _chart),
+    Field("potential.q", [], *LIST, _chart),
+    Field("potential.q[]", None, *EXPR, _chart),
+    Field("potential.t", {}, *_kind(lambda t: isinstance(t, dict) and all(
+        k.isascii() and k.isdigit() for k in t),
+        "an object keyed by S indices"), _chart),
+    Field("potential.t.*", None, *EXPR, _chart),
+    Field("potential.chi", None, lambda c, scn: isinstance(c, list)
+          and scn.get("lattice.rank") in (None, len(c))
+          and all(map(_is_real, c)),
+          "lattice.rank numbers", _chart),
+    Field("potential.splitting", None, *_kind(
+        lambda x: isinstance(x, list) and all(map(_is_int, x)),
+        "a list of ray indices"), _chart),
+    Field("at", None, *REAL),
+    Field("conifold", False, *BOOL),
+    Field("nondegeneracy_scan", False, *BOOL),
+    Field("curve_parameter", 1.0, *REAL),
+    Field("collection", None, *OBJECT),
+    Field("collection.preset", None, *_one_of("bl_line_p4")),
+    Field("phase", 0.0, *REAL),
+    Field("euler", {}, *OBJECT),
+    Field("euler.varieties", ["p2", "p4", "p1xp1", "bl_line_p4"], *LIST),
+    Field("euler.varieties[]", None, *VARIETY),
+    Field("euler.gram_size", 20, *_int_from(1, MAX_GRAM_SIZE)),
+    Field("euler.range", 3, *_int_from(0)),
+    Field("tolerances", {}, *OBJECT),
+    Field("tolerances.gamma_vs_hrr", 1e-6, *_kind(
+        lambda x: _is_real(x) and x > 0, "a positive number")),
+    Field("orlov", {}, *OBJECT),
+    Field("orlov.h", None, *_kind(_is_int, "an integer")),
+    Field("orlov.center_twist_ray", None, *_int_from(0)),
+    Field("gkz", {}, *OBJECT),
+    Field("gkz.chart", None, *FAN),
+    Field("gkz.variety", "p2", *VARIETY),
+)
+
+
+def _item_name(path, key):
+    """The field name of one item of the list or object at `path`."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if key.isidentifier() else f"{path}[{key!r}]"
+
+
+class Scenario:
+    """A scenario document checked against `FIELDS` at load.  The readers
+    build what the subcommands compute on, and raise the errors that need
+    it built: no lattice/S, a chart's q-count, ghost indices or splitting,
+    a center ray of both fans, a path too short to track."""
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise errors.ScenarioError("scenario must be a JSON object")
-        for key in self.REQUIRED:
-            if key not in doc:
-                raise errors.ScenarioError(f"scenario missing '{key}'")
         self.doc = doc
-        self.name = doc["name"]
-        self.vector_set = None
-        if "lattice" in doc and "S" in doc:
-            self._check_lattice(doc["lattice"], doc["S"])
+        self._fields = {}
+        for field in FIELDS:
+            self._check(field)
+        self.name = self.get("name")
+        self._vector_set = None
+        if self.get("lattice") is not None and self.get("S") is not None:
             try:
-                lat = AbelianLattice(doc["lattice"]["rank"],
-                                     doc["lattice"].get("torsion", ()))
-                self.vector_set = VectorSet(lat, [self._elt(lat, b)
-                                                  for b in doc["S"]])
+                self._vector_set = VectorSet(AbelianLattice(
+                    self.get("lattice.rank"), self.get("lattice.torsion")),
+                    self.get("S"))
             except ValueError as exc:
                 raise errors.ScenarioError(f"lattice/S: {exc}") from None
-        self.fans = doc.get("fans", {})
-        if not isinstance(self.fans, dict):
-            raise errors.ScenarioError(
-                f"fans must be an object, got {self.fans!r}")
-        for fname, cones in self.fans.items():
-            if not isinstance(cones, list):
-                raise errors.ScenarioError(
-                    f"fans.{fname} must be a list of cones")
-            for cone in cones:
-                if not isinstance(cone, list) or not all(map(_is_int, cone)):
-                    raise errors.ScenarioError(
-                        f"fans.{fname}: each cone must be a list of S "
-                        f"indices, got {cone!r}")
-        wall = doc.get("wall")
-        if wall is not None:
-            if not isinstance(wall, dict):
-                raise errors.ScenarioError(
-                    f"wall must be an object, got {wall!r}")
-            if ("plus" in wall) != ("minus" in wall):
-                raise errors.ScenarioError(
-                    "wall needs both a plus and a minus fan")
-            for side in ("plus", "minus"):
-                if side in wall and (not isinstance(wall[side], str)
-                                     or wall[side] not in self.fans):
-                    raise errors.ScenarioError(
-                        f"wall references unknown fan {wall[side]!r}")
-        self.tolerances = doc.get("tolerances", {})
-        if doc.get("path") is not None:
-            self._check_path(doc["path"])
 
-    @classmethod
-    def _check_path(cls, p):
-        """A path lists its `values`, or gives a grid of `steps` >= 1 points
-        from `from` to `to`; a geometric grid needs both ends positive."""
-        if not isinstance(p, dict):
-            raise errors.ScenarioError("path must be an object")
-        if "values" in p:
-            values = p["values"]
-            if not isinstance(values, list) or not values or not all(
-                    _is_real(v) or _is_pair(v) for v in values):
-                raise errors.ScenarioError(
-                    "path.values must be a nonempty list of numbers or "
-                    f"[re, im] pairs, got {values!r}")
+    def _check(self, field):
+        if field.when is not None and not field.when(self):
+            self._fields.setdefault(field.path, None)
             return
-        if p.get("prefactor") is not None and not _is_pair(p["prefactor"]):
+        path, _, key = field.path.rpartition(".")
+        if key == "*" or key.endswith("[]"):
+            path = field.path[:-2]
+            items = self._fields[path]
+            for k, value in (items.items() if isinstance(items, dict)
+                             else enumerate(items or ())):
+                self._require(field, _item_name(path, k), value)
+            return
+        parent = self._fields[path] if path else self.doc
+        value = None if parent is None else parent.get(key)
+        if value is not None:
+            self._require(field, field.path, value)
+        elif field.default is not REQUIRED:
+            value = field.default
+        elif parent is not None:
             raise errors.ScenarioError(
-                "path.prefactor must be an [re, im] pair, "
-                f"got {p['prefactor']!r}")
-        for key in ("from", "to", "steps"):
-            if key not in p:
-                raise errors.ScenarioError(f"path.{key} is missing")
-        steps = p["steps"]
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            raise errors.ScenarioError(
-                f"path.steps must be an integer >= 1, got {steps!r}")
-        grid = p.get("grid", "geometric")
-        if grid not in cls.GRIDS:
-            raise errors.ScenarioError(
-                f"path.grid must be one of {', '.join(cls.GRIDS)}, "
-                f"got {grid!r}")
-        for key in ("from", "to"):
-            x = p[key]
-            if not _is_real(x):
-                raise errors.ScenarioError(
-                    f"path.{key} must be a real number, got {x!r}")
-            if grid == "geometric" and x <= 0:
-                raise errors.ScenarioError(
-                    f"path.{key} must be > 0 on a geometric grid, got {x!r}")
+                f"{field.path} is missing; it must be {field.want}")
+        self._fields[field.path] = value
 
-    @staticmethod
-    def _check_lattice(lat, S):
-        """`lattice.rank` is a positive integer, `lattice.torsion` a list of
-        integers, and S a nonempty list of integer vectors of that rank,
-        each given as [free, torsion] when the lattice has torsion and the
-        torsion part is not 0."""
-        if not isinstance(lat, dict):
-            raise errors.ScenarioError("lattice must be an object")
-        rank = lat.get("rank")
-        if not _is_int(rank) or rank < 1:
+    def _require(self, field, name, value):
+        if not field.ok(value, self):
             raise errors.ScenarioError(
-                f"lattice.rank must be a positive integer, got {rank!r}")
-        torsion = lat.get("torsion", [])
-        if not isinstance(torsion, list) or not all(map(_is_int, torsion)):
-            raise errors.ScenarioError(
-                f"lattice.torsion must be a list of integers, got {torsion!r}")
-        if not isinstance(S, list) or not S:
-            raise errors.ScenarioError("S must be a nonempty list")
-        for i, b in enumerate(S):
-            free, tor = b, None
-            if torsion and isinstance(b, list) and len(b) == 2 \
-                    and isinstance(b[0], list):
-                free, tor = b
-            if not _is_int_vector(free, rank) or not (
-                    tor is None or _is_int_vector(tor, len(torsion))):
-                form = (f", or [free, torsion] with {len(torsion)} torsion "
-                        f"integers" if torsion else "")
-                raise errors.ScenarioError(
-                    f"S[{i}] must be a list of {rank} integers{form}, "
-                    f"got {b!r}")
+                f"{name} must be {field.want}, got {value!r}")
 
-    @staticmethod
-    def _elt(lat, b):
-        if lat.torsion and len(b) == 2 and isinstance(b[0], list):
-            return lat.element(b[0], b[1])
-        return lat.element(b)
+    def get(self, path):
+        """The checked value of the `FIELDS` row `path` (None if absent)."""
+        return self._fields[path]
 
     @classmethod
     def load(cls, path):
@@ -289,38 +299,166 @@ class Scenario:
         except OSError as exc:
             raise errors.ScenarioError(
                 f"cannot read {path}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:     # bytes not UTF-8, nesting too deep
             raise errors.ScenarioError(f"{path}: invalid JSON: {exc}") from None
         return cls(doc)
 
-    def named_fan(self, name, field):
-        """The fan `name` of the `fans` object, read from the scenario field
-        `field`."""
+    def vector_set(self):
+        if self._vector_set is None:
+            raise errors.ScenarioError("scenario has no lattice/S data")
+        return self._vector_set
+
+    def fan(self, field):
+        """The fan of `fans` that the field `field` names."""
         from .fans import StackyFan
-        if not isinstance(name, str):
+        return StackyFan(self.vector_set(), self.get("fans")[self.get(field)])
+
+    @staticmethod
+    def variety(name):
+        """The fan of the preset variety `name`, one of VARIETIES."""
+        from . import ktheory
+        if name in ("p1", "p2", "p4"):
+            return ktheory.projective_space(int(name[1]))
+        return getattr(ktheory, name)()
+
+    def collection(self):
+        """The variety of the preset collection that `mutate` evolves."""
+        if self.get("collection.preset") is None:
             raise errors.ScenarioError(
-                f"{field} must be a fan name (a string), got {name!r}")
-        if name not in self.fans:
-            raise errors.ScenarioError(f"{field}: unknown fan {name!r}")
-        return StackyFan(self.vector_set, [set(c) for c in self.fans[name]])
+                "mutate currently ships the bl_line_p4 preset")
+        return self.variety(self.get("collection.preset"))
 
-    def path_values(self):
-        p = self.doc.get("path")
-        if p is None:
+    def wall(self):
+        """The wall between the fans `wall` names, else the secondary fan's
+        first wall."""
+        from .secondary import enumerate_adapted_fans, wall_between
+        if self.get("wall") is not None:
+            return wall_between(self.fan("wall.plus"), self.fan("wall.minus"))
+        fans, walls = enumerate_adapted_fans(self.vector_set())
+        if not walls:
+            raise errors.NotAdjacent("no walls in the secondary fan")
+        a, b, _ = walls[0]
+        return wall_between(fans[a], fans[b])
+
+    def blowup(self):
+        """The Orlov data of `wall`, twisted by `orlov.center_twist_ray`,
+        which must be a ray of both fans."""
+        from .ktheory import BlowupData
+        wall = self.wall()
+        ray = self.get("orlov.center_twist_ray")
+        shared = sorted(set(wall.plus_fan.rays) & set(wall.minus_fan.rays))
+        if ray is not None and ray not in shared:
+            raise errors.ScenarioError(
+                f"orlov.center_twist_ray must be the S index of a ray of "
+                f"both fans {shared}, got {ray!r}")
+        return BlowupData(wall, ray)
+
+    def _coefficient(self, field, text):
+        """The expression `text` of the field `field` as a potential
+        coefficient: a failed evaluation or a zero or non-finite value
+        names the field and the parameter value."""
+        var = self.get("path.variable")
+        fn = compile_expr(text, var)
+
+        def value(s):
+            try:
+                x = fn(s)
+            except ArithmeticError as exc:
+                problem = exc
+            else:
+                if x != 0 and cmath.isfinite(x):
+                    return x
+                problem = "a potential coefficient must be finite and nonzero"
+            raise errors.ScenarioError(f"{field} at {var} = {s:.6g}: {problem}")
+        return value
+
+    def family(self):
+        """The potential family: path parameter -> LGPotential.  A
+        coefficient that overflows, or underflows to 0, names the parameter
+        value."""
+        family, var = self._family(), self.get("path.variable")
+
+        def checked(s):
+            try:
+                return family(s)
+            except (ArithmeticError, ValueError) as exc:
+                raise errors.ScenarioError(
+                    f"potential at {var} = {s:.6g}: {exc}") from None
+        return checked
+
+    def _family(self):
+        if self.get("potential") is None:
+            raise errors.ScenarioError("scenario has no potential")
+        if self.get("potential.preset") is not None:
+            from .families import bl_line_p4_family_lambda
+            text = self.get("potential.t_of_lambda")
+            return bl_line_p4_family_lambda(
+                text and self._coefficient("potential.t_of_lambda", text))
+        from .lg import chart_family
+        from .rational import rank
+        fan = self.fan("potential.chart")
+        split = self.get("potential.splitting")
+        if split is not None and not (
+                set(split) <= set(fan.rays)
+                and len(set(split)) == len(split) == fan.n
+                and rank([fan.S[i].free for i in split]) == fan.n):
+            raise errors.ScenarioError(
+                f"potential.splitting must be {fan.n} distinct ray indices "
+                f"of the chart on rays {fan.rays} with independent vectors, "
+                f"got {split!r}")
+        potential = chart_family(fan, self.get("potential.chi"), split)
+        qs = [self._coefficient(f"potential.q[{i}]", e)
+              for i, e in enumerate(self.get("potential.q"))]
+        t = self.get("potential.t")
+        if len(qs) != potential.q_count:
+            raise errors.ScenarioError(
+                f"potential.q: the chart on rays {fan.rays} needs "
+                f"{potential.q_count} q-values (canonical Lambda^Sigma "
+                f"basis), got {len(qs)}")
+        if sorted(map(int, t)) != potential.ghosts:
+            raise errors.ScenarioError(
+                f"potential.t: the chart on rays {fan.rays} needs t-values "
+                f"for ghost indices {potential.ghosts}, got {sorted(t)}")
+        ts = {int(k): self._coefficient(_item_name("potential.t", k), e)
+              for k, e in t.items()}
+        return lambda s: potential([f(s) for f in qs],
+                                   {k: f(s) for k, f in ts.items()})
+
+    def potential(self):
+        """(at, the potential there), `at` defaulting to the path's first
+        parameter; `nondegeneracy_scan` needs 0 interior to the Newton
+        polytope."""
+        family, at = self.family(), self.get("at")
+        at = self.path_values()[0] if at is None else at
+        F = family(complex(at))
+        if self.get("nondegeneracy_scan") and F.expected_count() is None:
+            raise errors.ScenarioError(
+                "nondegeneracy_scan needs a potential whose Newton polytope "
+                "has 0 in its interior")
+        return at, F
+
+    def path_values(self, at_least=1):
+        """The path's parameters, at least `at_least` of them."""
+        if self.get("path") is None:
             raise errors.ScenarioError("scenario has no path")
-        if "values" in p:
-            return [complex(v) if not isinstance(v, list)
-                    else complex(v[0], v[1]) for v in p["values"]]
-        import numpy as np
-        a, b, steps = p["from"], p["to"], p["steps"]
-        kind = p.get("grid", "geometric")
-        if kind == "geometric":
-            vals = np.exp(np.linspace(math.log(a), math.log(b), steps))
+        field, values = "path.values", self.get("path.values")
+        if values is not None:
+            out = [complex(*v) if isinstance(v, list) else complex(v)
+                   for v in values]
         else:
-            vals = np.linspace(a, b, steps)
-        pref = p.get("prefactor")
-        prefc = complex(pref[0], pref[1]) if pref else 1.0
-        return [prefc * complex(v) for v in vals]
-
-    def path_variable(self):
-        return self.doc.get("path", {}).get("variable", "lam")
+            import numpy as np
+            a, b = self.get("path.from"), self.get("path.to")
+            field, steps = "path.steps", self.get("path.steps")
+            if self.get("path.grid") == "geometric":
+                values = np.exp(np.linspace(math.log(a), math.log(b), steps))
+            else:
+                values = np.linspace(a, b, steps)
+            pref = self.get("path.prefactor")
+            prefc = complex(pref[0], pref[1]) if pref else 1.0
+            out = [prefc * complex(v) for v in values]
+        if len(out) < at_least:
+            raise errors.ScenarioError(
+                f"{field} must give at least {at_least} path parameters, "
+                f"got {len(out)}")
+        return out

@@ -15,6 +15,8 @@ from .rational import (idot, in_lattice, primitive, scaled_inverse, solve,
                        transpose, vec)
 
 MAX_S_FOR_ENUMERATION = 12
+# a wall's weights k_b = D_b . w enter K as k_b^k_b and J as their sum
+MAX_WALL_WEIGHT = 10 ** 3
 
 
 class PLConeData:
@@ -295,6 +297,10 @@ class WallCrossing:
         S = plus_fan.S
         lat = plus_fan.lattice
         self.k = [idot(d, w) for d in plus_fan.divisor_images()]
+        weight = max(map(abs, self.k))
+        if weight > MAX_WALL_WEIGHT:
+            raise errors.TooLarge(f"wall normal {list(w)}: weight {weight} "
+                                  f"exceeds the budget {MAX_WALL_WEIGHT}")
         self.M_plus = [b for b in range(len(S)) if self.k[b] > 0]
         self.M_minus = [b for b in range(len(S)) if self.k[b] < 0]
         self.discrepancy = sum(self.k)

@@ -65,7 +65,7 @@ def newton_solve(F, l0, component=(), tol=TOL_NEWTON):
             if not np.isfinite(gn):
                 return None
             if converged(g, gn, tol * term_scale(F, t)):
-                return l
+                return l if t.any() else None   # all terms 0: no zero
             try:
                 dl = np.linalg.solve(hess(F, t), -g)
             except np.linalg.LinAlgError:
@@ -85,7 +85,7 @@ def newton_solve(F, l0, component=(), tol=TOL_NEWTON):
             l, t = l2, t2
         g = t @ F.B - F.chi
         if converged(g, np.linalg.norm(g), tol * term_scale(F, t)):
-            return l
+            return l if t.any() else None
         return None
 
 

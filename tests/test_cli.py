@@ -8,7 +8,7 @@ import pytest
 
 from toriclg import errors
 from toriclg.cli import main
-from toriclg.scenario import Scenario, compile_expr
+from toriclg.scenario import FIELDS, Scenario, compile_expr
 
 SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -39,6 +39,49 @@ def test_scenario_schema_errors(tmp_path):
     p.write_text(json.dumps({"name": "x", "lattice": {"rank": 2}, "S": []}))
     with pytest.raises(errors.ScenarioError):
         Scenario.load(str(p))
+
+
+# the table's fields with no rows below them
+LEAVES = [f.path for f in FIELDS if not f.path.endswith(("[]", "*"))
+          and not any(g.path.startswith((f.path + ".", f.path + "["))
+                      for g in FIELDS)]
+
+
+def loaded(doc):
+    """The checked leaf fields of the scenario doc, or the error loading
+    it."""
+    try:
+        scenario = Scenario(doc)
+    except errors.ScenarioError as exc:
+        return str(exc)
+    return [scenario.get(path) for path in LEAVES]
+
+
+def edited(doc, path, null):
+    """A copy of doc with the field at `path` set to null or deleted."""
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if null:
+        parent[path[-1]] = None
+    else:
+        del parent[path[-1]]
+    return out
+
+
+@pytest.mark.parametrize("name", ["bl-line-p4.json", "p2.json"])
+def test_null_field_reads_as_absent(name):
+    # each field of the table, at the top or one object below, read as
+    # null and as deleted: the same checked values or the same error
+    with open(scn(name)) as fh:
+        doc = json.load(fh)
+    rows = {tuple(field.path.split(".")) for field in FIELDS}
+    paths = [(k,) for k in doc] + [(k, j) for k in doc
+                                   if isinstance(doc[k], dict) for j in doc[k]]
+    for path in filter(rows.__contains__, paths):
+        assert loaded(edited(doc, path, True)) == \
+            loaded(edited(doc, path, False)), path
 
 
 def test_cmd_critical_q_count_mismatch_exits_2(tmp_path, capsys):
@@ -216,6 +259,17 @@ def test_failed_verification_exits_1(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "VolumeBoxMismatch" in err and "Traceback" not in err
     assert issubclass(errors.VolumeBoxMismatch, errors.VerificationFailed)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 10 ** 5],
+                         ids=["not-utf-8", "nested-too-deep"])
+def test_undecodable_scenario_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    rc = main(["fans", "--scenario", str(bad), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ScenarioError: ") and "invalid JSON" in err
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -469,6 +523,11 @@ NEGATIVE_RUNS = {
         "critical", "ScenarioError", "nondegeneracy_scan"),
     "path-one-step.json": ("track", "ScenarioError", "path.steps"),
     "path-values-one-point.json": ("mutate", "ScenarioError", "path.values"),
+    "path-null.json": ("track", "ScenarioError", "scenario has no path"),
+    "lattice-missing.json": ("orlov", "ScenarioError", "no lattice/S data"),
+    "S-missing.json": ("wallcross", "ScenarioError", "no lattice/S data"),
+    "S-entry-huge.json": ("fans", "TooLarge",
+                          "index 1000000000 exceeds the Box budget"),
 }
 
 

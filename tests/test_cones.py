@@ -7,7 +7,7 @@ import pytest
 from dual_description_oracle import fraction_dual_description
 from hilbert_oracle import zonotope_hilbert_basis
 from lp_oracle import lp_maximize
-from toriclg import cones, rational, secondary
+from toriclg import cones, errors, rational, secondary
 from toriclg.cones import (Cone, dual_description, hilbert_basis,
                            normalized_volume, polytope_facets,
                            polytope_proper_faces)
@@ -308,6 +308,18 @@ def test_hilbert_basis_of_a_lower_dimensional_cone():
     # the same in a coarser lattice, where the span lattice is not Z^2 x 0
     coarse = [(2, 0, 0), (1, 1, 0), (0, 0, 1)]
     assert hilbert_basis(cone, coarse) == zonotope_hilbert_basis(cone, coarse)
+
+
+def test_hilbert_basis_walks_no_parallelepiped_above_the_budget(
+        monkeypatch):
+    # the cone of (1, 0), (1, k) has index k: at the budget its walk runs,
+    # one above it raises before the walk, naming the index and the budget
+    monkeypatch.setattr(cones, "MAX_BOX_INDEX", 50)
+    Z2 = [(1, 0), (0, 1)]
+    assert len(hilbert_basis(Cone.from_rays([(1, 0), (1, 50)], 2), Z2)) == 51
+    with pytest.raises(errors.TooLarge, match="index 51 exceeds the Box "
+                                              "budget 50"):
+        hilbert_basis(Cone.from_rays([(1, 0), (1, 51)], 2), Z2)
 
 
 def rows(*vs):

@@ -145,8 +145,8 @@ def scenario_fans():
     out = {}
     for path in sorted(glob.glob(os.path.join(SCN, "*.json"))):
         scn = Scenario.load(path)
-        for name, cones in sorted(scn.fans.items()):
-            out[f"{scn.name}:{name}"] = (scn.vector_set,
+        for name, cones in sorted(scn.get("fans").items()):
+            out[f"{scn.name}:{name}"] = (scn.vector_set(),
                                          [set(c) for c in cones])
     return out
 

@@ -192,6 +192,21 @@ def test_underflowed_gradient_is_no_zero():
     assert lg._small_gradient(np.zeros(2, complex), 1e-312)
 
 
+def test_all_zero_terms_are_no_zero():
+    # from just off the fold of x - x^2/2 the solve walks out to
+    # l ~ -1582 + 5.6e8 i, where both terms underflow to exactly 0: the
+    # gradient is exactly 0 against the clamped term scale, and the row used
+    # to pass as converged, with or without the search box.  It is retired
+    # now, in the stack and in the one-start solve
+    F = LGPotential([(1,), (2,)], [1.0, -0.5])
+    L0 = np.array([[math.log(0.5) + 4.17e-8j]])
+    C = F.coefficient_rows([()])
+    assert lg._newton_solve(F, L0, C) == [None]
+    assert lg._newton_solve(F, L0, C, box=lg.SEARCH_BOX) == [None]
+    assert oracle.newton_solve(F, L0[0]) is None
+    assert _check_rows(F, L0, [()]) == 0
+
+
 # charts where 0 is not interior to the Newton polytope: most starts drift
 # to toric infinity
 DRIFTING = {**{f"cyclic-d{d}-{t}": cyclic_orbifold_potential(d, t)
