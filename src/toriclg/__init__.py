@@ -11,9 +11,9 @@ import importlib
 from . import errors
 
 _HOMES = {
-    "StackyFan": "fans", "extended_sequences": "fans",
-    "validate_stacky_fan": "fans",
+    "StackyFan": "fans", "validate_stacky_fan": "fans",
     "AbelianLattice": "lattice", "VectorSet": "lattice",
+    "extended_sequences": "lattice",
     "LGPotential": "lg", "chart_family": "lg", "conifold_point": "lg",
     "critical_points": "lg", "curve_critical_values": "lg",
     "newton_nondegenerate": "lg", "track_critical_values": "lg",

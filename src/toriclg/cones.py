@@ -302,6 +302,11 @@ def normalized_volume(points, facets=None):
 # ---------------------------------------------------------------------------
 # Hilbert bases (small pointed cones only)
 
+# the kept-generator filter compares each candidate with every kept one, so
+# its cost is quadratic in the candidates: 500 on a plane cone take about
+# 0.2 s, 2000 about 5 s; tier-1's largest cone has 17
+MAX_HILBERT_CANDIDATES = 500
+
 
 def hilbert_basis(cone: Cone, lattice_basis):
     """Monoid generators of cone ∩ Λ for a pointed cone, sorted; Λ is the
@@ -317,6 +322,8 @@ def hilbert_basis(cone: Cone, lattice_basis):
       of each simplicial cone's half-open parallelepiped
       (`parallelepiped_units`; TooLarge before the walk when its index
       exceeds MAX_BOX_INDEX);
+    - TooLarge before the filter when there are more than
+      MAX_HILBERT_CANDIDATES candidates;
     - in order of increasing degree, the sum of the cone's facet normals
       (positive on the pointed cone minus 0), a candidate v is kept iff no
       kept h has v - h in the cone.
@@ -355,6 +362,10 @@ def hilbert_basis(cone: Cone, lattice_basis):
         for u in parallelepiped_units(A, vol)[1:]:
             cands.add(tuple(sum(x * k for x, k in zip(row, u)) // vol
                             for row in R))
+    if len(cands) > MAX_HILBERT_CANDIDATES:
+        raise errors.TooLarge(f"cone on rays {cone.rays}: {len(cands)} "
+                              f"candidates exceed the Hilbert basis filter "
+                              f"budget {MAX_HILBERT_CANDIDATES}")
     # facet values of each candidate: v - h is in the cone iff v's values
     # dominate h's, since v - h lies in the span
     normals = [matvec(span, a) for a in cone.inequalities]

@@ -13,48 +13,9 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (MAX_BOX_INDEX, dual_lattice, idot, integer_kernel,
+from .rational import (MAX_BOX_INDEX, dual_lattice, idot,
                        lattice_from_generators, parallelepiped_units,
-                       preimage_lattice, primitive, rank, scaled_inverse,
-                       solve)
-
-
-def extended_sequences(vector_set: VectorSet):
-    """Kernel basis of beta, the divisor images D_b, and a surjectivity flag.
-
-    Returns (L_basis, D, surjective) where L_basis rows span
-    L = ker(beta: Z^S -> N) and D[b] are the coordinates of D_b in the dual
-    basis of L_basis, as `int` tuples.
-    """
-    S = vector_set.vectors
-    lat = vector_set.lattice
-    n, tor = lat.rank, lat.torsion
-    Bbar = [tuple(b.free[i] for b in S) for i in range(n)]
-    ker_free = integer_kernel(Bbar) if S else []
-    if tor:
-        # refine by the torsion congruences sum_b lam_b zeta_b = 0 in N_tor
-        T = [tuple(b.tor[i] for b in S) for i in range(len(tor))]
-        coeffs = []
-        for lam in ker_free:
-            coeffs.append(tuple(sum(T[i][j] * lam[j] for j in range(len(S)))
-                                for i in range(len(tor))))
-        # sub-lattice of coefficient space where T*K*x = 0 mod d_i
-        rows = [([c[i] for c in coeffs], d) for i, d in enumerate(tor)]
-        sub = preimage_lattice(rows) if rows else \
-            [tuple(1 if i == j else 0 for j in range(len(ker_free)))
-             for i in range(len(ker_free))]
-        L_basis = []
-        for coeff in sub:
-            v = [0] * len(S)
-            for c, lam in zip(coeff, ker_free):
-                for j in range(len(S)):
-                    v[j] += c * lam[j]
-            L_basis.append(tuple(v))
-        L_basis = lattice_from_generators(L_basis)
-    else:
-        L_basis = lattice_from_generators(ker_free) if ker_free else []
-    D = [tuple(row[j] for row in L_basis) for j in range(len(S))]
-    return L_basis, D, vector_set.generates
+                       preimage_lattice, primitive, rank, solve)
 
 
 class BoxElement:
@@ -83,7 +44,9 @@ class StackyFan:
     the wall-local LP of `_wall_heights` finds one.
 
     Every per-cone coordinate is read from one chart per maximal cone,
-    built once per fan by `_charts`, whose program reader is `locate`.
+    `_charts`, whose program reader is `locate`; the charts, the kernel
+    basis and the divisor images are the vector set's, computed once per S
+    and shared by every fan adapted to it.
     `circuits`, also built once per fan, holds the circuit rows that the
     convexity certificate, the wall LP, the open Mori cone, CPL_+ and the
     Chow ring's intersection numbers read.
@@ -96,8 +59,6 @@ class StackyFan:
         self.lattice = vector_set.lattice
         self.max_cones = sorted(frozenset(int(i) for i in c) for c in max_cones)
         self.rays = sorted(set().union(*self.max_cones)) if self.max_cones else []
-        self._L = None
-        self._D = None
         self._plz = None
         self._chart_table = None
         self._circuit_table = None
@@ -114,30 +75,21 @@ class StackyFan:
         return self.S[i].free
 
     def kernel_basis(self):
-        if self._L is None:
-            self._L, self._D, _ = extended_sequences(self.vector_set)
-        return self._L
+        return self.vector_set.sequences()[0]
 
     def divisor_images(self):
         """D_b in L^* coordinates (dual basis of kernel_basis)."""
-        if self._D is None:
-            self.kernel_basis()
-        return self._D
+        return self.vector_set.sequences()[1]
 
     # -- charts of the maximal cones ----------------------------------------
     def _charts(self):
-        """Per maximal cone, in `max_cones` order: (cs, A, vol) in `int`
-        with cs the sorted ray indices, B the matrix whose columns are v_i,
-        i in cs, and (A, vol) = (|det B| B^-1, |det B|) from
-        `scaled_inverse`.  Row k of A reads vol times the coordinate over
-        ray cs[k]; it vanishes on the other rays, so it is also an inner
-        normal of the facet opposite cs[k]."""
+        """Per maximal cone, in `max_cones` order: its chart (cs, A, vol)
+        from `VectorSet.chart`, cs the sorted ray indices and (A, vol) =
+        (|det B| B^-1, |det B|) for B the matrix whose columns are v_i,
+        i in cs."""
         if self._chart_table is None:
-            self._chart_table = []
-            for c in self.max_cones:
-                cs = sorted(c)
-                B = [[self.S[i].free[j] for i in cs] for j in range(self.n)]
-                self._chart_table.append((cs,) + scaled_inverse(B))
+            self._chart_table = [self.vector_set.chart(c)
+                                 for c in self.max_cones]
         return self._chart_table
 
     def locate(self, x):
@@ -197,7 +149,13 @@ class StackyFan:
                     f"rays {dirs[d]} and {i} span the same 1-cone")
             dirs[d] = i
         for c in self.max_cones:
-            if rank([self.ray_free(i) for i in c]) != len(c):
+            # a full-size cone is simplicial iff its chart's elimination
+            # finds a pivot in every column
+            if len(c) == n:
+                simplicial = self.vector_set.chart(c) is not None
+            else:
+                simplicial = rank([self.ray_free(i) for i in c]) == len(c)
+            if not simplicial:
                 raise errors.NonSimplicial(f"cone {sorted(c)} is not simplicial")
             if len(c) != n:
                 # Pi is full-dimensional, so lower-dimensional maximal cones

@@ -9,10 +9,9 @@ from fractions import Fraction
 
 from . import errors
 from .cones import Cone, dual_description
-from .fans import StackyFan, cones_key, extended_sequences
+from .fans import StackyFan, cones_key
 from .lattice import VectorSet
-from .rational import (idot, in_lattice, primitive, scaled_inverse, solve,
-                       transpose, vec)
+from .rational import idot, in_lattice, primitive, solve, transpose, vec
 
 MAX_S_FOR_ENUMERATION = 12
 # a wall's weights k_b = D_b . w enter K as k_b^k_b and J as their sum
@@ -26,10 +25,11 @@ class PLConeData:
     cpl(Sigma) is the intersection over maximal cones sigma of
     cone(D_b : b not in sigma) (Gelfand-Kapranov-Zelevinsky 1994, ch. 7;
     Billera-Filliman-Sturmfels 1990).  Each of those cones is simplicial in
-    rank dimensions, with the rows of one complement inverse as its facet
-    normals, so cpl takes one rank-dimensional double description.  It is
-    rebuilt from its sorted rays: `inequalities` are then irredundant, and
-    their order depends only on the chamber.  `cpl_plus` is the
+    rank dimensions, with the rows of its complement inverse in
+    `VectorSet.complements` as its facet normals, so cpl takes one
+    rank-dimensional double description.  It is rebuilt from its sorted
+    rays: `inequalities` are then irredundant, and their order depends only
+    on the chamber.  `cpl_plus` is the
     m-dimensional cone of nonnegative convex heights whose image under
     c -> sum_b c_b D_b is cpl; it is the oracle of the direct construction.
     """
@@ -41,12 +41,10 @@ class PLConeData:
         self._cpl_plus = None
         self._plq_lattice = None
         if self.rank:
-            D = fan.divisor_images()
-            m = len(fan.S)
+            table = fan.vector_set.complements()
             normals = {}
             for c in fan.max_cones:
-                rest = [b for b in range(m) if b not in c]
-                for row in _complement_inverse(D, rest):
+                for row in table[c][1]:
                     normals.setdefault(primitive(row))
             rays, _ = dual_description(list(normals), [], self.rank)
             if rays:
@@ -136,40 +134,16 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 # chamber enumeration
 
 
-def _complement_inverse(D, rest):
-    """|det M| M^-1 in `int` for the r x r matrix M whose columns are D_b,
-    b in `rest`.  Row k reads |det M| times the coefficient of D_{rest[k]},
-    so the rows are the inner facet normals of cone(D_b : b in rest).
-    ValueError when the D_b are not a basis of L^*_Q."""
-    return scaled_inverse([[D[b][j] for b in rest]
-                           for j in range(len(D[0]))])[0]
-
-
-def _complement_table(vector_set: VectorSet, D):
-    """(I, rest, adj) for each n-subset I of S, in `combinations` order,
-    whose complement {D_b : b in rest} is a basis of L^*_Q; adj =
-    |det M_I| M_I^-1 is `_complement_inverse(D, rest)`."""
-    m = len(vector_set.vectors)
-    table = []
-    for I in itertools.combinations(range(m), vector_set.lattice.rank):
-        rest = [b for b in range(m) if b not in I]
-        try:
-            table.append((frozenset(I), rest, _complement_inverse(D, rest)))
-        except ValueError:
-            continue    # D_rest is not a basis: rank S_I < n
-    return table
-
-
-def _fan_from_stability(vector_set: VectorSet, table, omega, built):
+def _fan_from_stability(vector_set: VectorSet, omega, built):
     """Stacky fan selected by a generic GIT stability parameter omega in L^*_Q.
 
     Maximal cones are the n-subsets I whose complement {D_b : b not in I} is
     a basis of L^*_Q with omega = sum_b lam_b D_b, every lam_b > 0 (omega in
-    the interior of their cone); `table` is `_complement_table`, so
-    lam = M_I^-1 omega.  The first such lam, extended by 0 on I, is a height
-    vector c lifting omega; for any other selected sigma, c - lam^sigma is
-    linear, so c_b - m_sigma(b) = lam^sigma_b > 0 off sigma, and c
-    certifies strict convexity without an LP.
+    the interior of their cone); `VectorSet.complements` holds adj =
+    |det M_I| M_I^-1, so lam = M_I^-1 omega.  The first such lam, extended
+    by 0 on I, is a height vector c lifting omega; for any other selected
+    sigma, c - lam^sigma is linear, so c_b - m_sigma(b) = lam^sigma_b > 0
+    off sigma, and c certifies strict convexity without an LP.
 
     The signs are tested in `int`: with den the common denominator of omega
     and w = den omega, adj w = |det M_I| den lam, so lam > 0 iff adj w > 0.
@@ -185,7 +159,7 @@ def _fan_from_stability(vector_set: VectorSet, table, omega, built):
     w = [x.numerator * (den // x.denominator) for x in omega]
     max_cones = []
     heights = None
-    for I, rest, adj in table:
+    for I, (rest, adj) in vector_set.complements().items():
         if all(idot(row, w) > 0 for row in adj):
             max_cones.append(I)
             if heights is None:
@@ -211,13 +185,12 @@ def enumerate_adapted_fans(vector_set: VectorSet):
     if len(S) > MAX_S_FOR_ENUMERATION:
         raise errors.TooLarge(f"|S| = {len(S)} exceeds enumeration bound "
                               f"{MAX_S_FOR_ENUMERATION}")
-    L, D, _ = extended_sequences(vector_set)
+    L, D, _ = vector_set.sequences()
     r = len(L)
     if r == 0:
         # L = 0 forces S to be a basis of N_Q: a single chamber
         return [StackyFan(vector_set, [frozenset(range(len(S)))])], []
     support = Cone.from_rays(D, r)
-    table = _complement_table(vector_set, D)
     import random
     rng = random.Random(20200422)
     built = {}
@@ -225,7 +198,7 @@ def enumerate_adapted_fans(vector_set: VectorSet):
     for _ in range(200):
         omega = tuple(sum(rng.randint(1, 97) * D[b][j] for b in range(len(S)))
                       for j in range(r))
-        fan = _fan_from_stability(vector_set, table, omega, built)
+        fan = _fan_from_stability(vector_set, omega, built)
         if fan is not None:
             data = pl_cone_data(fan)
             if data.cpl is not None and data.cpl.relint_contains(omega):
@@ -254,7 +227,7 @@ def enumerate_adapted_fans(vector_set: VectorSet):
                 omega = tuple(2 ** k * a - b for a, b in zip(p, g))
                 if not support.contains(omega):
                     continue
-                cand = _fan_from_stability(vector_set, table, omega, built)
+                cand = _fan_from_stability(vector_set, omega, built)
                 if cand is None:
                     continue
                 cdata = pl_cone_data(cand)
@@ -349,7 +322,10 @@ class WallCrossing:
 
 def wall_between(fan_plus: StackyFan, fan_minus: StackyFan) -> WallCrossing:
     """Wall data for two chambers sharing a codimension-one face; the result
-    is oriented so that the discrepancy is >= 0 (swapping if needed)."""
+    is oriented so that the discrepancy sum_b D_b . w is >= 0 (swapping if
+    needed).  The orientation is read before the one `WallCrossing` is
+    built: the five wall patterns are closed under the swap, so that build
+    raises exactly when the crossing of either orientation would."""
     d1 = pl_cone_data(fan_plus)
     d2 = pl_cone_data(fan_minus)
     if d1.cpl is None or d2.cpl is None:
@@ -366,11 +342,10 @@ def wall_between(fan_plus: StackyFan, fan_minus: StackyFan) -> WallCrossing:
     w = primitive(normals[0])
     if not all(idot(w, rr) >= 0 for rr in d1.cpl.rays):
         w = tuple(-x for x in w)
-    wc = WallCrossing(fan_plus, fan_minus, w)
-    if wc.discrepancy < 0:
-        wc = WallCrossing(fan_minus, fan_plus, tuple(-x for x in w),
-                          swapped=True)
-    return wc
+    if sum(idot(d, w) for d in fan_plus.divisor_images()) < 0:
+        return WallCrossing(fan_minus, fan_plus, tuple(-x for x in w),
+                            swapped=True)
+    return WallCrossing(fan_plus, fan_minus, w)
 
 
 # ---------------------------------------------------------------------------

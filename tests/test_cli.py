@@ -511,6 +511,9 @@ NEGATIVE_RUNS = {
                                         "euler.varieties[1]"),
     "euler-varieties-not-a-list.json": ("euler", "ScenarioError",
                                         "euler.varieties"),
+    "euler-range-too-wide.json": ("euler", "ScenarioError",
+                                  "euler.range must be an integer from 0 "
+                                  "to 50, got 100"),
     "potential-t-division-by-zero.json": ("critical", "ScenarioError",
                                           "potential.t['2'] at lam = 1+0j"),
     "potential-t-zero-to-negative-power.json": (

@@ -11,7 +11,7 @@ from toriclg import cones, errors, rational, secondary
 from toriclg.cones import (Cone, dual_description, hilbert_basis,
                            normalized_volume, polytope_facets,
                            polytope_proper_faces)
-from toriclg.fans import extended_sequences
+from toriclg.lattice import extended_sequences
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lp import feasible_strict
 from toriclg.rational import dual_lattice, vec
@@ -320,6 +320,21 @@ def test_hilbert_basis_walks_no_parallelepiped_above_the_budget(
     with pytest.raises(errors.TooLarge, match="index 51 exceeds the Box "
                                               "budget 50"):
         hilbert_basis(Cone.from_rays([(1, 0), (1, 51)], 2), Z2)
+
+
+def test_hilbert_basis_filters_no_more_candidates_than_the_budget():
+    # the cone of (1, 0), (1, k) has k + 1 candidates, all irreducible, so
+    # its filter is quadratic: at the real budget it runs, and one above
+    # it, or at the Box budget (whose walk is allowed), raises before it
+    Z2 = [(1, 0), (0, 1)]
+    budget = cones.MAX_HILBERT_CANDIDATES
+    cone = Cone.from_rays([(1, 0), (1, budget - 1)], 2)
+    assert len(hilbert_basis(cone, Z2)) == budget
+    for k in (budget, cones.MAX_BOX_INDEX):
+        with pytest.raises(errors.TooLarge, match=(
+                f"{k + 1} candidates exceed the Hilbert basis filter budget "
+                f"{budget}")):
+            hilbert_basis(Cone.from_rays([(1, 0), (1, k)], 2), Z2)
 
 
 def rows(*vs):

@@ -198,14 +198,22 @@ def test_elimination_stays_on_integers(monkeypatch):
 
 def test_singular_complement_is_skipped_not_divided_by_zero():
     # S_I = {v0, v1} spans a line, so the complement {D_2, D_3} is no basis
-    # of L^*_Q: the inverse raises ValueError and the table skips I
+    # of L^*_Q: the inverse raises ValueError and the table skips I, as
+    # the chart of I finds no inverse either
     S = [(1, 0), (-1, 0), (0, 1), (1, -1)]
     vs = VectorSet(AbelianLattice(2), S)
-    D = secondary.extended_sequences(vs)[1]
+    D = vs.sequences()[1]
+
+    def complement(rest):
+        return [[D[b][j] for b in rest] for j in range(len(D[0]))]
     with pytest.raises(ValueError):
-        secondary._complement_inverse(D, [2, 3])
-    table = secondary._complement_table(vs, D)
-    subsets = {I for I, *_ in table}
-    assert frozenset({0, 1}) not in subsets and len(subsets) == 5
+        rational.scaled_inverse(complement([2, 3]))
+    table = vs.complements()
+    assert frozenset({0, 1}) not in table and len(table) == 5
+    assert vs.chart({0, 1}) is None
+    for I, (rest, adj) in table.items():
+        assert rest == [b for b in range(4) if b not in I]
+        assert adj == rational.scaled_inverse(complement(rest))[0]
+        assert vs.chart(I) is not None
     with pytest.raises(ValueError):
         rational.scaled_inverse([(2, 4), (1, 2)])

@@ -1,19 +1,26 @@
-"""Work counts of the per-fan chart: every per-cone coordinate of a fan is
-read from one elimination of each maximal cone's ray matrix, which gives
-both its inverse and its determinant, and every circuit row from one table
-per fan built on those charts."""
+"""Work counts of the charts: every per-cone coordinate of a fan is read
+from one elimination of each maximal cone's ray matrix, which gives both
+its inverse and its determinant, and every circuit row from one table per
+fan built on those charts.  The charts, the complement inverses and the
+extended sequences depend on S alone, so the vector set computes each once
+for all the fans adapted to it."""
+import itertools
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from test_elimination_oracle import BL_LINE_P4_S, perfbench_constant
 from test_rational import fraction_preimage_lattice
-from toriclg import cones, fans, gkz, ktheory, lg, rational, secondary
+from test_secondary import count_wall_builds
+from toriclg import cones, fans, gkz, ktheory, lattice, lg, rational, secondary
 from toriclg.ktheory import CohomologyRing, bl_line_p4
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.secondary import PLConeData
 
 # the modules that import the kernel's routines; rational's own internal
 # calls (lattice indices, dual bases) never see a cone
-MODULES = (cones, fans, secondary, gkz, ktheory, lg)
+MODULES = (cones, fans, secondary, gkz, ktheory, lattice, lg)
 
 
 def key(rows):
@@ -133,14 +140,10 @@ def test_circuit_readers_share_one_table(monkeypatch):
         assert len(seen) > 1 and all(t is seen[0] for t in seen)
 
 
-# the rank-2 vector sets of the `chambers` benchmark workload
-CHAMBER_SETS = [
-    [(-2, 1), (3, -3), (-1, -3), (3, 3)],
-    [(1, -3), (3, -2), (-1, 2), (2, 0)],
-    [(0, -1), (0, 1), (1, -2), (0, 2), (2, 2)],
-    [(-2, 1), (0, -2), (3, -3), (0, -1), (2, -2)],
-    [(-2, 0), (-3, -3), (-3, -2), (-2, -2), (-1, -2)],
-]
+# the rank-2 vector sets of the `chambers` benchmark workload, each with
+# its number of copies in one round
+ROUND_SETS = perfbench_constant("RANK2_SETS")
+CHAMBER_SETS = [S for S, _ in ROUND_SETS]
 
 
 def test_pl_lattice_is_the_fraction_conditions_kernel():
@@ -159,3 +162,70 @@ def test_pl_lattice_is_the_fraction_conditions_kernel():
                     row[b] = Fraction(A[k][i], vol)
                 conds.append(row)
         assert fan.pl_lattice() == fraction_preimage_lattice(conds)
+
+
+def count_secondary_fan_work(monkeypatch):
+    """The matrices handed to `scaled_inverse` from MODULES, and the vector
+    sets handed to `extended_sequences`, each in call order."""
+    sequences = []
+    real = lattice.extended_sequences
+
+    def counting(vector_set):
+        sequences.append(vector_set)
+        return real(vector_set)
+    monkeypatch.setattr(lattice, "extended_sequences", counting)
+    return record(monkeypatch, "scaled_inverse"), sequences
+
+
+def walk(S):
+    """The `chambers` workload's operation on S: every chamber of the
+    secondary fan, the orbifold cohomology of each and every wall."""
+    vs = VectorSet(AbelianLattice(len(S[0])), S)
+    walked, walls = secondary.enumerate_adapted_fans(vs)
+    for fan in walked:
+        fan.dim_orbifold_cohomology()
+    crossings = [secondary.wall_between(walked[a], walked[b])
+                 for a, b, _ in walls]
+    return vs, walked, crossings
+
+
+@pytest.mark.parametrize("S", [CHAMBER_SETS[2], BL_LINE_P4_S],
+                         ids=["rank2-5", "bl-line-p4"])
+def test_secondary_fan_data_is_computed_once_per_vector_set(S, monkeypatch):
+    # the chambers share S, so the chart of an n-subset I (its ray matrix
+    # B_I), the complement inverse of I (the matrix M_I of the D_b, b not
+    # in I) and the extended sequences are computed once for all of them
+    inverted, sequences = count_secondary_fan_work(monkeypatch)
+    vs, walked, crossings = walk(S)
+    assert len(walked) > 1 and crossings
+    m, n = len(S), len(S[0])
+    D = vs.sequences()[1]
+    subsets = list(itertools.combinations(range(m), n))
+    ray_mats = {I: key([[S[i][j] for i in I] for j in range(n)])
+                for I in subsets}
+    complement_mats = {I: key([[D[b][j] for b in range(m) if b not in I]
+                               for j in range(len(D[0]))]) for I in subsets}
+    # equal D_b can give two subsets the same M_I, so the matrices are
+    # counted with the multiplicity of their subsets
+    charted = {tuple(sorted(c)) for fan in walked for c in fan.max_cones}
+    assert len(charted) < sum(len(fan.max_cones) for fan in walked)
+    assert Counter(inverted) == Counter(
+        [ray_mats[I] for I in charted] + list(complement_mats.values()))
+    assert sequences == [vs]
+
+
+def test_chamber_round_inverts_each_matrix_once(monkeypatch):
+    # one round of the `chambers` workload walks the 12 vector sets below;
+    # the workload moves each by a unimodular change of basis, which keeps
+    # the chambers and so these counts.  Computed per fan and per call, the
+    # round inverted 357 matrices, ran `extended_sequences` 56 times and
+    # built 58 wall crossings for its 42 walls
+    inverted, sequences = count_secondary_fan_work(monkeypatch)
+    builds = count_wall_builds(monkeypatch)
+    walls = 0
+    for S, copies in ROUND_SETS + [(BL_LINE_P4_S, 1)]:
+        for _ in range(copies):
+            walls += len(walk(S)[2])
+    assert len(sequences) == 12
+    assert len(inverted) == 176
+    assert len(builds) == walls == 42

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriclg import errors
+from toriclg import errors, secondary
 from toriclg.fans import StackyFan
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.rational import dot, in_lattice, primitive, vec
@@ -135,6 +135,62 @@ def test_wall_a1_crepant():
     assert w.kind == "crepant" and w.discrepancy == 0
 
 
+# the wall patterns under the swap of the two chambers (k -> -k)
+MIRRORED = {"contract_divisor": "extract_divisor",
+            "extract_divisor": "contract_divisor"}
+
+
+def count_wall_builds(monkeypatch):
+    builds = []
+    real = secondary.WallCrossing.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(secondary.WallCrossing, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("S", CHAMBER_WALK_SETS, ids=WALK_IDS)
+def test_wall_between_builds_one_crossing(S, monkeypatch):
+    # the orientation is read from sum_b D_b . w before the one build; the
+    # crossing the other way round has the opposite discrepancy and the
+    # mirrored pattern, so a second build could never raise alone
+    fans, walls = enumerate_adapted_fans(VectorSet(AbelianLattice(len(S[0])),
+                                                   S))
+    builds = count_wall_builds(monkeypatch)
+    for a, b, _ in walls:
+        plus_fans = set()
+        for one, other in ((fans[a], fans[b]), (fans[b], fans[a])):
+            builds.clear()
+            wc = wall_between(one, other)
+            assert len(builds) == 1 and wc.discrepancy >= 0
+            assert wc.swapped == (wc.plus_fan is other)
+            plus_fans.add(id(wc.plus_fan))
+            back = secondary.WallCrossing(wc.minus_fan, wc.plus_fan,
+                                          tuple(-x for x in wc.w))
+            assert back.discrepancy == -wc.discrepancy
+            assert back.kind == MIRRORED.get(wc.kind, wc.kind)
+        assert len(plus_fans) == 1 or wc.kind == "crepant"
+
+
+def test_wall_weight_above_the_budget_raises_in_either_order(monkeypatch):
+    # C^2/Z_d and its resolution: the wall has weights (-1, -1, d), and
+    # above the budget both argument orders raise from their one build,
+    # naming the same normal
+    d = secondary.MAX_WALL_WEIGHT + 1
+    vs = cyclic_vs(d)
+    orb, res = StackyFan(vs, [{0, 1}]), StackyFan(vs, [{0, 2}, {2, 1}])
+    builds = count_wall_builds(monkeypatch)
+    messages = set()
+    for one, other in ((orb, res), (res, orb)):
+        with pytest.raises(errors.TooLarge, match=f"weight {d} exceeds the "
+                                                  f"budget {d - 1}") as err:
+            wall_between(one, other)
+        messages.add(str(err.value))
+    assert len(builds) == 2 and len(messages) == 1
+
+
 def test_wall_not_adjacent():
     vs = VectorSet(AbelianLattice(2), [(1, 0), (0, 1)])
     fan = StackyFan(vs, [{0, 1}])
@@ -206,8 +262,7 @@ def test_fan_structure_of_secondary_fan_random():
         # chamber is either on the boundary of the support or shared
         from toriclg.secondary import PLConeData
         from toriclg.cones import Cone
-        L, D, _ = __import__("toriclg.fans", fromlist=["extended_sequences"]) \
-            .extended_sequences(vs)
+        L, D, _ = vs.sequences()
         r = len(L)
         if r == 0:
             continue
@@ -351,13 +406,9 @@ def fraction_selection(D, m, n, omega):
 
 @pytest.mark.parametrize("S", CHAMBER_WALK_SETS, ids=WALK_IDS)
 def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
-    from toriclg import secondary
-    from toriclg.fans import extended_sequences
-
     vs = VectorSet(AbelianLattice(len(S[0])), S)
-    _, D, _ = extended_sequences(vs)
+    _, D, _ = vs.sequences()
     m, n, r = len(S), len(S[0]), len(D[0])
-    table = secondary._complement_table(vs, D)
     # the selection and heights handed to the fan, not the fan itself
     monkeypatch.setattr(secondary, "StackyFan",
                         lambda vs, max_cones, heights: (max_cones, heights))
@@ -374,7 +425,7 @@ def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
             omega = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
                           for _ in range(r))
         want = fraction_selection(D, m, n, omega)
-        got = secondary._fan_from_stability(vs, table, omega, {})
+        got = secondary._fan_from_stability(vs, omega, {})
         if not want[0]:
             assert got is None
             continue

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from toriclg import errors
-from toriclg.fans import StackyFan, extended_sequences, validate_stacky_fan
-from toriclg.lattice import AbelianLattice, VectorSet
+from toriclg.fans import StackyFan, validate_stacky_fan
+from toriclg.lattice import AbelianLattice, VectorSet, extended_sequences
 from toriclg.rational import det, matvec, primitive, vec
 
 from convexity_oracle import convexity_certificate
@@ -60,6 +60,24 @@ def test_validate_rejects_nonsimplicial():
     vs = VectorSet(N, [(1, 0), (0, 1), (1, 1)])
     with pytest.raises(errors.NonSimplicial):
         validate_stacky_fan(vs, [{0, 1, 2}])
+
+
+def test_simplicial_check_keeps_its_class_and_order():
+    # a full-size cone on coplanar rays is non-simplicial by its chart (no
+    # inverse), a cone with more than n rays and a lower-dimensional one by
+    # their rank; the cones are checked in the order given, one check after
+    # the other, so a non-simplicial cone listed before a lower-dimensional
+    # cone raises NonSimplicial and one listed after it SupportMismatch
+    vs = VectorSet(AbelianLattice(3), [(1, 0, 0), (0, 1, 0), (1, 1, 0),
+                                       (0, 0, 1), (0, 0, -1)])
+    assert vs.chart({0, 1, 2}) is None
+    for cones, error in (([{0, 1, 2}], errors.NonSimplicial),
+                         ([{0, 1, 2}, {3}], errors.NonSimplicial),
+                         ([{0, 1, 2, 3}, {4}], errors.NonSimplicial),
+                         ([{4}, {0, 1, 2}], errors.SupportMismatch),
+                         ([{0, 1, 3}, {4}], errors.SupportMismatch)):
+        with pytest.raises(error, match="not simplicial|dimension 1 < 3"):
+            StackyFan(vs, cones)
 
 
 def test_validate_rejects_overlap():
