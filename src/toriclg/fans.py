@@ -295,10 +295,16 @@ class StackyFan:
 
     def dim_orbifold_cohomology(self) -> int:
         """|N_tor| x sum of normalized cone volumes, cross-checked against the
-        per-sector Box count."""
+        per-sector Box count.  A cone's count depends on S and the cone
+        alone, so its walk and checks (`_box_points`) run once per vector
+        set, which keeps the count (`VectorSet.box_counts`)."""
         total = self.lattice.torsion_order * self.fan_polytope_volume()
+        counts = self.vector_set.box_counts
+        for ci, c in enumerate(self.max_cones):
+            if c not in counts:
+                counts[c] = len(self._box_points(ci))
         sector = self.lattice.torsion_order * sum(
-            len(self._box_points(ci)) for ci in range(len(self.max_cones)))
+            counts[c] for c in self.max_cones)
         if sector != total:
             raise errors.VolumeBoxMismatch(
                 f"box-sector count {sector} != volume count {total}")

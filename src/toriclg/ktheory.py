@@ -269,14 +269,17 @@ class CohomologyRing:
         return z
 
     def from_poly(self, poly):
+        """The class of a polynomial {monomial: Fraction}; zero
+        coordinates of a reduction add nothing and are skipped."""
         out = self.zero()
         for mo, c in poly.items():
             d = sum(mo)
             if d > self.n:
                 continue
-            red = self.reduce_map[d][mo]
-            for i, x in enumerate(red):
-                out.coeffs[d][i] += c * x
+            v = out.coeffs[d]
+            for i, x in enumerate(self.reduce_map[d][mo]):
+                if x:
+                    v[i] += c * x
         return out
 
     def divisor(self, ray_local_index: int):
@@ -287,11 +290,14 @@ class CohomologyRing:
     def divisor_by_s_index(self, s_index: int):
         return self.divisor(self.ray_indices.index(s_index))
 
+    def power_sum(self, k):
+        """P_k = sum_b D_b^k over the ray divisors, read from `reduce_map`
+        (D_b^k is a monomial); P_1 is c1."""
+        return self.from_poly({tuple(k * (j == b) for j in range(self.m)):
+                               Fraction(1) for b in range(self.m)})
+
     def c1(self):
-        out = self.zero()
-        for i in range(self.m):
-            out = out + self.divisor(i)
-        return out
+        return self.power_sum(1)
 
     def total_dim(self):
         return sum(len(b) for b in self.basis.values())
@@ -304,41 +310,40 @@ class CohomologyRing:
         return tuple(out)
 
     def todd_class(self):
-        return self._series_product(_TODD_COEFF)
-
-    def _series_product(self, coeffs):
-        """prod_b sum_{k=0..n} coeffs[k] D_b^k over the rays b: n products
-        by D_b per ray and one product per ray into the running class."""
-        out = self.one()
-        for i in range(self.m):
-            D = self.divisor(i)
-            s = self.zero()
-            pw = self.one()
-            for k in range(self.n + 1):
-                if k:
-                    pw = pw * D
-                s = s + pw.scaled(coeffs[k])
-            out = out * s
-        return out
+        """Td = prod_b D_b / (1 - e^{-D_b}) = exp(sum_k a_k P_k) over the
+        power sums of the divisors (`power_sum`): log(x / (1 - e^{-x}))
+        = x/2 - sum_{k>=2} t_k x^k / k for t_k = _TODD_COEFF[k], as its
+        derivative is 1/x - 1/(e^x - 1)."""
+        log = self.zero()
+        for k in range(1, self.n + 1):
+            log = log + self.power_sum(k).scaled(
+                _TODD_COEFF[1] if k == 1 else -_TODD_COEFF[k] / k)
+        return log.exp()
 
     @functools.cached_property
     def euler_form(self):
         """The Euler form X[a][b] = int e_a^dual e_b Td(X) on the flattened
         basis, as (D, E) with E an int matrix and X = E / D over one common
         denominator, so chi(V, W) = flatten(ch V)^T E flatten(ch W) / D.
-        Built on first use from a single Todd class: one product e_b Td(X)
-        per unit, then each entry is a top-degree read against e_a^dual."""
-        units = []
-        for d in range(self.n + 1):
-            for i in range(len(self.basis[d])):
-                z = self.zero()
-                z.coeffs[d][i] = Fraction(1)
-                units.append(z)
+        Built on first use from a single Todd class and the index tables
+        (`product_ids`): w[d][i] = int e_i Td(X) for e_i in degree d, read
+        from the top-degree table of (d, n - d), and then X[a][b] =
+        (-1)^{d_a} sum_i x_i w[d][i] over the reduction sum_i x_i e_i of
+        e_a e_b, zero past degree n."""
+        n, N = self.n, self.total_dim()
         td = self.todd_class()
-        tds = [b * td for b in units]
-        D, flat = cleared([a.dual().product(t, self.n).integrate()
-                           for a in units for t in tds])
-        N = len(units)
+        w = [[sum((x * td.coeffs[n - d][j] for j, k in enumerate(ids)
+                   for _, x in self.reductions[k][1]), _ZERO) / self.top_scale
+              for ids in self.product_ids(d, n - d)] for d in range(n + 1)]
+        vals = []
+        for da in range(n + 1):
+            tables = [self.product_ids(da, db) for db in range(n + 1 - da)]
+            for ia in range(len(self.basis[da])):
+                row = [(-1) ** da * sum((x * w[d][i] for i, x in red), _ZERO)
+                       for ids in tables
+                       for d, red in (self.reductions[k] for k in ids[ia])]
+                vals += row + [_ZERO] * (N - len(row))
+        D, flat = cleared(vals)
         return D, [flat[a * N:(a + 1) * N] for a in range(N)]
 
     def chi(self, u, v):
@@ -554,10 +559,31 @@ def _gamma_series(n: int) -> tuple:
 
 
 def gamma_class(ring: CohomologyRing) -> Cls:
-    """Gamma-hat class prod_b Gamma(1 + D_b) with coefficients kept symbolic
-    in the Euler-Mascheroni constant and zeta(2..n): one Taylor series of
-    Gamma(1 + x) per dimension (`_gamma_series`), summed in each D_b."""
-    return ring._series_product(_gamma_series(ring.n))
+    """Gamma-hat class prod_b Gamma(1 + D_b) = exp(sum_k l_k P_k), with
+    l_1 = -gamma, l_k = (-1)^k zeta(k) / k and P_k the power sums of the
+    divisors (`CohomologyRing.power_sum`), coefficients kept symbolic in
+    the Euler-Mascheroni constant and zeta(2..n).  With g_d the degree-d
+    Taylor coefficient of Gamma(1 + x) (`_gamma_series`), entry i of degree
+    d is the GammaPoly whose term e is g_d[e] times entry i of P^e =
+    prod_k P_k^{e_k}, in g_d's key order, zero terms dropped: no two
+    GammaPolys are multiplied in the ring."""
+    n = ring.n
+    nz = max(n - 1, 1)
+    series = _gamma_series(n)
+    sums = [ring.power_sum(k) for k in range(1, n + 1)]
+    monos = {(0,) * (nz + 1): ring.one()}
+    coeffs = {0: [GammaPoly.const(1, nz)]}
+    for d in range(1, n + 1):
+        rows = []
+        for e, c in series[d].terms.items():
+            # P^e = P^{e - unit_k} P_k, k the largest part, read in degree d
+            k = max(j for j, x in enumerate(e, 1) if x)
+            rest = e[:k - 1] + (e[k - 1] - 1,) + e[k:]
+            monos[e] = monos[rest].product(sums[k - 1], d)
+            rows.append((e, c, monos[e].coeffs[d]))
+        coeffs[d] = [GammaPoly({e: c * v[i] for e, c, v in rows if v[i]}, nz)
+                     for i in range(len(ring.basis[d]))]
+    return Cls(ring, coeffs)
 
 
 class GammaData:

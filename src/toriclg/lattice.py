@@ -144,7 +144,8 @@ class VectorSet:
     Every fan adapted to S, each chamber of the secondary fan among them,
     reads the data below from its vector set, so it is computed once per S:
     `sequences`, `chart` per n-subset and `complements`, each built on
-    first read."""
+    first read, and `box_counts`, {n-subset: its checked Box count} as
+    `StackyFan.dim_orbifold_cohomology` counts them."""
 
     def __init__(self, lattice: AbelianLattice, vectors):
         self.lattice = lattice
@@ -159,6 +160,7 @@ class VectorSet:
         self._sequences = None
         self._charts = {}
         self._complements = None
+        self.box_counts = {}
 
     def _generates(self) -> bool:
         # S generates N as a group: free part spans Z^n and torsion residues

@@ -10,10 +10,16 @@ zeros: every entry takes the addition and the scale.  `mul`, `exp`,
 sum and scale going through these, for oracles that must not compute
 through the program.  `gamma_class` is the route the program took before
 one Taylor series of Gamma(1 + x) per dimension: per ray, the series of
-log Gamma(1 + D_b) in the ring and its ring `exp`."""
+log Gamma(1 + D_b) in the ring and its ring `exp`.
+
+`series_product` and `euler_form` are the program's routes before the
+divisor power sums and the top-degree tables, in the ring's own
+arithmetic: the product over the rays of one series in D_b each, and the
+Euler form from one top-degree product per entry."""
 from fractions import Fraction
 
 from toriclg.ktheory import _TODD_COEFF, Cls, GammaPoly
+from toriclg.rational import cleared
 
 
 def product(self, other, lowest):
@@ -104,3 +110,40 @@ def gamma_class(ring):
             logg = add(logg, scaled(pw, coef))
         out = mul(out, exp(logg))
     return out
+
+
+def series_product(ring, coeffs):
+    """prod_b sum_{k=0..n} coeffs[k] D_b^k over the rays b, in the ring's
+    own arithmetic: n products by D_b per ray and one product per ray into
+    the running class.  The program's Todd class (coeffs `_TODD_COEFF`)
+    and Gamma class (`_gamma_series(n)`) before they were read from the
+    divisor power sums."""
+    out = ring.one()
+    for i in range(ring.m):
+        D = ring.divisor(i)
+        s = ring.zero()
+        pw = ring.one()
+        for k in range(ring.n + 1):
+            if k:
+                pw = pw * D
+            s = s + pw.scaled(coeffs[k])
+        out = out * s
+    return out
+
+
+def euler_form(ring):
+    """`CohomologyRing.euler_form` before it read the top-degree tables:
+    the Todd class of `series_product`, one product e_b Td per unit b and
+    one top-degree product (e_a^dual)(e_b Td) per entry."""
+    units = []
+    for d in range(ring.n + 1):
+        for i in range(len(ring.basis[d])):
+            z = ring.zero()
+            z.coeffs[d][i] = Fraction(1)
+            units.append(z)
+    td = series_product(ring, _TODD_COEFF)
+    tds = [b * td for b in units]
+    D, flat = cleared([a.dual().product(t, ring.n).integrate()
+                       for a in units for t in tds])
+    N = len(units)
+    return D, [flat[a * N:(a + 1) * N] for a in range(N)]

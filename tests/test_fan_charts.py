@@ -3,7 +3,7 @@ from one elimination of each maximal cone's ray matrix, which gives both
 its inverse and its determinant, and every circuit row from one table per
 fan built on those charts.  The charts, the complement inverses and the
 extended sequences depend on S alone, so the vector set computes each once
-for all the fans adapted to it."""
+for all the fans adapted to it, and so keeps each cone's Box count."""
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -218,10 +218,18 @@ def test_chamber_round_inverts_each_matrix_once(monkeypatch):
     # one round of the `chambers` workload walks the 12 vector sets below;
     # the workload moves each by a unimodular change of basis, which keeps
     # the chambers and so these counts.  Computed per fan and per call, the
-    # round inverted 357 matrices, ran `extended_sequences` 56 times and
-    # built 58 wall crossings for its 42 walls
+    # round inverted 357 matrices, ran `extended_sequences` 56 times, built
+    # 58 wall crossings for its 42 walls and walked 131 Box parallelepipeds
+    # for its 83 (vector set, cone) pairs
     inverted, sequences = count_secondary_fan_work(monkeypatch)
     builds = count_wall_builds(monkeypatch)
+    boxes = []
+    real_box_points = fans.StackyFan._box_points
+
+    def box_points(self, cone_idx):
+        boxes.append((self.vector_set, self.max_cones[cone_idx]))
+        return real_box_points(self, cone_idx)
+    monkeypatch.setattr(fans.StackyFan, "_box_points", box_points)
     walls = 0
     for S, copies in ROUND_SETS + [(BL_LINE_P4_S, 1)]:
         for _ in range(copies):
@@ -229,3 +237,4 @@ def test_chamber_round_inverts_each_matrix_once(monkeypatch):
     assert len(sequences) == 12
     assert len(inverted) == 176
     assert len(builds) == walls == 42
+    assert len(boxes) == len(set(boxes)) == 83

@@ -400,3 +400,20 @@ def test_verification_fault_is_raised(monkeypatch, cls, call, message):
     with pytest.raises(cls) as exc:
         call(monkeypatch)
     assert message in str(exc.value)
+
+
+def test_gamma_data_checks_the_degree_2_convention(monkeypatch):
+    # the Gamma class must have degree-2 part -gamma c1; a doubled entry
+    # in degree 1 fails GammaData's check
+    real = ktheory.gamma_class
+
+    def doubled(ring):
+        gamma = real(ring)
+        gamma.coeffs[1][0] = gamma.coeffs[1][0] * Fraction(2)
+        return gamma
+    ring = build_cohomology_ring(projective_space(2))
+    GammaData(ring)
+    monkeypatch.setattr(ktheory, "gamma_class", doubled)
+    with pytest.raises(errors.MismatchWithHRR, match="degree-2 part of the "
+                       "Gamma class is not -gamma\\*c1"):
+        GammaData(ring)

@@ -3,9 +3,13 @@ it replaced (`product_oracle`), bit for bit, and the work the tables
 save: after a ring's first pairing, a Gamma Gram reads no basis monomial
 and no `reduce_map` entry.  The element sum and scale, which skip exact
 zeros, against the loops that did not, and the Gamma class from one
-series per dimension against the per-ray log and `exp` route."""
+series per dimension against the per-ray log and `exp` route.  The Todd
+and Gamma classes from the divisor power sums, and the Euler form from
+the top-degree tables, against the routes they replaced."""
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -218,6 +222,96 @@ def test_gamma_class_takes_no_exp_and_one_series_per_dimension(monkeypatch):
     GammaData(CohomologyRing(bl_line_p4()))
     info = ktheory._gamma_series.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_gamma_class_equals_the_series_route_typed(name):
+    # from the power sums, each entry keeps the type, the term order and
+    # the value that the per-ray series product gave it
+    ring = CohomologyRing(RINGS[name]())
+    got = gamma_class(ring)
+    want = product_oracle.series_product(ring, ktheory._gamma_series(ring.n))
+    assert canon_cls(got) == canon_cls(want)
+    assert canon_cls(got.numeric()) == canon_cls(want.numeric())
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_todd_class_equals_the_series_route_typed(name):
+    ring = CohomologyRing(RINGS[name]())
+    got = ring.todd_class()
+    assert canon_cls(got) == canon_cls(
+        product_oracle.series_product(ring, ktheory._TODD_COEFF))
+    assert all(type(x) is Fraction for v in got.coeffs.values() for x in v)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_euler_form_equals_one_top_degree_product_per_entry(name):
+    ring = CohomologyRing(RINGS[name]())
+    assert ring.euler_form == product_oracle.euler_form(ring)
+
+
+def test_power_sums_take_no_product_and_gamma_no_two_term_products(
+        monkeypatch):
+    # P_k = sum_b D_b^k is read from the monomial reductions, with no
+    # product (the m (n - 1) products D_b^k give the same class); the Gamma
+    # class takes one product P^{e'} P_k per term e of the series and
+    # never multiplies two GammaPolys of more than one term
+    products, pairs = [], []
+    real_product, real_mul = Cls.product, GammaPoly.__mul__
+
+    def product(self, other, lowest):
+        products.append(lowest)
+        return real_product(self, other, lowest)
+
+    def mul(self, other):
+        pairs.append((len(self.terms), len(self._lift(other).terms)))
+        return real_mul(self, other)
+    for name in sorted(RINGS):
+        ring = CohomologyRing(RINGS[name]())
+        n = ring.n
+        ktheory._gamma_series.cache_clear()
+        monkeypatch.setattr(Cls, "product", product)
+        monkeypatch.setattr(GammaPoly, "__mul__", mul)
+        monkeypatch.setattr(GammaPoly, "__rmul__", mul)
+        products.clear()
+        sums = [ring.power_sum(k) for k in range(1, n + 1)]
+        assert products == []
+        gamma_class(ring)
+        series = ktheory._gamma_series(n)
+        assert sorted(products) == sorted(
+            d for d in range(1, n + 1) for _ in series[d].terms)
+        assert pairs and all(min(p) <= 1 for p in pairs)
+        monkeypatch.undo()
+        for k, P in enumerate(sums, 1):
+            want = ring.zero()
+            for b in range(ring.m):
+                pw = ring.one()
+                for _ in range(k):
+                    pw = pw * ring.divisor(b)
+                want = want + pw
+            assert P == want
+
+
+def test_a_ring_is_freed_by_refcount_after_its_pairings():
+    # no reference cycle holds a ring once its Euler form, Gamma data and
+    # both pairings have been used: with the cyclic collector off, the
+    # last reference frees it
+    fan = bl_line_p4()
+    gc.collect()
+    gc.disable()
+    try:
+        ring = CohomologyRing(fan)
+        assert ring.euler_form[0] > 0
+        gd = GammaData(ring)
+        V = KClass.line_bundle(ring, ring.divisor(0), "L")
+        W = KClass.structure_sheaf(ring)
+        assert ktheory.euler_pairing_hrr(V, W) == \
+            round(ktheory.euler_pairing_gamma(gd, V, W).real)
+        ref = weakref.ref(ring)
+        del ring, gd, V, W
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def add_and_scale_cases(ring, rng):
