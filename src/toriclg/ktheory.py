@@ -123,6 +123,39 @@ class GammaPoly:
 _EXACT = (Fraction, GammaPoly)
 
 
+def _top_integral(cones, duals, memo, mo):
+    """The integral of the top-degree monomial mo, memoized in memo.
+
+    A monomial whose support is not a face integrates to 0 and the
+    distinct-ray monomial of a maximal cone to 1.  Otherwise, with a
+    maximal cone sigma containing the support and a repeated ray i, the
+    linear relation of the dual vector u_i of sigma replaces D_i by
+    -sum_{b not in sigma} <u_i, v_b> D_b, which strictly grows the support
+    (Fulton 1993, section 5.2).  The recursion runs through this module
+    function, not a closure that holds itself, so a ring build leaves no
+    reference cycle for the collector."""
+    out = memo.get(mo)
+    if out is not None:
+        return out
+    supp = frozenset(i for i, e in enumerate(mo) if e)
+    cone = next((c for c in cones if supp <= c), None)
+    i = next((i for i, e in enumerate(mo) if e > 1), None)
+    if cone is None:
+        out = 0
+    elif i is None:
+        out = 1
+    else:
+        out = 0
+        for b, w in duals[cone][i]:
+            if w:
+                mo2 = list(mo)
+                mo2[i] -= 1
+                mo2[b] += 1
+                out -= w * _top_integral(cones, duals, memo, tuple(mo2))
+    memo[mo] = out
+    return out
+
+
 class CohomologyRing:
     """Rational Chow/cohomology ring of a smooth complete simplicial toric
     variety, with graded monomial bases and an exact degree map.
@@ -130,9 +163,9 @@ class CohomologyRing:
     The ring also holds the index tables of its product (`product_ids`):
     for a pair of degrees (d1, d2), the int id of the product monomial of
     basis[d1][i1] and basis[d2][i2], and, per id, the degree of that
-    monomial and its nonzero `reduce_map` coordinates.  A table is built on
-    the first product that touches its degree pair and lives with the
-    ring."""
+    monomial and its nonzero `reduce_map` coordinates, each an `int` where
+    it is integral.  A table is built on the first product that touches its
+    degree pair and lives with the ring."""
 
     def __init__(self, fan: StackyFan):
         if not fan.is_smooth():
@@ -163,14 +196,8 @@ class CohomologyRing:
         return sorted(out)
 
     def _top_integrals(self):
-        """Memoized integral of a top-degree monomial over the variety.
-
-        A monomial whose support is not a face integrates to 0 and the
-        distinct-ray monomial of a maximal cone to 1.  Otherwise, with a
-        maximal cone sigma containing the support and a repeated ray i,
-        the linear relation of the dual vector u_i of sigma replaces D_i by
-        -sum_{b not in sigma} <u_i, v_b> D_b, which strictly grows the
-        support (Fulton 1993, section 5.2)."""
+        """Memoized integral of a top-degree monomial over the variety
+        (`_top_integral` on this fan's cones and dual pairings)."""
         fan = self.fan
         rays = self.ray_indices
         cones = [frozenset(rays.index(i) for i in c) for c in fan.max_cones]
@@ -183,25 +210,7 @@ class CohomologyRing:
             others = [b for b in range(self.m) if b not in c]
             duals[c] = {i: [(b, -circuits[rays[b]][rays[i]]) for b in others]
                         for i in c}
-
-        @functools.lru_cache(maxsize=None)
-        def integral(mo):
-            supp = frozenset(i for i, e in enumerate(mo) if e)
-            cone = next((c for c in cones if supp <= c), None)
-            if cone is None:
-                return 0
-            i = next((i for i, e in enumerate(mo) if e > 1), None)
-            if i is None:
-                return 1
-            out = 0
-            for b, w in duals[cone][i]:
-                if w:
-                    mo2 = list(mo)
-                    mo2[i] -= 1
-                    mo2[b] += 1
-                    out -= w * integral(tuple(mo2))
-            return out
-        return integral
+        return functools.partial(_top_integral, cones, duals, {})
 
     def _build(self):
         """Graded bases and coordinates from intersection numbers.
@@ -238,7 +247,13 @@ class CohomologyRing:
         """ids[i1][i2], the id of the monomial basis[d1][i1] *
         basis[d2][i2], for d1 + d2 <= n; `reductions[id]` is its degree
         and its reduction as the nonzero (i, x) of `reduce_map`, in index
-        order.  Built on first use."""
+        order, an integral x stored as its `int` numerator.  Built on first
+        use.
+
+        An `int` factor gives the product the bits of its `Fraction`: a
+        Fraction times it is the same Fraction, a GammaPoly lifts both to
+        the same constant, and a complex takes both as x + 0j, the int
+        rounded as the Fraction's quotient is, exactly."""
         table = self._tables.get((d1, d2))
         if table is None:
             ids, red = self._ids, self.reduce_map[d1 + d2]
@@ -251,8 +266,9 @@ class CohomologyRing:
                     if k is None:
                         k = ids[mo] = len(self.reductions)
                         self.reductions.append(
-                            (d1 + d2, [(i, x) for i, x in enumerate(red[mo])
-                                       if x]))
+                            (d1 + d2, [(i, x.numerator if x.denominator == 1
+                                        else x)
+                                       for i, x in enumerate(red[mo]) if x]))
                     row.append(k)
                 table.append(row)
             self._tables[d1, d2] = table
@@ -298,6 +314,39 @@ class CohomologyRing:
 
     def c1(self):
         return self.power_sum(1)
+
+    def divisor_exp(self, D):
+        """exp(D) of an exact degree-1 class D = sum_i x_i e_i, with no
+        ring product.  The e_i of basis[1] are single-ray monomials, so
+        exp(D) is the sum over the exponent vectors e of degree <= n of
+        prod_i x_i^{e_i} / e_i! times the monomial prod_i e_i^{e_i}, read
+        from `reduce_map` (`from_poly`).  The vectors are grown one degree
+        at a time in non-decreasing order of the index added, each
+        coefficient from its parent's: c x_i / e_i.  Equal to `Cls.exp` of
+        D, entry for entry and as Fractions."""
+        for d, v in D.coeffs.items():
+            if d != 1 and any(x != 0 for x in v):
+                raise ValueError(
+                    f"divisor_exp needs a degree-1 class, got a nonzero "
+                    f"degree-{d} part {v}")
+        terms = [(self.basis[1][i], x)
+                 for i, x in enumerate(D.coeffs[1]) if x]
+        one = Fraction(1)
+        # (monomial, last index added, its exponent, coefficient)
+        level = [((0,) * self.m, 0, 0, one)]
+        poly = {level[0][0]: one}
+        for _ in range(self.n):
+            grown = []
+            for mo, last, e, c in level:
+                for i in range(last, len(terms)):
+                    ray, x = terms[i]
+                    ei = e + 1 if i == last else 1
+                    mo2 = tuple(a + b for a, b in zip(mo, ray))
+                    c2 = c * x / ei
+                    poly[mo2] = c2
+                    grown.append((mo2, i, ei, c2))
+            level = grown
+        return self.from_poly(poly)
 
     def total_dim(self):
         return sum(len(b) for b in self.basis.values())
@@ -346,19 +395,27 @@ class CohomologyRing:
         D, flat = cleared(vals)
         return D, [flat[a * N:(a + 1) * N] for a in range(N)]
 
-    def chi(self, u, v):
-        """u^T X v for vectors cleared to (d, ints) (`rational.cleared`),
-        as (numerator, denominator) in int."""
-        D, E = self.euler_form
-        (du, iu), (dv, iv) = u, v
-        return idot(iu, [idot(row, iv) for row in E]), D * du * dv
+    def euler_image(self, v):
+        """E v for a vector v cleared to (d, ints) (`rational.cleared`), as
+        (d, ints): the Euler form applied to v once, the right factor of
+        `chi`."""
+        dv, iv = v
+        return dv, [idot(row, iv) for row in self.euler_form[1]]
+
+    def chi(self, u, image):
+        """u^T X v for u cleared to (d, ints) and the image (`euler_image`)
+        of v, as (numerator, denominator) in int."""
+        (du, iu), (dv, w) = u, image
+        return idot(iu, w), self.euler_form[0] * du * dv
 
 
 class Cls:
     """Element of a CohomologyRing: per-degree coefficient vectors over the
     monomial basis.  The scalars may be Fractions, complex numbers or
-    GammaPoly; one product (`*`) and one truncated exponential (`exp`)
-    serve all three.
+    GammaPoly; one product (`*`) serves all three.  The truncated
+    exponential (`exp`) is taken of the Todd log series and of the complex
+    -pi i c1; the exp of an exact divisor, ch(O(D)), is read from its
+    monomials (`CohomologyRing.divisor_exp`).
 
     The product reads the ring's index tables (`product_ids`), which key
     each product monomial by an int id, and does the arithmetic of the
@@ -441,7 +498,11 @@ class Cls:
         """exp of a class with vanishing degree-0 part.  Terms are divided
         by k, not multiplied by 1/k: for complex coefficients 1/k is itself
         rounded, so the two give different last digits."""
-        assert self.coeffs[0][0] == 0
+        c0 = self.coeffs[0][0]
+        if c0 != 0:
+            raise ValueError(
+                f"exp needs a class with no degree-0 part, got degree-0 "
+                f"coefficient {c0!r}")
         ring = self.ring
         out = ring.one()
         term = ring.one()
@@ -494,13 +555,19 @@ class KClass:
 
     @classmethod
     def line_bundle(cls, ring, divisor_class: Cls, label=None):
-        return cls(ring, divisor_class.exp(), label or "O(D)")
+        return cls(ring, ring.divisor_exp(divisor_class), label or "O(D)")
 
     @functools.cached_property
     def int_ch(self):
         """The flattened ch over its common denominator, as (d, ints)
         (`rational.cleared`): the HRR pairing's integer form of the class."""
         return cleared(self.ring.flatten(self.ch))
+
+    @functools.cached_property
+    def euler_image(self):
+        """The Euler form applied to int_ch (`CohomologyRing.euler_image`),
+        once per class: the class's factor on the right of a pairing."""
+        return self.ring.euler_image(self.int_ch)
 
     def tensor(self, other):
         return KClass(self.ring, self.ch * other.ch,
@@ -521,9 +588,9 @@ def build_cohomology_ring(fan: StackyFan) -> CohomologyRing:
 
 def euler_pairing_hrr(V1: KClass, V2: KClass) -> int:
     """chi(V1, V2) = int ch(V1^dual) ch(V2) Td(X), exact and integral;
-    evaluated in int through the ring's Euler form (D, E) and each class's
-    int_ch."""
-    num, den = V1.ring.chi(V1.int_ch, V2.int_ch)
+    evaluated in int through the ring's Euler form (D, E), V1's int_ch and
+    V2's euler_image, each built once per class."""
+    num, den = V1.ring.chi(V1.int_ch, V2.euler_image)
     q, r = divmod(num, den)
     if r:
         raise errors.NonIntegral(
@@ -758,14 +825,16 @@ class BlowupData:
         rel1 = ring.one()
         for b in self.center_rays:
             Db = ring.divisor_by_s_index(b)
-            rel1 = rel1 * (ring.one() - Db.scaled(Fraction(-1)).exp())
+            rel1 = rel1 * (ring.one()
+                           - ring.divisor_exp(Db.scaled(Fraction(-1))))
         if not rel1.is_zero():
             raise errors.RelationFails("prod_{b in M+} (1 - L_b) != 0")
         rel2 = ring.one()
         for b in self.center_rays:
             kb = self.k[b]
-            lhs = self.E.scaled(Fraction(-kb)).exp()
-            rhs = (self.pullback_divisor(b).scaled(Fraction(-1))).exp()
+            lhs = ring.divisor_exp(self.E.scaled(Fraction(-kb)))
+            rhs = ring.divisor_exp(
+                self.pullback_divisor(b).scaled(Fraction(-1)))
             rel2 = rel2 * (lhs - rhs)
         if not rel2.is_zero():
             raise errors.RelationFails(
@@ -876,24 +945,25 @@ def bl_line_p4_collection(ring: CohomologyRing):
     p2 = ring.divisor_by_s_index(3)
     E = ring.divisor_by_s_index(5)
     one = ring.one()
+    exp = ring.divisor_exp
 
     def lb(c1, label):
         return KClass.line_bundle(ring, c1, label)
 
     def oe(tw, label):
-        base = one - E.scaled(Fraction(-1)).exp()
-        return KClass(ring, base * tw.exp(), label)
+        base = one - exp(E.scaled(Fraction(-1)))
+        return KClass(ring, base * exp(tw), label)
     Ecls = oe(E - p2, "O_E(E-H2)")
     OEE = oe(E, "O_E(E)")
     OmH2 = lb(p2.scaled(Fraction(-1)), "O(-H2)")
     # G = O(-2H2) (x) phi^* T_P4 [-1]: ch = -(5 e^{p2} - 1) e^{-2 p2}
-    Gch = (p2.scaled(Fraction(-2)).exp()
-           * (one.scaled(Fraction(1)) - p2.exp().scaled(Fraction(5))))
+    Gch = (exp(p2.scaled(Fraction(-2)))
+           * (one.scaled(Fraction(1)) - exp(p2).scaled(Fraction(5))))
     Gcls = KClass(ring, Gch, "O(-2H2)*phi^*T[-1]")
     O = KClass.structure_sheaf(ring)
     # H = O(2H2) (x) phi^* Omega^1: ch = (5 e^{-p2} - 1) e^{2 p2}
-    Hch = (p2.scaled(Fraction(2)).exp()
-           * (p2.scaled(Fraction(-1)).exp().scaled(Fraction(5)) - one))
+    Hch = (exp(p2.scaled(Fraction(2)))
+           * (exp(p2.scaled(Fraction(-1))).scaled(Fraction(5)) - one))
     Hcls = KClass(ring, Hch, "O(2H2)*phi^*Omega1")
     OH2 = lb(p2, "O(H2)")
     OEm = oe(ring.zero(), "O_E").shift()

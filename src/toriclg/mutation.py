@@ -23,9 +23,9 @@ class MatrixBackend:
 
 class KBackend:
     """Exact Euler pairing on Chern-character vectors flattened over the
-    ring basis: u^T X v as a Fraction, with X the ring's integer Euler form
-    (CohomologyRing.euler_form, read by CohomologyRing.chi), the same form
-    euler_pairing_hrr uses; u and v are cleared to int on each call."""
+    ring basis: u^T X v as a Fraction, read by CohomologyRing.chi, the
+    pairing euler_pairing_hrr reads; u and v are cleared to int and the
+    Euler form is applied to v (CohomologyRing.euler_image) on each call."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -34,7 +34,8 @@ class KBackend:
         return self.ring.flatten(cls)
 
     def pair(self, u, v):
-        return Fraction(*self.ring.chi(cleared(u), cleared(v)))
+        ring = self.ring
+        return Fraction(*ring.chi(cleared(u), ring.euler_image(cleared(v))))
 
 
 def admissible(phi, markings) -> bool:

@@ -5,8 +5,12 @@ and no `reduce_map` entry.  The element sum and scale, which skip exact
 zeros, against the loops that did not, and the Gamma class from one
 series per dimension against the per-ray log and `exp` route.  The Todd
 and Gamma classes from the divisor power sums, and the Euler form from
-the top-degree tables, against the routes they replaced."""
+the top-degree tables, against the routes they replaced.  The exp of a
+divisor read from its monomials against the ring `exp`, and the HRR
+Gram with the Euler form applied once per class against the Fraction
+pairing of `test_pairing_oracle`."""
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -16,11 +20,15 @@ from fractions import Fraction
 import pytest
 
 import product_oracle
+from test_pairing_oracle import oracle_euler_form, oracle_hrr
 from test_ring_oracle import FANS
 from toriclg import ktheory
+from toriclg.fans import StackyFan
 from toriclg.ktheory import (Cls, CohomologyRing, GammaData, GammaPoly,
-                             KClass, bl_line_p4, gamma_class,
+                             KClass, bl_line_p4, gamma_class, gram_matrix,
                              projective_space)
+from toriclg.mutation import KBackend
+from toriclg.secondary import wall_between
 
 
 def canon(x):
@@ -307,9 +315,46 @@ def test_a_ring_is_freed_by_refcount_after_its_pairings():
         W = KClass.structure_sheaf(ring)
         assert ktheory.euler_pairing_hrr(V, W) == \
             round(ktheory.euler_pairing_gamma(gd, V, W).real)
+        # a mixed divisor's line bundle, paired in both orders, so that
+        # both classes hold their Euler image, and through the backend
+        mixed = ring.divisor(1).scaled(Fraction(2)) - ring.divisor(5)
+        L = KClass.line_bundle(ring, mixed, "L'")
+        back = KBackend(ring)
+        assert back.pair(ring.flatten(L.ch), ring.flatten(V.ch)) == \
+            ktheory.euler_pairing_hrr(L, V)
+        assert ktheory.euler_pairing_hrr(V, L) == \
+            back.pair(ring.flatten(V.ch), ring.flatten(L.ch))
+        assert "euler_image" in vars(L) and "euler_image" in vars(V)
         ref = weakref.ref(ring)
-        del ring, gd, V, W
+        del ring, gd, V, W, L, back, mixed
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_rings_and_pairings_leave_no_garbage_for_the_collector():
+    # a ring build (the memoized top-degree integrals), its Euler form,
+    # line bundles and both pairings, and an Orlov basis with its checks
+    # make no reference cycle, so the cyclic collector finds nothing
+    fan = bl_line_p4()
+    p4 = StackyFan(fan.vector_set,
+                   itertools.combinations(range(5), 4))
+    wall = wall_between(fan, p4)
+    ktheory._constant(1)        # mpmath's import is not the program's
+    gc.collect()
+    gc.disable()
+    try:
+        ring = CohomologyRing(fan)
+        gd = GammaData(ring)
+        classes = [KClass.line_bundle(ring, D, "L")
+                   for D in integral_divisors(ring, random.Random(5))]
+        gram_matrix(classes)
+        [[gd.pairing(a, b) for b in classes] for a in classes]
+        bd = ktheory.BlowupData(wall, 3)
+        ktheory.verify_sod(*bd.orlov_basis(1))
+        bd.verify_k_relations()
+        del ring, gd, classes, bd
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -372,3 +417,116 @@ def test_add_keeps_complex_signed_zeros_and_nan():
     # an exact zero added to -0.0 gives +0.0: the addition is not skipped
     assert (a + ring.zero()).coeffs[0][0].real.hex() == "0x0.0p+0"
     assert math.isnan((a + ring.zero()).coeffs[1][0].real)
+
+
+def integral_divisors(ring, rng):
+    """The zero divisor and integer combinations of the ray divisors."""
+    out = [ring.zero()]
+    for _ in range(4):
+        D = ring.zero()
+        for i in range(ring.m):
+            D = D + ring.divisor(i).scaled(Fraction(rng.randint(-3, 3)))
+        out.append(D)
+    return out
+
+
+def random_divisors(ring, rng):
+    """`integral_divisors` and classes with Fraction entries drawn on the
+    basis of degree 1, one entry zeroed so the support varies."""
+    out = integral_divisors(ring, rng)
+    for _ in range(3):
+        D = ring.zero()
+        D.coeffs[1] = [random_fraction(rng) for _ in ring.basis[1]]
+        D.coeffs[1][rng.randrange(len(D.coeffs[1]))] = Fraction(0)
+        out.append(D)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_divisor_exp_equals_the_ring_exp_typed(name):
+    ring = CohomologyRing(RINGS[name]())
+    rng = random.Random(200 + sorted(RINGS).index(name))
+    for D in random_divisors(ring, rng):
+        want = product_oracle.exp(D)
+        got = ring.divisor_exp(D)
+        assert canon_cls(got) == canon_cls(want)
+        assert canon_cls(got) == canon_cls(D.exp())
+    assert canon_cls(ring.divisor_exp(ring.zero())) == canon_cls(ring.one())
+
+
+def test_line_bundles_take_no_ring_product_or_exp(monkeypatch):
+    calls = Counter()
+    real_product, real_exp = Cls.product, Cls.exp
+
+    def product(self, other, lowest):
+        calls["product"] += 1
+        return real_product(self, other, lowest)
+
+    def exp(self):
+        calls["exp"] += 1
+        return real_exp(self)
+    monkeypatch.setattr(Cls, "product", product)
+    monkeypatch.setattr(Cls, "exp", exp)
+    for name in sorted(RINGS):
+        ring = CohomologyRing(RINGS[name]())
+        rng = random.Random(300 + sorted(RINGS).index(name))
+        for D in random_divisors(ring, rng):
+            KClass.line_bundle(ring, D, "L")
+    assert calls == Counter()
+
+
+def test_exp_rejects_a_degree_zero_part():
+    ring = CohomologyRing(FANS["p2"]())
+    for c0 in (Fraction(1, 2), 1j, GammaPoly.symbol("gamma", 1)):
+        a = ring.divisor(0)
+        a.coeffs[0][0] = c0
+        with pytest.raises(ValueError, match="degree-0 coefficient"):
+            a.exp()
+
+
+def test_divisor_exp_rejects_parts_outside_degree_one():
+    ring = CohomologyRing(FANS["p2"]())
+    for d in (0, 2):
+        D = ring.divisor(0)
+        D.coeffs[d][0] = Fraction(1)
+        with pytest.raises(ValueError, match=f"degree-{d} part"):
+            ring.divisor_exp(D)
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_reduction_factors_are_int_where_integral(name):
+    ring = CohomologyRing(FANS[name]())
+    for d1 in range(ring.n + 1):
+        for d2 in range(ring.n + 1 - d1):
+            ring.product_ids(d1, d2)
+    xs = [x for _, red in ring.reductions for _, x in red]
+    assert xs and all(type(x) is int if Fraction(x).denominator == 1
+                      else type(x) is Fraction for x in xs)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_hrr_gram_with_one_euler_image_per_class(name, monkeypatch):
+    # the Gram of line bundles, and of their pairs by the backend, equals
+    # the Fraction pairing, and the Euler form is applied once per class
+    ring = CohomologyRing(RINGS[name]())
+    rng = random.Random(400 + sorted(RINGS).index(name))
+    classes = [KClass.line_bundle(ring, D, "L")
+               for D in integral_divisors(ring, rng)]
+    images = []
+    real_image = CohomologyRing.euler_image
+
+    def euler_image(self, v):
+        images.append(v)
+        return real_image(self, v)
+    monkeypatch.setattr(CohomologyRing, "euler_image", euler_image)
+    got = gram_matrix(classes)
+    assert len(images) == len(classes)
+    assert gram_matrix(classes) == got
+    assert len(images) == len(classes)
+    X = oracle_euler_form(ring)
+    want = [[oracle_hrr(X, ring, a.ch, b.ch) for b in classes]
+            for a in classes]
+    assert got == want and all(type(x) is int for row in got for x in row)
+    back = KBackend(ring)
+    assert [[back.pair(ring.flatten(a.ch), ring.flatten(b.ch))
+             for b in classes] for a in classes] == want
