@@ -14,12 +14,7 @@ from fractions import Fraction
 from . import errors
 from .fans import StackyFan
 from .lattice import AbelianLattice, VectorSet
-from .rational import cleared, frac, idot, rank, rref
-
-# Bernoulli-series coefficients of x/(1-e^{-x}) up to degree 8
-_TODD_COEFF = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
-               Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
-               Fraction(-1, 1209600)]
+from .rational import cleared, idot, rank, rref
 
 # the entry of every fresh coefficient vector (`CohomologyRing.zero`):
 # Fractions are immutable and each writer rebinds its entry
@@ -28,99 +23,37 @@ _ZERO = Fraction(0)
 
 @functools.lru_cache(maxsize=None)
 def _constant(k: int) -> complex:
-    """The Euler-Mascheroni constant (k = 1) or zeta(k) (k >= 2) at 30
-    digits, without touching the process-wide mpmath precision.  mpmath is
-    imported here, on the first evaluation of a GammaPoly, so the exact
-    K-theory never loads it."""
-    import mpmath
-    with mpmath.workdps(30):
-        return complex(mpmath.euler if k == 1 else mpmath.zeta(k))
+    """The Euler-Mascheroni constant (k = 1) or zeta(k) (k >= 2) as the
+    nearest double.  zeta(k) is P. Borwein's alternating series with
+    n = 70 terms (An efficient algorithm for the Riemann zeta function,
+    CMS Conf. Proc. 27, 2000, algorithm 2), summed exactly in Fraction and
+    rounded once; its error is below 3 / ((3 + sqrt 8)^n |1 - 2^(1-k)|)
+    < 2^-170."""
+    if k == 1:      # gamma to 50 digits
+        return complex(float(
+            "0.57721566490153286060651209008240243104215933593992"))
+    n = 70
+    # d_j = n sum_{i <= j} (n + i - 1)! 4^i / ((n - i)! (2i)!), integers
+    d = list(itertools.accumulate(
+        n * math.factorial(n + i - 1) * 4 ** i
+        // (math.factorial(n - i) * math.factorial(2 * i))
+        for i in range(n + 1)))
+    s = sum((Fraction((-1) ** j * (d[j] - d[n]), (j + 1) ** k)
+             for j in range(n)), _ZERO)
+    return complex(float(-s / (d[n] * (1 - Fraction(1, 2 ** (k - 1))))))
 
 
-class GammaPoly:
-    """Polynomial in the Euler-Mascheroni constant and zeta values with
-    rational coefficients; keys are exponent tuples (gamma, zeta2, zeta3, ...).
-
-    Rational scalars act as constant polynomials on either side of + and *,
-    so GammaPoly coefficients go through the ordinary Cls arithmetic."""
-
-    def __init__(self, terms=None, nzeta=0):
-        self.nzeta = nzeta
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def const(cls, c, nzeta):
-        c = frac(c)
-        return cls({(0,) * (nzeta + 1): c} if c else {}, nzeta)
-
-    @classmethod
-    def symbol(cls, name, nzeta):
-        key = [0] * (nzeta + 1)
-        if name == "gamma":
-            key[0] = 1
-        else:
-            k = int(name[4:])      # "zeta3" -> 3
-            key[k - 1] = 1
-        return cls({tuple(key): Fraction(1)}, nzeta)
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GammaPoly.const(other, self.nzeta)
-        return other
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in self._lift(other).terms.items():
-            out[k] = out.get(k, _ZERO) + v
-            if out[k] == 0:
-                del out[k]
-        return GammaPoly(out, self.nzeta)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, _ZERO) + v1 * v2
-                if out[k] == 0:
-                    del out[k]
-        return GammaPoly(out, self.nzeta)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k: int):
-        return self * Fraction(1, k)
-
-    def __neg__(self):
-        return self * Fraction(-1)
-
-    def evaluate(self) -> complex:
-        vals = [_constant(k) for k in range(1, self.nzeta + 2)]
-        out = 0j
-        for key, c in self.terms.items():
-            t = complex(c)
-            for e, v in zip(key, vals):
-                t *= v ** e
-            out += t
-        return out
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        return isinstance(other, GammaPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        """Equal to `self != 0` without lifting 0: const(0) has no terms."""
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"GammaPoly({self.terms})"
-
-
-# the entry types whose sum with an exact Fraction zero is the entry itself
-_EXACT = (Fraction, GammaPoly)
+@functools.lru_cache(maxsize=None)
+def _todd_series(n: int) -> tuple:
+    """t_0..t_n, the Taylor coefficients of x / (1 - e^{-x}) (t_k = B_k /
+    k! with B_1 = 1/2), exact.  As the series times (1 - e^{-x}) / x =
+    sum_j (-1)^j x^j / (j + 1)! is 1, t_0 = 1 and t_k = -sum_{j=1..k}
+    (-1)^j t_{k-j} / (j + 1)!."""
+    t = [Fraction(1)]
+    for k in range(1, n + 1):
+        t.append(-sum((Fraction((-1) ** j, math.factorial(j + 1)) * t[k - j]
+                       for j in range(1, k + 1)), _ZERO))
+    return tuple(t)
 
 
 def _top_integral(cones, duals, memo, mo):
@@ -251,9 +184,8 @@ class CohomologyRing:
         use.
 
         An `int` factor gives the product the bits of its `Fraction`: a
-        Fraction times it is the same Fraction, a GammaPoly lifts both to
-        the same constant, and a complex takes both as x + 0j, the int
-        rounded as the Fraction's quotient is, exactly."""
+        Fraction times it is the same Fraction, and a complex takes both as
+        x + 0j, the int rounded as the Fraction's quotient is, exactly."""
         table = self._tables.get((d1, d2))
         if table is None:
             ids, red = self._ids, self.reduce_map[d1 + d2]
@@ -361,12 +293,13 @@ class CohomologyRing:
     def todd_class(self):
         """Td = prod_b D_b / (1 - e^{-D_b}) = exp(sum_k a_k P_k) over the
         power sums of the divisors (`power_sum`): log(x / (1 - e^{-x}))
-        = x/2 - sum_{k>=2} t_k x^k / k for t_k = _TODD_COEFF[k], as its
+        = x/2 - sum_{k>=2} t_k x^k / k for t_k of `_todd_series`, as its
         derivative is 1/x - 1/(e^x - 1)."""
+        t = _todd_series(self.n)
         log = self.zero()
         for k in range(1, self.n + 1):
             log = log + self.power_sum(k).scaled(
-                _TODD_COEFF[1] if k == 1 else -_TODD_COEFF[k] / k)
+                t[1] if k == 1 else -t[k] / k)
         return log.exp()
 
     @functools.cached_property
@@ -411,8 +344,8 @@ class CohomologyRing:
 
 class Cls:
     """Element of a CohomologyRing: per-degree coefficient vectors over the
-    monomial basis.  The scalars may be Fractions, complex numbers or
-    GammaPoly; one product (`*`) serves all three.  The truncated
+    monomial basis.  The scalars are of two types, Fraction and complex;
+    one product (`*`) serves both.  The truncated
     exponential (`exp`) is taken of the Todd log series and of the complex
     -pi i c1; the exp of an exact divisor, ch(O(D)), is read from its
     monomials (`CohomologyRing.divisor_exp`).
@@ -433,17 +366,16 @@ class Cls:
 
     def __add__(self, other):
         """Entrywise sum.  Adding an exact Fraction zero to or from a
-        Fraction or GammaPoly entry is skipped, as it returns the other
-        entry's value and type; a complex entry still takes every addition,
-        since -0.0 + 0 is +0.0."""
+        Fraction entry is skipped, as it returns the other entry; a complex
+        entry still takes every addition, since -0.0 + 0 is +0.0."""
         out = self.copy()
         for d, v in other.coeffs.items():
             w = out.coeffs[d]
             for i, x in enumerate(v):
                 y = w[i]
-                if type(x) is Fraction and not x and type(y) in _EXACT:
+                if type(x) is Fraction and not x and type(y) is Fraction:
                     continue
-                if type(y) is Fraction and not y and type(x) in _EXACT:
+                if type(y) is Fraction and not y and type(x) is Fraction:
                     w[i] = x
                 else:
                     w[i] = y + x
@@ -454,8 +386,8 @@ class Cls:
 
     def scaled(self, c):
         """c times each entry; a Fraction c leaves a Fraction zero entry
-        as it is.  A complex or GammaPoly c multiplies every entry, zeros
-        too, as its product with Fraction(0) is a complex or GammaPoly."""
+        as it is.  A complex c multiplies every entry, zeros too, as its
+        product with Fraction(0) is a complex."""
         if type(c) is Fraction:
             return Cls(self.ring, {d: [x if type(x) is Fraction and not x
                                        else c * x for x in v]
@@ -519,14 +451,12 @@ class Cls:
                                for d, v in self.coeffs.items()})
 
     def integrate(self):
-        return self.coeffs[self.ring.n][0] / self.ring.top_scale \
-            if isinstance(self.coeffs[self.ring.n][0], Fraction) \
-            else self.coeffs[self.ring.n][0] / complex(self.ring.top_scale)
+        """The top-degree coefficient over top_scale; a complex one is
+        divided by complex(top_scale), as the Fraction defers to it."""
+        return self.coeffs[self.ring.n][0] / self.ring.top_scale
 
     def numeric(self):
-        return Cls(self.ring, {d: [complex(x) if isinstance(x, (int, Fraction))
-                                   else (x.evaluate() if isinstance(x, GammaPoly)
-                                         else x) for x in v]
+        return Cls(self.ring, {d: [complex(x) for x in v]
                                for d, v in self.coeffs.items()})
 
     def __eq__(self, other):
@@ -598,80 +528,99 @@ def euler_pairing_hrr(V1: KClass, V2: KClass) -> int:
     return q
 
 
+def _add_term(poly, e, c):
+    """Add c to the term e of a dict polynomial, dropping it at zero."""
+    c = poly.get(e, _ZERO) + c
+    if c:
+        poly[e] = c
+    else:
+        poly.pop(e, None)
+
+
 @functools.lru_cache(maxsize=None)
 def _gamma_series(n: int) -> tuple:
     """g_0..g_n, the Taylor coefficients of Gamma(1 + x) = exp(sum_k l_k
     x^k) up to x^n, with l_1 = -gamma and l_k = zeta(k) (-1)^k / k, kept
-    symbolic (GammaPoly; g_0 = 1).
+    symbolic: g_d is a dict {e: Fraction} over the exponents e of the
+    monomials gamma^{e_1} zeta(2)^{e_2} ... zeta(nz + 1)^{e_{nz+1}}, nz =
+    max(n - 1, 1), zero terms dropped (g_0 = {(0, ..., 0): 1}).
 
     The exponential is summed as `Cls.exp` sums it, term_k = term_{k-1} *
-    log / k with the product's terms in its order, so each g_k holds its
+    log / k with the product's terms in its order, so each g_d holds its
     terms in the order that a ring exp of the log series gives, which
-    `GammaPoly.evaluate` sums in."""
-    nz = max(n - 1, 1)
-    log = [_ZERO, GammaPoly.symbol("gamma", nz) * Fraction(-1)]
-    log += [GammaPoly.symbol(f"zeta{k}", nz) *
-            (Fraction(-1) ** k * Fraction(1, k)) for k in range(2, n + 1)]
-    out = [Fraction(1)] + [_ZERO] * n
+    `gamma_class` sums in."""
+    out = [{(0,) * (max(n - 1, 1) + 1): Fraction(1)}] + [{} for _ in range(n)]
     term = list(out)
     for k in range(1, n + 1):
-        prod = [_ZERO] * (n + 1)
+        prod = [{} for _ in range(n + 1)]
         for i, a in enumerate(term):
-            if a:
-                for j in range(1, n + 1 - i):
-                    prod[i + j] = prod[i + j] + a * log[j]
-        term = [x / k for x in prod]
-        out = [x + y for x, y in zip(out, term)]
+            for j in range(1, n + 1 - i):
+                # times l_j, the one term (-1)^j / j of entry j - 1 of e
+                for e, c in a.items():
+                    _add_term(prod[i + j], e[:j - 1] + (e[j - 1] + 1,) + e[j:],
+                              c * Fraction(-1) ** j / j)
+        term = [{e: c / k for e, c in p.items()} for p in prod]
+        for g, t in zip(out, term):
+            for e, c in t.items():
+                _add_term(g, e, c)
     return tuple(out)
 
 
 def gamma_class(ring: CohomologyRing) -> Cls:
     """Gamma-hat class prod_b Gamma(1 + D_b) = exp(sum_k l_k P_k), with
     l_1 = -gamma, l_k = (-1)^k zeta(k) / k and P_k the power sums of the
-    divisors (`CohomologyRing.power_sum`), coefficients kept symbolic in
-    the Euler-Mascheroni constant and zeta(2..n).  With g_d the degree-d
-    Taylor coefficient of Gamma(1 + x) (`_gamma_series`), entry i of degree
-    d is the GammaPoly whose term e is g_d[e] times entry i of P^e =
-    prod_k P_k^{e_k}, in g_d's key order, zero terms dropped: no two
-    GammaPolys are multiplied in the ring."""
+    divisors (`CohomologyRing.power_sum`), as complex numbers.  With g_d
+    the degree-d Taylor coefficient of Gamma(1 + x) (`_gamma_series`),
+    entry i of degree d sums from 0j, in g_d's key order, one term per e
+    with a nonzero entry i of P^e = prod_k P_k^{e_k}: complex(g_d[e] P^e_i)
+    times val_k ** e_k for each k in turn, val_k the constants of
+    `_constant`.  The exact P^e take one product each and no symbolic
+    coefficient enters the ring; the degree-0 entry is complex(1)."""
     n = ring.n
-    nz = max(n - 1, 1)
     series = _gamma_series(n)
+    vals = [_constant(k) for k in range(1, max(n - 1, 1) + 2)]
     sums = [ring.power_sum(k) for k in range(1, n + 1)]
-    monos = {(0,) * (nz + 1): ring.one()}
-    coeffs = {0: [GammaPoly.const(1, nz)]}
+    monos = {(0,) * len(vals): ring.one()}
+    coeffs = {0: [complex(1)]}
     for d in range(1, n + 1):
         rows = []
-        for e, c in series[d].terms.items():
+        for e, c in series[d].items():
             # P^e = P^{e - unit_k} P_k, k the largest part, read in degree d
             k = max(j for j, x in enumerate(e, 1) if x)
             rest = e[:k - 1] + (e[k - 1] - 1,) + e[k:]
             monos[e] = monos[rest].product(sums[k - 1], d)
-            rows.append((e, c, monos[e].coeffs[d]))
-        coeffs[d] = [GammaPoly({e: c * v[i] for e, c, v in rows if v[i]}, nz)
-                     for i in range(len(ring.basis[d]))]
+            rows.append((c, monos[e].coeffs[d],
+                         [v ** x for v, x in zip(vals, e)]))
+        coeffs[d] = []
+        for i in range(len(ring.basis[d])):
+            out = 0j
+            for c, v, powers in rows:
+                if v[i]:
+                    t = complex(c * v[i])
+                    for p in powers:
+                        t *= p
+                    out += t
+            coeffs[d].append(out)
     return Cls(ring, coeffs)
 
 
 class GammaData:
     """The Gamma pairing's data on one ring: the Gamma class
-    (`gamma_class`, symbolic, checked to have degree-2 part -gamma c1) and
-    its numeric value, exp(-pi i c1), and each class's pairing factors,
-    computed once per class."""
+    (`gamma_class`), exp(-pi i c1), and each class's pairing factors,
+    computed once per class.  The class's degree-2 part is checked to be
+    -gamma c1 on its exact data: g_1 of the series is -gamma alone, and
+    the class it multiplies, P_1, is c1."""
 
     def __init__(self, ring: CohomologyRing):
         self.ring = ring
-        self.gamma = gamma_class(ring)
         self.c1 = ring.c1()
-        nz = max(ring.n - 1, 1)
         # testable convention: the degree-2 part of Gamma-hat is -gamma*c1
-        want = GammaPoly.symbol("gamma", nz) * Fraction(-1)
-        for i, x in enumerate(self.gamma.coeffs[1] if ring.n >= 1 else []):
-            expect = want * self.c1.coeffs[1][i]
-            if x != expect:
-                raise errors.MismatchWithHRR(
-                    "degree-2 part of the Gamma class is not -gamma*c1")
-        self._gamma_num = self.gamma.numeric()
+        gamma1 = (1,) + (0,) * max(ring.n - 1, 1)
+        if ring.n >= 1 and (_gamma_series(ring.n)[1] != {gamma1: Fraction(-1)}
+                            or ring.power_sum(1) != self.c1):
+            raise errors.MismatchWithHRR(
+                "degree-2 part of the Gamma class is not -gamma*c1")
+        self.gamma = gamma_class(ring)
         # exp(-pi i c1) depends on neither argument of the pairing
         self._exp_c1 = self.c1.numeric().scaled(-1j * math.pi).exp()
         # id(V) -> (V, b(V), alpha(V)); holding V keeps its id from being
@@ -692,7 +641,7 @@ class GammaData:
         chnum = V.ch.numeric()
         scaled = Cls(ring, {d: [x * twopii ** d for x in v]
                             for d, v in chnum.coeffs.items()})
-        a = self._gamma_num * scaled
+        a = self.gamma * scaled
         b = self._exp_c1 * a
         b = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2 * 1))
                            for x in v] for d, v in b.coeffs.items()})

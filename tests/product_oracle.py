@@ -10,16 +10,115 @@ zeros: every entry takes the addition and the scale.  `mul`, `exp`,
 sum and scale going through these, for oracles that must not compute
 through the program.  `gamma_class` is the route the program took before
 one Taylor series of Gamma(1 + x) per dimension: per ray, the series of
-log Gamma(1 + D_b) in the ring and its ring `exp`.
+log Gamma(1 + D_b) in the ring and its ring `exp`, with symbolic
+coefficients (`GammaPoly`) that `numeric` evaluates at mpmath's constants.
 
 `series_product` and `euler_form` are the program's routes before the
-divisor power sums and the top-degree tables, in the ring's own
-arithmetic: the product over the rays of one series in D_b each, and the
-Euler form from one top-degree product per entry."""
+divisor power sums and the top-degree tables: the product over the rays of
+one series in D_b each, in this module's arithmetic, and the Euler form
+from one top-degree product per entry, in the ring's own."""
+import functools
 from fractions import Fraction
 
-from toriclg.ktheory import _TODD_COEFF, Cls, GammaPoly
+import mpmath
+
+from toriclg.ktheory import Cls, _gamma_series, _todd_series
 from toriclg.rational import cleared
+
+
+@functools.lru_cache(maxsize=None)
+def constant(k):
+    """The Euler-Mascheroni constant (k = 1) or zeta(k) at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.euler if k == 1 else mpmath.zeta(k))
+
+
+class GammaPoly:
+    """Polynomial in the Euler-Mascheroni constant and zeta values with
+    rational coefficients; keys are exponent tuples (gamma, zeta2, zeta3,
+    ...).  Rational scalars act as constant polynomials on either side of +
+    and *.  The Gamma class's coefficients before the program evaluated
+    them as it built the class."""
+
+    def __init__(self, terms=None, nzeta=0):
+        self.nzeta = nzeta
+        self.terms = dict(terms or {})
+
+    @classmethod
+    def const(cls, c, nzeta):
+        c = Fraction(c)
+        return cls({(0,) * (nzeta + 1): c} if c else {}, nzeta)
+
+    @classmethod
+    def symbol(cls, name, nzeta):
+        key = [0] * (nzeta + 1)
+        if name == "gamma":
+            key[0] = 1
+        else:
+            k = int(name[4:])      # "zeta3" -> 3
+            key[k - 1] = 1
+        return cls({tuple(key): Fraction(1)}, nzeta)
+
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GammaPoly.const(other, self.nzeta)
+        return other
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in self._lift(other).terms.items():
+            out[k] = out.get(k, Fraction(0)) + v
+            if out[k] == 0:
+                del out[k]
+        return GammaPoly(out, self.nzeta)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        out = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                if out[k] == 0:
+                    del out[k]
+        return GammaPoly(out, self.nzeta)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int):
+        return self * Fraction(1, k)
+
+    def evaluate(self) -> complex:
+        vals = [constant(k) for k in range(1, self.nzeta + 2)]
+        out = 0j
+        for key, c in self.terms.items():
+            t = complex(c)
+            for e, v in zip(key, vals):
+                t *= v ** e
+            out += t
+        return out
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return isinstance(other, GammaPoly) and self.terms == other.terms
+
+
+def numeric(cls):
+    """The class with each GammaPoly entry evaluated and each rational one
+    as a complex."""
+    return Cls(cls.ring, {d: [x.evaluate() if isinstance(x, GammaPoly)
+                              else complex(x) for x in v]
+                          for d, v in cls.coeffs.items()})
+
+
+def gamma_series(n):
+    """`ktheory._gamma_series(n)` with g_1..g_n as GammaPolys and g_0 as
+    Fraction(1), as the program kept it before it evaluated the class."""
+    series = _gamma_series(n)
+    nz = max(n - 1, 1)
+    return [Fraction(1)] + [GammaPoly(g, nz) for g in series[1:]]
 
 
 def product(self, other, lowest):
@@ -79,6 +178,7 @@ def exp(cls):
 
 
 def todd_class(ring):
+    t = _todd_series(ring.n)
     out = ring.one()
     for i in range(ring.m):
         D = ring.divisor(i)
@@ -87,7 +187,7 @@ def todd_class(ring):
         for k in range(ring.n + 1):
             if k:
                 pw = mul(pw, D)
-            s = add(s, scaled(pw, _TODD_COEFF[k]))
+            s = add(s, scaled(pw, t[k]))
         out = mul(out, s)
     return out
 
@@ -113,11 +213,11 @@ def gamma_class(ring):
 
 
 def series_product(ring, coeffs):
-    """prod_b sum_{k=0..n} coeffs[k] D_b^k over the rays b, in the ring's
-    own arithmetic: n products by D_b per ray and one product per ray into
-    the running class.  The program's Todd class (coeffs `_TODD_COEFF`)
-    and Gamma class (`_gamma_series(n)`) before they were read from the
-    divisor power sums."""
+    """prod_b sum_{k=0..n} coeffs[k] D_b^k over the rays b: n products by
+    D_b per ray and one product per ray into the running class.  The
+    program's Todd class (coeffs `_todd_series(n)`) and Gamma class
+    (`gamma_series(n)`) before they were read from the divisor power
+    sums."""
     out = ring.one()
     for i in range(ring.m):
         D = ring.divisor(i)
@@ -125,9 +225,9 @@ def series_product(ring, coeffs):
         pw = ring.one()
         for k in range(ring.n + 1):
             if k:
-                pw = pw * D
-            s = s + pw.scaled(coeffs[k])
-        out = out * s
+                pw = mul(pw, D)
+            s = add(s, scaled(pw, coeffs[k]))
+        out = mul(out, s)
     return out
 
 
@@ -141,7 +241,7 @@ def euler_form(ring):
             z = ring.zero()
             z.coeffs[d][i] = Fraction(1)
             units.append(z)
-    td = series_product(ring, _TODD_COEFF)
+    td = series_product(ring, _todd_series(ring.n))
     tds = [b * td for b in units]
     D, flat = cleared([a.dual().product(t, ring.n).integrate()
                        for a in units for t in tds])

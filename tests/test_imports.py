@@ -1,6 +1,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -61,8 +62,9 @@ def test_exact_modules_load_without_numpy():
 
 
 def test_exact_k_theory_loads_without_mpmath():
-    # mpmath is imported on the first evaluation of a Gamma class, so an
-    # Orlov basis and its semiorthogonality check never load it
+    # the Gamma class takes its constants from no library, so neither an
+    # Orlov basis with its semiorthogonality check nor Gamma data load
+    # mpmath
     code = ("import itertools, sys\n"
             "from toriclg import ktheory, secondary\n"
             "from toriclg.fans import StackyFan\n"
@@ -74,7 +76,7 @@ def test_exact_k_theory_loads_without_mpmath():
             "assert ktheory.verify_sod(classes, blocks)[0]\n"
             "assert 'mpmath' not in sys.modules\n"
             "ktheory.GammaData(bd.ring_plus)\n"
-            "assert 'mpmath' in sys.modules\n")
+            "assert 'mpmath' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(PKG.parent))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
@@ -98,3 +100,55 @@ def test_exact_subcommands_run_without_numpy(command, scenario, tmp_path):
                          cwd=PKG.parent.parent / "scenarios",
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_euler_subcommand_runs_without_mpmath(tmp_path):
+    # `euler` compares Gamma pairings with HRR on every Gram, and loads no
+    # mpmath by the time it exits
+    code = ("import sys\n"
+            "from toriclg import cli\n"
+            "rc = cli.main(['euler', '--scenario', 'euler-gram.json',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'mpmath' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=PKG.parent.parent / "scenarios",
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "euler.json").exists()
+
+
+def imported_modules(source):
+    """Top-level names of the absolute imports of a module; relative
+    imports are the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_module_scan():
+    src = ("from __future__ import annotations\n"
+           "import os.path, numpy as np\nfrom . import a\n"
+           "from .b import c\ndef f():\n    import mpmath\n")
+    assert imported_modules(src) == {"__future__", "os", "numpy", "mpmath"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every import in the package is the standard library, the package
+    # itself or a dependency declared in pyproject.toml, and every declared
+    # dependency is imported
+    names = set()
+    for path in PKG.glob("*.py"):
+        names |= imported_modules(path.read_text())
+    third = names - set(sys.stdlib_module_names) - {"toriclg"}
+    assert third == {"numpy"}
+    toml = (PKG.parent.parent / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", toml, re.M | re.S)
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+                for d in re.findall(r'"([^"]+)"', block.group(1))}
+    assert third == declared

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from product_oracle import GammaPoly
 from toriclg import errors, ktheory
 from toriclg.fans import StackyFan
 from toriclg.ktheory import (BlowupData, Cls, CohomologyRing, GammaData,
-                             GammaPoly, KClass, bl_line_p4, bl_point_p2,
+                             KClass, bl_line_p4, bl_point_p2,
                              build_cohomology_ring, euler_pairing_gamma,
                              euler_pairing_hrr, gram_matrix, p1xp1,
                              projective_space, verify_sod)
@@ -191,6 +192,43 @@ def test_gamma_class_p2_two_routes():
     # Gamma(1+x)^3 with x^3 = 0: 1 - 3g x + (9g^2/2 + 3 z2/2) x^2
     assert abs(gnum.coeffs[1][0] - (-3 * g)) < 1e-14
     assert abs(gnum.coeffs[2][0] - (4.5 * g * g + 1.5 * z2)) < 1e-13
+
+
+@pytest.mark.parametrize("k", range(1, 81))
+def test_constants_equal_mpmath_bit_for_bit(k):
+    # the decimal gamma and Borwein's exact zeta(k), each rounded once,
+    # against mpmath at 30 digits
+    import mpmath
+    with mpmath.workdps(30):
+        want = complex(mpmath.euler if k == 1 else mpmath.zeta(k))
+    got = ktheory._constant(k)
+    assert type(got) is complex
+    assert (got.real.hex(), got.imag.hex()) == \
+        (want.real.hex(), want.imag.hex())
+
+
+def test_todd_series_is_the_bernoulli_series():
+    # t_k = B_k / k! with B_1 = +1/2, against the table the ring used up
+    # to degree 8
+    table = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
+             Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
+             Fraction(-1, 1209600)]
+    t = ktheory._todd_series(12)
+    assert list(t[:9]) == table
+    assert all(type(x) is Fraction for x in t)
+    assert t[10] == Fraction(5, 66) / math.factorial(10)
+    assert t[12] == Fraction(-691, 2730) / math.factorial(12)
+    assert t[9] == t[11] == 0
+
+
+def test_hrr_on_p9_needs_todd_past_degree_8():
+    # chi(O, O(j)) = (j + 1)(j + 2)...(j + 9) / 9! on P^9, whose Todd class
+    # reaches degree 9
+    ring = build_cohomology_ring(projective_space(9))
+    O = KClass.structure_sheaf(ring)
+    for j in range(-10, 4):
+        want = math.prod(range(j + 1, j + 10)) // math.factorial(9)
+        assert euler_pairing_hrr(O, line_bundle(ring, {0: j})) == want
 
 
 def test_gamma_pairing_matches_hrr():
@@ -403,17 +441,17 @@ def test_verification_fault_is_raised(monkeypatch, cls, call, message):
 
 
 def test_gamma_data_checks_the_degree_2_convention(monkeypatch):
-    # the Gamma class must have degree-2 part -gamma c1; a doubled entry
-    # in degree 1 fails GammaData's check
-    real = ktheory.gamma_class
+    # the Gamma class must have degree-2 part -gamma c1; a doubled g_1 in
+    # the Gamma series fails GammaData's check
+    real = ktheory._gamma_series
 
-    def doubled(ring):
-        gamma = real(ring)
-        gamma.coeffs[1][0] = gamma.coeffs[1][0] * Fraction(2)
-        return gamma
+    def doubled(n):
+        series = real(n)
+        return (series[0], {e: 2 * c for e, c in series[1].items()},
+                *series[2:])
     ring = build_cohomology_ring(projective_space(2))
     GammaData(ring)
-    monkeypatch.setattr(ktheory, "gamma_class", doubled)
+    monkeypatch.setattr(ktheory, "_gamma_series", doubled)
     with pytest.raises(errors.MismatchWithHRR, match="degree-2 part of the "
                        "Gamma class is not -gamma\\*c1"):
         GammaData(ring)

@@ -49,7 +49,7 @@ def oracle_gamma(ring):
     """[alpha_1, alpha_2) as the integral of the full product b_1 alpha_2,
     both factors rebuilt for each pair."""
     n = ring.n
-    gamma_num = product_oracle.gamma_class(ring).numeric()
+    gamma_num = product_oracle.numeric(product_oracle.gamma_class(ring))
     exp_c1 = product_oracle.exp(ring.c1().numeric().scaled(-1j * math.pi))
 
     def alpha(V):

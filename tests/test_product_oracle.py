@@ -8,7 +8,9 @@ and Gamma classes from the divisor power sums, and the Euler form from
 the top-degree tables, against the routes they replaced.  The exp of a
 divisor read from its monomials against the ring `exp`, and the HRR
 Gram with the Euler form applied once per class against the Fraction
-pairing of `test_pairing_oracle`."""
+pairing of `test_pairing_oracle`.  The Gamma class, built as complex
+numbers, against the symbolic classes of `product_oracle` evaluated there,
+bit for bit."""
 import gc
 import itertools
 import math
@@ -24,8 +26,8 @@ from test_pairing_oracle import oracle_euler_form, oracle_hrr
 from test_ring_oracle import FANS
 from toriclg import ktheory
 from toriclg.fans import StackyFan
-from toriclg.ktheory import (Cls, CohomologyRing, GammaData, GammaPoly,
-                             KClass, bl_line_p4, gamma_class, gram_matrix,
+from toriclg.ktheory import (Cls, CohomologyRing, GammaData, KClass,
+                             bl_line_p4, gamma_class, gram_matrix,
                              projective_space)
 from toriclg.mutation import KBackend
 from toriclg.secondary import wall_between
@@ -33,12 +35,10 @@ from toriclg.secondary import wall_between
 
 def canon(x):
     """A scalar as a comparable key that tells apart what `==` merges: the
-    type of a Fraction, the bits of each complex part (-0.0 and nan too)
-    and the order of a GammaPoly's terms."""
+    type of a Fraction and the bits of each complex part (-0.0 and nan
+    too)."""
     if isinstance(x, complex):
         return "complex", x.real.hex(), x.imag.hex()
-    if isinstance(x, GammaPoly):
-        return "gamma", [(k, type(v), v) for k, v in x.terms.items()]
     return type(x), x
 
 
@@ -59,24 +59,8 @@ def random_complex(rng):
     return complex(rng.uniform(-2, 2), rng.choice((-0.0, rng.uniform(-2, 2))))
 
 
-def random_gamma(rng, nz):
-    """A GammaPoly with up to three terms (none: the zero polynomial), or
-    a Fraction, as the entries of a class built by `gamma_class` mix
-    both."""
-    if rng.random() < 0.3:
-        return random_fraction(rng)
-    terms = {}
-    for _ in range(rng.randint(0, 3)):
-        key = tuple(rng.randint(0, 2) for _ in range(nz + 1))
-        terms[key] = random_fraction(rng) or Fraction(1)
-    return GammaPoly(terms, nz)
-
-
 def random_class(ring, rng, kind):
-    nz = max(ring.n - 1, 1)
-    draw = {"fraction": random_fraction,
-            "complex": random_complex,
-            "gamma": lambda r: random_gamma(r, nz)}[kind]
+    draw = {"fraction": random_fraction, "complex": random_complex}[kind]
     coeffs = {}
     for d in range(ring.n + 1):
         coeffs[d] = [Fraction(0) if rng.random() < 0.3 else draw(rng)
@@ -89,7 +73,6 @@ def random_class(ring, rng, kind):
 
 
 KINDS = [("fraction", "fraction"), ("complex", "complex"),
-         ("gamma", "gamma"), ("gamma", "fraction"), ("fraction", "gamma"),
          ("complex", "fraction")]
 
 
@@ -120,20 +103,6 @@ def test_complex_nan_and_signed_zeros_are_kept():
     want = product_oracle.product(a, b, 0)
     assert canon_cls(got) == canon_cls(want)
     assert math.isnan(got.coeffs[0][0].real)
-
-
-def test_gamma_poly_truth_is_inequality_with_zero():
-    rng = random.Random(3)
-    values = [GammaPoly.const(0, 2), GammaPoly.const(Fraction(1, 3), 2),
-              GammaPoly.symbol("gamma", 2), GammaPoly({}, 1),
-              GammaPoly.symbol("zeta2", 2) * Fraction(0),
-              GammaPoly.symbol("gamma", 2) + GammaPoly.symbol("gamma", 2)
-              * Fraction(-1)]
-    values += [random_gamma(rng, 2) for _ in range(50)]
-    values = [g for g in values if isinstance(g, GammaPoly)]
-    assert any(not g.terms for g in values) and any(g.terms for g in values)
-    for g in values:
-        assert bool(g) == (g != 0)
 
 
 class CountingDict(dict):
@@ -207,11 +176,13 @@ RINGS = dict(FANS, p1=lambda: projective_space(1))
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_gamma_class_equals_the_log_exp_oracle_bit_for_bit(name):
+    # the complex class against the symbolic per-ray class evaluated on
+    # the oracle side, in the bits of both parts of every entry
     ring = CohomologyRing(RINGS[name]())
     got = gamma_class(ring)
-    want = product_oracle.gamma_class(ring)
-    assert got == want
-    assert canon_cls(got.numeric()) == canon_cls(want.numeric())
+    want = product_oracle.numeric(product_oracle.gamma_class(ring))
+    assert all(type(x) is complex for v in got.coeffs.values() for x in v)
+    assert canon_cls(got) == canon_cls(want)
 
 
 def test_gamma_class_takes_no_exp_and_one_series_per_dimension(monkeypatch):
@@ -228,19 +199,24 @@ def test_gamma_class_takes_no_exp_and_one_series_per_dimension(monkeypatch):
     ktheory._gamma_series.cache_clear()
     GammaData(ring)
     GammaData(CohomologyRing(bl_line_p4()))
+    # each GammaData reads the series for its degree-2 check and for the
+    # class
     info = ktheory._gamma_series.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_gamma_class_equals_the_series_route_typed(name):
-    # from the power sums, each entry keeps the type, the term order and
-    # the value that the per-ray series product gave it
+    # from the power sums, each entry sums its terms in the order that
+    # the per-ray series product gave them, so it keeps the bits of that
+    # symbolic class evaluated; and that class, of the program's exact
+    # series, is the per-ray log and exp class exactly
     ring = CohomologyRing(RINGS[name]())
     got = gamma_class(ring)
-    want = product_oracle.series_product(ring, ktheory._gamma_series(ring.n))
-    assert canon_cls(got) == canon_cls(want)
-    assert canon_cls(got.numeric()) == canon_cls(want.numeric())
+    want = product_oracle.series_product(
+        ring, product_oracle.gamma_series(ring.n))
+    assert canon_cls(got) == canon_cls(product_oracle.numeric(want))
+    assert want == product_oracle.gamma_class(ring)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -248,7 +224,7 @@ def test_todd_class_equals_the_series_route_typed(name):
     ring = CohomologyRing(RINGS[name]())
     got = ring.todd_class()
     assert canon_cls(got) == canon_cls(
-        product_oracle.series_product(ring, ktheory._TODD_COEFF))
+        product_oracle.series_product(ring, ktheory._todd_series(ring.n)))
     assert all(type(x) is Fraction for v in got.coeffs.values() for x in v)
 
 
@@ -262,33 +238,28 @@ def test_power_sums_take_no_product_and_gamma_no_two_term_products(
         monkeypatch):
     # P_k = sum_b D_b^k is read from the monomial reductions, with no
     # product (the m (n - 1) products D_b^k give the same class); the Gamma
-    # class takes one product P^{e'} P_k per term e of the series and
-    # never multiplies two GammaPolys of more than one term
-    products, pairs = [], []
-    real_product, real_mul = Cls.product, GammaPoly.__mul__
+    # class takes one product P^{e'} P_k per term e of the series, of
+    # exact classes alone: no symbolic or complex coefficient enters the
+    # ring
+    products = []
+    real_product = Cls.product
 
     def product(self, other, lowest):
         products.append(lowest)
+        assert all(type(x) is Fraction for c in (self, other)
+                   for v in c.coeffs.values() for x in v)
         return real_product(self, other, lowest)
-
-    def mul(self, other):
-        pairs.append((len(self.terms), len(self._lift(other).terms)))
-        return real_mul(self, other)
     for name in sorted(RINGS):
         ring = CohomologyRing(RINGS[name]())
         n = ring.n
-        ktheory._gamma_series.cache_clear()
         monkeypatch.setattr(Cls, "product", product)
-        monkeypatch.setattr(GammaPoly, "__mul__", mul)
-        monkeypatch.setattr(GammaPoly, "__rmul__", mul)
         products.clear()
         sums = [ring.power_sum(k) for k in range(1, n + 1)]
         assert products == []
         gamma_class(ring)
         series = ktheory._gamma_series(n)
         assert sorted(products) == sorted(
-            d for d in range(1, n + 1) for _ in series[d].terms)
-        assert pairs and all(min(p) <= 1 for p in pairs)
+            d for d in range(1, n + 1) for _ in series[d])
         monkeypatch.undo()
         for k, P in enumerate(sums, 1):
             want = ring.zero()
@@ -340,7 +311,6 @@ def test_rings_and_pairings_leave_no_garbage_for_the_collector():
     p4 = StackyFan(fan.vector_set,
                    itertools.combinations(range(5), 4))
     wall = wall_between(fan, p4)
-    ktheory._constant(1)        # mpmath's import is not the program's
     gc.collect()
     gc.disable()
     try:
@@ -363,41 +333,33 @@ def add_and_scale_cases(ring, rng):
     """(kind, class) pairs: random classes of each scalar kind, the unit
     classes, and for every `lowest` a product that keeps only degrees
     lowest..n, so its lower degrees are exact zeros."""
-    kinds = ("fraction", "complex", "gamma")
+    kinds = ("fraction", "complex")
     cases = [(k, random_class(ring, rng, k)) for k in kinds for _ in range(3)]
     cases += [("fraction", ring.zero()), ("fraction", ring.one()),
               ("fraction", ring.divisor(0))]
     for lowest in range(ring.n + 1):
-        k = kinds[lowest % 3]
+        k = kinds[lowest % 2]
         a, b = random_class(ring, rng, k), random_class(ring, rng, k)
         cases.append((k, a.product(b, lowest)))
     return cases
 
 
-def scales(kind, nz):
-    """The scales a class of the kind can take: an int, Fractions (zero
-    included), complex numbers with signed zeros, GammaPolys."""
-    out = [-1, Fraction(-3, 2), Fraction(0)]
-    if kind != "gamma":
-        out += [complex(-0.0, 1.5), complex(0.0, -0.0)]
-    if kind != "complex":
-        out += [GammaPoly.symbol("gamma", nz) * Fraction(2), GammaPoly({}, nz)]
-    return out
+# the scales a class can take: an int, Fractions (zero included), complex
+# numbers with signed zeros
+SCALES = [-1, Fraction(-3, 2), Fraction(0), complex(-0.0, 1.5),
+          complex(0.0, -0.0)]
 
 
 @pytest.mark.parametrize("name", sorted(FANS))
 def test_add_and_scaled_equal_the_old_loops(name):
     ring = CohomologyRing(FANS[name]())
     rng = random.Random(100 + sorted(FANS).index(name))
-    nz = max(ring.n - 1, 1)
     cases = add_and_scale_cases(ring, rng)
     for ka, a in cases:
-        for c in scales(ka, nz):
+        for c in SCALES:
             assert canon_cls(a.scaled(c)) == \
                 canon_cls(product_oracle.scaled(a, c)), (ka, c)
         for kb, b in cases:
-            if {ka, kb} == {"complex", "gamma"}:
-                continue        # GammaPoly takes no complex operand
             want = product_oracle.add(a, b)
             assert canon_cls(a + b) == canon_cls(want), (ka, kb)
             assert canon_cls(a - b) == canon_cls(
@@ -477,7 +439,7 @@ def test_line_bundles_take_no_ring_product_or_exp(monkeypatch):
 
 def test_exp_rejects_a_degree_zero_part():
     ring = CohomologyRing(FANS["p2"]())
-    for c0 in (Fraction(1, 2), 1j, GammaPoly.symbol("gamma", 1)):
+    for c0 in (Fraction(1, 2), 1j):
         a = ring.divisor(0)
         a.coeffs[0][0] = c0
         with pytest.raises(ValueError, match="degree-0 coefficient"):
