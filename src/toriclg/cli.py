@@ -146,8 +146,7 @@ def cmd_track(scn: Scenario, outdir, seed):
         for k, s in enumerate(params):
             s = complex(s)
             row = [str(k), "%.17g" % s.real, "%.17g" % s.imag]
-            for br in traj.branches:
-                v = br[k].value
+            for v in traj.values_at_step(k):
                 row += ["%.17g" % v.real, "%.17g" % v.imag]
             fh.write(",".join(row) + "\n")
     _dump({"name": scn.name, "events": traj.events}, outdir, "events.json")
@@ -172,8 +171,7 @@ def cmd_mutate(scn: Scenario, outdir, seed):
     for pos, b in enumerate(order0):
         vectors[b] = back.flatten(initial[pos].ch)
         labels[b] = initial[pos].label
-    mrs = MarkedReflectionSystem(back, vectors,
-                                 [br[0].value for br in traj.branches],
+    mrs = MarkedReflectionSystem(back, vectors, traj.values_at_step(0),
                                  phase=phase, labels=labels)
     final, events = evolve(mrs, traj)
     # compare against the expected nine-term collection up to sign, the

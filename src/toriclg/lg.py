@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -232,7 +233,6 @@ class CriticalDatum:
         self.nondegenerate = abs(deth) > TOL_HESS * (
             float(scale) or 1.0) ** len(log_point)
         self.tag = "unknown"
-        self.orientation = 1
         self.sqrt_det_h = cmath.sqrt(deth)
 
     @classmethod
@@ -701,7 +701,6 @@ def conifold_point(F: LGPotential) -> CriticalDatum:
     l, t = sol
     p = CriticalDatum(l, F.value(l, terms=t), F.hess(l, terms=t))
     p.tag = "convergent"
-    p.orientation = 1
     p.sqrt_det_h = math.sqrt(p.det_hessian.real)   # positive definite Hessian
     return p
 
@@ -811,12 +810,19 @@ def newton_nondegenerate(F: LGPotential, rng=None):
 # tracking
 
 
+TrackedPoint = namedtuple("TrackedPoint", "log_point value component")
+
+
 class Trajectory:
-    """Matched critical-value branches along a parameter path."""
+    """Matched critical-value branches along a parameter path.
+
+    branches[b][k] is branch b at step k, read as `.log_point` (canonical),
+    `.value` and `.component`: a `TrackedPoint`, or at step 0 and at a
+    re-matched step the `CriticalDatum` that `critical_points` returned."""
 
     def __init__(self, params, branches, events, family=None):
         self.params = list(params)
-        self.branches = branches      # list over branches of lists of CriticalDatum
+        self.branches = branches      # list over branches of lists of steps
         self.events = events          # list of dicts
         self.family = family
 
@@ -862,11 +868,12 @@ def track_critical_values(family, params, rng=None):
 
     family: callable param -> LGPotential with a fixed exponent layout.
     Each step solves every branch from its linear prediction as one
-    lockstep stack.  Collision events (two values approaching within
-    TOL_COLLIDE * scale) are localized by golden-section on the distance of
-    the colliding pair, its probes solved in lockstep a few moves ahead
-    (`_locate_collision`), and logged with the refined parameter.  A failed
-    step is halved at most 12 times before the branch counts as lost.
+    lockstep stack and keeps a `TrackedPoint` per branch.  Collision events
+    (two values approaching within TOL_COLLIDE * scale) are localized by
+    golden-section on the distance of the colliding pair, its probes solved
+    in lockstep a few moves ahead (`_locate_collision`), and logged with the
+    refined parameter.  A failed step is halved at most 12 times before the
+    branch counts as lost.
     """
     if len(params) < 2:
         raise ValueError("need at least two path parameters")
@@ -896,9 +903,8 @@ def track_critical_values(family, params, rng=None):
             sols[i] = sol
         L = np.array([l for l, _ in sols]).reshape(len(sols), Fk.n)
         T = np.array([t for _, t in sols]).reshape(len(sols), Fk.nterms)
-        nxt = CriticalDatum.stack(_canonical_log(L), Fk.value(L, terms=T),
-                                  Fk.hess(L, comps, T), comps)
-        return list(map(_transport_branch, prev_pts, nxt)), None
+        return list(map(TrackedPoint, _canonical_log(L),
+                        Fk.value(L, terms=T).tolist(), comps)), None
 
     def advance_adaptive(a, b, cur, prev_prev, depth):
         nxt, failed = advance(family(b), cur, prev_prev)
@@ -971,20 +977,10 @@ def _pnum(s):
     return s.real if s.imag == 0 else s
 
 
-def _transport_branch(p, q):
-    """Continue the sqrt(det H) branch and orientation of p to its successor
-    q: q takes the sign of sqrt(det H) nearer to p's.  Returns q."""
-    if abs(-q.sqrt_det_h - p.sqrt_det_h) < abs(q.sqrt_det_h - p.sqrt_det_h):
-        q.sqrt_det_h = -q.sqrt_det_h
-        q.orientation = -p.orientation
-    else:
-        q.orientation = p.orientation
-    return q
-
-
 def _rematch(F, prev_pts, nbranches, rng):
     """Full fibre solve and greedy nearest-neighbour assignment to the
-    previous step (used when monodromy merges tracked branches)."""
+    previous step (used when monodromy merges tracked branches): the
+    matched `critical_points` data in branch order, or None."""
     try:
         pts = critical_points(F, rng=rng, raise_on_incomplete=False,
                               expected=nbranches)
@@ -1002,8 +998,7 @@ def _rematch(F, prev_pts, nbranches, rng):
             assign[i] = j
     if len(assign) < len(prev_pts):
         return None
-    return [_transport_branch(p, pts[assign[i]])
-            for i, p in enumerate(prev_pts)]
+    return [pts[assign[i]] for i in range(len(prev_pts))]
 
 
 def _locate_collision(family, branches, params, k_enter, k_exit):

@@ -298,8 +298,7 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
     events = []
     params = trajectory.params
     phase = mrs.phase
-    values = [[br[k].value for br in trajectory.branches]
-              for k in range(len(params))]
+    values = list(map(trajectory.values_at_step, range(len(params))))
     steps = _crossings(values, phase)
     found = [(k, i, j, s) for k, step in enumerate(steps)
              for i, j, _, s in step]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +235,65 @@ def test_tracking_solves_no_empty_stack(monkeypatch, tmp_path):
                "--out", str(tmp_path), "--seed", "0"])
     assert rc == 0
     assert rows and 0 not in rows
+
+
+def test_tracking_step_builds_no_hessian(monkeypatch, tmp_path):
+    # a tracked step keeps its log point, value and component: the only
+    # Hessians and CriticalDatum stacks of a `track` run are Newton's and
+    # the multistart search's, at step 0 and at the one re-match that
+    # discriminant-probe reaches (so the re-match path stays covered)
+    from toriclg.cli import main
+    inside = {lg._newton_solve.__code__, lg.critical_points.__code__}
+    calls = {"hess": [0, 0], "stack": [0, 0], "_rematch": 0}
+
+    def count(name):
+        f = sys._getframe()
+        while f is not None and f.f_code not in inside:
+            f = f.f_back
+        calls[name][f is None] += 1
+
+    hess, stack, rematch = (lg.LGPotential.hess,
+                            lg.CriticalDatum.stack.__func__, lg._rematch)
+
+    def counted_hess(self, *args, **kwargs):
+        count("hess")
+        return hess(self, *args, **kwargs)
+
+    def counted_stack(cls, *args):
+        count("stack")
+        return stack(cls, *args)
+
+    def counted_rematch(*args):
+        calls["_rematch"] += 1
+        return rematch(*args)
+
+    made = []
+
+    class Recorded(lg.Trajectory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(lg.LGPotential, "hess", counted_hess)
+    monkeypatch.setattr(lg.CriticalDatum, "stack", classmethod(counted_stack))
+    monkeypatch.setattr(lg, "_rematch", counted_rematch)
+    monkeypatch.setattr(lg, "Trajectory", Recorded)
+    rc = main(["track", "--scenario",
+               os.path.join(SCN, "discriminant-probe.json"),
+               "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 0
+    assert calls["_rematch"] == 1
+    assert calls["hess"][1] == calls["stack"][1] == 0
+    assert calls["hess"][0] > 0 and calls["stack"][0] > 0
+    traj, = made
+    rematched = {e["step"] + 1 for e in traj.events
+                 if e["kind"] == "branch_lost"}
+    assert len(rematched) == 1
+    for br in traj.branches:
+        for k, p in enumerate(br):
+            want = (lg.CriticalDatum if k == 0 or k in rematched
+                    else lg.TrackedPoint)
+            assert type(p) is want
 
 
 def test_search_stops_at_count_bound(monkeypatch):

@@ -14,7 +14,7 @@ from toriclg.ktheory import (BlowupData, KClass, bl_line_p4,
                              bl_line_p4_collection, build_cohomology_ring,
                              euler_pairing_hrr, projective_space)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lg import (CriticalDatum, LGPotential, Trajectory,
+from toriclg.lg import (LGPotential, TrackedPoint, Trajectory,
                         track_critical_values)
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               admissible, evolve)
@@ -191,21 +191,18 @@ def test_example_716_backward_forward_roundtrip():
     assert got == want
 
 
-class _D:
-    def __init__(self, v):
-        self.value = v
+def _point(u, log_point=(0, 0)):
+    """A tracked step of value u, as tracking stores it."""
+    return TrackedPoint(np.asarray(log_point, dtype=complex), complex(u), ())
 
 
 def _fake_traj(values):
     """A trajectory without a family, one tuple of node values per branch
     (start, ..., end) at evenly spaced parameters in [0, 1], so crossings
     keep their interpolated times."""
-    class FakeTraj:
-        params = [k / (len(values[0]) - 1) for k in range(len(values[0]))]
-        family = None
-        branches = [[_D(u) for u in row] for row in values]
-        nbranches = len(values)
-    return FakeTraj()
+    params = [k / (len(values[0]) - 1) for k in range(len(values[0]))]
+    return Trajectory(params, [[_point(u) for u in row] for row in values],
+                      [])
 
 
 def _identity_system(markings, phase=0.0):
@@ -244,11 +241,9 @@ def test_evolve_non_admissible_endpoint_raises():
 def test_evolve_refinement_lost_branch_raises():
     # the stored values cross the positive ray, but the family has no torus
     # critical point, so re-solving a crossing branch fails
-    def datum(u):
-        return CriticalDatum(np.zeros(2), u, np.eye(2))
     values = [(0, 0), (1 - 1j, 1 + 1j)]
     traj = Trajectory([0.0, 1.0],
-                      [[datum(u0), datum(u1)] for u0, u1 in values], [],
+                      [[_point(u0), _point(u1)] for u0, u1 in values], [],
                       family=lambda s: LGPotential([(1, 0), (0, 1)], [1, 1]))
     mrs = _identity_system([u0 for u0, _ in values])
     with pytest.raises(errors.LostBranch, match="branch 0"):
@@ -288,10 +283,10 @@ def test_evolve_step_errors_raise_in_step_order(branch2, error, match):
     # entangled step 0 raises first
     F = pn_mirror(2, 1.0)
     values = [(0, 0, 0), (1 - 1j, 1 + 1j, 1 - 1j), branch2]
-    branches = [[CriticalDatum(np.full(2, 2j * math.pi * b / 3), u,
-                               np.eye(2)) for u in row]
+    branches = [[_point(u, np.full(2, 2j * math.pi * b / 3)) for u in row]
                 for b, row in enumerate(values)]
-    branches[1][1].log_point = np.full(2, complex(np.nan))
+    branches[1][1] = branches[1][1]._replace(
+        log_point=np.full(2, complex(np.nan)))
     traj = Trajectory([0.0, 1.0, 2.0], branches, [], family=lambda s: F)
     with pytest.raises(error, match=match):
         evolve(_identity_system([v[0] for v in values]), traj)
