@@ -33,7 +33,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -399,18 +401,21 @@ def _newton_solve(F, L0, C, tol=TOL_NEWTON, box=None):
                 # when chi = 0, so the test sits under the small norms
                 if gn[i] >= _NORM_FLOOR:
                     out[rows[i]] = (L[i], T[i])
-                elif not T[i].any():    # every term underflowed: retired
-                    done[i], gn[i] = False, math.nan
+                elif not T[i].any():    # every term underflowed: retired,
+                    continue            # done without a result
                 elif _small_gradient(G[i], tol * sc[i]):
                     out[rows[i]] = (L[i], T[i])
                 else:
                     done[i] = False     # the squares underflowed, not a zero
-            go = np.isfinite(gn) & ~done
+            go = ~done
+            if not it:  # every later gn is an accepted trial's, so finite
+                go &= np.isfinite(gn)
             if box is not None:
                 go &= np.abs(L.real).max(axis=1) <= box
-            if it == 100 or not go.any():
+            live = np.count_nonzero(go)
+            if it == 100 or not live:
                 break
-            if not go.all():
+            if live < len(go):
                 L, T, G, gn, C, rows = (
                     x[go] for x in (L, T, G, gn, C, rows))
             dL, go = _solve(F.hess(L, terms=T), -G[:, :, None])
@@ -517,11 +522,12 @@ def _alpha_certified(F, points):
     associated zero lies within 2 beta of its point.  The points are then
     that many distinct simple torus zeros."""
     comps = [p.component for p in points]
-    alpha, beta = _alpha_beta(F, [p.log_point for p in points], comps)
-    i, j, same = _pairs(comps)
-    gap = _pair_gaps(points, i, j)
+    L = np.array([p.log_point for p in points])
+    alpha, beta = _alpha_beta(F, L, comps)
+    i, j = _same_pairs(comps)
+    gap = _pair_gaps(L, i, j)
     return bool((alpha < ALPHA_MAX).all()
-                and not (same & ~(gap > 2 * (beta[i] + beta[j]))).any())
+                and (gap > 2 * (beta[i] + beta[j])).all())
 
 
 def _new_points(L, near, tol):
@@ -813,25 +819,54 @@ def newton_nondegenerate(F: LGPotential, rng=None):
 TrackedPoint = namedtuple("TrackedPoint", "log_point value component")
 
 
+class _Branch(Sequence):
+    """Branch b of a trajectory over its stored steps, read-only: item k is
+    a `TrackedPoint` built from the step-k arrays."""
+
+    def __init__(self, traj, b):
+        self._traj, self._b = traj, b
+
+    def __len__(self):
+        return len(self._traj.values)
+
+    def __getitem__(self, k):
+        t, b = self._traj, self._b
+        k = operator.index(k)
+        return TrackedPoint(t.log_points[k][b], t.values[k][b].item(),
+                            t.components[b])
+
+
 class Trajectory:
-    """Matched critical-value branches along a parameter path.
+    """Matched critical-value branches along a parameter path, one array
+    pair per step.
 
-    branches[b][k] is branch b at step k, read as `.log_point` (canonical),
-    `.value` and `.component`: a `TrackedPoint`, or at step 0 and at a
-    re-matched step the `CriticalDatum` that `critical_points` returned."""
+    log_points[k] is the (branches, n) complex array of the canonical log
+    points of every branch at step k, values[k] the (branches,) complex
+    array of their critical values, and components[b] the fibre component
+    of branch b, which it keeps along the whole path.  branches[b][k] reads
+    branch b at step k from those arrays as a `TrackedPoint` (`.log_point`,
+    `.value` as a Python complex, `.component`); it is a view, never
+    stored."""
 
-    def __init__(self, params, branches, events, family=None):
+    def __init__(self, params, log_points, values, components, events,
+                 family=None):
         self.params = list(params)
-        self.branches = branches      # list over branches of lists of steps
-        self.events = events          # list of dicts
+        self.log_points = list(log_points)
+        self.values = list(values)
+        self.components = list(components)
+        self.events = list(events)    # list of dicts
         self.family = family
 
     @property
     def nbranches(self):
-        return len(self.branches)
+        return len(self.components)
+
+    @property
+    def branches(self):
+        return [_Branch(self, b) for b in range(self.nbranches)]
 
     def values_at_step(self, k):
-        return [br[k].value for br in self.branches]
+        return self.values[k].tolist()
 
     def resolve(self, rows):
         """Critical values at intermediate parameters, one per row
@@ -846,13 +881,15 @@ class Trajectory:
         its own potential's coefficient row.  A row's value is its one-row
         solve's bit for bit, so mutation refinement bisects every crossing
         of a trajectory in lockstep, one call per bisection level."""
+        if not rows:
+            return []
         fam = {p: self.family(p) for p in dict.fromkeys(r[0] for r in rows)}
-        pts = [self.branches[b][k] for _, k, b in rows]
         F = fam[rows[0][0]]
-        C = np.array([fam[p].coefficients_on(q.component)
-                      for (p, _, _), q in zip(rows, pts)],
+        C = np.array([fam[p].coefficients_on(self.components[b])
+                      for p, _, b in rows],
                      dtype=complex).reshape(len(rows), F.nterms)
-        sols = _newton_solve(F, [q.log_point for q in pts], C)
+        sols = _newton_solve(F, [self.log_points[k][b] for _, k, b in rows],
+                             C)
         done = [r for r, sol in enumerate(sols) if sol is not None]
         out = [None] * len(rows)
         if done:        # values read only chi, which the family shares
@@ -867,44 +904,43 @@ def track_critical_values(family, params, rng=None):
     family along the parameter list.
 
     family: callable param -> LGPotential with a fixed exponent layout.
-    Each step solves every branch from its linear prediction as one
-    lockstep stack and keeps a `TrackedPoint` per branch.  Collision events
-    (two values approaching within TOL_COLLIDE * scale) are localized by
-    golden-section on the distance of the colliding pair, its probes solved
-    in lockstep a few moves ahead (`_locate_collision`), and logged with the
-    refined parameter.  A failed step is halved at most 12 times before the
-    branch counts as lost.
+    Each step solves every branch from its linear prediction P + (P - PP),
+    P and PP the log points of the two steps before, as one lockstep stack
+    and stores the step's log points and values as two arrays
+    (`Trajectory`).  Collision events (two values on one fibre component
+    approaching within TOL_COLLIDE * scale) are localized by golden-section
+    on the distance of the colliding pair, its probes solved in lockstep a
+    few moves ahead (`_locate_collision`), and logged with the refined
+    parameter.  A failed step is halved at most 12 times before the branch
+    counts as lost.
     """
     if len(params) < 2:
         raise ValueError("need at least two path parameters")
-    pts = critical_points(family(params[0]), rng=rng)
-    branches = [[p] for p in pts]
-    events = []
+    F0 = family(params[0])
+    pts = critical_points(F0, rng=rng)
+    comps = [p.component for p in pts]
+    L0, V0 = _step_arrays(pts, F0.n)
+    traj = Trajectory(params, [L0], [V0], comps, [], family)
+    events = traj.events
     # a branch keeps its fibre component (re-matching too), so the pairs
     # that share one are found once
-    pi, pj, same = _pairs([p.component for p in pts])
+    pi, pj = _same_pairs(comps)
 
-    def advance(Fk, prev_pts, prev_prev_pts):
+    def advance(Fk, P, PP):
         # every branch from its linear prediction, then the failed ones (if
         # any) again from their previous points; the first failing both is
         # reported
-        comps = [p.component for p in prev_pts]
-        preds = np.array([p.log_point for p in prev_pts])
-        if prev_prev_pts is not None:
-            preds = preds + (preds - np.array([p.log_point
-                                               for p in prev_prev_pts]))
         C = Fk.coefficient_rows(comps)
-        sols = _newton_solve(Fk, preds, C)
+        sols = _newton_solve(Fk, P if PP is None else P + (P - PP), C)
         retry = [i for i, sol in enumerate(sols) if sol is None]
-        for i, sol in zip(retry, retry and _newton_solve(
-                Fk, [prev_pts[i].log_point for i in retry], C[retry])):
+        for i, sol in zip(retry, retry and _newton_solve(Fk, P[retry],
+                                                         C[retry])):
             if sol is None:
                 return None, i
             sols[i] = sol
         L = np.array([l for l, _ in sols]).reshape(len(sols), Fk.n)
         T = np.array([t for _, t in sols]).reshape(len(sols), Fk.nterms)
-        return list(map(TrackedPoint, _canonical_log(L),
-                        Fk.value(L, terms=T).tolist(), comps)), None
+        return (_canonical_log(L), Fk.value(L, terms=T)), None
 
     def advance_adaptive(a, b, cur, prev_prev, depth):
         nxt, failed = advance(family(b), cur, prev_prev)
@@ -916,59 +952,66 @@ def track_critical_values(family, params, rng=None):
             raise errors.LostBranch(
                 f"Newton failed for branch {failed} near parameter {b}")
         mid = a + (b - a) * 0.5
-        m1, pp = advance_adaptive(a, mid, cur, prev_prev, depth + 1)
+        (m1, _), pp = advance_adaptive(a, mid, cur, prev_prev, depth + 1)
         return advance_adaptive(mid, b, m1, pp, depth + 1)
 
     prev_prev = None
     pending_from = None
     for k in range(len(params) - 1):
         s0, s1 = params[k], params[k + 1]
-        cur = [br[-1] for br in branches]
-        nxt, prev_prev = advance_adaptive(s0, s1, cur, prev_prev, 0)
+        P = traj.log_points[-1]
+        (L, V), prev_prev = advance_adaptive(s0, s1, P, prev_prev, 0)
         # two branches of one fibre component landing on one sheet, within
         # 1e-8 in wrapped log distance (monodromy past a collision):
         # re-solve the fibre and re-match greedily
-        if ((_pair_gaps(nxt, pi, pj) < 1e-8) & same).any():
-            nxt = _rematch(family(s1), cur, len(branches), rng)
-            if nxt is None:
+        if (_pair_gaps(L, pi, pj) < 1e-8).any():
+            L, V = _rematch(family(s1), P, comps, rng)
+            if L is None:
                 raise errors.LostBranch(
                     f"branches merged at parameter {s1} and re-matching failed")
             events.append({"step": k, "kind": "branch_lost",
                            "param": _pnum(s1)})
-        scale = max([1.0] + [abs(p.value) for p in nxt])
-        vd = min([math.inf] + [abs(p.value - q.value)
-                               for p, q in itertools.combinations(nxt, 2)])
-        for br, p in zip(branches, nxt):
-            br.append(p)
+        traj.log_points.append(L)
+        traj.values.append(V)
+        # |u| and |u_i - u_j| by hypot, the bits of Python's abs(complex)
+        scale = np.hypot(V.real, V.imag).max(initial=1.0)
+        D = V[pi] - V[pj]
+        vd = np.hypot(D.real, D.imag).min(initial=math.inf)
         if vd < TOL_COLLIDE * scale and pending_from is None:
             pending_from = k      # entered the collision neighbourhood
         elif pending_from is not None and vd > 2 * TOL_COLLIDE * scale:
-            sstar = _locate_collision(family, branches, params,
-                                      pending_from, k + 1)
+            sstar = _locate_collision(traj, pending_from, k + 1)
             events.append({"step": pending_from,
                            "kind": "collision_near_discriminant",
                            "param": _pnum(sstar)})
             pending_from = None
     if pending_from is not None:
-        sstar = _locate_collision(family, branches, params, pending_from,
-                                  len(params) - 1)
+        sstar = _locate_collision(traj, pending_from, len(params) - 1)
         events.append({"step": pending_from,
                        "kind": "collision_near_discriminant",
                        "param": _pnum(sstar)})
-    return Trajectory(params, branches, events, family)
+    return traj
 
 
-def _pairs(components):
-    """(i, j, same fibre component) over the pairs i < j of the labels."""
+def _step_arrays(pts, n):
+    """The log points (k, n) and values (k,) of `critical_points` data."""
+    return (np.array([p.log_point for p in pts], dtype=complex).reshape(
+        len(pts), n), np.array([p.value for p in pts], dtype=complex))
+
+
+def _same_pairs(components):
+    """(i, j) over the pairs i < j of the labels on one fibre component, in
+    the order of `itertools.combinations`."""
     i, j = np.triu_indices(len(components), 1)
     ids = {}
     code = np.array([ids.setdefault(c, len(ids)) for c in components], int)
-    return i, j, code[i] == code[j]
+    same = code[i] == code[j]
+    return i[same], j[same]
 
 
-def _pair_gaps(pts, i, j):
-    """Wrapped log distance of each pair (i, j) of the points, all at once."""
-    P = np.array([p.log_point for p in pts])
+def _pair_gaps(P, i, j):
+    """Wrapped log distance of each pair (i, j) of the rows of the (k, n)
+    log point stack P, all at once."""
     return _row_norms(_canonical_log(P[i] - P[j]))
 
 
@@ -977,39 +1020,41 @@ def _pnum(s):
     return s.real if s.imag == 0 else s
 
 
-def _rematch(F, prev_pts, nbranches, rng):
+def _rematch(F, P, comps, rng):
     """Full fibre solve and greedy nearest-neighbour assignment to the
-    previous step (used when monodromy merges tracked branches): the
-    matched `critical_points` data in branch order, or None."""
+    previous step's log points P, branch b on fibre component comps[b]
+    (used when monodromy merges tracked branches): the matched points' log
+    points and values in branch order, or (None, None)."""
+    nbranches = len(comps)
     try:
         pts = critical_points(F, rng=rng, raise_on_incomplete=False,
                               expected=nbranches)
     except errors.IncompleteCount:
-        return None
+        return None, None
     if len(pts) < nbranches:
-        return None
-    pairs = sorted((np.linalg.norm(_canonical_log(p.log_point - q.log_point)),
-                    i, j)
-                   for i, p in enumerate(prev_pts) for j, q in enumerate(pts)
-                   if p.component == q.component)
+        return None, None
+    pairs = sorted((np.linalg.norm(_canonical_log(p - q.log_point)), i, j)
+                   for i, (p, c) in enumerate(zip(P, comps))
+                   for j, q in enumerate(pts) if c == q.component)
     assign = {}             # nearest pairs first, each branch and point once
     for _, i, j in pairs:
         if i not in assign and j not in assign.values():
             assign[i] = j
-    if len(assign) < len(prev_pts):
-        return None
-    return [pts[assign[i]] for i in range(len(prev_pts))]
+    if len(assign) < nbranches:
+        return None, None
+    return _step_arrays([pts[assign[i]] for i in range(nbranches)], F.n)
 
 
-def _locate_collision(family, branches, params, k_enter, k_exit):
-    """Golden-section localization of the collision parameter between steps
-    k_enter (separation dipped below threshold) and k_exit (separation rose
-    again).
+def _locate_collision(traj, k_enter, k_exit):
+    """Golden-section localization of the collision parameter of the
+    trajectory between steps k_enter (separation dipped below threshold)
+    and k_exit (separation rose again).
 
-    The colliding pair's separation phi is re-evaluated by Newton from seeds
-    on BOTH sides (left seeds are only valid below the discriminant and vice
-    versa, so the maximum of the two distances is V-shaped with minimum at
-    the collision).
+    The colliding pair is the pair of one fibre component with the closest
+    values at step k_enter + 1 (the first such pair).  Its separation phi
+    is re-evaluated by Newton from seeds on BOTH sides (left seeds are only
+    valid below the discriminant and vice versa, so the maximum of the two
+    distances is V-shaped with minimum at the collision).
 
     The search runs in lockstep.  Golden section takes each move from one
     comparison, so the next COLLISION_LOOKAHEAD moves can probe only
@@ -1019,19 +1064,20 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
     through the solved points.  A row's result does not depend on its
     batch, so the walk, and the parameter returned, are the one-point-at-a-
     time search's bit for bit (tests/collision_oracle.py keeps it)."""
+    family, params = traj.family, traj.params
     k0 = max(k_enter - 1, 0)
     lo = params[k0]
     hi = params[k_exit]
-    left_seeds = [br[k0] for br in branches]
-    nxt_pts = [br[k_exit] for br in branches]
-    mid_pts = [br[min(k_enter + 1, k_exit)] for br in branches]
-    i, j = min((ij for ij in itertools.combinations(range(len(mid_pts)), 2)
-                if mid_pts[ij[0]].component == mid_pts[ij[1]].component),
-               key=lambda ij: abs(mid_pts[ij[0]].value - mid_pts[ij[1]].value))
+    pi, pj = _same_pairs(traj.components)
+    V = traj.values[min(k_enter + 1, k_exit)]
+    D = V[pi] - V[pj]
+    c = int(np.hypot(D.real, D.imag).argmin())
+    ij = [int(pi[c]), int(pj[c])]
 
     # the pair from both sides' seeds, solved together
-    seeds = [left_seeds[i], left_seeds[j], nxt_pts[i], nxt_pts[j]]
-    comps = [p.component for p in seeds]
+    seeds = np.concatenate((traj.log_points[k0][ij],
+                            traj.log_points[k_exit][ij]))
+    comps = [traj.components[b] for b in ij] * 2
     solved = {}             # golden-section coordinate -> the seeds' solves
     phis = {}
 
@@ -1050,7 +1096,7 @@ def _locate_collision(family, branches, params, k_enter, k_exit):
     def solve(ts):
         Fs = [family(at(t)) for t in ts]
         sols = _newton_solve(
-            Fs[0], [p.log_point for p in seeds] * len(ts),
+            Fs[0], np.tile(seeds, (len(ts), 1)),
             np.concatenate([F.coefficient_rows(comps) for F in Fs]),
             tol=1e-10)
         for r, t in enumerate(ts):

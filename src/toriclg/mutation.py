@@ -6,6 +6,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
+import numpy as np
+
 from . import errors
 from .rational import bilinear, cleared
 
@@ -169,42 +171,54 @@ REFINE_TOL = 1e-10
 
 def _crossings(values, phase):
     """Ray crossings along a trajectory's marking snapshots, values[k] the
-    markings at node k: for each step k, the list of (i, j, direction, s)
-    with i behind, j in front, direction the sign change of the alignment
-    Im(e^{-i phi}(u_j - u_i)), and s in (0,1] the interpolated crossing time
-    in the step, in the order of the pairs (i, j).
+    markings at node k (a (nodes, n) complex array, or its rows): for each
+    step k, the list of (i, j, direction, s) with i behind, j in front,
+    direction the sign change of the alignment Im(e^{-i phi}(u_j - u_i)),
+    and s in (0,1] the interpolated crossing time in the step, in the order
+    of the pairs (i, j).
 
     A pair carries its last nonzero alignment across nodes where it is
     exactly 0: opposite signs on the two sides make one crossing, placed at
     the first node on the ray (s = 1 in the step ending there), and a touch
-    that returns to its side makes none."""
+    that returns to its side makes none.
+
+    The alignments of all nodes and ordered pairs are one real array,
+    d.real (Im u_j - Im u_i) + d.imag (Re u_j - Re u_i) with d = e^{-i phi},
+    the bits of Python's complex product (d (u_j - u_i)).imag
+    (tests/test_numpy_identities.py), and the sign changes between
+    consecutive nonzero nodes of each pair are found on it at once; each
+    crossing found then takes s, u_i, u_j and the COLLIDE_EPS test in
+    Python complex arithmetic."""
     d = cmath.exp(-1j * phase)
-    n = len(values[0])
-    out = [[] for _ in values[1:]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            last = None         # (node, alignment) of the last nonzero one
-            for k, u1 in enumerate(values):
-                a1 = (d * (u1[j] - u1[i])).imag
-                if a1 == 0:
-                    continue
-                if last is not None and (last[1] > 0) != (a1 > 0):
-                    k0, a0 = last
-                    u0 = values[k0]
-                    if k0 == k - 1:
-                        s = a0 / (a0 - a1)
-                        ui = u0[i] + (u1[i] - u0[i]) * s
-                        uj = u0[j] + (u1[j] - u0[j]) * s
-                    else:
-                        s = 1.0
-                        ui, uj = values[k0 + 1][i], values[k0 + 1][j]
-                    # j must be in front: otherwise a collision or behind
-                    if (d * (uj - ui)).real > COLLIDE_EPS:
-                        out[k0].append((i, j, "up" if a1 > a0 else "down",
-                                        s))
-                last = k, a1
+    V = np.asarray(values, dtype=complex)
+    nodes, n = V.shape
+    out = [[] for _ in range(nodes - 1)]
+    pi, pj = (~np.eye(n, dtype=bool)).nonzero()  # the pairs (i, j), in order
+    A = (d.real * (V.imag[:, pj] - V.imag[:, pi])
+         + d.imag * (V.real[:, pj] - V.real[:, pi])).T
+    # the nonzero alignments of each pair in node order, pair by pair (a
+    # nan is nonzero and on the side a <= 0, as in a comparison)
+    p, k = (A != 0).nonzero()
+    up = A[p, k] > 0
+    c = ((p[1:] == p[:-1]) & (up[1:] != up[:-1])).nonzero()[0]
+    # by the node left behind, then by pair: the order a pair-by-pair walk
+    # appends them in
+    c = c[np.argsort(k[c], kind="stable")]
+    pi, pj = pi.tolist(), pj.tolist()
+    for q, k0, k1 in zip(*(x.tolist() for x in (p[c], k[c], k[c + 1]))):
+        i, j = pi[q], pj[q]
+        a0, a1 = A[q, k0].item(), A[q, k1].item()
+        u0, u1 = V[k0].tolist(), V[k1].tolist()
+        if k0 == k1 - 1:
+            s = a0 / (a0 - a1)
+            ui = u0[i] + (u1[i] - u0[i]) * s
+            uj = u0[j] + (u1[j] - u0[j]) * s
+        else:
+            s = 1.0
+            ui, uj = V[k0 + 1, i].item(), V[k0 + 1, j].item()
+        # j must be in front: otherwise a collision or behind
+        if (d * (uj - ui)).real > COLLIDE_EPS:
+            out[k0].append((i, j, "up" if a1 > a0 else "down", s))
     return out
 
 
@@ -298,7 +312,7 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
     events = []
     params = trajectory.params
     phase = mrs.phase
-    values = list(map(trajectory.values_at_step, range(len(params))))
+    values = trajectory.values
     steps = _crossings(values, phase)
     found = [(k, i, j, s) for k, step in enumerate(steps)
              for i, j, _, s in step]
@@ -330,8 +344,9 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
                                    zip(cur.vectors[i], cur.vectors[j]))
             at = params[k] + (params[k + 1] - params[k]) * s_ref
             events.append(MutationEvent(k, i, j, direction, c, at,
-                                        values[k][i], values[k][j]))
-        cur.markings = list(values[k + 1])
+                                        values[k][i].item(),
+                                        values[k][j].item()))
+        cur.markings = trajectory.values_at_step(k + 1)
     if not admissible(phase, cur.markings):
         raise errors.NonAdmissibleEndpoint(
             "endpoint phase is not admissible for the final markings")

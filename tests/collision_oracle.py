@@ -18,7 +18,8 @@ import numpy as np
 from toriclg import lg
 
 
-def locate_collision(family, branches, params, k_enter, k_exit):
+def locate_collision(traj, k_enter, k_exit):
+    family, branches, params = traj.family, traj.branches, traj.params
     k0 = max(k_enter - 1, 0)
     lo = params[k0]
     hi = params[k_exit]

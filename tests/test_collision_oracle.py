@@ -36,10 +36,11 @@ def searches():
     for name, (lam, grid) in PATHS.items():
         calls = out[name] = []
 
-        def recorded(family, branches, params, k_enter, k_exit):
-            calls.append((family, [list(br) for br in branches], params,
-                          k_enter, k_exit))
-            return locate(family, branches, params, k_enter, k_exit)
+        def recorded(traj, k_enter, k_exit):
+            # the search reads steps up to k_exit, which later steps leave
+            # as they are
+            calls.append((traj, k_enter, k_exit))
+            return locate(traj, k_enter, k_exit)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lg, "_locate_collision", recorded)
             lg.track_critical_values(lambda s, lam=lam: fam(lam(s)),

@@ -122,9 +122,9 @@ def test_reversed_trajectory_restores_system():
     final, ev_fwd = evolve(mrs, traj)
 
     from toriclg.lg import Trajectory
-    reversed_traj = Trajectory(traj.params[::-1],
-                               [br[::-1] for br in traj.branches],
-                               [], family=traj.family)
+    reversed_traj = Trajectory(traj.params[::-1], traj.log_points[::-1],
+                               traj.values[::-1], traj.components, [],
+                               family=traj.family)
     back_sys, ev_back = evolve(final, reversed_traj)
     assert back_sys.vectors == mrs.vectors
     assert len(ev_back) == len(ev_fwd)

@@ -238,9 +238,9 @@ def test_tracking_solves_no_empty_stack(monkeypatch, tmp_path):
 
 
 def test_tracking_step_builds_no_hessian(monkeypatch, tmp_path):
-    # a tracked step keeps its log point, value and component: the only
-    # Hessians and CriticalDatum stacks of a `track` run are Newton's and
-    # the multistart search's, at step 0 and at the one re-match that
+    # a tracked step keeps its log points and values as two arrays: the
+    # only Hessians and CriticalDatum stacks of a `track` run are Newton's
+    # and the multistart search's, at step 0 and at the one re-match that
     # discriminant-probe reaches (so the re-match path stays covered)
     from toriclg.cli import main
     inside = {lg._newton_solve.__code__, lg.critical_points.__code__}
@@ -265,7 +265,10 @@ def test_tracking_step_builds_no_hessian(monkeypatch, tmp_path):
 
     def counted_rematch(*args):
         calls["_rematch"] += 1
-        return rematch(*args)
+        matched.append(rematch(*args))
+        return matched[-1]
+
+    matched = []
 
     made = []
 
@@ -289,11 +292,18 @@ def test_tracking_step_builds_no_hessian(monkeypatch, tmp_path):
     rematched = {e["step"] + 1 for e in traj.events
                  if e["kind"] == "branch_lost"}
     assert len(rematched) == 1
-    for br in traj.branches:
-        for k, p in enumerate(br):
-            want = (lg.CriticalDatum if k == 0 or k in rematched
-                    else lg.TrackedPoint)
-            assert type(p) is want
+    # one complex array of log points and one of values per step, the
+    # re-matched step's those `_rematch` returned
+    shape = (traj.nbranches, traj.family(traj.params[0]).n)
+    assert len(traj.log_points) == len(traj.values) == len(traj.params)
+    for L, V in zip(traj.log_points, traj.values):
+        assert type(L) is type(V) is np.ndarray
+        assert L.dtype == V.dtype == complex
+        assert L.shape == shape and V.shape == shape[:1]
+    k, = rematched
+    assert matched[0][0] is traj.log_points[k]
+    assert matched[0][1] is traj.values[k]
+    assert all(type(p) is lg.TrackedPoint for br in traj.branches for p in br)
 
 
 def test_search_stops_at_count_bound(monkeypatch):
@@ -616,6 +626,27 @@ def test_resolve_twisted_component_matches_stored_values():
     alone = [v for p, k, b in rows for v in traj.resolve([(p, k, b)])]
     assert None not in alone
     assert np.array(traj.resolve(rows)).tobytes() == np.array(alone).tobytes()
+    assert traj.resolve([]) == []
+
+
+def test_values_on_two_components_are_no_collision():
+    # the twist x1 -> -x1 maps the critical points of one fibre component
+    # to those of the other, so every value is taken once on each: the two
+    # components' values coincide along the whole path, but no two branches
+    # of one component meet, so there is no collision to report
+    def family(q):
+        return LGPotential([(1, 0), (0, 1), (-1, -1)], [1, 1, q],
+                           torsion_parts=[(1,), (0,), (1,)],
+                           torsion_invariants=(2,))
+    traj = track_critical_values(family, [1.0, 1.1, 1.2, 1.3],
+                                 rng=np.random.default_rng(0))
+    comps = [br[0].component for br in traj.branches]
+    assert sorted(comps) == [(0,)] * 3 + [(1,)] * 3
+    for V in map(traj.values_at_step, range(4)):
+        gap = [abs(u - v) for a, u in zip(comps, V) for b, v in zip(comps, V)
+               if a != b]
+        assert min(gap) < 1e-12
+    assert traj.events == []
 
 
 def test_tracking_collision_event_at_discriminant():

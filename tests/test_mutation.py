@@ -14,7 +14,7 @@ from toriclg.ktheory import (BlowupData, KClass, bl_line_p4,
                              bl_line_p4_collection, build_cohomology_ring,
                              euler_pairing_hrr, projective_space)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lg import (LGPotential, TrackedPoint, Trajectory,
+from toriclg.lg import (LGPotential, Trajectory,
                         track_critical_values)
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               admissible, evolve)
@@ -191,18 +191,23 @@ def test_example_716_backward_forward_roundtrip():
     assert got == want
 
 
-def _point(u, log_point=(0, 0)):
-    """A tracked step of value u, as tracking stores it."""
-    return TrackedPoint(np.asarray(log_point, dtype=complex), complex(u), ())
+def _traj(params, values, log_points=None, family=None):
+    """A trajectory on the trivial fibre component, one tuple of node
+    values per branch (start, ..., end), as tracking stores it: one
+    (branches, 2) array of log points (0 unless given as a (nodes,
+    branches, 2) array) and one value array per node."""
+    V = np.array(values, dtype=complex).T
+    if log_points is None:
+        log_points = np.zeros(V.shape + (2,), dtype=complex)
+    return Trajectory(params, log_points, V, [()] * len(values), [],
+                      family=family)
 
 
 def _fake_traj(values):
-    """A trajectory without a family, one tuple of node values per branch
-    (start, ..., end) at evenly spaced parameters in [0, 1], so crossings
-    keep their interpolated times."""
+    """A trajectory without a family at evenly spaced parameters in [0, 1],
+    so crossings keep their interpolated times."""
     params = [k / (len(values[0]) - 1) for k in range(len(values[0]))]
-    return Trajectory(params, [[_point(u) for u in row] for row in values],
-                      [])
+    return _traj(params, values)
 
 
 def _identity_system(markings, phase=0.0):
@@ -242,9 +247,8 @@ def test_evolve_refinement_lost_branch_raises():
     # the stored values cross the positive ray, but the family has no torus
     # critical point, so re-solving a crossing branch fails
     values = [(0, 0), (1 - 1j, 1 + 1j)]
-    traj = Trajectory([0.0, 1.0],
-                      [[_point(u0), _point(u1)] for u0, u1 in values], [],
-                      family=lambda s: LGPotential([(1, 0), (0, 1)], [1, 1]))
+    traj = _traj([0.0, 1.0], values,
+                 family=lambda s: LGPotential([(1, 0), (0, 1)], [1, 1]))
     mrs = _identity_system([u0 for u0, _ in values])
     with pytest.raises(errors.LostBranch, match="branch 0"):
         evolve(mrs, traj)
@@ -283,11 +287,9 @@ def test_evolve_step_errors_raise_in_step_order(branch2, error, match):
     # entangled step 0 raises first
     F = pn_mirror(2, 1.0)
     values = [(0, 0, 0), (1 - 1j, 1 + 1j, 1 - 1j), branch2]
-    branches = [[_point(u, np.full(2, 2j * math.pi * b / 3)) for u in row]
-                for b, row in enumerate(values)]
-    branches[1][1] = branches[1][1]._replace(
-        log_point=np.full(2, complex(np.nan)))
-    traj = Trajectory([0.0, 1.0, 2.0], branches, [], family=lambda s: F)
+    L = np.array([[np.full(2, 2j * math.pi * b / 3) for b in range(3)]] * 3)
+    L[1, 1] = complex(np.nan)       # node 1 of branch 1
+    traj = _traj([0.0, 1.0, 2.0], values, L, family=lambda s: F)
     with pytest.raises(error, match=match):
         evolve(_identity_system([v[0] for v in values]), traj)
 

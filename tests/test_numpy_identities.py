@@ -12,6 +12,7 @@ exponentials also covers a single term: numpy multiplies two one-element
 complex arrays in another loop than longer ones, so the stacks `lg` solves
 carry a full row of coefficients per point.
 """
+import cmath
 import itertools
 import math
 
@@ -263,3 +264,28 @@ def test_stacked_dedupe_distances():
                 np.array(near) - l)))
         assert _same(lg._canonical_log(L),
                      np.array([lg._canonical_log(l) for l in L]))
+
+
+def test_alignments_and_moduli_are_python_complex_arithmetic():
+    # mutation._crossings: the alignment Im(e^{-i phi}(u_j - u_i)) of every
+    # pair as d.real (Im u_j - Im u_i) + d.imag (Re u_j - Re u_i) is
+    # Python's complex product; tracking's |u| and |u_i - u_j| by np.hypot
+    # are Python's abs (np.abs of a complex array is not, in last bits).
+    # Some pairs are equal or share a real or imaginary part, so the
+    # differences hold exact (signed) zeros
+    rng = np.random.default_rng(12)
+    for _ in range(TRIALS):
+        k = int(rng.choice([1, 2, 9, 40]))
+        u, w = 10.0 ** rng.uniform(-8, 8, (2, k)) * (
+            rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)))
+        w = np.where(rng.random(k) < 0.2, u, w)
+        w = np.where(rng.random(k) < 0.2, u.real + 1j * w.imag, w)
+        w = np.where(rng.random(k) < 0.2, w.real + 1j * u.imag, w)
+        phi = float(rng.choice([0.0, math.pi, rng.uniform(-4, 4)]))
+        d = cmath.exp(-1j * phi)
+        got = d.real * (w.imag - u.imag) + d.imag * (w.real - u.real)
+        want = [(d * (b - a)).imag for a, b in zip(u.tolist(), w.tolist())]
+        assert _same(got, np.array(want))
+        D = w - u
+        assert _same(np.hypot(D.real, D.imag),
+                     np.array([abs(z) for z in D.tolist()]))

@@ -69,8 +69,9 @@ def test_mutate_trajectory_matches_oracle(seed, back):
 def test_reversed_trajectory_matches_oracle(back):
     traj = _trajectory(0)
     final, _ = mutation.evolve(_system(traj, back), traj)
-    rev = Trajectory(traj.params[::-1], [br[::-1] for br in traj.branches],
-                     [], family=traj.family)
+    rev = Trajectory(traj.params[::-1], traj.log_points[::-1],
+                     traj.values[::-1], traj.components, [],
+                     family=traj.family)
     got = _outcome(mutation, final, rev)
     assert got == _outcome(oracle, final, rev)
     assert len(got[1]) == 10
