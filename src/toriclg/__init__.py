@@ -11,7 +11,7 @@ import importlib
 from . import errors
 
 _HOMES = {
-    "StackyFan": "fans", "validate_stacky_fan": "fans",
+    "StackyFan": "fans",
     "AbelianLattice": "lattice", "VectorSet": "lattice",
     "extended_sequences": "lattice",
     "LGPotential": "lg", "chart_family": "lg", "conifold_point": "lg",
@@ -25,8 +25,8 @@ _HOMES = {
 }
 
 __all__ = [
-    "AbelianLattice", "VectorSet", "StackyFan", "validate_stacky_fan",
-    "extended_sequences", "enumerate_adapted_fans", "wall_between",
+    "AbelianLattice", "VectorSet", "StackyFan", "extended_sequences",
+    "enumerate_adapted_fans", "wall_between",
     "cpl_cone", "PLConeData", "WallCrossing", "CurveChart",
     "LGPotential", "chart_family", "critical_points", "conifold_point",
     "curve_critical_values", "newton_nondegenerate", "track_critical_values",

@@ -13,14 +13,6 @@ def pn_mirror(n: int, q: complex) -> LGPotential:
     return LGPotential(exps, coeffs)
 
 
-def p1_mirror(q: complex) -> LGPotential:
-    return pn_mirror(1, q)
-
-
-def p2_mirror(q: complex) -> LGPotential:
-    return pn_mirror(2, q)
-
-
 def _bl_line_p4_coefficients(q1, q2):
     return [1.0, 1.0, 1.0, 1.0, complex(q1) * complex(q2), 1.0 / complex(q1)]
 

@@ -19,10 +19,8 @@ from .rational import (MAX_BOX_INDEX, dual_lattice, idot,
 
 
 class BoxElement:
-    def __init__(self, element: NElt, cone_index: int, coefficients, age: Fraction):
+    def __init__(self, element: NElt, age: Fraction):
         self.element = element
-        self.cone = cone_index
-        self.coefficients = coefficients     # dict ray-index -> Fraction in [0,1)
         self.age = age
 
     def __repr__(self):
@@ -280,14 +278,13 @@ class StackyFan:
         Box(sigma) is the group B^-1 Z^n / Z^n, read in ray coordinates in
         [0,1)^n: the points of `_box_points`, each with every torsion lift."""
         seen = {}
-        for ci, (c, _, vol) in enumerate(self._charts()):
+        for ci, (_, _, vol) in enumerate(self._charts()):
             for pt, u in self._box_points(ci):
-                coeffs = {c[i]: Fraction(k, vol) for i, k in enumerate(u) if k}
                 age = Fraction(sum(u), vol)
                 for torp in self.lattice.torsion_elements():
                     key = self.lattice.element(pt, torp)
                     if key not in seen:
-                        seen[key] = BoxElement(key, ci, coeffs, age)
+                        seen[key] = BoxElement(key, age)
                     elif seen[key].age != age:
                         raise errors.VolumeBoxMismatch(
                             f"age mismatch for {key}: {seen[key].age} vs {age}")
@@ -391,7 +388,7 @@ class StackyFan:
         for r in sub.rays:
             coeff = solve(Lt, r)
             out.append(tuple(coeff))
-        return Cone.from_rays(out, len(L)) if out else Cone.from_rays([], len(L))
+        return Cone.from_rays(out, len(L))
 
     def mori_monoid_generators(self):
         """Hilbert-basis generators of Lambda(Sigma)_+ (kernel coords)."""
@@ -429,7 +426,3 @@ class StackyFan:
         cones = [sorted(c) for c in self.max_cones]
         return f"StackyFan(rays={self.rays}, cones={cones})"
 
-
-def validate_stacky_fan(vector_set: VectorSet, max_cones) -> StackyFan:
-    """Validate a raw fan description (cones as ray-index sets into S)."""
-    return StackyFan(vector_set, max_cones, validate=True)

@@ -499,10 +499,6 @@ class KClass:
         once per class: the class's factor on the right of a pairing."""
         return self.ring.euler_image(self.int_ch)
 
-    def tensor(self, other):
-        return KClass(self.ring, self.ch * other.ch,
-                      f"{self.label}*{other.label}")
-
     def shift(self):
         """Homological shift [-1]: negation in the K-group."""
         lbl = self.label[:-4] if self.label.endswith("[-1]") else self.label + "[-1]"
@@ -607,22 +603,13 @@ def gamma_class(ring: CohomologyRing) -> Cls:
 class GammaData:
     """The Gamma pairing's data on one ring: the Gamma class
     (`gamma_class`), exp(-pi i c1), and each class's pairing factors,
-    computed once per class.  The class's degree-2 part is checked to be
-    -gamma c1 on its exact data: g_1 of the series is -gamma alone, and
-    the class it multiplies, P_1, is c1."""
+    computed once per class."""
 
     def __init__(self, ring: CohomologyRing):
         self.ring = ring
-        self.c1 = ring.c1()
-        # testable convention: the degree-2 part of Gamma-hat is -gamma*c1
-        gamma1 = (1,) + (0,) * max(ring.n - 1, 1)
-        if ring.n >= 1 and (_gamma_series(ring.n)[1] != {gamma1: Fraction(-1)}
-                            or ring.power_sum(1) != self.c1):
-            raise errors.MismatchWithHRR(
-                "degree-2 part of the Gamma class is not -gamma*c1")
         self.gamma = gamma_class(ring)
         # exp(-pi i c1) depends on neither argument of the pairing
-        self._exp_c1 = self.c1.numeric().scaled(-1j * math.pi).exp()
+        self._exp_c1 = ring.c1().numeric().scaled(-1j * math.pi).exp()
         # id(V) -> (V, b(V), alpha(V)); holding V keeps its id from being
         # reused
         self._factors = {}
@@ -643,7 +630,7 @@ class GammaData:
                             for d, v in chnum.coeffs.items()})
         a = self.gamma * scaled
         b = self._exp_c1 * a
-        b = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2 * 1))
+        b = Cls(ring, {d: [x * _cis(math.pi * (d - n / 2))
                            for x in v] for d, v in b.coeffs.items()})
         self._factors[id(V)] = (V, b, a)
         return b, a

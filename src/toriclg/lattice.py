@@ -38,10 +38,9 @@ class AbelianLattice:
             raise ValueError("wrong rank")
         if tor is None:
             tor = (0,) * len(self.torsion)
-        tor = tuple(int(t) % d for t, d in zip(tor, self.torsion))
         if len(tor) != len(self.torsion):
             raise ValueError("wrong torsion part")
-        return NElt(free, tor)
+        return NElt(free, (int(t) % d for t, d in zip(tor, self.torsion)))
 
     def zero(self):
         return self.element((0,) * self.rank)
@@ -101,9 +100,9 @@ def as_element(lattice: AbelianLattice, b):
 
 
 def extended_sequences(vector_set: VectorSet):
-    """Kernel basis of beta, the divisor images D_b, and a surjectivity flag.
+    """Kernel basis of beta and the divisor images D_b.
 
-    Returns (L_basis, D, surjective) where L_basis rows span
+    Returns (L_basis, D) where L_basis rows span
     L = ker(beta: Z^S -> N) and D[b] are the coordinates of D_b in the dual
     basis of L_basis, as `int` tuples.  `VectorSet.sequences` keeps them.
     """
@@ -135,7 +134,7 @@ def extended_sequences(vector_set: VectorSet):
     else:
         L_basis = lattice_from_generators(ker_free) if ker_free else []
     D = [tuple(row[j] for row in L_basis) for j in range(len(S))]
-    return L_basis, D, vector_set.generates
+    return L_basis, D
 
 
 class VectorSet:
@@ -156,15 +155,17 @@ class VectorSet:
         self.support_cone = Cone.from_rays(frees, lattice.rank)
         if rank(frees) != lattice.rank:
             raise ValueError("support cone Pi is not full-dimensional")
-        self.generates = self._generates()
         self._sequences = None
         self._charts = {}
         self._complements = None
         self.box_counts = {}
 
-    def _generates(self) -> bool:
-        # S generates N as a group: free part spans Z^n and torsion residues
-        # cover, via the Hermite form of the combined presentation
+    @property
+    def generates(self) -> bool:
+        """Whether S generates N as a group, so that beta: Z^S -> N is onto
+        and the extended fan sequence 0 -> L -> Z^S -> N -> 0 is exact: the
+        free parts span Z^n and the torsion residues cover, by the Hermite
+        form of the combined presentation.  Computed on each read."""
         n = self.lattice.rank
         tor = self.lattice.torsion
         k = len(tor)
@@ -177,7 +178,7 @@ class VectorSet:
         return len(L) == n + k and abs(det(L)) == 1
 
     def sequences(self):
-        """(L_basis, D, surjective) of `extended_sequences`."""
+        """(L_basis, D) of `extended_sequences`."""
         if self._sequences is None:
             self._sequences = extended_sequences(self)
         return self._sequences

@@ -554,8 +554,7 @@ def _new_points(L, near, tol):
 
 
 def critical_points(F: LGPotential, expected=None, rng=None,
-                    budget_factor=200, raise_on_incomplete=True,
-                    dedupe_tol=1e-5):
+                    budget_factor=200, dedupe_tol=1e-5):
     """All critical points x dF/dx = chi on the open torus, by multistart
     damped Newton in log coordinates, deduplicated modulo 2 pi i shifts.
 
@@ -681,7 +680,7 @@ def critical_points(F: LGPotential, expected=None, rng=None,
         raise errors.IncompleteCount(
             f"found {len(found)} critical points, more than the Bernstein "
             f"bound {bound}; points may be non-isolated or duplicated")
-    if expected is not None and len(found) < expected and raise_on_incomplete:
+    if expected is not None and len(found) < expected:
         raise errors.IncompleteCount(
             f"found {len(found)} critical points, exact count is "
             f"{expected}; parameter may be near the discriminant")
@@ -957,7 +956,8 @@ def track_critical_values(family, params, rng=None):
 
     prev_prev = None
     pending_from = None
-    for k in range(len(params) - 1):
+    last = len(params) - 2
+    for k in range(last + 1):
         s0, s1 = params[k], params[k + 1]
         P = traj.log_points[-1]
         (L, V), prev_prev = advance_adaptive(s0, s1, P, prev_prev, 0)
@@ -979,17 +979,14 @@ def track_critical_values(family, params, rng=None):
         vd = np.hypot(D.real, D.imag).min(initial=math.inf)
         if vd < TOL_COLLIDE * scale and pending_from is None:
             pending_from = k      # entered the collision neighbourhood
-        elif pending_from is not None and vd > 2 * TOL_COLLIDE * scale:
+        # left it, or the path ends inside it (entered on the last step too)
+        if pending_from is not None and (vd > 2 * TOL_COLLIDE * scale
+                                         or k == last):
             sstar = _locate_collision(traj, pending_from, k + 1)
             events.append({"step": pending_from,
                            "kind": "collision_near_discriminant",
                            "param": _pnum(sstar)})
             pending_from = None
-    if pending_from is not None:
-        sstar = _locate_collision(traj, pending_from, len(params) - 1)
-        events.append({"step": pending_from,
-                       "kind": "collision_near_discriminant",
-                       "param": _pnum(sstar)})
     return traj
 
 
@@ -1027,11 +1024,8 @@ def _rematch(F, P, comps, rng):
     points and values in branch order, or (None, None)."""
     nbranches = len(comps)
     try:
-        pts = critical_points(F, rng=rng, raise_on_incomplete=False,
-                              expected=nbranches)
+        pts = critical_points(F, rng=rng, expected=nbranches)
     except errors.IncompleteCount:
-        return None, None
-    if len(pts) < nbranches:
         return None, None
     pairs = sorted((np.linalg.norm(_canonical_log(p - q.log_point)), i, j)
                    for i, (p, c) in enumerate(zip(P, comps))

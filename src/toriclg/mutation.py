@@ -141,16 +141,13 @@ class MarkedReflectionSystem:
 
 
 class MutationEvent:
-    def __init__(self, step, moving, pivot, direction, coefficient, at,
-                 u_moving, u_pivot):
+    def __init__(self, step, moving, pivot, direction, coefficient, at):
         self.step = step
         self.moving = moving          # branch index of the mutated vector
         self.pivot = pivot
         self.direction = direction    # 'up' or 'down' crossing
         self.coefficient = coefficient
         self.at = at                  # refined path parameter
-        self.u_moving = u_moving
-        self.u_pivot = u_pivot
 
     def as_dict(self):
         return {"step": self.step, "moving": self.moving, "pivot": self.pivot,
@@ -312,8 +309,7 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
     events = []
     params = trajectory.params
     phase = mrs.phase
-    values = trajectory.values
-    steps = _crossings(values, phase)
+    steps = _crossings(trajectory.values, phase)
     found = [(k, i, j, s) for k, step in enumerate(steps)
              for i, j, _, s in step]
     times = iter(_refine(trajectory, found, phase)
@@ -343,9 +339,7 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
             cur.vectors[i] = tuple(x - c * y for x, y in
                                    zip(cur.vectors[i], cur.vectors[j]))
             at = params[k] + (params[k + 1] - params[k]) * s_ref
-            events.append(MutationEvent(k, i, j, direction, c, at,
-                                        values[k][i].item(),
-                                        values[k][j].item()))
+            events.append(MutationEvent(k, i, j, direction, c, at))
         cur.markings = trajectory.values_at_step(k + 1)
     if not admissible(phase, cur.markings):
         raise errors.NonAdmissibleEndpoint(

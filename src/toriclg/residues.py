@@ -83,7 +83,7 @@ def asym_expansion(F: LGPotential, p: CriticalDatum, phi=None, order=0):
     n = F.n
     k = order
     max_deg = 2 * k + 2
-    c = (F.coefficients_on(p.component) if F.torsion_invariants else F.c)
+    c = F.coefficients_on(p.component)
     amps = c * np.exp(F.B @ p.log_point)
     taylor_F = _taylor_exponential_sum([tuple(row) for row in F.B], amps,
                                        n, max_deg)

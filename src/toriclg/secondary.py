@@ -185,7 +185,7 @@ def enumerate_adapted_fans(vector_set: VectorSet):
     if len(S) > MAX_S_FOR_ENUMERATION:
         raise errors.TooLarge(f"|S| = {len(S)} exceeds enumeration bound "
                               f"{MAX_S_FOR_ENUMERATION}")
-    L, D, _ = vector_set.sequences()
+    L, D = vector_set.sequences()
     r = len(L)
     if r == 0:
         # L = 0 forces S to be a basis of N_Q: a single chamber

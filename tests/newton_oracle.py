@@ -90,7 +90,7 @@ def newton_solve(F, l0, component=(), tol=TOL_NEWTON):
 
 
 def critical_points(F, expected=None, rng=None, budget_factor=200,
-                    raise_on_incomplete=True, dedupe_tol=1e-5):
+                    dedupe_tol=1e-5):
     """`lg.critical_points` drawing and solving one start at a time."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -143,7 +143,7 @@ def critical_points(F, expected=None, rng=None, budget_factor=200,
         raise errors.IncompleteCount(
             f"found {len(found)} critical points, more than the Bernstein "
             f"bound {bound}")
-    if expected is not None and len(found) < expected and raise_on_incomplete:
+    if expected is not None and len(found) < expected:
         raise errors.IncompleteCount(
             f"found {len(found)} critical points, exact count is {expected}")
     found.sort(key=lambda p: (-p.value.imag, p.value.real))

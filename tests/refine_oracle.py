@@ -126,8 +126,7 @@ def evolve(mrs, trajectory):
             cur.vectors[i] = tuple(x - c * y for x, y in
                                    zip(cur.vectors[i], cur.vectors[j]))
             at = params[k] + (params[k + 1] - params[k]) * s_ref
-            events.append(MutationEvent(k, i, j, direction, c, at,
-                                        u0[i], u0[j]))
+            events.append(MutationEvent(k, i, j, direction, c, at))
         cur.markings = list(u1)
     if not admissible(phase, cur.markings):
         raise errors.NonAdmissibleEndpoint(

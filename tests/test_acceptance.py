@@ -12,7 +12,7 @@ from critical_value_oracle import bl_line_p4_oracle_values
 from residue_oracle import (grothendieck_residue_oracle,
                             steepest_descent_quadrature_p1)
 from toriclg import errors
-from toriclg.families import bl_line_p4_family_lambda, p1_mirror, p2_mirror
+from toriclg.families import bl_line_p4_family_lambda, pn_mirror
 from toriclg.fans import StackyFan
 from toriclg.gkz import generic_rank_check, gkz_relation
 from toriclg.ktheory import (BlowupData, GammaData, KClass, bl_line_p4,
@@ -203,8 +203,7 @@ def test_criterion_6_curve_value_law():
     orb_a1 = StackyFan(vsa, [{0, 1}])
     from toriclg.lg import LGPotential
     Fa = LGPotential([(-1, 1), (1, 1), (0, 1)], [1.0, 1.0, 0.81])
-    pts = critical_points(Fa, expected=None, rng=rng, budget_factor=50,
-                          raise_on_incomplete=False)
+    pts = critical_points(Fa, expected=None, rng=rng, budget_factor=50)
     a1_ok = len(pts) == 0
     # blowup of C^2 and cyclic d: closed form vs direct solver
     from toriclg.families import (blowup_c2_potential,
@@ -338,7 +337,7 @@ def test_criterion_9_property_suites():
     # higher residue order 0 = Grothendieck residue on P1/P2 mirrors
     nrng = np.random.default_rng(10)
     res_ok = True
-    for F in (p1_mirror(1.0), p2_mirror(1.1 - 0.3j)):
+    for F in (pn_mirror(1, 1.0), pn_mirror(2, 1.1 - 0.3j)):
         pts = critical_points(F, rng=nrng)
         phi1 = ([tuple(F.B_int[0])], [1.0])
         P = higher_residue_pairing(F, phi1, None, order=0, points=pts)
@@ -346,7 +345,7 @@ def test_criterion_9_property_suites():
         if abs(P[0] - oracle) > 1e-8:
             res_ok = False
     # Asym order 1 vs quadrature on the P1 mirror
-    Fq = p1_mirror(1.0)
+    Fq = pn_mirror(1, 1.0)
     p = conifold_point(Fq)
     a = asym_expansion(Fq, p, None, 1)
     zs = [-0.0125, -0.00625]

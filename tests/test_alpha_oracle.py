@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toriclg import lg
-from toriclg.families import bl_line_p4_family_lambda, p2_mirror
+from toriclg.families import bl_line_p4_family_lambda, pn_mirror
 from toriclg.lg import LGPotential
 
 import alpha_oracle as oracle
@@ -91,7 +91,7 @@ def _certificate_cases():
     """The point sets of tests/test_lg.py's certificate tests, with the
     verdict each must get."""
     out = []
-    for F in (p2_mirror(1.0), bl_line_p4_family_lambda()(2.0)):
+    for F in (pn_mirror(2, 1.0), bl_line_p4_family_lambda()(2.0)):
         out.append((F, lg.critical_points(F, rng=np.random.default_rng(0)),
                     True))
     F = bl_line_p4_family_lambda()(2.0)
@@ -105,7 +105,7 @@ def _certificate_cases():
                              F.hess(again))
     out += [(F, pts[:-1] + [stray], False), (F, pts[:-1] + [pts[0]], False),
             (F, [pts[0], twice], False)]
-    G = p2_mirror(1.0)
+    G = pn_mirror(2, 1.0)
     zero = lg.CriticalDatum(np.zeros(2, complex), 3.0, G.hess(np.zeros(2)))
     ulp = lg.CriticalDatum(np.array([2.0 ** -60, 0], complex), 3.0,
                            G.hess(np.zeros(2)))

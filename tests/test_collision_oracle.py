@@ -95,3 +95,23 @@ def test_a_third_of_the_solves(searches, monkeypatch):
         rows.clear()
         lg._locate_collision(*args)
         assert len(rows) <= sequential // 3 + 1
+
+
+@pytest.mark.parametrize("past_entry", [0, 1], ids=["last-step", "open"])
+def test_collision_open_at_the_end_is_located(searches, past_entry):
+    # the discriminant probe cut inside the collision neighbourhood, at the
+    # step that enters it or one later: the collision is still logged, at
+    # the step that entered it, located up to the path's last parameter
+    (traj, k_enter, k_exit), = searches["discriminant-probe"]
+    end = k_enter + 1 + past_entry      # index of the last parameter
+    assert end < k_exit
+    lam = PATHS["discriminant-probe"][0]
+    fam = bl_line_p4_family_lambda()
+    cut = lg.track_critical_values(lambda s: fam(lam(s)),
+                                   traj.params[:end + 1],
+                                   rng=np.random.default_rng(3))
+    coll = [e for e in cut.events
+            if e["kind"] == "collision_near_discriminant"]
+    assert [e["step"] for e in coll] == [k_enter]
+    assert _hex(coll[0]["param"]) == _hex(
+        oracle.locate_collision(cut, k_enter, end))

@@ -195,7 +195,7 @@ def test_chamber_walk_stays_integral(S, monkeypatch):
     monkeypatch.undo()
 
     # everything the walk computes on integral data is `int`
-    _, D, _ = extended_sequences(vs)
+    _, D = extended_sequences(vs)
     assert all(map(is_int_vector, D))
     chambers = [pl_cone_data(fan).cpl for fan in fans]
     for cpl in chambers:

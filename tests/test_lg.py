@@ -10,8 +10,7 @@ from critical_value_oracle import bl_line_p4_oracle_values
 from toriclg import errors, lg
 from toriclg.families import (bl_line_p4_family_lambda, bl_line_p4_potential,
                               blowup_c2_potential, cyclic_orbifold_potential,
-                              cyclic_resolution_potential, p1_mirror,
-                              p2_mirror, pn_mirror)
+                              cyclic_resolution_potential, pn_mirror)
 from toriclg.fans import StackyFan
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lg import (LGPotential, chart_family, conifold_point,
@@ -28,7 +27,7 @@ def sort_vals(vals):
 
 
 def test_p2_mirror_critical_points():
-    F = p2_mirror(1.0)
+    F = pn_mirror(2, 1.0)
     pts = critical_points(F, rng=np.random.default_rng(0))
     assert len(pts) == 3
     vals = sorted((p.value for p in pts), key=lambda v: (v.real, v.imag))
@@ -77,7 +76,7 @@ def test_conifold_p4():
 
 def test_conifold_p1():
     q = 2.7
-    F = p1_mirror(q)
+    F = pn_mirror(1, q)
     p = conifold_point(F)
     assert abs(cmath.exp(p.log_point[0]) - math.sqrt(q)) < 1e-10
     assert abs(p.value - 2 * math.sqrt(q)) < 1e-12
@@ -86,12 +85,12 @@ def test_conifold_p1():
 
 def test_conifold_requires_positive_real():
     with pytest.raises(errors.NotPositiveReal):
-        conifold_point(p1_mirror(-1.0))
+        conifold_point(pn_mirror(1, -1.0))
 
 
 def test_conifold_minimality_random():
     rng = np.random.default_rng(7)
-    F = p2_mirror(1.7)
+    F = pn_mirror(2, 1.7)
     p = conifold_point(F)
     for _ in range(1000):
         l = rng.uniform(-2, 2, 2)
@@ -104,8 +103,8 @@ def test_conifold_minimality_random():
 def test_count_law_matches_volume():
     rng = np.random.default_rng(11)
     # P^1: 2, P^2: 3, Example 7.16 chart: 9
-    assert len(critical_points(p1_mirror(0.9 + 0.2j), rng=rng)) == 2
-    assert len(critical_points(p2_mirror(1.1 - 0.4j), rng=rng)) == 3
+    assert len(critical_points(pn_mirror(1, 0.9 + 0.2j), rng=rng)) == 2
+    assert len(critical_points(pn_mirror(2, 1.1 - 0.4j), rng=rng)) == 3
     F = bl_line_p4_potential(0.55, 0.8)
     assert F.expected_count() == 9
     assert len(critical_points(F, rng=rng)) == 9
@@ -191,7 +190,7 @@ def test_a1_curve_has_only_zero_branch():
     # critical scheme is the 0-branch alone
     F = cyclic_orbifold_potential(2, 0.73)
     pts = critical_points(F, expected=None, rng=np.random.default_rng(0),
-                          budget_factor=60, raise_on_incomplete=False)
+                          budget_factor=60)
     assert len(pts) == 0
 
 
@@ -356,7 +355,7 @@ def test_batched_dedupe_is_rows_times_found():
 
 
 def test_alpha_certificate_passes_on_found_points():
-    for F in (p2_mirror(1.0), bl_line_p4_family_lambda()(2.0)):
+    for F in (pn_mirror(2, 1.0), bl_line_p4_family_lambda()(2.0)):
         pts = critical_points(F, rng=np.random.default_rng(0))
         assert len(pts) == F.expected_count()
         for p in pts:
@@ -384,7 +383,7 @@ def test_alpha_certificate_fails_off_zeros_and_on_duplicates():
     # P^2 at q = 1 has the zero l = 0, where g evaluates to exactly 0, and
     # l = (2^-60, 0) rounds to the same terms: beta from the evaluated g
     # alone would be 0 at both and certify the two apart
-    G = p2_mirror(1.0)
+    G = pn_mirror(2, 1.0)
     zero = lg.CriticalDatum(np.zeros(2, complex), 3.0, G.hess(np.zeros(2)))
     ulp = lg.CriticalDatum(np.array([2.0 ** -60, 0], complex), 3.0,
                            G.hess(np.zeros(2)))
@@ -519,7 +518,7 @@ def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
 
 
 def test_newton_nondegenerate():
-    ok, report = newton_nondegenerate(p2_mirror(1.0))
+    ok, report = newton_nondegenerate(pn_mirror(2, 1.0))
     assert ok
     F = bl_line_p4_potential(0.8, 1.1)
     ok, report = newton_nondegenerate(F)
@@ -543,7 +542,7 @@ def test_face_and_conifold_cost_one_solve_each(monkeypatch):
         calls.append(len(C))
         return solve(F, L0, C)
     monkeypatch.setattr(lg, "_newton_solve", counted)
-    for F in (p2_mirror(1.3), bl_line_p4_potential(0.8, 1.1)):
+    for F in (pn_mirror(2, 1.3), bl_line_p4_potential(0.8, 1.1)):
         calls.clear()
         ok, report = newton_nondegenerate(F)
         faces = [r for r in report if len(r["face"]) > 1]
@@ -570,7 +569,7 @@ def test_conifold_unconverged_raises(monkeypatch):
     monkeypatch.setattr(lg, "_newton_solve",
                         lambda F, L0, C: [None])
     with pytest.raises(errors.NotPositiveReal):
-        conifold_point(p2_mirror(1.0))
+        conifold_point(pn_mirror(2, 1.0))
 
 
 def test_zero_coefficient_rejected():

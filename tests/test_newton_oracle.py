@@ -284,8 +284,7 @@ def _search(module, F, seed, **kw):
     (blowup_c2_potential(0.8), {"dedupe_tol": 0.0}, True),
     # fewer points than asked for: the whole budget
     (cyclic_orbifold_potential(4, 0.9),
-     {"expected": 3, "raise_on_incomplete": False, "budget_factor": 8},
-     False),
+     {"expected": 3, "budget_factor": 8}, True),
 ], ids=["certified", "long-tail", "torsion", "floor", "floor-d4-a",
         "floor-d4-b", "floor-d5-a", "floor-d5-b", "floor-blowup-a",
         "floor-blowup-b", "over-count", "incomplete"])

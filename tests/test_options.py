@@ -1,7 +1,8 @@
 """No option without a caller that sets it: every defaulted parameter of a
 function or method defined in the package is set, by keyword or by
 position, by some call in src/, tests/ or perfbench/.  A default that no
-call overrides is a constant in disguise."""
+call overrides is a constant in disguise.  And no call in src/ passes a
+parameter the literal it defaults to: such a call sets nothing."""
 import ast
 import pathlib
 
@@ -14,9 +15,10 @@ def _decorators(fn):
 
 
 def options(source):
-    """(line, function, parameter, position) of each defaulted parameter
-    that source defines.  position is the index a positional argument of a
-    call fills (self and cls not counted), None for keyword-only ones.  A
+    """(line, function, parameter, position, default) of each defaulted
+    parameter that source defines.  position is the index a positional
+    argument of a call fills (self and cls not counted), None for
+    keyword-only ones; default is the default's expression.  A
     constructor's function is its class name."""
     out = []
 
@@ -31,9 +33,10 @@ def options(source):
                            and "staticmethod" not in _decorators(child))
                 name = cls if child.name == "__init__" else child.name
                 first = len(positional) - len(a.defaults)
-                out.extend((p.lineno, name, p.arg, i - skip)
-                           for i, p in enumerate(positional) if i >= first)
-                out.extend((p.lineno, name, p.arg, None)
+                out.extend((p.lineno, name, p.arg, i - skip, d)
+                           for i, (p, d) in enumerate(zip(
+                               positional[first:], a.defaults), first))
+                out.extend((p.lineno, name, p.arg, None, d)
                            for p, d in zip(a.kwonlyargs, a.kw_defaults)
                            if d is not None)
                 visit(child)
@@ -44,16 +47,11 @@ def options(source):
     return out
 
 
-def settings(sources):
-    """{callee name: (keywords set, largest positional count)} over the calls
-    in sources.  A call is matched by its function or attribute name, and
-    cls(...) inside a classmethod by the class's name as well."""
-    out = {}
-
-    def record(name, call):
-        kws, npos = out.get(name, (set(), 0))
-        out[name] = (kws | {k.arg for k in call.keywords},
-                     max(npos, len(call.args)))
+def calls(source):
+    """(callee name, call) of each call in source.  A call is matched by its
+    function or attribute name, and cls(...) inside a classmethod by the
+    class's name as well."""
+    out = []
 
     def visit(node, cls=None, outer=None):
         # cls: (parameter name, class name) inside a classmethod;
@@ -71,15 +69,26 @@ def settings(sources):
                 if isinstance(child, ast.Call):
                     f = child.func
                     if isinstance(f, ast.Attribute):
-                        record(f.attr, child)
+                        out.append((f.attr, child))
                     elif isinstance(f, ast.Name):
-                        record(f.id, child)
+                        out.append((f.id, child))
                         if cls and f.id == cls[0]:
-                            record(cls[1], child)
+                            out.append((cls[1], child))
                 visit(child, cls, outer)
 
+    visit(ast.parse(source))
+    return out
+
+
+def settings(sources):
+    """{callee name: (keywords set, largest positional count)} over the calls
+    in sources."""
+    out = {}
     for text in sources:
-        visit(ast.parse(text))
+        for name, call in calls(text):
+            kws, npos = out.get(name, (set(), 0))
+            out[name] = (kws | {k.arg for k in call.keywords},
+                         max(npos, len(call.args)))
     return out
 
 
@@ -89,11 +98,43 @@ def unset(defining, sources):
     calls = settings(sources)
     out = []
     for path, text in sorted(defining.items()):
-        for line, fn, param, pos in options(text):
+        for line, fn, param, pos, _ in options(text):
             kws, npos = calls.get(fn, (set(), 0))
             if not (param in kws or (pos is not None and npos > pos)):
                 out.append((path, line, fn, param))
     return out
+
+
+def _literal(node):
+    """(type, value) of a literal expression, or None for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), value
+
+
+def restated(defining, sources):
+    """(path, line, function, parameter) of each argument that a call in the
+    `sources` ({path: text}) passes, by keyword or by position, equal to
+    the literal a function of that name in the `defining` sources defaults
+    it to."""
+    defaults = {}           # {function: [(parameter, position, literal)]}
+    for text in defining.values():
+        for _, fn, param, pos, default in options(text):
+            literal = _literal(default)
+            if literal is not None:
+                defaults.setdefault(fn, []).append((param, pos, literal))
+    out = []
+    for path, text in sorted(sources.items()):
+        for fn, call in calls(text):
+            for param, pos, literal in defaults.get(fn, []):
+                args = [k.value for k in call.keywords if k.arg == param]
+                if pos is not None and pos < len(call.args):
+                    args.append(call.args[pos])
+                out.extend((path, a.lineno, fn, param) for a in args
+                           if _literal(a) == literal)
+    return sorted(out)
 
 
 def test_option_scan_flags_and_clears():
@@ -113,8 +154,27 @@ def test_option_scan_flags_and_clears():
         {"lib.py": lib}, [lib.replace("cls(1, 2)", "None"), user, more])
 
 
+def test_default_scan_flags_and_clears():
+    lib = ("def f(x, used=1, flag=True, *, kw=(0, 1)):\n    pass\n\n\n"
+           "class K:\n    def __init__(self, a, b=0):\n        pass\n\n"
+           "    @classmethod\n    def make(cls):\n"
+           "        return cls(1, 0)\n")
+    user = ("f(0, 1)\nf(0, flag=True)\nf(0, 2, kw=(0, 1))\n"
+            "f(0, 1.0, flag=1, kw=(1, 0))\nK(0, b=x)\n")
+    assert restated({"lib.py": lib}, {"lib.py": lib, "user.py": user}) == [
+        ("lib.py", 11, "K", "b"), ("user.py", 1, "f", "used"),
+        ("user.py", 2, "f", "flag"), ("user.py", 3, "f", "kw")]
+
+
+def _package():
+    return {p.name: p.read_text() for p in sorted(PKG.glob("*.py"))}
+
+
 def test_every_option_has_a_caller_that_sets_it():
     files = [p for d in ("src", "tests", "perfbench")
              for p in sorted((ROOT / d).rglob("*.py"))]
-    defining = {p.name: p.read_text() for p in sorted(PKG.glob("*.py"))}
-    assert unset(defining, [p.read_text() for p in files]) == []
+    assert unset(_package(), [p.read_text() for p in files]) == []
+
+
+def test_no_call_in_the_package_passes_a_default():
+    assert restated(_package(), _package()) == []

@@ -7,13 +7,13 @@ import pytest
 from residue_oracle import (grothendieck_residue_oracle,
                             steepest_descent_quadrature_p1)
 from toriclg import errors
-from toriclg.families import p1_mirror, p2_mirror
+from toriclg.families import pn_mirror
 from toriclg.lg import LGPotential, conifold_point, critical_points
 from toriclg.residues import asym_expansion, higher_residue_pairing
 
 
 def test_leading_term_is_gaussian():
-    F = p2_mirror(0.8 + 0.3j)
+    F = pn_mirror(2, 0.8 + 0.3j)
     pts = critical_points(F, rng=np.random.default_rng(0))
     for p in pts:
         a = asym_expansion(F, p, None, 0)
@@ -37,7 +37,7 @@ def test_one_variable_moment_calculus():
 
 def test_asym_order1_vs_quadrature_p1():
     q = 1.0
-    F = p1_mirror(q)
+    F = pn_mirror(1, q)
     p = conifold_point(F)
     a = asym_expansion(F, p, None, 1)
     zs = [-0.0125, -0.00625]
@@ -54,7 +54,7 @@ def test_asym_order1_vs_quadrature_p1():
 
 
 def test_degenerate_rejected():
-    F = p1_mirror(1.0)
+    F = pn_mirror(1, 1.0)
     pts = critical_points(F, rng=np.random.default_rng(0))
     p = pts[0]
     p.nondegenerate = False
@@ -64,14 +64,14 @@ def test_degenerate_rejected():
 
 def test_residue_order0_p1():
     # two critical points +-1 with h = +-2: sum 1/h = 0
-    F = p1_mirror(1.0)
+    F = pn_mirror(1, 1.0)
     P = higher_residue_pairing(F, None, None, order=0,
                                rng=np.random.default_rng(0))
     assert abs(P[0]) < 1e-12
 
 
 def test_residue_order0_matches_oracle_p2():
-    F = p2_mirror(1.3 - 0.2j)
+    F = pn_mirror(2, 1.3 - 0.2j)
     pts = critical_points(F, rng=np.random.default_rng(1))
     phi1 = ([(1, 0)], [1.0])          # x1
     phi2 = ([(0, 1), (1, 1)], [0.5, 2.0])
@@ -82,7 +82,7 @@ def test_residue_order0_matches_oracle_p2():
 
 def test_symmetry_property():
     rng = np.random.default_rng(2)
-    F = p2_mirror(0.9 + 0.4j)
+    F = pn_mirror(2, 0.9 + 0.4j)
     pts = critical_points(F, rng=rng)
     phi1 = ([(1, 0), (-1, -1)], [1.0, 0.3j])
     phi2 = ([(0, 1)], [2.0 - 1.0j])

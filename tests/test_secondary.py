@@ -262,7 +262,7 @@ def test_fan_structure_of_secondary_fan_random():
         # chamber is either on the boundary of the support or shared
         from toriclg.secondary import PLConeData
         from toriclg.cones import Cone
-        L, D, _ = vs.sequences()
+        L, D = vs.sequences()
         r = len(L)
         if r == 0:
             continue
@@ -404,10 +404,26 @@ def fraction_selection(D, m, n, omega):
     return max_cones, heights
 
 
+@pytest.mark.parametrize("lattice,vecs", chamber_sets(),
+                         ids=["bl_line_p4", "rank2", "rank2-torsion"])
+def test_chambers_never_compute_generates(lattice, vecs, monkeypatch):
+    # the chamber walk, its Box counts and its walls read the vector set's
+    # sequences, charts and complements, never whether S generates N
+    reads = []
+    monkeypatch.setattr(VectorSet, "generates",
+                        property(lambda vs: reads.append(vs) or True))
+    fans, walls = enumerate_adapted_fans(VectorSet(lattice, vecs))
+    for fan in fans:
+        fan.dim_orbifold_cohomology()
+    for a, b, _ in walls:
+        wall_between(fans[a], fans[b])
+    assert len(fans) >= 2 and reads == []
+
+
 @pytest.mark.parametrize("S", CHAMBER_WALK_SETS, ids=WALK_IDS)
 def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
     vs = VectorSet(AbelianLattice(len(S[0])), S)
-    _, D, _ = vs.sequences()
+    _, D = vs.sequences()
     m, n, r = len(S), len(S[0]), len(D[0])
     # the selection and heights handed to the fan, not the fan itself
     monkeypatch.setattr(secondary, "StackyFan",

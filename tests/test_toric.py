@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from toriclg import errors
-from toriclg.fans import StackyFan, validate_stacky_fan
-from toriclg.lattice import AbelianLattice, VectorSet, extended_sequences
+from toriclg.fans import StackyFan
+from toriclg.lattice import (AbelianLattice, NElt, VectorSet,
+                             extended_sequences)
 from toriclg.rational import det, matvec, primitive, vec
 
 from convexity_oracle import convexity_certificate
@@ -42,9 +43,9 @@ def p4_fan():
 
 def test_validate_a1_fans():
     vs = a1_vector_set()
-    s1 = validate_stacky_fan(vs, [{0, 1}])
+    s1 = StackyFan(vs, [{0, 1}])
     assert s1.rays == [0, 1]
-    s2 = validate_stacky_fan(vs, [{0, 2}, {2, 1}])
+    s2 = StackyFan(vs, [{0, 2}, {2, 1}])
     assert s2.rays == [0, 1, 2]
 
 
@@ -52,14 +53,14 @@ def test_validate_rejects_gap():
     N = AbelianLattice(2)
     vs = VectorSet(N, [(1, 0), (0, 1)])
     with pytest.raises(errors.SupportMismatch):
-        validate_stacky_fan(vs, [{0}, {1}])
+        StackyFan(vs, [{0}, {1}])
 
 
 def test_validate_rejects_nonsimplicial():
     N = AbelianLattice(2)
     vs = VectorSet(N, [(1, 0), (0, 1), (1, 1)])
     with pytest.raises(errors.NonSimplicial):
-        validate_stacky_fan(vs, [{0, 1, 2}])
+        StackyFan(vs, [{0, 1, 2}])
 
 
 def test_simplicial_check_keeps_its_class_and_order():
@@ -84,13 +85,13 @@ def test_validate_rejects_overlap():
     N = AbelianLattice(2)
     vs = VectorSet(N, [(1, 0), (0, 1), (1, 1)])
     with pytest.raises(errors.SupportMismatch):
-        validate_stacky_fan(vs, [{0, 1}, {0, 2}])
+        StackyFan(vs, [{0, 1}, {0, 2}])
 
 
 def test_validate_rejects_bad_ray_index():
     vs = a1_vector_set()
     with pytest.raises(errors.RayNotInS):
-        validate_stacky_fan(vs, [{0, 7}])
+        StackyFan(vs, [{0, 7}])
 
 
 def test_key_ignores_cone_order():
@@ -126,8 +127,9 @@ def test_heights_certify_a1_resolution():
 
 
 def test_extended_sequences_a1():
-    L, D, surj = extended_sequences(a1_vector_set())
-    assert surj
+    vs = a1_vector_set()
+    L, D = extended_sequences(vs)
+    assert vs.generates
     assert len(L) == 1
     assert primitive(L[0]) in ((-1, -1, 2), (1, 1, -2))
     # divisor images in the rank-1 dual coordinate
@@ -136,16 +138,17 @@ def test_extended_sequences_a1():
 
 
 def test_extended_sequences_blowup_c2():
-    L, D, surj = extended_sequences(blowup_c2_vector_set())
-    assert surj and len(L) == 1
+    vs = blowup_c2_vector_set()
+    L, D = extended_sequences(vs)
+    assert vs.generates and len(L) == 1
     assert primitive(L[0]) in ((1, 1, -1), (-1, -1, 1))
 
 
 def test_extended_sequences_basis_case():
     N = AbelianLattice(2)
     vs = VectorSet(N, [(1, 0), (0, 1)])
-    L, D, surj = extended_sequences(vs)
-    assert surj and L == []
+    L, D = extended_sequences(vs)
+    assert vs.generates and L == []
 
 
 def test_box_elements_a1():
@@ -295,6 +298,16 @@ def test_open_mori_duality_with_cpl():
     s1 = StackyFan(vs, [{0, 1}])
     oe = s1.open_mori_cone()
     assert set(oe.extreme_rays()) == {(1, 0, 0), (0, 1, 0), (-1, -1, 2)}
+
+
+def test_element_checks_the_torsion_length():
+    # a torsion part of the wrong length is refused before it is reduced,
+    # not truncated to the lattice's invariants
+    z2 = AbelianLattice(2, (2,))
+    assert z2.element((1, 0), (5,)) == NElt((1, 0), (1,))
+    for lat, tor in ((z2, (1, 5)), (z2, ()), (AbelianLattice(2), (3,))):
+        with pytest.raises(ValueError, match="wrong torsion part"):
+            lat.element((1, 0), tor)
 
 
 def test_torsion_lattice_box():
