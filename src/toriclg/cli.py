@@ -156,7 +156,7 @@ def cmd_track(scn: Scenario, outdir, seed):
 def cmd_mutate(scn: Scenario, outdir, seed):
     from .ktheory import (bl_line_p4_collection,
                           bl_line_p4_initial_collection,
-                          build_cohomology_ring)
+                          build_cohomology_ring, unitriangular)
     from .mutation import MarkedReflectionSystem, KBackend, evolve
     variety = scn.collection()
     phase = float(scn.get("phase"))
@@ -165,7 +165,7 @@ def cmd_mutate(scn: Scenario, outdir, seed):
     back = KBackend(ring)
     initial = bl_line_p4_initial_collection(ring)
     order0 = sorted(range(traj.nbranches),
-                    key=lambda b: -traj.branches[b][0].value.imag)
+                    key=lambda b: -traj.values[0][b].imag)
     vectors = [None] * traj.nbranches
     labels = [None] * traj.nbranches
     for pos, b in enumerate(order0):
@@ -178,12 +178,11 @@ def cmd_mutate(scn: Scenario, outdir, seed):
     # conifold vector pinned to +O
     expected = bl_line_p4_collection(ring)
     order1 = sorted(range(traj.nbranches),
-                    key=lambda b: -traj.branches[b][-1].value.imag)
+                    key=lambda b: -traj.values[-1][b].imag)
     got = [final.vectors[b] for b in order1]
     want = [back.flatten(c.ch) for c in expected]
     conifold_pos = min(range(len(order1)),
-                       key=lambda pos: abs(traj.branches[order1[pos]][-1]
-                                           .value.imag))
+                       key=lambda pos: abs(traj.values[-1][order1[pos]].imag))
     signs = []
     ok = True
     for pos, (g, w) in enumerate(zip(got, want)):
@@ -196,10 +195,8 @@ def cmd_mutate(scn: Scenario, outdir, seed):
             signs.append(0)
     if ok and signs[conifold_pos] != 1:
         ok = False
-    G = [[final.backend.pair(got[a], got[b]) for b in range(len(got))]
-         for a in range(len(got))]
-    unipotent = all(G[a][a] == 1 for a in range(len(got))) \
-        and all(G[a][b] == 0 for a in range(len(got)) for b in range(a))
+    G = final.gram(order1)
+    unipotent = unitriangular(G)
     report = {
         "name": scn.name,
         "initial": [labels[b] for b in order0],

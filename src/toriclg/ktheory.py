@@ -787,29 +787,25 @@ def gram_matrix(classes):
     return [[euler_pairing_hrr(a, b) for b in classes] for a in classes]
 
 
+def unitriangular(G):
+    """Whether the square matrix G is upper unitriangular: 1 on the
+    diagonal and 0 below it, the Gram of an exceptional sequence in order.
+    Such a Gram has determinant 1 over Z without a further check."""
+    return all(G[i][j] == int(i == j)
+               for i in range(len(G)) for j in range(i + 1))
+
+
 def verify_sod(classes, blocks):
-    """Gram must be block-upper-triangular with unipotent upper-triangular
-    diagonal blocks.  Such a Gram is upper unitriangular, so it has
-    determinant 1 over Z without a further check.
+    """Semiorthogonality of the decomposition of `classes` into consecutive
+    blocks of the sizes `blocks`: the sizes add up to the number of
+    classes, and the Gram is upper unitriangular.  The blocks add nothing
+    to the Gram test, since each block follows every earlier one in the
+    order.
 
     Returns (ok, gram); ok is False (never raises) on structure failure.
     """
     G = gram_matrix(classes)
-    ok = True
-    blk_of = []
-    for bi, b in enumerate(blocks):
-        blk_of.extend([bi] * b)
-    nn = len(classes)
-    for i in range(nn):
-        for j in range(nn):
-            if blk_of[i] > blk_of[j] and G[i][j] != 0:
-                ok = False
-            if blk_of[i] == blk_of[j]:
-                if i == j and G[i][j] != 1:
-                    ok = False
-                if i > j and G[i][j] != 0:
-                    ok = False
-    return ok, G
+    return sum(blocks) == len(classes) and unitriangular(G), G
 
 
 def euler_pairing_gamma(gdata: GammaData, V1: KClass, V2: KClass,

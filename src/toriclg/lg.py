@@ -946,8 +946,6 @@ def track_critical_values(family, params, rng=None):
         if nxt is not None:
             return nxt, cur
         if depth >= 12:
-            events.append({"step": k, "kind": "branch_lost",
-                           "branch": failed, "param": _pnum(b)})
             raise errors.LostBranch(
                 f"Newton failed for branch {failed} near parameter {b}")
         mid = a + (b - a) * 0.5

@@ -112,6 +112,11 @@ class MarkedReflectionSystem:
                         f"{G[a][b]} below the diagonal")
         return G
 
+    def reflect(self, i, j, c):
+        """The one step of every mutation, in place: v_i <- v_i - c v_j."""
+        self.vectors[i] = tuple(x - c * y for x, y in
+                                zip(self.vectors[i], self.vectors[j]))
+
     def mutate(self, pos, direction):
         """Mutation of the adjacent pair at positions (pos, pos+1) in the
         current order; 'right' moves the earlier vector past the later one,
@@ -120,17 +125,11 @@ class MarkedReflectionSystem:
         if pos < 0 or pos + 1 >= len(order):
             raise errors.IndexOutOfRange(f"position {pos} has no neighbour")
         ia, ib = order[pos], order[pos + 1]
-        out = self.copy()
-        if direction == "right":
-            c = self.pair(ia, ib)
-            out.vectors[ia] = tuple(x - c * y for x, y in
-                                    zip(self.vectors[ia], self.vectors[ib]))
-        elif direction == "left":
-            c = self.pair(ia, ib)
-            out.vectors[ib] = tuple(x - c * y for x, y in
-                                    zip(self.vectors[ib], self.vectors[ia]))
-        else:
+        moving = {"right": (ia, ib), "left": (ib, ia)}.get(direction)
+        if moving is None:
             raise ValueError("direction must be 'right' or 'left'")
+        out = self.copy()
+        out.reflect(*moving, self.pair(ia, ib))
         # markings swap heights per the crossing convention
         out.markings[ia], out.markings[ib] = (self.markings[ib],
                                               self.markings[ia])
@@ -332,12 +331,8 @@ def evolve(mrs: MarkedReflectionSystem, trajectory):
                             f"entangled crossings ({ia},{ja}) and ({ib},{jb})"
                             f" within refinement tolerance at step {k}")
         for (s_ref, i, j, direction) in refined:
-            if direction == "up":
-                c = cur.backend.pair(cur.vectors[i], cur.vectors[j])
-            else:
-                c = cur.backend.pair(cur.vectors[j], cur.vectors[i])
-            cur.vectors[i] = tuple(x - c * y for x, y in
-                                   zip(cur.vectors[i], cur.vectors[j]))
+            c = cur.pair(i, j) if direction == "up" else cur.pair(j, i)
+            cur.reflect(i, j, c)
             at = params[k] + (params[k + 1] - params[k]) * s_ref
             events.append(MutationEvent(k, i, j, direction, c, at))
         cur.markings = trajectory.values_at_step(k + 1)

@@ -396,7 +396,8 @@ class CurveChart:
             return None
         if self._sigma0_cones is None:
             self._sigma0_cones = sigma0_max_cones(self.wall)
-        if not _common_cone_sigma0(self.wall, v1, v2, self._sigma0_cones):
+        if not any(cone.contains(v1.free) and cone.contains(v2.free)
+                   for _, cone in self._sigma0_cones):
             return None
         diff = tuple(a + b - c for a, b, c in zip(p1, p2, p12))
         return self._as_t_exponent(diff, side)
@@ -463,12 +464,3 @@ def sigma0_max_cones(wall: WallCrossing):
         out.append((I, Cone.from_rays([fan.ray_free(i) for i in sorted(I)],
                                       fan.n)))
     return out
-
-
-def _common_cone_sigma0(wall: WallCrossing, v1, v2, cache=None):
-    """Whether v1bar, v2bar lie in a common cone of Sigma_0."""
-    cones = cache if cache is not None else sigma0_max_cones(wall)
-    for _, cone in cones:
-        if cone.contains(v1.free) and cone.contains(v2.free):
-            return True
-    return False

@@ -1,17 +1,14 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass line per criterion (run with -s to see them)."""
-import cmath
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from critical_value_oracle import bl_line_p4_oracle_values
 from residue_oracle import (grothendieck_residue_oracle,
                             steepest_descent_quadrature_p1)
-from toriclg import errors
 from toriclg.families import bl_line_p4_family_lambda, pn_mirror
 from toriclg.fans import StackyFan
 from toriclg.gkz import generic_rank_check, gkz_relation
@@ -23,13 +20,12 @@ from toriclg.ktheory import (BlowupData, GammaData, KClass, bl_line_p4,
                              verify_sod)
 from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.lg import (conifold_point, critical_points,
-                        curve_critical_values, extraction_parameter,
-                        track_critical_values)
+                        curve_critical_values, track_critical_values)
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               evolve)
 from toriclg.rational import det, primitive
 from toriclg.residues import asym_expansion, higher_residue_pairing
-from toriclg.secondary import CurveChart, PLConeData, wall_between
+from toriclg.secondary import wall_between
 
 
 def report(num, ok, text):

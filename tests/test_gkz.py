@@ -1,6 +1,4 @@
-import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest

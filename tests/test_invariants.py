@@ -5,13 +5,11 @@ block verification in K-class mode."""
 import math
 
 import numpy as np
-import pytest
 
 from orlov_evolution_oracle import verify_orlov_evolution
-from toriclg import errors
 from toriclg.families import bl_line_p4_family_lambda
 from toriclg.fans import StackyFan
-from toriclg.ktheory import (BlowupData, bl_line_p4, bl_line_p4_collection,
+from toriclg.ktheory import (BlowupData, bl_line_p4,
                              bl_line_p4_initial_collection,
                              build_cohomology_ring)
 from toriclg.lattice import AbelianLattice, VectorSet

@@ -314,6 +314,20 @@ def test_verify_sod_single_class():
     assert ok and G == [[1]]
 
 
+def test_verify_sod_blocks_must_partition_the_classes():
+    # O, O(1) on P^2 is exceptional in order (Gram [[1, 3], [0, 1]]), so
+    # only the blocks can fail: blocks covering too few or too many classes
+    # give ok False and never an IndexError
+    ring = build_cohomology_ring(projective_space(2))
+    O = KClass.structure_sheaf(ring)
+    classes = [O, KClass.line_bundle(ring, ring.divisor(0), "O(1)")]
+    assert verify_sod(classes, [2]) == (True, [[1, 3], [0, 1]])
+    assert verify_sod(classes, [1, 1])[0]
+    for blocks in ([1], [1, 1, 1], [3], []):
+        ok, G = verify_sod(classes, blocks)
+        assert not ok and G == [[1, 3], [0, 1]]
+
+
 def old_sod_rule(G, blocks):
     """verify_sod's rule before it dropped its determinant: the block checks
     and |det G| = 1."""

@@ -9,17 +9,14 @@ import pytest
 from orlov_evolution_oracle import BlockMismatch, verify_orlov_evolution
 from toriclg import errors
 from toriclg.families import bl_line_p4_family_lambda, pn_mirror
-from toriclg.fans import StackyFan
-from toriclg.ktheory import (BlowupData, KClass, bl_line_p4,
-                             bl_line_p4_collection, build_cohomology_ring,
-                             euler_pairing_hrr, projective_space)
-from toriclg.lattice import AbelianLattice, VectorSet
+from toriclg.ktheory import (KClass, bl_line_p4, bl_line_p4_collection,
+                             build_cohomology_ring, euler_pairing_hrr,
+                             projective_space)
 from toriclg.lg import (LGPotential, Trajectory,
                         track_critical_values)
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               admissible, evolve)
 from toriclg.rational import det
-from toriclg.secondary import wall_between
 
 
 def test_admissible():

@@ -7,7 +7,7 @@ from toriclg.lattice import AbelianLattice, VectorSet
 from toriclg.rational import (cleared, det, dual_lattice, frac, hnf,
                               in_lattice, integer_kernel, matvec, nullspace,
                               parallelepiped_units, preimage_lattice,
-                              primitive, rank, rref, scaled_inverse, solve,
+                              primitive, rank, scaled_inverse, solve,
                               transpose, vec)
 
 

@@ -7,7 +7,7 @@ import pytest
 from toriclg import errors, secondary
 from toriclg.fans import StackyFan
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.rational import dot, in_lattice, primitive, vec
+from toriclg.rational import dot, primitive, vec
 from toriclg.secondary import (CurveChart, cpl_cone, enumerate_adapted_fans,
                                wall_between)
 
