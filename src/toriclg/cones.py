@@ -178,11 +178,6 @@ class Cone:
         return (all(idot(a, x) >= 0 for a in self.inequalities)
                 and all(idot(e, x) == 0 for e in self.equalities))
 
-    def relint_contains(self, x) -> bool:
-        if not all(idot(e, x) == 0 for e in self.equalities):
-            return False
-        return all(idot(a, x) > 0 for a in self.inequalities)
-
     def relint_point(self):
         acc = (0,) * self.ambient
         for p in self.rays + self.lineality:

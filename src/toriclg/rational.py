@@ -13,9 +13,9 @@ charts, the complement table, dual lattices, Hilbert bases and a
 potential family's splitting inverse read it.  Over Z there is one
 textbook Hermite reduction with full pivot tracking.  `cleared`,
 `primitive` and `idot` take `int` vectors as they are, for the callers
-that run on integers: the cones, the chamber walk's probes, walls and
-complement inverses, the fan's charts, circuit rows and cover check, and
-the HRR pairing.
+that run on integers: the cones, the chamber walk's stability signs,
+walls and complement inverses, the fan's charts, circuit rows and cover
+check, and the HRR pairing.
 """
 from __future__ import annotations
 

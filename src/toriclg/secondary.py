@@ -11,9 +11,14 @@ from . import errors
 from .cones import Cone, dual_description
 from .fans import StackyFan, cones_key
 from .lattice import VectorSet
-from .rational import idot, in_lattice, primitive, solve, transpose, vec
+from .rational import (dot, idot, in_lattice, primitive, solve, transpose,
+                       vec)
 
 MAX_S_FOR_ENUMERATION = 12
+# chambers x complement-table rows a walk may reach: each chamber scans the
+# table once per facet, so this product, not the chamber count alone, tracks
+# the walk's time across ranks
+MAX_CHAMBER_ROWS = 5 * 10 ** 5
 # a wall's weights k_b = D_b . w enter K as k_b^k_b and J as their sum
 MAX_WALL_WEIGHT = 10 ** 3
 
@@ -134,44 +139,49 @@ def cpl_cone(fan: StackyFan) -> PLConeData:
 # chamber enumeration
 
 
-def _fan_from_stability(vector_set: VectorSet, omega, built):
-    """Stacky fan selected by a generic GIT stability parameter omega in L^*_Q.
+def _fan_from_stability(vector_set: VectorSet, p, g, built):
+    """Stacky fan of the chamber that holds p - eps g for every small
+    eps > 0 (for g = 0, the chamber of a generic GIT parameter p in L^*_Q).
 
     Maximal cones are the n-subsets I whose complement {D_b : b not in I} is
-    a basis of L^*_Q with omega = sum_b lam_b D_b, every lam_b > 0 (omega in
-    the interior of their cone); `VectorSet.complements` holds adj =
-    |det M_I| M_I^-1, so lam = M_I^-1 omega.  The first such lam, extended
-    by 0 on I, is a height vector c lifting omega; for any other selected
-    sigma, c - lam^sigma is linear, so c_b - m_sigma(b) = lam^sigma_b > 0
-    off sigma, and c certifies strict convexity without an LP.
+    a basis of L^*_Q with p - eps g = sum_b lam_b D_b, every lam_b > 0;
+    `VectorSet.complements` holds adj = |det M_I| M_I^-1, so lam is a
+    positive multiple of adj (p - eps g): every row needs row.p > 0, or
+    row.p = 0 and row.g < 0.  On the selected rows, w = N p - g has those
+    signs once N > row.g / row.p wherever row.p > 0.  The first selected
+    lam = adj w, extended by 0 on I, is a height vector c lifting w; for
+    any other selected sigma, c - lam^sigma is linear, so c_b - m_sigma(b)
+    = lam^sigma_b > 0 off sigma, and c certifies strict convexity without
+    an LP.
 
-    The signs are tested in `int`: with den the common denominator of omega
-    and w = den omega, adj w = |det M_I| den lam, so lam > 0 iff adj w > 0.
-    The heights are the `int` entries (adj w)_b, the positive multiple
-    |det M_I| den of lam, which certifies convexity as well.
+    The signs are tested in `int`: p and g are scaled by the common
+    denominator of their entries, which changes no sign, and the heights
+    are the `int` entries of adj w.
 
     `built` maps `cones_key` to the fans already validated (None when
     rejected); a known selection is returned from it without rebuilding.
-    Returns None when omega is not generic enough to select a valid
-    simplicial fan.
+    Returns None when p - eps g does not select a valid simplicial fan.
     """
-    den = math.lcm(*(x.denominator for x in omega))
-    w = [x.numerator * (den // x.denominator) for x in omega]
-    max_cones = []
-    heights = None
-    for I, (rest, adj) in vector_set.complements().items():
-        if all(idot(row, w) > 0 for row in adj):
-            max_cones.append(I)
-            if heights is None:
-                heights = [0] * len(vector_set.vectors)
-                for b, row in zip(rest, adj):
-                    heights[b] = idot(row, w)
-    if not max_cones:
+    den = math.lcm(*(x.denominator for x in (*p, *g)))
+    p, g = ([x.numerator * (den // x.denominator) for x in v] for v in (p, g))
+    selected = [(I, rest, adj)
+                for I, (rest, adj) in vector_set.complements().items()
+                if all((v := idot(row, p)) > 0 or v == 0 and idot(row, g) < 0
+                       for row in adj)]
+    if not selected:
         return None
-    key = cones_key(max_cones)
+    key = cones_key(I for I, _, _ in selected)
     if key not in built:
+        N = 1 + max([0] + [idot(row, g) // v for _, _, adj in selected
+                           for row in adj if (v := idot(row, p)) > 0])
+        w = [N * a - b for a, b in zip(p, g)]
+        _, rest, adj = selected[0]
+        heights = [0] * len(vector_set.vectors)
+        for b, row in zip(rest, adj):
+            heights[b] = idot(row, w)
         try:
-            built[key] = StackyFan(vector_set, max_cones, heights=heights)
+            built[key] = StackyFan(vector_set, [I for I, _, _ in selected],
+                                   heights=heights)
         except errors.ToricLGError:
             built[key] = None
     return built[key]
@@ -179,8 +189,17 @@ def _fan_from_stability(vector_set: VectorSet, omega, built):
 
 def enumerate_adapted_fans(vector_set: VectorSet):
     """All stacky fans adapted to S, via breadth-first chamber traversal of
-    the secondary fan.  Returns (fans, walls) with walls a list of
-    (fan_index_plus_side, fan_index_other, primitive normal in L coords)."""
+    the secondary fan.  Returns (fans, walls), walls a list of (a, b, g)
+    with fan indices a < b and g the primitive facet normal of cpl(fans[a])
+    on their shared facet, in L^* coordinates: g >= 0 on cpl(fans[a]) and
+    g <= 0 on cpl(fans[b]).
+
+    The neighbour across a facet with normal g and ray sum p is the
+    chamber holding p - eps g for every small eps > 0, which
+    `_fan_from_stability` reads off the complement table exactly.  Each
+    chamber scans that table once per facet, so the walk stops with
+    `TooLarge` once chambers x complement rows pass `MAX_CHAMBER_ROWS`.
+    """
     S = vector_set.vectors
     if len(S) > MAX_S_FOR_ENUMERATION:
         raise errors.TooLarge(f"|S| = {len(S)} exceeds enumeration bound "
@@ -190,63 +209,50 @@ def enumerate_adapted_fans(vector_set: VectorSet):
     if r == 0:
         # L = 0 forces S to be a basis of N_Q: a single chamber
         return [StackyFan(vector_set, [frozenset(range(len(S)))])], []
-    support = Cone.from_rays(D, r)
     import random
     rng = random.Random(20200422)
     built = {}
-    start = None
     for _ in range(200):
         omega = tuple(sum(rng.randint(1, 97) * D[b][j] for b in range(len(S)))
                       for j in range(r))
-        fan = _fan_from_stability(vector_set, omega, built)
-        if fan is not None:
-            data = pl_cone_data(fan)
-            if data.cpl is not None and data.cpl.relint_contains(omega):
-                start = fan
-                break
-    if start is None:
+        start = _fan_from_stability(vector_set, omega, (0,) * r, built)
+        if start is not None:
+            break
+    else:
         raise errors.TooLarge("failed to locate an initial chamber")
+    rows = sum(len(adj) for _, adj in vector_set.complements().values())
     fans = [start]
     seen = {start.key(): 0}
     walls = []
-    queue = [0]
-    while queue:
-        fi = queue.pop(0)
-        cpl = pl_cone_data(fans[fi]).cpl
+    wall_pairs = set()
+    # `fans` grows as the walk finds chambers: the loop is the BFS queue
+    for fi, fan in enumerate(fans):
+        cpl = pl_cone_data(fan).cpl
         for g in cpl.inequalities:
-            # facet relint point (the origin when the facet is {0})
-            face_rays = [rr for rr in cpl.rays if idot(g, rr) == 0]
-            p = (0,) * r
-            for rr in face_rays:
-                p = tuple(a + b for a, b in zip(p, rr))
             # boundary facet of the support: no neighbour
             if all(idot(g, d) >= 0 for d in D):
                 continue
-            neighbour = None
-            for k in range(1, 64):
-                omega = tuple(2 ** k * a - b for a, b in zip(p, g))
-                if not support.contains(omega):
-                    continue
-                cand = _fan_from_stability(vector_set, omega, built)
-                if cand is None:
-                    continue
-                cdata = pl_cone_data(cand)
-                if (cdata.cpl is not None and cdata.cpl.relint_contains(omega)
-                        and all(cdata.cpl.contains(rr) for rr in face_rays)):
-                    # genuine facet neighbour: shares the whole wall face
-                    neighbour = cand
-                    break
+            # ray sum of the facet (the origin when the facet is {0})
+            face = [rr for rr in cpl.rays if idot(g, rr) == 0]
+            p = tuple(map(sum, zip((0,) * r, *face)))
+            neighbour = _fan_from_stability(vector_set, p, g, built)
             if neighbour is None:
-                raise errors.TooLarge("chamber probe failed near a wall")
+                raise errors.VerificationFailed(
+                    f"chamber {fi}: the chamber across its facet g = "
+                    f"{list(g)} is no valid fan")
             key = neighbour.key()
             if key not in seen:
+                if (len(fans) + 1) * rows > MAX_CHAMBER_ROWS:
+                    raise errors.TooLarge(
+                        f"|S| = {len(S)}: {len(fans) + 1} chambers reached "
+                        f"x {rows} complement rows exceeds the chamber "
+                        f"budget {MAX_CHAMBER_ROWS}")
                 seen[key] = len(fans)
                 fans.append(neighbour)
-                queue.append(seen[key])
-            wi = seen[key]
-            pair = (min(fi, wi), max(fi, wi))
-            if not any((a, b) == pair for a, b, _ in walls):
-                walls.append((pair[0], pair[1], g))
+            pair = tuple(sorted((fi, seen[key])))
+            if pair not in wall_pairs:
+                wall_pairs.add(pair)
+                walls.append((*pair, g))
     return fans, walls
 
 
@@ -433,34 +439,24 @@ class CurveChart:
 
 def sigma0_max_cones(wall: WallCrossing):
     """Maximal cones of the possibly-degenerate common coarsening Sigma_0,
-    as Cone objects (with their generating index sets).
+    as (index set, Cone) pairs.
 
-    I belongs to the index family when the angle spanned by {D_b : b not in
-    I} contains the relative interior of the shared wall face; the maximal
-    members give the cones of Sigma_0.
+    Its cells are the maximal I whose angle cone(D_b : b not in I) holds a
+    relative interior point p0 of the shared wall face in its relative
+    interior.  With heights c lifting p0 (sum_b c_b D_b = p0), a maximal
+    cone sigma of the plus fan has circuit rows row . c = vol lam_b, lam the
+    coefficients of p0 on {D_b : b not in sigma}; so its cell is sigma with
+    every b whose circuit row vanishes on c (Gelfand-Kapranov-Zelevinsky
+    1994, ch. 7).
     """
     fan = wall.plus_fan
-    m = len(fan.S)
-    D = fan.divisor_images()
-    d1 = pl_cone_data(wall.plus_fan)
-    d2 = pl_cone_data(wall.minus_fan)
-    face = d1.cpl.intersection(d2.cpl)
+    face = pl_cone_data(fan).cpl.intersection(pl_cone_data(wall.minus_fan).cpl)
     p0 = face.relint_point()
-    members = []
-    for size in range(m + 1):
-        for I in itertools.combinations(range(m), size):
-            rest = [D[b] for b in range(m) if b not in I]
-            if not rest:
-                if all(x == 0 for x in p0):
-                    members.append(frozenset(I))
-                continue
-            cone = Cone.from_rays(rest, d1.rank)
-            if cone.relint_contains(p0):
-                members.append(frozenset(I))
-    maximal = [I for I in members
-               if not any(I < J for J in members)]
-    out = []
-    for I in maximal:
-        out.append((I, Cone.from_rays([fan.ray_free(i) for i in sorted(I)],
-                                      fan.n)))
-    return out
+    D = fan.divisor_images()
+    c = solve([[d[j] for d in D] for j in range(len(p0))], p0)
+    cells = {}
+    for sigma, circuits in zip(fan.max_cones, fan.circuits()):
+        cells.setdefault(sigma | {b for b, row in circuits.items()
+                                  if dot(row, c) == 0})
+    return [(I, Cone.from_rays([fan.ray_free(i) for i in sorted(I)], fan.n))
+            for I in cells]

@@ -530,6 +530,10 @@ NEGATIVE_RUNS = {
     "S-missing.json": ("wallcross", "ScenarioError", "no lattice/S data"),
     "S-entry-huge.json": ("fans", "TooLarge",
                           "index 1000000000 exceeds the Box budget"),
+    "S-past-chamber-budget.json": ("fans", "TooLarge",
+                                   "|S| = 12: 129 chambers reached x 3896 "
+                                   "complement rows exceeds the chamber "
+                                   "budget 500000"),
 }
 
 

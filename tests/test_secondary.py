@@ -234,6 +234,24 @@ def test_curve_chart_a1_via_discrepant_neighbour():
     assert ch.product_exponent((1, 0), (2, 0), side="plus") == 0
 
 
+def test_a_neighbour_that_fails_validation_names_the_chamber_and_facet(
+        monkeypatch):
+    # the start chamber validates; the chamber across its facet does not
+    real = secondary.StackyFan
+    built = []
+
+    def start_only(*args, **kwargs):
+        built.append(args)
+        if len(built) > 1:
+            raise errors.NonSimplicial("rejected")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(secondary, "StackyFan", start_only)
+    with pytest.raises(errors.VerificationFailed,
+                       match=r"chamber 0: the chamber across its facet "
+                             r"g = \[-?1\] is no valid fan"):
+        enumerate_adapted_fans(blowup_vs())
+
+
 def test_fan_structure_of_secondary_fan_random():
     rng = random.Random(9)
     trials = 0
@@ -253,10 +271,7 @@ def test_fan_structure_of_secondary_fan_random():
             continue
         if not vs.generates:
             continue
-        try:
-            fans, walls = enumerate_adapted_fans(vs)
-        except errors.TooLarge:
-            continue
+        fans, walls = enumerate_adapted_fans(vs)
         trials += 1
         # chambers cover and have disjoint interiors: every wall facet of a
         # chamber is either on the boundary of the support or shared
@@ -425,6 +440,13 @@ def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
     vs = VectorSet(AbelianLattice(len(S[0])), S)
     _, D = vs.sequences()
     m, n, r = len(S), len(S[0]), len(D[0])
+    # (ray sum p, normal g) of every facet of every chamber
+    facets = []
+    for fan in enumerate_adapted_fans(vs)[0]:
+        cpl = secondary.pl_cone_data(fan).cpl
+        for g in cpl.inequalities:
+            face = [rr for rr in cpl.rays if dot(g, rr) == 0]
+            facets.append((tuple(map(sum, zip((0,) * r, *face))), g))
     # the selection and heights handed to the fan, not the fan itself
     monkeypatch.setattr(secondary, "StackyFan",
                         lambda vs, max_cones, heights: (max_cones, heights))
@@ -441,7 +463,7 @@ def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
             omega = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
                           for _ in range(r))
         want = fraction_selection(D, m, n, omega)
-        got = secondary._fan_from_stability(vs, omega, {})
+        got = secondary._fan_from_stability(vs, omega, (0,) * r, {})
         if not want[0]:
             assert got is None
             continue
@@ -453,3 +475,20 @@ def test_integer_stability_probe_matches_fraction_reference(S, monkeypatch):
         selected += 1
         non_integral += any(x.denominator != 1 for x in omega)
     assert selected > 75 and non_integral > 50
+    # p - eps g selects the cones the Fraction reference selects at a tiny
+    # eps, with heights that certify them: positive off each cone
+    from elimination_oracle import mat_inverse
+    for p, g in facets:
+        want = fraction_selection(D, m, n, tuple(
+            a - Fraction(b, 10 ** 30) for a, b in zip(p, g)))
+        got = secondary._fan_from_stability(vs, p, g, {})
+        if not want[0]:
+            assert got is None
+            continue
+        assert got[0] == want[0]
+        lift = tuple(sum(h * D[b][j] for b, h in enumerate(got[1]))
+                     for j in range(r))
+        for cone in got[0]:
+            rest = [b for b in range(m) if b not in cone]
+            inv, _ = mat_inverse([[D[b][j] for b in rest] for j in range(r)])
+            assert all(dot(row, lift) > 0 for row in inv)
