@@ -14,13 +14,14 @@ _HOMES = {
     "StackyFan": "fans",
     "AbelianLattice": "lattice", "VectorSet": "lattice",
     "extended_sequences": "lattice",
-    "LGPotential": "lg", "chart_family": "lg", "conifold_point": "lg",
-    "critical_points": "lg", "curve_critical_values": "lg",
+    "chart_family": "families",
+    "LGPotential": "lg", "conifold_point": "lg", "critical_points": "lg",
     "newton_nondegenerate": "lg", "track_critical_values": "lg",
     "MarkedReflectionSystem": "mutation", "admissible": "mutation",
     "evolve": "mutation",
     "CurveChart": "secondary", "PLConeData": "secondary",
     "WallCrossing": "secondary", "cpl_cone": "secondary",
+    "curve_critical_values": "secondary",
     "enumerate_adapted_fans": "secondary", "wall_between": "secondary",
 }
 

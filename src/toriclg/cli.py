@@ -69,8 +69,7 @@ def cmd_fans(scn: Scenario, outdir, seed):
 
 
 def cmd_wallcross(scn: Scenario, outdir, seed):
-    from .lg import curve_critical_values
-    from .secondary import CurveChart
+    from .secondary import CurveChart, curve_critical_values
     wall = scn.wall()
     report = {
         "name": scn.name,
@@ -272,18 +271,17 @@ def cmd_orlov(scn: Scenario, outdir, seed):
 
 def cmd_gkz(scn: Scenario, outdir, seed):
     from .gkz import char_variety_at_limit, generic_rank_check, gkz_relation
+    from .rational import idot
     fan = scn.fan("gkz.chart") if scn.get("gkz.chart") is not None \
         else scn.variety(scn.get("gkz.variety"))
     rng = _rng(seed)
     ok, witness = char_variety_at_limit(fan)
     rank_report = generic_rank_check(fan, rng=rng)
     ops = []
-    L = fan.kernel_basis()
-    if L:
+    if fan.kernel_basis():
         ne = fan.extended_mori_cone()
         for ray in ne.extreme_rays()[:3]:
-            lam = [sum(int(ray[j]) * L[j][b] for j in range(len(L)))
-                   for b in range(len(fan.S))]
+            lam = [idot(d, ray) for d in fan.divisor_images()]
             op = gkz_relation(fan, (0,) * fan.n, lam)
             ops.append({"lambda": lam, "pretty": op.pretty(),
                         "annihilates": op.annihilates()})

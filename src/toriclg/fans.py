@@ -13,9 +13,10 @@ from . import errors
 from .cones import Cone, hilbert_basis
 from .lattice import NElt, VectorSet, as_element
 from .lp import feasible_strict
-from .rational import (MAX_BOX_INDEX, dual_lattice, idot,
-                       lattice_from_generators, parallelepiped_units,
-                       preimage_lattice, primitive, rank, solve)
+from .rational import (MAX_BOX_INDEX, cleared, dual_lattice, idot,
+                       lattice_from_generators, matvec, nullspace,
+                       parallelepiped_units, preimage_lattice, primitive,
+                       rank, solve, transpose)
 
 
 class BoxElement:
@@ -362,6 +363,17 @@ class StackyFan:
             return []
         return dual_lattice(plq)
 
+    def lambda_sigma_basis(self):
+        """Canonical integer basis of Lambda^Sigma = Lambda(Sigma) cap Q^R
+        as vectors in Q^S: the vectors of Lambda(Sigma) that vanish on the
+        ghosts (the b in S off the rays), each cleared of denominators."""
+        D = self.divisor_images()
+        full = [matvec(D, c) for c in self.big_lambda_lattice()]
+        ghosts = [b for b in range(len(self.S)) if b not in self.rays]
+        ker = nullspace([[v[g] for v in full] for g in ghosts], len(full))
+        return lattice_from_generators(
+            [cleared(matvec(transpose(full), a))[1] for a in ker])
+
     def open_mori_cone(self):
         """OE^(X_Sigma) as a cone in Q^S (sum of the per-cone preimages)."""
         m = len(self.S)
@@ -382,13 +394,9 @@ class StackyFan:
                                      list(oe.equalities) + Bbar,
                                      m)
         # express rays in kernel-basis coordinates
-        L = self.kernel_basis()
-        Lt = [tuple(row[j] for row in L) for j in range(m)]
-        out = []
-        for r in sub.rays:
-            coeff = solve(Lt, r)
-            out.append(tuple(coeff))
-        return Cone.from_rays(out, len(L))
+        D = self.divisor_images()
+        return Cone.from_rays([solve(D, r) for r in sub.rays],
+                              len(self.kernel_basis()))
 
     def mori_monoid_generators(self):
         """Hilbert-basis generators of Lambda(Sigma)_+ (kernel coords)."""

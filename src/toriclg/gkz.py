@@ -166,13 +166,6 @@ def _default_splitting(fan: StackyFan):
     m = len(fan.S)
     r = len(fan.kernel_basis())
     srows = [b.free for b in fan.S]
-    if r == 0:
-        out = {}
-        for b in range(m):
-            row = [Fraction(0)] * m
-            row[b] = Fraction(1)
-            out[b] = solve(srows, row)
-        return out
     cols = fan.divisor_images()
     J = next(combo for combo in itertools.combinations(range(m), r)
              if rank([cols[b] for b in combo]) == r)
@@ -197,8 +190,7 @@ def gkz_relation(fan: StackyFan, v, lam) -> GKZOperator:
     L = fan.kernel_basis()
     # membership: lam in L and in NE^
     if L:
-        Lt = [tuple(row[j] for row in L) for j in range(len(fan.S))]
-        coeff = solve(Lt, lam)
+        coeff = solve(fan.divisor_images(), lam)
         if coeff is None or any(x.denominator != 1 for x in coeff):
             raise errors.NotInMoriCone("lambda is not in L")
         ne = fan.extended_mori_cone()
@@ -229,9 +221,7 @@ def char_variety_at_limit(fan: StackyFan):
         for T in itertools.combinations(range(m), size):
             # V_T = {xi : D_b(xi) = 0 for b off T}
             rows = [D[b] for b in range(m) if b not in T]
-            ker = nullspace(rows, r) if rows else \
-                [tuple(Fraction(1) if i == j else Fraction(0)
-                       for j in range(r)) for i in range(r)]
+            ker = nullspace(rows, r)
             if not ker:
                 continue
             # T realizable as an exact support: no b in T with D_b

@@ -1,7 +1,9 @@
-"""Mirror Landau-Ginzburg potentials on secondary-fan charts: critical
-points by multistart damped Newton in log coordinates, conifold points,
-closed-form critical values over wall curves, Newton non-degeneracy tests,
-and predictor-corrector tracking of critical values along moduli paths.
+"""Mirror Landau-Ginzburg potentials, numerically: critical points by
+multistart damped Newton in log coordinates, conifold points, Newton
+non-degeneracy tests, and predictor-corrector tracking of critical values
+along moduli paths.  The exact pieces live with the data they read: the
+layout of a fan's chart in `families`, and the closed-form critical values
+over a wall curve in `secondary`, beside `CurveChart`.
 
 Every Newton iteration here is `_newton_solve`, damped Newton on a stack of
 log points in lockstep: the multistart search, tracking, the collision
@@ -31,12 +33,10 @@ depends on how the rows are batched.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
 import numpy as np
 # the LAPACK gesv gufunc that `np.linalg.solve` calls (a private module,
@@ -46,9 +46,7 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 from . import errors
 from .cones import normalized_volume, polytope_facets, polytope_proper_faces
-from .fans import StackyFan
-from .rational import (idot, integer_kernel, primitive, rank, scaled_inverse,
-                       solve, transpose, vsub)
+from .rational import integer_kernel, primitive, solve, transpose, vsub
 
 TOL_NEWTON = 1e-12
 TOL_HESS = 1e-9
@@ -711,53 +709,6 @@ def conifold_point(F: LGPotential) -> CriticalDatum:
 
 
 # ---------------------------------------------------------------------------
-# critical values over the wall curve (closed form)
-
-
-def curve_critical_values(wall, t):
-    """Critical values over the wall curve at the normalized curve parameter
-    t: the 0-branch with the orbifold-cohomology multiplicity of the minus
-    side, plus the J nonzero values J*gamma with gamma^J = -1/(K t).
-
-    For contraction (II-i) and root (III) walls t is the chart coordinate
-    q^{-w} of the minus side.  For extraction (II-ii) walls t is the
-    rescaled coordinate -(-1)^(J+k) q^{-w} / prod_{b in M-} k_b^{k_b} with k
-    the weight of the single plus ray; crepant walls are rejected.
-    """
-    if wall.kind == "crepant":
-        raise errors.NotAdjacent("curve values require nonzero discrepancy")
-    if wall.kind == "flip":
-        raise errors.NotAdjacent("flip walls carry no morphism data")
-    J = wall.discrepancy
-    K = wall.K
-    mult0 = wall.minus_fan.dim_orbifold_cohomology()
-    out = [(0j, mult0)]
-    if t == 0:
-        return out
-    base = -1.0 / (K * complex(t))
-    r = abs(base) ** (1.0 / J)
-    theta = cmath.phase(base)
-    for m in range(J):
-        gamma = r * cmath.exp(1j * (theta + 2 * math.pi * m) / J)
-        out.append((J * gamma, 1))
-    return out
-
-
-def extraction_parameter(wall, q_minus_chart_value):
-    """Normalized curve parameter for an extraction (II-ii) wall, from the
-    minus-chart coordinate value q^{-w}."""
-    if wall.kind != "extract_divisor":
-        raise errors.NotAdjacent("only extraction walls need rescaling")
-    kplus = wall.k[wall.M_plus[0]]
-    prod = 1
-    for b in wall.M_minus:
-        kb = -wall.k[b]
-        prod *= kb ** kb
-    sign = -((-1) ** (wall.J + kplus))
-    return sign * complex(q_minus_chart_value) / prod
-
-
-# ---------------------------------------------------------------------------
 # Newton non-degeneracy
 
 
@@ -1143,104 +1094,3 @@ def _locate_collision(traj, k_enter, k_exit):
             solve(lookahead(state))
         state = move(state, phi(state[2]) < phi(state[3]))
     return at((state[0] + state[1]) / 2)
-
-
-# ---------------------------------------------------------------------------
-# chart assembly
-
-
-def chart_family(fan: StackyFan, chi=None, splitting=None):
-    """LG potentials of the chart attached to a stacky fan: a map
-    (q_values, t_values) -> LGPotential, all sharing one layout.
-
-    Coordinates follow the local-chart convention: x-coordinates come from
-    the splitting over a ray subset whose images form a basis (default: the
-    lexicographically first such subset), each ray term carries the monomial
-    q^{lambda(b)}, lambda(b) = Psi(b) - sigma-bar(b), in the canonical integer
-    basis of Lambda^Sigma, and each ghost term also t_b.  Computed once: the
-    splitting inverse, the Lambda^Sigma basis and every term's q-exponents.
-
-    q_values: `q_count` complex values for the canonical q-basis; t_values:
-    dict S-index -> complex, one per index of `ghosts` (both attributes of
-    the returned map, which checks neither).
-    """
-    S = fan.S
-    n = fan.n
-    m = len(S)
-    ghosts = [b for b in range(m) if b not in fan.rays]
-    if splitting is None:
-        splitting = _first_ray_basis(fan)
-    A, vol = scaled_inverse([[S[i].free[j] for i in splitting]
-                             for j in range(n)])
-    lam_basis = _lambda_sigma_basis(fan)
-    lam_cols = [tuple(r[j] for r in lam_basis) for j in range(m)]
-    q_exps = []             # per term: (q index, float exponent) pairs
-    for b in range(m):
-        lam_b = list(fan.psi(S[b]))
-        for i, row in zip(splitting, A):
-            lam_b[i] -= Fraction(idot(row, S[b].free), vol)
-        co = solve(lam_cols, tuple(lam_b)) if lam_basis else ()
-        q_exps.append([(k, float(e)) for k, e in enumerate(co) if e != 0])
-    template = LGPotential([b.free for b in S], [1] * m, chi=chi,
-                           torsion_parts=[b.tor for b in S],
-                           torsion_invariants=fan.lattice.torsion)
-
-    def potential(q_values, t_values):
-        coeffs = []
-        for b in range(m):
-            coeff = 1 + 0j
-            for k, e in q_exps[b]:
-                coeff *= complex(q_values[k]) ** e
-            if b in t_values:
-                coeff *= complex(t_values[b])
-            coeffs.append(coeff)
-        return template.with_coefficients(coeffs)
-    potential.q_count, potential.ghosts = len(lam_basis), ghosts
-    return potential
-
-
-def _first_ray_basis(fan: StackyFan):
-    for combo in itertools.combinations(sorted(fan.rays), fan.n):
-        if rank([fan.S[i].free for i in combo]) == fan.n:
-            return list(combo)
-    raise ValueError("no ray basis found")
-
-
-def _lambda_sigma_basis(fan: StackyFan):
-    """Canonical integer basis of Lambda^Sigma = Lambda(Sigma) cap Q^{R} as
-    vectors in Q^S."""
-    from .rational import lattice_from_generators
-    lam = fan.big_lambda_lattice()       # kernel-basis coordinates
-    if not lam:
-        return []
-    L = fan.kernel_basis()
-    m = len(fan.S)
-    ghosts = [b for b in range(m) if b not in fan.rays]
-    # Lambda(Sigma) vectors in Q^S
-    full = []
-    for coeff in lam:
-        v = [Fraction(0)] * m
-        for cc, row in zip(coeff, L):
-            for j in range(m):
-                v[j] += cc * row[j]
-        full.append(tuple(v))
-    # sublattice with vanishing ghost coordinates
-    if not ghosts:
-        sub = full
-    else:
-        from .rational import nullspace
-        rows = [tuple(v[g] for v in full) for g in ghosts]
-        ker = nullspace(rows, len(full))
-        sub = []
-        for kv in ker:
-            v = [Fraction(0)] * m
-            for a, fv in zip(kv, full):
-                for j in range(m):
-                    v[j] += a * fv[j]
-            sub.append(tuple(v))
-    # clear denominators into a canonical integer basis
-    out = []
-    for v in sub:
-        den = math.lcm(*(x.denominator for x in v))
-        out.append(tuple(int(x * den) for x in v))
-    return lattice_from_generators(out) if out else []

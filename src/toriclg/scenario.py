@@ -396,12 +396,11 @@ class Scenario:
     def _family(self):
         if self.get("potential") is None:
             raise errors.ScenarioError("scenario has no potential")
+        from .families import bl_line_p4_family_lambda, chart_family
         if self.get("potential.preset") is not None:
-            from .families import bl_line_p4_family_lambda
             text = self.get("potential.t_of_lambda")
             return bl_line_p4_family_lambda(
                 text and self._coefficient("potential.t_of_lambda", text))
-        from .lg import chart_family
         from .rational import rank
         fan = self.fan("potential.chart")
         split = self.get("potential.splitting")

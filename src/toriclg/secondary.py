@@ -1,8 +1,10 @@
 """Secondary (GKZ) fan machinery: chamber enumeration of stacky fans adapted
 to S, CPL/cpl cone data with integral structures, wall detection and
-classification, and the toric-curve chart attached to a wall."""
+classification, and the toric-curve chart attached to a wall with the
+closed-form critical values over it."""
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -417,9 +419,7 @@ class CurveChart:
         return self._as_w_multiple(diff)
 
     def _as_w_multiple(self, diff):
-        L = self.wall.plus_fan.kernel_basis()
-        Lt = [tuple(row[j] for row in L) for j in range(len(diff))]
-        coeff = solve(Lt, vec(diff))
+        coeff = solve(self.wall.plus_fan.divisor_images(), vec(diff))
         if coeff is None:
             raise errors.NotAdjacent("difference not in L_Q")
         wv = self.wall.w
@@ -435,6 +435,49 @@ class CurveChart:
         if side == "plus":
             return c * self.e_plus
         return -c * self.e_minus
+
+
+def curve_critical_values(wall, t):
+    """Critical values over the wall curve at the normalized curve parameter
+    t: the 0-branch with the orbifold-cohomology multiplicity of the minus
+    side, plus the J nonzero values J*gamma with gamma^J = -1/(K t).
+
+    For contraction (II-i) and root (III) walls t is the chart coordinate
+    q^{-w} of the minus side.  For extraction (II-ii) walls t is the
+    rescaled coordinate -(-1)^(J+k) q^{-w} / prod_{b in M-} k_b^{k_b} with k
+    the weight of the single plus ray; crepant walls are rejected.
+    """
+    if wall.kind == "crepant":
+        raise errors.NotAdjacent("curve values require nonzero discrepancy")
+    if wall.kind == "flip":
+        raise errors.NotAdjacent("flip walls carry no morphism data")
+    J = wall.discrepancy
+    K = wall.K
+    mult0 = wall.minus_fan.dim_orbifold_cohomology()
+    out = [(0j, mult0)]
+    if t == 0:
+        return out
+    base = -1.0 / (K * complex(t))
+    r = abs(base) ** (1.0 / J)
+    theta = cmath.phase(base)
+    for m in range(J):
+        gamma = r * cmath.exp(1j * (theta + 2 * math.pi * m) / J)
+        out.append((J * gamma, 1))
+    return out
+
+
+def extraction_parameter(wall, q_minus_chart_value):
+    """Normalized curve parameter for an extraction (II-ii) wall, from the
+    minus-chart coordinate value q^{-w}."""
+    if wall.kind != "extract_divisor":
+        raise errors.NotAdjacent("only extraction walls need rescaling")
+    kplus = wall.k[wall.M_plus[0]]
+    prod = 1
+    for b in wall.M_minus:
+        kb = -wall.k[b]
+        prod *= kb ** kb
+    sign = -((-1) ** (wall.J + kplus))
+    return sign * complex(q_minus_chart_value) / prod
 
 
 def sigma0_max_cones(wall: WallCrossing):

@@ -19,13 +19,12 @@ from toriclg.ktheory import (BlowupData, GammaData, KClass, bl_line_p4,
                              euler_pairing_hrr, p1xp1, projective_space,
                              verify_sod)
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lg import (conifold_point, critical_points,
-                        curve_critical_values, track_critical_values)
+from toriclg.lg import conifold_point, critical_points, track_critical_values
 from toriclg.mutation import (KBackend, MarkedReflectionSystem, MatrixBackend,
                               evolve)
 from toriclg.rational import det, primitive
 from toriclg.residues import asym_expansion, higher_residue_pairing
-from toriclg.secondary import wall_between
+from toriclg.secondary import curve_critical_values, wall_between
 
 
 def report(num, ok, text):

@@ -61,6 +61,20 @@ def test_exact_modules_load_without_numpy():
     assert run.returncode == 0, run.stderr
 
 
+def test_numerics_load_without_the_fan_layers():
+    # a chart's layout reads its fan through the fan's own methods, so the
+    # numerics and the potential families load no fan, lattice or LP code
+    code = ("import sys\n"
+            "import toriclg.lg, toriclg.families\n"
+            "loaded = {'toriclg.fans', 'toriclg.lattice', 'toriclg.lp'}"
+            " & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_exact_k_theory_loads_without_mpmath():
     # the Gamma class takes its constants from no library, so neither an
     # Orlov basis with its semiorthogonality check nor Gamma data load
@@ -85,6 +99,7 @@ def test_exact_k_theory_loads_without_mpmath():
 
 @pytest.mark.parametrize("command, scenario", [
     ("fans", "a1.json"), ("fans", "bl-line-p4.json"),
+    ("wallcross", "a1.json"), ("wallcross", "bl-line-p4.json"),
     ("orlov", "bl-line-p4.json")])
 def test_exact_subcommands_run_without_numpy(command, scenario, tmp_path):
     # the CLI imports numpy only inside the subcommands that draw from a

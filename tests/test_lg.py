@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from critical_value_oracle import bl_line_p4_oracle_values
-from toriclg import errors, lg
+from toriclg import errors, families, lg
 from toriclg.families import (bl_line_p4_family_lambda, bl_line_p4_potential,
-                              blowup_c2_potential, cyclic_orbifold_potential,
+                              blowup_c2_potential, chart_family,
+                              cyclic_orbifold_potential,
                               cyclic_resolution_potential, pn_mirror)
 from toriclg.fans import StackyFan
 from toriclg.lattice import AbelianLattice, VectorSet
-from toriclg.lg import (LGPotential, chart_family, conifold_point,
-                        critical_points, curve_critical_values,
-                        extraction_parameter, newton_nondegenerate,
-                        track_critical_values)
-from toriclg.secondary import wall_between
+from toriclg.lg import (LGPotential, conifold_point, critical_points,
+                        newton_nondegenerate, track_critical_values)
+from toriclg.secondary import (curve_critical_values, extraction_parameter,
+                               wall_between)
 
 SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -495,12 +495,13 @@ def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
     assert len(calls) == once
     # a scenario chart: one bound, one splitting inverse and one
     # Lambda^Sigma basis for the whole `track`
-    work = {"scaled_inverse": 0, "_lambda_sigma_basis": 0}
-    for name in work:
-        def counted(*args, _name=name, _fn=getattr(lg, name)):
+    work = {"scaled_inverse": 0, "lambda_sigma_basis": 0}
+    for owner, name in ((families, "scaled_inverse"),
+                        (StackyFan, "lambda_sigma_basis")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
             work[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(lg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for scenario in ("p2.json", "a1.json"):
         calls.clear()
         work.update(dict.fromkeys(work, 0))
@@ -508,7 +509,7 @@ def test_count_bound_computed_once_per_potential(monkeypatch, tmp_path):
                    "--out", str(tmp_path), "--seed", "0"])
         assert rc == 0
         assert calls.count(2) == 1
-        assert work == {"scaled_inverse": 1, "_lambda_sigma_basis": 1}
+        assert work == {"scaled_inverse": 1, "lambda_sigma_basis": 1}
     # `critical` computes the Newton polytope's facets once, for the bound;
     # the non-degeneracy check and its face lattice reuse them
     calls.clear()

@@ -273,27 +273,22 @@ def test_fan_structure_of_secondary_fan_random():
             continue
         fans, walls = enumerate_adapted_fans(vs)
         trials += 1
-        # chambers cover and have disjoint interiors: every wall facet of a
-        # chamber is either on the boundary of the support or shared
+        # chambers have disjoint interiors: every two cpl cones meet in
+        # dimension < r; and they cover: every facet of a chamber is either
+        # on the boundary of the support or shared with a neighbour
         from toriclg.secondary import PLConeData
-        from toriclg.cones import Cone
         L, D = vs.sequences()
         r = len(L)
         if r == 0:
             continue
-        support = Cone.from_rays([vec(d) for d in D], r)
-        for fi, fan in enumerate(fans):
-            cpl = PLConeData(fan).cpl
+        cpls = [PLConeData(fan).cpl for fan in fans]
+        for one, other in itertools.combinations(cpls, 2):
+            assert one.intersection(other).dim() < r
+        for fi, cpl in enumerate(cpls):
             for g in cpl.inequalities:
                 on_boundary = all(dot(g, vec(D[b])) >= 0 for b in range(m))
-                shared = any(fi in (a, b) for a, b, _ in walls
-                             if _wall_matches(cpl, g, fans, walls, fi))
                 assert on_boundary or _has_neighbour(fi, g, cpl, fans, walls)
     assert trials >= 3
-
-
-def _wall_matches(cpl, g, fans, walls, fi):
-    return True
 
 
 def _has_neighbour(fi, g, cpl, fans, walls):
